@@ -9,7 +9,8 @@ Subcommands:
     plot-data          tidy CSV extracts (residual decay, profiles) from a trace
 
 Exit codes for ``run``: 0 tolerance reached, 2 iteration budget exhausted,
-3 divergence guard tripped, 1 configuration or I/O failure.
+3 divergence guard tripped, 4 non-finite iterate, 1 configuration or I/O
+failure.
 """
 
 from __future__ import annotations
@@ -193,7 +194,8 @@ def cmd_run(args) -> int:
           f"residual {summary['final_residual']:.6g}")
     return {solver_mod.TERMINATION_TOLERANCE: 0,
             solver_mod.TERMINATION_BUDGET: 2,
-            solver_mod.TERMINATION_DIVERGENCE: 3}[trace.termination_reason]
+            solver_mod.TERMINATION_DIVERGENCE: 3,
+            solver_mod.TERMINATION_NON_FINITE: 4}[trace.termination_reason]
 
 
 def cmd_check_constraints(args) -> int:

@@ -154,13 +154,6 @@ def g_sample(game, offsets: UnderApproxOffsets, u: np.ndarray, w: np.ndarray) ->
     return game_mod.constraint_sample(game, u, w) + offsets.offsets
 
 
-def g_values(game, offsets: UnderApproxOffsets, u: np.ndarray, w_batch: np.ndarray) -> np.ndarray:
-    """Batched tightened constraint values, one row per disturbance sample."""
-    from . import game as game_mod
-
-    return game_mod.constraint_values(game, u, w_batch) + offsets.offsets[None, :]
-
-
 def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple:
     """Wilson score interval for a binomial proportion."""
     if n < 1:

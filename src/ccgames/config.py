@@ -48,7 +48,6 @@ _SOLVER_KEYS = {
     "delta", "step_a0", "step_offset", "batch_scale", "batch_offset",
     "batch_exponent", "max_iterations", "residual_tolerance", "residual_batch",
     "seed", "checkpoint_every", "snapshot_every", "divergence_factor",
-    "broadcast_updated_multiplier",
 }
 _OUTPUT_KEYS = {"trace", "summary", "strategies"}
 _VERIFICATION_KEYS = {"satisfaction_samples", "epsilon_gap_candidates",
@@ -248,10 +247,6 @@ def _parse_solver(section: dict, errors: list) -> SolverConfig:
         scale=_number(section, "batch_scale", w, errors, lo=0, strict_lo=True, default=1.0),
         offset=_number(section, "batch_offset", w, errors, lo=0, strict_lo=True, default=2.0),
         exponent=_number(section, "batch_exponent", w, errors, lo=0, strict_lo=True, default=1.1))
-    flag = section.get("broadcast_updated_multiplier", False)
-    if not isinstance(flag, bool):
-        errors.append(f"{w}.broadcast_updated_multiplier: expected a boolean")
-        flag = False
     return SolverConfig(
         delta=delta, step=step, batch=batch,
         max_iterations=_number(section, "max_iterations", w, errors, lo=0,
@@ -266,8 +261,7 @@ def _parse_solver(section: dict, errors: list) -> SolverConfig:
         snapshot_every=_number(section, "snapshot_every", w, errors, lo=0,
                                integer=True, default=0),
         divergence_factor=_number(section, "divergence_factor", w, errors, lo=1,
-                                  default=1e6),
-        broadcast_updated_multiplier=flag)
+                                  default=1e6))
 
 
 def parse_config_dict(doc: dict) -> RunConfig:

@@ -11,6 +11,15 @@ the result does not depend on the sample (the evaluators then skip the
 averaging). Gradients, not values, are the primary contract; values are only
 needed for reporting.
 
+A constraint gradient that depends on neither the sample nor the profile may
+be given as a constant 1-D array instead of a callable (``state_grad`` of
+length state_dim, ``input_grad`` of length input_dim). ``GameSpec`` folds
+those into each player's constant Jacobian block once, at construction, so
+the evaluators only call the remaining callables. The shipped games declare
+them: the microgrid's 2 T state-of-charge band constraints (``+-e_t``) and
+every linear-quadratic constraint (``state_coeffs`` and ``input_coeffs``);
+only the microgrid's terminal-band gradient varies with the sample.
+
 All evaluation here is pure: identical (u, w) inputs give bit-identical
 outputs, and a game object is immutable after construction, so concurrent
 evaluation across players and samples is safe.
@@ -75,15 +84,17 @@ class CouplingConstraintSpec:
     state_value/state_grad : batched oracles in the stacked trajectory.
     input_value/input_grad : oracles in the stacked profile (full-length
                              gradient; players slice their own block).
+    Either gradient may instead be a constant 1-D array; it is stored as a
+    read-only float copy.
     """
 
     gamma: float
     beta: float = 0.0
     com_scale: float = 1.0
     state_value: Callable | None = None
-    state_grad: Callable | None = None
+    state_grad: Callable | np.ndarray | None = None
     input_value: Callable | None = None
-    input_grad: Callable | None = None
+    input_grad: Callable | np.ndarray | None = None
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
@@ -92,6 +103,15 @@ class CouplingConstraintSpec:
             raise ValueError("beta must be nonnegative")
         if self.com_scale < 0:
             raise ValueError("com_scale must be nonnegative")
+        for name in ("state_grad", "input_grad"):
+            grad = getattr(self, name)
+            if grad is None or callable(grad):
+                continue
+            const = np.array(grad, dtype=float)
+            if const.ndim != 1:
+                raise ValueError(f"constant {name} must be a 1-D array")
+            const.flags.writeable = False
+            object.__setattr__(self, name, const)
 
 
 @dataclass(frozen=True)
@@ -109,7 +129,17 @@ class DisturbanceModel:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Full game: dynamics with cached lift, players, constraints, noise."""
+    """Full game: dynamics with cached lift, players, constraints, noise.
+
+    Derived in ``__post_init__`` (so ``dataclasses.replace`` rebuilds them):
+
+    constant_jacobian_blocks : per player, the (T n_i, m) Jacobian block
+                               holding every constant-array gradient; the
+                               columns of callable gradients hold only the
+                               constant part (zero if none).
+    varying_state_columns    : constraints whose ``state_grad`` is callable.
+    varying_input_columns    : constraints whose ``input_grad`` is callable.
+    """
 
     dynamics: TimeVaryingLinearDynamics
     lift: CompactLift
@@ -117,6 +147,37 @@ class GameSpec:
     constraints: tuple
     disturbance: DisturbanceModel
     player_slices: tuple = field(default=())
+    constant_jacobian_blocks: tuple = field(init=False, repr=False, compare=False)
+    varying_state_columns: tuple = field(init=False, repr=False, compare=False)
+    varying_input_columns: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cons = self.constraints
+        sdim = self.lift.init_map.shape[0]
+        for j, c in enumerate(cons):
+            for grad, dim in ((c.state_grad, sdim), (c.input_grad, self.input_dim)):
+                if isinstance(grad, np.ndarray) and grad.shape[0] != dim:
+                    raise ValueError(
+                        f"constraint {j}: constant gradient has length {grad.shape[0]}, "
+                        f"expected {dim}")
+        blocks = []
+        for gm, sl in zip(self.lift.input_maps, self.player_slices):
+            # the same per-column products, in the same order, as a per-sample
+            # evaluation, so cached columns are bit-identical to evaluated ones
+            block = np.zeros((sl.stop - sl.start, len(cons)))
+            gm_t = gm.T
+            for j, c in enumerate(cons):
+                if isinstance(c.state_grad, np.ndarray):
+                    block[:, j] += gm_t @ c.state_grad
+                if isinstance(c.input_grad, np.ndarray):
+                    block[:, j] += c.input_grad[sl]
+            block.flags.writeable = False
+            blocks.append(block)
+        object.__setattr__(self, "constant_jacobian_blocks", tuple(blocks))
+        object.__setattr__(self, "varying_state_columns",
+                           tuple(j for j, c in enumerate(cons) if callable(c.state_grad)))
+        object.__setattr__(self, "varying_input_columns",
+                           tuple(j for j, c in enumerate(cons) if callable(c.input_grad)))
 
     @classmethod
     def build(cls, dynamics: TimeVaryingLinearDynamics, players, constraints,
@@ -169,18 +230,34 @@ class GameSpec:
         return (self.dynamics.horizon + 1) * self.dynamics.state_dim
 
 
-def state_batch(game: GameSpec, u: np.ndarray, w_batch: np.ndarray) -> np.ndarray:
-    """Sampled stacked trajectories, one row per disturbance draw."""
+def lift_base(game: GameSpec, u: np.ndarray) -> np.ndarray:
+    """Noise-free trajectory ``init_map @ s0 + sum_j input_maps[j] @ u^j``."""
     u = np.asarray(u, dtype=float).reshape(-1)
-    w_batch = np.atleast_2d(np.asarray(w_batch, dtype=float))
     if u.shape[0] != game.input_dim:
         raise ValueError(f"profile length {u.shape[0]}, expected {game.input_dim}")
-    if w_batch.shape[1] != game.disturbance.dim:
-        raise ValueError("disturbance sample dimension mismatch")
     base = game.lift.init_map @ game.dynamics.s0
     for gm, sl in zip(game.lift.input_maps, game.player_slices):
         base = base + gm @ u[sl]
-    return base[None, :] + w_batch @ game.lift.noise_map.T
+    return base
+
+
+def lift_noise(game: GameSpec, w_batch: np.ndarray) -> np.ndarray:
+    """Noise part ``w @ noise_map.T`` of the trajectories, one row per draw."""
+    w_batch = np.atleast_2d(np.asarray(w_batch, dtype=float))
+    if w_batch.shape[1] != game.disturbance.dim:
+        raise ValueError("disturbance sample dimension mismatch")
+    return w_batch @ game.lift.noise_map.T
+
+
+def state_batch(game: GameSpec, u: np.ndarray, w_batch: np.ndarray,
+                base: np.ndarray | None = None) -> np.ndarray:
+    """Sampled stacked trajectories, one row per disturbance draw.
+
+    ``base`` may pass ``lift_base(game, u)`` when it is already known.
+    """
+    if base is None:
+        base = lift_base(game, u)
+    return base[None, :] + lift_noise(game, w_batch)
 
 
 def _mean_over_batch(values: np.ndarray) -> np.ndarray:
@@ -241,29 +318,47 @@ def constraint_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarra
     return constraint_values(game, u, w[None, :])[0]
 
 
+def constraint_state_grad_means(game: GameSpec, states: np.ndarray) -> list:
+    """Batch means of the callable constraint state gradients.
+
+    One (state_dim,) array per entry of ``game.varying_state_columns``; the
+    constant gradients need no evaluation.
+    """
+    return [_mean_over_batch(game.constraints[j].state_grad(states))
+            for j in game.varying_state_columns]
+
+
 def player_constraint_gradient_mean(game: GameSpec, i: int, u: np.ndarray,
                                     w_batch: np.ndarray,
-                                    states: np.ndarray | None = None) -> np.ndarray:
-    """Batch mean of player i's block of the constraint Jacobian, (T n_i, m)."""
+                                    states: np.ndarray | None = None,
+                                    state_grad_means: list | None = None) -> np.ndarray:
+    """Batch mean of player i's block of the constraint Jacobian, (T n_i, m).
+
+    The player's constant block, with the callable columns added in.
+    ``state_grad_means`` may pass ``constraint_state_grad_means`` of the
+    batch, so that players sharing one batch evaluate it once.
+    """
+    out = game.constant_jacobian_blocks[i].copy()
+    if game.varying_state_columns:
+        if state_grad_means is None:
+            if states is None:
+                states = state_batch(game, u, w_batch)
+            state_grad_means = constraint_state_grad_means(game, states)
+        gm_t = game.lift.input_maps[i].T
+        for j, mean in zip(game.varying_state_columns, state_grad_means):
+            out[:, j] += gm_t @ mean
     u = np.asarray(u, dtype=float).reshape(-1)
-    if states is None:
-        states = state_batch(game, u, w_batch)
     sl = game.player_slices[i]
-    out = np.zeros((sl.stop - sl.start, game.constraint_count))
-    gm_t = game.lift.input_maps[i].T
-    for j, c in enumerate(game.constraints):
-        if c.state_grad is not None:
-            out[:, j] += gm_t @ _mean_over_batch(c.state_grad(states))
-        if c.input_grad is not None:
-            out[:, j] += np.asarray(c.input_grad(u), dtype=float)[sl]
+    for j in game.varying_input_columns:
+        out[:, j] += np.asarray(game.constraints[j].input_grad(u), dtype=float)[sl]
     return out
 
 
 def constraint_gradient_mean(game: GameSpec, u: np.ndarray, w_batch: np.ndarray) -> np.ndarray:
     """Batch mean of the full constraint Jacobian stacked over players, (dim, m)."""
-    states = state_batch(game, u, w_batch)
+    means = constraint_state_grad_means(game, state_batch(game, u, w_batch))
     return np.vstack([
-        player_constraint_gradient_mean(game, i, u, w_batch, states=states)
+        player_constraint_gradient_mean(game, i, u, w_batch, state_grad_means=means)
         for i in range(game.n_players)
     ])
 

@@ -147,16 +147,19 @@ def build_lq_game(p: LqGameParams):
         if rho is not None:
             scale = float(np.linalg.norm((lift.noise_map.T @ rho) * std))
             state_value = (lambda S, rho=rho: S @ rho)
-            state_grad = (lambda S, rho=rho: rho)
+            state_grad = rho
         constraints.append(CouplingConstraintSpec(
             gamma=c.gamma, beta=c.beta, com_scale=scale,
             state_value=state_value, state_grad=state_grad,
             input_value=(lambda u, a=a_vec, b=c.offset: float(a @ u + b)),
-            input_grad=(lambda u, a=a_vec: a),
+            input_grad=a_vec,
         ))
 
     def sample(rng, count):
-        return rng.standard_normal((count, wdim)) * std + mean
+        draws = rng.standard_normal((count, wdim))
+        draws *= std
+        draws += mean
+        return draws
 
     disturbance = DisturbanceModel(dim=wdim, sample=sample, com_model=ComModel())
     game = GameSpec.build(dyn, players, constraints, disturbance)

@@ -220,13 +220,13 @@ def _soc_band_constraints(p: MicrogridParams):
         return CouplingConstraintSpec(
             gamma=p.gamma_soc / 2.0, com_scale=scales[t],
             state_value=lambda S, t=t: S[:, t] - p.soc_max,
-            state_grad=lambda S, t=t: _unit(sdim, t))
+            state_grad=_unit(sdim, t))
 
     def lower(t):
         return CouplingConstraintSpec(
             gamma=p.gamma_soc / 2.0, com_scale=scales[t],
             state_value=lambda S, t=t: p.soc_min - S[:, t],
-            state_grad=lambda S, t=t: -_unit(sdim, t))
+            state_grad=-_unit(sdim, t))
 
     cons.extend(upper(t) for t in range(1, T + 1))
     cons.extend(lower(t) for t in range(1, T + 1))
@@ -284,9 +284,12 @@ def build_microgrid_game(p: MicrogridParams):
     std = eff * p.renewable_std
 
     def sample(rng, count):
-        # standard_normal plus affine transform; much faster than the
-        # broadcast loc/scale path in Generator.normal for wide batches
-        return rng.standard_normal((count, T)) * std + mean
+        # standard_normal plus an in-place affine transform; much faster than
+        # the broadcast loc/scale path in Generator.normal for wide batches
+        draws = rng.standard_normal((count, T))
+        draws *= std
+        draws += mean
+        return draws
 
     disturbance = DisturbanceModel(dim=T, sample=sample, com_model=ComModel())
     game = GameSpec.build(dyn, players, constraints, disturbance)

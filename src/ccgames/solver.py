@@ -37,6 +37,7 @@ GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 TERMINATION_TOLERANCE = "tolerance"
 TERMINATION_BUDGET = "budget"
 TERMINATION_DIVERGENCE = "divergence-guard"
+TERMINATION_NON_FINITE = "non-finite"
 
 CHECKPOINT_TAG = "ccgames-state v1"
 
@@ -76,8 +77,6 @@ class SolverConfig:
     checkpoint_every: int = 0
     snapshot_every: int = 0
     divergence_factor: float = 1e6
-    # experimental: broadcast lam_{k+1} instead of lam_k (Gauss-Seidel flavor)
-    broadcast_updated_multiplier: bool = False
 
 
 def step_size(cfg: SolverConfig, k: int) -> float:
@@ -166,6 +165,9 @@ class SolverState:
     def z_norm(self) -> float:
         return math.hypot(float(np.linalg.norm(self.u)), float(np.linalg.norm(self.lam)))
 
+    def is_finite(self) -> bool:
+        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.lam)))
+
     def to_text(self) -> str:
         def row(name, arr):
             return name + " " + " ".join(repr(float(x)) for x in arr)
@@ -233,43 +235,60 @@ class RunTrace:
     final_state: SolverState
 
 
-def _operator_estimate(game, offsets: UnderApproxOffsets, u, lam, w_batch):
-    """Sampled extended operator: (gradient block, minus tightened values)."""
-    states = game_mod.state_batch(game, u, w_batch)
+def _operator_estimate(game, offsets: UnderApproxOffsets, u, states):
+    """Sampled operator parts at u over lifted trajectories ``states``.
+
+    Returns (F_hat, Jac_hat, G_hat): the stacked pseudo-gradient mean, the
+    stacked constraint-Jacobian mean (dim, m) and the tightened constraint
+    mean. The extended operator at (u, lam) is (F_hat + Jac_hat @ lam, -G_hat).
+    All players share the batch, so the callable constraint gradients are
+    averaged once.
+    """
     f_hat = np.concatenate([
-        game_mod.player_pseudo_gradient_mean(game, i, u, w_batch, states=states)
+        game_mod.player_pseudo_gradient_mean(game, i, u, None, states=states)
         for i in range(game.n_players)
     ])
+    means = game_mod.constraint_state_grad_means(game, states)
     jac = np.vstack([
-        game_mod.player_constraint_gradient_mean(game, i, u, w_batch, states=states)
+        game_mod.player_constraint_gradient_mean(game, i, u, None, state_grad_means=means)
         for i in range(game.n_players)
-    ]) if game.constraint_count else np.zeros((game.input_dim, 0))
-    g_hat = game_mod.constraint_values(game, u, w_batch, states=states).mean(axis=0) \
+    ])
+    g_hat = game_mod.constraint_values(game, u, None, states=states).mean(axis=0) \
         + offsets.offsets
-    return f_hat + jac @ lam, -g_hat, g_hat
+    return f_hat, jac, g_hat
 
 
 def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
-                     cfg: SolverConfig, rng: np.random.Generator):
-    """One multiplier update; returns (lam_avg, lam_next, g_hat)."""
+                     cfg: SolverConfig, rng: np.random.Generator,
+                     base: np.ndarray | None = None):
+    """One multiplier update; returns (lam_avg, lam_next, g_hat).
+
+    ``base`` may pass ``lift_base(game, state.u)`` when already known.
+    """
     m_k = batch_size(cfg, state.k)
     alpha = step_size(cfg, state.k)
     w0 = game.disturbance.sample(rng, m_k)
-    g_hat = game_mod.constraint_values(game, state.u, w0).mean(axis=0) + offsets.offsets
+    states = game_mod.state_batch(game, state.u, w0, base=base)
+    g_hat = game_mod.constraint_values(game, state.u, w0, states=states).mean(axis=0) \
+        + offsets.offsets
     lam_avg = (1.0 - cfg.delta) * state.lam + cfg.delta * state.lam_avg_prev
     lam_next = np.maximum(lam_avg + alpha * g_hat, 0.0)
     return lam_avg, lam_next, g_hat
 
 
 def player_step(i: int, state: SolverState, lam: np.ndarray, game,
-                cfg: SolverConfig, rng: np.random.Generator):
-    """One strategy update for player i; returns (u_avg_i, u_next_i)."""
+                cfg: SolverConfig, rng: np.random.Generator,
+                base: np.ndarray | None = None):
+    """One strategy update for player i; returns (u_avg_i, u_next_i).
+
+    ``base`` may pass ``lift_base(game, state.u)`` when already known.
+    """
     if np.any(lam < 0):
         raise ValueError("broadcast multiplier must be nonnegative")
     m_k = batch_size(cfg, state.k)
     alpha = step_size(cfg, state.k)
     w = game.disturbance.sample(rng, m_k)
-    states = game_mod.state_batch(game, state.u, w)
+    states = game_mod.state_batch(game, state.u, w, base=base)
     f_i = game_mod.player_pseudo_gradient_mean(game, i, state.u, w, states=states)
     jac_i = game_mod.player_constraint_gradient_mean(game, i, state.u, w, states=states)
     sl = game.player_slices[i]
@@ -282,21 +301,28 @@ def player_step(i: int, state: SolverState, lam: np.ndarray, game,
 
 
 def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverConfig,
-            residual: float | None = None):
-    """Run one full iteration; returns (next state, record for iteration k)."""
+            residual: float | None = None, base: np.ndarray | None = None):
+    """Run one full iteration; returns (next state, record for iteration k).
+
+    The noise-free trajectory ``base`` of the iterate (``lift_base``) is
+    computed once, or passed in, and shared by the coordinator, every player
+    and the residual.
+    """
     t0 = time.perf_counter()
+    if base is None:
+        base = game_mod.lift_base(game, state.u)
     if residual is None:
-        residual = residual_estimate(state, game, offsets, cfg)
+        residual = residual_estimate(state, game, offsets, cfg, base=base)
     k = state.k
     lam_avg, lam_next, g_hat = coordinator_step(
-        state, game, offsets, cfg, iteration_stream(state.seed, k, 0))
-    lam_broadcast = lam_next if cfg.broadcast_updated_multiplier else state.lam
+        state, game, offsets, cfg, iteration_stream(state.seed, k, 0), base=base)
 
     u_next = np.empty_like(state.u)
     u_avg = np.empty_like(state.u)
     for i in range(game.n_players):
         u_avg_i, u_next_i = player_step(
-            i, state, lam_broadcast, game, cfg, iteration_stream(state.seed, k, 1 + i))
+            i, state, state.lam, game, cfg, iteration_stream(state.seed, k, 1 + i),
+            base=base)
         sl = game.player_slices[i]
         u_avg[sl] = u_avg_i
         u_next[sl] = u_next_i
@@ -314,7 +340,8 @@ def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverCo
 
 def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
                       cfg: SolverConfig, rng: np.random.Generator | None = None,
-                      w_batch: np.ndarray | None = None) -> float:
+                      w_batch: np.ndarray | None = None, noise: np.ndarray | None = None,
+                      base: np.ndarray | None = None) -> float:
     """Distance from the iterate to one exact projected forward step.
 
     The expected operator is replaced by a large-reference-batch estimate
@@ -323,16 +350,21 @@ def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
     at equilibrium-multiplier pairs, up to estimator noise. The reference
     batch comes from the dedicated residual substream (common random numbers
     across iterations), so callers may precompute and reuse it via
-    ``w_batch``.
+    ``w_batch``, or reuse its lifted noise ``lift_noise(game, w_batch)`` via
+    ``noise``. ``base`` may pass ``lift_base(game, state.u)``.
     """
-    if w_batch is None:
-        if rng is None:
-            rng = residual_stream(state.seed)
-        w_batch = game.disturbance.sample(rng, cfg.residual_batch)
+    if noise is None:
+        if w_batch is None:
+            if rng is None:
+                rng = residual_stream(state.seed)
+            w_batch = game.disturbance.sample(rng, cfg.residual_batch)
+        noise = game_mod.lift_noise(game, w_batch)
+    if base is None:
+        base = game_mod.lift_base(game, state.u)
     alpha = step_size(cfg, state.k)
-    a_u, a_lam, _ = _operator_estimate(game, offsets, state.u, state.lam, w_batch)
-    u_step = game_mod.project_local(game, state.u - alpha * a_u)
-    lam_step = np.maximum(state.lam - alpha * a_lam, 0.0)
+    f_hat, jac, g_hat = _operator_estimate(game, offsets, state.u, base[None, :] + noise)
+    u_step = game_mod.project_local(game, state.u - alpha * (f_hat + jac @ state.lam))
+    lam_step = np.maximum(state.lam + alpha * g_hat, 0.0)
     return math.hypot(float(np.linalg.norm(state.u - u_step)),
                       float(np.linalg.norm(state.lam - lam_step)))
 
@@ -354,20 +386,25 @@ def _evaluation_record(state: SolverState, game, offsets, cfg, residual: float,
 
 def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
         initial: SolverState | None = None, checkpoint_dir=None) -> RunTrace:
-    """Iterate until the residual tolerance, the budget, or the divergence guard.
+    """Iterate until the residual tolerance, the budget, the divergence guard,
+    or a non-finite iterate.
 
     The trace holds one record per completed iteration plus a final
     evaluation record at the last iterate (so a zero-iteration run still
-    yields the initial record).
+    yields the initial record). The residual batch is drawn and lifted once
+    per run; each iterate's noise-free trajectory is lifted once and shared
+    by the residual and the iteration.
     """
     state = initial if initial is not None else initial_state(game, cfg)
     guard = cfg.divergence_factor * (1.0 + state.z_norm())
     w_res = game.disturbance.sample(residual_stream(state.seed), cfg.residual_batch)
+    noise_res = game_mod.lift_noise(game, w_res)
     records = []
     reason = TERMINATION_BUDGET
     while True:
         t0 = time.perf_counter()
-        res = residual_estimate(state, game, offsets, cfg, w_batch=w_res)
+        base = game_mod.lift_base(game, state.u)
+        res = residual_estimate(state, game, offsets, cfg, noise=noise_res, base=base)
         if res <= cfg.residual_tolerance:
             reason = TERMINATION_TOLERANCE
             records.append(_evaluation_record(
@@ -378,8 +415,12 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             records.append(_evaluation_record(
                 state, game, offsets, cfg, res, (time.perf_counter() - t0) * 1e3))
             break
-        state, record = iterate(state, game, offsets, cfg, residual=res)
+        state, record = iterate(state, game, offsets, cfg, residual=res, base=base)
         records.append(record)
+        if not state.is_finite():
+            # NaN compares False against the guard, so it needs its own stop
+            reason = TERMINATION_NON_FINITE
+            break
         if checkpoint_dir is not None and cfg.checkpoint_every > 0 \
                 and state.k % cfg.checkpoint_every == 0:
             write_checkpoint(state, checkpoint_dir)
@@ -420,13 +461,16 @@ def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int = 0,
         u2 = game_mod.random_feasible_profile(game, rng)
         l1 = rng.uniform(0.0, multiplier_scale, size=m)
         l2 = rng.uniform(0.0, multiplier_scale, size=m)
-        w = game.disturbance.sample(rng, batch)
-        a1u, a1l, _ = _operator_estimate(game, offsets, u1, l1, w)
-        a2u, a2l, _ = _operator_estimate(game, offsets, u2, l2, w)
+        noise = game_mod.lift_noise(game, game.disturbance.sample(rng, batch))
+        f1, j1, g1 = _operator_estimate(
+            game, offsets, u1, game_mod.lift_base(game, u1)[None, :] + noise)
+        f2, j2, g2 = _operator_estimate(
+            game, offsets, u2, game_mod.lift_base(game, u2)[None, :] + noise)
         dz = math.hypot(float(np.linalg.norm(u1 - u2)), float(np.linalg.norm(l1 - l2)))
         if dz < 1e-12:
             continue
-        da = math.hypot(float(np.linalg.norm(a1u - a2u)), float(np.linalg.norm(a1l - a2l)))
+        da = math.hypot(float(np.linalg.norm((f1 + j1 @ l1) - (f2 + j2 @ l2))),
+                        float(np.linalg.norm(g1 - g2)))
         worst = max(worst, da / dz)
     return worst
 
@@ -464,25 +508,18 @@ def estimator_diagnostics(game, u: np.ndarray, lam: np.ndarray, batch_sizes,
     u = np.asarray(u, dtype=float).reshape(-1)
     lam = np.asarray(lam, dtype=float).reshape(-1)
     m_ref = 10 * max(batch_sizes)
-    w_ref = game.disturbance.sample(rng, m_ref)
-    states_ref = game_mod.state_batch(game, u, w_ref)
-    f_ref = np.concatenate([
-        game_mod.player_pseudo_gradient_mean(game, i, u, w_ref, states=states_ref)
-        for i in range(game.n_players)])
-    jac_ref = game_mod.constraint_gradient_mean(game, u, w_ref)
-    g_ref = game_mod.constraint_values(game, u, w_ref).mean(axis=0) + offsets.offsets
+    base = game_mod.lift_base(game, u)
 
+    def estimate(m):
+        noise = game_mod.lift_noise(game, game.disturbance.sample(rng, m))
+        return _operator_estimate(game, offsets, u, base[None, :] + noise)
+
+    f_ref, jac_ref, g_ref = estimate(m_ref)
     mse_f, mse_j, mse_g = [], [], []
     for m in batch_sizes:
         acc = np.zeros(3)
         for _ in range(repetitions):
-            w = game.disturbance.sample(rng, m)
-            states = game_mod.state_batch(game, u, w)
-            f_hat = np.concatenate([
-                game_mod.player_pseudo_gradient_mean(game, i, u, w, states=states)
-                for i in range(game.n_players)])
-            jac = game_mod.constraint_gradient_mean(game, u, w)
-            g_hat = game_mod.constraint_values(game, u, w).mean(axis=0) + offsets.offsets
+            f_hat, jac, g_hat = estimate(m)
             acc[0] += float(np.sum((f_hat - f_ref) ** 2))
             acc[1] += float(np.sum(((jac - jac_ref) @ lam) ** 2))
             acc[2] += float(np.sum((g_hat - g_ref) ** 2))

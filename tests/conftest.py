@@ -67,3 +67,63 @@ def reduced_microgrid():
     params = MicrogridParams(n_households=5, horizon=12, delta_t=2.0)
     game, offsets = build_microgrid_game(params)
     return params, game, offsets
+
+
+def reference_jacobian_block(game, i, u, states):
+    """Player i's constraint-Jacobian block evaluated one constraint at a time.
+
+    Independent of the cached constant blocks: every gradient, constant array
+    or callable, is evaluated and averaged per column, state part first.
+    """
+    u = np.asarray(u, dtype=float).reshape(-1)
+    sl = game.player_slices[i]
+    out = np.zeros((sl.stop - sl.start, len(game.constraints)))
+    gm_t = game.lift.input_maps[i].T
+    for j, c in enumerate(game.constraints):
+        if c.state_grad is not None:
+            g = np.asarray(c.state_grad(states) if callable(c.state_grad) else c.state_grad,
+                           dtype=float)
+            out[:, j] += gm_t @ (g if g.ndim == 1 else g.mean(axis=0))
+        if c.input_grad is not None:
+            a = c.input_grad(u) if callable(c.input_grad) else c.input_grad
+            out[:, j] += np.asarray(a, dtype=float)[sl]
+    return out
+
+
+def random_lq_params(rng, mixed_callables=False):
+    """A random LQ game with input maps, state noise and state-coupled constraints."""
+    T = int(rng.integers(1, 5))
+    n_s = int(rng.integers(1, 3))
+    n_players = int(rng.integers(1, 4))
+    n_in = int(rng.integers(1, 3))
+    d = T * n_in
+    players = tuple(LqPlayer(
+        input_dim=n_in, box_lower=-np.ones(d), box_upper=np.ones(d),
+        quad_self=1.0 + float(rng.uniform()), quad_couple=float(rng.uniform(-0.3, 0.3)),
+        linear=rng.normal(size=d)) for _ in range(n_players))
+    sdim = (T + 1) * n_s
+    cons = tuple(LqConstraint(
+        input_coeffs=rng.normal(size=n_players * d), offset=float(rng.normal()),
+        gamma=0.2, state_coeffs=rng.normal(size=sdim) if rng.uniform() < 0.8 else None)
+        for _ in range(int(rng.integers(1, 5))))
+    return LqGameParams(
+        horizon=T, state_dim=n_s, initial_state=rng.normal(size=n_s),
+        a_mats=rng.normal(scale=0.7, size=(T, n_s, n_s)),
+        b_mats=tuple(rng.normal(size=(T, n_s, n_in)) for _ in range(n_players)),
+        players=players, constraints=cons,
+        noise_std=rng.uniform(0.1, 1.0, size=T * n_s))
+
+
+def with_callable_gradients(game, rng):
+    """The same game with a random subset of constant gradients wrapped as callables."""
+    from dataclasses import replace
+
+    cons = []
+    for c in game.constraints:
+        kw = {}
+        if c.state_grad is not None and rng.uniform() < 0.5:
+            kw["state_grad"] = lambda S, g=c.state_grad: np.tile(g, (S.shape[0], 1))
+        if c.input_grad is not None and rng.uniform() < 0.5:
+            kw["input_grad"] = lambda u, g=c.input_grad: g.copy()
+        cons.append(replace(c, **kw))
+    return replace(game, constraints=tuple(cons))

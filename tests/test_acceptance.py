@@ -26,6 +26,8 @@ from ccgames.solver import (batch_size, estimate_lipschitz,
 
 from conftest import CONFIG_DIR, central_difference, random_dynamics, relative_error
 
+pytestmark = pytest.mark.slow
+
 
 def report(num, name, ok, detail=""):
     line = f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'}"

@@ -158,6 +158,16 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--force",
                      "--out-dir", str(tmp_path / "o2")]) == 2
 
+    def test_non_finite_gradient_exit_four(self, tmp_path):
+        doc = small_lq_doc(max_iterations=50)
+        doc["game"]["players"][0]["linear"] = [float("nan"), -1.0]
+        code = main(["run", "--config", str(write_doc(tmp_path, doc)), "--force",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 4
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["termination_reason"] == "non-finite"
+        assert summary["iterations"] == 1
+
     def test_seed_override_changes_run(self, tmp_path):
         doc = small_microgrid_doc()
         path = write_doc(tmp_path, doc)

@@ -5,12 +5,18 @@ from hypothesis import strategies as st
 
 from ccgames.com import ComModel
 from ccgames.dynamics import TimeVaryingLinearDynamics
+from dataclasses import replace
+
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           PlayerSpec, constraint_gradient_sample,
-                          constraint_sample, project_local,
-                          pseudo_gradient_sample, random_feasible_profile)
+                          constraint_sample, player_constraint_gradient_mean,
+                          project_local, pseudo_gradient_sample,
+                          random_feasible_profile, state_batch)
+from ccgames.lqgame import build_lq_game
 
-from conftest import central_difference, random_dynamics, relative_error
+from conftest import (central_difference, random_dynamics, random_lq_params,
+                      reference_jacobian_block, relative_error,
+                      with_callable_gradients)
 
 
 def build_quadratic_state_game(rng, state_cost=False):
@@ -193,3 +199,72 @@ class TestValidation:
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
             CouplingConstraintSpec(gamma=0.5, beta=-1.0)
+
+
+def assert_blocks_exact(game, u, states):
+    for i in range(game.n_players):
+        block = player_constraint_gradient_mean(game, i, u, None, states=states)
+        assert np.array_equal(block, reference_jacobian_block(game, i, u, states))
+
+
+class TestConstantJacobianBlocks:
+    @given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_lq_blocks_match_per_constraint_reference(self, seed, mixed):
+        rng = np.random.default_rng(seed)
+        game, _ = build_lq_game(random_lq_params(rng))
+        if mixed:
+            game = with_callable_gradients(game, rng)
+        u = rng.normal(size=game.input_dim)
+        states = state_batch(game, u, game.disturbance.sample(rng, 7))
+        assert_blocks_exact(game, u, states)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_microgrid_blocks_match_per_constraint_reference(self, reduced_microgrid, seed):
+        _, game, _ = reduced_microgrid
+        rng = np.random.default_rng(seed)
+        u = random_feasible_profile(game, rng)
+        states = state_batch(game, u, game.disturbance.sample(rng, 50))
+        assert_blocks_exact(game, u, states)
+
+    def test_microgrid_declares_band_gradients_constant(self, reduced_microgrid):
+        params, game, _ = reduced_microgrid
+        # only the terminal band (last constraint) needs sampled gradients
+        assert game.varying_state_columns == (2 * params.horizon,)
+        assert game.varying_input_columns == ()
+
+    def test_replace_constraints_rebuilds_blocks(self):
+        game = build_quadratic_state_game(np.random.default_rng(21))
+        sdim = game.state_traj_dim
+        cons = (
+            CouplingConstraintSpec(gamma=0.3, state_grad=np.arange(sdim, dtype=float),
+                                   input_grad=np.full(game.input_dim, 2.0)),
+            CouplingConstraintSpec(gamma=0.3, state_grad=lambda S: S),
+        )
+        rebuilt = replace(game, constraints=cons)
+        assert rebuilt.varying_state_columns == (1,)
+        assert rebuilt.varying_input_columns == ()
+        for i, sl in enumerate(rebuilt.player_slices):
+            block = rebuilt.constant_jacobian_blocks[i]
+            assert block.shape == (sl.stop - sl.start, 2)
+            expected = rebuilt.lift.input_maps[i].T @ cons[0].state_grad + 2.0
+            assert np.allclose(block[:, 0], expected)
+            assert np.array_equal(block[:, 1], np.zeros(sl.stop - sl.start))
+        rng = np.random.default_rng(22)
+        u = rng.normal(size=rebuilt.input_dim)
+        assert_blocks_exact(rebuilt, u, state_batch(rebuilt, u, rng.normal(size=(5, 6))))
+
+    def test_constant_gradient_length_checked(self):
+        game = build_quadratic_state_game(np.random.default_rng(23))
+        bad = CouplingConstraintSpec(gamma=0.3, state_grad=np.ones(game.state_traj_dim + 1))
+        with pytest.raises(ValueError, match="constant gradient"):
+            replace(game, constraints=(bad,))
+
+    def test_constant_gradient_is_read_only_copy(self):
+        grad = np.ones(3)
+        con = CouplingConstraintSpec(gamma=0.3, input_grad=grad)
+        grad[0] = 5.0
+        assert con.input_grad[0] == 1.0
+        with pytest.raises(ValueError):
+            con.input_grad[0] = 2.0

@@ -5,17 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 import ccgames.solver as solver
 from ccgames.com import ComModel, UnderApproxOffsets
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
-                          PlayerSpec)
+                          PlayerSpec, constraint_values, lift_base, lift_noise,
+                          player_pseudo_gradient_mean, random_feasible_profile,
+                          state_batch)
+from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream, residual_stream
 from ccgames.solver import (BatchSchedule, SolverConfig, SolverState,
                             StepSchedule, batch_size, coordinator_step,
                             estimate_lipschitz, estimator_diagnostics,
                             initial_state, iterate, player_step,
                             residual_estimate, run, step_size, validate_config)
+
+from conftest import random_lq_params, reference_jacobian_block, with_callable_gradients
 
 PAPER_STEP = StepSchedule(a0=1.4e-4, offset=2.0)
 PAPER_BATCH = BatchSchedule(scale=1.0, offset=2.0, exponent=1.1)
@@ -245,17 +252,6 @@ class TestIterate:
             assert np.all(state.lam >= 0)
             assert np.all(state.u >= 0.0) and np.all(state.u <= 0.6)
 
-    def test_experimental_broadcast_flag_changes_path(self):
-        game, offsets = simple_game(constraint_offset=5.0)  # active constraint
-        cfg_a = quick_config()
-        from dataclasses import replace
-        cfg_b = replace(cfg_a, broadcast_updated_multiplier=True)
-        sa, sb = initial_state(game, cfg_a), initial_state(game, cfg_b)
-        for _ in range(3):
-            sa, _ = iterate(sa, game, offsets, cfg_a)
-            sb, _ = iterate(sb, game, offsets, cfg_b)
-        assert not np.array_equal(sa.u, sb.u)
-
 
 class TestResidual:
     def test_zero_at_deterministic_fixed_point(self):
@@ -326,6 +322,17 @@ class TestRun:
         trace = run(game, offsets, cfg)
         assert trace.termination_reason == solver.TERMINATION_DIVERGENCE
 
+    def test_nan_gradient_stops_non_finite(self):
+        game, offsets = simple_game(n_players=1)
+        nan_player = replace(game.players[0],
+                             cost_input_grad=lambda u: np.full(u.shape[0], np.nan))
+        game = replace(game, players=(nan_player,))
+        cfg = quick_config(max_iterations=50)
+        trace = run(game, offsets, cfg)
+        assert trace.termination_reason == solver.TERMINATION_NON_FINITE
+        assert trace.final_state.k == 1
+        assert not trace.final_state.is_finite()
+
     def test_records_contiguous(self):
         game, offsets = simple_game(noise_std=0.2)
         cfg = quick_config(max_iterations=12)
@@ -341,6 +348,73 @@ class TestRun:
         for a, b in zip(t1.records, t2.records):
             assert a.residual == b.residual
             assert np.array_equal(a.lam, b.lam)
+
+
+def assert_operator_exact(game, offsets, u, states):
+    f_hat, jac, g_hat = solver._operator_estimate(game, offsets, u, states)
+    f_ref = np.concatenate([player_pseudo_gradient_mean(game, i, u, None, states=states)
+                            for i in range(game.n_players)])
+    jac_ref = np.vstack([reference_jacobian_block(game, i, u, states)
+                         for i in range(game.n_players)])
+    g_ref = constraint_values(game, u, None, states=states).mean(axis=0) + offsets.offsets
+    assert np.array_equal(f_hat, f_ref)
+    assert np.array_equal(jac, jac_ref)
+    assert np.array_equal(g_hat, g_ref)
+
+
+class TestSharedEvaluation:
+    @given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_lq_operator_matches_per_constraint_reference(self, seed, mixed):
+        rng = np.random.default_rng(seed)
+        game, offsets = build_lq_game(random_lq_params(rng))
+        if mixed:
+            game = with_callable_gradients(game, rng)
+        u = rng.normal(size=game.input_dim)
+        assert_operator_exact(game, offsets, u,
+                              state_batch(game, u, game.disturbance.sample(rng, 9)))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_microgrid_operator_matches_per_constraint_reference(self, reduced_microgrid,
+                                                                 seed):
+        _, game, offsets = reduced_microgrid
+        rng = np.random.default_rng(seed)
+        u = random_feasible_profile(game, rng)
+        assert_operator_exact(game, offsets, u,
+                              state_batch(game, u, game.disturbance.sample(rng, 40)))
+
+    def test_cached_residual_equals_uncached(self, reduced_microgrid):
+        _, game, offsets = reduced_microgrid
+        cfg = quick_config(residual_batch=300)
+        rng = np.random.default_rng(3)
+        w_res = game.disturbance.sample(rng, cfg.residual_batch)
+        noise = lift_noise(game, w_res)
+        state = initial_state(game, cfg)
+        for k in (0, 4):
+            state = replace(state, k=k, u=random_feasible_profile(game, rng),
+                            lam=rng.uniform(0.0, 2.0, size=game.constraint_count))
+            uncached = residual_estimate(state, game, offsets, cfg, w_batch=w_res)
+            cached = residual_estimate(state, game, offsets, cfg, noise=noise,
+                                       base=lift_base(game, state.u))
+            assert cached == uncached > 0.0
+
+    def test_run_matches_uncached_iteration(self, reduced_microgrid):
+        # run() lifts the residual noise once and each iterate's base once;
+        # stepping with no cached inputs must give the same bits
+        _, game, offsets = reduced_microgrid
+        cfg = quick_config(step=StepSchedule(a0=5e-3, offset=2.0), max_iterations=6,
+                           residual_batch=100)
+        trace = run(game, offsets, cfg)
+        w_res = game.disturbance.sample(residual_stream(cfg.seed), cfg.residual_batch)
+        state = initial_state(game, cfg)
+        for rec in trace.records[:-1]:
+            res = residual_estimate(state, game, offsets, cfg, w_batch=w_res)
+            assert res == rec.residual
+            state, _ = iterate(state, game, offsets, cfg, residual=res)
+        assert np.array_equal(state.u, trace.final_state.u)
+        assert np.array_equal(state.lam, trace.final_state.lam)
+        assert np.any(state.u != 0.0)
 
 
 class TestCheckpoint:
