@@ -224,7 +224,8 @@ def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
     Each candidate is a full stacked profile; for every (candidate, player)
     pair the player's block is substituted into ``u_star`` and both the
     satisfaction probability and the expected tightened value are estimated
-    on one shared sample set (common random numbers).
+    on one shared sample set (common random numbers). The noise part of
+    that set is lifted once; each probe adds only its noise-free trajectory.
     """
     from . import game as game_mod
 
@@ -242,7 +243,7 @@ def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
     if offsets is None:
         offsets = UnderApproxOffsets.from_game(game)
 
-    w = game.disturbance.sample(rng, n_samples)
+    noise = game_mod.lift_noise(game, game.disturbance.sample(rng, n_samples))
     gammas = np.array([c.gamma for c in game.constraints])
     m_hat = np.zeros(game.constraint_count)
     pairs = 0
@@ -251,7 +252,8 @@ def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
             probe = u_star.copy()
             sl = game.player_slices[i]
             probe[sl] = cand[sl]
-            raw = game_mod.constraint_values(game, probe, w)
+            states = noise + game_mod.lift_base(game, probe)
+            raw = game_mod.constraint_values(game, probe, None, states=states)
             p_hat = (raw <= 0.0).mean(axis=0)
             e_g = raw.mean(axis=0) + offsets.offsets
             m_hat = np.maximum(m_hat, np.abs(1.0 - gammas - p_hat - e_g))

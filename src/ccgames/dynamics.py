@@ -142,26 +142,20 @@ def build_compact_lift(dyn: TimeVaryingLinearDynamics) -> CompactLift:
     return CompactLift(init_map, tuple(input_maps), noise_map, state_dim=n_s)
 
 
-def split_inputs(dyn: TimeVaryingLinearDynamics, u: np.ndarray) -> list:
-    """Split a stacked profile col(u^1, ..., u^N) into per-player vectors."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != dyn.input_dim_total:
-        raise ValueError(
-            f"strategy profile has length {u.shape[0]}, expected {dyn.input_dim_total}")
-    parts, off = [], 0
-    for nj in dyn.input_dims:
-        parts.append(u[off:off + dyn.horizon * nj])
-        off += dyn.horizon * nj
-    return parts
-
-
 def simulate_state(dyn: TimeVaryingLinearDynamics, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Step the recursion forward; returns the stacked trajectory."""
     T, n_s = dyn.horizon, dyn.state_dim
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.shape[0] != T * n_s:
         raise ValueError(f"disturbance has length {w.shape[0]}, expected {T * n_s}")
-    per_player = split_inputs(dyn, u)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape[0] != dyn.input_dim_total:
+        raise ValueError(
+            f"strategy profile has length {u.shape[0]}, expected {dyn.input_dim_total}")
+    per_player, off = [], 0
+    for nj in dyn.input_dims:
+        per_player.append(u[off:off + T * nj])
+        off += T * nj
     s = np.zeros((T + 1) * n_s)
     s[0:n_s] = dyn.s0
     for t in range(T):

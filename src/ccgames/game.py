@@ -20,6 +20,18 @@ them: the microgrid's 2 T state-of-charge band constraints (``+-e_t``) and
 every linear-quadratic constraint (``state_coeffs`` and ``input_coeffs``);
 only the microgrid's terminal-band gradient varies with the sample.
 
+A constant ``state_grad`` next to a ``state_value`` also declares the state
+part of the value affine, ``state_value(S) = S @ state_grad + c``.
+``GameSpec`` stacks those gradients into one (state_dim, m) map and their
+offsets ``c = state_value(0)`` into one vector, and checks the declaration
+on random trajectories at construction; ``constraint_values`` then computes
+every affine column with one matrix product and calls only the remaining
+value closures (on the microgrid, the terminal band's).
+
+Players that share one ``cost_state_grad`` object (the microgrid's
+households all hold the same terminal-cost gradient) get one evaluation of
+it per shared batch in the solver's operator estimate.
+
 All evaluation here is pure: identical (u, w) inputs give bit-identical
 outputs, and a game object is immutable after construction, so concurrent
 evaluation across players and samples is safe.
@@ -139,6 +151,14 @@ class GameSpec:
                                constant part (zero if none).
     varying_state_columns    : constraints whose ``state_grad`` is callable.
     varying_input_columns    : constraints whose ``input_grad`` is callable.
+    affine_state_columns     : constraints with a ``state_value`` and a
+                               constant ``state_grad`` (affine state part).
+    affine_state_map         : (state_dim, m), column j the constant
+                               ``state_grad`` of affine column j, else zero.
+    affine_state_offset      : (m,), entry j ``state_value`` at the zero
+                               trajectory for affine column j, else zero.
+    state_value_columns      : the other constraints with a ``state_value``,
+                               whose closures are called per batch.
     """
 
     dynamics: TimeVaryingLinearDynamics
@@ -150,6 +170,10 @@ class GameSpec:
     constant_jacobian_blocks: tuple = field(init=False, repr=False, compare=False)
     varying_state_columns: tuple = field(init=False, repr=False, compare=False)
     varying_input_columns: tuple = field(init=False, repr=False, compare=False)
+    affine_state_columns: tuple = field(init=False, repr=False, compare=False)
+    affine_state_map: np.ndarray = field(init=False, repr=False, compare=False)
+    affine_state_offset: np.ndarray = field(init=False, repr=False, compare=False)
+    state_value_columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cons = self.constraints
@@ -178,6 +202,34 @@ class GameSpec:
                            tuple(j for j, c in enumerate(cons) if callable(c.state_grad)))
         object.__setattr__(self, "varying_input_columns",
                            tuple(j for j, c in enumerate(cons) if callable(c.input_grad)))
+        self._fold_affine_values(sdim)
+
+    def _fold_affine_values(self, sdim):
+        # Row 0 of the probe is the zero trajectory, which gives the offset;
+        # rows 1-2 are random trajectories on which the value must equal
+        # S @ grad + offset (the same cross-check as ``_check_lift``).
+        cons = self.constraints
+        affine = tuple(j for j, c in enumerate(cons)
+                       if c.state_value is not None and isinstance(c.state_grad, np.ndarray))
+        amap = np.zeros((sdim, len(cons)))
+        offset = np.zeros(len(cons))
+        probe = np.vstack([np.zeros(sdim), np.random.default_rng(0).normal(size=(2, sdim))])
+        for j in affine:
+            grad = cons[j].state_grad
+            vals = np.asarray(cons[j].state_value(probe), dtype=float).reshape(-1)
+            if not np.allclose(vals[1:], probe[1:] @ grad + vals[0], atol=1e-9):
+                raise ValueError(
+                    f"constraint {j}: state_value is not affine with the constant "
+                    "state_grad (state_value(S) != S @ state_grad + state_value(0))")
+            amap[:, j] = grad
+            offset[j] = vals[0]
+        amap.flags.writeable = False
+        offset.flags.writeable = False
+        object.__setattr__(self, "affine_state_columns", affine)
+        object.__setattr__(self, "affine_state_map", amap)
+        object.__setattr__(self, "affine_state_offset", offset)
+        object.__setattr__(self, "state_value_columns", tuple(
+            j for j, c in enumerate(cons) if c.state_value is not None and j not in affine))
 
     @classmethod
     def build(cls, dynamics: TimeVaryingLinearDynamics, players, constraints,
@@ -257,7 +309,9 @@ def state_batch(game: GameSpec, u: np.ndarray, w_batch: np.ndarray,
     """
     if base is None:
         base = lift_base(game, u)
-    return base[None, :] + lift_noise(game, w_batch)
+    states = lift_noise(game, w_batch)
+    states += base
+    return states
 
 
 def _mean_over_batch(values: np.ndarray) -> np.ndarray:
@@ -266,28 +320,50 @@ def _mean_over_batch(values: np.ndarray) -> np.ndarray:
     return values if values.ndim == 1 else values.mean(axis=0)
 
 
+def cost_state_grad_means(game: GameSpec, states: np.ndarray) -> list:
+    """Batch mean of every player's state-cost gradient, None where absent.
+
+    Each distinct ``cost_state_grad`` object is evaluated once, so players
+    that share one callable share its mean.
+    """
+    means = {}
+    for p in game.players:
+        grad = p.cost_state_grad
+        if grad is not None and id(grad) not in means:
+            means[id(grad)] = _mean_over_batch(grad(states))
+    return [None if p.cost_state_grad is None else means[id(p.cost_state_grad)]
+            for p in game.players]
+
+
 def player_pseudo_gradient_mean(game: GameSpec, i: int, u: np.ndarray,
                                 w_batch: np.ndarray,
-                                states: np.ndarray | None = None) -> np.ndarray:
-    """Batch mean of player i's cost gradient block."""
+                                states: np.ndarray | None = None,
+                                state_grad_mean: np.ndarray | None = None) -> np.ndarray:
+    """Batch mean of player i's cost gradient block.
+
+    ``state_grad_mean`` may pass player i's entry of ``cost_state_grad_means``
+    of the batch, so that players sharing one callable evaluate it once.
+    """
     u = np.asarray(u, dtype=float).reshape(-1)
-    if states is None:
-        states = state_batch(game, u, w_batch)
     p = game.players[i]
     out = np.zeros(game.player_slices[i].stop - game.player_slices[i].start)
     if p.cost_input_grad is not None:
         out = out + np.asarray(p.cost_input_grad(u), dtype=float)
     if p.cost_state_grad is not None:
-        out = out + game.lift.input_maps[i].T @ _mean_over_batch(p.cost_state_grad(states))
+        if state_grad_mean is None:
+            if states is None:
+                states = state_batch(game, u, w_batch)
+            state_grad_mean = _mean_over_batch(p.cost_state_grad(states))
+        out = out + game.lift.input_maps[i].T @ state_grad_mean
     return out
 
 
 def pseudo_gradient_mean(game: GameSpec, u: np.ndarray, w_batch: np.ndarray) -> np.ndarray:
     """Batch mean of the stacked pseudo-gradient (all players, one batch)."""
-    states = state_batch(game, u, w_batch)
+    means = cost_state_grad_means(game, state_batch(game, u, w_batch))
     return np.concatenate([
-        player_pseudo_gradient_mean(game, i, u, w_batch, states=states)
-        for i in range(game.n_players)
+        player_pseudo_gradient_mean(game, i, u, w_batch, state_grad_mean=mean)
+        for i, mean in enumerate(means)
     ])
 
 
@@ -299,14 +375,22 @@ def pseudo_gradient_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.n
 
 def constraint_values(game: GameSpec, u: np.ndarray, w_batch: np.ndarray,
                       states: np.ndarray | None = None) -> np.ndarray:
-    """Raw coupled-constraint values, shape (batch, m)."""
+    """Raw coupled-constraint values, shape (batch, m).
+
+    The affine state parts come from one product with ``affine_state_map``;
+    only the other value closures are called.
+    """
     u = np.asarray(u, dtype=float).reshape(-1)
     if states is None:
         states = state_batch(game, u, w_batch)
-    out = np.zeros((states.shape[0], game.constraint_count))
+    if game.affine_state_columns:
+        out = states @ game.affine_state_map
+        out += game.affine_state_offset
+    else:
+        out = np.zeros((states.shape[0], game.constraint_count))
+    for j in game.state_value_columns:
+        out[:, j] += np.asarray(game.constraints[j].state_value(states), dtype=float)
     for j, c in enumerate(game.constraints):
-        if c.state_value is not None:
-            out[:, j] += np.asarray(c.state_value(states), dtype=float)
         if c.input_value is not None:
             out[:, j] += float(c.input_value(u))
     return out

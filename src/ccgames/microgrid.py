@@ -267,12 +267,15 @@ def build_microgrid_game(p: MicrogridParams):
         b_mats=tuple(np.full((T, 1, 1), -eff) for _ in range(n)),
         s0=np.array([p.soc_initial]),
     )
+    # one terminal-cost gradient object for every household, so the solver
+    # evaluates it once per shared batch
+    terminal_grad = _terminal_cost_grad(p)
     players = [
         PlayerSpec(
             input_dim=1,
             box_lower=np.zeros(T),
             box_upper=p.demand[i].copy(),
-            cost_state_grad=_terminal_cost_grad(p),
+            cost_state_grad=terminal_grad,
             cost_input_grad=_input_cost_grad(p, i),
             cost_value=_cost_value(p, i),
         )

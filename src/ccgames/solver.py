@@ -129,7 +129,12 @@ def validate_config(cfg: SolverConfig, lipschitz_estimate: float) -> ValidationR
     checks.append(ValidationCheck(
         "step-positive", cfg.step.a0 > 0 and cfg.step.offset > 0,
         f"step schedule a0={cfg.step.a0}, offset={cfg.step.offset} must be positive"))
-    if lipschitz_estimate <= 0:
+    if not math.isfinite(lipschitz_estimate):
+        checks.append(ValidationCheck(
+            "operator-finite", False,
+            f"the sampled operator is not finite (lipschitz estimate {lipschitz_estimate}); "
+            "an oracle returned NaN or inf"))
+    elif lipschitz_estimate <= 0:
         checks.append(ValidationCheck(
             "step-bound", False, "lipschitz estimate must be positive"))
     else:
@@ -241,12 +246,13 @@ def _operator_estimate(game, offsets: UnderApproxOffsets, u, states):
     Returns (F_hat, Jac_hat, G_hat): the stacked pseudo-gradient mean, the
     stacked constraint-Jacobian mean (dim, m) and the tightened constraint
     mean. The extended operator at (u, lam) is (F_hat + Jac_hat @ lam, -G_hat).
-    All players share the batch, so the callable constraint gradients are
-    averaged once.
+    All players share the batch, so each distinct state-cost gradient and
+    each callable constraint gradient is averaged once.
     """
+    cost_means = game_mod.cost_state_grad_means(game, states)
     f_hat = np.concatenate([
-        game_mod.player_pseudo_gradient_mean(game, i, u, None, states=states)
-        for i in range(game.n_players)
+        game_mod.player_pseudo_gradient_mean(game, i, u, None, state_grad_mean=mean)
+        for i, mean in enumerate(cost_means)
     ])
     means = game_mod.constraint_state_grad_means(game, states)
     jac = np.vstack([
@@ -452,6 +458,7 @@ def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int = 0,
     Samples random (u, multiplier) pairs, evaluates the operator on a shared
     batch, and returns the largest difference ratio. Used to size the step
     bound in ``validate_config`` since no analytic constant is available.
+    Returns NaN when any sampled operator value is not finite.
     """
     rng = substream(seed, PURPOSE_PROBE, 0)
     worst = 0.0
@@ -466,6 +473,8 @@ def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int = 0,
             game, offsets, u1, game_mod.lift_base(game, u1)[None, :] + noise)
         f2, j2, g2 = _operator_estimate(
             game, offsets, u2, game_mod.lift_base(game, u2)[None, :] + noise)
+        if not all(np.all(np.isfinite(a)) for a in (f1, j1, g1, f2, j2, g2)):
+            return math.nan
         dz = math.hypot(float(np.linalg.norm(u1 - u2)), float(np.linalg.norm(l1 - l2)))
         if dz < 1e-12:
             continue

@@ -90,6 +90,22 @@ def reference_jacobian_block(game, i, u, states):
     return out
 
 
+def reference_constraint_values(game, u, states):
+    """Raw constraint values evaluated one value closure at a time.
+
+    Independent of the stacked affine map: every ``state_value`` and
+    ``input_value`` is called, state part first.
+    """
+    u = np.asarray(u, dtype=float).reshape(-1)
+    out = np.zeros((states.shape[0], len(game.constraints)))
+    for j, c in enumerate(game.constraints):
+        if c.state_value is not None:
+            out[:, j] += np.asarray(c.state_value(states), dtype=float)
+        if c.input_value is not None:
+            out[:, j] += float(c.input_value(u))
+    return out
+
+
 def random_lq_params(rng, mixed_callables=False):
     """A random LQ game with input maps, state noise and state-coupled constraints."""
     T = int(rng.integers(1, 5))

@@ -16,8 +16,8 @@ import ccgames.solver as solver
 from ccgames.com import (ComModel, estimate_constraint_satisfaction, h_inverse)
 from ccgames.config import build_game, parse_config
 from ccgames.dynamics import build_compact_lift, lift_state, simulate_state
-from ccgames.game import (constraint_gradient_sample, constraint_sample,
-                          pseudo_gradient_sample, random_feasible_profile)
+from ccgames.game import (constraint_gradient_sample, constraint_sample, lift_base,
+                          lift_noise, pseudo_gradient_sample, random_feasible_profile)
 from ccgames.microgrid import household_cost_value
 from ccgames.rng import residual_stream, substream
 from ccgames.solver import (batch_size, estimate_lipschitz,
@@ -57,13 +57,15 @@ def benchmark_run(reduced_microgrid):
     cfg = parse_config(CONFIG_DIR / "microgrid_reduced.json").solver
     state = initial_state(game, cfg)
     w_res = game.disturbance.sample(residual_stream(cfg.seed), cfg.residual_batch)
+    noise_res = lift_noise(game, w_res)  # lifted once, as solver.run does
     residuals, alphas, batches = [], [], []
     identity_ok = feasible_ok = multiplier_ok = True
     t0 = time.time()
     for _ in range(cfg.max_iterations):
-        res = residual_estimate(state, game, offsets, cfg, w_batch=w_res)
+        base = lift_base(game, state.u)
+        res = residual_estimate(state, game, offsets, cfg, noise=noise_res, base=base)
         prev = state
-        state, rec = iterate(state, game, offsets, cfg, residual=res)
+        state, rec = iterate(state, game, offsets, cfg, residual=res, base=base)
         residuals.append(res)
         alphas.append(rec.alpha)
         batches.append(rec.batch)

@@ -168,6 +168,16 @@ class TestRunCommand:
         assert summary["termination_reason"] == "non-finite"
         assert summary["iterations"] == 1
 
+    def test_non_finite_operator_refused_by_gate(self, tmp_path, capsys):
+        doc = small_lq_doc()
+        doc["game"]["players"][0]["linear"] = [float("nan"), -1.0]
+        code = main(["run", "--config", str(write_doc(tmp_path, doc)),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "operator-finite: the sampled operator is not finite" in err
+        assert "lipschitz estimate must be positive" not in err
+
     def test_seed_override_changes_run(self, tmp_path):
         doc = small_microgrid_doc()
         path = write_doc(tmp_path, doc)

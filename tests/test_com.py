@@ -11,7 +11,10 @@ from ccgames.com import (ComModel, UnderApproxOffsets,
                          g_sample, h_gaussian, h_inverse, wilson_interval)
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
-                          PlayerSpec, constraint_sample)
+                          PlayerSpec, constraint_sample, random_feasible_profile,
+                          state_batch)
+
+from conftest import reference_constraint_values
 
 
 def make_tiny_game(constraints, noise_std=1.0, box=(0.0, 1.0)):
@@ -201,6 +204,27 @@ class TestEpsilonGap:
                                        np.random.default_rng(5))
             assert est.m_hat[0] >= prev - 1e-15
             prev = est.m_hat[0]
+
+    def test_matches_relifting_reference(self, reduced_microgrid):
+        # the sample set is lifted once; re-lifting it per probe gives the same bits
+        _, game, offsets = reduced_microgrid
+        rng = np.random.default_rng(6)
+        u_star = random_feasible_profile(game, rng)
+        cands = [random_feasible_profile(game, rng) for _ in range(3)]
+        est = estimate_epsilon_gap(game, u_star, cands, 500, np.random.default_rng(7),
+                                   offsets=offsets)
+        w = game.disturbance.sample(np.random.default_rng(7), 500)
+        gammas = np.array([c.gamma for c in game.constraints])
+        m_ref = np.zeros(game.constraint_count)
+        for cand in cands:
+            for sl in game.player_slices:
+                probe = u_star.copy()
+                probe[sl] = cand[sl]
+                raw = reference_constraint_values(game, probe, state_batch(game, probe, w))
+                e_g = raw.mean(axis=0) + offsets.offsets
+                m_ref = np.maximum(m_ref, np.abs(1.0 - gammas - (raw <= 0.0).mean(axis=0) - e_g))
+        assert np.array_equal(est.m_hat, m_ref)
+        assert est.candidates_evaluated == 3 * game.n_players
 
     def test_empty_candidates_rejected(self):
         game, _ = self.make_game_with_offset_value()

@@ -7,14 +7,17 @@ from ccgames.com import ComModel
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from dataclasses import replace
 
+from ccgames.config import build_game, parse_config
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           PlayerSpec, constraint_gradient_sample,
-                          constraint_sample, player_constraint_gradient_mean,
-                          project_local, pseudo_gradient_sample,
-                          random_feasible_profile, state_batch)
+                          constraint_sample, constraint_values,
+                          player_constraint_gradient_mean, project_local,
+                          pseudo_gradient_sample, random_feasible_profile,
+                          state_batch)
 from ccgames.lqgame import build_lq_game
 
-from conftest import (central_difference, random_dynamics, random_lq_params,
+from conftest import (CONFIG_DIR, central_difference, random_dynamics,
+                      random_lq_params, reference_constraint_values,
                       reference_jacobian_block, relative_error,
                       with_callable_gradients)
 
@@ -268,3 +271,71 @@ class TestConstantJacobianBlocks:
         assert con.input_grad[0] == 1.0
         with pytest.raises(ValueError):
             con.input_grad[0] = 2.0
+
+
+class TestAffineConstraintValues:
+    @pytest.mark.parametrize("config", ["microgrid_reduced.json", "microgrid_paper.json"])
+    def test_microgrid_values_match_per_closure_reference(self, config):
+        game, _ = build_game(parse_config(CONFIG_DIR / config))
+        horizon = game.dynamics.horizon
+        # the 2 T band constraints are affine; only the terminal band is a closure
+        assert game.affine_state_columns == tuple(range(2 * horizon))
+        assert game.state_value_columns == (2 * horizon,)
+        rng = np.random.default_rng(31)
+        for rows in (1, 257):
+            u = random_feasible_profile(game, rng)
+            states = state_batch(game, u, game.disturbance.sample(rng, rows))
+            assert np.array_equal(constraint_values(game, u, None, states=states),
+                                  reference_constraint_values(game, u, states))
+
+    @given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_lq_values_match_per_closure_reference(self, seed, mixed):
+        # S @ map and S @ state_coeffs may sum in different orders, so the
+        # LQ values agree to rounding rather than bit for bit
+        rng = np.random.default_rng(seed)
+        game, _ = build_lq_game(random_lq_params(rng))
+        if mixed:
+            game = with_callable_gradients(game, rng)
+        u = rng.normal(size=game.input_dim)
+        states = state_batch(game, u, game.disturbance.sample(rng, 9))
+        np.testing.assert_allclose(constraint_values(game, u, None, states=states),
+                                   reference_constraint_values(game, u, states),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_replace_constraints_rebuilds_affine_map(self):
+        game = build_quadratic_state_game(np.random.default_rng(24))
+        assert game.affine_state_columns == ()
+        sdim = game.state_traj_dim
+        grad = np.linspace(-1.0, 1.0, sdim)
+        cons = (
+            CouplingConstraintSpec(gamma=0.3, state_value=lambda S: S @ grad + 2.5,
+                                   state_grad=grad),
+            CouplingConstraintSpec(gamma=0.3, state_value=lambda S: S[:, 0] ** 2,
+                                   state_grad=lambda S: 2.0 * S),
+        )
+        rebuilt = replace(game, constraints=cons)
+        assert rebuilt.affine_state_columns == (0,)
+        assert rebuilt.state_value_columns == (1,)
+        assert rebuilt.affine_state_map.shape == (sdim, 2)
+        assert np.array_equal(rebuilt.affine_state_map[:, 0], grad)
+        assert not rebuilt.affine_state_map[:, 1].any()
+        assert np.array_equal(rebuilt.affine_state_offset, [2.5, 0.0])
+        rng = np.random.default_rng(25)
+        u = rng.normal(size=rebuilt.input_dim)
+        states = state_batch(rebuilt, u, rng.normal(size=(6, rebuilt.disturbance.dim)))
+        np.testing.assert_allclose(constraint_values(rebuilt, u, None, states=states),
+                                   reference_constraint_values(rebuilt, u, states),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_mismatched_value_and_gradient_rejected(self):
+        game = build_quadratic_state_game(np.random.default_rng(26))
+        sdim = game.state_traj_dim
+        grad = np.ones(sdim)
+        good = CouplingConstraintSpec(gamma=0.3, state_value=lambda S: S.sum(axis=1),
+                                      state_grad=grad)
+        bad = CouplingConstraintSpec(gamma=0.3, state_value=lambda S: 2.0 * S.sum(axis=1),
+                                     state_grad=grad)
+        replace(game, constraints=(good,))
+        with pytest.raises(ValueError, match="constraint 1: state_value is not affine"):
+            replace(game, constraints=(good, bad))

@@ -22,7 +22,8 @@ from ccgames.solver import (BatchSchedule, SolverConfig, SolverState,
                             initial_state, iterate, player_step,
                             residual_estimate, run, step_size, validate_config)
 
-from conftest import random_lq_params, reference_jacobian_block, with_callable_gradients
+from conftest import (quadratic_oracle_params, random_lq_params, reference_jacobian_block,
+                      with_callable_gradients)
 
 PAPER_STEP = StepSchedule(a0=1.4e-4, offset=2.0)
 PAPER_BATCH = BatchSchedule(scale=1.0, offset=2.0, exponent=1.1)
@@ -384,6 +385,27 @@ class TestSharedEvaluation:
         assert_operator_exact(game, offsets, u,
                               state_batch(game, u, game.disturbance.sample(rng, 40)))
 
+    def test_shared_cost_gradient_evaluated_once_per_batch(self, reduced_microgrid):
+        _, game, offsets = reduced_microgrid
+        shared = game.players[0].cost_state_grad
+        assert all(p.cost_state_grad is shared for p in game.players)
+        calls = []
+
+        def counted(states):
+            calls.append(states.shape[0])
+            return shared(states)
+
+        counted_game = replace(game, players=tuple(
+            replace(p, cost_state_grad=counted) for p in game.players))
+        rng = np.random.default_rng(8)
+        u = random_feasible_profile(game, rng)
+        states = state_batch(game, u, game.disturbance.sample(rng, 70))
+        f_hat, _, _ = solver._operator_estimate(counted_game, offsets, u, states)
+        assert calls == [70]
+        f_ref = np.concatenate([player_pseudo_gradient_mean(game, i, u, None, states=states)
+                                for i in range(game.n_players)])
+        assert np.array_equal(f_hat, f_ref)
+
     def test_cached_residual_equals_uncached(self, reduced_microgrid):
         _, game, offsets = reduced_microgrid
         cfg = quick_config(residual_batch=300)
@@ -450,6 +472,19 @@ class TestDiagnostics:
         l1 = estimate_lipschitz(game, offsets, seed=1)
         l2 = estimate_lipschitz(game, offsets, seed=1)
         assert l1 == l2 > 0.5
+
+    def test_non_finite_operator_fails_validation(self):
+        params = quadratic_oracle_params()
+        linear = params.players[0].linear.copy()
+        linear[0] = np.nan
+        players = (replace(params.players[0], linear=linear),) + params.players[1:]
+        game, offsets = build_lq_game(replace(params, players=players))
+        lip = estimate_lipschitz(game, offsets, seed=1)
+        assert math.isnan(lip)
+        report = validate_config(quick_config(step=PAPER_STEP), lip)
+        [failure] = report.failures
+        assert failure.name == "operator-finite"
+        assert "not finite" in failure.detail
 
     def test_deterministic_game_zero_variance(self):
         game, offsets = simple_game()
