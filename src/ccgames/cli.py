@@ -53,7 +53,7 @@ def write_strategies_csv(path, game, u) -> None:
 def read_strategies_csv(path, game) -> np.ndarray:
     """Read a strategy file; accepts a 'u' column as alias for 'value'."""
     u = np.zeros(game.input_dim)
-    seen = 0
+    seen = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -74,11 +74,13 @@ def read_strategies_csv(path, game) -> np.ndarray:
             n_i = game.players[i].input_dim
             if not (0 <= t < game.dynamics.horizon and 0 <= comp < n_i):
                 raise ValueError(f"{path}: entry (t={t}, component={comp}) out of range")
-            u[game.player_slices[i].start + t * n_i + comp] = float(row[value_col])
-            seen += 1
-    if seen != game.input_dim:
-        raise ValueError(
-            f"{path}: {seen} entries, game expects {game.input_dim}")
+            idx = game.player_slices[i].start + t * n_i + comp
+            if idx in seen:
+                raise ValueError(f"{path}: duplicate entry (player={i}, t={t}, component={comp})")
+            seen.add(idx)
+            u[idx] = float(row[value_col])
+    if len(seen) != game.input_dim:
+        raise ValueError(f"{path}: {len(seen)} entries, game expects {game.input_dim}")
     return u
 
 
@@ -96,8 +98,14 @@ def _write_snapshots_csv(path, trace, game) -> None:
                         fh.write(f"{rec.k},{i},{t},{comp},{float(block[t, comp])!r}\n")
 
 
-def _estimate_lipschitz(game, offsets, cfg) -> float:
-    return solver_mod.estimate_lipschitz(game, offsets, seed=cfg.solver.seed)
+def epsilon_gap(cfg: RunConfig, game, offsets, u) -> com_mod.EpsilonGapEstimate:
+    """Gap terms at ``u`` over the configured random candidates and probe streams."""
+    cand_rng = substream(cfg.solver.seed, PURPOSE_PROBE, 1)
+    candidates = [game_mod.random_feasible_profile(game, cand_rng)
+                  for _ in range(cfg.verification.epsilon_gap_candidates)]
+    return com_mod.estimate_epsilon_gap(
+        game, u, candidates, cfg.verification.epsilon_gap_samples,
+        substream(cfg.solver.seed, PURPOSE_PROBE, 2), offsets=offsets)
 
 
 def cmd_validate(args) -> int:
@@ -107,7 +115,7 @@ def cmd_validate(args) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    lip = _estimate_lipschitz(game, offsets, cfg)
+    lip = solver_mod.estimate_lipschitz(game, offsets, seed=cfg.solver.seed)
     report = solver_mod.validate_config(cfg.solver, lip)
     print(f"estimated operator Lipschitz bound: {lip:.6g}")
     for check in report.checks:
@@ -126,7 +134,7 @@ def cmd_run(args) -> int:
         return 1
 
     if not args.force:
-        lip = _estimate_lipschitz(game, offsets, cfg)
+        lip = solver_mod.estimate_lipschitz(game, offsets, seed=cfg.solver.seed)
         report = solver_mod.validate_config(cfg.solver, lip)
         if not report.passed:
             for check in report.failures:
@@ -165,12 +173,7 @@ def cmd_run(args) -> int:
         "config": cfg.to_json_dict(),
     }
     if cfg.verification.epsilon_gap_in_summary and cfg.verification.epsilon_gap_candidates:
-        cand_rng = substream(cfg.solver.seed, PURPOSE_PROBE, 1)
-        candidates = [game_mod.random_feasible_profile(game, cand_rng)
-                      for _ in range(cfg.verification.epsilon_gap_candidates)]
-        gap = com_mod.estimate_epsilon_gap(
-            game, state.u, candidates, cfg.verification.epsilon_gap_samples,
-            substream(cfg.solver.seed, PURPOSE_PROBE, 2), offsets=offsets)
+        gap = epsilon_gap(cfg, game, offsets, state.u)
         summary["epsilon_gap"] = {
             "m_hat": [float(x) for x in gap.m_hat],
             "bound_with_final_multiplier": float(np.dot(state.lam, gap.m_hat)),
@@ -236,15 +239,10 @@ def cmd_epsilon_gap(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read strategies: {exc}", file=sys.stderr)
         return 1
-    n_cand = cfg.verification.epsilon_gap_candidates
-    if n_cand < 1:
+    if cfg.verification.epsilon_gap_candidates < 1:
         print("verification.epsilon_gap_candidates must be at least 1", file=sys.stderr)
         return 1
-    cand_rng = substream(cfg.solver.seed, PURPOSE_PROBE, 1)
-    candidates = [game_mod.random_feasible_profile(game, cand_rng) for _ in range(n_cand)]
-    gap = com_mod.estimate_epsilon_gap(
-        game, u_star, candidates, cfg.verification.epsilon_gap_samples,
-        substream(cfg.solver.seed, PURPOSE_PROBE, 2), offsets=offsets)
+    gap = epsilon_gap(cfg, game, offsets, u_star)
     print(f"gap terms over {gap.candidates_evaluated} unilateral deviations "
           f"({gap.samples_used} samples each); sampled max is a lower bound on the sup:")
     for j, m in enumerate(gap.m_hat):

@@ -189,7 +189,7 @@ def estimate_constraint_satisfaction(game, u: np.ndarray, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     w = game.disturbance.sample(rng, n_samples)
-    vals = game_mod.constraint_values(game, u, w)
+    vals = game_mod.constraint_values(game, u, game_mod.state_batch(game, u, w))
     hits = (vals <= 0.0).sum(axis=0)
     p_hat = hits / n_samples
     los, his = [], []
@@ -253,7 +253,7 @@ def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
             sl = game.player_slices[i]
             probe[sl] = cand[sl]
             states = noise + game_mod.lift_base(game, probe)
-            raw = game_mod.constraint_values(game, probe, None, states=states)
+            raw = game_mod.constraint_values(game, probe, states)
             p_hat = (raw <= 0.0).mean(axis=0)
             e_g = raw.mean(axis=0) + offsets.offsets
             m_hat = np.maximum(m_hat, np.abs(1.0 - gammas - p_hat - e_g))

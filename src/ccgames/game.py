@@ -11,6 +11,13 @@ the result does not depend on the sample (the evaluators then skip the
 averaging). Gradients, not values, are the primary contract; values are only
 needed for reporting.
 
+Evaluators take lifted trajectories in and give batch means out: a caller
+lifts its batch once (``state_batch``, or ``lift_base`` plus ``lift_noise``),
+evaluates each oracle on it once (``cost_state_grad_means``,
+``constraint_state_grad_means``, ``constraint_values``), and the per-player
+functions only assemble blocks from those means. ``operator_estimate`` is the
+one function that stacks the blocks of all players on a shared batch.
+
 A constraint gradient that depends on neither the sample nor the profile may
 be given as a constant 1-D array instead of a callable (``state_grad`` of
 length state_dim, ``input_grad`` of length input_dim). ``GameSpec`` folds
@@ -30,7 +37,7 @@ value closures (on the microgrid, the terminal band's).
 
 Players that share one ``cost_state_grad`` object (the microgrid's
 households all hold the same terminal-cost gradient) get one evaluation of
-it per shared batch in the solver's operator estimate.
+it per batch in ``cost_state_grad_means``.
 
 All evaluation here is pure: identical (u, w) inputs give bit-identical
 outputs, and a game object is immutable after construction, so concurrent
@@ -320,69 +327,39 @@ def _mean_over_batch(values: np.ndarray) -> np.ndarray:
     return values if values.ndim == 1 else values.mean(axis=0)
 
 
-def cost_state_grad_means(game: GameSpec, states: np.ndarray) -> list:
-    """Batch mean of every player's state-cost gradient, None where absent.
-
-    Each distinct ``cost_state_grad`` object is evaluated once, so players
-    that share one callable share its mean.
-    """
-    means = {}
-    for p in game.players:
-        grad = p.cost_state_grad
+def cost_state_grad_means(game: GameSpec, states: np.ndarray, players=None) -> list:
+    """Batch means of the state-cost gradients of ``players`` (default all),
+    None where absent; each distinct ``cost_state_grad`` object runs once."""
+    means, out = {}, []
+    for i in range(game.n_players) if players is None else players:
+        grad = game.players[i].cost_state_grad
         if grad is not None and id(grad) not in means:
             means[id(grad)] = _mean_over_batch(grad(states))
-    return [None if p.cost_state_grad is None else means[id(p.cost_state_grad)]
-            for p in game.players]
+        out.append(None if grad is None else means[id(grad)])
+    return out
 
 
 def player_pseudo_gradient_mean(game: GameSpec, i: int, u: np.ndarray,
-                                w_batch: np.ndarray,
-                                states: np.ndarray | None = None,
-                                state_grad_mean: np.ndarray | None = None) -> np.ndarray:
-    """Batch mean of player i's cost gradient block.
-
-    ``state_grad_mean`` may pass player i's entry of ``cost_state_grad_means``
-    of the batch, so that players sharing one callable evaluate it once.
-    """
+                                state_grad_mean: np.ndarray | None) -> np.ndarray:
+    """Player i's cost gradient block; ``state_grad_mean`` is its entry of
+    ``cost_state_grad_means`` of the batch."""
     u = np.asarray(u, dtype=float).reshape(-1)
     p = game.players[i]
     out = np.zeros(game.player_slices[i].stop - game.player_slices[i].start)
     if p.cost_input_grad is not None:
         out = out + np.asarray(p.cost_input_grad(u), dtype=float)
     if p.cost_state_grad is not None:
-        if state_grad_mean is None:
-            if states is None:
-                states = state_batch(game, u, w_batch)
-            state_grad_mean = _mean_over_batch(p.cost_state_grad(states))
         out = out + game.lift.input_maps[i].T @ state_grad_mean
     return out
 
 
-def pseudo_gradient_mean(game: GameSpec, u: np.ndarray, w_batch: np.ndarray) -> np.ndarray:
-    """Batch mean of the stacked pseudo-gradient (all players, one batch)."""
-    means = cost_state_grad_means(game, state_batch(game, u, w_batch))
-    return np.concatenate([
-        player_pseudo_gradient_mean(game, i, u, w_batch, state_grad_mean=mean)
-        for i, mean in enumerate(means)
-    ])
-
-
-def pseudo_gradient_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Single-sample pseudo-gradient; block i is player i's own cost gradient."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    return pseudo_gradient_mean(game, u, w[None, :])
-
-
-def constraint_values(game: GameSpec, u: np.ndarray, w_batch: np.ndarray,
-                      states: np.ndarray | None = None) -> np.ndarray:
-    """Raw coupled-constraint values, shape (batch, m).
+def constraint_values(game: GameSpec, u: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Raw coupled-constraint values along the trajectories, shape (batch, m).
 
     The affine state parts come from one product with ``affine_state_map``;
     only the other value closures are called.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
-    if states is None:
-        states = state_batch(game, u, w_batch)
     if game.affine_state_columns:
         out = states @ game.affine_state_map
         out += game.affine_state_offset
@@ -396,12 +373,6 @@ def constraint_values(game: GameSpec, u: np.ndarray, w_batch: np.ndarray,
     return out
 
 
-def constraint_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Single-sample raw constraint vector."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    return constraint_values(game, u, w[None, :])[0]
-
-
 def constraint_state_grad_means(game: GameSpec, states: np.ndarray) -> list:
     """Batch means of the callable constraint state gradients.
 
@@ -413,24 +384,13 @@ def constraint_state_grad_means(game: GameSpec, states: np.ndarray) -> list:
 
 
 def player_constraint_gradient_mean(game: GameSpec, i: int, u: np.ndarray,
-                                    w_batch: np.ndarray,
-                                    states: np.ndarray | None = None,
-                                    state_grad_means: list | None = None) -> np.ndarray:
-    """Batch mean of player i's block of the constraint Jacobian, (T n_i, m).
-
-    The player's constant block, with the callable columns added in.
-    ``state_grad_means`` may pass ``constraint_state_grad_means`` of the
-    batch, so that players sharing one batch evaluate it once.
-    """
+                                    state_grad_means: list) -> np.ndarray:
+    """Player i's constraint-Jacobian block (T n_i, m): its constant block plus
+    the callable columns, from ``constraint_state_grad_means`` of the batch."""
     out = game.constant_jacobian_blocks[i].copy()
-    if game.varying_state_columns:
-        if state_grad_means is None:
-            if states is None:
-                states = state_batch(game, u, w_batch)
-            state_grad_means = constraint_state_grad_means(game, states)
-        gm_t = game.lift.input_maps[i].T
-        for j, mean in zip(game.varying_state_columns, state_grad_means):
-            out[:, j] += gm_t @ mean
+    gm_t = game.lift.input_maps[i].T
+    for j, mean in zip(game.varying_state_columns, state_grad_means):
+        out[:, j] += gm_t @ mean
     u = np.asarray(u, dtype=float).reshape(-1)
     sl = game.player_slices[i]
     for j in game.varying_input_columns:
@@ -438,19 +398,38 @@ def player_constraint_gradient_mean(game: GameSpec, i: int, u: np.ndarray,
     return out
 
 
-def constraint_gradient_mean(game: GameSpec, u: np.ndarray, w_batch: np.ndarray) -> np.ndarray:
-    """Batch mean of the full constraint Jacobian stacked over players, (dim, m)."""
-    means = constraint_state_grad_means(game, state_batch(game, u, w_batch))
-    return np.vstack([
-        player_constraint_gradient_mean(game, i, u, w_batch, state_grad_means=means)
-        for i in range(game.n_players)
+def operator_estimate(game: GameSpec, u: np.ndarray, states: np.ndarray):
+    """Sampled operator parts at u over lifted trajectories ``states``.
+
+    Returns (F_hat, Jac_hat, G_raw_mean): the stacked pseudo-gradient mean,
+    the stacked constraint-Jacobian mean (dim, m) and the raw constraint
+    mean. With tightening offsets o, the extended operator at (u, lam) is
+    (F_hat + Jac_hat @ lam, -(G_raw_mean + o)). Each distinct state-cost
+    gradient and each callable constraint gradient is averaged once.
+    """
+    f_hat = np.concatenate([
+        player_pseudo_gradient_mean(game, i, u, mean)
+        for i, mean in enumerate(cost_state_grad_means(game, states))
     ])
+    means = constraint_state_grad_means(game, states)
+    jac = np.vstack([player_constraint_gradient_mean(game, i, u, means)
+                     for i in range(game.n_players)])
+    return f_hat, jac, constraint_values(game, u, states).mean(axis=0)
+
+
+def pseudo_gradient_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Single-sample pseudo-gradient; block i is player i's own cost gradient."""
+    return operator_estimate(game, u, state_batch(game, u, np.reshape(w, (1, -1))))[0]
 
 
 def constraint_gradient_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Single-sample constraint Jacobian, column j = gradient of constraint j."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    return constraint_gradient_mean(game, u, w[None, :])
+    return operator_estimate(game, u, state_batch(game, u, np.reshape(w, (1, -1))))[1]
+
+
+def constraint_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Single-sample raw constraint vector."""
+    return operator_estimate(game, u, state_batch(game, u, np.reshape(w, (1, -1))))[2]
 
 
 def project_local(game: GameSpec, u: np.ndarray) -> np.ndarray:
@@ -490,7 +469,7 @@ def monotonicity_probe(game: GameSpec, n_pairs: int, batch: int,
         u1 = random_feasible_profile(game, rng)
         u2 = random_feasible_profile(game, rng)
         w = game.disturbance.sample(rng, batch)
-        f1 = pseudo_gradient_mean(game, u1, w)
-        f2 = pseudo_gradient_mean(game, u2, w)
+        f1 = operator_estimate(game, u1, state_batch(game, u1, w))[0]
+        f2 = operator_estimate(game, u2, state_batch(game, u2, w))[0]
         worst = min(worst, float(np.dot(f1 - f2, u1 - u2)))
     return worst

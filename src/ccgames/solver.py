@@ -23,8 +23,10 @@ execution order and can be resumed from a checkpoint.
 from __future__ import annotations
 
 import math
+import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -240,30 +242,6 @@ class RunTrace:
     final_state: SolverState
 
 
-def _operator_estimate(game, offsets: UnderApproxOffsets, u, states):
-    """Sampled operator parts at u over lifted trajectories ``states``.
-
-    Returns (F_hat, Jac_hat, G_hat): the stacked pseudo-gradient mean, the
-    stacked constraint-Jacobian mean (dim, m) and the tightened constraint
-    mean. The extended operator at (u, lam) is (F_hat + Jac_hat @ lam, -G_hat).
-    All players share the batch, so each distinct state-cost gradient and
-    each callable constraint gradient is averaged once.
-    """
-    cost_means = game_mod.cost_state_grad_means(game, states)
-    f_hat = np.concatenate([
-        game_mod.player_pseudo_gradient_mean(game, i, u, None, state_grad_mean=mean)
-        for i, mean in enumerate(cost_means)
-    ])
-    means = game_mod.constraint_state_grad_means(game, states)
-    jac = np.vstack([
-        game_mod.player_constraint_gradient_mean(game, i, u, None, state_grad_means=means)
-        for i in range(game.n_players)
-    ])
-    g_hat = game_mod.constraint_values(game, u, None, states=states).mean(axis=0) \
-        + offsets.offsets
-    return f_hat, jac, g_hat
-
-
 def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
                      cfg: SolverConfig, rng: np.random.Generator,
                      base: np.ndarray | None = None):
@@ -275,8 +253,7 @@ def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
     alpha = step_size(cfg, state.k)
     w0 = game.disturbance.sample(rng, m_k)
     states = game_mod.state_batch(game, state.u, w0, base=base)
-    g_hat = game_mod.constraint_values(game, state.u, w0, states=states).mean(axis=0) \
-        + offsets.offsets
+    g_hat = game_mod.constraint_values(game, state.u, states).mean(axis=0) + offsets.offsets
     lam_avg = (1.0 - cfg.delta) * state.lam + cfg.delta * state.lam_avg_prev
     lam_next = np.maximum(lam_avg + alpha * g_hat, 0.0)
     return lam_avg, lam_next, g_hat
@@ -295,8 +272,10 @@ def player_step(i: int, state: SolverState, lam: np.ndarray, game,
     alpha = step_size(cfg, state.k)
     w = game.disturbance.sample(rng, m_k)
     states = game_mod.state_batch(game, state.u, w, base=base)
-    f_i = game_mod.player_pseudo_gradient_mean(game, i, state.u, w, states=states)
-    jac_i = game_mod.player_constraint_gradient_mean(game, i, state.u, w, states=states)
+    (cost_mean,) = game_mod.cost_state_grad_means(game, states, (i,))
+    f_i = game_mod.player_pseudo_gradient_mean(game, i, state.u, cost_mean)
+    jac_i = game_mod.player_constraint_gradient_mean(
+        game, i, state.u, game_mod.constraint_state_grad_means(game, states))
     sl = game.player_slices[i]
     u_avg_i = (1.0 - cfg.delta) * state.u[sl] + cfg.delta * state.u_avg_prev[sl]
     raw = u_avg_i - alpha * (f_i + jac_i @ lam)
@@ -334,19 +313,31 @@ def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverCo
         u_next[sl] = u_next_i
 
     new_state = SolverState(k + 1, u_next, u_avg, lam_next, lam_avg, state.seed)
-    snapshot = state.u.copy() if cfg.snapshot_every and k % cfg.snapshot_every == 0 else None
-    record = IterationRecord(
-        k=k, residual=residual,
+    snapshot = bool(cfg.snapshot_every) and k % cfg.snapshot_every == 0
+    return new_state, _record(state, cfg, residual, g_hat, t0, snapshot)
+
+
+def _record(state: SolverState, cfg: SolverConfig, residual: float, g_hat: np.ndarray,
+            t0: float, snapshot: bool) -> IterationRecord:
+    """Record of the iterate ``state``, timed from ``perf_counter`` value t0."""
+    return IterationRecord(
+        k=state.k, residual=residual,
         g_hat_max=float(g_hat.max()) if g_hat.size else 0.0,
         g_hat_norm=float(np.linalg.norm(g_hat)),
-        lam=state.lam.copy(), alpha=step_size(cfg, k), batch=batch_size(cfg, k),
-        wall_ms=(time.perf_counter() - t0) * 1e3, strategies=snapshot)
-    return new_state, record
+        lam=state.lam.copy(), alpha=step_size(cfg, state.k), batch=batch_size(cfg, state.k),
+        wall_ms=(time.perf_counter() - t0) * 1e3,
+        strategies=state.u.copy() if snapshot else None)
+
+
+def residual_noise(game, cfg: SolverConfig, seed: int) -> np.ndarray:
+    """Lifted noise of the residual batch: ``cfg.residual_batch`` draws from the
+    residual substream of ``seed``, common to every iteration of a run."""
+    w_res = game.disturbance.sample(residual_stream(seed), cfg.residual_batch)
+    return game_mod.lift_noise(game, w_res)
 
 
 def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
-                      cfg: SolverConfig, rng: np.random.Generator | None = None,
-                      w_batch: np.ndarray | None = None, noise: np.ndarray | None = None,
+                      cfg: SolverConfig, noise: np.ndarray | None = None,
                       base: np.ndarray | None = None) -> float:
     """Distance from the iterate to one exact projected forward step.
 
@@ -354,40 +345,20 @@ def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
     (``cfg.residual_batch`` samples); the backward step is the product of the
     local-set projection and the nonnegative-orthant projection. Zero exactly
     at equilibrium-multiplier pairs, up to estimator noise. The reference
-    batch comes from the dedicated residual substream (common random numbers
-    across iterations), so callers may precompute and reuse it via
-    ``w_batch``, or reuse its lifted noise ``lift_noise(game, w_batch)`` via
+    batch is ``residual_noise(game, cfg, state.seed)`` (common random numbers
+    across iterations), which callers may compute once and pass as
     ``noise``. ``base`` may pass ``lift_base(game, state.u)``.
     """
     if noise is None:
-        if w_batch is None:
-            if rng is None:
-                rng = residual_stream(state.seed)
-            w_batch = game.disturbance.sample(rng, cfg.residual_batch)
-        noise = game_mod.lift_noise(game, w_batch)
+        noise = residual_noise(game, cfg, state.seed)
     if base is None:
         base = game_mod.lift_base(game, state.u)
     alpha = step_size(cfg, state.k)
-    f_hat, jac, g_hat = _operator_estimate(game, offsets, state.u, base[None, :] + noise)
+    f_hat, jac, g_raw = game_mod.operator_estimate(game, state.u, base[None, :] + noise)
     u_step = game_mod.project_local(game, state.u - alpha * (f_hat + jac @ state.lam))
-    lam_step = np.maximum(state.lam + alpha * g_hat, 0.0)
+    lam_step = np.maximum(state.lam + alpha * (g_raw + offsets.offsets), 0.0)
     return math.hypot(float(np.linalg.norm(state.u - u_step)),
                       float(np.linalg.norm(state.lam - lam_step)))
-
-
-def _evaluation_record(state: SolverState, game, offsets, cfg, residual: float,
-                       wall_ms: float) -> IterationRecord:
-    """Record for a state that is evaluated but not advanced (final row)."""
-    rng = iteration_stream(state.seed, state.k, 0)
-    w0 = game.disturbance.sample(rng, batch_size(cfg, state.k))
-    g_hat = game_mod.constraint_values(game, state.u, w0).mean(axis=0) + offsets.offsets
-    return IterationRecord(
-        k=state.k, residual=residual,
-        g_hat_max=float(g_hat.max()) if g_hat.size else 0.0,
-        g_hat_norm=float(np.linalg.norm(g_hat)),
-        lam=state.lam.copy(), alpha=step_size(cfg, state.k),
-        batch=batch_size(cfg, state.k), wall_ms=wall_ms,
-        strategies=state.u.copy() if cfg.snapshot_every else None)
 
 
 def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
@@ -395,31 +366,27 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     """Iterate until the residual tolerance, the budget, the divergence guard,
     or a non-finite iterate.
 
-    The trace holds one record per completed iteration plus a final
-    evaluation record at the last iterate (so a zero-iteration run still
-    yields the initial record). The residual batch is drawn and lifted once
-    per run; each iterate's noise-free trajectory is lifted once and shared
-    by the residual and the iteration.
+    The trace holds one record per completed iteration plus a final record
+    at the last iterate (so a zero-iteration run still yields the initial
+    record), whose constraint mean comes from the coordinator's batch of
+    that iterate. The residual batch is drawn and lifted once per run; each
+    iterate's noise-free trajectory is lifted once and shared by the
+    residual and the iteration.
     """
     state = initial if initial is not None else initial_state(game, cfg)
     guard = cfg.divergence_factor * (1.0 + state.z_norm())
-    w_res = game.disturbance.sample(residual_stream(state.seed), cfg.residual_batch)
-    noise_res = game_mod.lift_noise(game, w_res)
+    noise_res = residual_noise(game, cfg, state.seed)
     records = []
-    reason = TERMINATION_BUDGET
     while True:
         t0 = time.perf_counter()
         base = game_mod.lift_base(game, state.u)
         res = residual_estimate(state, game, offsets, cfg, noise=noise_res, base=base)
-        if res <= cfg.residual_tolerance:
-            reason = TERMINATION_TOLERANCE
-            records.append(_evaluation_record(
-                state, game, offsets, cfg, res, (time.perf_counter() - t0) * 1e3))
-            break
-        if state.k >= cfg.max_iterations:
-            reason = TERMINATION_BUDGET
-            records.append(_evaluation_record(
-                state, game, offsets, cfg, res, (time.perf_counter() - t0) * 1e3))
+        if res <= cfg.residual_tolerance or state.k >= cfg.max_iterations:
+            reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
+                else TERMINATION_BUDGET
+            g_hat = coordinator_step(state, game, offsets, cfg,
+                                     iteration_stream(state.seed, state.k, 0), base=base)[2]
+            records.append(_record(state, cfg, res, g_hat, t0, bool(cfg.snapshot_every)))
             break
         state, record = iterate(state, game, offsets, cfg, residual=res, base=base)
         records.append(record)
@@ -437,16 +404,19 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
 
 
 def write_checkpoint(state: SolverState, directory) -> str:
-    from pathlib import Path
-
+    """Write ``checkpoint_<k>.txt`` through a temporary file in the same
+    directory, so an interrupted write never leaves a partial checkpoint."""
     path = Path(directory) / f"checkpoint_{state.k:08d}.txt"
-    path.write_text(state.to_text(), encoding="utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(state.to_text(), encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return str(path)
 
 
 def load_checkpoint(path) -> SolverState:
-    from pathlib import Path
-
     return SolverState.from_text(Path(path).read_text(encoding="utf-8"))
 
 
@@ -469,10 +439,11 @@ def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int = 0,
         l1 = rng.uniform(0.0, multiplier_scale, size=m)
         l2 = rng.uniform(0.0, multiplier_scale, size=m)
         noise = game_mod.lift_noise(game, game.disturbance.sample(rng, batch))
-        f1, j1, g1 = _operator_estimate(
-            game, offsets, u1, game_mod.lift_base(game, u1)[None, :] + noise)
-        f2, j2, g2 = _operator_estimate(
-            game, offsets, u2, game_mod.lift_base(game, u2)[None, :] + noise)
+        f1, j1, g1 = game_mod.operator_estimate(
+            game, u1, game_mod.lift_base(game, u1)[None, :] + noise)
+        f2, j2, g2 = game_mod.operator_estimate(
+            game, u2, game_mod.lift_base(game, u2)[None, :] + noise)
+        g1, g2 = g1 + offsets.offsets, g2 + offsets.offsets
         if not all(np.all(np.isfinite(a)) for a in (f1, j1, g1, f2, j2, g2)):
             return math.nan
         dz = math.hypot(float(np.linalg.norm(u1 - u2)), float(np.linalg.norm(l1 - l2)))
@@ -521,7 +492,8 @@ def estimator_diagnostics(game, u: np.ndarray, lam: np.ndarray, batch_sizes,
 
     def estimate(m):
         noise = game_mod.lift_noise(game, game.disturbance.sample(rng, m))
-        return _operator_estimate(game, offsets, u, base[None, :] + noise)
+        f_hat, jac, g_raw = game_mod.operator_estimate(game, u, base[None, :] + noise)
+        return f_hat, jac, g_raw + offsets.offsets
 
     f_ref, jac_ref, g_ref = estimate(m_ref)
     mse_f, mse_j, mse_g = [], [], []

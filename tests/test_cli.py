@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccgames.cli import main, read_strategies_csv, write_strategies_csv
+from ccgames.cli import epsilon_gap, main, read_strategies_csv, write_strategies_csv
 from ccgames.config import ConfigError, build_game, emit_config, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -232,6 +232,20 @@ class TestStrategyFiles:
         with pytest.raises(ValueError, match="expects"):
             read_strategies_csv(tmp_path / "s.csv", game)
 
+    def test_duplicated_row_rejected(self, tmp_path):
+        # the right number of rows, but the last one repeats the first entry
+        config = CONFIG_DIR / "quadratic_oracle.json"
+        game, _ = build_game(parse_config(config))
+        write_strategies_csv(tmp_path / "s.csv", game, np.arange(1.0, game.input_dim + 1))
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        lines[-1] = lines[1]
+        (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"duplicate entry \(player=0, t=0, component=0\)"):
+            read_strategies_csv(tmp_path / "s.csv", game)
+        for command in ("check-constraints", "epsilon-gap"):
+            assert main([command, "--config", str(config),
+                         "--strategies", str(tmp_path / "s.csv")]) == 1
+
 
 class TestCheckConstraints:
     def test_feasible_strategies_pass(self, tmp_path):
@@ -281,6 +295,20 @@ class TestEpsilonGap:
         assert main(["epsilon-gap", "--config", str(path),
                      "--strategies", str(tmp_path / "s.csv")]) == 0
         assert "M_hat" in capsys.readouterr().out
+
+    def test_summary_gap_matches_helper_bit_for_bit(self, tmp_path):
+        doc = small_lq_doc(max_iterations=20)
+        doc["verification"]["epsilon_gap_in_summary"] = True
+        path = write_doc(tmp_path, doc)
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        cfg = parse_config(path)
+        game, offsets = build_game(cfg)
+        u = read_strategies_csv(tmp_path / "strategies.csv", game)
+        gap = epsilon_gap(cfg, game, offsets, u)
+        assert summary["epsilon_gap"]["m_hat"] == [float(x) for x in gap.m_hat]
+        assert summary["epsilon_gap"]["candidates_evaluated"] == 3 * game.n_players
+        assert any(x > 0.0 for x in gap.m_hat)
 
     def test_zero_candidates_exit_one(self, tmp_path):
         doc = small_lq_doc()

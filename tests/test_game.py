@@ -10,8 +10,9 @@ from dataclasses import replace
 from ccgames.config import build_game, parse_config
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           PlayerSpec, constraint_gradient_sample,
-                          constraint_sample, constraint_values,
-                          player_constraint_gradient_mean, project_local,
+                          constraint_sample, constraint_state_grad_means,
+                          constraint_values, player_constraint_gradient_mean,
+                          project_local,
                           pseudo_gradient_sample, random_feasible_profile,
                           state_batch)
 from ccgames.lqgame import build_lq_game
@@ -206,7 +207,8 @@ class TestValidation:
 
 def assert_blocks_exact(game, u, states):
     for i in range(game.n_players):
-        block = player_constraint_gradient_mean(game, i, u, None, states=states)
+        block = player_constraint_gradient_mean(
+            game, i, u, constraint_state_grad_means(game, states))
         assert np.array_equal(block, reference_jacobian_block(game, i, u, states))
 
 
@@ -285,7 +287,7 @@ class TestAffineConstraintValues:
         for rows in (1, 257):
             u = random_feasible_profile(game, rng)
             states = state_batch(game, u, game.disturbance.sample(rng, rows))
-            assert np.array_equal(constraint_values(game, u, None, states=states),
+            assert np.array_equal(constraint_values(game, u, states),
                                   reference_constraint_values(game, u, states))
 
     @given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
@@ -299,7 +301,7 @@ class TestAffineConstraintValues:
             game = with_callable_gradients(game, rng)
         u = rng.normal(size=game.input_dim)
         states = state_batch(game, u, game.disturbance.sample(rng, 9))
-        np.testing.assert_allclose(constraint_values(game, u, None, states=states),
+        np.testing.assert_allclose(constraint_values(game, u, states),
                                    reference_constraint_values(game, u, states),
                                    rtol=1e-12, atol=1e-12)
 
@@ -324,7 +326,7 @@ class TestAffineConstraintValues:
         rng = np.random.default_rng(25)
         u = rng.normal(size=rebuilt.input_dim)
         states = state_batch(rebuilt, u, rng.normal(size=(6, rebuilt.disturbance.dim)))
-        np.testing.assert_allclose(constraint_values(rebuilt, u, None, states=states),
+        np.testing.assert_allclose(constraint_values(rebuilt, u, states),
                                    reference_constraint_values(rebuilt, u, states),
                                    rtol=1e-12, atol=1e-12)
 

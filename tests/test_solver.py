@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +12,18 @@ import ccgames.solver as solver
 from ccgames.com import ComModel, UnderApproxOffsets
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
-                          PlayerSpec, constraint_values, lift_base, lift_noise,
+                          PlayerSpec, constraint_values, cost_state_grad_means,
+                          lift_base, lift_noise, operator_estimate,
                           player_pseudo_gradient_mean, random_feasible_profile,
                           state_batch)
 from ccgames.lqgame import build_lq_game
-from ccgames.rng import iteration_stream, residual_stream
+from ccgames.rng import iteration_stream
 from ccgames.solver import (BatchSchedule, SolverConfig, SolverState,
                             StepSchedule, batch_size, coordinator_step,
                             estimate_lipschitz, estimator_diagnostics,
                             initial_state, iterate, player_step,
-                            residual_estimate, run, step_size, validate_config)
+                            residual_estimate, residual_noise, run, step_size,
+                            validate_config)
 
 from conftest import (quadratic_oracle_params, random_lq_params, reference_jacobian_block,
                       with_callable_gradients)
@@ -266,8 +269,8 @@ class TestResidual:
         game, offsets = simple_game(noise_std=0.7)
         cfg = quick_config()
         state = initial_state(game, cfg)
-        r1 = residual_estimate(state, game, offsets, cfg, rng=residual_stream(9))
-        r2 = residual_estimate(state, game, offsets, cfg, rng=residual_stream(9))
+        r1 = residual_estimate(state, game, offsets, cfg, noise=residual_noise(game, cfg, 9))
+        r2 = residual_estimate(state, game, offsets, cfg, noise=residual_noise(game, cfg, 9))
         assert r1 == r2
 
     def test_noise_level_at_fixed_point(self):
@@ -304,6 +307,17 @@ class TestRun:
         assert trace.termination_reason == solver.TERMINATION_BUDGET
         assert len(trace.records) == 1
         assert trace.records[0].k == 0
+
+    def test_final_record_matches_iteration_record(self):
+        # the final record reads the coordinator's batch of its iterate, so a
+        # run stopped at k=5 records what iteration 5 of a longer run records
+        game, offsets = simple_game(noise_std=0.4)
+        short = run(game, offsets, quick_config(max_iterations=5, snapshot_every=2)).records[-1]
+        full = run(game, offsets, quick_config(max_iterations=6, snapshot_every=2)).records[5]
+        fields = ("k", "residual", "g_hat_max", "g_hat_norm", "alpha", "batch")
+        assert [getattr(short, f) for f in fields] == [getattr(full, f) for f in fields]
+        assert np.array_equal(short.lam, full.lam)
+        assert full.strategies is None and short.strategies is not None
 
     def test_tolerance_termination(self):
         game, offsets = simple_game(n_players=1, constraint_offset=None)
@@ -351,13 +365,20 @@ class TestRun:
             assert np.array_equal(a.lam, b.lam)
 
 
+def per_player_pseudo_gradient(game, u, states):
+    # each player evaluates its own state-cost gradient, as player_step does
+    return np.concatenate([
+        player_pseudo_gradient_mean(game, i, u, *cost_state_grad_means(game, states, (i,)))
+        for i in range(game.n_players)])
+
+
 def assert_operator_exact(game, offsets, u, states):
-    f_hat, jac, g_hat = solver._operator_estimate(game, offsets, u, states)
-    f_ref = np.concatenate([player_pseudo_gradient_mean(game, i, u, None, states=states)
-                            for i in range(game.n_players)])
+    f_hat, jac, g_raw = operator_estimate(game, u, states)
+    g_hat = g_raw + offsets.offsets
+    f_ref = per_player_pseudo_gradient(game, u, states)
     jac_ref = np.vstack([reference_jacobian_block(game, i, u, states)
                          for i in range(game.n_players)])
-    g_ref = constraint_values(game, u, None, states=states).mean(axis=0) + offsets.offsets
+    g_ref = constraint_values(game, u, states).mean(axis=0) + offsets.offsets
     assert np.array_equal(f_hat, f_ref)
     assert np.array_equal(jac, jac_ref)
     assert np.array_equal(g_hat, g_ref)
@@ -400,10 +421,9 @@ class TestSharedEvaluation:
         rng = np.random.default_rng(8)
         u = random_feasible_profile(game, rng)
         states = state_batch(game, u, game.disturbance.sample(rng, 70))
-        f_hat, _, _ = solver._operator_estimate(counted_game, offsets, u, states)
+        f_hat, _, _ = operator_estimate(counted_game, u, states)
         assert calls == [70]
-        f_ref = np.concatenate([player_pseudo_gradient_mean(game, i, u, None, states=states)
-                                for i in range(game.n_players)])
+        f_ref = per_player_pseudo_gradient(game, u, states)
         assert np.array_equal(f_hat, f_ref)
 
     def test_cached_residual_equals_uncached(self, reduced_microgrid):
@@ -416,7 +436,8 @@ class TestSharedEvaluation:
         for k in (0, 4):
             state = replace(state, k=k, u=random_feasible_profile(game, rng),
                             lam=rng.uniform(0.0, 2.0, size=game.constraint_count))
-            uncached = residual_estimate(state, game, offsets, cfg, w_batch=w_res)
+            uncached = residual_estimate(state, game, offsets, cfg,
+                                         noise=lift_noise(game, w_res))
             cached = residual_estimate(state, game, offsets, cfg, noise=noise,
                                        base=lift_base(game, state.u))
             assert cached == uncached > 0.0
@@ -428,10 +449,9 @@ class TestSharedEvaluation:
         cfg = quick_config(step=StepSchedule(a0=5e-3, offset=2.0), max_iterations=6,
                            residual_batch=100)
         trace = run(game, offsets, cfg)
-        w_res = game.disturbance.sample(residual_stream(cfg.seed), cfg.residual_batch)
         state = initial_state(game, cfg)
         for rec in trace.records[:-1]:
-            res = residual_estimate(state, game, offsets, cfg, w_batch=w_res)
+            res = residual_estimate(state, game, offsets, cfg)
             assert res == rec.residual
             state, _ = iterate(state, game, offsets, cfg, residual=res)
         assert np.array_equal(state.u, trace.final_state.u)
@@ -460,6 +480,25 @@ class TestCheckpoint:
         resumed = run(game, offsets, cfg, initial=ckpt)
         assert np.array_equal(full.final_state.u, resumed.final_state.u)
         assert np.array_equal(full.final_state.lam, resumed.final_state.lam)
+
+    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        game, offsets = simple_game(noise_std=0.3)
+        state = run(game, offsets, quick_config(max_iterations=7)).final_state
+        path = Path(solver.write_checkpoint(state, tmp_path))
+        before = path.read_text(encoding="utf-8")
+
+        def interrupted(self, text, *args, **kwargs):
+            with open(self, "w", encoding="utf-8") as fh:
+                fh.write(text[:len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", interrupted)
+        for nxt in (replace(state, u=state.u + 1.0), replace(state, k=state.k + 1)):
+            with pytest.raises(OSError, match="disk full"):
+                solver.write_checkpoint(nxt, tmp_path)
+        monkeypatch.undo()
+        assert path.read_text(encoding="utf-8") == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_bad_tag_rejected(self):
         with pytest.raises(ValueError):
