@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,27 +32,27 @@ from .config import ConfigError, RunConfig, build_game, parse_config
 from .rng import PURPOSE_PROBE, substream
 
 
-def _load(args) -> RunConfig:
-    cfg = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
-    return cfg
+def _strategy_rows(game, u):
+    """'player,t,component,value' of every entry of the profile u, in file order."""
+    for i, sl in enumerate(game.player_slices):
+        n_i = game.players[i].input_dim
+        block = u[sl].reshape(game.dynamics.horizon, n_i)
+        for t in range(game.dynamics.horizon):
+            for comp in range(n_i):
+                yield f"{i},{t},{comp},{float(block[t, comp])!r}"
 
 
 def write_strategies_csv(path, game, u) -> None:
     """Strategy interchange file: one row per (player, step, component)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("player,t,component,value\n")
-        for i, sl in enumerate(game.player_slices):
-            n_i = game.players[i].input_dim
-            block = u[sl].reshape(game.dynamics.horizon, n_i)
-            for t in range(game.dynamics.horizon):
-                for comp in range(n_i):
-                    fh.write(f"{i},{t},{comp},{float(block[t, comp])!r}\n")
+        for row in _strategy_rows(game, u):
+            fh.write(row + "\n")
 
 
 def read_strategies_csv(path, game) -> np.ndarray:
-    """Read a strategy file; accepts a 'u' column as alias for 'value'."""
+    """Read a strategy file ('u' is an alias of 'value'); every entry appears
+    once, finite, or a ``ValueError`` names the offending line."""
     u = np.zeros(game.input_dim)
     seen = set()
     with open(path, encoding="utf-8", newline="") as fh:
@@ -65,20 +66,30 @@ def read_strategies_csv(path, game) -> np.ndarray:
             value_col, comp_col = "u", None
         else:
             raise ValueError(f"{path}: expected a 'value' or 'u' column")
+        if not {"player", "t"} <= cols:
+            raise ValueError(f"{path}, line 1: expected 'player' and 't' columns")
         for row in reader:
-            i = int(row["player"])
-            t = int(row["t"])
-            comp = int(row[comp_col]) if comp_col and row.get(comp_col) else 0
+            where = f"{path}, line {reader.line_num}"
+            if None in row or None in row.values():
+                raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
+            try:
+                i, t = int(row["player"]), int(row["t"])
+                comp = int(row[comp_col]) if comp_col and row.get(comp_col) else 0
+                value = float(row[value_col])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: value {value} is not finite")
             if not (0 <= i < game.n_players):
-                raise ValueError(f"{path}: player index {i} out of range")
+                raise ValueError(f"{where}: player index {i} out of range")
             n_i = game.players[i].input_dim
             if not (0 <= t < game.dynamics.horizon and 0 <= comp < n_i):
-                raise ValueError(f"{path}: entry (t={t}, component={comp}) out of range")
+                raise ValueError(f"{where}: entry (t={t}, component={comp}) out of range")
             idx = game.player_slices[i].start + t * n_i + comp
             if idx in seen:
-                raise ValueError(f"{path}: duplicate entry (player={i}, t={t}, component={comp})")
+                raise ValueError(f"{where}: duplicate entry (player={i}, t={t}, component={comp})")
             seen.add(idx)
-            u[idx] = float(row[value_col])
+            u[idx] = value
     if len(seen) != game.input_dim:
         raise ValueError(f"{path}: {len(seen)} entries, game expects {game.input_dim}")
     return u
@@ -88,14 +99,9 @@ def _write_snapshots_csv(path, trace, game) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("k,player,t,component,value\n")
         for rec in trace.records:
-            if rec.strategies is None:
-                continue
-            for i, sl in enumerate(game.player_slices):
-                n_i = game.players[i].input_dim
-                block = rec.strategies[sl].reshape(game.dynamics.horizon, n_i)
-                for t in range(game.dynamics.horizon):
-                    for comp in range(n_i):
-                        fh.write(f"{rec.k},{i},{t},{comp},{float(block[t, comp])!r}\n")
+            if rec.strategies is not None:
+                for row in _strategy_rows(game, rec.strategies):
+                    fh.write(f"{rec.k},{row}\n")
 
 
 def epsilon_gap(cfg: RunConfig, game, offsets, u) -> com_mod.EpsilonGapEstimate:
@@ -108,13 +114,7 @@ def epsilon_gap(cfg: RunConfig, game, offsets, u) -> com_mod.EpsilonGapEstimate:
         substream(cfg.solver.seed, PURPOSE_PROBE, 2), offsets=offsets)
 
 
-def cmd_validate(args) -> int:
-    try:
-        cfg = _load(args)
-        game, offsets = build_game(cfg)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+def cmd_validate(args, cfg: RunConfig, game, offsets) -> int:
     lip = solver_mod.estimate_lipschitz(game, offsets, seed=cfg.solver.seed)
     report = solver_mod.validate_config(cfg.solver, lip)
     print(f"estimated operator Lipschitz bound: {lip:.6g}")
@@ -125,14 +125,7 @@ def cmd_validate(args) -> int:
     return 0 if report.passed else 2
 
 
-def cmd_run(args) -> int:
-    try:
-        cfg = _load(args)
-        game, offsets = build_game(cfg)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-
+def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
     if not args.force:
         lip = solver_mod.estimate_lipschitz(game, offsets, seed=cfg.solver.seed)
         report = solver_mod.validate_config(cfg.solver, lip)
@@ -181,8 +174,7 @@ def cmd_run(args) -> int:
         }
 
     try:
-        solver_mod.write_trace_csv(trace, out_dir / cfg.output.trace,
-                                   m_constraints=game.constraint_count)
+        write_trace_csv(trace, out_dir / cfg.output.trace)
         write_strategies_csv(out_dir / cfg.output.strategies, game, state.u)
         if cfg.solver.snapshot_every:
             _write_snapshots_csv(out_dir / "strategy_snapshots.csv", trace, game)
@@ -201,13 +193,7 @@ def cmd_run(args) -> int:
             solver_mod.TERMINATION_NON_FINITE: 4}[trace.termination_reason]
 
 
-def cmd_check_constraints(args) -> int:
-    try:
-        cfg = _load(args)
-        game, offsets = build_game(cfg)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+def cmd_check_constraints(args, cfg: RunConfig, game, offsets) -> int:
     try:
         u = read_strategies_csv(args.strategies, game)
     except (OSError, ValueError) as exc:
@@ -227,13 +213,7 @@ def cmd_check_constraints(args) -> int:
     return 0 if rep.all_met or game.constraint_count == 0 else 2
 
 
-def cmd_epsilon_gap(args) -> int:
-    try:
-        cfg = _load(args)
-        game, offsets = build_game(cfg)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+def cmd_epsilon_gap(args, cfg: RunConfig, game, offsets) -> int:
     try:
         u_star = read_strategies_csv(args.strategies, game)
     except (OSError, ValueError) as exc:
@@ -252,6 +232,21 @@ def cmd_epsilon_gap(args) -> int:
     return 0
 
 
+def write_trace_csv(trace: solver_mod.RunTrace, path) -> None:
+    """Trace CSV: one row per record, '.' decimals, LF endings, UTF-8."""
+    # every trace ends with the record of its last iterate
+    lam_cols = [f"lambda_{j}" for j in range(trace.records[0].lam.shape[0])]
+    header = ["k", "residual", "g_hat_max", "g_hat_norm", *lam_cols,
+              "alpha", "batch", "wall_ms"]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for rec in trace.records:
+            row = [str(rec.k), repr(rec.residual), repr(rec.g_hat_max),
+                   repr(rec.g_hat_norm), *(repr(float(x)) for x in rec.lam),
+                   repr(rec.alpha), str(rec.batch), f"{rec.wall_ms:.3f}"]
+            fh.write(",".join(row) + "\n")
+
+
 def _read_trace(path):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -263,55 +258,52 @@ def _read_trace(path):
     return rows
 
 
-def cmd_plot_data(args) -> int:
-    try:
-        cfg = _load(args)
-        game, _ = build_game(cfg)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+def cmd_plot_data(args, cfg: RunConfig, game, offsets) -> int:
     try:
         rows = _read_trace(args.trace)
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 1
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(out_dir / "residual_vs_iteration.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("k,residual,alpha,batch\n")
-        for row in rows:
-            fh.write(f"{row['k']},{row['residual']},{row['alpha']},{row['batch']}\n")
-    written = ["residual_vs_iteration.csv"]
-
-    snaps = Path(args.trace).parent / "strategy_snapshots.csv"
-    if snaps.exists():
-        with open(snaps, encoding="utf-8") as src, \
-                open(out_dir / "strategies_vs_iteration.csv", "w", encoding="utf-8",
-                     newline="\n") as dst:
-            dst.write(src.read())
-        written.append("strategies_vs_iteration.csv")
-
     strategies_path = Path(args.strategies) if args.strategies else \
         Path(args.trace).parent / cfg.output.strategies
+    u = None
     if cfg.game_kind == "microgrid" and strategies_path.exists():
         try:
             u = read_strategies_csv(strategies_path, game)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             print(f"cannot read strategies: {exc}", file=sys.stderr)
             return 1
-        p = cfg.microgrid
-        profile = u.reshape(p.n_households, p.horizon)
-        total_demand = p.demand.sum(axis=0)
-        battery = profile.sum(axis=0)
-        with open(out_dir / "aggregate_profiles.csv", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("t,total_demand,grid_exchange,battery_discharge,renewable_mean\n")
-            for t in range(p.horizon):
-                fh.write(f"{t},{float(total_demand[t])!r},{float(total_demand[t] - battery[t])!r},"
-                         f"{float(battery[t])!r},{float(p.renewable_mean[t])!r}\n")
-        written.append("aggregate_profiles.csv")
+
+    out_dir = Path(args.out_dir)
+    written = ["residual_vs_iteration.csv"]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / written[0], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("k,residual,alpha,batch\n")
+            for row in rows:
+                fh.write(f"{row['k']},{row['residual']},{row['alpha']},{row['batch']}\n")
+        snaps = Path(args.trace).parent / "strategy_snapshots.csv"
+        if snaps.exists():
+            with open(snaps, encoding="utf-8") as src, \
+                    open(out_dir / "strategies_vs_iteration.csv", "w", encoding="utf-8",
+                         newline="\n") as dst:
+                dst.write(src.read())
+            written.append("strategies_vs_iteration.csv")
+        if u is not None:
+            p = cfg.microgrid
+            battery = u.reshape(p.n_households, p.horizon).sum(axis=0)
+            total_demand = p.demand.sum(axis=0)
+            with open(out_dir / "aggregate_profiles.csv", "w", encoding="utf-8",
+                      newline="\n") as fh:
+                fh.write("t,total_demand,grid_exchange,battery_discharge,renewable_mean\n")
+                for t in range(p.horizon):
+                    fh.write(f"{t},{float(total_demand[t])!r},"
+                             f"{float(total_demand[t] - battery[t])!r},"
+                             f"{float(battery[t])!r},{float(p.renewable_mean[t])!r}\n")
+            written.append("aggregate_profiles.csv")
+    except OSError as exc:
+        print(f"failed to write outputs: {exc}", file=sys.stderr)
+        return 1
 
     print("wrote " + ", ".join(written))
     return 0
@@ -361,6 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
+        game, offsets = build_game(cfg)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     handlers = {
         "run": cmd_run,
         "validate": cmd_validate,
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
         "epsilon-gap": cmd_epsilon_gap,
         "plot-data": cmd_plot_data,
     }
-    return handlers[args.command](args)
+    return handlers[args.command](args, cfg, game, offsets)
 
 
 if __name__ == "__main__":

@@ -218,14 +218,15 @@ class EpsilonGapEstimate:
 
 def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
                          rng: np.random.Generator,
-                         offsets: UnderApproxOffsets | None = None) -> EpsilonGapEstimate:
+                         offsets: UnderApproxOffsets) -> EpsilonGapEstimate:
     """Evaluate the gap terms over per-player unilateral deviations.
 
     Each candidate is a full stacked profile; for every (candidate, player)
     pair the player's block is substituted into ``u_star`` and both the
     satisfaction probability and the expected tightened value are estimated
-    on one shared sample set (common random numbers). The noise part of
-    that set is lifted once; each probe adds only its noise-free trajectory.
+    on one shared sample set (common random numbers), tightened by
+    ``offsets``. The noise part of that set is lifted once; each probe adds
+    only its noise-free trajectory.
     """
     from . import game as game_mod
 
@@ -240,8 +241,6 @@ def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
             raise ValueError("candidate dimension does not match the profile")
         if not np.allclose(game_mod.project_local(game, c), c, atol=1e-8):
             raise ValueError("candidates must lie in the local strategy sets")
-    if offsets is None:
-        offsets = UnderApproxOffsets.from_game(game)
 
     noise = game_mod.lift_noise(game, game.disturbance.sample(rng, n_samples))
     gammas = np.array([c.gamma for c in game.constraints])

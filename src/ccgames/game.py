@@ -1,9 +1,11 @@
 """Game description and per-sample gradient / constraint evaluation.
 
 A game couples N players through shared linear dynamics, convex coupled
-constraints, and each other's inputs. Players hold cost oracles split into
-a state part (function of the stacked trajectory) and an input part
-(function of the stacked profile); constraints are split the same way.
+constraints, and each other's inputs. Each player's local set is a box on its
+stacked strategy; ``GameSpec`` stacks the boxes, so projecting a profile is
+one clip. Players hold cost oracles split into a state part (function of the
+stacked trajectory) and an input part (function of the stacked profile);
+constraints are split the same way.
 
 Oracles are batched: state-part callables receive an (M, state_dim) array of
 sampled trajectories and return either an (M, dim) array or a 1-D array when
@@ -57,38 +59,33 @@ from .dynamics import CompactLift, TimeVaryingLinearDynamics, build_compact_lift
 
 @dataclass(frozen=True)
 class PlayerSpec:
-    """One player's strategy space and cost oracles.
+    """One player's local set, a box, and cost oracles.
 
     input_dim       : n_i, inputs per time step.
-    box_lower/upper : per-coordinate bounds on the stacked strategy
-                      (length T * n_i); ignored when ``projector`` is given.
-    projector       : optional custom Euclidean projector onto the local set.
+    box_lower/upper : per-coordinate bounds of the local set on the stacked
+                      strategy (length T * n_i).
     cost_state_grad : S -> gradient of the state cost along each sampled
                       trajectory; None means no state cost.
     cost_input_grad : u -> gradient of the input cost in this player's block.
-    cost_value      : optional (u, S) -> per-sample total cost, reporting only.
     """
 
     input_dim: int
-    box_lower: np.ndarray | None = None
-    box_upper: np.ndarray | None = None
-    projector: Callable | None = None
+    box_lower: np.ndarray
+    box_upper: np.ndarray
     cost_state_grad: Callable | None = None
     cost_input_grad: Callable | None = None
-    cost_value: Callable | None = None
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
-        if self.projector is None:
-            lo = np.asarray(self.box_lower, dtype=float).reshape(-1)
-            hi = np.asarray(self.box_upper, dtype=float).reshape(-1)
-            if lo.shape != hi.shape:
-                raise ValueError("box bounds must have equal length")
-            if np.any(lo > hi):
-                raise ValueError("box lower bounds exceed upper bounds")
-            object.__setattr__(self, "box_lower", lo)
-            object.__setattr__(self, "box_upper", hi)
+        lo = np.asarray(self.box_lower, dtype=float).reshape(-1)
+        hi = np.asarray(self.box_upper, dtype=float).reshape(-1)
+        if lo.shape != hi.shape:
+            raise ValueError("box bounds must have equal length")
+        if np.any(lo > hi):
+            raise ValueError("box lower bounds exceed upper bounds")
+        object.__setattr__(self, "box_lower", lo)
+        object.__setattr__(self, "box_upper", hi)
 
 
 @dataclass(frozen=True)
@@ -152,6 +149,8 @@ class GameSpec:
 
     Derived in ``__post_init__`` (so ``dataclasses.replace`` rebuilds them):
 
+    box_lower/box_upper      : (input_dim,), the players' boxes stacked in
+                               player order: the local set of the profile.
     constant_jacobian_blocks : per player, the (T n_i, m) Jacobian block
                                holding every constant-array gradient; the
                                columns of callable gradients hold only the
@@ -174,6 +173,8 @@ class GameSpec:
     constraints: tuple
     disturbance: DisturbanceModel
     player_slices: tuple = field(default=())
+    box_lower: np.ndarray = field(init=False, repr=False, compare=False)
+    box_upper: np.ndarray = field(init=False, repr=False, compare=False)
     constant_jacobian_blocks: tuple = field(init=False, repr=False, compare=False)
     varying_state_columns: tuple = field(init=False, repr=False, compare=False)
     varying_input_columns: tuple = field(init=False, repr=False, compare=False)
@@ -183,6 +184,10 @@ class GameSpec:
     state_value_columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("box_lower", "box_upper"):
+            box = np.concatenate([getattr(p, name) for p in self.players])
+            box.flags.writeable = False
+            object.__setattr__(self, name, box)
         cons = self.constraints
         sdim = self.lift.init_map.shape[0]
         for j, c in enumerate(cons):
@@ -248,7 +253,7 @@ class GameSpec:
         for i, (p, nj) in enumerate(zip(players, dynamics.input_dims)):
             if p.input_dim != nj:
                 raise ValueError(f"player {i} input_dim {p.input_dim} != dynamics {nj}")
-            if p.projector is None and p.box_lower.shape[0] != dynamics.horizon * nj:
+            if p.box_lower.shape[0] != dynamics.horizon * nj:
                 raise ValueError(f"player {i} box bounds must cover T * n_i entries")
         if disturbance.dim != dynamics.horizon * dynamics.state_dim:
             raise ValueError("disturbance dimension must be T * n_s")
@@ -433,28 +438,16 @@ def constraint_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarra
 
 
 def project_local(game: GameSpec, u: np.ndarray) -> np.ndarray:
-    """Project each player's block onto its local set (Euclidean)."""
+    """Euclidean projection onto the local sets: a clip to the stacked box."""
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape[0] != game.input_dim:
         raise ValueError(f"profile length {u.shape[0]}, expected {game.input_dim}")
-    out = u.copy()
-    for p, sl in zip(game.players, game.player_slices):
-        if p.projector is not None:
-            out[sl] = p.projector(u[sl])
-        else:
-            out[sl] = np.clip(u[sl], p.box_lower, p.box_upper)
-    return out
+    return np.clip(u, game.box_lower, game.box_upper)
 
 
 def random_feasible_profile(game: GameSpec, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the local boxes (projected for custom local sets)."""
-    u = np.empty(game.input_dim)
-    for p, sl in zip(game.players, game.player_slices):
-        if p.projector is not None:
-            u[sl] = p.projector(rng.normal(size=sl.stop - sl.start))
-        else:
-            u[sl] = rng.uniform(p.box_lower, p.box_upper)
-    return u
+    """Uniform draw from the stacked box, one double per coordinate in order."""
+    return rng.uniform(game.box_lower, game.box_upper)
 
 
 def monotonicity_probe(game: GameSpec, n_pairs: int, batch: int,

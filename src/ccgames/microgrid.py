@@ -277,7 +277,6 @@ def build_microgrid_game(p: MicrogridParams):
             box_upper=p.demand[i].copy(),
             cost_state_grad=terminal_grad,
             cost_input_grad=_input_cost_grad(p, i),
-            cost_value=_cost_value(p, i),
         )
         for i in range(n)
     ]

@@ -18,6 +18,10 @@ grow superlinearly and step sizes decay so sampling error is summable.
 Every entity draws its own fresh batch each iteration from a substream keyed
 by (seed, iteration, entity), so a run is bit-reproducible regardless of
 execution order and can be resumed from a checkpoint.
+
+The steps take their shared inputs from the caller, as ``run`` supplies them:
+each iterate's ``lift_base`` and the run's lifted residual batch
+(``residual_noise``). The local sets are boxes: a player's backward step clips.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ TERMINATION_DIVERGENCE = "divergence-guard"
 TERMINATION_NON_FINITE = "non-finite"
 
 CHECKPOINT_TAG = "ccgames-state v1"
+
+LIPSCHITZ_PAIRS = 16
+LIPSCHITZ_BATCH = 256
+LIPSCHITZ_MULTIPLIER_SCALE = 1.0
 
 
 @dataclass(frozen=True)
@@ -243,11 +251,10 @@ class RunTrace:
 
 
 def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
-                     cfg: SolverConfig, rng: np.random.Generator,
-                     base: np.ndarray | None = None):
+                     cfg: SolverConfig, rng: np.random.Generator, base: np.ndarray):
     """One multiplier update; returns (lam_avg, lam_next, g_hat).
 
-    ``base`` may pass ``lift_base(game, state.u)`` when already known.
+    ``base`` is ``lift_base(game, state.u)``, the iterate's noise-free trajectory.
     """
     m_k = batch_size(cfg, state.k)
     alpha = step_size(cfg, state.k)
@@ -259,15 +266,12 @@ def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
     return lam_avg, lam_next, g_hat
 
 
-def player_step(i: int, state: SolverState, lam: np.ndarray, game,
-                cfg: SolverConfig, rng: np.random.Generator,
-                base: np.ndarray | None = None):
-    """One strategy update for player i; returns (u_avg_i, u_next_i).
+def player_step(i: int, state: SolverState, game, cfg: SolverConfig,
+                rng: np.random.Generator, base: np.ndarray):
+    """One strategy update for player i against ``state.lam``; returns (u_avg_i, u_next_i).
 
-    ``base`` may pass ``lift_base(game, state.u)`` when already known.
+    ``base`` is ``lift_base(game, state.u)``, the iterate's noise-free trajectory.
     """
-    if np.any(lam < 0):
-        raise ValueError("broadcast multiplier must be nonnegative")
     m_k = batch_size(cfg, state.k)
     alpha = step_size(cfg, state.k)
     w = game.disturbance.sample(rng, m_k)
@@ -278,36 +282,28 @@ def player_step(i: int, state: SolverState, lam: np.ndarray, game,
         game, i, state.u, game_mod.constraint_state_grad_means(game, states))
     sl = game.player_slices[i]
     u_avg_i = (1.0 - cfg.delta) * state.u[sl] + cfg.delta * state.u_avg_prev[sl]
-    raw = u_avg_i - alpha * (f_i + jac_i @ lam)
-    p = game.players[i]
-    u_next_i = p.projector(raw) if p.projector is not None else np.clip(
-        raw, p.box_lower, p.box_upper)
-    return u_avg_i, u_next_i
+    raw = u_avg_i - alpha * (f_i + jac_i @ state.lam)
+    return u_avg_i, np.clip(raw, game.box_lower[sl], game.box_upper[sl])
 
 
 def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverConfig,
-            residual: float | None = None, base: np.ndarray | None = None):
+            residual: float, base: np.ndarray):
     """Run one full iteration; returns (next state, record for iteration k).
 
-    The noise-free trajectory ``base`` of the iterate (``lift_base``) is
-    computed once, or passed in, and shared by the coordinator, every player
-    and the residual.
+    ``residual`` is ``residual_estimate`` of ``state``, for the record. The
+    noise-free trajectory ``base`` of the iterate (``lift_base``) is shared by
+    the coordinator, every player and the residual.
     """
     t0 = time.perf_counter()
-    if base is None:
-        base = game_mod.lift_base(game, state.u)
-    if residual is None:
-        residual = residual_estimate(state, game, offsets, cfg, base=base)
     k = state.k
     lam_avg, lam_next, g_hat = coordinator_step(
-        state, game, offsets, cfg, iteration_stream(state.seed, k, 0), base=base)
+        state, game, offsets, cfg, iteration_stream(state.seed, k, 0), base)
 
     u_next = np.empty_like(state.u)
     u_avg = np.empty_like(state.u)
     for i in range(game.n_players):
         u_avg_i, u_next_i = player_step(
-            i, state, state.lam, game, cfg, iteration_stream(state.seed, k, 1 + i),
-            base=base)
+            i, state, game, cfg, iteration_stream(state.seed, k, 1 + i), base)
         sl = game.player_slices[i]
         u_avg[sl] = u_avg_i
         u_next[sl] = u_next_i
@@ -337,22 +333,16 @@ def residual_noise(game, cfg: SolverConfig, seed: int) -> np.ndarray:
 
 
 def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
-                      cfg: SolverConfig, noise: np.ndarray | None = None,
-                      base: np.ndarray | None = None) -> float:
+                      cfg: SolverConfig, noise: np.ndarray, base: np.ndarray) -> float:
     """Distance from the iterate to one exact projected forward step.
 
     The expected operator is replaced by a large-reference-batch estimate
     (``cfg.residual_batch`` samples); the backward step is the product of the
     local-set projection and the nonnegative-orthant projection. Zero exactly
-    at equilibrium-multiplier pairs, up to estimator noise. The reference
-    batch is ``residual_noise(game, cfg, state.seed)`` (common random numbers
-    across iterations), which callers may compute once and pass as
-    ``noise``. ``base`` may pass ``lift_base(game, state.u)``.
+    at equilibrium-multiplier pairs, up to estimator noise. ``noise`` is the
+    lifted reference batch ``residual_noise(game, cfg, state.seed)``, common
+    to every iteration of a run; ``base`` is ``lift_base(game, state.u)``.
     """
-    if noise is None:
-        noise = residual_noise(game, cfg, state.seed)
-    if base is None:
-        base = game_mod.lift_base(game, state.u)
     alpha = step_size(cfg, state.k)
     f_hat, jac, g_raw = game_mod.operator_estimate(game, state.u, base[None, :] + noise)
     u_step = game_mod.project_local(game, state.u - alpha * (f_hat + jac @ state.lam))
@@ -371,24 +361,26 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     record), whose constraint mean comes from the coordinator's batch of
     that iterate. The residual batch is drawn and lifted once per run; each
     iterate's noise-free trajectory is lifted once and shared by the
-    residual and the iteration.
+    residual and the iteration. ``initial`` needs a nonnegative multiplier.
     """
     state = initial if initial is not None else initial_state(game, cfg)
+    if np.any(state.lam < 0):
+        raise ValueError("initial multiplier must be nonnegative")
     guard = cfg.divergence_factor * (1.0 + state.z_norm())
     noise_res = residual_noise(game, cfg, state.seed)
     records = []
     while True:
-        t0 = time.perf_counter()
         base = game_mod.lift_base(game, state.u)
-        res = residual_estimate(state, game, offsets, cfg, noise=noise_res, base=base)
+        res = residual_estimate(state, game, offsets, cfg, noise_res, base)
         if res <= cfg.residual_tolerance or state.k >= cfg.max_iterations:
+            t0 = time.perf_counter()  # like iteration records, excludes the residual
             reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
                 else TERMINATION_BUDGET
             g_hat = coordinator_step(state, game, offsets, cfg,
-                                     iteration_stream(state.seed, state.k, 0), base=base)[2]
+                                     iteration_stream(state.seed, state.k, 0), base)[2]
             records.append(_record(state, cfg, res, g_hat, t0, bool(cfg.snapshot_every)))
             break
-        state, record = iterate(state, game, offsets, cfg, residual=res, base=base)
+        state, record = iterate(state, game, offsets, cfg, res, base)
         records.append(record)
         if not state.is_finite():
             # NaN compares False against the guard, so it needs its own stop
@@ -420,25 +412,25 @@ def load_checkpoint(path) -> SolverState:
     return SolverState.from_text(Path(path).read_text(encoding="utf-8"))
 
 
-def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int = 0,
-                       n_pairs: int = 16, batch: int = 256,
-                       multiplier_scale: float = 1.0) -> float:
+def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int) -> float:
     """Empirical Lipschitz bound of the sampled operator over feasible pairs.
 
-    Samples random (u, multiplier) pairs, evaluates the operator on a shared
-    batch, and returns the largest difference ratio. Used to size the step
+    Samples ``LIPSCHITZ_PAIRS`` random (u, multiplier) pairs, with multipliers
+    uniform in [0, ``LIPSCHITZ_MULTIPLIER_SCALE``], evaluates the operator of
+    each pair on one shared batch of ``LIPSCHITZ_BATCH`` draws, and returns
+    the largest difference ratio. Used to size the step
     bound in ``validate_config`` since no analytic constant is available.
     Returns NaN when any sampled operator value is not finite.
     """
     rng = substream(seed, PURPOSE_PROBE, 0)
     worst = 0.0
     m = game.constraint_count
-    for _ in range(n_pairs):
+    for _ in range(LIPSCHITZ_PAIRS):
         u1 = game_mod.random_feasible_profile(game, rng)
         u2 = game_mod.random_feasible_profile(game, rng)
-        l1 = rng.uniform(0.0, multiplier_scale, size=m)
-        l2 = rng.uniform(0.0, multiplier_scale, size=m)
-        noise = game_mod.lift_noise(game, game.disturbance.sample(rng, batch))
+        l1 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
+        l2 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
+        noise = game_mod.lift_noise(game, game.disturbance.sample(rng, LIPSCHITZ_BATCH))
         f1, j1, g1 = game_mod.operator_estimate(
             game, u1, game_mod.lift_base(game, u1)[None, :] + noise)
         f2, j2, g2 = game_mod.operator_estimate(
@@ -471,7 +463,7 @@ class EstimatorDiagnostics:
 
 def estimator_diagnostics(game, u: np.ndarray, lam: np.ndarray, batch_sizes,
                           repetitions: int, rng: np.random.Generator,
-                          offsets: UnderApproxOffsets | None = None) -> EstimatorDiagnostics:
+                          offsets: UnderApproxOffsets) -> EstimatorDiagnostics:
     """Measure how estimator error decays with batch size.
 
     For each batch size M the three estimators (gradient mean, Jacobian mean
@@ -482,8 +474,6 @@ def estimator_diagnostics(game, u: np.ndarray, lam: np.ndarray, batch_sizes,
     """
     if not batch_sizes:
         raise ValueError("batch_sizes must be nonempty")
-    if offsets is None:
-        offsets = UnderApproxOffsets.from_game(game)
     batch_sizes = tuple(int(m) for m in batch_sizes)
     u = np.asarray(u, dtype=float).reshape(-1)
     lam = np.asarray(lam, dtype=float).reshape(-1)
@@ -516,18 +506,3 @@ def estimator_diagnostics(game, u: np.ndarray, lam: np.ndarray, batch_sizes,
     return EstimatorDiagnostics(batch_sizes, mse_f, mse_j, mse_g, total, slope,
                                 m_ref, repetitions)
 
-
-def write_trace_csv(trace: RunTrace, path, m_constraints: int | None = None) -> None:
-    """Trace CSV: one row per record, '.' decimals, LF endings, UTF-8."""
-    if m_constraints is None:
-        m_constraints = trace.records[0].lam.shape[0] if trace.records else 0
-    lam_cols = [f"lambda_{j}" for j in range(m_constraints)]
-    header = ["k", "residual", "g_hat_max", "g_hat_norm", *lam_cols,
-              "alpha", "batch", "wall_ms"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in trace.records:
-            row = [str(rec.k), repr(rec.residual), repr(rec.g_hat_max),
-                   repr(rec.g_hat_norm), *(repr(float(x)) for x in rec.lam),
-                   repr(rec.alpha), str(rec.batch), f"{rec.wall_ms:.3f}"]
-            fh.write(",".join(row) + "\n")

@@ -90,6 +90,19 @@ def reference_jacobian_block(game, i, u, states):
     return out
 
 
+def reference_project_local(game, u):
+    """Each player's block clipped to its own box, one player at a time."""
+    out = np.array(u, dtype=float)
+    for p, sl in zip(game.players, game.player_slices):
+        out[sl] = np.clip(out[sl], p.box_lower, p.box_upper)
+    return out
+
+
+def reference_random_profile(game, rng):
+    """One uniform draw from each player's own box, in player order."""
+    return np.concatenate([rng.uniform(p.box_lower, p.box_upper) for p in game.players])
+
+
 def reference_constraint_values(game, u, states):
     """Raw constraint values evaluated one value closure at a time.
 

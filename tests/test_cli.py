@@ -247,6 +247,27 @@ class TestStrategyFiles:
                          "--strategies", str(tmp_path / "s.csv")]) == 1
 
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",nan"] + lines[4:],
+         "line 4: value nan is not finite"),
+        (lambda lines: [",".join(f for k, f in enumerate(line.split(",")) if k != 1)
+                        for line in lines], "line 1: expected 'player' and 't' columns"),
+        (lambda lines: lines[:2] + ["1,0,0"] + lines[3:], "line 3: expected 4 fields"),
+        (lambda lines: lines[:2] + [lines[2] + ",9"] + lines[3:], "line 3: expected 4 fields"),
+    ], ids=["nan-value", "no-t-column", "short-row", "long-row"])
+    def test_malformed_file_names_line(self, tmp_path, capsys, edit, message):
+        config = CONFIG_DIR / "quadratic_oracle.json"
+        game, _ = build_game(parse_config(config))
+        path = tmp_path / "s.csv"
+        write_strategies_csv(path, game, np.full(game.input_dim, 0.5))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_strategies_csv(path, game)
+        for command in ("check-constraints", "epsilon-gap"):
+            assert main([command, "--config", str(config), "--strategies", str(path)]) == 1
+            assert f"cannot read strategies: {path}, {message}" in capsys.readouterr().err
+
+
 class TestCheckConstraints:
     def test_feasible_strategies_pass(self, tmp_path):
         doc = small_microgrid_doc()
@@ -349,6 +370,13 @@ class TestPlotData:
             rows = list(csv.DictReader(fh))
         assert [int(r["t"]) for r in rows] == list(range(4))
         assert (out / "plots" / "strategies_vs_iteration.csv").exists()
+
+    def test_unwritable_output_exit_one(self, tmp_path, capsys):
+        path, out = self.run_small_microgrid(tmp_path)
+        code = main(["plot-data", "--config", str(path), "--trace", str(out / "trace.csv"),
+                     "--out-dir", str(out / "trace.csv" / "plots")])
+        assert code == 1
+        assert "failed to write outputs" in capsys.readouterr().err
 
     def test_empty_trace_exit_one(self, tmp_path):
         path = write_doc(tmp_path, small_microgrid_doc())

@@ -190,7 +190,7 @@ class TestEpsilonGap:
     def test_tight_construction_recovers_gamma(self):
         game, gamma = self.make_game_with_offset_value()
         est = estimate_epsilon_gap(game, np.zeros(1), [np.array([0.5])], 200,
-                                   np.random.default_rng(3))
+                                   np.random.default_rng(3), UnderApproxOffsets.from_game(game))
         # P{value <= 0} = 1 and E[tightened] = 0, so the term is exactly gamma
         assert est.m_hat[0] == pytest.approx(gamma, rel=1e-12)
 
@@ -201,7 +201,8 @@ class TestEpsilonGap:
         prev = -1.0
         for count in (1, 2, 3):
             est = estimate_epsilon_gap(game, np.zeros(1), cands[:count], 100,
-                                       np.random.default_rng(5))
+                                       np.random.default_rng(5),
+                                       UnderApproxOffsets.from_game(game))
             assert est.m_hat[0] >= prev - 1e-15
             prev = est.m_hat[0]
 
@@ -229,10 +230,11 @@ class TestEpsilonGap:
     def test_empty_candidates_rejected(self):
         game, _ = self.make_game_with_offset_value()
         with pytest.raises(ValueError):
-            estimate_epsilon_gap(game, np.zeros(1), [], 100, np.random.default_rng(0))
+            estimate_epsilon_gap(game, np.zeros(1), [], 100, np.random.default_rng(0),
+                                 UnderApproxOffsets.from_game(game))
 
     def test_infeasible_candidate_rejected(self):
         game, _ = self.make_game_with_offset_value()
         with pytest.raises(ValueError):
             estimate_epsilon_gap(game, np.zeros(1), [np.array([7.0])], 100,
-                                 np.random.default_rng(0))
+                                 np.random.default_rng(0), UnderApproxOffsets.from_game(game))

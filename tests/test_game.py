@@ -19,8 +19,22 @@ from ccgames.lqgame import build_lq_game
 
 from conftest import (CONFIG_DIR, central_difference, random_dynamics,
                       random_lq_params, reference_constraint_values,
-                      reference_jacobian_block, relative_error,
+                      reference_jacobian_block, reference_project_local,
+                      reference_random_profile, relative_error,
                       with_callable_gradients)
+
+
+def assert_stacked_box_matches_reference(game, rng):
+    """project_local and random_feasible_profile equal the per-player reference
+    bit for bit, and the draw leaves the stream where the reference leaves it."""
+    width = np.max(np.abs(np.concatenate([game.box_lower, game.box_upper]))) + 1.0
+    u = rng.uniform(-2.0 * width, 2.0 * width, size=game.input_dim)
+    assert np.array_equal(project_local(game, u), reference_project_local(game, u))
+    ref_rng = np.random.default_rng()
+    ref_rng.bit_generator.state = rng.bit_generator.state
+    drawn = random_feasible_profile(game, rng)
+    assert np.array_equal(drawn, reference_random_profile(game, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def build_quadratic_state_game(rng, state_cost=False):
@@ -172,6 +186,38 @@ class TestProjection:
         y = rng.normal(scale=25, size=game.input_dim)
         dist_proj = np.linalg.norm(project_local(game, x) - project_local(game, y))
         assert dist_proj <= np.linalg.norm(x - y) + 1e-12
+
+    @pytest.mark.parametrize("name", ["microgrid_reduced.json", "microgrid_paper.json"])
+    def test_stacked_box_matches_per_player_reference_microgrid(self, name):
+        game, _ = build_game(parse_config(CONFIG_DIR / name))
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            assert_stacked_box_matches_reference(game, rng)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_box_matches_per_player_reference_lq(self, seed):
+        rng = np.random.default_rng(seed)
+        game, _ = build_lq_game(random_lq_params(rng))
+        # distinct boxes per player, some coordinates pinned (lower == upper)
+        players = []
+        for p in game.players:
+            lo = rng.uniform(-3.0, 1.0, size=p.box_lower.shape[0])
+            hi = np.where(rng.uniform(size=lo.shape[0]) < 0.2, lo,
+                          lo + rng.uniform(0.0, 4.0, size=lo.shape[0]))
+            players.append(replace(p, box_lower=lo, box_upper=hi))
+        assert_stacked_box_matches_reference(replace(game, players=tuple(players)), rng)
+
+    def test_replace_players_rebuilds_stacked_box(self, reduced_microgrid):
+        _, game, _ = reduced_microgrid
+        halved = replace(game, players=tuple(
+            replace(p, box_lower=p.box_upper / 4, box_upper=p.box_upper / 2)
+            for p in game.players))
+        assert np.array_equal(halved.box_lower, game.box_upper / 4)
+        assert np.array_equal(halved.box_upper, game.box_upper / 2)
+        assert not halved.box_lower.flags.writeable and not halved.box_upper.flags.writeable
+        u = np.full(game.input_dim, 1e3)
+        assert np.array_equal(project_local(halved, u), game.box_upper / 2)
 
     def test_random_profiles_feasible(self):
         game = build_quadratic_state_game(np.random.default_rng(18))

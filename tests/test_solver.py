@@ -1,4 +1,5 @@
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,18 @@ def simple_game(n_players=2, horizon=2, constraint_offset=-1.0, noise_std=0.0,
         com_model=ComModel())
     game = GameSpec.build(dyn, players, tuple(cons), dist)
     return game, UnderApproxOffsets.from_game(game)
+
+
+def residual_at(state, game, offsets, cfg):
+    """``residual_estimate`` on the run's residual batch and the iterate's lift base."""
+    return residual_estimate(state, game, offsets, cfg, residual_noise(game, cfg, state.seed),
+                             lift_base(game, state.u))
+
+
+def step(state, game, offsets, cfg):
+    """One iteration with its residual and lift base computed afresh."""
+    return iterate(state, game, offsets, cfg, residual_at(state, game, offsets, cfg),
+                   lift_base(game, state.u))
 
 
 def quick_config(**kw):
@@ -148,7 +161,7 @@ class TestCoordinatorStep:
         cfg = quick_config()
         state = initial_state(game, cfg)
         lam_avg, lam_next, g_hat = coordinator_step(
-            state, game, offsets, cfg, iteration_stream(cfg.seed, 0, 0))
+            state, game, offsets, cfg, iteration_stream(cfg.seed, 0, 0), lift_base(game, state.u))
         # lam_avg + alpha * g = (-1, 2) -> projected to (0, 2)
         assert np.allclose(lam_next, [0.0, 2.0])
 
@@ -159,7 +172,8 @@ class TestCoordinatorStep:
         state.lam = np.array([1.3])
         state.lam_avg_prev = np.array([1.3])
         lam_avg, _, _ = coordinator_step(state, game, offsets, cfg,
-                                         iteration_stream(cfg.seed, 0, 0))
+                                         iteration_stream(cfg.seed, 0, 0),
+                                         lift_base(game, state.u))
         assert lam_avg[0] == pytest.approx(1.3)
 
     def test_deterministic_constraint_mean_exact(self):
@@ -169,7 +183,8 @@ class TestCoordinatorStep:
         for k in (0, 3, 7):
             state.k = k
             _, _, g_hat = coordinator_step(state, game, offsets, cfg,
-                                           iteration_stream(cfg.seed, k, 0))
+                                           iteration_stream(cfg.seed, k, 0),
+                                           lift_base(game, state.u))
             assert g_hat[0] == pytest.approx(float(state.u.sum()) - 2.5)
 
 
@@ -180,8 +195,8 @@ class TestPlayerStep:
         state = initial_state(game, cfg)
         state.u = np.ones(game.input_dim)          # gradient u - 1 vanishes
         state.u_avg_prev = state.u.copy()
-        _, u_next = player_step(0, state, np.zeros(0), game, cfg,
-                                iteration_stream(cfg.seed, 0, 1))
+        _, u_next = player_step(0, state, game, cfg, iteration_stream(cfg.seed, 0, 1),
+                                lift_base(game, state.u))
         assert np.allclose(u_next, state.u)
 
     def test_zero_multiplier_reduces_to_gradient_step(self):
@@ -189,7 +204,8 @@ class TestPlayerStep:
         cfg = quick_config()
         state = initial_state(game, cfg)
         rng_key = iteration_stream(cfg.seed, 0, 1)
-        _, with_zero_lam = player_step(0, state, np.zeros(1), game, cfg, rng_key)
+        assert np.array_equal(state.lam, np.zeros(1))
+        _, with_zero_lam = player_step(0, state, game, cfg, rng_key, lift_base(game, state.u))
         alpha = step_size(cfg, 0)
         expected = np.clip(state.u - alpha * (state.u - 1.0), -4.0, 4.0)
         assert np.allclose(with_zero_lam, expected)
@@ -198,18 +214,18 @@ class TestPlayerStep:
         game, offsets = simple_game(n_players=1, box=(0.0, 0.5))
         cfg = quick_config(step=StepSchedule(a0=10.0, offset=2.0))
         state = initial_state(game, cfg)
-        _, u_next = player_step(0, state, np.zeros(1), game, cfg,
-                                iteration_stream(cfg.seed, 0, 1))
+        _, u_next = player_step(0, state, game, cfg, iteration_stream(cfg.seed, 0, 1),
+                                lift_base(game, state.u))
         # gradient at u=0 is -1, big step overshoots: clamp to the box
         assert np.allclose(u_next, 0.5)
 
     def test_negative_multiplier_rejected(self):
+        # the multiplier enters from outside only through run(initial=...)
         game, offsets = simple_game()
         cfg = quick_config()
-        state = initial_state(game, cfg)
-        with pytest.raises(ValueError):
-            player_step(0, state, np.array([-0.1]), game, cfg,
-                        iteration_stream(cfg.seed, 0, 1))
+        state = replace(initial_state(game, cfg), lam=np.array([-0.1]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            run(game, offsets, cfg, initial=state)
 
 
 class TestIterate:
@@ -219,8 +235,8 @@ class TestIterate:
         s1 = initial_state(game, cfg)
         s2 = initial_state(game, cfg)
         for _ in range(5):
-            s1, _ = iterate(s1, game, offsets, cfg)
-            s2, _ = iterate(s2, game, offsets, cfg)
+            s1, _ = step(s1, game, offsets, cfg)
+            s2, _ = step(s2, game, offsets, cfg)
         assert np.array_equal(s1.u, s2.u)
         assert np.array_equal(s1.lam, s2.lam)
         assert np.array_equal(s1.u_avg_prev, s2.u_avg_prev)
@@ -230,7 +246,7 @@ class TestIterate:
         cfg = quick_config()
         state = initial_state(game, cfg)
         for _ in range(10):
-            state, rec = iterate(state, game, offsets, cfg)
+            state, rec = step(state, game, offsets, cfg)
         assert state.lam.shape == (0,)
         # pure averaged projected gradient play drifts toward the minimizer at 1
         assert np.all(state.u > 0.1)
@@ -241,7 +257,7 @@ class TestIterate:
         state = initial_state(game, cfg)
         for _ in range(8):
             prev = state
-            state, _ = iterate(state, game, offsets, cfg)
+            state, _ = step(state, game, offsets, cfg)
             expect_u = (1.0 - cfg.delta) * prev.u + cfg.delta * prev.u_avg_prev
             expect_lam = (1.0 - cfg.delta) * prev.lam + cfg.delta * prev.lam_avg_prev
             assert np.array_equal(state.u_avg_prev, expect_u)
@@ -252,7 +268,7 @@ class TestIterate:
         cfg = quick_config(step=StepSchedule(a0=1.0, offset=2.0))
         state = initial_state(game, cfg)
         for _ in range(20):
-            state, _ = iterate(state, game, offsets, cfg)
+            state, _ = step(state, game, offsets, cfg)
             assert np.all(state.lam >= 0)
             assert np.all(state.u >= 0.0) and np.all(state.u <= 0.6)
 
@@ -263,14 +279,16 @@ class TestResidual:
         cfg = quick_config()
         state = initial_state(game, cfg)
         state.u = np.ones(game.input_dim)  # unconstrained minimizer
-        assert residual_estimate(state, game, offsets, cfg) < 1e-12
+        assert residual_at(state, game, offsets, cfg) < 1e-12
 
     def test_invariant_under_same_stream(self):
         game, offsets = simple_game(noise_std=0.7)
         cfg = quick_config()
         state = initial_state(game, cfg)
-        r1 = residual_estimate(state, game, offsets, cfg, noise=residual_noise(game, cfg, 9))
-        r2 = residual_estimate(state, game, offsets, cfg, noise=residual_noise(game, cfg, 9))
+        r1 = residual_estimate(state, game, offsets, cfg, residual_noise(game, cfg, 9),
+                               lift_base(game, state.u))
+        r2 = residual_estimate(state, game, offsets, cfg, residual_noise(game, cfg, 9),
+                               lift_base(game, state.u))
         assert r1 == r2
 
     def test_noise_level_at_fixed_point(self):
@@ -283,7 +301,7 @@ class TestResidual:
         state = initial_state(game, cfg)
         state.u = np.ones(game.input_dim)
         state.lam = np.zeros(1)  # slack constraint, zero multiplier
-        res = residual_estimate(state, game, offsets, cfg)
+        res = residual_at(state, game, offsets, cfg)
         # the only nonzero term: multiplier block sees alpha * max(G_hat, 0),
         # and u block sees alpha * Jac @ lam = 0; G_hat ~ N(-10, noise^2/M)
         # => residual is 0 except astronomically unlikely draws; also check a
@@ -291,7 +309,7 @@ class TestResidual:
         assert res <= 3.0 * step_size(cfg, 0) * noise / math.sqrt(500)
 
         state.lam = np.array([1.0])
-        res_active = residual_estimate(state, game, offsets, cfg)
+        res_active = residual_at(state, game, offsets, cfg)
         # u block now carries alpha * (Jac noise) * lam; bound by 3 SE of the
         # stacked estimator plus the deterministic multiplier drift
         drift = step_size(cfg, 0) * abs(float(state.u.sum()) - 10.0 + offsets.offsets[0])
@@ -318,6 +336,19 @@ class TestRun:
         assert [getattr(short, f) for f in fields] == [getattr(full, f) for f in fields]
         assert np.array_equal(short.lam, full.lam)
         assert full.strategies is None and short.strategies is not None
+
+    def test_final_record_time_excludes_residual(self, monkeypatch):
+        # like an iteration record, the final record does not time the residual
+        real = solver.residual_estimate
+
+        def slow_residual(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "residual_estimate", slow_residual)
+        game, offsets = simple_game()
+        trace = run(game, offsets, quick_config(max_iterations=1))
+        assert trace.records[-1].wall_ms < 50.0
 
     def test_tolerance_termination(self):
         game, offsets = simple_game(n_players=1, constraint_offset=None)
@@ -437,23 +468,23 @@ class TestSharedEvaluation:
             state = replace(state, k=k, u=random_feasible_profile(game, rng),
                             lam=rng.uniform(0.0, 2.0, size=game.constraint_count))
             uncached = residual_estimate(state, game, offsets, cfg,
-                                         noise=lift_noise(game, w_res))
+                                         noise=lift_noise(game, w_res),
+                                         base=lift_base(game, state.u))
             cached = residual_estimate(state, game, offsets, cfg, noise=noise,
                                        base=lift_base(game, state.u))
             assert cached == uncached > 0.0
 
     def test_run_matches_uncached_iteration(self, reduced_microgrid):
         # run() lifts the residual noise once and each iterate's base once;
-        # stepping with no cached inputs must give the same bits
+        # stepping with freshly computed inputs must give the same bits
         _, game, offsets = reduced_microgrid
         cfg = quick_config(step=StepSchedule(a0=5e-3, offset=2.0), max_iterations=6,
                            residual_batch=100)
         trace = run(game, offsets, cfg)
         state = initial_state(game, cfg)
         for rec in trace.records[:-1]:
-            res = residual_estimate(state, game, offsets, cfg)
-            assert res == rec.residual
-            state, _ = iterate(state, game, offsets, cfg, residual=res)
+            assert residual_at(state, game, offsets, cfg) == rec.residual
+            state, _ = step(state, game, offsets, cfg)
         assert np.array_equal(state.u, trace.final_state.u)
         assert np.array_equal(state.lam, trace.final_state.lam)
         assert np.any(state.u != 0.0)
