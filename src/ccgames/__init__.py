@@ -9,7 +9,7 @@ demand-side-management benchmark; ``cli`` exposes the config-driven front end.
 
 from .com import (ComModel, EpsilonGapEstimate, UnderApproxOffsets,
                   estimate_constraint_satisfaction, estimate_epsilon_gap,
-                  g_sample, h_gaussian, h_inverse)
+                  h_gaussian, h_inverse)
 from .dynamics import (CompactLift, TimeVaryingLinearDynamics,
                        build_compact_lift, lift_state, simulate_state,
                        transition_matrix)

@@ -42,12 +42,14 @@ def _strategy_rows(game, u):
                 yield f"{i},{t},{comp},{float(block[t, comp])!r}"
 
 
+def _lines(header, rows) -> str:
+    return "".join(line + "\n" for line in (header, *rows))
+
+
 def write_strategies_csv(path, game, u) -> None:
     """Strategy interchange file: one row per (player, step, component)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("player,t,component,value\n")
-        for row in _strategy_rows(game, u):
-            fh.write(row + "\n")
+    solver_mod.write_text_atomic(path, _lines("player,t,component,value",
+                                              _strategy_rows(game, u)))
 
 
 def read_strategies_csv(path, game) -> np.ndarray:
@@ -96,12 +98,9 @@ def read_strategies_csv(path, game) -> np.ndarray:
 
 
 def _write_snapshots_csv(path, trace, game) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,player,t,component,value\n")
-        for rec in trace.records:
-            if rec.strategies is not None:
-                for row in _strategy_rows(game, rec.strategies):
-                    fh.write(f"{rec.k},{row}\n")
+    solver_mod.write_text_atomic(path, _lines("k,player,t,component,value", (
+        f"{rec.k},{row}" for rec in trace.records if rec.strategies is not None
+        for row in _strategy_rows(game, rec.strategies))))
 
 
 def epsilon_gap(cfg: RunConfig, game, offsets, u) -> com_mod.EpsilonGapEstimate:
@@ -178,9 +177,8 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
         write_strategies_csv(out_dir / cfg.output.strategies, game, state.u)
         if cfg.solver.snapshot_every:
             _write_snapshots_csv(out_dir / "strategy_snapshots.csv", trace, game)
-        with open(out_dir / cfg.output.summary, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        solver_mod.write_text_atomic(out_dir / cfg.output.summary,
+                                     json.dumps(summary, indent=2) + "\n")
     except OSError as exc:
         print(f"failed to write outputs: {exc}", file=sys.stderr)
         return 1
@@ -199,9 +197,12 @@ def cmd_check_constraints(args, cfg: RunConfig, game, offsets) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read strategies: {exc}", file=sys.stderr)
         return 1
+    if args.samples is not None and args.samples < 1:
+        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 1
+    samples = cfg.verification.satisfaction_samples if args.samples is None else args.samples
     rng = substream(cfg.solver.seed, PURPOSE_PROBE, 3)
-    rep = com_mod.estimate_constraint_satisfaction(
-        game, u, args.samples or cfg.verification.satisfaction_samples, rng)
+    rep = com_mod.estimate_constraint_satisfaction(game, u, samples, rng)
     print(f"constraint satisfaction over {rep.n_samples} samples:")
     for j in range(game.constraint_count):
         ok = rep.ci_lower[j] >= rep.targets[j]
@@ -222,7 +223,11 @@ def cmd_epsilon_gap(args, cfg: RunConfig, game, offsets) -> int:
     if cfg.verification.epsilon_gap_candidates < 1:
         print("verification.epsilon_gap_candidates must be at least 1", file=sys.stderr)
         return 1
-    gap = epsilon_gap(cfg, game, offsets, u_star)
+    try:
+        gap = epsilon_gap(cfg, game, offsets, u_star)
+    except ValueError as exc:
+        print(f"cannot certify the strategies: {exc}", file=sys.stderr)
+        return 1
     print(f"gap terms over {gap.candidates_evaluated} unilateral deviations "
           f"({gap.samples_used} samples each); sampled max is a lower bound on the sup:")
     for j, m in enumerate(gap.m_hat):
@@ -238,13 +243,11 @@ def write_trace_csv(trace: solver_mod.RunTrace, path) -> None:
     lam_cols = [f"lambda_{j}" for j in range(trace.records[0].lam.shape[0])]
     header = ["k", "residual", "g_hat_max", "g_hat_norm", *lam_cols,
               "alpha", "batch", "wall_ms"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in trace.records:
-            row = [str(rec.k), repr(rec.residual), repr(rec.g_hat_max),
-                   repr(rec.g_hat_norm), *(repr(float(x)) for x in rec.lam),
-                   repr(rec.alpha), str(rec.batch), f"{rec.wall_ms:.3f}"]
-            fh.write(",".join(row) + "\n")
+    rows = (",".join([str(rec.k), repr(rec.residual), repr(rec.g_hat_max),
+                      repr(rec.g_hat_norm), *(repr(float(x)) for x in rec.lam),
+                      repr(rec.alpha), str(rec.batch), f"{rec.wall_ms:.3f}"])
+            for rec in trace.records)
+    solver_mod.write_text_atomic(path, _lines(",".join(header), rows))
 
 
 def _read_trace(path):

@@ -147,13 +147,6 @@ class UnderApproxOffsets:
         )
 
 
-def g_sample(game, offsets: UnderApproxOffsets, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Tightened constraint sample: raw constraint values plus the offsets."""
-    from . import game as game_mod
-
-    return game_mod.constraint_sample(game, u, w) + offsets.offsets
-
-
 def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple:
     """Wilson score interval for a binomial proportion."""
     if n < 1:
@@ -236,6 +229,8 @@ def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     u_star = np.asarray(u_star, dtype=float).reshape(-1)
+    if not np.allclose(game_mod.project_local(game, u_star), u_star, atol=1e-8):
+        raise ValueError("the profile must lie in the local strategy sets")
     for c in candidates:
         if c.shape != u_star.shape:
             raise ValueError("candidate dimension does not match the profile")

@@ -7,18 +7,29 @@ one clip. Players hold cost oracles split into a state part (function of the
 stacked trajectory) and an input part (function of the stacked profile);
 constraints are split the same way.
 
-Oracles are batched: state-part callables receive an (M, state_dim) array of
-sampled trajectories and return either an (M, dim) array or a 1-D array when
-the result does not depend on the sample (the evaluators then skip the
-averaging). Gradients, not values, are the primary contract; values are only
-needed for reporting.
+Oracles are batched. A game declares ``state_support``, the trajectory
+columns its callable state oracles read (``cost_state_grad``, callable
+``state_grad`` and the ``state_value`` closures that are not affine); they
+receive an (M, len(support)) array of those columns of the sampled
+trajectories and return either an (M, len(support)) array or a 1-D array
+when the result does not depend on the sample (the evaluators then skip the
+averaging). Without a declaration the support is every column; it is empty
+when the game has no callable state oracle. Gradients, not values, are the
+primary contract; values are only needed for reporting.
 
-Evaluators take lifted trajectories in and give batch means out: a caller
-lifts its batch once (``state_batch``, or ``lift_base`` plus ``lift_noise``),
-evaluates each oracle on it once (``cost_state_grad_means``,
-``constraint_state_grad_means``, ``constraint_values``), and the per-player
-functions only assemble blocks from those means. ``operator_estimate`` is the
-one function that stacks the blocks of all players on a shared batch.
+The solve needs only batch means, and every affine part of them is an
+affine map of the mean disturbance. So the solve evaluates from a
+``ReducedLift``: the mean trajectory ``base + mean(w) @ noise_map.T`` and the
+per-row support columns ``w @ noise_map[support].T + base[support]``
+(``reduce_noise`` and ``reduced_lift``; players need only ``support_rows``).
+Each oracle runs once per batch on the support rows
+(``cost_state_grad_means``, ``constraint_state_grad_means``,
+``constraint_value_mean``), and the per-player functions only assemble
+blocks from those means. ``operator_estimate`` is the one function that
+stacks the blocks of all players on a shared batch. Verification needs
+per-row values of every constraint, so it lifts whole trajectories
+(``state_batch``, or ``lift_base`` plus ``lift_noise``) for
+``constraint_values``.
 
 A constraint gradient that depends on neither the sample nor the profile may
 be given as a constant 1-D array instead of a callable (``state_grad`` of
@@ -33,13 +44,15 @@ A constant ``state_grad`` next to a ``state_value`` also declares the state
 part of the value affine, ``state_value(S) = S @ state_grad + c``.
 ``GameSpec`` stacks those gradients into one (state_dim, m) map and their
 offsets ``c = state_value(0)`` into one vector, and checks the declaration
-on random trajectories at construction; ``constraint_values`` then computes
-every affine column with one matrix product and calls only the remaining
-value closures (on the microgrid, the terminal band's).
+on whole random trajectories at construction (the only call an affine
+``state_value`` gets); the evaluators then compute every affine column with
+one matrix product and call only the remaining value closures (on the
+microgrid, the terminal band's).
 
 Players that share one ``cost_state_grad`` object (the microgrid's
 households all hold the same terminal-cost gradient) get one evaluation of
-it per batch in ``cost_state_grad_means``.
+it per batch in ``cost_state_grad_means``. The microgrid declares the
+support ``(T,)``: its terminal closures read and return SoC_T alone.
 
 All evaluation here is pure: identical (u, w) inputs give bit-identical
 outputs, and a game object is immutable after construction, so concurrent
@@ -64,8 +77,9 @@ class PlayerSpec:
     input_dim       : n_i, inputs per time step.
     box_lower/upper : per-coordinate bounds of the local set on the stacked
                       strategy (length T * n_i).
-    cost_state_grad : S -> gradient of the state cost along each sampled
-                      trajectory; None means no state cost.
+    cost_state_grad : S -> gradient of the state cost over the support
+                      columns S of each sampled trajectory; None means no
+                      state cost.
     cost_input_grad : u -> gradient of the input cost in this player's block.
     """
 
@@ -97,7 +111,9 @@ class CouplingConstraintSpec:
     com_scale : converts the concentration offset into the constraint's
                 units (standard deviation of the sampled value for
                 affine-in-noise constraints; 0 for deterministic ones).
-    state_value/state_grad : batched oracles in the stacked trajectory.
+    state_value/state_grad : batched oracles in the support columns of the
+                             stacked trajectory (an affine ``state_value``
+                             reads whole trajectories).
     input_value/input_grad : oracles in the stacked profile (full-length
                              gradient; players slice their own block).
     Either gradient may instead be a constant 1-D array; it is stored as a
@@ -165,6 +181,15 @@ class GameSpec:
                                trajectory for affine column j, else zero.
     state_value_columns      : the other constraints with a ``state_value``,
                                whose closures are called per batch.
+    support                  : the trajectory columns the callable state
+                               oracles receive: ``state_support`` when
+                               declared, else every column; empty when no
+                               callable state oracle exists.
+    support_index            : ``support`` as a slice when contiguous (its
+                               columns are then views), else an index array.
+    support_noise_map_t     : (T n_s, len(support)), ``noise_map[support].T``.
+    support_input_maps_t     : per player, (T n_i, len(support)),
+                               ``input_maps[i][support].T``.
     """
 
     dynamics: TimeVaryingLinearDynamics
@@ -173,6 +198,7 @@ class GameSpec:
     constraints: tuple
     disturbance: DisturbanceModel
     player_slices: tuple = field(default=())
+    state_support: tuple | None = None
     box_lower: np.ndarray = field(init=False, repr=False, compare=False)
     box_upper: np.ndarray = field(init=False, repr=False, compare=False)
     constant_jacobian_blocks: tuple = field(init=False, repr=False, compare=False)
@@ -182,6 +208,10 @@ class GameSpec:
     affine_state_map: np.ndarray = field(init=False, repr=False, compare=False)
     affine_state_offset: np.ndarray = field(init=False, repr=False, compare=False)
     state_value_columns: tuple = field(init=False, repr=False, compare=False)
+    support: tuple = field(init=False, repr=False, compare=False)
+    support_index: object = field(init=False, repr=False, compare=False)
+    support_noise_map_t: np.ndarray = field(init=False, repr=False, compare=False)
+    support_input_maps_t: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("box_lower", "box_upper"):
@@ -215,6 +245,32 @@ class GameSpec:
         object.__setattr__(self, "varying_input_columns",
                            tuple(j for j, c in enumerate(cons) if callable(c.input_grad)))
         self._fold_affine_values(sdim)
+        self._resolve_support(sdim)
+
+    def _resolve_support(self, sdim):
+        declared = self.state_support
+        if declared is not None:
+            declared = tuple(int(c) for c in declared)
+            if any(b <= a for a, b in zip(declared, declared[1:])) \
+                    or any(not 0 <= c < sdim for c in declared):
+                raise ValueError(
+                    f"state_support must be increasing column indices in [0, {sdim}), "
+                    f"got {declared}")
+        callable_oracles = (any(p.cost_state_grad is not None for p in self.players)
+                            or self.varying_state_columns or self.state_value_columns)
+        if not callable_oracles:
+            support = ()
+        else:
+            support = tuple(range(sdim)) if declared is None else declared
+        # a contiguous support indexes as a slice, which gives views, not copies
+        lo, hi = (support[0], support[-1] + 1) if support else (0, 0)
+        index = slice(lo, hi) if support == tuple(range(lo, hi)) \
+            else np.array(support, dtype=np.intp)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "support_index", index)
+        object.__setattr__(self, "support_noise_map_t", self.lift.noise_map[index].T)
+        object.__setattr__(self, "support_input_maps_t",
+                           tuple(gm[index].T for gm in self.lift.input_maps))
 
     def _fold_affine_values(self, sdim):
         # Row 0 of the probe is the zero trajectory, which gives the offset;
@@ -245,7 +301,9 @@ class GameSpec:
 
     @classmethod
     def build(cls, dynamics: TimeVaryingLinearDynamics, players, constraints,
-              disturbance: DisturbanceModel) -> "GameSpec":
+              disturbance: DisturbanceModel, state_support=None) -> "GameSpec":
+        """Validate and assemble a game; ``state_support`` declares the
+        trajectory columns its callable state oracles read (default: all)."""
         players = tuple(players)
         constraints = tuple(constraints)
         if len(players) != dynamics.n_players:
@@ -262,7 +320,8 @@ class GameSpec:
         for nj in dynamics.input_dims:
             slices.append(slice(off, off + dynamics.horizon * nj))
             off += dynamics.horizon * nj
-        game = cls(dynamics, lift, players, constraints, disturbance, tuple(slices))
+        game = cls(dynamics, lift, players, constraints, disturbance, tuple(slices),
+                   None if state_support is None else tuple(state_support))
         game._check_lift()
         return game
 
@@ -313,17 +372,48 @@ def lift_noise(game: GameSpec, w_batch: np.ndarray) -> np.ndarray:
     return w_batch @ game.lift.noise_map.T
 
 
-def state_batch(game: GameSpec, u: np.ndarray, w_batch: np.ndarray,
-                base: np.ndarray | None = None) -> np.ndarray:
-    """Sampled stacked trajectories, one row per disturbance draw.
-
-    ``base`` may pass ``lift_base(game, u)`` when it is already known.
-    """
-    if base is None:
-        base = lift_base(game, u)
+def state_batch(game: GameSpec, u: np.ndarray, w_batch: np.ndarray) -> np.ndarray:
+    """Sampled stacked trajectories, one row per disturbance draw."""
     states = lift_noise(game, w_batch)
-    states += base
+    states += lift_base(game, u)
     return states
+
+
+@dataclass(frozen=True)
+class ReducedLift:
+    """A batch of trajectories reduced to what its batch means read.
+
+    mean    : (state_dim,) mean trajectory of the batch.
+    support : (M, len(game.support)) per-row ``game.support`` columns.
+    """
+
+    mean: np.ndarray
+    support: np.ndarray
+
+
+def reduce_noise(game: GameSpec, w_batch: np.ndarray) -> ReducedLift:
+    """Reduced noise part of a batch: ``mean(w) @ noise_map.T`` and the
+    per-row support columns ``w @ noise_map[support].T``."""
+    return ReducedLift(w_batch.mean(axis=0) @ game.lift.noise_map.T,
+                       w_batch @ game.support_noise_map_t)
+
+
+def reduced_lift(game: GameSpec, noise: ReducedLift, base: np.ndarray) -> ReducedLift:
+    """``reduce_noise`` of a batch moved onto the noise-free trajectory ``base``."""
+    return ReducedLift(base + noise.mean, noise.support + base[game.support_index])
+
+
+def support_rows(game: GameSpec, w_batch: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The support columns of the trajectories, ``reduced_lift(...).support``,
+    without the mean trajectory."""
+    rows = w_batch @ game.support_noise_map_t
+    rows += base[game.support_index]
+    return rows
+
+
+def reduce_states(game: GameSpec, states: np.ndarray) -> ReducedLift:
+    """Reduced lift of already lifted trajectories (M, state_dim)."""
+    return ReducedLift(states.mean(axis=0), states[:, game.support_index])
 
 
 def _mean_over_batch(values: np.ndarray) -> np.ndarray:
@@ -332,14 +422,15 @@ def _mean_over_batch(values: np.ndarray) -> np.ndarray:
     return values if values.ndim == 1 else values.mean(axis=0)
 
 
-def cost_state_grad_means(game: GameSpec, states: np.ndarray, players=None) -> list:
-    """Batch means of the state-cost gradients of ``players`` (default all),
-    None where absent; each distinct ``cost_state_grad`` object runs once."""
+def cost_state_grad_means(game: GameSpec, rows: np.ndarray, players=None) -> list:
+    """Batch means over the support ``rows`` of the state-cost gradients of
+    ``players`` (default all), None where absent; each distinct
+    ``cost_state_grad`` object runs once."""
     means, out = {}, []
     for i in range(game.n_players) if players is None else players:
         grad = game.players[i].cost_state_grad
         if grad is not None and id(grad) not in means:
-            means[id(grad)] = _mean_over_batch(grad(states))
+            means[id(grad)] = _mean_over_batch(grad(rows))
         out.append(None if grad is None else means[id(grad)])
     return out
 
@@ -354,15 +445,15 @@ def player_pseudo_gradient_mean(game: GameSpec, i: int, u: np.ndarray,
     if p.cost_input_grad is not None:
         out = out + np.asarray(p.cost_input_grad(u), dtype=float)
     if p.cost_state_grad is not None:
-        out = out + game.lift.input_maps[i].T @ state_grad_mean
+        out = out + game.support_input_maps_t[i] @ state_grad_mean
     return out
 
 
 def constraint_values(game: GameSpec, u: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Raw coupled-constraint values along the trajectories, shape (batch, m).
+    """Raw coupled-constraint values along whole trajectories, shape (batch, m).
 
     The affine state parts come from one product with ``affine_state_map``;
-    only the other value closures are called.
+    only the other value closures are called, on the support columns.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if game.affine_state_columns:
@@ -370,21 +461,37 @@ def constraint_values(game: GameSpec, u: np.ndarray, states: np.ndarray) -> np.n
         out += game.affine_state_offset
     else:
         out = np.zeros((states.shape[0], game.constraint_count))
-    for j in game.state_value_columns:
-        out[:, j] += np.asarray(game.constraints[j].state_value(states), dtype=float)
+    if game.state_value_columns:
+        rows = states[:, game.support_index]
+        for j in game.state_value_columns:
+            out[:, j] += np.asarray(game.constraints[j].state_value(rows), dtype=float)
     for j, c in enumerate(game.constraints):
         if c.input_value is not None:
             out[:, j] += float(c.input_value(u))
     return out
 
 
-def constraint_state_grad_means(game: GameSpec, states: np.ndarray) -> list:
-    """Batch means of the callable constraint state gradients.
+def constraint_value_mean(game: GameSpec, u: np.ndarray, lift: ReducedLift) -> np.ndarray:
+    """Batch mean of ``constraint_values``, shape (m,), from a reduced lift:
+    the affine parts from the mean trajectory, the value closures averaged
+    over the support rows."""
+    out = lift.mean @ game.affine_state_map + game.affine_state_offset
+    for j in game.state_value_columns:
+        out[j] += np.asarray(game.constraints[j].state_value(lift.support), dtype=float).mean()
+    for j, c in enumerate(game.constraints):
+        if c.input_value is not None:
+            out[j] += float(c.input_value(u))
+    return out
 
-    One (state_dim,) array per entry of ``game.varying_state_columns``; the
-    constant gradients need no evaluation.
+
+def constraint_state_grad_means(game: GameSpec, rows: np.ndarray) -> list:
+    """Batch means over the support ``rows`` of the callable constraint state
+    gradients.
+
+    One (len(support),) array per entry of ``game.varying_state_columns``;
+    the constant gradients need no evaluation.
     """
-    return [_mean_over_batch(game.constraints[j].state_grad(states))
+    return [_mean_over_batch(game.constraints[j].state_grad(rows))
             for j in game.varying_state_columns]
 
 
@@ -393,7 +500,7 @@ def player_constraint_gradient_mean(game: GameSpec, i: int, u: np.ndarray,
     """Player i's constraint-Jacobian block (T n_i, m): its constant block plus
     the callable columns, from ``constraint_state_grad_means`` of the batch."""
     out = game.constant_jacobian_blocks[i].copy()
-    gm_t = game.lift.input_maps[i].T
+    gm_t = game.support_input_maps_t[i]
     for j, mean in zip(game.varying_state_columns, state_grad_means):
         out[:, j] += gm_t @ mean
     u = np.asarray(u, dtype=float).reshape(-1)
@@ -403,8 +510,8 @@ def player_constraint_gradient_mean(game: GameSpec, i: int, u: np.ndarray,
     return out
 
 
-def operator_estimate(game: GameSpec, u: np.ndarray, states: np.ndarray):
-    """Sampled operator parts at u over lifted trajectories ``states``.
+def operator_estimate(game: GameSpec, u: np.ndarray, lift: ReducedLift):
+    """Sampled operator parts at u over the reduced lift of a batch.
 
     Returns (F_hat, Jac_hat, G_raw_mean): the stacked pseudo-gradient mean,
     the stacked constraint-Jacobian mean (dim, m) and the raw constraint
@@ -414,27 +521,33 @@ def operator_estimate(game: GameSpec, u: np.ndarray, states: np.ndarray):
     """
     f_hat = np.concatenate([
         player_pseudo_gradient_mean(game, i, u, mean)
-        for i, mean in enumerate(cost_state_grad_means(game, states))
+        for i, mean in enumerate(cost_state_grad_means(game, lift.support))
     ])
-    means = constraint_state_grad_means(game, states)
+    means = constraint_state_grad_means(game, lift.support)
     jac = np.vstack([player_constraint_gradient_mean(game, i, u, means)
                      for i in range(game.n_players)])
-    return f_hat, jac, constraint_values(game, u, states).mean(axis=0)
+    return f_hat, jac, constraint_value_mean(game, u, lift)
+
+
+def _single_sample_operator(game: GameSpec, u: np.ndarray, w: np.ndarray):
+    w_batch = np.reshape(np.asarray(w, dtype=float), (1, -1))
+    return operator_estimate(game, u, reduced_lift(game, reduce_noise(game, w_batch),
+                                                   lift_base(game, u)))
 
 
 def pseudo_gradient_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Single-sample pseudo-gradient; block i is player i's own cost gradient."""
-    return operator_estimate(game, u, state_batch(game, u, np.reshape(w, (1, -1))))[0]
+    return _single_sample_operator(game, u, w)[0]
 
 
 def constraint_gradient_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Single-sample constraint Jacobian, column j = gradient of constraint j."""
-    return operator_estimate(game, u, state_batch(game, u, np.reshape(w, (1, -1))))[1]
+    return _single_sample_operator(game, u, w)[1]
 
 
 def constraint_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Single-sample raw constraint vector."""
-    return operator_estimate(game, u, state_batch(game, u, np.reshape(w, (1, -1))))[2]
+    return _single_sample_operator(game, u, w)[2]
 
 
 def project_local(game: GameSpec, u: np.ndarray) -> np.ndarray:
@@ -448,21 +561,3 @@ def project_local(game: GameSpec, u: np.ndarray) -> np.ndarray:
 def random_feasible_profile(game: GameSpec, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the stacked box, one double per coordinate in order."""
     return rng.uniform(game.box_lower, game.box_upper)
-
-
-def monotonicity_probe(game: GameSpec, n_pairs: int, batch: int,
-                       rng: np.random.Generator) -> float:
-    """Smallest sampled pairing <F(u1) - F(u2), u1 - u2> over random feasible pairs.
-
-    Diagnostic support for the monotone pseudo-gradient assumption; Monte
-    Carlo noise means small negative values do not disprove monotonicity.
-    """
-    worst = np.inf
-    for _ in range(n_pairs):
-        u1 = random_feasible_profile(game, rng)
-        u2 = random_feasible_profile(game, rng)
-        w = game.disturbance.sample(rng, batch)
-        f1 = operator_estimate(game, u1, state_batch(game, u1, w))[0]
-        f2 = operator_estimate(game, u2, state_batch(game, u2, w))[0]
-        worst = min(worst, float(np.dot(f1 - f2, u1 - u2)))
-    return worst

@@ -165,10 +165,9 @@ def _input_cost_grad(p: MicrogridParams, i: int):
 
 
 def _terminal_cost_grad(p: MicrogridParams):
-    def grad(states):
-        out = np.zeros_like(states)
-        out[:, -1] = p.alpha_battery * (states[:, -1] - p.soc_desired)
-        return out
+    def grad(soc_final):
+        # the support is (T,): the one column SoC_T in and its gradient out
+        return p.alpha_battery * (soc_final - p.soc_desired)
 
     return grad
 
@@ -231,13 +230,12 @@ def _soc_band_constraints(p: MicrogridParams):
     cons.extend(upper(t) for t in range(1, T + 1))
     cons.extend(lower(t) for t in range(1, T + 1))
 
-    def terminal_value(S):
-        return np.abs(S[:, -1] - p.soc_desired) - p.terminal_band
+    # both closures receive the support (T,), the one column SoC_T
+    def terminal_value(soc_final):
+        return np.abs(soc_final[:, 0] - p.soc_desired) - p.terminal_band
 
-    def terminal_grad(S):
-        out = np.zeros_like(S)
-        out[:, -1] = np.sign(S[:, -1] - p.soc_desired)  # sign(0) = 0 at the kink
-        return out
+    def terminal_grad(soc_final):
+        return np.sign(soc_final - p.soc_desired)  # sign(0) = 0 at the kink
 
     cons.append(CouplingConstraintSpec(
         gamma=p.gamma_terminal, com_scale=scales[T],
@@ -294,6 +292,7 @@ def build_microgrid_game(p: MicrogridParams):
         return draws
 
     disturbance = DisturbanceModel(dim=T, sample=sample, com_model=ComModel())
-    game = GameSpec.build(dyn, players, constraints, disturbance)
+    # every state oracle reads SoC_T alone
+    game = GameSpec.build(dyn, players, constraints, disturbance, state_support=(T,))
     offsets = UnderApproxOffsets.from_game(game)
     return game, offsets

@@ -20,8 +20,13 @@ by (seed, iteration, entity), so a run is bit-reproducible regardless of
 execution order and can be resumed from a checkpoint.
 
 The steps take their shared inputs from the caller, as ``run`` supplies them:
-each iterate's ``lift_base`` and the run's lifted residual batch
+each iterate's ``lift_base`` and the run's reduced residual batch
 (``residual_noise``). The local sets are boxes: a player's backward step clips.
+
+Every estimate is a batch mean, so no step lifts whole trajectories. The
+coordinator averages the disturbances and maps the mean through the affine
+constraint parts, calling only the value closures on the support columns
+(``game.support``); each player lifts only those columns, for its oracles.
 """
 
 from __future__ import annotations
@@ -259,8 +264,8 @@ def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
     m_k = batch_size(cfg, state.k)
     alpha = step_size(cfg, state.k)
     w0 = game.disturbance.sample(rng, m_k)
-    states = game_mod.state_batch(game, state.u, w0, base=base)
-    g_hat = game_mod.constraint_values(game, state.u, states).mean(axis=0) + offsets.offsets
+    lift = game_mod.reduced_lift(game, game_mod.reduce_noise(game, w0), base)
+    g_hat = game_mod.constraint_value_mean(game, state.u, lift) + offsets.offsets
     lam_avg = (1.0 - cfg.delta) * state.lam + cfg.delta * state.lam_avg_prev
     lam_next = np.maximum(lam_avg + alpha * g_hat, 0.0)
     return lam_avg, lam_next, g_hat
@@ -275,11 +280,11 @@ def player_step(i: int, state: SolverState, game, cfg: SolverConfig,
     m_k = batch_size(cfg, state.k)
     alpha = step_size(cfg, state.k)
     w = game.disturbance.sample(rng, m_k)
-    states = game_mod.state_batch(game, state.u, w, base=base)
-    (cost_mean,) = game_mod.cost_state_grad_means(game, states, (i,))
+    rows = game_mod.support_rows(game, w, base)
+    (cost_mean,) = game_mod.cost_state_grad_means(game, rows, (i,))
     f_i = game_mod.player_pseudo_gradient_mean(game, i, state.u, cost_mean)
     jac_i = game_mod.player_constraint_gradient_mean(
-        game, i, state.u, game_mod.constraint_state_grad_means(game, states))
+        game, i, state.u, game_mod.constraint_state_grad_means(game, rows))
     sl = game.player_slices[i]
     u_avg_i = (1.0 - cfg.delta) * state.u[sl] + cfg.delta * state.u_avg_prev[sl]
     raw = u_avg_i - alpha * (f_i + jac_i @ state.lam)
@@ -325,26 +330,30 @@ def _record(state: SolverState, cfg: SolverConfig, residual: float, g_hat: np.nd
         strategies=state.u.copy() if snapshot else None)
 
 
-def residual_noise(game, cfg: SolverConfig, seed: int) -> np.ndarray:
-    """Lifted noise of the residual batch: ``cfg.residual_batch`` draws from the
-    residual substream of ``seed``, common to every iteration of a run."""
+def residual_noise(game, cfg: SolverConfig, seed: int) -> game_mod.ReducedLift:
+    """Reduced noise of the residual batch: ``cfg.residual_batch`` draws from
+    the residual substream of ``seed``, common to every iteration of a run."""
     w_res = game.disturbance.sample(residual_stream(seed), cfg.residual_batch)
-    return game_mod.lift_noise(game, w_res)
+    return game_mod.reduce_noise(game, w_res)
 
 
 def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
-                      cfg: SolverConfig, noise: np.ndarray, base: np.ndarray) -> float:
+                      cfg: SolverConfig, noise, base: np.ndarray) -> float:
     """Distance from the iterate to one exact projected forward step.
 
     The expected operator is replaced by a large-reference-batch estimate
     (``cfg.residual_batch`` samples); the backward step is the product of the
     local-set projection and the nonnegative-orthant projection. Zero exactly
     at equilibrium-multiplier pairs, up to estimator noise. ``noise`` is the
-    lifted reference batch ``residual_noise(game, cfg, state.seed)``, common
-    to every iteration of a run; ``base`` is ``lift_base(game, state.u)``.
+    reduced reference batch ``residual_noise(game, cfg, state.seed)``, common
+    to every iteration of a run, or the same batch lifted whole
+    (``lift_noise``); ``base`` is ``lift_base(game, state.u)``.
     """
     alpha = step_size(cfg, state.k)
-    f_hat, jac, g_raw = game_mod.operator_estimate(game, state.u, base[None, :] + noise)
+    if isinstance(noise, np.ndarray):
+        noise = game_mod.reduce_states(game, noise)
+    f_hat, jac, g_raw = game_mod.operator_estimate(
+        game, state.u, game_mod.reduced_lift(game, noise, base))
     u_step = game_mod.project_local(game, state.u - alpha * (f_hat + jac @ state.lam))
     lam_step = np.maximum(state.lam + alpha * (g_raw + offsets.offsets), 0.0)
     return math.hypot(float(np.linalg.norm(state.u - u_step)),
@@ -359,7 +368,7 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     The trace holds one record per completed iteration plus a final record
     at the last iterate (so a zero-iteration run still yields the initial
     record), whose constraint mean comes from the coordinator's batch of
-    that iterate. The residual batch is drawn and lifted once per run; each
+    that iterate. The residual batch is drawn and reduced once per run; each
     iterate's noise-free trajectory is lifted once and shared by the
     residual and the iteration. ``initial`` needs a nonnegative multiplier.
     """
@@ -395,16 +404,23 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     return RunTrace(cfg, tuple(records), reason, state)
 
 
-def write_checkpoint(state: SolverState, directory) -> str:
-    """Write ``checkpoint_<k>.txt`` through a temporary file in the same
-    directory, so an interrupted write never leaves a partial checkpoint."""
-    path = Path(directory) / f"checkpoint_{state.k:08d}.txt"
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` (UTF-8, LF endings) through a temporary file
+    in the same directory, so an interrupted write leaves the previous file
+    as it was and never a partial one."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(state.to_text(), encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8", newline="\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_checkpoint(state: SolverState, directory) -> str:
+    """Write ``checkpoint_<k>.txt`` atomically (``write_text_atomic``)."""
+    path = Path(directory) / f"checkpoint_{state.k:08d}.txt"
+    write_text_atomic(path, state.to_text())
     return str(path)
 
 
@@ -430,11 +446,11 @@ def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int) -> float:
         u2 = game_mod.random_feasible_profile(game, rng)
         l1 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
         l2 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
-        noise = game_mod.lift_noise(game, game.disturbance.sample(rng, LIPSCHITZ_BATCH))
+        noise = game_mod.reduce_noise(game, game.disturbance.sample(rng, LIPSCHITZ_BATCH))
         f1, j1, g1 = game_mod.operator_estimate(
-            game, u1, game_mod.lift_base(game, u1)[None, :] + noise)
+            game, u1, game_mod.reduced_lift(game, noise, game_mod.lift_base(game, u1)))
         f2, j2, g2 = game_mod.operator_estimate(
-            game, u2, game_mod.lift_base(game, u2)[None, :] + noise)
+            game, u2, game_mod.reduced_lift(game, noise, game_mod.lift_base(game, u2)))
         g1, g2 = g1 + offsets.offsets, g2 + offsets.offsets
         if not all(np.all(np.isfinite(a)) for a in (f1, j1, g1, f2, j2, g2)):
             return math.nan
@@ -481,8 +497,9 @@ def estimator_diagnostics(game, u: np.ndarray, lam: np.ndarray, batch_sizes,
     base = game_mod.lift_base(game, u)
 
     def estimate(m):
-        noise = game_mod.lift_noise(game, game.disturbance.sample(rng, m))
-        f_hat, jac, g_raw = game_mod.operator_estimate(game, u, base[None, :] + noise)
+        noise = game_mod.reduce_noise(game, game.disturbance.sample(rng, m))
+        f_hat, jac, g_raw = game_mod.operator_estimate(
+            game, u, game_mod.reduced_lift(game, noise, base))
         return f_hat, jac, g_raw + offsets.offsets
 
     f_ref, jac_ref, g_ref = estimate(m_ref)

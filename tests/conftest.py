@@ -69,21 +69,31 @@ def reduced_microgrid():
     return params, game, offsets
 
 
+def _embed_support(game, support_values):
+    """A support-column gradient written into a whole-trajectory vector."""
+    full = np.zeros(game.state_traj_dim)
+    full[list(game.support)] = support_values
+    return full
+
+
 def reference_jacobian_block(game, i, u, states):
     """Player i's constraint-Jacobian block evaluated one constraint at a time.
 
-    Independent of the cached constant blocks: every gradient, constant array
-    or callable, is evaluated and averaged per column, state part first.
+    Independent of the cached constant blocks and the support input maps:
+    every gradient, constant array or callable, is evaluated and averaged per
+    column, state part first; a callable one on the support columns of
+    ``states``, written back into a whole-trajectory gradient.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     sl = game.player_slices[i]
     out = np.zeros((sl.stop - sl.start, len(game.constraints)))
     gm_t = game.lift.input_maps[i].T
     for j, c in enumerate(game.constraints):
-        if c.state_grad is not None:
-            g = np.asarray(c.state_grad(states) if callable(c.state_grad) else c.state_grad,
-                           dtype=float)
-            out[:, j] += gm_t @ (g if g.ndim == 1 else g.mean(axis=0))
+        if callable(c.state_grad):
+            g = np.asarray(c.state_grad(states[:, list(game.support)]), dtype=float)
+            out[:, j] += gm_t @ _embed_support(game, g if g.ndim == 1 else g.mean(axis=0))
+        elif c.state_grad is not None:
+            out[:, j] += gm_t @ c.state_grad
         if c.input_grad is not None:
             a = c.input_grad(u) if callable(c.input_grad) else c.input_grad
             out[:, j] += np.asarray(a, dtype=float)[sl]
@@ -107,16 +117,48 @@ def reference_constraint_values(game, u, states):
     """Raw constraint values evaluated one value closure at a time.
 
     Independent of the stacked affine map: every ``state_value`` and
-    ``input_value`` is called, state part first.
+    ``input_value`` is called, state part first; an affine one (constant
+    ``state_grad``) on whole trajectories, the others on the support columns.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     out = np.zeros((states.shape[0], len(game.constraints)))
+    rows = states[:, list(game.support)]
     for j, c in enumerate(game.constraints):
         if c.state_value is not None:
-            out[:, j] += np.asarray(c.state_value(states), dtype=float)
+            affine = isinstance(c.state_grad, np.ndarray)
+            out[:, j] += np.asarray(c.state_value(states if affine else rows), dtype=float)
         if c.input_value is not None:
             out[:, j] += float(c.input_value(u))
     return out
+
+
+def reference_operator(game, u, w):
+    """(F, Jac, G_raw) batch means at u, one draw at a time on whole trajectories.
+
+    Each row's trajectory is stepped through the dynamics (``simulate_state``,
+    not the lift); every oracle is evaluated on that row alone, and the
+    per-row results are averaged at the end.
+    """
+    from ccgames.dynamics import simulate_state
+
+    u = np.asarray(u, dtype=float).reshape(-1)
+    rows_f, rows_j, rows_g = [], [], []
+    for w_r in np.atleast_2d(w):
+        s = simulate_state(game.dynamics, u, w_r)[None, :]
+        f = []
+        for i, p in enumerate(game.players):
+            block = np.zeros(game.player_slices[i].stop - game.player_slices[i].start)
+            if p.cost_input_grad is not None:
+                block += p.cost_input_grad(u)
+            if p.cost_state_grad is not None:
+                g = np.asarray(p.cost_state_grad(s[:, list(game.support)]), dtype=float)
+                block += game.lift.input_maps[i].T @ _embed_support(game, g.reshape(-1))
+            f.append(block)
+        rows_f.append(np.concatenate(f))
+        rows_j.append(np.vstack([reference_jacobian_block(game, i, u, s)
+                                 for i in range(game.n_players)]))
+        rows_g.append(reference_constraint_values(game, u, s)[0])
+    return (np.mean(rows_f, axis=0), np.mean(rows_j, axis=0), np.mean(rows_g, axis=0))
 
 
 def random_lq_params(rng, mixed_callables=False):
@@ -156,3 +198,29 @@ def with_callable_gradients(game, rng):
             kw["input_grad"] = lambda u, g=c.input_grad: g.copy()
         cons.append(replace(c, **kw))
     return replace(game, constraints=tuple(cons))
+
+
+def with_support_oracles(game, rng, support=None):
+    """The same game with nonlinear callable state oracles that read only
+    ``support`` (default: every column, left undeclared).
+
+    Every player gets a state cost with gradient ``weights * tanh(S)``, and
+    each state-coupled constraint with probability 1/2 becomes the value
+    ``|S| @ rho`` with gradient ``sign(S) * rho`` on the support columns.
+    """
+    from dataclasses import replace
+
+    cols = list(range(game.state_traj_dim)) if support is None else list(support)
+    players = tuple(
+        replace(p, cost_state_grad=lambda S, wt=rng.uniform(0.5, 1.5, len(cols)):
+                wt * np.tanh(S))
+        for p in game.players)
+    cons = []
+    for c in game.constraints:
+        if isinstance(c.state_grad, np.ndarray) and rng.uniform() < 0.5:
+            rho = c.state_grad[cols]
+            c = replace(c, state_value=lambda S, r=rho: np.abs(S) @ r,
+                        state_grad=lambda S, r=rho: np.sign(S) * r)
+        cons.append(c)
+    return replace(game, players=players, constraints=tuple(cons),
+                   state_support=None if support is None else tuple(cols))

@@ -204,6 +204,34 @@ class TestRunCommand:
         strip = lambda rows: ["," .join(r.split(",")[:-1]) for r in rows]
         assert strip(rows_a) == strip(rows_b)
 
+    @pytest.mark.parametrize("name", ["trace.csv", "strategies.csv",
+                                      "strategy_snapshots.csv", "summary.json"])
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch, capsys,
+                                                   name):
+        doc = small_microgrid_doc()
+        doc["solver"]["snapshot_every"] = 2
+        path, out = write_doc(tmp_path, doc), tmp_path / "out"
+        main(["run", "--config", str(path), "--out-dir", str(out)])
+        before = (out / name).read_bytes()
+        attempted = []
+        real = Path.write_text
+
+        def interrupted(self, text, *args, **kwargs):
+            if not self.name.startswith(name):
+                return real(self, text, *args, **kwargs)
+            attempted.append(text)
+            with open(self, "w", encoding="utf-8") as fh:
+                fh.write(text[:len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", interrupted)
+        assert main(["run", "--config", str(path), "--out-dir", str(out),
+                     "--seed", "8"]) == 1
+        assert "failed to write outputs: disk full" in capsys.readouterr().err
+        assert attempted and attempted[0].encode() != before
+        assert (out / name).read_bytes() == before
+        assert not list(out.glob("*.tmp"))
+
 
 class TestStrategyFiles:
     def test_round_trip(self, tmp_path):
@@ -306,7 +334,41 @@ class TestCheckConstraints:
                      "--strategies", str(tmp_path / "s.csv")]) == 0
 
 
+class TestCheckConstraintsSamples:
+    def setup_files(self, tmp_path):
+        path = write_doc(tmp_path, small_lq_doc())
+        game, _ = build_game(parse_config(path))
+        write_strategies_csv(tmp_path / "s.csv", game, np.zeros(game.input_dim))
+        return ["check-constraints", "--config", str(path),
+                "--strategies", str(tmp_path / "s.csv")]
+
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_nonpositive_samples_exit_one(self, tmp_path, capsys, samples):
+        assert main(self.setup_files(tmp_path) + ["--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert f"--samples must be at least 1, got {samples}" in captured.err
+        assert "constraint satisfaction" not in captured.out
+
+    def test_omitted_samples_use_config_count(self, tmp_path, capsys):
+        assert main(self.setup_files(tmp_path)) == 0
+        assert "over 200 samples" in capsys.readouterr().out
+
+    def test_given_samples_used(self, tmp_path, capsys):
+        assert main(self.setup_files(tmp_path) + ["--samples", "7"]) == 0
+        assert "over 7 samples" in capsys.readouterr().out
+
+
 class TestEpsilonGap:
+    def test_profile_outside_boxes_exit_one(self, tmp_path, capsys):
+        config = CONFIG_DIR / "quadratic_oracle.json"
+        game, _ = build_game(parse_config(config))
+        write_strategies_csv(tmp_path / "s.csv", game, np.full(game.input_dim, 100.0))
+        assert main(["epsilon-gap", "--config", str(config),
+                     "--strategies", str(tmp_path / "s.csv")]) == 1
+        captured = capsys.readouterr()
+        assert "the profile must lie in the local strategy sets" in captured.err
+        assert "M_hat" not in captured.out
+
     def test_runs_and_exits_zero(self, tmp_path, capsys):
         doc = small_lq_doc()
         path = write_doc(tmp_path, doc)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ccgames.com import (ComModel, UnderApproxOffsets,
                          estimate_constraint_satisfaction, estimate_epsilon_gap,
-                         g_sample, h_gaussian, h_inverse, wilson_interval)
+                         h_gaussian, h_inverse, wilson_interval)
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           PlayerSpec, constraint_sample, random_feasible_profile,
@@ -107,16 +107,6 @@ class TestOffsetsAndTightenedValues:
         with pytest.raises(ValueError):
             UnderApproxOffsets(np.array([-0.1]))
 
-    def test_g_sample_adds_offsets(self):
-        # constraint value identically zero: tightened value equals the offset
-        con = CouplingConstraintSpec(gamma=0.1, input_value=lambda u: 0.0,
-                                     input_grad=lambda u: np.zeros(1))
-        game = make_tiny_game([con])
-        off = UnderApproxOffsets.from_tolerances(ComModel(), [0.1])
-        val = g_sample(game, off, np.zeros(1), np.zeros(1))
-        assert val[0] == pytest.approx(h_inverse(ComModel(), 0.1))
-        assert val[0] == pytest.approx(3.8449, abs=5e-4)
-
     def test_gamma_near_one_zero_offset(self):
         con = CouplingConstraintSpec(gamma=0.999, com_scale=0.0,
                                      input_value=lambda u: -1.3,
@@ -124,14 +114,15 @@ class TestOffsetsAndTightenedValues:
         game = make_tiny_game([con])
         off = UnderApproxOffsets.from_game(game)
         u, w = np.zeros(1), np.zeros(1)
-        assert np.array_equal(g_sample(game, off, u, w), constraint_sample(game, u, w))
+        assert np.array_equal(constraint_sample(game, u, w) + off.offsets,
+                              constraint_sample(game, u, w))
 
     def test_offset_arithmetic(self):
         con = CouplingConstraintSpec(gamma=0.1, input_value=lambda u: -5.0,
                                      input_grad=lambda u: np.zeros(1))
         game = make_tiny_game([con])
         off = UnderApproxOffsets.from_tolerances(ComModel(), [0.1])
-        val = g_sample(game, off, np.zeros(1), np.zeros(1))
+        val = constraint_sample(game, np.zeros(1), np.zeros(1)) + off.offsets
         assert val[0] == pytest.approx(-5.0 + h_inverse(ComModel(), 0.1))
 
 
@@ -232,6 +223,12 @@ class TestEpsilonGap:
         with pytest.raises(ValueError):
             estimate_epsilon_gap(game, np.zeros(1), [], 100, np.random.default_rng(0),
                                  UnderApproxOffsets.from_game(game))
+
+    def test_profile_outside_boxes_rejected(self):
+        game, _ = self.make_game_with_offset_value()
+        with pytest.raises(ValueError, match="profile must lie in the local strategy sets"):
+            estimate_epsilon_gap(game, np.array([100.0]), [np.array([0.5])], 100,
+                                 np.random.default_rng(0), UnderApproxOffsets.from_game(game))
 
     def test_infeasible_candidate_rejected(self):
         game, _ = self.make_game_with_offset_value()

@@ -123,6 +123,23 @@ class TestSimulateAndLift:
                  - lift.init_map @ dyn.s0)
         assert np.allclose(combined, parts, atol=1e-10)
 
+    @given(seed=st.integers(0, 2**32 - 1), a=st.floats(-3, 3), b=st.floats(-3, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_lift_linear_in_inputs_and_noise(self, seed, a, b):
+        # s(a x1 + b x2) - s0_part = a (s(x1) - s0_part) + b (s(x2) - s0_part)
+        # for x = (u, w): the property that lets batch means lift mean(w)
+        rng = np.random.default_rng(seed)
+        dyn = random_dynamics(rng)
+        lift = build_compact_lift(dyn)
+        free = lift.init_map @ dyn.s0
+        u1, u2 = rng.normal(size=(2, dyn.input_dim_total))
+        w1, w2 = rng.normal(size=(2, dyn.horizon * dyn.state_dim))
+        combined = lift_state(lift, dyn.s0, a * u1 + b * u2, a * w1 + b * w2) - free
+        parts = (a * (lift_state(lift, dyn.s0, u1, w1) - free)
+                 + b * (lift_state(lift, dyn.s0, u2, w2) - free))
+        scale = max(1.0, float(np.linalg.norm(parts)))
+        assert np.linalg.norm(combined - parts) / scale < 1e-10
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_lift_equals_simulation(self, seed):

@@ -254,7 +254,7 @@ class TestValidation:
 def assert_blocks_exact(game, u, states):
     for i in range(game.n_players):
         block = player_constraint_gradient_mean(
-            game, i, u, constraint_state_grad_means(game, states))
+            game, i, u, constraint_state_grad_means(game, states[:, game.support_index]))
         assert np.array_equal(block, reference_jacobian_block(game, i, u, states))
 
 

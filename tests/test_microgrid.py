@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccgames.game import (constraint_gradient_sample, constraint_sample,
-                          monotonicity_probe, project_local,
+                          project_local,
                           pseudo_gradient_sample, random_feasible_profile,
                           state_batch)
 from ccgames.microgrid import (MicrogridParams, build_microgrid_game,
@@ -219,11 +219,3 @@ class TestGradients:
         # zero strategies, zero noise: SoC_T = desired exactly -> at the kink
         jac = constraint_gradient_sample(game, np.zeros(game.input_dim), np.zeros(2))
         assert not jac[:, -1].any()
-
-    def test_monotonicity_probe_reported(self):
-        p = MicrogridParams(n_households=4, horizon=6, delta_t=4.0)
-        game, _ = build_microgrid_game(p)
-        worst = monotonicity_probe(game, n_pairs=12, batch=256,
-                                   rng=np.random.default_rng(5))
-        print(f"\nmonotonicity probe (min pairing over 12 pairs): {worst:.3e}")
-        assert math.isfinite(worst)
