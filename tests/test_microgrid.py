@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ccgames.game import (constraint_gradient_sample, constraint_sample,
-                          project_local,
                           pseudo_gradient_sample, random_feasible_profile,
                           state_batch)
 from ccgames.microgrid import (MicrogridParams, build_microgrid_game,
