@@ -12,7 +12,9 @@ yields a convex inner approximation of the feasible set. ``scale`` converts
 the tightening into the units of the constraint value (for affine-in-noise
 constraints it is the standard deviation of the sampled value; the shipped
 game builders compute it, and it is zero for deterministic constraints).
-``beta`` is an extra nonnegative margin that can be adjusted empirically.
+``beta`` is an extra nonnegative margin that can be adjusted empirically;
+it is set per run (the config's ``com.beta``, a scalar or one entry per
+constraint) and added on top of the offsets ``UnderApproxOffsets`` computes.
 
 This module also provides empirical verification (satisfaction frequencies
 with Wilson intervals) and the equilibrium-quality gap estimate that bounds
@@ -111,7 +113,8 @@ def h_inverse(model: ComModel, gamma: float, tol: float = 1e-10) -> float:
 
 @dataclass(frozen=True)
 class UnderApproxOffsets:
-    """Per-constraint tightening offsets scale_j * h_inverse(gamma_j) + beta_j."""
+    """Per-constraint tightening offsets scale_j * h_inverse(gamma_j), plus
+    any margin beta_j the caller adds."""
 
     offsets: np.ndarray
 
@@ -122,29 +125,20 @@ class UnderApproxOffsets:
         object.__setattr__(self, "offsets", off)
 
     @classmethod
-    def from_tolerances(cls, model: ComModel, gammas, betas=None, scales=None) -> "UnderApproxOffsets":
+    def from_tolerances(cls, model: ComModel, gammas, scales=None) -> "UnderApproxOffsets":
         gammas = np.asarray(gammas, dtype=float).reshape(-1)
         m = gammas.shape[0]
-        betas = np.zeros(m) if betas is None else np.broadcast_to(
-            np.asarray(betas, dtype=float), (m,)).copy()
         scales = np.ones(m) if scales is None else np.broadcast_to(
             np.asarray(scales, dtype=float), (m,)).copy()
-        if np.any(betas < 0):
-            raise ValueError("beta offsets must be nonnegative")
         if np.any(scales < 0):
             raise ValueError("scales must be nonnegative")
-        off = np.array([scales[j] * h_inverse(model, gammas[j]) + betas[j] for j in range(m)])
-        return cls(off)
+        return cls(np.array([scales[j] * h_inverse(model, gammas[j]) for j in range(m)]))
 
     @classmethod
     def from_game(cls, game) -> "UnderApproxOffsets":
         cons = game.constraints
-        return cls.from_tolerances(
-            game.disturbance.com_model,
-            [c.gamma for c in cons],
-            betas=[c.beta for c in cons],
-            scales=[c.com_scale for c in cons],
-        )
+        return cls.from_tolerances(game.disturbance.com_model, [c.gamma for c in cons],
+                                   scales=[c.com_scale for c in cons])
 
 
 def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple:

@@ -10,6 +10,7 @@ validation errors carry the JSON path of the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +43,7 @@ _LQ_KEYS = {
 }
 _LQ_PLAYER_KEYS = {"input_dim", "box_lower", "box_upper", "quad_self",
                    "quad_couple", "linear"}
-_LQ_CONSTRAINT_KEYS = {"input_coeffs", "offset", "gamma", "beta", "state_coeffs"}
+_LQ_CONSTRAINT_KEYS = {"input_coeffs", "offset", "gamma", "state_coeffs"}
 _COM_KEYS = {"kind", "beta", "theta_grid", "h_grid"}
 _SOLVER_KEYS = {
     "delta", "step_a0", "step_offset", "batch_scale", "batch_offset",
@@ -75,7 +76,7 @@ class RunConfig:
     microgrid: MicrogridParams | None
     lq: LqGameParams | None
     com_model: ComModel
-    com_beta: object  # scalar or per-constraint list, applied over game betas
+    com_beta: object  # scalar or per-constraint list, added to the offsets
     solver: SolverConfig
     output: OutputPaths
     verification: VerificationParams
@@ -98,6 +99,9 @@ def _number(section, key, where, errors, lo=None, hi=None, strict_lo=False,
     val = section[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         errors.append(f"{where}.{key}: expected a number, got {val!r}")
+        return default
+    if not math.isfinite(val):
+        errors.append(f"{where}.{key}: expected a finite number")
         return default
     if integer and int(val) != val:
         errors.append(f"{where}.{key}: expected an integer, got {val!r}")
@@ -199,7 +203,6 @@ def _parse_lq(section: dict, errors: list) -> LqGameParams | None:
             offset=_number(raw, "offset", cw, errors, default=0.0),
             gamma=_number(raw, "gamma", cw, errors, lo=0, hi=1,
                           strict_lo=True, strict_hi=True, default=0.5),
-            beta=_number(raw, "beta", cw, errors, lo=0, default=0.0),
             state_coeffs=_array(raw, "state_coeffs", cw, errors)))
     if errors:
         return None
@@ -221,10 +224,12 @@ def _parse_com(section: dict, errors: list):
         errors.append(f"com.kind: unknown kind {kind!r}")
         return ComModel(), 0.0
     beta = section.get("beta", 0.0)
-    if isinstance(beta, list):
-        if any(not isinstance(b, (int, float)) or b < 0 for b in beta):
-            errors.append("com.beta: entries must be nonnegative numbers")
-    elif isinstance(beta, bool) or not isinstance(beta, (int, float)) or beta < 0:
+    entries = beta if isinstance(beta, list) else [beta]
+    if any(isinstance(b, bool) or not isinstance(b, (int, float)) for b in entries):
+        errors.append(f"com.beta: expected a number or a list of numbers, got {beta!r}")
+    elif not all(math.isfinite(b) for b in entries):
+        errors.append("com.beta: expected a finite number")
+    elif any(b < 0 for b in entries):
         errors.append(f"com.beta: must be nonnegative, got {beta!r}")
     try:
         model = ComModel(kind=kind,
@@ -338,16 +343,22 @@ def emit_config(cfg: RunConfig, path) -> None:
 
 
 def build_game(cfg: RunConfig):
-    """Instantiate the configured game and its tightening offsets."""
-    if cfg.game_kind == "microgrid":
-        game, offsets = build_microgrid_game(cfg.microgrid)
-    else:
-        game, offsets = build_lq_game(cfg.lq)
+    """Instantiate the configured game and its tightening offsets (plus the
+    margin ``com.beta``); a game the builders reject raises ConfigError."""
+    try:
+        if cfg.game_kind == "microgrid":
+            game, _ = build_microgrid_game(cfg.microgrid)
+        else:
+            game, _ = build_lq_game(cfg.lq)
+    except ValueError as exc:
+        raise ConfigError([f"game: {exc}"]) from exc
     game = _override_com(game, cfg.com_model)
+    beta = np.asarray(cfg.com_beta, dtype=float)
+    if beta.ndim == 1 and beta.shape[0] != game.constraint_count:
+        raise ConfigError([f"com.beta: {beta.shape[0]} entries, expected one per "
+                           f"constraint ({game.constraint_count})"])
     base = UnderApproxOffsets.from_game(game)
-    extra = np.broadcast_to(np.asarray(cfg.com_beta, dtype=float),
-                            (game.constraint_count,))
-    return game, UnderApproxOffsets(base.offsets + extra)
+    return game, UnderApproxOffsets(base.offsets + beta)
 
 
 def _override_com(game, model: ComModel):

@@ -4,18 +4,22 @@ A game couples N players through shared linear dynamics, convex coupled
 constraints, and each other's inputs. Each player's local set is a box on its
 stacked strategy; ``GameSpec`` stacks the boxes, so projecting a profile is
 one clip. Players hold cost oracles split into a state part (function of the
-stacked trajectory) and an input part (function of the stacked profile);
-constraints are split the same way.
+stacked trajectory) and an input part (function of the stacked profile).
+
+A coupled constraint is data: its value along a trajectory S under the
+profile u is ``S @ state_coeffs + u @ input_coeffs + offset +
+state_value(S[:, support])``. The closure pair ``state_value``/``state_grad``
+is the only nonlinear part (on the shipped games, the microgrid's terminal
+band). ``GameSpec`` stacks the coefficients once into a state map, an input
+map, a constant vector and each player's constant Jacobian block, so the
+evaluators do matrix products and call only the closures.
 
 Oracles are batched. A game declares ``state_support``, the trajectory
-columns its callable state oracles read (``cost_state_grad``, callable
-``state_grad`` and the ``state_value`` closures that are not affine); they
-receive an (M, len(support)) array of those columns of the sampled
-trajectories and return either an (M, len(support)) array or a 1-D array
-when the result does not depend on the sample (the evaluators then skip the
-averaging). Without a declaration the support is every column; it is empty
-when the game has no callable state oracle. Gradients, not values, are the
-primary contract; values are only needed for reporting.
+columns its callable state oracles (``cost_state_grad`` and the constraint
+closures) read; they receive an (M, len(support)) array of those columns of
+the sampled trajectories and return (M,) values or (M, len(support))
+gradients. Without a declaration the support is every column; it is empty
+when the game has no callable state oracle.
 
 The solve needs only batch means, and every affine part of them is an
 affine map of the mean disturbance. So the solve evaluates from a
@@ -30,24 +34,6 @@ stacks the blocks of all players on a shared batch. Verification needs
 per-row values of every constraint, so it lifts whole trajectories
 (``state_batch``, or ``lift_base`` plus ``lift_noise``) for
 ``constraint_values``.
-
-A constraint gradient that depends on neither the sample nor the profile may
-be given as a constant 1-D array instead of a callable (``state_grad`` of
-length state_dim, ``input_grad`` of length input_dim). ``GameSpec`` folds
-those into each player's constant Jacobian block once, at construction, so
-the evaluators only call the remaining callables. The shipped games declare
-them: the microgrid's 2 T state-of-charge band constraints (``+-e_t``) and
-every linear-quadratic constraint (``state_coeffs`` and ``input_coeffs``);
-only the microgrid's terminal-band gradient varies with the sample.
-
-A constant ``state_grad`` next to a ``state_value`` also declares the state
-part of the value affine, ``state_value(S) = S @ state_grad + c``.
-``GameSpec`` stacks those gradients into one (state_dim, m) map and their
-offsets ``c = state_value(0)`` into one vector, and checks the declaration
-on whole random trajectories at construction (the only call an affine
-``state_value`` gets); the evaluators then compute every affine column with
-one matrix product and call only the remaining value closures (on the
-microgrid, the terminal band's).
 
 Players that share one ``cost_state_grad`` object (the microgrid's
 households all hold the same terminal-cost gradient) get one evaluation of
@@ -77,9 +63,9 @@ class PlayerSpec:
     input_dim       : n_i, inputs per time step.
     box_lower/upper : per-coordinate bounds of the local set on the stacked
                       strategy (length T * n_i).
-    cost_state_grad : S -> gradient of the state cost over the support
-                      columns S of each sampled trajectory; None means no
-                      state cost.
+    cost_state_grad : S -> (M, len(support)) gradient of the state cost over
+                      the support columns S of each sampled trajectory; None
+                      means no state cost.
     cost_input_grad : u -> gradient of the input cost in this player's block.
     """
 
@@ -104,46 +90,45 @@ class PlayerSpec:
 
 @dataclass(frozen=True)
 class CouplingConstraintSpec:
-    """One scalar coupled constraint value = state part + input part <= 0.
+    """One scalar coupled constraint, value <= 0, with value
+    ``S @ state_coeffs + u @ input_coeffs + offset + state_value(S[:, support])``.
 
-    gamma     : violation tolerance in (0, 1) of the chance constraint.
-    beta      : extra nonnegative tightening margin.
-    com_scale : converts the concentration offset into the constraint's
-                units (standard deviation of the sampled value for
-                affine-in-noise constraints; 0 for deterministic ones).
-    state_value/state_grad : batched oracles in the support columns of the
-                             stacked trajectory (an affine ``state_value``
-                             reads whole trajectories).
-    input_value/input_grad : oracles in the stacked profile (full-length
-                             gradient; players slice their own block).
-    Either gradient may instead be a constant 1-D array; it is stored as a
-    read-only float copy.
+    gamma        : violation tolerance in (0, 1) of the chance constraint.
+    com_scale    : converts the concentration offset into the constraint's
+                   units (standard deviation of the sampled value for
+                   affine-in-noise constraints; 0 for deterministic ones).
+    state_coeffs : (state_dim,) coefficients on the stacked trajectory.
+    input_coeffs : (input_dim,) coefficients on the stacked profile.
+    offset       : the constant term.
+    state_value/state_grad : the nonlinear state part, batched closures on the
+                             support columns returning (M,) values and
+                             (M, len(support)) gradients; both or neither.
+    An absent part is None. Coefficients are stored as read-only float copies.
     """
 
     gamma: float
-    beta: float = 0.0
     com_scale: float = 1.0
+    state_coeffs: np.ndarray | None = None
+    input_coeffs: np.ndarray | None = None
+    offset: float = 0.0
     state_value: Callable | None = None
-    state_grad: Callable | np.ndarray | None = None
-    input_value: Callable | None = None
-    input_grad: Callable | np.ndarray | None = None
+    state_grad: Callable | None = None
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
         if self.com_scale < 0:
             raise ValueError("com_scale must be nonnegative")
-        for name in ("state_grad", "input_grad"):
-            grad = getattr(self, name)
-            if grad is None or callable(grad):
-                continue
-            const = np.array(grad, dtype=float)
-            if const.ndim != 1:
-                raise ValueError(f"constant {name} must be a 1-D array")
-            const.flags.writeable = False
-            object.__setattr__(self, name, const)
+        if (self.state_value is None) != (self.state_grad is None):
+            raise ValueError("state_value and state_grad must be given together")
+        for name in ("state_coeffs", "input_coeffs"):
+            if getattr(self, name) is not None:
+                coeffs = np.array(getattr(self, name), dtype=float)
+                if coeffs.ndim != 1:
+                    raise ValueError(f"{name} must be a 1-D array")
+                coeffs.flags.writeable = False
+                object.__setattr__(self, name, coeffs)
+        object.__setattr__(self, "offset", float(self.offset))
 
 
 @dataclass(frozen=True)
@@ -159,6 +144,24 @@ class DisturbanceModel:
     com_model: ComModel
 
 
+def _stacked(constraints, name, dim):
+    """(dim, m) map whose column j is constraint j's ``name`` (zero if absent);
+    None when no constraint declares one, so that part costs nothing."""
+    columns = [getattr(c, name) for c in constraints]
+    if all(coeffs is None for coeffs in columns):
+        return None
+    out = np.zeros((dim, len(columns)))
+    for j, coeffs in enumerate(columns):
+        if coeffs is None:
+            continue
+        if coeffs.shape[0] != dim:
+            raise ValueError(f"constraint {j}: {name} has length {coeffs.shape[0]}, "
+                             f"expected {dim}")
+        out[:, j] = coeffs
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """Full game: dynamics with cached lift, players, constraints, noise.
@@ -167,20 +170,15 @@ class GameSpec:
 
     box_lower/box_upper      : (input_dim,), the players' boxes stacked in
                                player order: the local set of the profile.
-    constant_jacobian_blocks : per player, the (T n_i, m) Jacobian block
-                               holding every constant-array gradient; the
-                               columns of callable gradients hold only the
-                               constant part (zero if none).
-    varying_state_columns    : constraints whose ``state_grad`` is callable.
-    varying_input_columns    : constraints whose ``input_grad`` is callable.
-    affine_state_columns     : constraints with a ``state_value`` and a
-                               constant ``state_grad`` (affine state part).
-    affine_state_map         : (state_dim, m), column j the constant
-                               ``state_grad`` of affine column j, else zero.
-    affine_state_offset      : (m,), entry j ``state_value`` at the zero
-                               trajectory for affine column j, else zero.
-    state_value_columns      : the other constraints with a ``state_value``,
-                               whose closures are called per batch.
+    constant_jacobian_blocks : per player, the (T n_i, m) Jacobian block of
+                               the coefficients; a closure column holds only
+                               its coefficient part.
+    state_map/input_map      : (state_dim, m) and (input_dim, m), column j
+                               constraint j's ``state_coeffs`` or
+                               ``input_coeffs`` (zero if absent); None when no
+                               constraint declares that part.
+    constant                 : (m,), the ``offset`` of every constraint.
+    nonlinear_columns        : constraints with ``state_value``/``state_grad``.
     support                  : the trajectory columns the callable state
                                oracles receive: ``state_support`` when
                                declared, else every column; empty when no
@@ -202,12 +200,10 @@ class GameSpec:
     box_lower: np.ndarray = field(init=False, repr=False, compare=False)
     box_upper: np.ndarray = field(init=False, repr=False, compare=False)
     constant_jacobian_blocks: tuple = field(init=False, repr=False, compare=False)
-    varying_state_columns: tuple = field(init=False, repr=False, compare=False)
-    varying_input_columns: tuple = field(init=False, repr=False, compare=False)
-    affine_state_columns: tuple = field(init=False, repr=False, compare=False)
-    affine_state_map: np.ndarray = field(init=False, repr=False, compare=False)
-    affine_state_offset: np.ndarray = field(init=False, repr=False, compare=False)
-    state_value_columns: tuple = field(init=False, repr=False, compare=False)
+    state_map: np.ndarray | None = field(init=False, repr=False, compare=False)
+    input_map: np.ndarray | None = field(init=False, repr=False, compare=False)
+    constant: np.ndarray = field(init=False, repr=False, compare=False)
+    nonlinear_columns: tuple = field(init=False, repr=False, compare=False)
     support: tuple = field(init=False, repr=False, compare=False)
     support_index: object = field(init=False, repr=False, compare=False)
     support_noise_map_t: np.ndarray = field(init=False, repr=False, compare=False)
@@ -220,12 +216,8 @@ class GameSpec:
             object.__setattr__(self, name, box)
         cons = self.constraints
         sdim = self.lift.init_map.shape[0]
-        for j, c in enumerate(cons):
-            for grad, dim in ((c.state_grad, sdim), (c.input_grad, self.input_dim)):
-                if isinstance(grad, np.ndarray) and grad.shape[0] != dim:
-                    raise ValueError(
-                        f"constraint {j}: constant gradient has length {grad.shape[0]}, "
-                        f"expected {dim}")
+        object.__setattr__(self, "state_map", _stacked(cons, "state_coeffs", sdim))
+        object.__setattr__(self, "input_map", _stacked(cons, "input_coeffs", self.input_dim))
         blocks = []
         for gm, sl in zip(self.lift.input_maps, self.player_slices):
             # the same per-column products, in the same order, as a per-sample
@@ -233,18 +225,18 @@ class GameSpec:
             block = np.zeros((sl.stop - sl.start, len(cons)))
             gm_t = gm.T
             for j, c in enumerate(cons):
-                if isinstance(c.state_grad, np.ndarray):
-                    block[:, j] += gm_t @ c.state_grad
-                if isinstance(c.input_grad, np.ndarray):
-                    block[:, j] += c.input_grad[sl]
+                if c.state_coeffs is not None:
+                    block[:, j] += gm_t @ c.state_coeffs
+                if c.input_coeffs is not None:
+                    block[:, j] += c.input_coeffs[sl]
             block.flags.writeable = False
             blocks.append(block)
         object.__setattr__(self, "constant_jacobian_blocks", tuple(blocks))
-        object.__setattr__(self, "varying_state_columns",
-                           tuple(j for j, c in enumerate(cons) if callable(c.state_grad)))
-        object.__setattr__(self, "varying_input_columns",
-                           tuple(j for j, c in enumerate(cons) if callable(c.input_grad)))
-        self._fold_affine_values(sdim)
+        constant = np.array([c.offset for c in cons], dtype=float)
+        constant.flags.writeable = False
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "nonlinear_columns",
+                           tuple(j for j, c in enumerate(cons) if c.state_value is not None))
         self._resolve_support(sdim)
 
     def _resolve_support(self, sdim):
@@ -257,7 +249,7 @@ class GameSpec:
                     f"state_support must be increasing column indices in [0, {sdim}), "
                     f"got {declared}")
         callable_oracles = (any(p.cost_state_grad is not None for p in self.players)
-                            or self.varying_state_columns or self.state_value_columns)
+                            or self.nonlinear_columns)
         if not callable_oracles:
             support = ()
         else:
@@ -271,33 +263,6 @@ class GameSpec:
         object.__setattr__(self, "support_noise_map_t", self.lift.noise_map[index].T)
         object.__setattr__(self, "support_input_maps_t",
                            tuple(gm[index].T for gm in self.lift.input_maps))
-
-    def _fold_affine_values(self, sdim):
-        # Row 0 of the probe is the zero trajectory, which gives the offset;
-        # rows 1-2 are random trajectories on which the value must equal
-        # S @ grad + offset (the same cross-check as ``_check_lift``).
-        cons = self.constraints
-        affine = tuple(j for j, c in enumerate(cons)
-                       if c.state_value is not None and isinstance(c.state_grad, np.ndarray))
-        amap = np.zeros((sdim, len(cons)))
-        offset = np.zeros(len(cons))
-        probe = np.vstack([np.zeros(sdim), np.random.default_rng(0).normal(size=(2, sdim))])
-        for j in affine:
-            grad = cons[j].state_grad
-            vals = np.asarray(cons[j].state_value(probe), dtype=float).reshape(-1)
-            if not np.allclose(vals[1:], probe[1:] @ grad + vals[0], atol=1e-9):
-                raise ValueError(
-                    f"constraint {j}: state_value is not affine with the constant "
-                    "state_grad (state_value(S) != S @ state_grad + state_value(0))")
-            amap[:, j] = grad
-            offset[j] = vals[0]
-        amap.flags.writeable = False
-        offset.flags.writeable = False
-        object.__setattr__(self, "affine_state_columns", affine)
-        object.__setattr__(self, "affine_state_map", amap)
-        object.__setattr__(self, "affine_state_offset", offset)
-        object.__setattr__(self, "state_value_columns", tuple(
-            j for j, c in enumerate(cons) if c.state_value is not None and j not in affine))
 
     @classmethod
     def build(cls, dynamics: TimeVaryingLinearDynamics, players, constraints,
@@ -416,12 +381,6 @@ def reduce_states(game: GameSpec, states: np.ndarray) -> ReducedLift:
     return ReducedLift(states.mean(axis=0), states[:, game.support_index])
 
 
-def _mean_over_batch(values: np.ndarray) -> np.ndarray:
-    """Average a batched oracle result; 1-D results are sample-independent."""
-    values = np.asarray(values, dtype=float)
-    return values if values.ndim == 1 else values.mean(axis=0)
-
-
 def cost_state_grad_means(game: GameSpec, rows: np.ndarray, players=None) -> list:
     """Batch means over the support ``rows`` of the state-cost gradients of
     ``players`` (default all), None where absent; each distinct
@@ -430,7 +389,7 @@ def cost_state_grad_means(game: GameSpec, rows: np.ndarray, players=None) -> lis
     for i in range(game.n_players) if players is None else players:
         grad = game.players[i].cost_state_grad
         if grad is not None and id(grad) not in means:
-            means[id(grad)] = _mean_over_batch(grad(rows))
+            means[id(grad)] = grad(rows).mean(axis=0)
         out.append(None if grad is None else means[id(grad)])
     return out
 
@@ -449,25 +408,32 @@ def player_pseudo_gradient_mean(game: GameSpec, i: int, u: np.ndarray,
     return out
 
 
-def constraint_values(game: GameSpec, u: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Raw coupled-constraint values along whole trajectories, shape (batch, m).
-
-    The affine state parts come from one product with ``affine_state_map``;
-    only the other value closures are called, on the support columns.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if game.affine_state_columns:
-        out = states @ game.affine_state_map
-        out += game.affine_state_offset
+def _affine_part(game: GameSpec, u: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``states @ state_map + (u @ input_map + constant)`` for one trajectory
+    or a batch of them; a map that no constraint declares is skipped."""
+    if game.input_map is None:
+        part = game.constant
     else:
-        out = np.zeros((states.shape[0], game.constraint_count))
-    if game.state_value_columns:
+        part = u @ game.input_map
+        part += game.constant
+    if game.state_map is None:
+        out = np.empty(states.shape[:-1] + part.shape)
+        out[...] = part
+        return out
+    out = states @ game.state_map
+    out += part
+    return out
+
+
+def constraint_values(game: GameSpec, u: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Raw coupled-constraint values along whole trajectories, shape (batch, m):
+    the affine parts from the stacked maps, then the value closures on the
+    support columns."""
+    out = _affine_part(game, u, states)
+    if game.nonlinear_columns:
         rows = states[:, game.support_index]
-        for j in game.state_value_columns:
-            out[:, j] += np.asarray(game.constraints[j].state_value(rows), dtype=float)
-    for j, c in enumerate(game.constraints):
-        if c.input_value is not None:
-            out[:, j] += float(c.input_value(u))
+        for j in game.nonlinear_columns:
+            out[:, j] += game.constraints[j].state_value(rows)
     return out
 
 
@@ -475,38 +441,28 @@ def constraint_value_mean(game: GameSpec, u: np.ndarray, lift: ReducedLift) -> n
     """Batch mean of ``constraint_values``, shape (m,), from a reduced lift:
     the affine parts from the mean trajectory, the value closures averaged
     over the support rows."""
-    out = lift.mean @ game.affine_state_map + game.affine_state_offset
-    for j in game.state_value_columns:
-        out[j] += np.asarray(game.constraints[j].state_value(lift.support), dtype=float).mean()
-    for j, c in enumerate(game.constraints):
-        if c.input_value is not None:
-            out[j] += float(c.input_value(u))
+    out = _affine_part(game, u, lift.mean)
+    for j in game.nonlinear_columns:
+        out[j] += game.constraints[j].state_value(lift.support).mean()
     return out
 
 
 def constraint_state_grad_means(game: GameSpec, rows: np.ndarray) -> list:
-    """Batch means over the support ``rows`` of the callable constraint state
-    gradients.
-
-    One (len(support),) array per entry of ``game.varying_state_columns``;
-    the constant gradients need no evaluation.
-    """
-    return [_mean_over_batch(game.constraints[j].state_grad(rows))
-            for j in game.varying_state_columns]
+    """Batch means over the support ``rows`` of the constraint gradient
+    closures, one (len(support),) array per entry of
+    ``game.nonlinear_columns``; the coefficients need no evaluation."""
+    return [game.constraints[j].state_grad(rows).mean(axis=0)
+            for j in game.nonlinear_columns]
 
 
-def player_constraint_gradient_mean(game: GameSpec, i: int, u: np.ndarray,
+def player_constraint_gradient_mean(game: GameSpec, i: int,
                                     state_grad_means: list) -> np.ndarray:
     """Player i's constraint-Jacobian block (T n_i, m): its constant block plus
-    the callable columns, from ``constraint_state_grad_means`` of the batch."""
+    the closure columns, from ``constraint_state_grad_means`` of the batch."""
     out = game.constant_jacobian_blocks[i].copy()
     gm_t = game.support_input_maps_t[i]
-    for j, mean in zip(game.varying_state_columns, state_grad_means):
+    for j, mean in zip(game.nonlinear_columns, state_grad_means):
         out[:, j] += gm_t @ mean
-    u = np.asarray(u, dtype=float).reshape(-1)
-    sl = game.player_slices[i]
-    for j in game.varying_input_columns:
-        out[:, j] += np.asarray(game.constraints[j].input_grad(u), dtype=float)[sl]
     return out
 
 
@@ -517,14 +473,14 @@ def operator_estimate(game: GameSpec, u: np.ndarray, lift: ReducedLift):
     the stacked constraint-Jacobian mean (dim, m) and the raw constraint
     mean. With tightening offsets o, the extended operator at (u, lam) is
     (F_hat + Jac_hat @ lam, -(G_raw_mean + o)). Each distinct state-cost
-    gradient and each callable constraint gradient is averaged once.
+    gradient and each constraint gradient closure is averaged once.
     """
     f_hat = np.concatenate([
         player_pseudo_gradient_mean(game, i, u, mean)
         for i, mean in enumerate(cost_state_grad_means(game, lift.support))
     ])
     means = constraint_state_grad_means(game, lift.support)
-    jac = np.vstack([player_constraint_gradient_mean(game, i, u, means)
+    jac = np.vstack([player_constraint_gradient_mean(game, i, means)
                      for i in range(game.n_players)])
     return f_hat, jac, constraint_value_mean(game, u, lift)
 

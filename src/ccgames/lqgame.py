@@ -42,7 +42,6 @@ class LqConstraint:
     input_coeffs: np.ndarray
     offset: float
     gamma: float = 0.5
-    beta: float = 0.0
     state_coeffs: np.ndarray | None = None
 
 
@@ -126,6 +125,10 @@ def build_lq_game(p: LqGameParams):
     if mean.shape[0] != wdim or std.shape[0] != wdim:
         raise ValueError("noise profiles must have length T * state_dim")
 
+    for i, pl in enumerate(p.players):
+        if pl.linear is not None and np.size(pl.linear) != d:
+            raise ValueError(f"player {i}: linear has length {np.size(pl.linear)}, "
+                             f"expected {d}")
     players = [
         PlayerSpec(
             input_dim=pl.input_dim,
@@ -137,23 +140,18 @@ def build_lq_game(p: LqGameParams):
     ]
 
     lift = build_compact_lift(dyn)
+    sdim = lift.noise_map.shape[0]
     constraints = []
-    for c in p.constraints:
-        a_vec = np.asarray(c.input_coeffs, dtype=float).reshape(-1)
-        rho = None if c.state_coeffs is None \
-            else np.asarray(c.state_coeffs, dtype=float).reshape(-1)
+    for j, c in enumerate(p.constraints):
         scale = 0.0
-        state_value = state_grad = None
-        if rho is not None:
-            scale = float(np.linalg.norm((lift.noise_map.T @ rho) * std))
-            state_value = (lambda S, rho=rho: S @ rho)
-            state_grad = rho
+        if c.state_coeffs is not None:
+            if np.shape(c.state_coeffs) != (sdim,):
+                raise ValueError(f"constraint {j}: state_coeffs has length "
+                                 f"{np.size(c.state_coeffs)}, expected {sdim}")
+            scale = float(np.linalg.norm((lift.noise_map.T @ c.state_coeffs) * std))
         constraints.append(CouplingConstraintSpec(
-            gamma=c.gamma, beta=c.beta, com_scale=scale,
-            state_value=state_value, state_grad=state_grad,
-            input_value=(lambda u, a=a_vec, b=c.offset: float(a @ u + b)),
-            input_grad=a_vec,
-        ))
+            gamma=c.gamma, com_scale=scale, state_coeffs=c.state_coeffs,
+            input_coeffs=c.input_coeffs, offset=c.offset))
 
     def sample(rng, count):
         draws = rng.standard_normal((count, wdim))

@@ -215,20 +215,13 @@ def _soc_band_constraints(p: MicrogridParams):
     cons = []
     scales = _soc_std(p)
 
-    def upper(t):
+    def band(t, sign, offset):
         return CouplingConstraintSpec(
             gamma=p.gamma_soc / 2.0, com_scale=scales[t],
-            state_value=lambda S, t=t: S[:, t] - p.soc_max,
-            state_grad=_unit(sdim, t))
+            state_coeffs=sign * np.eye(sdim)[t], offset=offset)
 
-    def lower(t):
-        return CouplingConstraintSpec(
-            gamma=p.gamma_soc / 2.0, com_scale=scales[t],
-            state_value=lambda S, t=t: p.soc_min - S[:, t],
-            state_grad=-_unit(sdim, t))
-
-    cons.extend(upper(t) for t in range(1, T + 1))
-    cons.extend(lower(t) for t in range(1, T + 1))
+    cons.extend(band(t, 1.0, -p.soc_max) for t in range(1, T + 1))
+    cons.extend(band(t, -1.0, p.soc_min) for t in range(1, T + 1))
 
     # both closures receive the support (T,), the one column SoC_T
     def terminal_value(soc_final):
@@ -241,12 +234,6 @@ def _soc_band_constraints(p: MicrogridParams):
         gamma=p.gamma_terminal, com_scale=scales[T],
         state_value=terminal_value, state_grad=terminal_grad))
     return cons
-
-
-def _unit(dim, idx):
-    e = np.zeros(dim)
-    e[idx] = 1.0
-    return e
 
 
 def _soc_std(p: MicrogridParams) -> np.ndarray:

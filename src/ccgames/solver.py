@@ -284,7 +284,7 @@ def player_step(i: int, state: SolverState, game, cfg: SolverConfig,
     (cost_mean,) = game_mod.cost_state_grad_means(game, rows, (i,))
     f_i = game_mod.player_pseudo_gradient_mean(game, i, state.u, cost_mean)
     jac_i = game_mod.player_constraint_gradient_mean(
-        game, i, state.u, game_mod.constraint_state_grad_means(game, rows))
+        game, i, game_mod.constraint_state_grad_means(game, rows))
     sl = game.player_slices[i]
     u_avg_i = (1.0 - cfg.delta) * state.u[sl] + cfg.delta * state.u_avg_prev[sl]
     raw = u_avg_i - alpha * (f_i + jac_i @ state.lam)

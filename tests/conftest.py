@@ -80,23 +80,22 @@ def reference_jacobian_block(game, i, u, states):
     """Player i's constraint-Jacobian block evaluated one constraint at a time.
 
     Independent of the cached constant blocks and the support input maps:
-    every gradient, constant array or callable, is evaluated and averaged per
-    column, state part first; a callable one on the support columns of
+    column j is built from constraint j's own fields, its ``state_coeffs``
+    mapped through the player's input map, then its ``input_coeffs`` block,
+    then the batch mean of ``state_grad`` on the support columns of
     ``states``, written back into a whole-trajectory gradient.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
     sl = game.player_slices[i]
     out = np.zeros((sl.stop - sl.start, len(game.constraints)))
     gm_t = game.lift.input_maps[i].T
     for j, c in enumerate(game.constraints):
-        if callable(c.state_grad):
-            g = np.asarray(c.state_grad(states[:, list(game.support)]), dtype=float)
-            out[:, j] += gm_t @ _embed_support(game, g if g.ndim == 1 else g.mean(axis=0))
-        elif c.state_grad is not None:
-            out[:, j] += gm_t @ c.state_grad
-        if c.input_grad is not None:
-            a = c.input_grad(u) if callable(c.input_grad) else c.input_grad
-            out[:, j] += np.asarray(a, dtype=float)[sl]
+        if c.state_coeffs is not None:
+            out[:, j] += gm_t @ c.state_coeffs
+        if c.input_coeffs is not None:
+            out[:, j] += c.input_coeffs[sl]
+        if c.state_grad is not None:
+            g = c.state_grad(states[:, list(game.support)])
+            out[:, j] += gm_t @ _embed_support(game, g.mean(axis=0))
     return out
 
 
@@ -114,21 +113,21 @@ def reference_random_profile(game, rng):
 
 
 def reference_constraint_values(game, u, states):
-    """Raw constraint values evaluated one value closure at a time.
+    """Raw constraint values evaluated one constraint at a time.
 
-    Independent of the stacked affine map: every ``state_value`` and
-    ``input_value`` is called, state part first; an affine one (constant
-    ``state_grad``) on whole trajectories, the others on the support columns.
+    Independent of the stacked maps: value j is ``states @ state_coeffs``,
+    plus ``u @ input_coeffs + offset``, plus ``state_value`` on the support
+    columns, each from constraint j's own fields.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     out = np.zeros((states.shape[0], len(game.constraints)))
     rows = states[:, list(game.support)]
     for j, c in enumerate(game.constraints):
+        if c.state_coeffs is not None:
+            out[:, j] += states @ c.state_coeffs
+        out[:, j] += c.offset if c.input_coeffs is None else u @ c.input_coeffs + c.offset
         if c.state_value is not None:
-            affine = isinstance(c.state_grad, np.ndarray)
-            out[:, j] += np.asarray(c.state_value(states if affine else rows), dtype=float)
-        if c.input_value is not None:
-            out[:, j] += float(c.input_value(u))
+            out[:, j] += c.state_value(rows)
     return out
 
 
@@ -161,7 +160,7 @@ def reference_operator(game, u, w):
     return (np.mean(rows_f, axis=0), np.mean(rows_j, axis=0), np.mean(rows_g, axis=0))
 
 
-def random_lq_params(rng, mixed_callables=False):
+def random_lq_params(rng):
     """A random LQ game with input maps, state noise and state-coupled constraints."""
     T = int(rng.integers(1, 5))
     n_s = int(rng.integers(1, 3))
@@ -185,28 +184,14 @@ def random_lq_params(rng, mixed_callables=False):
         noise_std=rng.uniform(0.1, 1.0, size=T * n_s))
 
 
-def with_callable_gradients(game, rng):
-    """The same game with a random subset of constant gradients wrapped as callables."""
-    from dataclasses import replace
-
-    cons = []
-    for c in game.constraints:
-        kw = {}
-        if c.state_grad is not None and rng.uniform() < 0.5:
-            kw["state_grad"] = lambda S, g=c.state_grad: np.tile(g, (S.shape[0], 1))
-        if c.input_grad is not None and rng.uniform() < 0.5:
-            kw["input_grad"] = lambda u, g=c.input_grad: g.copy()
-        cons.append(replace(c, **kw))
-    return replace(game, constraints=tuple(cons))
-
-
 def with_support_oracles(game, rng, support=None):
     """The same game with nonlinear callable state oracles that read only
     ``support`` (default: every column, left undeclared).
 
     Every player gets a state cost with gradient ``weights * tanh(S)``, and
-    each state-coupled constraint with probability 1/2 becomes the value
-    ``|S| @ rho`` with gradient ``sign(S) * rho`` on the support columns.
+    each state-coupled constraint with probability 1/2 trades its
+    ``state_coeffs`` for the value ``|S| @ rho`` with gradient
+    ``sign(S) * rho`` on the support columns.
     """
     from dataclasses import replace
 
@@ -217,9 +202,9 @@ def with_support_oracles(game, rng, support=None):
         for p in game.players)
     cons = []
     for c in game.constraints:
-        if isinstance(c.state_grad, np.ndarray) and rng.uniform() < 0.5:
-            rho = c.state_grad[cols]
-            c = replace(c, state_value=lambda S, r=rho: np.abs(S) @ r,
+        if c.state_coeffs is not None and rng.uniform() < 0.5:
+            rho = c.state_coeffs[cols]
+            c = replace(c, state_coeffs=None, state_value=lambda S, r=rho: np.abs(S) @ r,
                         state_grad=lambda S, r=rho: np.sign(S) * r)
         cons.append(c)
     return replace(game, players=players, constraints=tuple(cons),

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ccgames.com import h_inverse
 from ccgames.cli import epsilon_gap, main, read_strategies_csv, write_strategies_csv
 from ccgames.config import ConfigError, build_game, emit_config, parse_config
 
@@ -103,6 +104,100 @@ class TestParseConfig:
         path.write_text('{"game": }')
         with pytest.raises(ConfigError, match="bad.json:1"):
             parse_config(path)
+
+
+def oracle_doc():
+    return json.loads((CONFIG_DIR / "quadratic_oracle.json").read_text())
+
+
+def edited(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+    return edit
+
+
+def edited_player(key, value):
+    def edit(doc):
+        doc["game"]["players"][0][key] = value
+    return edit
+
+
+def edited_constraint(key, value):
+    def edit(doc):
+        doc["game"]["constraints"][0][key] = value
+    return edit
+
+
+def assert_one_message_exit_one(tmp_path, capsys, doc, message):
+    assert main(["validate", "--config", str(write_doc(tmp_path, doc))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"invalid configuration:\n  {message}\n"
+    assert "validation passed" not in captured.out
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("edit, path", [
+        (edited("solver", "max_iterations", float("nan")), "solver.max_iterations"),
+        (edited("solver", "seed", float("nan")), "solver.seed"),
+        (edited("solver", "max_iterations", float("inf")), "solver.max_iterations"),
+        (edited("solver", "divergence_factor", float("nan")), "solver.divergence_factor"),
+        (edited("solver", "residual_tolerance", float("nan")), "solver.residual_tolerance"),
+        (edited("com", "beta", float("nan")), "com.beta"),
+        (edited("com", "beta", [float("inf")]), "com.beta"),
+    ], ids=["nan-iterations", "nan-seed", "inf-iterations", "nan-divergence",
+            "nan-tolerance", "nan-beta", "inf-beta-entry"])
+    def test_non_finite_scalar_rejected(self, tmp_path, capsys, edit, path):
+        doc = oracle_doc()
+        edit(doc)
+        assert_one_message_exit_one(tmp_path, capsys, doc, f"{path}: expected a finite number")
+
+    @pytest.mark.parametrize("edit, message", [
+        (edited_player("box_lower", [-5.0, -5.0, -5.0]),
+         "game: box bounds must have equal length"),
+        (edited_player("box_lower", [6.0, -5.0]),
+         "game: box lower bounds exceed upper bounds"),
+        (edited_player("linear", [-1.0]), "game: player 0: linear has length 1, expected 2"),
+        (edited_constraint("input_coeffs", [1.0, 1.0]),
+         "game: constraint 0: input_coeffs has length 2, expected 6"),
+        (edited_constraint("state_coeffs", [1.0]),
+         "game: constraint 0: state_coeffs has length 1, expected 3"),
+        (edited("game", "noise_std", [0.5]),
+         "game: noise profiles must have length T * state_dim"),
+        (edited("com", "beta", [0.1, 0.2]),
+         "com.beta: 2 entries, expected one per constraint (1)"),
+    ], ids=["box-length", "box-order", "linear-length", "input-coeffs-length",
+            "state-coeffs-length", "noise-length", "beta-length"])
+    def test_game_build_error_is_a_config_error(self, tmp_path, capsys, edit, message):
+        doc = oracle_doc()
+        edit(doc)
+        assert_one_message_exit_one(tmp_path, capsys, doc, message)
+
+    @pytest.mark.parametrize("beta", [-0.1, [-0.1]])
+    def test_negative_com_beta_rejected(self, tmp_path, capsys, beta):
+        doc = oracle_doc()
+        doc["com"]["beta"] = beta
+        assert_one_message_exit_one(tmp_path, capsys, doc,
+                                    f"com.beta: must be nonnegative, got {beta!r}")
+
+    def test_constraint_beta_key_rejected(self, tmp_path):
+        doc = oracle_doc()
+        doc["game"]["constraints"][0]["beta"] = 0.1
+        with pytest.raises(ConfigError, match=r"game.constraints\[0\].beta: unknown key"):
+            parse_config(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("config", ["microgrid_reduced.json", "quadratic_oracle.json"])
+    def test_com_beta_adds_to_concentration_offsets(self, tmp_path, config):
+        doc = json.loads((CONFIG_DIR / config).read_text())
+        game, offsets = build_game(parse_config(write_doc(tmp_path, doc)))
+        model = game.disturbance.com_model
+        base = [c.com_scale * h_inverse(model, c.gamma) for c in game.constraints]
+        assert np.array_equal(offsets.offsets, base)
+        m = game.constraint_count
+        margins = np.linspace(0.0, 0.3, m)
+        for beta in (0.25, margins.tolist()):
+            doc.setdefault("com", {})["beta"] = beta
+            _, tightened = build_game(parse_config(write_doc(tmp_path, doc)))
+            assert np.array_equal(tightened.offsets, np.add(base, beta))
 
 
 class TestValidateCommand:

@@ -99,18 +99,16 @@ class TestHInverse:
 
 class TestOffsetsAndTightenedValues:
     def test_offsets_formula(self):
-        off = UnderApproxOffsets.from_tolerances(ComModel(), [0.1, 0.1], betas=[0.0, 0.5])
-        base = h_inverse(ComModel(), 0.1)
-        assert np.allclose(off.offsets, [base, base + 0.5])
+        off = UnderApproxOffsets.from_tolerances(ComModel(), [0.1, 0.2], scales=[1.0, 0.5])
+        assert np.allclose(off.offsets, [h_inverse(ComModel(), 0.1),
+                                         0.5 * h_inverse(ComModel(), 0.2)])
 
     def test_negative_offsets_rejected(self):
         with pytest.raises(ValueError):
             UnderApproxOffsets(np.array([-0.1]))
 
     def test_gamma_near_one_zero_offset(self):
-        con = CouplingConstraintSpec(gamma=0.999, com_scale=0.0,
-                                     input_value=lambda u: -1.3,
-                                     input_grad=lambda u: np.zeros(1))
+        con = CouplingConstraintSpec(gamma=0.999, com_scale=0.0, offset=-1.3)
         game = make_tiny_game([con])
         off = UnderApproxOffsets.from_game(game)
         u, w = np.zeros(1), np.zeros(1)
@@ -118,8 +116,7 @@ class TestOffsetsAndTightenedValues:
                               constraint_sample(game, u, w))
 
     def test_offset_arithmetic(self):
-        con = CouplingConstraintSpec(gamma=0.1, input_value=lambda u: -5.0,
-                                     input_grad=lambda u: np.zeros(1))
+        con = CouplingConstraintSpec(gamma=0.1, offset=-5.0)
         game = make_tiny_game([con])
         off = UnderApproxOffsets.from_tolerances(ComModel(), [0.1])
         val = constraint_sample(game, np.zeros(1), np.zeros(1)) + off.offsets
@@ -128,8 +125,7 @@ class TestOffsetsAndTightenedValues:
 
 class TestSatisfaction:
     def test_deterministic_always_satisfied(self):
-        con = CouplingConstraintSpec(gamma=0.1, input_value=lambda u: -1.0,
-                                     input_grad=lambda u: np.zeros(1))
+        con = CouplingConstraintSpec(gamma=0.1, offset=-1.0)
         game = make_tiny_game([con])
         rep = estimate_constraint_satisfaction(game, np.zeros(1), 500,
                                                np.random.default_rng(0))
@@ -139,8 +135,7 @@ class TestSatisfaction:
     def test_normal_quantile_frequency(self):
         # value = s_1 - q with s_1 standard normal: satisfied with prob 0.9
         q = NormalDist().inv_cdf(0.9)
-        con = CouplingConstraintSpec(gamma=0.2, state_value=lambda S: S[:, 1] - q,
-                                     state_grad=lambda S: np.array([0.0, 1.0]))
+        con = CouplingConstraintSpec(gamma=0.2, state_coeffs=[0.0, 1.0], offset=-q)
         game = make_tiny_game([con])
         rep = estimate_constraint_satisfaction(game, np.zeros(1), 40000,
                                                np.random.default_rng(0))
@@ -148,8 +143,7 @@ class TestSatisfaction:
         assert rep.ci_lower[0] < 0.9 < rep.ci_upper[0]
 
     def test_single_sample_is_binary(self):
-        con = CouplingConstraintSpec(gamma=0.5, state_value=lambda S: S[:, 1],
-                                     state_grad=lambda S: np.array([0.0, 1.0]))
+        con = CouplingConstraintSpec(gamma=0.5, state_coeffs=[0.0, 1.0])
         game = make_tiny_game([con])
         rep = estimate_constraint_satisfaction(game, np.zeros(1), 1,
                                                np.random.default_rng(2))
@@ -173,9 +167,7 @@ class TestEpsilonGap:
         # deterministic constraint pinned at exactly minus its offset
         gamma = 0.1
         offset = h_inverse(ComModel(), gamma)
-        con = CouplingConstraintSpec(gamma=gamma, com_scale=1.0,
-                                     input_value=lambda u: -offset,
-                                     input_grad=lambda u: np.zeros(1))
+        con = CouplingConstraintSpec(gamma=gamma, com_scale=1.0, offset=-offset)
         return make_tiny_game([con]), gamma
 
     def test_tight_construction_recovers_gamma(self):

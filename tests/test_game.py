@@ -20,8 +20,7 @@ from ccgames.lqgame import build_lq_game
 from conftest import (CONFIG_DIR, central_difference, random_dynamics,
                       random_lq_params, reference_constraint_values,
                       reference_jacobian_block, reference_project_local,
-                      reference_random_profile, relative_error,
-                      with_callable_gradients)
+                      reference_random_profile, relative_error)
 
 
 def assert_stacked_box_matches_reference(game, rng):
@@ -51,9 +50,7 @@ def build_quadratic_state_game(rng, state_cost=False):
             cost_input_grad=lambda u, sl=sl: u[sl],
             cost_state_grad=(lambda S: S) if state_cost else None))
         off += T * nj
-    con = CouplingConstraintSpec(
-        gamma=0.2, input_value=lambda u: float(u.sum() - 1.0),
-        input_grad=lambda u: np.ones(u.shape[0]))
+    con = CouplingConstraintSpec(gamma=0.2, input_coeffs=np.ones(off), offset=-1.0)
     dist = DisturbanceModel(
         dim=T * dyn.state_dim,
         sample=lambda rng_, n: rng_.normal(size=(n, T * dyn.state_dim)),
@@ -139,9 +136,7 @@ class TestConstraints:
         rng = np.random.default_rng(12)
         dyn = random_dynamics(rng, n_s=2, n_players=2, horizon=3)
         sdim = (dyn.horizon + 1) * dyn.state_dim
-        con = CouplingConstraintSpec(
-            gamma=0.3, state_value=lambda S: S.sum(axis=1),
-            state_grad=lambda S: np.ones(sdim))
+        con = CouplingConstraintSpec(gamma=0.3, state_coeffs=np.ones(sdim))
         players = [PlayerSpec(input_dim=nj,
                               box_lower=-np.ones(dyn.horizon * nj),
                               box_upper=np.ones(dyn.horizon * nj),
@@ -246,26 +241,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             CouplingConstraintSpec(gamma=0.0)
 
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            CouplingConstraintSpec(gamma=0.5, beta=-1.0)
+    def test_state_value_and_grad_come_together(self):
+        with pytest.raises(ValueError, match="state_value and state_grad"):
+            CouplingConstraintSpec(gamma=0.5, state_value=lambda S: S[:, 0])
+        with pytest.raises(ValueError, match="state_value and state_grad"):
+            CouplingConstraintSpec(gamma=0.5, state_grad=lambda S: S)
 
 
 def assert_blocks_exact(game, u, states):
     for i in range(game.n_players):
         block = player_constraint_gradient_mean(
-            game, i, u, constraint_state_grad_means(game, states[:, game.support_index]))
+            game, i, constraint_state_grad_means(game, states[:, game.support_index]))
         assert np.array_equal(block, reference_jacobian_block(game, i, u, states))
 
 
 class TestConstantJacobianBlocks:
-    @given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+    @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_lq_blocks_match_per_constraint_reference(self, seed, mixed):
+    def test_lq_blocks_match_per_constraint_reference(self, seed):
         rng = np.random.default_rng(seed)
         game, _ = build_lq_game(random_lq_params(rng))
-        if mixed:
-            game = with_callable_gradients(game, rng)
         u = rng.normal(size=game.input_dim)
         states = state_batch(game, u, game.disturbance.sample(rng, 7))
         assert_blocks_exact(game, u, states)
@@ -279,27 +274,35 @@ class TestConstantJacobianBlocks:
         states = state_batch(game, u, game.disturbance.sample(rng, 50))
         assert_blocks_exact(game, u, states)
 
+    @pytest.mark.parametrize("config", ["microgrid_reduced.json", "microgrid_paper.json"])
+    def test_shipped_microgrid_blocks_match_per_constraint_reference(self, config):
+        game, _ = build_game(parse_config(CONFIG_DIR / config))
+        rng = np.random.default_rng(27)
+        for rows in (1, 64):
+            u = random_feasible_profile(game, rng)
+            assert_blocks_exact(game, u, state_batch(game, u, game.disturbance.sample(rng, rows)))
+
     def test_microgrid_declares_band_gradients_constant(self, reduced_microgrid):
         params, game, _ = reduced_microgrid
         # only the terminal band (last constraint) needs sampled gradients
-        assert game.varying_state_columns == (2 * params.horizon,)
-        assert game.varying_input_columns == ()
+        assert game.nonlinear_columns == (2 * params.horizon,)
+        assert game.input_map is None
 
     def test_replace_constraints_rebuilds_blocks(self):
         game = build_quadratic_state_game(np.random.default_rng(21))
         sdim = game.state_traj_dim
         cons = (
-            CouplingConstraintSpec(gamma=0.3, state_grad=np.arange(sdim, dtype=float),
-                                   input_grad=np.full(game.input_dim, 2.0)),
-            CouplingConstraintSpec(gamma=0.3, state_grad=lambda S: S),
+            CouplingConstraintSpec(gamma=0.3, state_coeffs=np.arange(sdim, dtype=float),
+                                   input_coeffs=np.full(game.input_dim, 2.0)),
+            CouplingConstraintSpec(gamma=0.3, state_value=lambda S: 0.5 * (S * S).sum(axis=1),
+                                   state_grad=lambda S: S),
         )
         rebuilt = replace(game, constraints=cons)
-        assert rebuilt.varying_state_columns == (1,)
-        assert rebuilt.varying_input_columns == ()
+        assert rebuilt.nonlinear_columns == (1,)
         for i, sl in enumerate(rebuilt.player_slices):
             block = rebuilt.constant_jacobian_blocks[i]
             assert block.shape == (sl.stop - sl.start, 2)
-            expected = rebuilt.lift.input_maps[i].T @ cons[0].state_grad + 2.0
+            expected = rebuilt.lift.input_maps[i].T @ cons[0].state_coeffs + 2.0
             assert np.allclose(block[:, 0], expected)
             assert np.array_equal(block[:, 1], np.zeros(sl.stop - sl.start))
         rng = np.random.default_rng(22)
@@ -308,17 +311,25 @@ class TestConstantJacobianBlocks:
 
     def test_constant_gradient_length_checked(self):
         game = build_quadratic_state_game(np.random.default_rng(23))
-        bad = CouplingConstraintSpec(gamma=0.3, state_grad=np.ones(game.state_traj_dim + 1))
-        with pytest.raises(ValueError, match="constant gradient"):
-            replace(game, constraints=(bad,))
+        good = CouplingConstraintSpec(gamma=0.3, offset=-1.0)
+        for name, dim in (("state_coeffs", game.state_traj_dim),
+                          ("input_coeffs", game.input_dim)):
+            bad = CouplingConstraintSpec(gamma=0.3, **{name: np.ones(dim + 1)})
+            with pytest.raises(ValueError, match=f"constraint 1: {name} has length "
+                                                 f"{dim + 1}, expected {dim}"):
+                replace(game, constraints=(good, bad))
 
     def test_constant_gradient_is_read_only_copy(self):
-        grad = np.ones(3)
-        con = CouplingConstraintSpec(gamma=0.3, input_grad=grad)
-        grad[0] = 5.0
-        assert con.input_grad[0] == 1.0
-        with pytest.raises(ValueError):
-            con.input_grad[0] = 2.0
+        for name in ("state_coeffs", "input_coeffs"):
+            given_coeffs = np.array([1.0, 2.0, 3.0])
+            con = CouplingConstraintSpec(gamma=0.3, **{name: given_coeffs})
+            given_coeffs[0] = 7.0
+            stored = getattr(con, name)
+            assert stored.dtype == float and np.array_equal(stored, [1.0, 2.0, 3.0])
+            with pytest.raises(ValueError):
+                stored[0] = 5.0
+            from_list = getattr(CouplingConstraintSpec(gamma=0.3, **{name: [1, 2]}), name)
+            assert from_list.dtype == float and not from_list.flags.writeable
 
 
 class TestAffineConstraintValues:
@@ -326,9 +337,10 @@ class TestAffineConstraintValues:
     def test_microgrid_values_match_per_closure_reference(self, config):
         game, _ = build_game(parse_config(CONFIG_DIR / config))
         horizon = game.dynamics.horizon
-        # the 2 T band constraints are affine; only the terminal band is a closure
-        assert game.affine_state_columns == tuple(range(2 * horizon))
-        assert game.state_value_columns == (2 * horizon,)
+        # the 2 T band constraints are coefficients; only the terminal band is a closure
+        assert game.nonlinear_columns == (2 * horizon,)
+        assert np.array_equal(np.count_nonzero(game.state_map, axis=0),
+                              [1] * (2 * horizon) + [0])
         rng = np.random.default_rng(31)
         for rows in (1, 257):
             u = random_feasible_profile(game, rng)
@@ -336,15 +348,13 @@ class TestAffineConstraintValues:
             assert np.array_equal(constraint_values(game, u, states),
                                   reference_constraint_values(game, u, states))
 
-    @given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+    @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_lq_values_match_per_closure_reference(self, seed, mixed):
+    def test_lq_values_match_per_closure_reference(self, seed):
         # S @ map and S @ state_coeffs may sum in different orders, so the
         # LQ values agree to rounding rather than bit for bit
         rng = np.random.default_rng(seed)
         game, _ = build_lq_game(random_lq_params(rng))
-        if mixed:
-            game = with_callable_gradients(game, rng)
         u = rng.normal(size=game.input_dim)
         states = state_batch(game, u, game.disturbance.sample(rng, 9))
         np.testing.assert_allclose(constraint_values(game, u, states),
@@ -353,37 +363,24 @@ class TestAffineConstraintValues:
 
     def test_replace_constraints_rebuilds_affine_map(self):
         game = build_quadratic_state_game(np.random.default_rng(24))
-        assert game.affine_state_columns == ()
+        assert game.state_map is None and game.input_map.shape == (game.input_dim, 1)
         sdim = game.state_traj_dim
         grad = np.linspace(-1.0, 1.0, sdim)
         cons = (
-            CouplingConstraintSpec(gamma=0.3, state_value=lambda S: S @ grad + 2.5,
-                                   state_grad=grad),
-            CouplingConstraintSpec(gamma=0.3, state_value=lambda S: S[:, 0] ** 2,
-                                   state_grad=lambda S: 2.0 * S),
+            CouplingConstraintSpec(gamma=0.3, state_coeffs=grad, offset=2.5),
+            CouplingConstraintSpec(gamma=0.3, state_value=lambda S: 0.5 * (S * S).sum(axis=1),
+                                   state_grad=lambda S: S),
         )
         rebuilt = replace(game, constraints=cons)
-        assert rebuilt.affine_state_columns == (0,)
-        assert rebuilt.state_value_columns == (1,)
-        assert rebuilt.affine_state_map.shape == (sdim, 2)
-        assert np.array_equal(rebuilt.affine_state_map[:, 0], grad)
-        assert not rebuilt.affine_state_map[:, 1].any()
-        assert np.array_equal(rebuilt.affine_state_offset, [2.5, 0.0])
+        assert rebuilt.nonlinear_columns == (1,)
+        assert rebuilt.input_map is None
+        assert rebuilt.state_map.shape == (sdim, 2)
+        assert np.array_equal(rebuilt.state_map[:, 0], grad)
+        assert not rebuilt.state_map[:, 1].any()
+        assert np.array_equal(rebuilt.constant, [2.5, 0.0])
         rng = np.random.default_rng(25)
         u = rng.normal(size=rebuilt.input_dim)
         states = state_batch(rebuilt, u, rng.normal(size=(6, rebuilt.disturbance.dim)))
         np.testing.assert_allclose(constraint_values(rebuilt, u, states),
                                    reference_constraint_values(rebuilt, u, states),
                                    rtol=1e-12, atol=1e-12)
-
-    def test_mismatched_value_and_gradient_rejected(self):
-        game = build_quadratic_state_game(np.random.default_rng(26))
-        sdim = game.state_traj_dim
-        grad = np.ones(sdim)
-        good = CouplingConstraintSpec(gamma=0.3, state_value=lambda S: S.sum(axis=1),
-                                      state_grad=grad)
-        bad = CouplingConstraintSpec(gamma=0.3, state_value=lambda S: 2.0 * S.sum(axis=1),
-                                     state_grad=grad)
-        replace(game, constraints=(good,))
-        with pytest.raises(ValueError, match="constraint 1: state_value is not affine"):
-            replace(game, constraints=(good, bad))

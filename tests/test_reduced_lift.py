@@ -18,8 +18,7 @@ from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
 from ccgames.solver import SolverConfig, batch_size, coordinator_step, initial_state
 
-from conftest import (CONFIG_DIR, random_lq_params, reference_operator,
-                      with_callable_gradients, with_support_oracles)
+from conftest import CONFIG_DIR, random_lq_params, reference_operator, with_support_oracles
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 MICROGRID_CONFIGS = ("microgrid_reduced.json", "microgrid_paper.json")
@@ -30,7 +29,7 @@ def random_support_game(rng, subset):
     random nonempty subset of columns that it declares."""
     game, offsets = build_lq_game(random_lq_params(rng))
     if not subset:
-        return with_support_oracles(with_callable_gradients(game, rng), rng), offsets
+        return with_support_oracles(game, rng), offsets
     n = game.state_traj_dim
     support = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
     return with_support_oracles(game, rng, support), offsets
@@ -108,7 +107,7 @@ class TestSupport:
     def test_undeclared_support_is_every_column(self, quadratic_game):
         game, _ = quadratic_game
         con = CouplingConstraintSpec(gamma=0.3, state_value=lambda S: S.sum(axis=1),
-                                     state_grad=lambda S: np.ones(S.shape[1]))
+                                     state_grad=lambda S: np.ones(S.shape))
         assert replace(game, constraints=(con,)).support == \
             tuple(range(game.state_traj_dim))
 
@@ -140,7 +139,7 @@ def test_run_reads_only_support_columns(monkeypatch):
 
     shared = watched(game.players[0].cost_state_grad)
     cons = list(game.constraints)
-    for j in set(game.varying_state_columns) | set(game.state_value_columns):
+    for j in game.nonlinear_columns:
         c = cons[j]
         cons[j] = replace(c, state_value=watched(c.state_value),
                           state_grad=watched(c.state_grad))

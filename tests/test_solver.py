@@ -26,8 +26,7 @@ from ccgames.solver import (BatchSchedule, SolverConfig, SolverState,
                             residual_estimate, residual_noise, run, step_size,
                             validate_config)
 
-from conftest import (quadratic_oracle_params, random_lq_params, reference_jacobian_block,
-                      with_callable_gradients)
+from conftest import quadratic_oracle_params, random_lq_params, reference_jacobian_block
 
 PAPER_STEP = StepSchedule(a0=1.4e-4, offset=2.0)
 PAPER_BATCH = BatchSchedule(scale=1.0, offset=2.0, exponent=1.1)
@@ -53,17 +52,12 @@ def simple_game(n_players=2, horizon=2, constraint_offset=-1.0, noise_std=0.0,
             cost_input_grad=grad))
     cons = []
     if constraint_offset is not None:
-        state_value = None
-        state_grad = None
-        if noise_std > 0:
-            # value picks up s_1 = w_0, zero mean: stochastic but unbiased
-            state_value = lambda S: noise_std * S[:, 1]
-            state_grad = lambda S: np.concatenate([[0.0, noise_std], np.zeros(T - 1)])
+        # with noise the value picks up s_1 = w_0, zero mean: stochastic but unbiased
+        state_coeffs = np.concatenate([[0.0, noise_std], np.zeros(T - 1)]) \
+            if noise_std > 0 else None
         cons.append(CouplingConstraintSpec(
-            gamma=0.5, com_scale=0.0,
-            state_value=state_value, state_grad=state_grad,
-            input_value=lambda u: float(u.sum() + constraint_offset),
-            input_grad=lambda u: np.ones(u.shape[0])))
+            gamma=0.5, com_scale=0.0, state_coeffs=state_coeffs,
+            input_coeffs=np.ones(n_players * T), offset=constraint_offset))
     dist = DisturbanceModel(
         dim=T, sample=lambda rng, n: rng.standard_normal((n, T)),
         com_model=ComModel())
@@ -149,11 +143,9 @@ class TestCoordinatorStep:
         # two synthetic constraints so the projection is visible
         cons = (
             CouplingConstraintSpec(gamma=0.5, com_scale=0.0,
-                                   input_value=lambda u: -1.0 / step_size(quick_config(), 0) - 0.0,
-                                   input_grad=lambda u: np.zeros(u.shape[0])),
+                                   offset=-1.0 / step_size(quick_config(), 0)),
             CouplingConstraintSpec(gamma=0.5, com_scale=0.0,
-                                   input_value=lambda u: 2.0 / step_size(quick_config(), 0),
-                                   input_grad=lambda u: np.zeros(u.shape[0])),
+                                   offset=2.0 / step_size(quick_config(), 0)),
         )
         from dataclasses import replace
         game = replace(game, constraints=cons)
@@ -419,13 +411,11 @@ def assert_operator_exact(game, offsets, u, w):
 
 
 class TestSharedEvaluation:
-    @given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+    @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_lq_operator_matches_per_constraint_reference(self, seed, mixed):
+    def test_lq_operator_matches_per_constraint_reference(self, seed):
         rng = np.random.default_rng(seed)
         game, offsets = build_lq_game(random_lq_params(rng))
-        if mixed:
-            game = with_callable_gradients(game, rng)
         u = rng.normal(size=game.input_dim)
         assert_operator_exact(game, offsets, u, game.disturbance.sample(rng, 9))
 
