@@ -161,6 +161,7 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
             for j in range(game.constraint_count)
         ],
         "all_constraints_met": satisfaction.all_met,
+        "non_finite_updates": solver_mod.non_finite_updates(game, state),
         "seed": cfg.solver.seed,
         "config": cfg.to_json_dict(),
     }
@@ -183,7 +184,9 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
         print(f"failed to write outputs: {exc}", file=sys.stderr)
         return 1
 
-    print(f"terminated: {trace.termination_reason} after {state.k} iterations, "
+    culprits = summary["non_finite_updates"]
+    reason = trace.termination_reason + (f" ({', '.join(culprits)})" if culprits else "")
+    print(f"terminated: {reason} after {state.k} iterations, "
           f"residual {summary['final_residual']:.6g}")
     return {solver_mod.TERMINATION_TOLERANCE: 0,
             solver_mod.TERMINATION_BUDGET: 2,

@@ -136,7 +136,12 @@ class DisturbanceModel:
     """I.i.d. disturbance sampler plus its concentration model.
 
     sample(rng, n) must return an (n, T * n_s) array of stacked draws,
-    independent within and across batches.
+    independent within and across batches. The solver calls it from two
+    threads, each call with one entity's own generator, and may draw one
+    batch in several calls of consecutive row blocks; so it must keep no
+    mutable state between calls. Seeded runs are bit-identical across block
+    sizes only for a row-sequential sampler, whose n rows equal the rows of
+    draws of consecutive parts of n from the same generator.
     """
 
     dim: int

@@ -129,15 +129,17 @@ def build_lq_game(p: LqGameParams):
         if pl.linear is not None and np.size(pl.linear) != d:
             raise ValueError(f"player {i}: linear has length {np.size(pl.linear)}, "
                              f"expected {d}")
-    players = [
-        PlayerSpec(
-            input_dim=pl.input_dim,
-            box_lower=np.asarray(pl.box_lower, dtype=float),
-            box_upper=np.asarray(pl.box_upper, dtype=float),
-            cost_input_grad=_input_grad(p, i, d),
-        )
-        for i, pl in enumerate(p.players)
-    ]
+    players = []
+    for i, pl in enumerate(p.players):
+        try:
+            players.append(PlayerSpec(
+                input_dim=pl.input_dim,
+                box_lower=np.asarray(pl.box_lower, dtype=float),
+                box_upper=np.asarray(pl.box_upper, dtype=float),
+                cost_input_grad=_input_grad(p, i, d),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"player {i}: {exc}") from None
 
     lift = build_compact_lift(dyn)
     sdim = lift.noise_map.shape[0]

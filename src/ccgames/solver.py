@@ -19,9 +19,24 @@ Every entity draws its own fresh batch each iteration from a substream keyed
 by (seed, iteration, entity), so a run is bit-reproducible regardless of
 execution order and can be resumed from a checkpoint.
 
+Drawing is most of a large-batch iteration, and the draws are independent
+work, so ``draw_noise`` runs them in two lanes once one entity's draw holds
+``TWO_LANE_MIN_DRAWS`` numbers (rows x disturbance dim): the calling thread
+and one persistent worker thread, started on first use. Smaller batches are
+drawn serially on the calling thread. The coordinator's batch is drawn whole
+on the calling thread, since its mean disturbance is one sum over every row.
+A player's batch is drawn in blocks of ``DRAW_BLOCK_ROWS`` rows
+(``draw_support_noise``), keeping only its support columns, so a lane holds
+one block at a time. Only the sampler and that row product run on the
+worker; the streams are created, and the oracles, means and projections
+run, on the calling thread. Results are assembled in entity order, and for a
+row-sequential sampler the blocked rows equal one whole draw, so a seeded run
+is bit-identical to a serial one.
+
 The steps take their shared inputs from the caller, as ``run`` supplies them:
-each iterate's ``lift_base`` and the run's reduced residual batch
-(``residual_noise``). The local sets are boxes: a player's backward step clips.
+each iterate's ``lift_base``, the run's reduced residual batch
+(``residual_noise``) and each entity's reduced batch (``draw_noise``). The
+local sets are boxes: a player's backward step clips.
 
 Every estimate is a batch mean, so no step lifts whole trajectories. The
 coordinator averages the disturbances and maps the mean through the affine
@@ -33,6 +48,8 @@ from __future__ import annotations
 
 import math
 import os
+import queue
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,6 +72,12 @@ CHECKPOINT_TAG = "ccgames-state v1"
 LIPSCHITZ_PAIRS = 16
 LIPSCHITZ_BATCH = 256
 LIPSCHITZ_MULTIPLIER_SCALE = 1.0
+
+# rows per block of a player's draw (``draw_support_noise``)
+DRAW_BLOCK_ROWS = 2048
+# numbers in one entity's draw (rows x disturbance dim) from which the
+# players' draws are split between two threads (``draw_noise``)
+TWO_LANE_MIN_DRAWS = 16384
 
 
 @dataclass(frozen=True)
@@ -255,16 +278,113 @@ class RunTrace:
     final_state: SolverState
 
 
+def coordinator_noise(game, seed: int, k: int, m: int) -> game_mod.ReducedLift:
+    """Reduced noise of the coordinator's m-row batch of iteration k, drawn
+    whole: its mean disturbance is one sum over every row."""
+    w0 = game.disturbance.sample(iteration_stream(seed, k, 0), m)
+    return game_mod.reduce_noise(game, w0)
+
+
+def draw_support_noise(game, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Write the support noise rows ``w @ support_noise_map_t`` of a draw
+    ``w`` of ``len(out)`` rows from ``rng`` into ``out``, shape
+    (M, len(game.support)), and return it.
+
+    The draw is made in consecutive blocks of ``DRAW_BLOCK_ROWS`` rows, each
+    mapped into its rows of ``out``, so a block at a time is held. A
+    remainder of one row joins the block before it, since numpy multiplies a
+    single row by another path. For a row-sequential sampler ``out`` then
+    equals ``reduce_noise(game, w).support`` of one whole draw, bit for bit.
+    """
+    m, lo = out.shape[0], 0
+    while lo < m:
+        hi = m if m - lo <= DRAW_BLOCK_ROWS + 1 else lo + DRAW_BLOCK_ROWS
+        np.matmul(game.disturbance.sample(rng, hi - lo), game.support_noise_map_t,
+                  out=out[lo:hi])
+        lo = hi
+    return out
+
+
+def _draw_players(game, streams, m: int) -> np.ndarray:
+    """One lane's players: ``draw_support_noise`` of an m-row batch from each
+    stream in turn, into one (len(streams), m, len(game.support)) array."""
+    out = np.empty((len(streams), m, len(game.support)))
+    for rng, rows in zip(streams, out):
+        draw_support_noise(game, rng, rows)
+    return out
+
+
+_draw_lane = (None, None)  # (process id, task queue) of the second lane's thread
+_draw_lane_lock = threading.Lock()
+
+
+def _serve(tasks):
+    while True:
+        job, done = tasks.get()
+        try:
+            done.put((job(), None))
+        except BaseException as exc:  # handed to the waiting caller, which raises it
+            done.put((None, exc))
+        del job, done  # keep nothing of a finished draw while idle
+
+
+def _second_lane() -> queue.SimpleQueue:
+    """Task queue of the persistent draw thread, started on first use (and
+    again in a forked child, which inherits no threads)."""
+    global _draw_lane
+    with _draw_lane_lock:
+        if _draw_lane[0] != os.getpid():
+            tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(tasks,), name="ccgames-draws",
+                             daemon=True).start()
+            _draw_lane = (os.getpid(), tasks)
+        return _draw_lane[1]
+
+
+def draw_noise(game, seed: int, k: int, m: int):
+    """Every entity's reduced noise for iteration k with m-row batches:
+    (``coordinator_noise``, one (m, len(game.support)) ``draw_support_noise``
+    array per player).
+
+    Each entity's stream is created here, on the calling thread. When a
+    draw holds at least ``TWO_LANE_MIN_DRAWS`` numbers, the second lane draws
+    players 0, 2, 4, ... while this thread draws the coordinator and the
+    other players; results are assembled in entity order, so they do not
+    depend on the lanes. An exception from either lane is raised once both
+    lanes are done.
+    """
+    streams = [iteration_stream(seed, k, 1 + i) for i in range(game.n_players)]
+    rows = [None] * game.n_players
+    own = slice(None)
+    done = None
+    if m * game.disturbance.dim >= TWO_LANE_MIN_DRAWS:
+        lane_streams = streams[0::2]
+        done = queue.SimpleQueue()
+        _second_lane().put((lambda: _draw_players(game, lane_streams, m), done))
+        own = slice(1, None, 2)
+    try:
+        coordinator = coordinator_noise(game, seed, k, m)
+        rows[own] = _draw_players(game, streams[own], m)
+    finally:
+        if done is not None:
+            lane_rows, error = done.get()  # wait, so no draw outlives the call
+    if done is not None:
+        if error is not None:
+            raise error
+        rows[0::2] = lane_rows
+    return coordinator, rows
+
+
 def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
-                     cfg: SolverConfig, rng: np.random.Generator, base: np.ndarray):
+                     cfg: SolverConfig, noise: game_mod.ReducedLift, base: np.ndarray):
     """One multiplier update; returns (lam_avg, lam_next, g_hat).
 
-    ``base`` is ``lift_base(game, state.u)``, the iterate's noise-free trajectory.
+    ``noise`` is the reduced noise of the coordinator's batch
+    (``coordinator_noise``); ``base`` is ``lift_base(game, state.u)``, the
+    iterate's noise-free trajectory.
     """
-    m_k = batch_size(cfg, state.k)
     alpha = step_size(cfg, state.k)
-    w0 = game.disturbance.sample(rng, m_k)
-    lift = game_mod.reduced_lift(game, game_mod.reduce_noise(game, w0), base)
+    lift = game_mod.reduced_lift(game, noise, base)
     g_hat = game_mod.constraint_value_mean(game, state.u, lift) + offsets.offsets
     lam_avg = (1.0 - cfg.delta) * state.lam + cfg.delta * state.lam_avg_prev
     lam_next = np.maximum(lam_avg + alpha * g_hat, 0.0)
@@ -272,15 +392,15 @@ def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
 
 
 def player_step(i: int, state: SolverState, game, cfg: SolverConfig,
-                rng: np.random.Generator, base: np.ndarray):
+                noise: np.ndarray, base: np.ndarray):
     """One strategy update for player i against ``state.lam``; returns (u_avg_i, u_next_i).
 
-    ``base`` is ``lift_base(game, state.u)``, the iterate's noise-free trajectory.
+    ``noise`` is the support noise rows of player i's batch
+    (``draw_support_noise``); ``base`` is ``lift_base(game, state.u)``, the
+    iterate's noise-free trajectory.
     """
-    m_k = batch_size(cfg, state.k)
     alpha = step_size(cfg, state.k)
-    w = game.disturbance.sample(rng, m_k)
-    rows = game_mod.support_rows(game, w, base)
+    rows = noise + base[game.support_index]
     (cost_mean,) = game_mod.cost_state_grad_means(game, rows, (i,))
     f_i = game_mod.player_pseudo_gradient_mean(game, i, state.u, cost_mean)
     jac_i = game_mod.player_constraint_gradient_mean(
@@ -297,18 +417,18 @@ def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverCo
 
     ``residual`` is ``residual_estimate`` of ``state``, for the record. The
     noise-free trajectory ``base`` of the iterate (``lift_base``) is shared by
-    the coordinator, every player and the residual.
+    the coordinator, every player and the residual. The batches are drawn
+    by ``draw_noise``.
     """
     t0 = time.perf_counter()
     k = state.k
-    lam_avg, lam_next, g_hat = coordinator_step(
-        state, game, offsets, cfg, iteration_stream(state.seed, k, 0), base)
+    coordinator, player_noise = draw_noise(game, state.seed, k, batch_size(cfg, k))
+    lam_avg, lam_next, g_hat = coordinator_step(state, game, offsets, cfg, coordinator, base)
 
     u_next = np.empty_like(state.u)
     u_avg = np.empty_like(state.u)
     for i in range(game.n_players):
-        u_avg_i, u_next_i = player_step(
-            i, state, game, cfg, iteration_stream(state.seed, k, 1 + i), base)
+        u_avg_i, u_next_i = player_step(i, state, game, cfg, player_noise[i], base)
         sl = game.player_slices[i]
         u_avg[sl] = u_avg_i
         u_next[sl] = u_next_i
@@ -385,8 +505,8 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             t0 = time.perf_counter()  # like iteration records, excludes the residual
             reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
                 else TERMINATION_BUDGET
-            g_hat = coordinator_step(state, game, offsets, cfg,
-                                     iteration_stream(state.seed, state.k, 0), base)[2]
+            noise = coordinator_noise(game, state.seed, state.k, batch_size(cfg, state.k))
+            g_hat = coordinator_step(state, game, offsets, cfg, noise, base)[2]
             records.append(_record(state, cfg, res, g_hat, t0, bool(cfg.snapshot_every)))
             break
         state, record = iterate(state, game, offsets, cfg, res, base)
@@ -402,6 +522,20 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             reason = TERMINATION_DIVERGENCE
             break
     return RunTrace(cfg, tuple(records), reason, state)
+
+
+def non_finite_updates(game, state: SolverState) -> list:
+    """The updates that left ``state`` non-finite, in entity order, named
+    like ``"coordinator multiplier update"`` or ``"player 3 strategy update"``.
+
+    ``run`` stops at the first non-finite iterate. Its averaged companions
+    come from the finite iterate before it, so a non-finite multiplier is the
+    coordinator's doing and a non-finite block of u its player's.
+    """
+    names = [] if np.all(np.isfinite(state.lam)) else ["coordinator multiplier update"]
+    names.extend(f"player {i} strategy update" for i, sl in enumerate(game.player_slices)
+                 if not np.all(np.isfinite(state.u[sl])))
+    return names
 
 
 def write_text_atomic(path, text: str) -> None:

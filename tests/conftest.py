@@ -209,3 +209,40 @@ def with_support_oracles(game, rng, support=None):
         cons.append(c)
     return replace(game, players=players, constraints=tuple(cons),
                    state_support=None if support is None else tuple(cols))
+
+
+def serial_reference_run(game, offsets, cfg, initial):
+    """``solver.run`` from ``initial`` to the budget ``cfg.max_iterations``,
+    with every entity's batch drawn whole, in entity order, on this thread.
+
+    Each entity draws from its ``iteration_stream`` and ``reduce_noise``
+    reduces the whole draw: the coordinator steps on it, a player on its
+    support rows. Returns the final state and, per record, a dict of every
+    ``IterationRecord`` field but ``wall_ms`` (for a config without
+    snapshots, so ``strategies`` is None). No divergence or non-finite stop.
+    """
+    from ccgames import solver
+    from ccgames.game import lift_base, reduce_noise
+    from ccgames.rng import iteration_stream
+
+    state, records = initial, []
+    noise_res = solver.residual_noise(game, cfg, state.seed)
+    while True:
+        k, m = state.k, solver.batch_size(cfg, state.k)
+        base = lift_base(game, state.u)
+        noise = [reduce_noise(game, game.disturbance.sample(iteration_stream(state.seed, k, e), m))
+                 for e in range(1 + game.n_players)]
+        lam_avg, lam_next, g_hat = solver.coordinator_step(state, game, offsets, cfg,
+                                                           noise[0], base)
+        records.append(dict(
+            k=k, residual=solver.residual_estimate(state, game, offsets, cfg, noise_res, base),
+            g_hat_max=float(g_hat.max()) if g_hat.size else 0.0,
+            g_hat_norm=float(np.linalg.norm(g_hat)), lam=state.lam.copy(),
+            alpha=solver.step_size(cfg, k), batch=m, strategies=None))
+        if k >= cfg.max_iterations:
+            return state, records
+        steps = [solver.player_step(i, state, game, cfg, noise[1 + i].support, base)
+                 for i in range(game.n_players)]
+        state = solver.SolverState(k + 1, np.concatenate([s[1] for s in steps]),
+                                   np.concatenate([s[0] for s in steps]),
+                                   lam_next, lam_avg, state.seed)

@@ -116,9 +116,9 @@ def edited(section, key, value):
     return edit
 
 
-def edited_player(key, value):
+def edited_player(key, value, index=0):
     def edit(doc):
-        doc["game"]["players"][0][key] = value
+        doc["game"]["players"][index][key] = value
     return edit
 
 
@@ -153,9 +153,13 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("edit, message", [
         (edited_player("box_lower", [-5.0, -5.0, -5.0]),
-         "game: box bounds must have equal length"),
+         "game: player 0: box bounds must have equal length"),
         (edited_player("box_lower", [6.0, -5.0]),
-         "game: box lower bounds exceed upper bounds"),
+         "game: player 0: box lower bounds exceed upper bounds"),
+        (edited_player("box_upper", [5.0], index=2),
+         "game: player 2: box bounds must have equal length"),
+        (edited_player("box_upper", [5.0, -6.0], index=1),
+         "game: player 1: box lower bounds exceed upper bounds"),
         (edited_player("linear", [-1.0]), "game: player 0: linear has length 1, expected 2"),
         (edited_constraint("input_coeffs", [1.0, 1.0]),
          "game: constraint 0: input_coeffs has length 2, expected 6"),
@@ -165,7 +169,8 @@ class TestConfigErrors:
          "game: noise profiles must have length T * state_dim"),
         (edited("com", "beta", [0.1, 0.2]),
          "com.beta: 2 entries, expected one per constraint (1)"),
-    ], ids=["box-length", "box-order", "linear-length", "input-coeffs-length",
+    ], ids=["box-length", "box-order", "box-length-player-2", "box-order-player-1",
+            "linear-length", "input-coeffs-length",
             "state-coeffs-length", "noise-length", "beta-length"])
     def test_game_build_error_is_a_config_error(self, tmp_path, capsys, edit, message):
         doc = oracle_doc()
@@ -253,7 +258,7 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--force",
                      "--out-dir", str(tmp_path / "o2")]) == 2
 
-    def test_non_finite_gradient_exit_four(self, tmp_path):
+    def test_non_finite_gradient_exit_four(self, tmp_path, capsys):
         doc = small_lq_doc(max_iterations=50)
         doc["game"]["players"][0]["linear"] = [float("nan"), -1.0]
         code = main(["run", "--config", str(write_doc(tmp_path, doc)), "--force",
@@ -262,6 +267,9 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["termination_reason"] == "non-finite"
         assert summary["iterations"] == 1
+        assert summary["non_finite_updates"] == ["player 0 strategy update"]
+        assert "terminated: non-finite (player 0 strategy update) after 1 iterations" \
+            in capsys.readouterr().out
 
     def test_non_finite_operator_refused_by_gate(self, tmp_path, capsys):
         doc = small_lq_doc()

@@ -16,7 +16,8 @@ from ccgames.game import (CouplingConstraintSpec, GameSpec, lift_base, operator_
                           reduced_lift, state_batch, support_rows)
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
-from ccgames.solver import SolverConfig, batch_size, coordinator_step, initial_state
+from ccgames.solver import (SolverConfig, batch_size, coordinator_noise, coordinator_step,
+                            initial_state)
 
 from conftest import CONFIG_DIR, random_lq_params, reference_operator, with_support_oracles
 
@@ -46,7 +47,8 @@ def assert_matches_reference(game, offsets, u, w, seed, k=3):
     cfg = SolverConfig(seed=seed)
     state = replace(initial_state(game, cfg), k=k, u=u)
     _, _, g_hat = coordinator_step(state, game, offsets, cfg,
-                                   iteration_stream(seed, k, 0), lift_base(game, u))
+                                   coordinator_noise(game, seed, k, batch_size(cfg, k)),
+                                   lift_base(game, u))
     w0 = game.disturbance.sample(iteration_stream(seed, k, 0), batch_size(cfg, k))
     np.testing.assert_allclose(g_hat, reference_operator(game, u, w0)[2] + offsets.offsets,
                                **TOL)

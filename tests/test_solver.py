@@ -20,8 +20,8 @@ from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
 from ccgames.solver import (BatchSchedule, SolverConfig, SolverState,
-                            StepSchedule, batch_size, coordinator_step,
-                            estimate_lipschitz, estimator_diagnostics,
+                            StepSchedule, batch_size, coordinator_noise, coordinator_step,
+                            draw_support_noise, estimate_lipschitz, estimator_diagnostics,
                             initial_state, iterate, player_step,
                             residual_estimate, residual_noise, run, step_size,
                             validate_config)
@@ -75,6 +75,12 @@ def step(state, game, offsets, cfg):
     """One iteration with its residual and lift base computed afresh."""
     return iterate(state, game, offsets, cfg, residual_at(state, game, offsets, cfg),
                    lift_base(game, state.u))
+
+
+def player_noise(game, cfg):
+    """Support noise rows of player 0's batch of iteration 0."""
+    return draw_support_noise(game, iteration_stream(cfg.seed, 0, 1),
+                              np.empty((batch_size(cfg, 0), len(game.support))))
 
 
 def quick_config(**kw):
@@ -153,7 +159,8 @@ class TestCoordinatorStep:
         cfg = quick_config()
         state = initial_state(game, cfg)
         lam_avg, lam_next, g_hat = coordinator_step(
-            state, game, offsets, cfg, iteration_stream(cfg.seed, 0, 0), lift_base(game, state.u))
+            state, game, offsets, cfg, coordinator_noise(game, cfg.seed, 0, batch_size(cfg, 0)),
+            lift_base(game, state.u))
         # lam_avg + alpha * g = (-1, 2) -> projected to (0, 2)
         assert np.allclose(lam_next, [0.0, 2.0])
 
@@ -164,7 +171,8 @@ class TestCoordinatorStep:
         state.lam = np.array([1.3])
         state.lam_avg_prev = np.array([1.3])
         lam_avg, _, _ = coordinator_step(state, game, offsets, cfg,
-                                         iteration_stream(cfg.seed, 0, 0),
+                                         coordinator_noise(game, cfg.seed, 0,
+                                                           batch_size(cfg, 0)),
                                          lift_base(game, state.u))
         assert lam_avg[0] == pytest.approx(1.3)
 
@@ -175,7 +183,8 @@ class TestCoordinatorStep:
         for k in (0, 3, 7):
             state.k = k
             _, _, g_hat = coordinator_step(state, game, offsets, cfg,
-                                           iteration_stream(cfg.seed, k, 0),
+                                           coordinator_noise(game, cfg.seed, k,
+                                                             batch_size(cfg, k)),
                                            lift_base(game, state.u))
             assert g_hat[0] == pytest.approx(float(state.u.sum()) - 2.5)
 
@@ -187,7 +196,7 @@ class TestPlayerStep:
         state = initial_state(game, cfg)
         state.u = np.ones(game.input_dim)          # gradient u - 1 vanishes
         state.u_avg_prev = state.u.copy()
-        _, u_next = player_step(0, state, game, cfg, iteration_stream(cfg.seed, 0, 1),
+        _, u_next = player_step(0, state, game, cfg, player_noise(game, cfg),
                                 lift_base(game, state.u))
         assert np.allclose(u_next, state.u)
 
@@ -195,9 +204,9 @@ class TestPlayerStep:
         game, offsets = simple_game(n_players=1)
         cfg = quick_config()
         state = initial_state(game, cfg)
-        rng_key = iteration_stream(cfg.seed, 0, 1)
         assert np.array_equal(state.lam, np.zeros(1))
-        _, with_zero_lam = player_step(0, state, game, cfg, rng_key, lift_base(game, state.u))
+        _, with_zero_lam = player_step(0, state, game, cfg, player_noise(game, cfg),
+                                       lift_base(game, state.u))
         alpha = step_size(cfg, 0)
         expected = np.clip(state.u - alpha * (state.u - 1.0), -4.0, 4.0)
         assert np.allclose(with_zero_lam, expected)
@@ -206,7 +215,7 @@ class TestPlayerStep:
         game, offsets = simple_game(n_players=1, box=(0.0, 0.5))
         cfg = quick_config(step=StepSchedule(a0=10.0, offset=2.0))
         state = initial_state(game, cfg)
-        _, u_next = player_step(0, state, game, cfg, iteration_stream(cfg.seed, 0, 1),
+        _, u_next = player_step(0, state, game, cfg, player_noise(game, cfg),
                                 lift_base(game, state.u))
         # gradient at u=0 is -1, big step overshoots: clamp to the box
         assert np.allclose(u_next, 0.5)
@@ -370,6 +379,16 @@ class TestRun:
         assert trace.termination_reason == solver.TERMINATION_NON_FINITE
         assert trace.final_state.k == 1
         assert not trace.final_state.is_finite()
+        assert solver.non_finite_updates(game, trace.final_state) == \
+            ["player 0 strategy update"]
+
+    def test_nan_constraint_names_the_coordinator(self):
+        game, offsets = simple_game(n_players=2, constraint_offset=float("nan"))
+        trace = run(game, offsets, quick_config(max_iterations=50))
+        assert trace.termination_reason == solver.TERMINATION_NON_FINITE
+        assert trace.final_state.k == 1
+        assert solver.non_finite_updates(game, trace.final_state) == \
+            ["coordinator multiplier update"]
 
     def test_records_contiguous(self):
         game, offsets = simple_game(noise_std=0.2)
