@@ -347,17 +347,18 @@ def build_game(cfg: RunConfig):
     margin ``com.beta``); a game the builders reject raises ConfigError."""
     try:
         if cfg.game_kind == "microgrid":
-            game, _ = build_microgrid_game(cfg.microgrid)
+            built, base = build_microgrid_game(cfg.microgrid)
         else:
-            game, _ = build_lq_game(cfg.lq)
+            built, base = build_lq_game(cfg.lq)
     except ValueError as exc:
         raise ConfigError([f"game: {exc}"]) from exc
-    game = _override_com(game, cfg.com_model)
+    game = _override_com(built, cfg.com_model)
     beta = np.asarray(cfg.com_beta, dtype=float)
     if beta.ndim == 1 and beta.shape[0] != game.constraint_count:
         raise ConfigError([f"com.beta: {beta.shape[0]} entries, expected one per "
                            f"constraint ({game.constraint_count})"])
-    base = UnderApproxOffsets.from_game(game)
+    if game is not built:  # another concentration model: other offsets
+        base = UnderApproxOffsets.from_game(game)
     return game, UnderApproxOffsets(base.offsets + beta)
 
 

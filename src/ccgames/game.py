@@ -1,44 +1,39 @@
-"""Game description and per-sample gradient / constraint evaluation.
+"""Game description and batched gradient / constraint evaluation.
 
 A game couples N players through shared linear dynamics, convex coupled
 constraints, and each other's inputs. Each player's local set is a box on its
 stacked strategy; ``GameSpec`` stacks the boxes, so projecting a profile is
-one clip. Players hold cost oracles split into a state part (function of the
-stacked trajectory) and an input part (function of the stacked profile).
+one clip. Costs split into each player's ``cost_state_grad`` (a function of
+the stacked trajectory) and the game's ``cost_input_grad`` (a function of
+the stacked profile whose block i is player i's own input-cost gradient).
 
 A coupled constraint is data: its value along a trajectory S under the
 profile u is ``S @ state_coeffs + u @ input_coeffs + offset +
 state_value(S[:, support])``. The closure pair ``state_value``/``state_grad``
 is the only nonlinear part (on the shipped games, the microgrid's terminal
 band). ``GameSpec`` stacks the coefficients once into a state map, an input
-map, a constant vector and each player's constant Jacobian block, so the
-evaluators do matrix products and call only the closures.
+map, a constant vector and the constant Jacobian, so the evaluators do matrix
+products and call only the closures.
 
-Oracles are batched. A game declares ``state_support``, the trajectory
-columns its callable state oracles (``cost_state_grad`` and the constraint
-closures) read; they receive an (M, len(support)) array of those columns of
-the sampled trajectories and return (M,) values or (M, len(support))
-gradients. Without a declaration the support is every column; it is empty
-when the game has no callable state oracle.
+Oracles are batched and row-wise (output row r depends only on input row r),
+so the rows of several players' batches can share one call. The callable
+state oracles (``cost_state_grad`` and the constraint closures) receive an
+(M, len(support)) array of the trajectory columns the game declares in
+``state_support`` (default: every column; none without such an oracle) and
+return (M,) values or (M, len(support)) gradients. The microgrid declares
+``(T,)``: its terminal closures read SoC_T alone.
 
 The solve needs only batch means, and every affine part of them is an
-affine map of the mean disturbance. So the solve evaluates from a
-``ReducedLift``: the mean trajectory ``base + mean(w) @ noise_map.T`` and the
-per-row support columns ``w @ noise_map[support].T + base[support]``
-(``reduce_noise`` and ``reduced_lift``; players need only ``support_rows``).
-Each oracle runs once per batch on the support rows
-(``cost_state_grad_means``, ``constraint_state_grad_means``,
-``constraint_value_mean``), and the per-player functions only assemble
-blocks from those means. ``operator_estimate`` is the one function that
-stacks the blocks of all players on a shared batch. Verification needs
-per-row values of every constraint, so it lifts whole trajectories
-(``state_batch``, or ``lift_base`` plus ``lift_noise``) for
-``constraint_values``.
-
-Players that share one ``cost_state_grad`` object (the microgrid's
-households all hold the same terminal-cost gradient) get one evaluation of
-it per batch in ``cost_state_grad_means``. The microgrid declares the
-support ``(T,)``: its terminal closures read and return SoC_T alone.
+affine map of the mean disturbance. So it evaluates from a ``ReducedLift``:
+the mean trajectory ``base + mean(w) @ noise_map.T`` and the per-row support
+columns ``w @ noise_map[support].T + base[support]`` (``reduce_noise``,
+``reduced_lift``), one batch (M, s) shared by every player (the residual) or
+one per player (N, M, s) (an iteration). Each distinct oracle runs once on
+them, and every player's block is assembled from the means at once;
+per-player products stay one product per block (``blockwise``), so every bit
+equals a per-player evaluation. Verification needs per-row values of every
+constraint, so it lifts whole trajectories (``state_batch``, or
+``lift_base`` plus ``lift_noise``) for ``constraint_values``.
 
 All evaluation here is pure: identical (u, w) inputs give bit-identical
 outputs, and a game object is immutable after construction, so concurrent
@@ -58,22 +53,20 @@ from .dynamics import CompactLift, TimeVaryingLinearDynamics, build_compact_lift
 
 @dataclass(frozen=True)
 class PlayerSpec:
-    """One player's local set, a box, and cost oracles.
+    """One player's local set, a box, and state-cost oracle.
 
     input_dim       : n_i, inputs per time step.
     box_lower/upper : per-coordinate bounds of the local set on the stacked
                       strategy (length T * n_i).
     cost_state_grad : S -> (M, len(support)) gradient of the state cost over
-                      the support columns S of each sampled trajectory; None
-                      means no state cost.
-    cost_input_grad : u -> gradient of the input cost in this player's block.
+                      the support columns S of each sampled trajectory,
+                      row-wise; None means no state cost.
     """
 
     input_dim: int
     box_lower: np.ndarray
     box_upper: np.ndarray
     cost_state_grad: Callable | None = None
-    cost_input_grad: Callable | None = None
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -167,32 +160,40 @@ def _stacked(constraints, name, dim):
     return out
 
 
+def _set_derived(obj, **values):
+    """Set fields of a frozen dataclass from its ``__post_init__``."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """Full game: dynamics with cached lift, players, constraints, noise.
 
+    cost_input_grad : u -> (input_dim,) gradient of the input costs, block i
+                      player i's own; None means no input cost.
+
     Derived in ``__post_init__`` (so ``dataclasses.replace`` rebuilds them):
 
-    box_lower/box_upper      : (input_dim,), the players' boxes stacked in
-                               player order: the local set of the profile.
-    constant_jacobian_blocks : per player, the (T n_i, m) Jacobian block of
-                               the coefficients; a closure column holds only
-                               its coefficient part.
-    state_map/input_map      : (state_dim, m) and (input_dim, m), column j
-                               constraint j's ``state_coeffs`` or
-                               ``input_coeffs`` (zero if absent); None when no
-                               constraint declares that part.
-    constant                 : (m,), the ``offset`` of every constraint.
-    nonlinear_columns        : constraints with ``state_value``/``state_grad``.
-    support                  : the trajectory columns the callable state
-                               oracles receive: ``state_support`` when
-                               declared, else every column; empty when no
-                               callable state oracle exists.
-    support_index            : ``support`` as a slice when contiguous (its
-                               columns are then views), else an index array.
-    support_noise_map_t     : (T n_s, len(support)), ``noise_map[support].T``.
-    support_input_maps_t     : per player, (T n_i, len(support)),
-                               ``input_maps[i][support].T``.
+    box_lower/box_upper  : (input_dim,), the players' boxes stacked in order.
+    block_height         : T n_i when every player's block has that height.
+    constant_jacobian    : (input_dim, m) Jacobian of the coefficients (a
+                           closure column holds only its coefficient part).
+    state_map/input_map  : (state_dim, m) and (input_dim, m), column j
+                           constraint j's ``state_coeffs``/``input_coeffs``
+                           (zero if absent); None when no constraint has one.
+    constant             : (m,), the ``offset`` of every constraint.
+    nonlinear_columns    : constraints with ``state_value``/``state_grad``.
+    state_cost_groups    : (cost_state_grad, player indices) per distinct
+                           state-cost gradient object.
+    support              : the columns the callable state oracles receive:
+                           ``state_support`` when declared, else every
+                           column; empty without a callable state oracle.
+    support_index        : ``support`` as a slice when contiguous (its
+                           columns are then views), else an index array.
+    support_noise_map_t  : (T n_s, len(support)), ``noise_map[support].T``.
+    support_input_maps_t : at i, ``input_maps[i][support].T``; an (N, T n_i,
+                           len(support)) array with a ``block_height``.
     """
 
     dynamics: TimeVaryingLinearDynamics
@@ -202,46 +203,50 @@ class GameSpec:
     disturbance: DisturbanceModel
     player_slices: tuple = field(default=())
     state_support: tuple | None = None
+    cost_input_grad: Callable | None = None
     box_lower: np.ndarray = field(init=False, repr=False, compare=False)
     box_upper: np.ndarray = field(init=False, repr=False, compare=False)
-    constant_jacobian_blocks: tuple = field(init=False, repr=False, compare=False)
+    block_height: int | None = field(init=False, repr=False, compare=False)
+    constant_jacobian: np.ndarray = field(init=False, repr=False, compare=False)
     state_map: np.ndarray | None = field(init=False, repr=False, compare=False)
     input_map: np.ndarray | None = field(init=False, repr=False, compare=False)
     constant: np.ndarray = field(init=False, repr=False, compare=False)
     nonlinear_columns: tuple = field(init=False, repr=False, compare=False)
+    state_cost_groups: tuple = field(init=False, repr=False, compare=False)
     support: tuple = field(init=False, repr=False, compare=False)
     support_index: object = field(init=False, repr=False, compare=False)
     support_noise_map_t: np.ndarray = field(init=False, repr=False, compare=False)
-    support_input_maps_t: tuple = field(init=False, repr=False, compare=False)
+    support_input_maps_t: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("box_lower", "box_upper"):
-            box = np.concatenate([getattr(p, name) for p in self.players])
-            box.flags.writeable = False
-            object.__setattr__(self, name, box)
-        cons = self.constraints
-        sdim = self.lift.init_map.shape[0]
-        object.__setattr__(self, "state_map", _stacked(cons, "state_coeffs", sdim))
-        object.__setattr__(self, "input_map", _stacked(cons, "input_coeffs", self.input_dim))
-        blocks = []
+        cons, sdim = self.constraints, self.lift.init_map.shape[0]
+        state_map = _stacked(cons, "state_coeffs", sdim)
+        input_map = _stacked(cons, "input_coeffs", self.input_dim)
+        jac = np.zeros((self.input_dim, len(cons)))
         for gm, sl in zip(self.lift.input_maps, self.player_slices):
             # the same per-column products, in the same order, as a per-sample
             # evaluation, so cached columns are bit-identical to evaluated ones
-            block = np.zeros((sl.stop - sl.start, len(cons)))
-            gm_t = gm.T
             for j, c in enumerate(cons):
                 if c.state_coeffs is not None:
-                    block[:, j] += gm_t @ c.state_coeffs
+                    jac[sl, j] += gm.T @ c.state_coeffs
                 if c.input_coeffs is not None:
-                    block[:, j] += c.input_coeffs[sl]
-            block.flags.writeable = False
-            blocks.append(block)
-        object.__setattr__(self, "constant_jacobian_blocks", tuple(blocks))
-        constant = np.array([c.offset for c in cons], dtype=float)
-        constant.flags.writeable = False
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "nonlinear_columns",
-                           tuple(j for j, c in enumerate(cons) if c.state_value is not None))
+                    jac[sl, j] += c.input_coeffs[sl]
+        read_only = dict(box_lower=np.concatenate([p.box_lower for p in self.players]),
+                         box_upper=np.concatenate([p.box_upper for p in self.players]),
+                         constant_jacobian=jac,
+                         constant=np.array([c.offset for c in cons], dtype=float))
+        for array in read_only.values():
+            array.flags.writeable = False
+        heights = {sl.stop - sl.start for sl in self.player_slices}
+        groups = {}
+        for i, p in enumerate(self.players):
+            if p.cost_state_grad is not None:
+                groups.setdefault(id(p.cost_state_grad), (p.cost_state_grad, []))[1].append(i)
+        _set_derived(self, **read_only, state_map=state_map, input_map=input_map,
+                     block_height=heights.pop() if len(heights) == 1 else None,
+                     nonlinear_columns=tuple(j for j, c in enumerate(cons)
+                                             if c.state_value is not None),
+                     state_cost_groups=tuple((g, np.array(ix)) for g, ix in groups.values()))
         self._resolve_support(sdim)
 
     def _resolve_support(self, sdim):
@@ -253,9 +258,7 @@ class GameSpec:
                 raise ValueError(
                     f"state_support must be increasing column indices in [0, {sdim}), "
                     f"got {declared}")
-        callable_oracles = (any(p.cost_state_grad is not None for p in self.players)
-                            or self.nonlinear_columns)
-        if not callable_oracles:
+        if not (self.state_cost_groups or self.nonlinear_columns):
             support = ()
         else:
             support = tuple(range(sdim)) if declared is None else declared
@@ -263,15 +266,18 @@ class GameSpec:
         lo, hi = (support[0], support[-1] + 1) if support else (0, 0)
         index = slice(lo, hi) if support == tuple(range(lo, hi)) \
             else np.array(support, dtype=np.intp)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "support_index", index)
-        object.__setattr__(self, "support_noise_map_t", self.lift.noise_map[index].T)
-        object.__setattr__(self, "support_input_maps_t",
-                           tuple(gm[index].T for gm in self.lift.input_maps))
+        # each map keeps the layout of ``gm[index].T``: products with another
+        # layout can round differently
+        maps = [gm[index] for gm in self.lift.input_maps]
+        _set_derived(self, support=support, support_index=index,
+                     support_noise_map_t=self.lift.noise_map[index].T,
+                     support_input_maps_t=tuple(gm.T for gm in maps)
+                     if self.block_height is None else np.stack(maps).transpose(0, 2, 1))
 
     @classmethod
     def build(cls, dynamics: TimeVaryingLinearDynamics, players, constraints,
-              disturbance: DisturbanceModel, state_support=None) -> "GameSpec":
+              disturbance: DisturbanceModel, state_support=None,
+              cost_input_grad=None) -> "GameSpec":
         """Validate and assemble a game; ``state_support`` declares the
         trajectory columns its callable state oracles read (default: all)."""
         players = tuple(players)
@@ -291,7 +297,7 @@ class GameSpec:
             slices.append(slice(off, off + dynamics.horizon * nj))
             off += dynamics.horizon * nj
         game = cls(dynamics, lift, players, constraints, disturbance, tuple(slices),
-                   None if state_support is None else tuple(state_support))
+                   None if state_support is None else tuple(state_support), cost_input_grad)
         game._check_lift()
         return game
 
@@ -373,43 +379,59 @@ def reduced_lift(game: GameSpec, noise: ReducedLift, base: np.ndarray) -> Reduce
     return ReducedLift(base + noise.mean, noise.support + base[game.support_index])
 
 
-def support_rows(game: GameSpec, w_batch: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """The support columns of the trajectories, ``reduced_lift(...).support``,
-    without the mean trajectory."""
-    rows = w_batch @ game.support_noise_map_t
-    rows += base[game.support_index]
-    return rows
-
-
 def reduce_states(game: GameSpec, states: np.ndarray) -> ReducedLift:
     """Reduced lift of already lifted trajectories (M, state_dim)."""
     return ReducedLift(states.mean(axis=0), states[:, game.support_index])
 
 
-def cost_state_grad_means(game: GameSpec, rows: np.ndarray, players=None) -> list:
-    """Batch means over the support ``rows`` of the state-cost gradients of
-    ``players`` (default all), None where absent; each distinct
-    ``cost_state_grad`` object runs once."""
-    means, out = {}, []
-    for i in range(game.n_players) if players is None else players:
-        grad = game.players[i].cost_state_grad
-        if grad is not None and id(grad) not in means:
-            means[id(grad)] = grad(rows).mean(axis=0)
-        out.append(None if grad is None else means[id(grad)])
+def _batch_means(fn, rows: np.ndarray) -> np.ndarray:
+    """Batch means of the row-wise closure ``fn``: (k,) over one batch
+    (M, s), or (n, k) over n batches (n, M, s) from one call on their rows."""
+    if rows.ndim == 2:
+        return fn(rows).mean(axis=0)
+    n, m, s = rows.shape
+    return fn(rows.reshape(n * m, s)).reshape(n, m, -1).mean(axis=1)
+
+
+def cost_state_grad_means(game: GameSpec, rows: np.ndarray) -> np.ndarray:
+    """(N, len(support)) batch means of the players' state-cost gradients
+    (zero without one) over the support ``rows``: one batch (M, s) shared by
+    every player or one per player (N, M, s). Each distinct
+    ``cost_state_grad`` runs once, on the rows of the players holding it."""
+    out = np.zeros((game.n_players, len(game.support)))
+    for grad, players in game.state_cost_groups:
+        own = rows if rows.ndim == 2 or len(players) == game.n_players else rows[players]
+        out[players] = _batch_means(grad, own)
     return out
 
 
-def player_pseudo_gradient_mean(game: GameSpec, i: int, u: np.ndarray,
-                                state_grad_mean: np.ndarray | None) -> np.ndarray:
-    """Player i's cost gradient block; ``state_grad_mean`` is its entry of
-    ``cost_state_grad_means`` of the batch."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    p = game.players[i]
-    out = np.zeros(game.player_slices[i].stop - game.player_slices[i].start)
-    if p.cost_input_grad is not None:
-        out = out + np.asarray(p.cost_input_grad(u), dtype=float)
-    if p.cost_state_grad is not None:
-        out = out + game.support_input_maps_t[i] @ state_grad_mean
+def blockwise(game: GameSpec, maps, vecs: np.ndarray) -> np.ndarray:
+    """``maps[i] @ vecs[i]`` for every player i, concatenated in player order.
+
+    ``maps`` is one matrix per player, an (N, h, k) array (one batched
+    product) or a tuple, or a stacked (input_dim, k) array split into player
+    blocks; ``vecs`` is (N, k), or (k,) for all. Each block is its own
+    product, so the bits equal a per-player loop, as a product over the
+    whole stack's rows would not."""
+    vecs = np.broadcast_to(vecs, (game.n_players, vecs.shape[-1]))
+    if isinstance(maps, np.ndarray) and maps.ndim == 2:
+        maps = tuple(maps[sl] for sl in game.player_slices) if game.block_height is None \
+            else maps.reshape(game.n_players, game.block_height, -1)
+    if isinstance(maps, np.ndarray):
+        return np.matmul(maps, vecs[:, :, None]).reshape(-1)
+    return np.concatenate([a @ v for a, v in zip(maps, vecs)])
+
+
+def player_pseudo_gradient_mean(game: GameSpec, u: np.ndarray,
+                                state_grad_means: np.ndarray) -> np.ndarray:
+    """The stacked pseudo-gradient mean (input_dim,), block i player i's cost
+    gradient; ``state_grad_means`` is ``cost_state_grad_means`` of the batch."""
+    out = np.zeros(game.input_dim)
+    if game.cost_input_grad is not None:
+        out += game.cost_input_grad(np.asarray(u, dtype=float).reshape(-1))
+    if game.state_cost_groups:
+        # out holds no -0.0, so a stateless player's +-0 product changes nothing
+        out += blockwise(game, game.support_input_maps_t, state_grad_means)
     return out
 
 
@@ -453,26 +475,25 @@ def constraint_value_mean(game: GameSpec, u: np.ndarray, lift: ReducedLift) -> n
 
 
 def constraint_state_grad_means(game: GameSpec, rows: np.ndarray) -> list:
-    """Batch means over the support ``rows`` of the constraint gradient
-    closures, one (len(support),) array per entry of
-    ``game.nonlinear_columns``; the coefficients need no evaluation."""
-    return [game.constraints[j].state_grad(rows).mean(axis=0)
+    """Batch means of the constraint gradient closures over the support
+    ``rows``, one per entry of ``game.nonlinear_columns``: (s,) for a shared
+    batch (M, s), (N, s) for one batch per player (N, M, s)."""
+    return [_batch_means(game.constraints[j].state_grad, rows)
             for j in game.nonlinear_columns]
 
 
-def player_constraint_gradient_mean(game: GameSpec, i: int,
-                                    state_grad_means: list) -> np.ndarray:
-    """Player i's constraint-Jacobian block (T n_i, m): its constant block plus
-    the closure columns, from ``constraint_state_grad_means`` of the batch."""
-    out = game.constant_jacobian_blocks[i].copy()
-    gm_t = game.support_input_maps_t[i]
-    for j, mean in zip(game.nonlinear_columns, state_grad_means):
-        out[:, j] += gm_t @ mean
+def player_constraint_gradient_mean(game: GameSpec, state_grad_means: list) -> np.ndarray:
+    """The stacked constraint-Jacobian mean (input_dim, m): the constant
+    Jacobian plus the closure columns from ``constraint_state_grad_means``."""
+    out = game.constant_jacobian.copy()
+    for j, means in zip(game.nonlinear_columns, state_grad_means):
+        out[:, j] += blockwise(game, game.support_input_maps_t, means)
     return out
 
 
 def operator_estimate(game: GameSpec, u: np.ndarray, lift: ReducedLift):
-    """Sampled operator parts at u over the reduced lift of a batch.
+    """Sampled operator parts at u over the reduced lift of a batch shared by
+    every player.
 
     Returns (F_hat, Jac_hat, G_raw_mean): the stacked pseudo-gradient mean,
     the stacked constraint-Jacobian mean (dim, m) and the raw constraint
@@ -480,14 +501,10 @@ def operator_estimate(game: GameSpec, u: np.ndarray, lift: ReducedLift):
     (F_hat + Jac_hat @ lam, -(G_raw_mean + o)). Each distinct state-cost
     gradient and each constraint gradient closure is averaged once.
     """
-    f_hat = np.concatenate([
-        player_pseudo_gradient_mean(game, i, u, mean)
-        for i, mean in enumerate(cost_state_grad_means(game, lift.support))
-    ])
-    means = constraint_state_grad_means(game, lift.support)
-    jac = np.vstack([player_constraint_gradient_mean(game, i, means)
-                     for i in range(game.n_players)])
-    return f_hat, jac, constraint_value_mean(game, u, lift)
+    return (player_pseudo_gradient_mean(game, u, cost_state_grad_means(game, lift.support)),
+            player_constraint_gradient_mean(
+                game, constraint_state_grad_means(game, lift.support)),
+            constraint_value_mean(game, u, lift))
 
 
 def _single_sample_operator(game: GameSpec, u: np.ndarray, w: np.ndarray):

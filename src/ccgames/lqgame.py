@@ -96,13 +96,15 @@ def pseudo_gradient_matrix(p: LqGameParams):
     return mat, vec
 
 
-def _input_grad(p: LqGameParams, i: int, d: int):
-    pl = p.players[i]
-    lin = np.zeros(d) if pl.linear is None else np.asarray(pl.linear, dtype=float)
+def _input_grad(p: LqGameParams, d: int):
+    quad_self = np.array([[float(pl.quad_self)] for pl in p.players])
+    quad_couple = np.array([[float(pl.quad_couple)] for pl in p.players])
+    lin = np.array([np.zeros(d) if pl.linear is None
+                    else np.asarray(pl.linear, dtype=float).reshape(-1) for pl in p.players])
 
     def grad(u):
         blocks = u.reshape(len(p.players), d)
-        return pl.quad_self * blocks[i] + pl.quad_couple * (blocks.sum(axis=0) - blocks[i]) + lin
+        return (quad_self * blocks + quad_couple * (blocks.sum(axis=0) - blocks) + lin).reshape(-1)
 
     return grad
 
@@ -136,7 +138,6 @@ def build_lq_game(p: LqGameParams):
                 input_dim=pl.input_dim,
                 box_lower=np.asarray(pl.box_lower, dtype=float),
                 box_upper=np.asarray(pl.box_upper, dtype=float),
-                cost_input_grad=_input_grad(p, i, d),
             ))
         except ValueError as exc:
             raise ValueError(f"player {i}: {exc}") from None
@@ -162,7 +163,8 @@ def build_lq_game(p: LqGameParams):
         return draws
 
     disturbance = DisturbanceModel(dim=wdim, sample=sample, com_model=ComModel())
-    game = GameSpec.build(dyn, players, constraints, disturbance)
+    game = GameSpec.build(dyn, players, constraints, disturbance,
+                          cost_input_grad=_input_grad(p, d))
     offsets = UnderApproxOffsets.from_game(game)
     return game, offsets
 

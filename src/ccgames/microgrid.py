@@ -148,7 +148,7 @@ def tariff(t: int, aggregate_exchange: float, p: MicrogridParams) -> float:
     return float(p.tou_tariff[t] + p.tariff_coupling / p.n_households * aggregate_exchange)
 
 
-def _input_cost_grad(p: MicrogridParams, i: int):
+def _input_cost_grad(p: MicrogridParams):
     n, T = p.n_households, p.horizon
     kc = p.tariff_coupling
 
@@ -156,10 +156,9 @@ def _input_cost_grad(p: MicrogridParams, i: int):
         profile = u.reshape(n, T)
         exchange = p.demand - profile
         price = p.tou_tariff + (kc / n) * exchange.sum(axis=0)
-        own = exchange[i]
-        g = (-(kc / n) * own - price
-             + 2.0 * p.alpha_discharge * profile[i] + p.beta_discharge)
-        return g + p.alpha_utility / (1.0 + own.sum())
+        g = (-(kc / n) * exchange - price
+             + 2.0 * p.alpha_discharge * profile + p.beta_discharge)
+        return (g + p.alpha_utility / (1.0 + exchange.sum(axis=1, keepdims=True))).reshape(-1)
 
     return grad
 
@@ -261,7 +260,6 @@ def build_microgrid_game(p: MicrogridParams):
             box_lower=np.zeros(T),
             box_upper=p.demand[i].copy(),
             cost_state_grad=terminal_grad,
-            cost_input_grad=_input_cost_grad(p, i),
         )
         for i in range(n)
     ]
@@ -280,6 +278,7 @@ def build_microgrid_game(p: MicrogridParams):
 
     disturbance = DisturbanceModel(dim=T, sample=sample, com_model=ComModel())
     # every state oracle reads SoC_T alone
-    game = GameSpec.build(dyn, players, constraints, disturbance, state_support=(T,))
+    game = GameSpec.build(dyn, players, constraints, disturbance, state_support=(T,),
+                          cost_input_grad=_input_cost_grad(p))
     offsets = UnderApproxOffsets.from_game(game)
     return game, offsets

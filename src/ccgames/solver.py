@@ -17,31 +17,29 @@ grow superlinearly and step sizes decay so sampling error is summable.
 
 Every entity draws its own fresh batch each iteration from a substream keyed
 by (seed, iteration, entity), so a run is bit-reproducible regardless of
-execution order and can be resumed from a checkpoint.
+execution order and can be resumed from a checkpoint. An entity whose draws
+no estimate reads (a player when ``game.support`` is empty, the coordinator
+when no constraint value reads the trajectory) draws nothing.
 
-Drawing is most of a large-batch iteration, and the draws are independent
-work, so ``draw_noise`` runs them in two lanes once one entity's draw holds
-``TWO_LANE_MIN_DRAWS`` numbers (rows x disturbance dim): the calling thread
-and one persistent worker thread, started on first use. Smaller batches are
-drawn serially on the calling thread. The coordinator's batch is drawn whole
-on the calling thread, since its mean disturbance is one sum over every row.
-A player's batch is drawn in blocks of ``DRAW_BLOCK_ROWS`` rows
-(``draw_support_noise``), keeping only its support columns, so a lane holds
-one block at a time. Only the sampler and that row product run on the
-worker; the streams are created, and the oracles, means and projections
-run, on the calling thread. Results are assembled in entity order, and for a
-row-sequential sampler the blocked rows equal one whole draw, so a seeded run
-is bit-identical to a serial one.
+Drawing is most of a large-batch iteration, so ``draw_noise`` splits the
+draws between the calling thread and one persistent worker thread once one
+entity's draw holds ``TWO_LANE_MIN_DRAWS`` numbers (rows x disturbance dim).
+The coordinator's batch is drawn whole on the calling thread, since its mean
+disturbance is one sum over every row. A player's batch is drawn in blocks
+of ``DRAW_BLOCK_ROWS`` rows (``draw_support_noise``), keeping only its
+support columns, into its slab of one (N, M, len(support)) array. Only the
+sampler and that row product run on the worker. For a row-sequential
+sampler the blocked rows equal one whole draw, so a seeded run is
+bit-identical to a serial one.
 
 The steps take their shared inputs from the caller, as ``run`` supplies them:
 each iterate's ``lift_base``, the run's reduced residual batch
-(``residual_noise``) and each entity's reduced batch (``draw_noise``). The
-local sets are boxes: a player's backward step clips.
-
-Every estimate is a batch mean, so no step lifts whole trajectories. The
-coordinator averages the disturbances and maps the mean through the affine
-constraint parts, calling only the value closures on the support columns
-(``game.support``); each player lifts only those columns, for its oracles.
+(``residual_noise``) and each entity's reduced batch (``draw_noise``). No
+step lifts whole trajectories: the coordinator maps the mean disturbance
+through the affine constraint parts, and the players read only the support
+columns. ``player_step`` steps every player at once: each oracle runs once
+on the rows of every player that uses it, and the means, products, averaging
+and clip are whole-profile operations with the bits of a per-player loop.
 """
 
 from __future__ import annotations
@@ -280,7 +278,11 @@ class RunTrace:
 
 def coordinator_noise(game, seed: int, k: int, m: int) -> game_mod.ReducedLift:
     """Reduced noise of the coordinator's m-row batch of iteration k, drawn
-    whole: its mean disturbance is one sum over every row."""
+    whole: its mean disturbance is one sum over every row. It is zero, and
+    nothing is drawn, when no constraint value reads the trajectory."""
+    if game.state_map is None and not game.nonlinear_columns:
+        return game_mod.ReducedLift(np.zeros(game.state_traj_dim),
+                                    np.zeros((m, len(game.support))))
     w0 = game.disturbance.sample(iteration_stream(seed, k, 0), m)
     return game_mod.reduce_noise(game, w0)
 
@@ -305,13 +307,11 @@ def draw_support_noise(game, rng: np.random.Generator, out: np.ndarray) -> np.nd
     return out
 
 
-def _draw_players(game, streams, m: int) -> np.ndarray:
-    """One lane's players: ``draw_support_noise`` of an m-row batch from each
-    stream in turn, into one (len(streams), m, len(game.support)) array."""
-    out = np.empty((len(streams), m, len(game.support)))
+def _draw_players(game, streams, out: np.ndarray) -> None:
+    """One lane's players: ``draw_support_noise`` from each stream in turn
+    into its (M, len(game.support)) slab of ``out``."""
     for rng, rows in zip(streams, out):
         draw_support_noise(game, rng, rows)
-    return out
 
 
 _draw_lane = (None, None)  # (process id, task queue) of the second lane's thread
@@ -322,9 +322,10 @@ def _serve(tasks):
     while True:
         job, done = tasks.get()
         try:
-            done.put((job(), None))
+            job()
+            done.put(None)
         except BaseException as exc:  # handed to the waiting caller, which raises it
-            done.put((None, exc))
+            done.put(exc)
         del job, done  # keep nothing of a finished draw while idle
 
 
@@ -343,36 +344,33 @@ def _second_lane() -> queue.SimpleQueue:
 
 def draw_noise(game, seed: int, k: int, m: int):
     """Every entity's reduced noise for iteration k with m-row batches:
-    (``coordinator_noise``, one (m, len(game.support)) ``draw_support_noise``
-    array per player).
+    (``coordinator_noise``, an (N, m, len(game.support)) array whose slab i
+    is player i's ``draw_support_noise``; nothing is drawn into it when the
+    support is empty).
 
-    Each entity's stream is created here, on the calling thread. When a
-    draw holds at least ``TWO_LANE_MIN_DRAWS`` numbers, the second lane draws
-    players 0, 2, 4, ... while this thread draws the coordinator and the
-    other players; results are assembled in entity order, so they do not
-    depend on the lanes. An exception from either lane is raised once both
-    lanes are done.
+    The streams are created on the calling thread. From
+    ``TWO_LANE_MIN_DRAWS`` numbers per draw, the second lane fills the slabs
+    of players 0, 2, 4, ... while this thread draws the other entities. An
+    exception from either lane is raised once both lanes are done.
     """
+    noise = np.empty((game.n_players, m, len(game.support)))
+    if not game.support:
+        return coordinator_noise(game, seed, k, m), noise
     streams = [iteration_stream(seed, k, 1 + i) for i in range(game.n_players)]
-    rows = [None] * game.n_players
-    own = slice(None)
-    done = None
+    own, done = slice(None), None
     if m * game.disturbance.dim >= TWO_LANE_MIN_DRAWS:
-        lane_streams = streams[0::2]
         done = queue.SimpleQueue()
-        _second_lane().put((lambda: _draw_players(game, lane_streams, m), done))
+        _second_lane().put((lambda: _draw_players(game, streams[::2], noise[::2]), done))
         own = slice(1, None, 2)
     try:
         coordinator = coordinator_noise(game, seed, k, m)
-        rows[own] = _draw_players(game, streams[own], m)
+        _draw_players(game, streams[own], noise[own])
     finally:
         if done is not None:
-            lane_rows, error = done.get()  # wait, so no draw outlives the call
-    if done is not None:
-        if error is not None:
-            raise error
-        rows[0::2] = lane_rows
-    return coordinator, rows
+            error = done.get()  # wait, so no draw outlives the call
+    if done is not None and error is not None:
+        raise error
+    return coordinator, noise
 
 
 def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
@@ -391,48 +389,36 @@ def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
     return lam_avg, lam_next, g_hat
 
 
-def player_step(i: int, state: SolverState, game, cfg: SolverConfig,
-                noise: np.ndarray, base: np.ndarray):
-    """One strategy update for player i against ``state.lam``; returns (u_avg_i, u_next_i).
+def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray,
+                base: np.ndarray):
+    """Every player's strategy update against ``state.lam``; returns the
+    stacked (u_avg, u_next).
 
-    ``noise`` is the support noise rows of player i's batch
-    (``draw_support_noise``); ``base`` is ``lift_base(game, state.u)``, the
-    iterate's noise-free trajectory.
+    ``noise`` is the players' (N, M, len(game.support)) support noise from
+    ``draw_noise``; ``base[support]`` is added to it in place, so it holds
+    their support rows afterwards. ``base`` is ``lift_base(game, state.u)``.
     """
     alpha = step_size(cfg, state.k)
-    rows = noise + base[game.support_index]
-    (cost_mean,) = game_mod.cost_state_grad_means(game, rows, (i,))
-    f_i = game_mod.player_pseudo_gradient_mean(game, i, state.u, cost_mean)
-    jac_i = game_mod.player_constraint_gradient_mean(
-        game, i, game_mod.constraint_state_grad_means(game, rows))
-    sl = game.player_slices[i]
-    u_avg_i = (1.0 - cfg.delta) * state.u[sl] + cfg.delta * state.u_avg_prev[sl]
-    raw = u_avg_i - alpha * (f_i + jac_i @ state.lam)
-    return u_avg_i, np.clip(raw, game.box_lower[sl], game.box_upper[sl])
+    noise += base[game.support_index]
+    f = game_mod.player_pseudo_gradient_mean(
+        game, state.u, game_mod.cost_state_grad_means(game, noise))
+    jac = game_mod.player_constraint_gradient_mean(
+        game, game_mod.constraint_state_grad_means(game, noise))
+    u_avg = (1.0 - cfg.delta) * state.u + cfg.delta * state.u_avg_prev
+    raw = u_avg - alpha * (f + game_mod.blockwise(game, jac, state.lam))
+    return u_avg, np.clip(raw, game.box_lower, game.box_upper)
 
 
 def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             residual: float, base: np.ndarray):
-    """Run one full iteration; returns (next state, record for iteration k).
-
-    ``residual`` is ``residual_estimate`` of ``state``, for the record. The
-    noise-free trajectory ``base`` of the iterate (``lift_base``) is shared by
-    the coordinator, every player and the residual. The batches are drawn
-    by ``draw_noise``.
-    """
+    """Run one full iteration on ``draw_noise``'s batches; returns (next
+    state, record for iteration k). ``residual`` is ``residual_estimate`` of
+    ``state``, for the record; ``base`` is its ``lift_base``, shared by all."""
     t0 = time.perf_counter()
     k = state.k
     coordinator, player_noise = draw_noise(game, state.seed, k, batch_size(cfg, k))
     lam_avg, lam_next, g_hat = coordinator_step(state, game, offsets, cfg, coordinator, base)
-
-    u_next = np.empty_like(state.u)
-    u_avg = np.empty_like(state.u)
-    for i in range(game.n_players):
-        u_avg_i, u_next_i = player_step(i, state, game, cfg, player_noise[i], base)
-        sl = game.player_slices[i]
-        u_avg[sl] = u_avg_i
-        u_next[sl] = u_next_i
-
+    u_avg, u_next = player_step(state, game, cfg, player_noise, base)
     new_state = SolverState(k + 1, u_next, u_avg, lam_next, lam_avg, state.seed)
     snapshot = bool(cfg.snapshot_every) and k % cfg.snapshot_every == 0
     return new_state, _record(state, cfg, residual, g_hat, t0, snapshot)
@@ -637,19 +623,14 @@ def estimator_diagnostics(game, u: np.ndarray, lam: np.ndarray, batch_sizes,
         return f_hat, jac, g_raw + offsets.offsets
 
     f_ref, jac_ref, g_ref = estimate(m_ref)
-    mse_f, mse_j, mse_g = [], [], []
-    for m in batch_sizes:
-        acc = np.zeros(3)
+    mse = np.zeros((3, len(batch_sizes)))  # gradient, Jacobian, constraint rows
+    for col, m in enumerate(batch_sizes):
         for _ in range(repetitions):
             f_hat, jac, g_hat = estimate(m)
-            acc[0] += float(np.sum((f_hat - f_ref) ** 2))
-            acc[1] += float(np.sum(((jac - jac_ref) @ lam) ** 2))
-            acc[2] += float(np.sum((g_hat - g_ref) ** 2))
-        acc /= repetitions
-        mse_f.append(acc[0])
-        mse_j.append(acc[1])
-        mse_g.append(acc[2])
-    mse_f, mse_j, mse_g = np.array(mse_f), np.array(mse_j), np.array(mse_g)
+            mse[:, col] += [float(np.sum((f_hat - f_ref) ** 2)),
+                            float(np.sum(((jac - jac_ref) @ lam) ** 2)),
+                            float(np.sum((g_hat - g_ref) ** 2))]
+    mse_f, mse_j, mse_g = mse / repetitions
     total = mse_f + mse_j + mse_g
     slope = None
     if np.all(total > 0):

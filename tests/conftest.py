@@ -76,14 +76,20 @@ def _embed_support(game, support_values):
     return full
 
 
-def reference_jacobian_block(game, i, u, states):
+def reference_support_map(game, i):
+    """Player i's (T n_i, len(support)) map of support gradients,
+    ``input_maps[i][support].T``, from the lift alone."""
+    return game.lift.input_maps[i][list(game.support)].T
+
+
+def reference_jacobian_block(game, i, rows):
     """Player i's constraint-Jacobian block evaluated one constraint at a time.
 
-    Independent of the cached constant blocks and the support input maps:
-    column j is built from constraint j's own fields, its ``state_coeffs``
-    mapped through the player's input map, then its ``input_coeffs`` block,
-    then the batch mean of ``state_grad`` on the support columns of
-    ``states``, written back into a whole-trajectory gradient.
+    Independent of the cached constant Jacobian and the stacked support
+    maps: column j is built from constraint j's own fields, its
+    ``state_coeffs`` mapped through the player's input map, then its
+    ``input_coeffs`` block, then the batch mean of ``state_grad`` on the
+    support ``rows`` (M, len(support)) mapped by ``reference_support_map``.
     """
     sl = game.player_slices[i]
     out = np.zeros((sl.stop - sl.start, len(game.constraints)))
@@ -94,9 +100,41 @@ def reference_jacobian_block(game, i, u, states):
         if c.input_coeffs is not None:
             out[:, j] += c.input_coeffs[sl]
         if c.state_grad is not None:
-            g = c.state_grad(states[:, list(game.support)])
-            out[:, j] += gm_t @ _embed_support(game, g.mean(axis=0))
+            out[:, j] += reference_support_map(game, i) @ c.state_grad(rows).mean(axis=0)
     return out
+
+
+def reference_pseudo_gradient_block(game, i, u, rows):
+    """Player i's pseudo-gradient mean evaluated alone: its block of the
+    game's input-cost gradient plus the batch mean of its own
+    ``cost_state_grad`` on the support ``rows``, mapped by
+    ``reference_support_map``."""
+    sl = game.player_slices[i]
+    out = np.zeros(sl.stop - sl.start)
+    if game.cost_input_grad is not None:
+        out = out + game.cost_input_grad(np.asarray(u, dtype=float))[sl]
+    grad = game.players[i].cost_state_grad
+    if grad is not None:
+        out = out + reference_support_map(game, i) @ grad(rows).mean(axis=0)
+    return out
+
+
+def reference_player_step(game, state, cfg, rows):
+    """(u_avg, u_next) of every player's strategy update, one player at a
+    time on its own support rows ``rows[i]`` (M, len(support)), with no
+    stacked evaluation: each player's gradient and Jacobian block from the
+    references above, its averaging, forward step and clip to its own box."""
+    from ccgames.solver import step_size
+
+    alpha = step_size(cfg, state.k)
+    u_avg, u_next = [], []
+    for i, (p, sl) in enumerate(zip(game.players, game.player_slices)):
+        f_i = reference_pseudo_gradient_block(game, i, state.u, rows[i])
+        jac_i = reference_jacobian_block(game, i, rows[i])
+        avg = (1.0 - cfg.delta) * state.u[sl] + cfg.delta * state.u_avg_prev[sl]
+        u_avg.append(avg)
+        u_next.append(np.clip(avg - alpha * (f_i + jac_i @ state.lam), p.box_lower, p.box_upper))
+    return np.concatenate(u_avg), np.concatenate(u_next)
 
 
 def reference_project_local(game, u):
@@ -147,14 +185,14 @@ def reference_operator(game, u, w):
         f = []
         for i, p in enumerate(game.players):
             block = np.zeros(game.player_slices[i].stop - game.player_slices[i].start)
-            if p.cost_input_grad is not None:
-                block += p.cost_input_grad(u)
+            if game.cost_input_grad is not None:
+                block += game.cost_input_grad(u)[game.player_slices[i]]
             if p.cost_state_grad is not None:
                 g = np.asarray(p.cost_state_grad(s[:, list(game.support)]), dtype=float)
                 block += game.lift.input_maps[i].T @ _embed_support(game, g.reshape(-1))
             f.append(block)
         rows_f.append(np.concatenate(f))
-        rows_j.append(np.vstack([reference_jacobian_block(game, i, u, s)
+        rows_j.append(np.vstack([reference_jacobian_block(game, i, s[:, list(game.support)])
                                  for i in range(game.n_players)]))
         rows_g.append(reference_constraint_values(game, u, s)[0])
     return (np.mean(rows_f, axis=0), np.mean(rows_j, axis=0), np.mean(rows_g, axis=0))
@@ -216,10 +254,12 @@ def serial_reference_run(game, offsets, cfg, initial):
     with every entity's batch drawn whole, in entity order, on this thread.
 
     Each entity draws from its ``iteration_stream`` and ``reduce_noise``
-    reduces the whole draw: the coordinator steps on it, a player on its
-    support rows. Returns the final state and, per record, a dict of every
-    ``IterationRecord`` field but ``wall_ms`` (for a config without
-    snapshots, so ``strategies`` is None). No divergence or non-finite stop.
+    reduces the whole draw: the coordinator steps on it, and the players
+    step one at a time on their support rows (``reference_player_step``,
+    not the stacked ``player_step``). Returns the final state and, per
+    record, a dict of every ``IterationRecord`` field but ``wall_ms`` (for
+    a config without snapshots, so ``strategies`` is None). No divergence
+    or non-finite stop.
     """
     from ccgames import solver
     from ccgames.game import lift_base, reduce_noise
@@ -241,8 +281,27 @@ def serial_reference_run(game, offsets, cfg, initial):
             alpha=solver.step_size(cfg, k), batch=m, strategies=None))
         if k >= cfg.max_iterations:
             return state, records
-        steps = [solver.player_step(i, state, game, cfg, noise[1 + i].support, base)
-                 for i in range(game.n_players)]
-        state = solver.SolverState(k + 1, np.concatenate([s[1] for s in steps]),
-                                   np.concatenate([s[0] for s in steps]),
-                                   lam_next, lam_avg, state.seed)
+        rows = [n.support + base[list(game.support)] for n in noise[1:]]
+        u_avg, u_next = reference_player_step(game, state, cfg, rows)
+        state = solver.SolverState(k + 1, u_next, u_avg, lam_next, lam_avg, state.seed)
+
+
+def assert_run_equals_reference(trace, reference):
+    """``trace`` of ``solver.run`` equals ``serial_reference_run``'s (final
+    state, records) bit for bit, in every record field but ``wall_ms``."""
+    from dataclasses import fields
+
+    from ccgames.solver import IterationRecord
+
+    state, records = reference
+    final = trace.final_state
+    assert (final.k, final.seed) == (state.k, state.seed)
+    for name in ("u", "u_avg_prev", "lam", "lam_avg_prev"):
+        assert np.array_equal(getattr(final, name), getattr(state, name)), name
+    assert len(trace.records) == len(records)
+    names = [f.name for f in fields(IterationRecord) if f.name != "wall_ms"]
+    for record, expected in zip(trace.records, records):
+        assert sorted(names) == sorted(expected)
+        for name in names:
+            got, want = getattr(record, name), expected[name]
+            assert (got is None and want is None) or np.array_equal(got, want), name

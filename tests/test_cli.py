@@ -205,6 +205,37 @@ class TestConfigErrors:
             assert np.array_equal(tightened.offsets, np.add(base, beta))
 
 
+    def test_build_game_computes_each_offset_once(self, tmp_path, monkeypatch):
+        import ccgames.com as com_mod
+
+        calls = []
+
+        def counted(model, gamma, **kw):
+            calls.append(model.kind)
+            return h_inverse(model, gamma, **kw)
+
+        monkeypatch.setattr(com_mod, "h_inverse", counted)
+        doc = json.loads((CONFIG_DIR / "microgrid_paper.json").read_text())
+        for beta in (0.25, np.linspace(0.0, 0.3, 49).tolist()):
+            doc.setdefault("com", {})["beta"] = beta
+            calls.clear()
+            game, offsets = build_game(parse_config(write_doc(tmp_path, doc)))
+            # build_microgrid_game's offsets are reused: one h_inverse per constraint
+            assert len(calls) == game.constraint_count == 49
+            base = [c.com_scale * h_inverse(game.disturbance.com_model, c.gamma)
+                    for c in game.constraints]
+            assert np.array_equal(offsets.offsets, np.add(base, beta))
+        # another concentration model replaces build_microgrid_game's offsets
+        doc["com"] = {"kind": "user-tabulated", "theta_grid": [0.0, 1.0, 4.0],
+                      "h_grid": [1.0, 0.3, 0.0]}
+        calls.clear()
+        game, offsets = build_game(parse_config(write_doc(tmp_path, doc)))
+        assert calls == ["gaussian-standard"] * 49 + ["user-tabulated"] * 49
+        base = [c.com_scale * h_inverse(game.disturbance.com_model, c.gamma)
+                for c in game.constraints]
+        assert np.array_equal(offsets.offsets, base)
+
+
 class TestValidateCommand:
     def test_shipped_paper_config_passes(self):
         assert main(["validate", "--config",

@@ -22,12 +22,12 @@ def make_tiny_game(constraints, noise_std=1.0, box=(0.0, 1.0)):
     dyn = TimeVaryingLinearDynamics(
         a_mats=np.ones((1, 1, 1)), b_mats=(np.zeros((1, 1, 1)),), s0=np.zeros(1))
     player = PlayerSpec(input_dim=1, box_lower=np.array([box[0]]),
-                        box_upper=np.array([box[1]]),
-                        cost_input_grad=lambda u: u[:1])
+                        box_upper=np.array([box[1]]))
     dist = DisturbanceModel(
         dim=1, sample=lambda rng, n: rng.normal(0.0, noise_std, size=(n, 1)),
         com_model=ComModel())
-    return GameSpec.build(dyn, (player,), tuple(constraints), dist)
+    return GameSpec.build(dyn, (player,), tuple(constraints), dist,
+                          cost_input_grad=lambda u: u[:1])
 
 
 class TestGaussianBound:

@@ -40,22 +40,19 @@ def build_quadratic_state_game(rng, state_cost=False):
     """Players with cost |u_i|^2 / 2 and optionally |s|^2 / 2."""
     dyn = random_dynamics(rng, n_s=2, n_players=3, horizon=3)
     T = dyn.horizon
-    players = []
-    off = 0
-    for nj in dyn.input_dims:
-        sl = slice(off, off + T * nj)
-        players.append(PlayerSpec(
-            input_dim=nj,
-            box_lower=-10 * np.ones(T * nj), box_upper=10 * np.ones(T * nj),
-            cost_input_grad=lambda u, sl=sl: u[sl],
-            cost_state_grad=(lambda S: S) if state_cost else None))
-        off += T * nj
-    con = CouplingConstraintSpec(gamma=0.2, input_coeffs=np.ones(off), offset=-1.0)
+    players = [PlayerSpec(
+        input_dim=nj,
+        box_lower=-10 * np.ones(T * nj), box_upper=10 * np.ones(T * nj),
+        cost_state_grad=(lambda S: S) if state_cost else None)
+        for nj in dyn.input_dims]
+    con = CouplingConstraintSpec(gamma=0.2, input_coeffs=np.ones(dyn.input_dim_total),
+                                 offset=-1.0)
     dist = DisturbanceModel(
         dim=T * dyn.state_dim,
         sample=lambda rng_, n: rng_.normal(size=(n, T * dyn.state_dim)),
         com_model=ComModel())
-    return GameSpec.build(dyn, players, (con,), dist)
+    # block i of the profile is player i's own gradient u_i
+    return GameSpec.build(dyn, players, (con,), dist, cost_input_grad=lambda u: u.copy())
 
 
 class TestPseudoGradient:
@@ -139,8 +136,7 @@ class TestConstraints:
         con = CouplingConstraintSpec(gamma=0.3, state_coeffs=np.ones(sdim))
         players = [PlayerSpec(input_dim=nj,
                               box_lower=-np.ones(dyn.horizon * nj),
-                              box_upper=np.ones(dyn.horizon * nj),
-                              cost_input_grad=(lambda n: lambda u: np.zeros(n))(dyn.horizon * nj))
+                              box_upper=np.ones(dyn.horizon * nj))
                    for nj in dyn.input_dims]
         dist = DisturbanceModel(
             dim=dyn.horizon * dyn.state_dim,
@@ -228,8 +224,7 @@ class TestValidation:
         dyn = random_dynamics(rng, n_s=1, n_players=2, horizon=2)
         player = PlayerSpec(input_dim=dyn.input_dims[0],
                             box_lower=np.zeros(2 * dyn.input_dims[0]),
-                            box_upper=np.ones(2 * dyn.input_dims[0]),
-                            cost_input_grad=lambda u: u[:2])
+                            box_upper=np.ones(2 * dyn.input_dims[0]))
         dist = DisturbanceModel(dim=2, sample=lambda r, n: r.normal(size=(n, 2)),
                                 com_model=ComModel())
         with pytest.raises(ValueError):
@@ -249,10 +244,11 @@ class TestValidation:
 
 
 def assert_blocks_exact(game, u, states):
-    for i in range(game.n_players):
-        block = player_constraint_gradient_mean(
-            game, i, constraint_state_grad_means(game, states[:, game.support_index]))
-        assert np.array_equal(block, reference_jacobian_block(game, i, u, states))
+    jac = player_constraint_gradient_mean(
+        game, constraint_state_grad_means(game, states[:, game.support_index]))
+    for i, sl in enumerate(game.player_slices):
+        assert np.array_equal(jac[sl], reference_jacobian_block(
+            game, i, states[:, list(game.support)]))
 
 
 class TestConstantJacobianBlocks:
@@ -300,7 +296,7 @@ class TestConstantJacobianBlocks:
         rebuilt = replace(game, constraints=cons)
         assert rebuilt.nonlinear_columns == (1,)
         for i, sl in enumerate(rebuilt.player_slices):
-            block = rebuilt.constant_jacobian_blocks[i]
+            block = rebuilt.constant_jacobian[sl]
             assert block.shape == (sl.stop - sl.start, 2)
             expected = rebuilt.lift.input_maps[i].T @ cons[0].state_coeffs + 2.0
             assert np.allclose(block[:, 0], expected)

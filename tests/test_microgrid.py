@@ -191,7 +191,7 @@ class TestGradients:
         soc_dev = states[0, -1] - p.soc_desired
         grad = pseudo_gradient_sample(game, u, w)
         for i, sl in enumerate(game.player_slices):
-            input_part = game.players[i].cost_input_grad(u)
+            input_part = game.cost_input_grad(u)[sl]
             terminal_part = grad[sl] - input_part
             expected = p.alpha_battery * soc_dev * game.lift.input_maps[i][-1]
             assert np.allclose(terminal_part, expected, atol=1e-12)

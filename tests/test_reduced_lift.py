@@ -13,7 +13,7 @@ import ccgames.solver as solver
 from ccgames.config import build_game, parse_config
 from ccgames.game import (CouplingConstraintSpec, GameSpec, lift_base, operator_estimate,
                           random_feasible_profile, reduce_noise, reduce_states,
-                          reduced_lift, state_batch, support_rows)
+                          reduced_lift, state_batch)
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
 from ccgames.solver import (SolverConfig, batch_size, coordinator_noise, coordinator_step,
@@ -90,7 +90,6 @@ class TestLiftLinearity:
         lift = reduced_lift(game, reduce_noise(game, w), base)
         np.testing.assert_allclose(lift.mean, whole.mean, **TOL)
         np.testing.assert_allclose(lift.support, whole.support, **TOL)
-        np.testing.assert_array_equal(support_rows(game, w, base), lift.support)
 
 
 class TestSupport:

@@ -13,20 +13,19 @@ import ccgames.solver as solver
 from ccgames.com import ComModel, UnderApproxOffsets
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
-                          PlayerSpec, constraint_values, cost_state_grad_means,
-                          lift_base, lift_noise, operator_estimate,
-                          player_pseudo_gradient_mean, random_feasible_profile,
+                          PlayerSpec, constraint_values, lift_base, lift_noise,
+                          operator_estimate, random_feasible_profile,
                           reduce_noise, reduced_lift, state_batch)
 from ccgames.lqgame import build_lq_game
-from ccgames.rng import iteration_stream
 from ccgames.solver import (BatchSchedule, SolverConfig, SolverState,
                             StepSchedule, batch_size, coordinator_noise, coordinator_step,
-                            draw_support_noise, estimate_lipschitz, estimator_diagnostics,
+                            draw_noise, estimate_lipschitz, estimator_diagnostics,
                             initial_state, iterate, player_step,
                             residual_estimate, residual_noise, run, step_size,
                             validate_config)
 
-from conftest import quadratic_oracle_params, random_lq_params, reference_jacobian_block
+from conftest import (quadratic_oracle_params, random_lq_params, reference_jacobian_block,
+                      reference_pseudo_gradient_block)
 
 PAPER_STEP = StepSchedule(a0=1.4e-4, offset=2.0)
 PAPER_BATCH = BatchSchedule(scale=1.0, offset=2.0, exponent=1.1)
@@ -39,17 +38,13 @@ def simple_game(n_players=2, horizon=2, constraint_offset=-1.0, noise_std=0.0,
     dyn = TimeVaryingLinearDynamics(
         a_mats=np.ones((T, 1, 1)), b_mats=tuple(np.zeros((T, 1, 1)) for _ in range(n_players)),
         s0=np.zeros(1))
-    players = []
-    for i in range(n_players):
-        sl = slice(i * T, (i + 1) * T)
+    players = [PlayerSpec(input_dim=1, box_lower=np.full(T, box[0]),
+                          box_upper=np.full(T, box[1])) for _ in range(n_players)]
 
-        def grad(u, sl=sl, i=i):
-            blocks = u.reshape(n_players, T)
-            return u[sl] - 1.0 + couple * (blocks.sum(axis=0) - blocks[i])
+    def grad(u):
+        blocks = u.reshape(n_players, T)
+        return (blocks - 1.0 + couple * (blocks.sum(axis=0) - blocks)).reshape(-1)
 
-        players.append(PlayerSpec(
-            input_dim=1, box_lower=np.full(T, box[0]), box_upper=np.full(T, box[1]),
-            cost_input_grad=grad))
     cons = []
     if constraint_offset is not None:
         # with noise the value picks up s_1 = w_0, zero mean: stochastic but unbiased
@@ -61,7 +56,7 @@ def simple_game(n_players=2, horizon=2, constraint_offset=-1.0, noise_std=0.0,
     dist = DisturbanceModel(
         dim=T, sample=lambda rng, n: rng.standard_normal((n, T)),
         com_model=ComModel())
-    game = GameSpec.build(dyn, players, tuple(cons), dist)
+    game = GameSpec.build(dyn, players, tuple(cons), dist, cost_input_grad=grad)
     return game, UnderApproxOffsets.from_game(game)
 
 
@@ -78,9 +73,8 @@ def step(state, game, offsets, cfg):
 
 
 def player_noise(game, cfg):
-    """Support noise rows of player 0's batch of iteration 0."""
-    return draw_support_noise(game, iteration_stream(cfg.seed, 0, 1),
-                              np.empty((batch_size(cfg, 0), len(game.support))))
+    """Support noise rows of the players' batches of iteration 0."""
+    return draw_noise(game, cfg.seed, 0, batch_size(cfg, 0))[1]
 
 
 def quick_config(**kw):
@@ -196,7 +190,7 @@ class TestPlayerStep:
         state = initial_state(game, cfg)
         state.u = np.ones(game.input_dim)          # gradient u - 1 vanishes
         state.u_avg_prev = state.u.copy()
-        _, u_next = player_step(0, state, game, cfg, player_noise(game, cfg),
+        _, u_next = player_step(state, game, cfg, player_noise(game, cfg),
                                 lift_base(game, state.u))
         assert np.allclose(u_next, state.u)
 
@@ -205,7 +199,7 @@ class TestPlayerStep:
         cfg = quick_config()
         state = initial_state(game, cfg)
         assert np.array_equal(state.lam, np.zeros(1))
-        _, with_zero_lam = player_step(0, state, game, cfg, player_noise(game, cfg),
+        _, with_zero_lam = player_step(state, game, cfg, player_noise(game, cfg),
                                        lift_base(game, state.u))
         alpha = step_size(cfg, 0)
         expected = np.clip(state.u - alpha * (state.u - 1.0), -4.0, 4.0)
@@ -215,7 +209,7 @@ class TestPlayerStep:
         game, offsets = simple_game(n_players=1, box=(0.0, 0.5))
         cfg = quick_config(step=StepSchedule(a0=10.0, offset=2.0))
         state = initial_state(game, cfg)
-        _, u_next = player_step(0, state, game, cfg, player_noise(game, cfg),
+        _, u_next = player_step(state, game, cfg, player_noise(game, cfg),
                                 lift_base(game, state.u))
         # gradient at u=0 is -1, big step overshoots: clamp to the box
         assert np.allclose(u_next, 0.5)
@@ -371,9 +365,7 @@ class TestRun:
 
     def test_nan_gradient_stops_non_finite(self):
         game, offsets = simple_game(n_players=1)
-        nan_player = replace(game.players[0],
-                             cost_input_grad=lambda u: np.full(u.shape[0], np.nan))
-        game = replace(game, players=(nan_player,))
+        game = replace(game, cost_input_grad=lambda u: np.full(u.shape[0], np.nan))
         cfg = quick_config(max_iterations=50)
         trace = run(game, offsets, cfg)
         assert trace.termination_reason == solver.TERMINATION_NON_FINITE
@@ -408,10 +400,9 @@ class TestRun:
 
 
 def per_player_pseudo_gradient(game, u, rows):
-    # each player evaluates its own state-cost gradient, as player_step does
-    return np.concatenate([
-        player_pseudo_gradient_mean(game, i, u, *cost_state_grad_means(game, rows, (i,)))
-        for i in range(game.n_players)])
+    # each player evaluates its own state-cost gradient on the shared rows
+    return np.concatenate([reference_pseudo_gradient_block(game, i, u, rows)
+                           for i in range(game.n_players)])
 
 
 def assert_operator_exact(game, offsets, u, w):
@@ -420,7 +411,7 @@ def assert_operator_exact(game, offsets, u, w):
     g_hat = g_raw + offsets.offsets
     states = state_batch(game, u, w)
     f_ref = per_player_pseudo_gradient(game, u, lift.support)
-    jac_ref = np.vstack([reference_jacobian_block(game, i, u, states)
+    jac_ref = np.vstack([reference_jacobian_block(game, i, states[:, list(game.support)])
                          for i in range(game.n_players)])
     g_ref = constraint_values(game, u, states).mean(axis=0) + offsets.offsets
     assert np.array_equal(f_hat, f_ref)
@@ -467,6 +458,14 @@ class TestSharedEvaluation:
         assert calls == [70]
         f_ref = per_player_pseudo_gradient(game, u, lift.support)
         assert np.array_equal(f_hat, f_ref)
+        # a run: once per residual on its batch, once per iteration on the
+        # N x M rows of every player's batch
+        calls.clear()
+        cfg = quick_config(max_iterations=4, residual_batch=90)
+        run(counted_game, offsets, cfg)
+        n = game.n_players
+        per_iteration = [[cfg.residual_batch, n * batch_size(cfg, k)] for k in range(4)]
+        assert calls == sum(per_iteration, []) + [cfg.residual_batch]
 
     def test_cached_residual_equals_uncached(self, reduced_microgrid):
         _, game, offsets = reduced_microgrid

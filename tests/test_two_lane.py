@@ -9,18 +9,19 @@ reference. Failures on the second thread reach the caller.
 
 import sys
 import threading
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ccgames.solver as solver
 from ccgames.config import build_game, parse_config
-from ccgames.game import lift_base, random_feasible_profile, reduce_noise, support_rows
+from ccgames.game import lift_base, random_feasible_profile, reduce_noise, reduced_lift
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
 
-from conftest import CONFIG_DIR, random_lq_params, serial_reference_run, with_support_oracles
+from conftest import (CONFIG_DIR, assert_run_equals_reference, random_lq_params,
+                      serial_reference_run, with_support_oracles)
 
 B = solver.DRAW_BLOCK_ROWS
 ROW_COUNTS = (1, B - 1, B, B + 1, 3 * B + 7)
@@ -45,7 +46,8 @@ def assert_blocked_equals_whole(game, m):
     base = lift_base(game, random_feasible_profile(game, rng))
     blocked = np.full((m, len(game.support)), np.nan)
     solver.draw_support_noise(game, iteration_stream(5, 7, 2), blocked)
-    whole = support_rows(game, game.disturbance.sample(iteration_stream(5, 7, 2), m), base)
+    w = game.disturbance.sample(iteration_stream(5, 7, 2), m)
+    whole = reduced_lift(game, reduce_noise(game, w), base).support
     assert np.array_equal(blocked + base[game.support_index], whole)
 
 
@@ -84,21 +86,6 @@ def on_second_lane():
     return threading.current_thread() is not threading.main_thread()
 
 
-def assert_equals_reference(trace, reference):
-    state, records = reference
-    final = trace.final_state
-    assert (final.k, final.seed) == (state.k, state.seed)
-    for name in ("u", "u_avg_prev", "lam", "lam_avg_prev"):
-        assert np.array_equal(getattr(final, name), getattr(state, name)), name
-    assert len(trace.records) == len(records)
-    names = [f.name for f in fields(solver.IterationRecord) if f.name != "wall_ms"]
-    for record, expected in zip(trace.records, records):
-        assert sorted(names) == sorted(expected)
-        for name in names:
-            got, want = getattr(record, name), expected[name]
-            assert (got is None and want is None) or np.array_equal(got, want), name
-
-
 def test_two_lane_run_equals_serial_reference(reduced_tail):
     game, offsets, scfg, initial = reduced_tail
     lanes = set()
@@ -112,7 +99,7 @@ def test_two_lane_run_equals_serial_reference(reduced_tail):
     trace = solver.run(with_sampler(game, watched), offsets, scfg, initial=initial)
     assert lanes == {False, True}
     assert trace.termination_reason == solver.TERMINATION_BUDGET
-    assert_equals_reference(trace, serial_reference_run(game, offsets, scfg, initial))
+    assert_run_equals_reference(trace, serial_reference_run(game, offsets, scfg, initial))
 
 
 class DrawFailure(Exception):
@@ -134,7 +121,7 @@ def test_second_lane_exception_reaches_run(reduced_tail):
     # the lane survives its failure: the next run completes, bit for bit
     one = replace(scfg, max_iterations=RESUME_K + 1)
     trace = solver.run(game, offsets, one, initial=initial)
-    assert_equals_reference(trace, serial_reference_run(game, offsets, one, initial))
+    assert_run_equals_reference(trace, serial_reference_run(game, offsets, one, initial))
 
 
 def test_nan_draw_on_second_lane_stops_non_finite(reduced_tail):
