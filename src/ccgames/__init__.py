@@ -11,8 +11,7 @@ from .com import (ComModel, EpsilonGapEstimate, UnderApproxOffsets,
                   estimate_constraint_satisfaction, estimate_epsilon_gap,
                   h_gaussian, h_inverse)
 from .dynamics import (CompactLift, TimeVaryingLinearDynamics,
-                       build_compact_lift, lift_state, simulate_state,
-                       transition_matrix)
+                       build_compact_lift, lift_state, simulate_state)
 from .game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                    PlayerSpec, constraint_gradient_sample, constraint_sample,
                    project_local, pseudo_gradient_sample)

@@ -256,8 +256,9 @@ def write_trace_csv(trace: solver_mod.RunTrace, path) -> None:
 def _read_trace(path):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "k" not in reader.fieldnames:
-            raise ValueError(f"{path}: not a trace file")
+        for column in ("k", "residual", "alpha", "batch"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: not a trace file, no {column!r} column")
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: trace has no rows")
@@ -267,7 +268,7 @@ def _read_trace(path):
 def cmd_plot_data(args, cfg: RunConfig, game, offsets) -> int:
     try:
         rows = _read_trace(args.trace)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 1
     strategies_path = Path(args.strategies) if args.strategies else \

@@ -3,15 +3,18 @@
 Sections: ``game`` (microgrid or linear_quadratic description), ``com``
 (concentration model kind and extra margins), ``solver`` (schedules and
 termination), ``output`` (artifact file names), ``verification`` (Monte
-Carlo sizes for the check subcommands). Unknown keys anywhere are rejected;
-validation errors carry the JSON path of the offending field.
+Carlo sizes for the check subcommands). ``_read`` reads every section
+against one table that maps each allowed key to its reader. Sections must be
+objects and list keys lists; unknown keys anywhere are rejected; validation
+errors carry the JSON path of the offending field. Only the keys present are
+passed on, so every default is the one of the dataclass a section fills.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ import numpy as np
 from .com import ComModel, GAUSSIAN_STANDARD, USER_TABULATED, UnderApproxOffsets
 from .lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
 from .microgrid import MicrogridParams, build_microgrid_game
-from .solver import BatchSchedule, SolverConfig, StepSchedule
+from .solver import SolverConfig
 
 
 class ConfigError(ValueError):
@@ -28,31 +31,6 @@ class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.errors))
-
-
-_MICROGRID_KEYS = {
-    "kind", "n_households", "horizon", "delta_t", "efficiency", "soc_initial",
-    "soc_min", "soc_max", "soc_desired", "terminal_band", "gamma_soc",
-    "gamma_terminal", "tariff_coupling", "alpha_discharge", "beta_discharge",
-    "alpha_utility", "alpha_battery", "tou_tariff", "demand",
-    "renewable_peak", "renewable_mean", "renewable_std",
-}
-_LQ_KEYS = {
-    "kind", "horizon", "state_dim", "initial_state", "a_mats", "b_mats",
-    "players", "constraints", "noise_mean", "noise_std",
-}
-_LQ_PLAYER_KEYS = {"input_dim", "box_lower", "box_upper", "quad_self",
-                   "quad_couple", "linear"}
-_LQ_CONSTRAINT_KEYS = {"input_coeffs", "offset", "gamma", "state_coeffs"}
-_COM_KEYS = {"kind", "beta", "theta_grid", "h_grid"}
-_SOLVER_KEYS = {
-    "delta", "step_a0", "step_offset", "batch_scale", "batch_offset",
-    "batch_exponent", "max_iterations", "residual_tolerance", "residual_batch",
-    "seed", "checkpoint_every", "snapshot_every", "divergence_factor",
-}
-_OUTPUT_KEYS = {"trace", "summary", "strategies"}
-_VERIFICATION_KEYS = {"satisfaction_samples", "epsilon_gap_candidates",
-                      "epsilon_gap_samples", "epsilon_gap_in_summary"}
 
 
 @dataclass(frozen=True)
@@ -73,255 +51,252 @@ class VerificationParams:
 @dataclass(frozen=True)
 class RunConfig:
     game_kind: str
-    microgrid: MicrogridParams | None
-    lq: LqGameParams | None
-    com_model: ComModel
-    com_beta: object  # scalar or per-constraint list, added to the offsets
-    solver: SolverConfig
-    output: OutputPaths
-    verification: VerificationParams
+    microgrid: MicrogridParams | None = None
+    lq: LqGameParams | None = None
+    com_model: ComModel = field(default_factory=ComModel)
+    com_beta: object = 0.0  # scalar or per-constraint list, added to the offsets
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    output: OutputPaths = field(default_factory=OutputPaths)
+    verification: VerificationParams = field(default_factory=VerificationParams)
     raw: dict = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
         return json.loads(json.dumps(self.raw))
 
 
-def _check_keys(section: dict, allowed: set, where: str, errors: list):
-    for key in section:
-        if key not in allowed:
-            errors.append(f"{where}.{key}: unknown key")
+# A reader takes (value, JSON path, errors) and returns the value read, or
+# None after appending an error (or for a null array, which means absent).
+
+def _read(section, table: dict, where: str, errors: list) -> dict:
+    """The keys of the object ``section``, each read by its reader in
+    ``table``; unknown keys and values read as None are left out. ``where``
+    is the section's JSON path ("" for the top level)."""
+    if not isinstance(section, dict):
+        errors.append(f"{where}: expected an object, got {section!r}")
+        return {}
+    out = {}
+    for key, val in section.items():
+        if key not in table:
+            errors.append(f"{where or 'top'}.{key}: unknown key")
+        elif (got := table[key](val, f"{where}.{key}" if where else key, errors)) is not None:
+            out[key] = got
+    return out
 
 
-def _number(section, key, where, errors, lo=None, hi=None, strict_lo=False,
-            strict_hi=False, default=None, integer=False):
-    if key not in section:
-        return default
-    val = section[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append(f"{where}.{key}: expected a number, got {val!r}")
-        return default
-    if not math.isfinite(val):
-        errors.append(f"{where}.{key}: expected a finite number")
-        return default
-    if integer and int(val) != val:
-        errors.append(f"{where}.{key}: expected an integer, got {val!r}")
-        return default
-    if lo is not None and (val <= lo if strict_lo else val < lo):
-        errors.append(f"{where}.{key}: must be {'>' if strict_lo else '>='} {lo}, got {val}")
-        return default
-    if hi is not None and (val >= hi if strict_hi else val > hi):
-        errors.append(f"{where}.{key}: must be {'<' if strict_hi else '<='} {hi}, got {val}")
-        return default
-    return int(val) if integer else float(val)
+def _number(lo=None, hi=None, strict_lo=False, strict_hi=False, integer=False):
+    """Reader of a finite number within the bounds, an int if ``integer``."""
+    def read(val, where, errors):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            errors.append(f"{where}: expected a number, got {val!r}")
+        elif not math.isfinite(val):
+            errors.append(f"{where}: expected a finite number")
+        elif integer and int(val) != val:
+            errors.append(f"{where}: expected an integer, got {val!r}")
+        elif lo is not None and (val <= lo if strict_lo else val < lo):
+            errors.append(f"{where}: must be {'>' if strict_lo else '>='} {lo}, got {val}")
+        elif hi is not None and (val >= hi if strict_hi else val > hi):
+            errors.append(f"{where}: must be {'<' if strict_hi else '<='} {hi}, got {val}")
+        else:
+            return int(val) if integer else float(val)
+    return read
 
 
-def _array(section, key, where, errors, default=None):
-    if key not in section or section[key] is None:
-        return default
-    try:
-        return np.asarray(section[key], dtype=float)
-    except (TypeError, ValueError):
-        errors.append(f"{where}.{key}: expected a numeric array")
-        return default
+_REAL = _number()
+_POSITIVE = _number(lo=0, strict_lo=True)
+_COUNT = _number(lo=0, integer=True)
+_SIZE = _number(lo=1, integer=True)
+_PROBABILITY = _number(lo=0, hi=1, strict_lo=True, strict_hi=True)
 
 
-def _parse_microgrid(section: dict, errors: list) -> MicrogridParams | None:
-    w = "game"
-    _check_keys(section, _MICROGRID_KEYS, w, errors)
-    kwargs = {}
-    spec = [
-        ("n_households", dict(lo=1, integer=True)),
-        ("horizon", dict(lo=1, integer=True)),
-        ("delta_t", dict(lo=0, strict_lo=True)),
-        ("efficiency", dict(lo=0, strict_lo=True)),
-        ("soc_initial", dict()),
-        ("soc_min", dict()),
-        ("soc_max", dict()),
-        ("soc_desired", dict()),
-        ("terminal_band", dict(lo=0, strict_lo=True)),
-        ("gamma_soc", dict(lo=0, hi=1, strict_lo=True, strict_hi=True)),
-        ("gamma_terminal", dict(lo=0, hi=1, strict_lo=True, strict_hi=True)),
-        ("tariff_coupling", dict(lo=0, strict_lo=True)),
-        ("alpha_discharge", dict(lo=0, strict_lo=True)),
-        ("beta_discharge", dict(lo=0, strict_lo=True)),
-        ("alpha_utility", dict(lo=0, strict_lo=True)),
-        ("alpha_battery", dict(lo=0, strict_lo=True)),
-        ("renewable_peak", dict(lo=0)),
-    ]
-    for key, opts in spec:
-        val = _number(section, key, w, errors, **opts)
-        if val is not None:
-            kwargs[key] = val
-    for key in ("tou_tariff", "demand", "renewable_mean", "renewable_std"):
-        val = _array(section, key, w, errors)
-        if val is not None:
-            kwargs[key] = val
-    if errors:
+def _array(val, where, errors):
+    if val is None:
         return None
     try:
-        return MicrogridParams(**kwargs)
+        return np.asarray(val, dtype=float)
+    except (TypeError, ValueError):
+        errors.append(f"{where}: expected a numeric array")
+
+
+def _text(val, where, errors):
+    if isinstance(val, str):
+        return val
+    errors.append(f"{where}: expected a string, got {val!r}")
+
+
+def _flag(val, where, errors):
+    if isinstance(val, bool):
+        return val
+    errors.append(f"{where}: expected a boolean")
+
+
+def _list(item):
+    """Reader of a list whose entries ``item`` reads; a tuple of them, or
+    None if any entry is rejected."""
+    def read(val, where, errors):
+        if val is None:
+            return None
+        if not isinstance(val, list):
+            errors.append(f"{where}: expected a list, got {val!r}")
+            return None
+        mark = len(errors)
+        got = tuple(item(v, f"{where}[{i}]", errors) for i, v in enumerate(val))
+        return got if len(errors) == mark else None
+    return read
+
+
+def _filled(cls, table):
+    """Reader of a section whose keys are the fields of ``cls``."""
+    return lambda section, where, errors: cls(**_read(section, table, where, errors))
+
+
+_LQ_PLAYER = {
+    "input_dim": _SIZE, "box_lower": _array, "box_upper": _array,
+    "quad_self": _REAL, "quad_couple": _REAL, "linear": _array,
+}
+
+
+def _player(section, where, errors) -> LqPlayer | None:
+    mark = len(errors)
+    fields = _read(section, _LQ_PLAYER, where, errors)
+    if len(errors) == mark and not {"box_lower", "box_upper"} <= fields.keys():
+        errors.append(f"{where}: box_lower and box_upper are required")
+    return LqPlayer(**fields) if len(errors) == mark else None
+
+
+_LQ_CONSTRAINT = {
+    "input_coeffs": _array, "offset": _REAL, "gamma": _PROBABILITY,
+    "state_coeffs": _array,
+}
+
+
+def _constraint(section, where, errors) -> LqConstraint | None:
+    mark = len(errors)
+    fields = _read(section, _LQ_CONSTRAINT, where, errors)
+    if len(errors) == mark and "input_coeffs" not in fields:
+        errors.append(f"{where}.input_coeffs: required")
+    return LqConstraint(**fields) if len(errors) == mark else None
+
+
+_MICROGRID = {
+    "kind": _text, "n_households": _SIZE, "horizon": _SIZE,
+    "delta_t": _POSITIVE, "efficiency": _POSITIVE,
+    "soc_initial": _REAL, "soc_min": _REAL, "soc_max": _REAL, "soc_desired": _REAL,
+    "terminal_band": _POSITIVE, "gamma_soc": _PROBABILITY, "gamma_terminal": _PROBABILITY,
+    "tariff_coupling": _POSITIVE, "alpha_discharge": _POSITIVE,
+    "beta_discharge": _POSITIVE, "alpha_utility": _POSITIVE, "alpha_battery": _POSITIVE,
+    "tou_tariff": _array, "demand": _array, "renewable_peak": _number(lo=0),
+    "renewable_mean": _array, "renewable_std": _array,
+}
+_LQ = {
+    "kind": _text, "horizon": _SIZE, "state_dim": _SIZE, "initial_state": _array,
+    "a_mats": _array, "b_mats": _list(_array),
+    "players": _list(_player), "constraints": _list(_constraint),
+    "noise_mean": _array, "noise_std": _array,
+}
+
+
+def _game(section, where, errors) -> dict | None:
+    """RunConfig's game fields: the kind and its microgrid or LQ parameters."""
+    kind = section.get("kind") if isinstance(section, dict) else None
+    table = {"microgrid": _MICROGRID, "linear_quadratic": _LQ}.get(kind)
+    if table is None and isinstance(section, dict):
+        errors.append(f"game.kind: expected 'microgrid' or 'linear_quadratic', got {kind!r}")
+        return None
+    mark = len(errors)
+    fields = _read(section, table, where, errors)  # reports a section that is no object
+    if kind == "linear_quadratic":
+        if "horizon" not in section:
+            errors.append("game.horizon: required for linear_quadratic games")
+        if section.get("players") in (None, []):
+            errors.append("game.players: at least one player is required")
+    if len(errors) > mark:
+        return None
+    del fields["kind"]
+    if kind == "linear_quadratic":
+        return {"game_kind": kind, "lq": LqGameParams(**fields)}
+    try:
+        return {"game_kind": kind, "microgrid": MicrogridParams(**fields)}
     except ValueError as exc:
         errors.append(f"game: {exc}")
-        return None
 
 
-def _parse_lq(section: dict, errors: list) -> LqGameParams | None:
-    w = "game"
-    _check_keys(section, _LQ_KEYS, w, errors)
-    horizon = _number(section, "horizon", w, errors, lo=1, integer=True)
-    if horizon is None:
-        errors.append("game.horizon: required for linear_quadratic games")
-        return None
-    state_dim = _number(section, "state_dim", w, errors, lo=1, integer=True, default=1)
-    players = []
-    for idx, raw in enumerate(section.get("players", [])):
-        pw = f"{w}.players[{idx}]"
-        _check_keys(raw, _LQ_PLAYER_KEYS, pw, errors)
-        input_dim = _number(raw, "input_dim", pw, errors, lo=1, integer=True, default=1)
-        lo = _array(raw, "box_lower", pw, errors)
-        hi = _array(raw, "box_upper", pw, errors)
-        if lo is None or hi is None:
-            errors.append(f"{pw}: box_lower and box_upper are required")
-            continue
-        players.append(LqPlayer(
-            input_dim=input_dim, box_lower=lo, box_upper=hi,
-            quad_self=_number(raw, "quad_self", pw, errors, default=1.0),
-            quad_couple=_number(raw, "quad_couple", pw, errors, default=0.0),
-            linear=_array(raw, "linear", pw, errors)))
-    if not players:
-        errors.append("game.players: at least one player is required")
-    constraints = []
-    for idx, raw in enumerate(section.get("constraints", [])):
-        cw = f"{w}.constraints[{idx}]"
-        _check_keys(raw, _LQ_CONSTRAINT_KEYS, cw, errors)
-        coeffs = _array(raw, "input_coeffs", cw, errors)
-        if coeffs is None:
-            errors.append(f"{cw}.input_coeffs: required")
-            continue
-        constraints.append(LqConstraint(
-            input_coeffs=coeffs,
-            offset=_number(raw, "offset", cw, errors, default=0.0),
-            gamma=_number(raw, "gamma", cw, errors, lo=0, hi=1,
-                          strict_lo=True, strict_hi=True, default=0.5),
-            state_coeffs=_array(raw, "state_coeffs", cw, errors)))
-    if errors:
-        return None
-    return LqGameParams(
-        horizon=horizon, state_dim=state_dim,
-        initial_state=_array(section, "initial_state", w, errors),
-        a_mats=_array(section, "a_mats", w, errors),
-        b_mats=None if section.get("b_mats") is None else tuple(
-            np.asarray(b, dtype=float) for b in section["b_mats"]),
-        players=tuple(players), constraints=tuple(constraints),
-        noise_mean=_array(section, "noise_mean", w, errors),
-        noise_std=_array(section, "noise_std", w, errors))
+def _com_kind(val, where, errors):
+    if val in (GAUSSIAN_STANDARD, USER_TABULATED):
+        return val
+    errors.append(f"{where}: unknown kind {val!r}")
 
 
-def _parse_com(section: dict, errors: list):
-    _check_keys(section, _COM_KEYS, "com", errors)
-    kind = section.get("kind", GAUSSIAN_STANDARD)
-    if kind not in (GAUSSIAN_STANDARD, USER_TABULATED):
-        errors.append(f"com.kind: unknown kind {kind!r}")
-        return ComModel(), 0.0
-    beta = section.get("beta", 0.0)
-    entries = beta if isinstance(beta, list) else [beta]
+def _com_beta(val, where, errors):
+    entries = val if isinstance(val, list) else [val]
     if any(isinstance(b, bool) or not isinstance(b, (int, float)) for b in entries):
-        errors.append(f"com.beta: expected a number or a list of numbers, got {beta!r}")
+        errors.append(f"{where}: expected a number or a list of numbers, got {val!r}")
     elif not all(math.isfinite(b) for b in entries):
-        errors.append("com.beta: expected a finite number")
+        errors.append(f"{where}: expected a finite number")
     elif any(b < 0 for b in entries):
-        errors.append(f"com.beta: must be nonnegative, got {beta!r}")
-    try:
-        model = ComModel(kind=kind,
-                         theta_grid=_array(section, "theta_grid", "com", errors),
-                         h_grid=_array(section, "h_grid", "com", errors))
-    except ValueError as exc:
-        errors.append(f"com: {exc}")
-        model = ComModel()
-    return model, beta
+        errors.append(f"{where}: must be nonnegative, got {val!r}")
+    else:
+        return val
 
 
-def _parse_solver(section: dict, errors: list) -> SolverConfig:
-    w = "solver"
-    _check_keys(section, _SOLVER_KEYS, w, errors)
-    delta = _number(section, "delta", w, errors, lo=0, hi=1, strict_lo=True, default=0.9)
-    step = StepSchedule(
-        a0=_number(section, "step_a0", w, errors, lo=0, strict_lo=True, default=1.4e-4),
-        offset=_number(section, "step_offset", w, errors, lo=0, strict_lo=True, default=2.0))
-    batch = BatchSchedule(
-        scale=_number(section, "batch_scale", w, errors, lo=0, strict_lo=True, default=1.0),
-        offset=_number(section, "batch_offset", w, errors, lo=0, strict_lo=True, default=2.0),
-        exponent=_number(section, "batch_exponent", w, errors, lo=0, strict_lo=True, default=1.1))
-    return SolverConfig(
-        delta=delta, step=step, batch=batch,
-        max_iterations=_number(section, "max_iterations", w, errors, lo=0,
-                               integer=True, default=1000),
-        residual_tolerance=_number(section, "residual_tolerance", w, errors, lo=0,
-                                   default=1e-8),
-        residual_batch=_number(section, "residual_batch", w, errors, lo=1,
-                               integer=True, default=2000),
-        seed=_number(section, "seed", w, errors, lo=0, integer=True, default=0),
-        checkpoint_every=_number(section, "checkpoint_every", w, errors, lo=0,
-                                 integer=True, default=0),
-        snapshot_every=_number(section, "snapshot_every", w, errors, lo=0,
-                               integer=True, default=0),
-        divergence_factor=_number(section, "divergence_factor", w, errors, lo=1,
-                                  default=1e6))
+_COM = {"kind": _com_kind, "beta": _com_beta, "theta_grid": _array, "h_grid": _array}
+
+
+def _com(section, where, errors) -> dict:
+    """RunConfig's com fields: the concentration model and ``com_beta``."""
+    mark = len(errors)
+    fields = _read(section, _COM, where, errors)
+    out = {"com_beta": fields.pop("beta")} if "beta" in fields else {}
+    if len(errors) == mark:
+        try:
+            out["com_model"] = ComModel(**fields)
+        except ValueError as exc:
+            errors.append(f"{where}: {exc}")
+    return out
+
+
+_SOLVER = {
+    "delta": _number(lo=0, hi=1, strict_lo=True),
+    "step_a0": _POSITIVE, "step_offset": _POSITIVE,
+    "batch_scale": _POSITIVE, "batch_offset": _POSITIVE, "batch_exponent": _POSITIVE,
+    "max_iterations": _COUNT, "residual_tolerance": _number(lo=0),
+    "residual_batch": _SIZE, "seed": _COUNT, "checkpoint_every": _COUNT,
+    "snapshot_every": _COUNT, "divergence_factor": _number(lo=1),
+}
+
+
+def _solver(section, where, errors) -> SolverConfig:
+    """SolverConfig with the keys present; ``step_x`` and ``batch_x`` set the
+    field ``x`` of its step and batch schedules."""
+    fields = _read(section, _SOLVER, where, errors)
+    schedules = {"step": {}, "batch": {}}
+    for key in list(fields):
+        group, _, name = key.partition("_")
+        if group in schedules:
+            schedules[group][name] = fields.pop(key)
+    cfg = SolverConfig()
+    return replace(cfg, **fields, **{group: replace(getattr(cfg, group), **values)
+                                     for group, values in schedules.items()})
+
+
+_TOP = {
+    "game": _game, "com": _com, "solver": _solver,
+    "output": _filled(OutputPaths, {"trace": _text, "summary": _text, "strategies": _text}),
+    "verification": _filled(VerificationParams, {
+        "satisfaction_samples": _SIZE, "epsilon_gap_candidates": _COUNT,
+        "epsilon_gap_samples": _SIZE, "epsilon_gap_in_summary": _flag}),
+}
 
 
 def parse_config_dict(doc: dict) -> RunConfig:
-    errors: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["top level: expected a JSON object"])
-    _check_keys(doc, {"game", "com", "solver", "output", "verification"}, "top", errors)
-    game_section = doc.get("game")
-    if not isinstance(game_section, dict):
+    errors: list[str] = []
+    sections = _read(doc, _TOP, "", errors)
+    if "game" not in doc:
         errors.append("game: section is required")
-        raise ConfigError(errors)
-
-    kind = game_section.get("kind")
-    microgrid = lq = None
-    if kind == "microgrid":
-        microgrid = _parse_microgrid(game_section, errors)
-    elif kind == "linear_quadratic":
-        lq = _parse_lq(game_section, errors)
-    else:
-        errors.append(f"game.kind: expected 'microgrid' or 'linear_quadratic', got {kind!r}")
-
-    com_model, com_beta = _parse_com(doc.get("com", {}), errors)
-    solver = _parse_solver(doc.get("solver", {}), errors)
-
-    out_section = doc.get("output", {})
-    _check_keys(out_section, _OUTPUT_KEYS, "output", errors)
-    output = OutputPaths(
-        trace=str(out_section.get("trace", "trace.csv")),
-        summary=str(out_section.get("summary", "summary.json")),
-        strategies=str(out_section.get("strategies", "strategies.csv")))
-
-    ver_section = doc.get("verification", {})
-    _check_keys(ver_section, _VERIFICATION_KEYS, "verification", errors)
-    flag = ver_section.get("epsilon_gap_in_summary", False)
-    if not isinstance(flag, bool):
-        errors.append("verification.epsilon_gap_in_summary: expected a boolean")
-        flag = False
-    verification = VerificationParams(
-        satisfaction_samples=_number(ver_section, "satisfaction_samples",
-                                     "verification", errors, lo=1, integer=True,
-                                     default=10000),
-        epsilon_gap_candidates=_number(ver_section, "epsilon_gap_candidates",
-                                       "verification", errors, lo=0, integer=True,
-                                       default=8),
-        epsilon_gap_samples=_number(ver_section, "epsilon_gap_samples",
-                                    "verification", errors, lo=1, integer=True,
-                                    default=2000),
-        epsilon_gap_in_summary=flag)
-
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        game_kind=kind, microgrid=microgrid, lq=lq, com_model=com_model,
-        com_beta=com_beta, solver=solver, output=output,
-        verification=verification, raw=doc)
+    return RunConfig(**sections.pop("game"), **sections.pop("com", {}), **sections, raw=doc)
 
 
 def parse_config(path) -> RunConfig:
@@ -363,8 +338,6 @@ def build_game(cfg: RunConfig):
 
 
 def _override_com(game, model: ComModel):
-    from dataclasses import replace
-
     if model.kind == game.disturbance.com_model.kind and model.kind == GAUSSIAN_STANDARD:
         return game
     return replace(game, disturbance=replace(game.disturbance, com_model=model))

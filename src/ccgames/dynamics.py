@@ -22,7 +22,7 @@ dense; horizons here are desk-scale so sparsity would be premature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,28 +94,13 @@ class CompactLift:
     init_map: np.ndarray
     input_maps: tuple
     noise_map: np.ndarray
-    state_dim: int = field(default=0)
-
-    @property
-    def horizon(self) -> int:
-        return self.init_map.shape[0] // self.state_dim - 1
-
-
-def transition_matrix(dyn: TimeVaryingLinearDynamics, t1: int, t2: int) -> np.ndarray:
-    """Product A_{t1-1} ... A_{t2}; identity when t1 == t2."""
-    if not (0 <= t2 <= t1 <= dyn.horizon):
-        raise ValueError(f"need 0 <= t2 <= t1 <= T, got t1={t1}, t2={t2}")
-    out = np.eye(dyn.state_dim)
-    for t in range(t2, t1):
-        out = dyn.a_mats[t] @ out
-    return out
 
 
 def build_compact_lift(dyn: TimeVaryingLinearDynamics) -> CompactLift:
     """Unroll the recursion into the stacked affine map.
 
     Block formulas: init_map row-block t is the transition from 0 to t;
-    input_maps[j] row-block t, column-block k is transition(t, k+1) @ B^j_k
+    input_maps[j] row-block t, column-block k is A_{t-1} ... A_{k+1} B^j_k
     for k < t and zero otherwise; noise_map is the same with the identity in
     place of B^j_k.
     """
@@ -139,7 +124,7 @@ def build_compact_lift(dyn: TimeVaryingLinearDynamics) -> CompactLift:
         for j, nj in enumerate(n_in):
             input_maps[j][rows_next] = a_t @ input_maps[j][rows]
             input_maps[j][rows_next, t * nj:(t + 1) * nj] = dyn.b_mats[j][t]
-    return CompactLift(init_map, tuple(input_maps), noise_map, state_dim=n_s)
+    return CompactLift(init_map, tuple(input_maps), noise_map)
 
 
 def simulate_state(dyn: TimeVaryingLinearDynamics, u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -29,9 +29,9 @@ from .game import CouplingConstraintSpec, DisturbanceModel, GameSpec, PlayerSpec
 
 @dataclass(frozen=True)
 class LqPlayer:
-    input_dim: int
     box_lower: np.ndarray
     box_upper: np.ndarray
+    input_dim: int = 1
     quad_self: float = 1.0
     quad_couple: float = 0.0
     linear: np.ndarray | None = None
@@ -40,7 +40,7 @@ class LqPlayer:
 @dataclass(frozen=True)
 class LqConstraint:
     input_coeffs: np.ndarray
-    offset: float
+    offset: float = 0.0
     gamma: float = 0.5
     state_coeffs: np.ndarray | None = None
 

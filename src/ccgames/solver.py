@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -314,31 +314,17 @@ def _draw_players(game, streams, out: np.ndarray) -> None:
         draw_support_noise(game, rng, rows)
 
 
-_draw_lane = (None, None)  # (process id, task queue) of the second lane's thread
+_draw_lane = (None, None)  # (process id, one-thread executor) of the second lane
 _draw_lane_lock = threading.Lock()
 
 
-def _serve(tasks):
-    while True:
-        job, done = tasks.get()
-        try:
-            job()
-            done.put(None)
-        except BaseException as exc:  # handed to the waiting caller, which raises it
-            done.put(exc)
-        del job, done  # keep nothing of a finished draw while idle
-
-
-def _second_lane() -> queue.SimpleQueue:
-    """Task queue of the persistent draw thread, started on first use (and
-    again in a forked child, which inherits no threads)."""
+def _second_lane() -> ThreadPoolExecutor:
+    """The second lane's executor, made on first use (and again in a forked
+    child, whose inherited executor has no thread and would never run)."""
     global _draw_lane
     with _draw_lane_lock:
         if _draw_lane[0] != os.getpid():
-            tasks = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(tasks,), name="ccgames-draws",
-                             daemon=True).start()
-            _draw_lane = (os.getpid(), tasks)
+            _draw_lane = (os.getpid(), ThreadPoolExecutor(1, "ccgames-draws"))
         return _draw_lane[1]
 
 
@@ -357,19 +343,18 @@ def draw_noise(game, seed: int, k: int, m: int):
     if not game.support:
         return coordinator_noise(game, seed, k, m), noise
     streams = [iteration_stream(seed, k, 1 + i) for i in range(game.n_players)]
-    own, done = slice(None), None
+    own, lane = slice(None), None
     if m * game.disturbance.dim >= TWO_LANE_MIN_DRAWS:
-        done = queue.SimpleQueue()
-        _second_lane().put((lambda: _draw_players(game, streams[::2], noise[::2]), done))
+        lane = _second_lane().submit(_draw_players, game, streams[::2], noise[::2])
         own = slice(1, None, 2)
     try:
         coordinator = coordinator_noise(game, seed, k, m)
         _draw_players(game, streams[own], noise[own])
     finally:
-        if done is not None:
-            error = done.get()  # wait, so no draw outlives the call
-    if done is not None and error is not None:
-        raise error
+        if lane is not None:
+            wait([lane])  # so no draw outlives the call
+    if lane is not None:
+        lane.result()
     return coordinator, noise
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from ccgames.com import h_inverse
 from ccgames.cli import epsilon_gap, main, read_strategies_csv, write_strategies_csv
-from ccgames.config import ConfigError, build_game, emit_config, parse_config
+from ccgames.config import (ConfigError, OutputPaths, VerificationParams, build_game,
+                            emit_config, parse_config)
+from ccgames.solver import SolverConfig
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -116,6 +119,12 @@ def edited(section, key, value):
     return edit
 
 
+def replaced(section, value):
+    def edit(doc):
+        doc[section] = value
+    return edit
+
+
 def edited_player(key, value, index=0):
     def edit(doc):
         doc["game"]["players"][index][key] = value
@@ -176,6 +185,48 @@ class TestConfigErrors:
         doc = oracle_doc()
         edit(doc)
         assert_one_message_exit_one(tmp_path, capsys, doc, message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (replaced("solver", []), "solver: expected an object, got []"),
+        (replaced("solver", "x"), "solver: expected an object, got 'x'"),
+        (replaced("com", [1]), "com: expected an object, got [1]"),
+        (replaced("output", [1]), "output: expected an object, got [1]"),
+        (replaced("verification", "x"), "verification: expected an object, got 'x'"),
+        (edited("game", "players", [1]), "game.players[0]: expected an object, got 1"),
+        (edited("game", "b_mats", 3), "game.b_mats: expected a list, got 3"),
+        (edited("game", "b_mats", [[[1.0], [1.0, 2.0]]]),
+         "game.b_mats[0]: expected a numeric array"),
+        (edited("output", "trace", 1), "output.trace: expected a string, got 1"),
+    ], ids=["solver-list", "solver-string", "com-list", "output-list",
+            "verification-string", "player-not-object", "b-mats-not-list",
+            "b-mats-ragged", "output-name-number"])
+    def test_malformed_section_is_one_path_error(self, tmp_path, capsys, edit, message):
+        doc = oracle_doc()
+        edit(doc)
+        assert_one_message_exit_one(tmp_path, capsys, doc, message)
+
+    def test_omitted_keys_take_dataclass_defaults(self, tmp_path):
+        doc = oracle_doc()
+        for section in ("solver", "output", "verification"):
+            doc[section] = {}
+        for player in doc["game"]["players"]:
+            del player["input_dim"]
+            player["linear"] = None  # a null array is an absent one
+        del doc["game"]["constraints"][0]["offset"]
+        cfg = parse_config(write_doc(tmp_path, doc))
+        assert cfg.solver == SolverConfig()
+        assert cfg.output == OutputPaths()
+        assert cfg.verification == VerificationParams()
+        assert all(p.input_dim == 1 and p.linear is None for p in cfg.lq.players)
+        assert cfg.lq.constraints[0].offset == 0.0
+
+    def test_schedule_keys_set_their_schedule_fields(self, tmp_path):
+        doc = oracle_doc()
+        doc["solver"] = {"step_a0": 3.0, "batch_exponent": 1.5}
+        cfg = parse_config(write_doc(tmp_path, doc))
+        assert cfg.solver == replace(SolverConfig(),
+                                     step=replace(SolverConfig().step, a0=3.0),
+                                     batch=replace(SolverConfig().batch, exponent=1.5))
 
     @pytest.mark.parametrize("beta", [-0.1, [-0.1]])
     def test_negative_com_beta_rejected(self, tmp_path, capsys, beta):
@@ -573,6 +624,16 @@ class TestPlotData:
                      "--out-dir", str(out / "trace.csv" / "plots")])
         assert code == 1
         assert "failed to write outputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["k", "residual", "alpha", "batch"])
+    def test_trace_missing_column_exit_one(self, tmp_path, capsys, column):
+        path = write_doc(tmp_path, small_microgrid_doc())
+        header = [c for c in ("k", "residual", "alpha", "batch", "wall_ms") if c != column]
+        trace = tmp_path / "trace.csv"
+        trace.write_text(",".join(header) + "\n" + ",".join("1" for _ in header) + "\n")
+        assert main(["plot-data", "--config", str(path), "--trace", str(trace),
+                     "--out-dir", str(tmp_path / "plots")]) == 1
+        assert f"no {column!r} column" in capsys.readouterr().err
 
     def test_empty_trace_exit_one(self, tmp_path):
         path = write_doc(tmp_path, small_microgrid_doc())

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgames.dynamics import (TimeVaryingLinearDynamics, build_compact_lift,
-                              lift_state, simulate_state, transition_matrix)
+                              lift_state, simulate_state)
 
 from conftest import random_dynamics
 
@@ -14,38 +14,6 @@ def scalar_dynamics(a_value, horizon, n_players=1, b_value=0.0, s0=0.0):
         a_mats=np.full((horizon, 1, 1), a_value),
         b_mats=tuple(np.full((horizon, 1, 1), b_value) for _ in range(n_players)),
         s0=np.array([s0]))
-
-
-class TestTransitionMatrix:
-    def test_equal_times_is_identity(self):
-        dyn = random_dynamics(np.random.default_rng(0), n_s=3, n_players=2, horizon=5)
-        assert np.array_equal(transition_matrix(dyn, 3, 3), np.eye(3))
-
-    def test_scalar_product(self):
-        dyn = scalar_dynamics(2.0, horizon=4)
-        assert transition_matrix(dyn, 2, 0)[0, 0] == pytest.approx(4.0)
-
-    def test_single_step_is_the_factor(self):
-        dyn = random_dynamics(np.random.default_rng(1), n_s=2, n_players=1, horizon=3)
-        assert np.allclose(transition_matrix(dyn, 1, 0), dyn.a_mats[0])
-
-    def test_rejects_reversed_times(self):
-        dyn = scalar_dynamics(1.0, horizon=3)
-        with pytest.raises(ValueError):
-            transition_matrix(dyn, 1, 2)
-        with pytest.raises(ValueError):
-            transition_matrix(dyn, 5, 0)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_semigroup(self, seed):
-        rng = np.random.default_rng(seed)
-        dyn = random_dynamics(rng)
-        T = dyn.horizon
-        t1, t2, t3 = sorted(rng.integers(0, T + 1, size=3))
-        lhs = transition_matrix(dyn, t3, t1)
-        rhs = transition_matrix(dyn, t3, t2) @ transition_matrix(dyn, t2, t1)
-        assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 class TestCompactLift:

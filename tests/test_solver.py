@@ -17,6 +17,7 @@ from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           operator_estimate, random_feasible_profile,
                           reduce_noise, reduced_lift, state_batch)
 from ccgames.lqgame import build_lq_game
+from ccgames.rng import residual_stream
 from ccgames.solver import (BatchSchedule, SolverConfig, SolverState,
                             StepSchedule, batch_size, coordinator_noise, coordinator_step,
                             draw_noise, estimate_lipschitz, estimator_diagnostics,
@@ -468,20 +469,21 @@ class TestSharedEvaluation:
         assert calls == sum(per_iteration, []) + [cfg.residual_batch]
 
     def test_cached_residual_equals_uncached(self, reduced_microgrid):
+        # run() passes the reduced batch residual_noise; the same draws lifted
+        # whole must give the same bits
         _, game, offsets = reduced_microgrid
         cfg = quick_config(residual_batch=300)
         rng = np.random.default_rng(3)
-        w_res = game.disturbance.sample(rng, cfg.residual_batch)
-        noise = lift_noise(game, w_res)
+        reduced = residual_noise(game, cfg, cfg.seed)
+        lifted = lift_noise(game, game.disturbance.sample(residual_stream(cfg.seed),
+                                                          cfg.residual_batch))
         state = initial_state(game, cfg)
         for k in (0, 4):
             state = replace(state, k=k, u=random_feasible_profile(game, rng),
                             lam=rng.uniform(0.0, 2.0, size=game.constraint_count))
-            uncached = residual_estimate(state, game, offsets, cfg,
-                                         noise=lift_noise(game, w_res),
-                                         base=lift_base(game, state.u))
-            cached = residual_estimate(state, game, offsets, cfg, noise=noise,
-                                       base=lift_base(game, state.u))
+            base = lift_base(game, state.u)
+            uncached = residual_estimate(state, game, offsets, cfg, noise=lifted, base=base)
+            cached = residual_estimate(state, game, offsets, cfg, noise=reduced, base=base)
             assert cached == uncached > 0.0
 
     def test_run_matches_uncached_iteration(self, reduced_microgrid):

@@ -7,6 +7,8 @@ equal one whole draw, and a two-lane run equals a serial whole-draw
 reference. Failures on the second thread reach the caller.
 """
 
+import multiprocessing
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -180,3 +182,21 @@ def test_concurrent_callers_share_the_lane():
             assert len(rows) == game.n_players
             for i, r in enumerate(rows):
                 assert np.array_equal(r, whole[1 + i].support), (k, i)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_its_own_lane():
+    # a forked child inherits the parent's lane executor but not its thread;
+    # a task handed to that executor would never run
+    game, _ = build_game(parse_config(CONFIG_DIR / "microgrid_reduced.json"))
+    m = solver.TWO_LANE_MIN_DRAWS // game.disturbance.dim + 1
+    solver.draw_noise(game, 3, 0, m)  # the parent's lane exists
+    child = multiprocessing.get_context("fork").Process(
+        target=solver.draw_noise, args=(game, 3, 1, m))
+    child.start()
+    child.join(timeout=30)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0
