@@ -281,38 +281,29 @@ def cmd_plot_data(args, cfg: RunConfig, game, offsets) -> int:
             print(f"cannot read strategies: {exc}", file=sys.stderr)
             return 1
 
-    out_dir = Path(args.out_dir)
-    written = ["residual_vs_iteration.csv"]
+    outputs = {"residual_vs_iteration.csv": _lines("k,residual,alpha,batch", (
+        f"{row['k']},{row['residual']},{row['alpha']},{row['batch']}" for row in rows))}
+    out_dir, snaps = Path(args.out_dir), Path(args.trace).parent / "strategy_snapshots.csv"
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / written[0], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("k,residual,alpha,batch\n")
-            for row in rows:
-                fh.write(f"{row['k']},{row['residual']},{row['alpha']},{row['batch']}\n")
-        snaps = Path(args.trace).parent / "strategy_snapshots.csv"
         if snaps.exists():
-            with open(snaps, encoding="utf-8") as src, \
-                    open(out_dir / "strategies_vs_iteration.csv", "w", encoding="utf-8",
-                         newline="\n") as dst:
-                dst.write(src.read())
-            written.append("strategies_vs_iteration.csv")
+            outputs["strategies_vs_iteration.csv"] = snaps.read_text(encoding="utf-8")
         if u is not None:
             p = cfg.microgrid
             battery = u.reshape(p.n_households, p.horizon).sum(axis=0)
             total_demand = p.demand.sum(axis=0)
-            with open(out_dir / "aggregate_profiles.csv", "w", encoding="utf-8",
-                      newline="\n") as fh:
-                fh.write("t,total_demand,grid_exchange,battery_discharge,renewable_mean\n")
-                for t in range(p.horizon):
-                    fh.write(f"{t},{float(total_demand[t])!r},"
-                             f"{float(total_demand[t] - battery[t])!r},"
-                             f"{float(battery[t])!r},{float(p.renewable_mean[t])!r}\n")
-            written.append("aggregate_profiles.csv")
+            outputs["aggregate_profiles.csv"] = _lines(
+                "t,total_demand,grid_exchange,battery_discharge,renewable_mean",
+                (f"{t},{float(total_demand[t])!r},{float(total_demand[t] - battery[t])!r},"
+                 f"{float(battery[t])!r},{float(p.renewable_mean[t])!r}"
+                 for t in range(p.horizon)))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in outputs.items():
+            solver_mod.write_text_atomic(out_dir / name, text)
     except OSError as exc:
         print(f"failed to write outputs: {exc}", file=sys.stderr)
         return 1
 
-    print("wrote " + ", ".join(written))
+    print("wrote " + ", ".join(outputs))
     return 0
 
 

@@ -112,9 +112,13 @@ def _array(val, where, errors):
     if val is None:
         return None
     try:
-        return np.asarray(val, dtype=float)
+        arr = np.asarray(val, dtype=float)
     except (TypeError, ValueError):
         errors.append(f"{where}: expected a numeric array")
+        return None
+    if np.all(np.isfinite(arr)):
+        return arr
+    errors.append(f"{where}: expected finite numbers")
 
 
 def _text(val, where, errors):
@@ -309,12 +313,6 @@ def parse_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path}:{exc.lineno}: {exc.msg}"]) from exc
     return parse_config_dict(doc)
-
-
-def emit_config(cfg: RunConfig, path) -> None:
-    """Write the config back out; parse(emit(cfg)) round trips."""
-    Path(path).write_text(json.dumps(cfg.to_json_dict(), indent=2) + "\n",
-                          encoding="utf-8")
 
 
 def build_game(cfg: RunConfig):

@@ -16,10 +16,12 @@ lets the scheme converge under a merely monotone pseudo-gradient. Batches
 grow superlinearly and step sizes decay so sampling error is summable.
 
 Every entity draws its own fresh batch each iteration from a substream keyed
-by (seed, iteration, entity), so a run is bit-reproducible regardless of
-execution order and can be resumed from a checkpoint. An entity whose draws
-no estimate reads (a player when ``game.support`` is empty, the coordinator
-when no constraint value reads the trajectory) draws nothing.
+by (``cfg.seed``, iteration, entity), so a run is bit-reproducible regardless
+of execution order. A ``SolverState`` is the iterate alone; a checkpoint is
+one JSON document of (solver settings, iterate), and a resume from it
+continues the run it left (``load_checkpoint``). An entity whose draws no
+estimate reads (a player when ``game.support`` is empty, the coordinator when
+no constraint value reads the trajectory) draws nothing.
 
 Drawing is most of a large-batch iteration, so ``draw_noise`` splits the
 draws between the calling thread and one persistent worker thread once one
@@ -44,12 +46,14 @@ and clip are whole-profile operations with the bits of a per-player loop.
 
 from __future__ import annotations
 
+import json
 import math
+import operator
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +69,10 @@ TERMINATION_BUDGET = "budget"
 TERMINATION_DIVERGENCE = "divergence-guard"
 TERMINATION_NON_FINITE = "non-finite"
 
-CHECKPOINT_TAG = "ccgames-state v1"
+CHECKPOINT_FORMAT = "ccgames-state v2"
+# the settings a resume may change: extending the budget is what resume is for
+RESUMABLE_SETTINGS = ("max_iterations", "residual_tolerance", "checkpoint_every", "snapshot_every")
+STATE_ARRAYS = ("u", "u_avg_prev", "lam", "lam_avg_prev")
 
 LIPSCHITZ_PAIRS = 16
 LIPSCHITZ_BATCH = 256
@@ -201,47 +208,12 @@ class SolverState:
     u_avg_prev: np.ndarray
     lam: np.ndarray
     lam_avg_prev: np.ndarray
-    seed: int
 
     def z_norm(self) -> float:
         return math.hypot(float(np.linalg.norm(self.u)), float(np.linalg.norm(self.lam)))
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.lam)))
-
-    def to_text(self) -> str:
-        def row(name, arr):
-            return name + " " + " ".join(repr(float(x)) for x in arr)
-
-        lines = [
-            CHECKPOINT_TAG,
-            f"seed {self.seed}",
-            f"k {self.k}",
-            row("u", self.u),
-            row("u_avg_prev", self.u_avg_prev),
-            row("multiplier", self.lam),
-            row("multiplier_avg_prev", self.lam_avg_prev),
-        ]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SolverState":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != CHECKPOINT_TAG:
-            raise ValueError("not a recognized checkpoint (bad version tag)")
-        fields = {}
-        for ln in lines[1:]:
-            name, _, rest = ln.partition(" ")
-            fields[name] = rest
-        try:
-            seed = int(fields["seed"])
-            k = int(fields["k"])
-            vec = lambda name: np.array(
-                [float(x) for x in fields[name].split()] if fields[name].strip() else [])
-            return cls(k, vec("u"), vec("u_avg_prev"),
-                       vec("multiplier"), vec("multiplier_avg_prev"), seed)
-        except KeyError as exc:
-            raise ValueError(f"checkpoint missing field {exc}") from exc
 
 
 def initial_state(game, cfg: SolverConfig) -> SolverState:
@@ -252,7 +224,7 @@ def initial_state(game, cfg: SolverConfig) -> SolverState:
     """
     u0 = game_mod.project_local(game, np.zeros(game.input_dim))
     lam0 = np.zeros(game.constraint_count)
-    return SolverState(0, u0, u0.copy(), lam0, lam0.copy(), cfg.seed)
+    return SolverState(0, u0, u0.copy(), lam0, lam0.copy())
 
 
 @dataclass(frozen=True)
@@ -270,7 +242,6 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunTrace:
-    config: SolverConfig
     records: tuple
     termination_reason: str
     final_state: SolverState
@@ -401,10 +372,10 @@ def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverCo
     ``state``, for the record; ``base`` is its ``lift_base``, shared by all."""
     t0 = time.perf_counter()
     k = state.k
-    coordinator, player_noise = draw_noise(game, state.seed, k, batch_size(cfg, k))
+    coordinator, player_noise = draw_noise(game, cfg.seed, k, batch_size(cfg, k))
     lam_avg, lam_next, g_hat = coordinator_step(state, game, offsets, cfg, coordinator, base)
     u_avg, u_next = player_step(state, game, cfg, player_noise, base)
-    new_state = SolverState(k + 1, u_next, u_avg, lam_next, lam_avg, state.seed)
+    new_state = SolverState(k + 1, u_next, u_avg, lam_next, lam_avg)
     snapshot = bool(cfg.snapshot_every) and k % cfg.snapshot_every == 0
     return new_state, _record(state, cfg, residual, g_hat, t0, snapshot)
 
@@ -436,7 +407,7 @@ def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
     (``cfg.residual_batch`` samples); the backward step is the product of the
     local-set projection and the nonnegative-orthant projection. Zero exactly
     at equilibrium-multiplier pairs, up to estimator noise. ``noise`` is the
-    reduced reference batch ``residual_noise(game, cfg, state.seed)``, common
+    reduced reference batch ``residual_noise(game, cfg, cfg.seed)``, common
     to every iteration of a run, or the same batch lifted whole
     (``lift_noise``); ``base`` is ``lift_base(game, state.u)``.
     """
@@ -461,13 +432,20 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     record), whose constraint mean comes from the coordinator's batch of
     that iterate. The residual batch is drawn and reduced once per run; each
     iterate's noise-free trajectory is lifted once and shared by the
-    residual and the iteration. ``initial`` needs a nonnegative multiplier.
+    residual and the iteration. ``initial`` (a loaded checkpoint, say) needs
+    the game's dimensions and a nonnegative multiplier. The divergence guard
+    is relative to ``initial_state``, the projected origin, wherever a run starts.
     """
-    state = initial if initial is not None else initial_state(game, cfg)
+    origin = initial_state(game, cfg)
+    state = origin if initial is None else initial
+    wrong = [n for n in STATE_ARRAYS
+             if np.shape(getattr(state, n)) != np.shape(getattr(origin, n))]
+    if wrong:
+        raise ValueError(f"initial {', '.join(wrong)}: not the game's dimensions")
     if np.any(state.lam < 0):
         raise ValueError("initial multiplier must be nonnegative")
-    guard = cfg.divergence_factor * (1.0 + state.z_norm())
-    noise_res = residual_noise(game, cfg, state.seed)
+    guard = cfg.divergence_factor * (1.0 + origin.z_norm())
+    noise_res = residual_noise(game, cfg, cfg.seed)
     records = []
     while True:
         base = game_mod.lift_base(game, state.u)
@@ -476,7 +454,7 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             t0 = time.perf_counter()  # like iteration records, excludes the residual
             reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
                 else TERMINATION_BUDGET
-            noise = coordinator_noise(game, state.seed, state.k, batch_size(cfg, state.k))
+            noise = coordinator_noise(game, cfg.seed, state.k, batch_size(cfg, state.k))
             g_hat = coordinator_step(state, game, offsets, cfg, noise, base)[2]
             records.append(_record(state, cfg, res, g_hat, t0, bool(cfg.snapshot_every)))
             break
@@ -488,11 +466,11 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             break
         if checkpoint_dir is not None and cfg.checkpoint_every > 0 \
                 and state.k % cfg.checkpoint_every == 0:
-            write_checkpoint(state, checkpoint_dir)
+            write_checkpoint(state, cfg, checkpoint_dir)
         if state.z_norm() > guard:
             reason = TERMINATION_DIVERGENCE
             break
-    return RunTrace(cfg, tuple(records), reason, state)
+    return RunTrace(tuple(records), reason, state)
 
 
 def non_finite_updates(game, state: SolverState) -> list:
@@ -522,15 +500,47 @@ def write_text_atomic(path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def write_checkpoint(state: SolverState, directory) -> str:
-    """Write ``checkpoint_<k>.txt`` atomically (``write_text_atomic``)."""
-    path = Path(directory) / f"checkpoint_{state.k:08d}.txt"
-    write_text_atomic(path, state.to_text())
+def write_checkpoint(state: SolverState, cfg: SolverConfig, directory) -> str:
+    """Write ``checkpoint_<k>.json`` atomically (``write_text_atomic``): the
+    settings ``cfg`` and the iterate ``state``. ``json`` writes each float
+    as its shortest repr, which reads back to the same bits."""
+    path = Path(directory) / f"checkpoint_{state.k:08d}.json"
+    doc = {"format": CHECKPOINT_FORMAT, "solver": asdict(cfg), "k": state.k,
+           **{name: getattr(state, name).tolist() for name in STATE_ARRAYS}}
+    write_text_atomic(path, json.dumps(doc) + "\n")
     return str(path)
 
 
-def load_checkpoint(path) -> SolverState:
-    return SolverState.from_text(Path(path).read_text(encoding="utf-8"))
+def _settings(solver: dict) -> dict:
+    """``asdict`` of a SolverConfig keyed by dotted names such as ``step.a0``."""
+    return {f"{name}.{sub}" if sub else name: v for name, value in solver.items()
+            for sub, v in (value.items() if isinstance(value, dict) else [("", value)])}
+
+
+def load_checkpoint(path, cfg: SolverConfig) -> SolverState:
+    """The iterate of the checkpoint at ``path`` for a resume with settings
+    ``cfg``. One ``ValueError`` names ``path`` when the file is not a
+    ``CHECKPOINT_FORMAT`` document (v1 text checkpoints are not read) or its
+    settings differ from ``cfg`` outside ``RESUMABLE_SETTINGS``, naming them."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError:  # not JSON, a v1 text checkpoint among them
+        doc = None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
+    try:
+        stored, wanted = _settings(doc["solver"]), _settings(asdict(cfg))
+        state = SolverState(operator.index(doc["k"]),
+                            *(np.array(doc[name], dtype=float) for name in STATE_ARRAYS))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed {CHECKPOINT_FORMAT} checkpoint ({exc!r})") \
+            from None
+    differ = sorted(name for name in stored.keys() | wanted.keys()
+                    if name not in RESUMABLE_SETTINGS
+                    and stored.get(name) != wanted.get(name))
+    if differ:
+        raise ValueError(f"{path}: written with other solver settings: {', '.join(differ)}")
+    return state
 
 
 def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int) -> float:

@@ -266,11 +266,11 @@ def serial_reference_run(game, offsets, cfg, initial):
     from ccgames.rng import iteration_stream
 
     state, records = initial, []
-    noise_res = solver.residual_noise(game, cfg, state.seed)
+    noise_res = solver.residual_noise(game, cfg, cfg.seed)
     while True:
         k, m = state.k, solver.batch_size(cfg, state.k)
         base = lift_base(game, state.u)
-        noise = [reduce_noise(game, game.disturbance.sample(iteration_stream(state.seed, k, e), m))
+        noise = [reduce_noise(game, game.disturbance.sample(iteration_stream(cfg.seed, k, e), m))
                  for e in range(1 + game.n_players)]
         lam_avg, lam_next, g_hat = solver.coordinator_step(state, game, offsets, cfg,
                                                            noise[0], base)
@@ -283,7 +283,7 @@ def serial_reference_run(game, offsets, cfg, initial):
             return state, records
         rows = [n.support + base[list(game.support)] for n in noise[1:]]
         u_avg, u_next = reference_player_step(game, state, cfg, rows)
-        state = solver.SolverState(k + 1, u_next, u_avg, lam_next, lam_avg, state.seed)
+        state = solver.SolverState(k + 1, u_next, u_avg, lam_next, lam_avg)
 
 
 def assert_run_equals_reference(trace, reference):
@@ -295,7 +295,7 @@ def assert_run_equals_reference(trace, reference):
 
     state, records = reference
     final = trace.final_state
-    assert (final.k, final.seed) == (state.k, state.seed)
+    assert final.k == state.k
     for name in ("u", "u_avg_prev", "lam", "lam_avg_prev"):
         assert np.array_equal(getattr(final, name), getattr(state, name)), name
     assert len(trace.records) == len(records)

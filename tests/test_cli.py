@@ -9,7 +9,7 @@ import pytest
 from ccgames.com import h_inverse
 from ccgames.cli import epsilon_gap, main, read_strategies_csv, write_strategies_csv
 from ccgames.config import (ConfigError, OutputPaths, VerificationParams, build_game,
-                            emit_config, parse_config)
+                            parse_config, parse_config_dict)
 from ccgames.solver import SolverConfig
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -70,13 +70,13 @@ class TestParseConfig:
             assert game.input_dim > 0
             assert offsets.offsets.shape == (game.constraint_count,)
 
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         for name in ("quadratic_oracle.json", "microgrid_reduced.json",
                      "microgrid_paper.json"):
             cfg = parse_config(CONFIG_DIR / name)
-            emit_config(cfg, tmp_path / name)
-            again = parse_config(tmp_path / name)
+            again = parse_config_dict(cfg.to_json_dict())
             assert again.to_json_dict() == cfg.to_json_dict()
+            assert again.solver == cfg.solver
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -159,6 +159,32 @@ class TestConfigErrors:
         doc = oracle_doc()
         edit(doc)
         assert_one_message_exit_one(tmp_path, capsys, doc, f"{path}: expected a finite number")
+
+    @pytest.mark.parametrize("edit, path", [
+        (edited_player("linear", [float("nan"), -1.0]), "game.players[0].linear"),
+        (edited_player("box_upper", [5.0, float("inf")], index=2), "game.players[2].box_upper"),
+        (edited_constraint("input_coeffs", [1, 1, float("-inf"), 1, 1, 1]),
+         "game.constraints[0].input_coeffs"),
+        (edited("game", "noise_std", [float("nan")] * 2), "game.noise_std"),
+        (edited("game", "b_mats", [[[1.0]] * 2, [[float("nan")]] * 2, [[1.0]] * 2]),
+         "game.b_mats[1]"),
+        (replaced("com", {"kind": "user-tabulated", "theta_grid": [0.0, float("nan"), 4.0],
+                          "h_grid": [1.0, 0.3, 0.0]}), "com.theta_grid"),
+        (replaced("com", {"kind": "user-tabulated", "theta_grid": [0.0, 1.0, 4.0],
+                          "h_grid": [1.0, float("nan"), 0.0]}), "com.h_grid"),
+    ], ids=["nan-linear", "inf-box", "inf-coeffs", "nan-noise", "nan-b-mats",
+            "nan-theta-grid", "nan-h-grid"])
+    def test_non_finite_array_rejected(self, tmp_path, capsys, edit, path):
+        doc = oracle_doc()
+        edit(doc)
+        assert_one_message_exit_one(tmp_path, capsys, doc, f"{path}: expected finite numbers")
+
+    @pytest.mark.parametrize("key", ["renewable_std", "renewable_mean", "tou_tariff"])
+    def test_non_finite_microgrid_array_rejected(self, tmp_path, capsys, key):
+        doc = small_microgrid_doc()
+        doc["game"][key] = [float("inf"), 0.1, 0.1, 0.1]
+        assert_one_message_exit_one(tmp_path, capsys, doc,
+                                    f"game.{key}: expected finite numbers")
 
     @pytest.mark.parametrize("edit, message", [
         (edited_player("box_lower", [-5.0, -5.0, -5.0]),
@@ -301,6 +327,26 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(write_doc(tmp_path, doc))]) == 2
 
 
+def nan_player_zero_gradient(monkeypatch):
+    """Make ``build_game`` give linear-quadratic games a cost gradient whose
+    first entry of player 0's block is NaN (a config can no longer hold one)."""
+    import ccgames.config as config_mod
+
+    real = config_mod.build_lq_game
+
+    def build(params):
+        game, offsets = real(params)
+
+        def grad(u, real_grad=game.cost_input_grad):
+            g = real_grad(u)
+            g[game.player_slices[0].start] = np.nan
+            return g
+
+        return replace(game, cost_input_grad=grad), offsets
+
+    monkeypatch.setattr(config_mod, "build_lq_game", build)
+
+
 class TestRunCommand:
     def test_zero_budget_exit_two_one_row(self, tmp_path):
         doc = small_lq_doc(max_iterations=0)
@@ -340,9 +386,9 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--force",
                      "--out-dir", str(tmp_path / "o2")]) == 2
 
-    def test_non_finite_gradient_exit_four(self, tmp_path, capsys):
+    def test_non_finite_gradient_exit_four(self, tmp_path, capsys, monkeypatch):
+        nan_player_zero_gradient(monkeypatch)
         doc = small_lq_doc(max_iterations=50)
-        doc["game"]["players"][0]["linear"] = [float("nan"), -1.0]
         code = main(["run", "--config", str(write_doc(tmp_path, doc)), "--force",
                      "--out-dir", str(tmp_path / "out")])
         assert code == 4
@@ -353,9 +399,9 @@ class TestRunCommand:
         assert "terminated: non-finite (player 0 strategy update) after 1 iterations" \
             in capsys.readouterr().out
 
-    def test_non_finite_operator_refused_by_gate(self, tmp_path, capsys):
+    def test_non_finite_operator_refused_by_gate(self, tmp_path, capsys, monkeypatch):
+        nan_player_zero_gradient(monkeypatch)
         doc = small_lq_doc()
-        doc["game"]["players"][0]["linear"] = [float("nan"), -1.0]
         code = main(["run", "--config", str(write_doc(tmp_path, doc)),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1
@@ -624,6 +670,31 @@ class TestPlotData:
                      "--out-dir", str(out / "trace.csv" / "plots")])
         assert code == 1
         assert "failed to write outputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["residual_vs_iteration.csv",
+                                      "strategies_vs_iteration.csv", "aggregate_profiles.csv"])
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch, capsys, name):
+        path, out = self.run_small_microgrid(tmp_path)
+        plot = ["plot-data", "--config", str(path), "--trace", str(out / "trace.csv"),
+                "--out-dir", str(out / "plots")]
+        assert main(plot) == 0
+        before = (out / "plots" / name).read_bytes()
+        assert main(["run", "--config", str(path), "--out-dir", str(out), "--seed", "8"]) == 2
+        real = Path.write_text
+
+        def interrupted(self, text, *args, **kwargs):
+            if not self.name.startswith(name):
+                return real(self, text, *args, **kwargs)
+            assert text.encode() != before
+            with open(self, "w", encoding="utf-8") as fh:
+                fh.write(text[:len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", interrupted)
+        assert main(plot) == 1
+        assert "failed to write outputs: disk full" in capsys.readouterr().err
+        assert (out / "plots" / name).read_bytes() == before
+        assert not list((out / "plots").glob("*.tmp"))
 
     @pytest.mark.parametrize("column", ["k", "residual", "alpha", "batch"])
     def test_trace_missing_column_exit_one(self, tmp_path, capsys, column):

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from pathlib import Path
@@ -18,15 +19,15 @@ from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           reduce_noise, reduced_lift, state_batch)
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import residual_stream
-from ccgames.solver import (BatchSchedule, SolverConfig, SolverState,
+from ccgames.solver import (BatchSchedule, SolverConfig,
                             StepSchedule, batch_size, coordinator_noise, coordinator_step,
                             draw_noise, estimate_lipschitz, estimator_diagnostics,
                             initial_state, iterate, player_step,
                             residual_estimate, residual_noise, run, step_size,
                             validate_config)
 
-from conftest import (quadratic_oracle_params, random_lq_params, reference_jacobian_block,
-                      reference_pseudo_gradient_block)
+from conftest import (assert_run_equals_reference, quadratic_oracle_params, random_lq_params,
+                      reference_jacobian_block, reference_pseudo_gradient_block)
 
 PAPER_STEP = StepSchedule(a0=1.4e-4, offset=2.0)
 PAPER_BATCH = BatchSchedule(scale=1.0, offset=2.0, exponent=1.1)
@@ -63,7 +64,7 @@ def simple_game(n_players=2, horizon=2, constraint_offset=-1.0, noise_std=0.0,
 
 def residual_at(state, game, offsets, cfg):
     """``residual_estimate`` on the run's residual batch and the iterate's lift base."""
-    return residual_estimate(state, game, offsets, cfg, residual_noise(game, cfg, state.seed),
+    return residual_estimate(state, game, offsets, cfg, residual_noise(game, cfg, cfg.seed),
                              lift_base(game, state.u))
 
 
@@ -503,31 +504,131 @@ class TestSharedEvaluation:
 
 
 class TestCheckpoint:
-    def test_round_trip_exact(self):
+    def test_round_trip_exact(self, tmp_path):
         game, offsets = simple_game(noise_std=0.3)
         cfg = quick_config(max_iterations=7)
-        trace = run(game, offsets, cfg)
-        state = trace.final_state
-        restored = SolverState.from_text(state.to_text())
-        assert restored.k == state.k and restored.seed == state.seed
-        assert np.array_equal(restored.u, state.u)
-        assert np.array_equal(restored.lam, state.lam)
-        assert np.array_equal(restored.u_avg_prev, state.u_avg_prev)
-        assert np.array_equal(restored.lam_avg_prev, state.lam_avg_prev)
+        state = run(game, offsets, cfg).final_state
+        path = solver.write_checkpoint(state, cfg, tmp_path)
+        assert Path(path).name == "checkpoint_00000007.json"
+        restored = solver.load_checkpoint(path, cfg)
+        assert restored.k == state.k
+        for name in solver.STATE_ARRAYS:
+            assert np.array_equal(getattr(restored, name), getattr(state, name)), name
 
     def test_resume_matches_uninterrupted(self, tmp_path):
+        # a run cut at its budget of 10 and resumed with a budget of 20 is the
+        # 20-iteration run, in its final state and in every record but wall_ms
         game, offsets = simple_game(noise_std=0.6)
-        cfg = quick_config(max_iterations=20, checkpoint_every=10)
-        full = run(game, offsets, cfg, checkpoint_dir=tmp_path)
-        ckpt = solver.load_checkpoint(tmp_path / "checkpoint_00000010.txt")
+        cfg = quick_config(max_iterations=20, checkpoint_every=5, snapshot_every=3)
+        full = run(game, offsets, cfg)
+        run(game, offsets, replace(cfg, max_iterations=10), checkpoint_dir=tmp_path)
+        ckpt = solver.load_checkpoint(tmp_path / "checkpoint_00000010.json", cfg)
         resumed = run(game, offsets, cfg, initial=ckpt)
-        assert np.array_equal(full.final_state.u, resumed.final_state.u)
-        assert np.array_equal(full.final_state.lam, resumed.final_state.lam)
+        assert resumed.termination_reason == full.termination_reason
+        assert_run_equals_reference(resumed, (full.final_state, [
+            {name: value for name, value in vars(record).items() if name != "wall_ms"}
+            for record in full.records[10:]]))
+
+    def test_resumed_divergence_guard_stops_where_the_run_did(self, tmp_path):
+        # the guard is relative to the projected origin, not to the resumed iterate
+        game, offsets = simple_game(n_players=1, constraint_offset=None,
+                                    box=(-1e12, 1e12))
+        cfg = quick_config(step=StepSchedule(a0=5.0, offset=1.0), divergence_factor=10.0,
+                           checkpoint_every=1, max_iterations=300)
+        full = run(game, offsets, cfg, checkpoint_dir=tmp_path)
+        assert (full.termination_reason, full.final_state.k) == \
+            (solver.TERMINATION_DIVERGENCE, 2)
+        ckpt = solver.load_checkpoint(tmp_path / "checkpoint_00000001.json", cfg)
+        resumed = run(game, offsets, cfg, initial=ckpt)
+        assert (resumed.termination_reason, resumed.final_state.k) == \
+            (solver.TERMINATION_DIVERGENCE, 2)
+        assert np.array_equal(resumed.final_state.u, full.final_state.u)
+
+    @pytest.mark.parametrize("name, changed", [
+        ("seed", lambda cfg: replace(cfg, seed=6)),
+        ("delta", lambda cfg: replace(cfg, delta=0.8)),
+        ("step.a0", lambda cfg: replace(cfg, step=replace(cfg.step, a0=0.1))),
+        ("batch.exponent", lambda cfg: replace(cfg, batch=replace(cfg.batch, exponent=1.2))),
+        ("divergence_factor", lambda cfg: replace(cfg, divergence_factor=7.0)),
+    ], ids=["seed", "delta", "step.a0", "batch.exponent", "divergence_factor"])
+    def test_other_settings_refused(self, tmp_path, name, changed):
+        game, offsets = simple_game(noise_std=0.3)
+        cfg = quick_config(max_iterations=3)
+        path = solver.write_checkpoint(run(game, offsets, cfg).final_state, cfg, tmp_path)
+        with pytest.raises(ValueError) as err:
+            solver.load_checkpoint(path, changed(cfg))
+        assert str(err.value) == f"{path}: written with other solver settings: {name}"
+
+    def test_budget_tolerance_and_cadences_may_change(self, tmp_path):
+        game, offsets = simple_game(noise_std=0.3)
+        cfg = quick_config(max_iterations=3)
+        state = run(game, offsets, cfg).final_state
+        path = solver.write_checkpoint(state, cfg, tmp_path)
+        resumed = replace(cfg, max_iterations=30, residual_tolerance=1e-3,
+                          checkpoint_every=4, snapshot_every=2)
+        assert np.array_equal(solver.load_checkpoint(path, resumed).u, state.u)
+
+    def test_bad_tag_rejected(self, tmp_path):
+        # a v1 text checkpoint is refused, and so is a JSON document of another format
+        v1 = tmp_path / "checkpoint_00000003.txt"
+        v1.write_text("ccgames-state v1\nseed 5\nk 3\nu 0.5 0.5\nu_avg_prev 0.5 0.5\n"
+                      "multiplier 0.0\nmultiplier_avg_prev 0.0\n")
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"format": "ccgames-state v1", "k": 3}))
+        for path in (v1, other):
+            with pytest.raises(ValueError) as err:
+                solver.load_checkpoint(path, quick_config())
+            assert str(err.value) == f"{path}: not a ccgames-state v2 checkpoint"
+
+    @pytest.mark.parametrize("text", ["", "{", "[1, 2]", "\u00ff\u00fe"],
+                             ids=["empty", "truncated", "list", "not-utf-8"])
+    def test_non_json_rejected(self, tmp_path, text):
+        path = tmp_path / "checkpoint_00000001.json"
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(ValueError) as err:
+            solver.load_checkpoint(path, quick_config())
+        assert str(err.value) == f"{path}: not a ccgames-state v2 checkpoint"
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("lam_avg_prev"),
+        lambda doc: doc.update(k=2.5),
+        lambda doc: doc.update(u=["x", 1.0]),
+        lambda doc: doc.update(solver=[]),
+    ], ids=["missing-array", "fractional-k", "text-entry", "solver-not-object"])
+    def test_malformed_checkpoint_rejected(self, tmp_path, edit):
+        game, offsets = simple_game()
+        cfg = quick_config(max_iterations=2)
+        path = Path(solver.write_checkpoint(run(game, offsets, cfg).final_state, cfg, tmp_path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{path}: malformed ccgames-state v2 checkpoint"):
+            solver.load_checkpoint(path, cfg)
+
+    @pytest.mark.parametrize("name, wrong", [
+        ("lam", lambda lam: np.zeros(2)),  # the game has one constraint
+        ("u_avg_prev", lambda u: u[:1]),  # would broadcast against u
+    ], ids=["lam", "u_avg_prev"])
+    def test_wrong_dimensions_refused(self, name, wrong):
+        game, offsets = simple_game(n_players=2)
+        state = initial_state(game, quick_config())
+        state = replace(state, **{name: wrong(getattr(state, name))})
+        with pytest.raises(ValueError, match=f"initial {name}: not the game's dimensions"):
+            run(game, offsets, quick_config(), initial=state)
+
+    def test_checkpoint_of_another_game_refused(self, tmp_path):
+        game, offsets = simple_game(n_players=2)
+        cfg = quick_config(max_iterations=2)
+        path = solver.write_checkpoint(run(game, offsets, cfg).final_state, cfg, tmp_path)
+        bigger, bigger_offsets = simple_game(n_players=3)
+        with pytest.raises(ValueError, match="initial u, u_avg_prev: not the game's"):
+            run(bigger, bigger_offsets, cfg, initial=solver.load_checkpoint(path, cfg))
 
     def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         game, offsets = simple_game(noise_std=0.3)
-        state = run(game, offsets, quick_config(max_iterations=7)).final_state
-        path = Path(solver.write_checkpoint(state, tmp_path))
+        cfg = quick_config(max_iterations=7)
+        state = run(game, offsets, cfg).final_state
+        path = Path(solver.write_checkpoint(state, cfg, tmp_path))
         before = path.read_text(encoding="utf-8")
 
         def interrupted(self, text, *args, **kwargs):
@@ -538,14 +639,10 @@ class TestCheckpoint:
         monkeypatch.setattr(Path, "write_text", interrupted)
         for nxt in (replace(state, u=state.u + 1.0), replace(state, k=state.k + 1)):
             with pytest.raises(OSError, match="disk full"):
-                solver.write_checkpoint(nxt, tmp_path)
+                solver.write_checkpoint(nxt, cfg, tmp_path)
         monkeypatch.undo()
         assert path.read_text(encoding="utf-8") == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-    def test_bad_tag_rejected(self):
-        with pytest.raises(ValueError):
-            SolverState.from_text("something else\nseed 0\n")
 
 
 class TestDiagnostics:

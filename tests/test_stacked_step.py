@@ -120,7 +120,7 @@ def random_state(game, rng, k):
     return solver.SolverState(
         k, random_feasible_profile(game, rng), random_feasible_profile(game, rng),
         rng.uniform(0.0, 2.0, size=game.constraint_count),
-        rng.uniform(0.0, 2.0, size=game.constraint_count), seed=3)
+        rng.uniform(0.0, 2.0, size=game.constraint_count))
 
 
 @pytest.mark.parametrize("name", GAMES)
