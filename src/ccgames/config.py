@@ -108,8 +108,20 @@ _SIZE = _number(lo=1, integer=True)
 _PROBABILITY = _number(lo=0, hi=1, strict_lo=True, strict_hi=True)
 
 
+def _non_number(val, where):
+    """(JSON path, value) of the first entry of the nested lists ``val``
+    that is not a number (a string or a boolean, say), or None."""
+    if isinstance(val, list):
+        return next((bad for i, v in enumerate(val)
+                     if (bad := _non_number(v, f"{where}[{i}]")) is not None), None)
+    return None if isinstance(val, (int, float)) and not isinstance(val, bool) else (where, val)
+
+
 def _array(val, where, errors):
     if val is None:
+        return None
+    if (bad := _non_number(val, where)) is not None:
+        errors.append(f"{bad[0]}: expected a number, got {bad[1]!r}")
         return None
     try:
         arr = np.asarray(val, dtype=float)

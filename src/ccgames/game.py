@@ -35,6 +35,12 @@ equals a per-player evaluation. Verification needs per-row values of every
 constraint, so it lifts whole trajectories (``state_batch``, or
 ``lift_base`` plus ``lift_noise``) for ``constraint_values``.
 
+A ``DisturbanceModel`` may declare independent Gaussian coordinates (its
+``mean`` and ``std``). The game then derives, once, the law of what a
+reduced lift reads of a batch (``SupportLaw``): the support rows are a
+linear map of Gaussian rows, and the mean disturbance given them is Gaussian
+too, so the solver can draw both directly instead of whole rows.
+
 All evaluation here is pure: identical (u, w) inputs give bit-identical
 outputs, and a game object is immutable after construction, so concurrent
 evaluation across players and samples is safe.
@@ -42,7 +48,7 @@ evaluation across players and samples is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -124,6 +130,19 @@ class CouplingConstraintSpec:
         object.__setattr__(self, "offset", float(self.offset))
 
 
+def _gaussian_rows(mean: np.ndarray, std: np.ndarray) -> Callable:
+    """Sampler of rows with independent N(mean_d, std_d^2) coordinates."""
+    def sample(rng, n):
+        # standard_normal plus an in-place affine transform; much faster than
+        # the broadcast loc/scale path in Generator.normal for wide batches
+        draws = rng.standard_normal((n, mean.shape[0]))
+        draws *= std
+        draws += mean
+        return draws
+
+    return sample
+
+
 @dataclass(frozen=True)
 class DisturbanceModel:
     """I.i.d. disturbance sampler plus its concentration model.
@@ -135,11 +154,89 @@ class DisturbanceModel:
     mutable state between calls. Seeded runs are bit-identical across block
     sizes only for a row-sequential sampler, whose n rows equal the rows of
     draws of consecutive parts of n from the same generator.
+
+    mean/std : optional (dim,) arrays declaring independent Gaussian
+               coordinates N(mean_d, std_d^2), finite, std >= 0; both or
+               neither. ``sample`` then defaults to the row draw
+               ``standard_normal((n, dim)) * std + mean`` (in place, in that
+               order), and a given ``sample`` must draw rows of that law. For
+               a declared model the solver's iteration batches are drawn from
+               the law of what the estimates read (``GameSpec.support_law``),
+               not through ``sample``; the residual batch, the Lipschitz probe,
+               the estimator diagnostics and the verification still call it.
     """
 
     dim: int
-    sample: Callable
     com_model: ComModel
+    _: KW_ONLY
+    sample: Callable | None = None
+    mean: np.ndarray | None = None
+    std: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.mean is None) != (self.std is None):
+            raise ValueError("disturbance mean and std must be given together")
+        if self.mean is not None:
+            law = {}
+            for name in ("mean", "std"):
+                arr = np.array(getattr(self, name), dtype=float)
+                if arr.shape != (self.dim,):
+                    raise ValueError(f"disturbance {name} has shape {arr.shape}, "
+                                     f"expected ({self.dim},)")
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(f"disturbance {name} must be finite")
+                arr.flags.writeable = False
+                law[name] = arr
+            if np.any(law["std"] < 0):
+                raise ValueError("disturbance std must be nonnegative")
+            if self.sample is None:
+                law["sample"] = _gaussian_rows(law["mean"], law["std"])
+            _set_derived(self, **law)
+        elif self.sample is None:
+            raise ValueError("a disturbance model needs a sampler or a declared mean and std")
+
+
+# eigenvalues of the support covariance at most this fraction of the largest
+# are dropped as zero (a zero-variance support column such as SoC_0)
+RANK_TOLERANCE = 1e-12
+
+
+@dataclass(frozen=True)
+class SupportLaw:
+    """The law of what the solve reads of a batch of M declared-Gaussian rows
+    w ~ N(mean, diag(std^2)): the support rows z = w A, with A =
+    ``support_noise_map_t``, and the batch mean mean(w).
+
+    factor : (r, s) with ``factor.T @ factor`` = C = A^T diag(std^2) A; r is
+             the rank of C, so z = xi @ factor + shift for xi an (M, r)
+             standard normal.
+    shift  : (s,), ``mean @ A``, the mean of z.
+    gain   : (dim, s), K = diag(std^2) A C^+, the regression of w on z.
+    spread : (dim, dim), Q = (I - K A^T) diag(std), so that given mean(z),
+             mean(w) = mean + K (mean(z) - shift) + Q eta / sqrt(M) for eta
+             a (dim,) standard normal (Gaussian conditioning; Rasmussen and
+             Williams, Gaussian Processes for Machine Learning, 2006, A.2).
+    """
+
+    factor: np.ndarray
+    shift: np.ndarray
+    gain: np.ndarray
+    spread: np.ndarray
+
+    @classmethod
+    def of(cls, mean: np.ndarray, std: np.ndarray, a: np.ndarray) -> "SupportLaw":
+        """The law of ``(w @ a, mean(w))`` for independent N(mean, std^2) rows w."""
+        var = std * std
+        values, vectors = np.linalg.eigh(a.T @ (var[:, None] * a))
+        keep = values > RANK_TOLERANCE * values.max(initial=0.0)
+        values, vectors = values[keep], vectors[:, keep]
+        # the pseudo-inverse of C from the kept eigenpairs: C may be singular
+        gain = (var[:, None] * a) @ (vectors / values) @ vectors.T
+        law = dict(factor=np.sqrt(values)[:, None] * vectors.T, shift=mean @ a, gain=gain,
+                   spread=(np.eye(std.shape[0]) - gain @ a.T) * std)
+        for array in law.values():
+            array.flags.writeable = False
+        return cls(**law)
 
 
 def _stacked(constraints, name, dim):
@@ -194,6 +291,9 @@ class GameSpec:
     support_noise_map_t  : (T n_s, len(support)), ``noise_map[support].T``.
     support_input_maps_t : at i, ``input_maps[i][support].T``; an (N, T n_i,
                            len(support)) array with a ``block_height``.
+    support_law          : ``SupportLaw`` of the support rows and the mean
+                           disturbance when the disturbance model declares
+                           its Gaussian ``mean``/``std``, else None.
     """
 
     dynamics: TimeVaryingLinearDynamics
@@ -217,6 +317,7 @@ class GameSpec:
     support_index: object = field(init=False, repr=False, compare=False)
     support_noise_map_t: np.ndarray = field(init=False, repr=False, compare=False)
     support_input_maps_t: object = field(init=False, repr=False, compare=False)
+    support_law: SupportLaw | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cons, sdim = self.constraints, self.lift.init_map.shape[0]
@@ -269,8 +370,12 @@ class GameSpec:
         # each map keeps the layout of ``gm[index].T``: products with another
         # layout can round differently
         maps = [gm[index] for gm in self.lift.input_maps]
+        noise_map_t = self.lift.noise_map[index].T
+        d = self.disturbance
         _set_derived(self, support=support, support_index=index,
-                     support_noise_map_t=self.lift.noise_map[index].T,
+                     support_noise_map_t=noise_map_t,
+                     support_law=None if d.mean is None
+                     else SupportLaw.of(d.mean, d.std, noise_map_t),
                      support_input_maps_t=tuple(gm.T for gm in maps)
                      if self.block_height is None else np.stack(maps).transpose(0, 2, 1))
 

@@ -9,9 +9,11 @@ are affine in the profile and, optionally, in the stacked trajectory:
 
     value_j(s, u) = <state_coeffs_j, s> + <input_coeffs_j, u> + offset_j.
 
-With Gaussian disturbances the constraint value is Gaussian, so the
-concentration scale is exactly its standard deviation; for a deterministic
-disturbance it is zero and no tightening is applied. These games double as
+The disturbance has independent Gaussian coordinates N(noise_mean,
+noise_std^2), declared to the game (``DisturbanceModel`` mean and std), so
+the constraint value is Gaussian and the concentration scale is exactly its
+standard deviation; for a deterministic disturbance (zero std) it is zero
+and no tightening is applied. These games double as
 closed-form oracles: when boxes are inactive the equilibrium-multiplier pair
 solves a linear KKT system.
 """
@@ -156,13 +158,7 @@ def build_lq_game(p: LqGameParams):
             gamma=c.gamma, com_scale=scale, state_coeffs=c.state_coeffs,
             input_coeffs=c.input_coeffs, offset=c.offset))
 
-    def sample(rng, count):
-        draws = rng.standard_normal((count, wdim))
-        draws *= std
-        draws += mean
-        return draws
-
-    disturbance = DisturbanceModel(dim=wdim, sample=sample, com_model=ComModel())
+    disturbance = DisturbanceModel(dim=wdim, com_model=ComModel(), mean=mean, std=std)
     game = GameSpec.build(dyn, players, constraints, disturbance,
                           cost_input_grad=_input_grad(p, d))
     offsets = UnderApproxOffsets.from_game(game)

@@ -7,7 +7,9 @@ renewables. The scalar shared state is the battery's state of charge,
 
 where u^i_t is household i's discharging decision and r_t the (random)
 renewable generation, modeled as independent normals per hour. The
-disturbance entering the shared dynamics is w_t = eta * dt * r_t.
+disturbance entering the shared dynamics is w_t = eta * dt * r_t, declared
+to the game as independent Gaussian coordinates (``DisturbanceModel`` mean
+and std), so the solver draws only the SoC_T column its oracles read.
 
 Each household pays a tariff that is affine in the aggregate grid exchange,
 carries a quadratic battery-degradation charge, earns a log utility for the
@@ -265,18 +267,8 @@ def build_microgrid_game(p: MicrogridParams):
     ]
     constraints = _soc_band_constraints(p)
 
-    mean = eff * p.renewable_mean
-    std = eff * p.renewable_std
-
-    def sample(rng, count):
-        # standard_normal plus an in-place affine transform; much faster than
-        # the broadcast loc/scale path in Generator.normal for wide batches
-        draws = rng.standard_normal((count, T))
-        draws *= std
-        draws += mean
-        return draws
-
-    disturbance = DisturbanceModel(dim=T, sample=sample, com_model=ComModel())
+    disturbance = DisturbanceModel(dim=T, com_model=ComModel(), mean=eff * p.renewable_mean,
+                                   std=eff * p.renewable_std)
     # every state oracle reads SoC_T alone
     game = GameSpec.build(dyn, players, constraints, disturbance, state_support=(T,),
                           cost_input_grad=_input_cost_grad(p))

@@ -23,16 +23,21 @@ continues the run it left (``load_checkpoint``). An entity whose draws no
 estimate reads (a player when ``game.support`` is empty, the coordinator when
 no constraint value reads the trajectory) draws nothing.
 
-Drawing is most of a large-batch iteration, so ``draw_noise`` splits the
-draws between the calling thread and one persistent worker thread once one
-entity's draw holds ``TWO_LANE_MIN_DRAWS`` numbers (rows x disturbance dim).
-The coordinator's batch is drawn whole on the calling thread, since its mean
-disturbance is one sum over every row. A player's batch is drawn in blocks
-of ``DRAW_BLOCK_ROWS`` rows (``draw_support_noise``), keeping only its
-support columns, into its slab of one (N, M, len(support)) array. Only the
-sampler and that row product run on the worker. For a row-sequential
-sampler the blocked rows equal one whole draw, so a seeded run is
-bit-identical to a serial one.
+An entity draws only what its estimates read. For a disturbance model that
+declares its Gaussian ``mean``/``std``, a player draws its support rows
+directly from their law (r normals per row, r the rank of their covariance;
+``game.support_law``), and the coordinator draws the same rows and then its
+mean disturbance from its law given them. Otherwise every batch is drawn
+whole through ``disturbance.sample``: the coordinator's on the calling
+thread, since its mean disturbance is one sum over every row, and a
+player's in blocks of ``DRAW_BLOCK_ROWS`` rows, keeping only its support
+columns. Either way a player's rows go into its slab of one (N, M,
+len(support)) array (``draw_support_noise``). Drawing is most of a
+large-batch iteration, so ``draw_noise`` splits the players' draws between
+the calling thread and one persistent worker thread once one player's draw
+holds ``TWO_LANE_MIN_DRAWS`` numbers. Each entity's draw is one function of
+its own stream, so a seeded run is bit-identical to a serial one; for a
+row-sequential sampler the blocked rows equal one whole draw.
 
 The steps take their shared inputs from the caller, as ``run`` supplies them:
 each iterate's ``lift_base``, the run's reduced residual batch
@@ -69,7 +74,7 @@ TERMINATION_BUDGET = "budget"
 TERMINATION_DIVERGENCE = "divergence-guard"
 TERMINATION_NON_FINITE = "non-finite"
 
-CHECKPOINT_FORMAT = "ccgames-state v2"
+CHECKPOINT_FORMAT = "ccgames-state v3"
 # the settings a resume may change: extending the budget is what resume is for
 RESUMABLE_SETTINGS = ("max_iterations", "residual_tolerance", "checkpoint_every", "snapshot_every")
 STATE_ARRAYS = ("u", "u_avg_prev", "lam", "lam_avg_prev")
@@ -78,9 +83,9 @@ LIPSCHITZ_PAIRS = 16
 LIPSCHITZ_BATCH = 256
 LIPSCHITZ_MULTIPLIER_SCALE = 1.0
 
-# rows per block of a player's draw (``draw_support_noise``)
+# rows per block of a player's draw through the sampler (``draw_support_noise``)
 DRAW_BLOCK_ROWS = 2048
-# numbers in one entity's draw (rows x disturbance dim) from which the
+# numbers in one player's draw (rows x numbers per row) from which the
 # players' draws are split between two threads (``draw_noise``)
 TWO_LANE_MIN_DRAWS = 16384
 
@@ -248,14 +253,26 @@ class RunTrace:
 
 
 def coordinator_noise(game, seed: int, k: int, m: int) -> game_mod.ReducedLift:
-    """Reduced noise of the coordinator's m-row batch of iteration k, drawn
-    whole: its mean disturbance is one sum over every row. It is zero, and
-    nothing is drawn, when no constraint value reads the trajectory."""
+    """Reduced noise of the coordinator's m-row batch of iteration k. It is
+    zero, and nothing is drawn, when no constraint value reads the trajectory.
+
+    For a declared Gaussian disturbance (``game.support_law``) the support
+    rows z come from ``draw_support_noise`` and then the mean disturbance
+    from its law given mean(z), with ``len(mean)`` more normals from the same
+    stream: T n_s + M r numbers in all. Otherwise the batch is drawn whole,
+    since its mean disturbance is one sum over every row.
+    """
     if game.state_map is None and not game.nonlinear_columns:
         return game_mod.ReducedLift(np.zeros(game.state_traj_dim),
                                     np.zeros((m, len(game.support))))
-    w0 = game.disturbance.sample(iteration_stream(seed, k, 0), m)
-    return game_mod.reduce_noise(game, w0)
+    rng, law = iteration_stream(seed, k, 0), game.support_law
+    if law is None:
+        return game_mod.reduce_noise(game, game.disturbance.sample(rng, m))
+    z = draw_support_noise(game, rng, np.empty((m, len(game.support))))
+    eta = rng.standard_normal(game.disturbance.dim)
+    w_mean = game.disturbance.mean + law.gain @ (z.mean(axis=0) - law.shift) \
+        + law.spread @ eta / math.sqrt(m)
+    return game_mod.ReducedLift(w_mean @ game.lift.noise_map.T, z)
 
 
 def draw_support_noise(game, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -263,12 +280,21 @@ def draw_support_noise(game, rng: np.random.Generator, out: np.ndarray) -> np.nd
     ``w`` of ``len(out)`` rows from ``rng`` into ``out``, shape
     (M, len(game.support)), and return it.
 
-    The draw is made in consecutive blocks of ``DRAW_BLOCK_ROWS`` rows, each
-    mapped into its rows of ``out``, so a block at a time is held. A
+    For a declared Gaussian disturbance the rows are drawn from their law
+    directly: ``xi @ factor + shift`` of ``game.support_law`` for xi an
+    (M, r) standard normal, r normals per row. Otherwise ``w`` is drawn
+    through the sampler in consecutive blocks of ``DRAW_BLOCK_ROWS`` rows,
+    each mapped into its rows of ``out``, so a block at a time is held. A
     remainder of one row joins the block before it, since numpy multiplies a
     single row by another path. For a row-sequential sampler ``out`` then
     equals ``reduce_noise(game, w).support`` of one whole draw, bit for bit.
     """
+    law = game.support_law
+    if law is not None:
+        np.matmul(rng.standard_normal((out.shape[0], law.factor.shape[0])), law.factor,
+                  out=out)
+        out += law.shift
+        return out
     m, lo = out.shape[0], 0
     while lo < m:
         hi = m if m - lo <= DRAW_BLOCK_ROWS + 1 else lo + DRAW_BLOCK_ROWS
@@ -306,16 +332,19 @@ def draw_noise(game, seed: int, k: int, m: int):
     support is empty).
 
     The streams are created on the calling thread. From
-    ``TWO_LANE_MIN_DRAWS`` numbers per draw, the second lane fills the slabs
-    of players 0, 2, 4, ... while this thread draws the other entities. An
-    exception from either lane is raised once both lanes are done.
+    ``TWO_LANE_MIN_DRAWS`` numbers per player's draw (M r for a declared
+    Gaussian disturbance, M T n_s through the sampler), the second lane fills
+    the slabs of players 0, 2, 4, ... while this thread draws the other
+    entities. An exception from either lane is raised once both lanes are done.
     """
     noise = np.empty((game.n_players, m, len(game.support)))
     if not game.support:
         return coordinator_noise(game, seed, k, m), noise
     streams = [iteration_stream(seed, k, 1 + i) for i in range(game.n_players)]
     own, lane = slice(None), None
-    if m * game.disturbance.dim >= TWO_LANE_MIN_DRAWS:
+    per_row = game.disturbance.dim if game.support_law is None \
+        else game.support_law.factor.shape[0]
+    if m * per_row >= TWO_LANE_MIN_DRAWS:
         lane = _second_lane().submit(_draw_players, game, streams[::2], noise[::2])
         own = slice(1, None, 2)
     try:

@@ -249,31 +249,60 @@ def with_support_oracles(game, rng, support=None):
                    state_support=None if support is None else tuple(cols))
 
 
-def serial_reference_run(game, offsets, cfg, initial):
-    """``solver.run`` from ``initial`` to the budget ``cfg.max_iterations``,
-    with every entity's batch drawn whole, in entity order, on this thread.
+def generic_copy(game):
+    """The game with its disturbance model's Gaussian declaration dropped, so
+    the solver draws every batch through ``disturbance.sample``."""
+    from dataclasses import replace
 
-    Each entity draws from its ``iteration_stream`` and ``reduce_noise``
-    reduces the whole draw: the coordinator steps on it, and the players
-    step one at a time on their support rows (``reference_player_step``,
-    not the stacked ``player_step``). Returns the final state and, per
-    record, a dict of every ``IterationRecord`` field but ``wall_ms`` (for
-    a config without snapshots, so ``strategies`` is None). No divergence
-    or non-finite stop.
+    return replace(game, disturbance=replace(game.disturbance, mean=None, std=None))
+
+
+def serial_entity_noise(game, seed, k, m):
+    """Every entity's reduced noise for iteration k with m-row batches, drawn
+    one entity at a time, in entity order, on this thread: (the coordinator's
+    ``ReducedLift``, a list of each player's (m, len(support)) support rows).
+
+    Through a sampler, each entity's batch is drawn whole from its
+    ``iteration_stream`` and reduced by ``reduce_noise``. For a declared
+    Gaussian disturbance, each entity draws from its stream with the
+    solver's own per-entity draw (``coordinator_noise``,
+    ``draw_support_noise``).
     """
     from ccgames import solver
-    from ccgames.game import lift_base, reduce_noise
+    from ccgames.game import reduce_noise
     from ccgames.rng import iteration_stream
+
+    if game.support_law is None:
+        noise = [reduce_noise(game, game.disturbance.sample(iteration_stream(seed, k, e), m))
+                 for e in range(1 + game.n_players)]
+        return noise[0], [n.support for n in noise[1:]]
+    players = [solver.draw_support_noise(game, iteration_stream(seed, k, 1 + i),
+                                         np.empty((m, len(game.support))))
+               for i in range(game.n_players)]
+    return solver.coordinator_noise(game, seed, k, m), players
+
+
+def serial_reference_run(game, offsets, cfg, initial):
+    """``solver.run`` from ``initial`` to the budget ``cfg.max_iterations``,
+    with every entity's batch drawn by ``serial_entity_noise``.
+
+    The coordinator steps on its reduced noise, and the players step one at
+    a time on their support rows (``reference_player_step``, not the stacked
+    ``player_step``). Returns the final state and, per record, a dict of
+    every ``IterationRecord`` field but ``wall_ms`` (for a config without
+    snapshots, so ``strategies`` is None). No divergence or non-finite stop.
+    """
+    from ccgames import solver
+    from ccgames.game import lift_base
 
     state, records = initial, []
     noise_res = solver.residual_noise(game, cfg, cfg.seed)
     while True:
         k, m = state.k, solver.batch_size(cfg, state.k)
         base = lift_base(game, state.u)
-        noise = [reduce_noise(game, game.disturbance.sample(iteration_stream(cfg.seed, k, e), m))
-                 for e in range(1 + game.n_players)]
+        coordinator, players = serial_entity_noise(game, cfg.seed, k, m)
         lam_avg, lam_next, g_hat = solver.coordinator_step(state, game, offsets, cfg,
-                                                           noise[0], base)
+                                                           coordinator, base)
         records.append(dict(
             k=k, residual=solver.residual_estimate(state, game, offsets, cfg, noise_res, base),
             g_hat_max=float(g_hat.max()) if g_hat.size else 0.0,
@@ -281,7 +310,7 @@ def serial_reference_run(game, offsets, cfg, initial):
             alpha=solver.step_size(cfg, k), batch=m, strategies=None))
         if k >= cfg.max_iterations:
             return state, records
-        rows = [n.support + base[list(game.support)] for n in noise[1:]]
+        rows = [n + base[list(game.support)] for n in players]
         u_avg, u_next = reference_player_step(game, state, cfg, rows)
         state = solver.SolverState(k + 1, u_next, u_avg, lam_next, lam_avg)
 

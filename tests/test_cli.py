@@ -179,6 +179,24 @@ class TestConfigErrors:
         edit(doc)
         assert_one_message_exit_one(tmp_path, capsys, doc, f"{path}: expected finite numbers")
 
+    @pytest.mark.parametrize("edit, message", [
+        (edited_player("linear", ["-1", "-1"]), "game.players[0].linear[0]: expected a number, "
+                                                "got '-1'"),
+        (edited_player("box_lower", [True, False]),
+         "game.players[0].box_lower[0]: expected a number, got True"),
+        (edited_player("box_upper", [5.0, False], index=2),
+         "game.players[2].box_upper[1]: expected a number, got False"),
+        (edited("game", "b_mats", [[[1.0]] * 2, [[1.0], ["x"]], [[1.0]] * 2]),
+         "game.b_mats[1][1][0]: expected a number, got 'x'"),
+        (edited("game", "noise_std", [0.5, None]), "game.noise_std[1]: expected a number, "
+                                                   "got None"),
+    ], ids=["string-linear", "bool-box", "bool-box-player-2", "string-b-mats", "null-entry"])
+    def test_non_number_array_entry_rejected(self, tmp_path, capsys, edit, message):
+        # the scalar reader refuses strings and booleans; so does every array entry
+        doc = oracle_doc()
+        edit(doc)
+        assert_one_message_exit_one(tmp_path, capsys, doc, message)
+
     @pytest.mark.parametrize("key", ["renewable_std", "renewable_mean", "tou_tariff"])
     def test_non_finite_microgrid_array_rejected(self, tmp_path, capsys, key):
         doc = small_microgrid_doc()

@@ -19,7 +19,8 @@ from ccgames.rng import iteration_stream
 from ccgames.solver import (SolverConfig, batch_size, coordinator_noise, coordinator_step,
                             initial_state)
 
-from conftest import CONFIG_DIR, random_lq_params, reference_operator, with_support_oracles
+from conftest import (CONFIG_DIR, generic_copy, random_lq_params, reference_operator,
+                      with_support_oracles)
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 MICROGRID_CONFIGS = ("microgrid_reduced.json", "microgrid_paper.json")
@@ -44,6 +45,8 @@ def assert_matches_reference(game, offsets, u, w, seed, k=3):
     np.testing.assert_allclose(jac, jac_ref, **TOL)
     np.testing.assert_allclose(g_raw, g_ref, **TOL)
     # the coordinator's tightened constraint mean, on the batch it draws
+    # through the sampler (the declared law's draw has no rows to rebuild)
+    game = generic_copy(game)
     cfg = SolverConfig(seed=seed)
     state = replace(initial_state(game, cfg), k=k, u=u)
     _, _, g_hat = coordinator_step(state, game, offsets, cfg,

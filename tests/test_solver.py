@@ -569,16 +569,22 @@ class TestCheckpoint:
         assert np.array_equal(solver.load_checkpoint(path, resumed).u, state.u)
 
     def test_bad_tag_rejected(self, tmp_path):
-        # a v1 text checkpoint is refused, and so is a JSON document of another format
+        # a v1 text checkpoint is refused, and so is a JSON document of another
+        # format; a complete v2 document too, since its run drew its batches
+        # by another law
         v1 = tmp_path / "checkpoint_00000003.txt"
         v1.write_text("ccgames-state v1\nseed 5\nk 3\nu 0.5 0.5\nu_avg_prev 0.5 0.5\n"
                       "multiplier 0.0\nmultiplier_avg_prev 0.0\n")
         other = tmp_path / "other.json"
         other.write_text(json.dumps({"format": "ccgames-state v1", "k": 3}))
-        for path in (v1, other):
+        game, offsets = simple_game()
+        cfg = quick_config(max_iterations=2)
+        v2 = Path(solver.write_checkpoint(run(game, offsets, cfg).final_state, cfg, tmp_path))
+        v2.write_text(json.dumps({**json.loads(v2.read_text()), "format": "ccgames-state v2"}))
+        for path in (v1, other, v2):
             with pytest.raises(ValueError) as err:
                 solver.load_checkpoint(path, quick_config())
-            assert str(err.value) == f"{path}: not a ccgames-state v2 checkpoint"
+            assert str(err.value) == f"{path}: not a ccgames-state v3 checkpoint"
 
     @pytest.mark.parametrize("text", ["", "{", "[1, 2]", "\u00ff\u00fe"],
                              ids=["empty", "truncated", "list", "not-utf-8"])
@@ -587,7 +593,7 @@ class TestCheckpoint:
         path.write_text(text, encoding="latin-1")
         with pytest.raises(ValueError) as err:
             solver.load_checkpoint(path, quick_config())
-        assert str(err.value) == f"{path}: not a ccgames-state v2 checkpoint"
+        assert str(err.value) == f"{path}: not a ccgames-state v3 checkpoint"
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("lam_avg_prev"),
@@ -602,7 +608,7 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"{path}: malformed ccgames-state v2 checkpoint"):
+        with pytest.raises(ValueError, match=f"{path}: malformed ccgames-state v3 checkpoint"):
             solver.load_checkpoint(path, cfg)
 
     @pytest.mark.parametrize("name, wrong", [

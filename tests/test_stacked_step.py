@@ -24,7 +24,7 @@ from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec, Pl
 from ccgames.lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
 from ccgames.rng import iteration_stream
 
-from conftest import (CONFIG_DIR, assert_run_equals_reference, random_lq_params,
+from conftest import (CONFIG_DIR, assert_run_equals_reference, generic_copy, random_lq_params,
                       reference_player_step, serial_reference_run, with_support_oracles)
 
 LQ_SEEDS = range(6)
@@ -42,6 +42,12 @@ def mixed_cost_microgrid():
     grads = (shared, None, lambda S: 3.0 * np.tanh(S - 0.5), shared, lambda S: S * S)
     players = tuple(replace(p, cost_state_grad=g) for p, g in zip(game.players, grads))
     return replace(game, players=players), offsets
+
+
+def sampler_microgrid():
+    """The reduced microgrid drawn through its sampler, not its declared law."""
+    game, offsets = config_game("microgrid_reduced.json")
+    return generic_copy(game), offsets
 
 
 def unequal_height_game(state_support=None):
@@ -102,6 +108,7 @@ def lq_support_game(seed):
 GAMES = {
     "microgrid_reduced": lambda: config_game("microgrid_reduced.json"),
     "microgrid_paper": lambda: config_game("microgrid_paper.json"),
+    "microgrid_reduced_sampler": sampler_microgrid,
     "quadratic_oracle": lambda: config_game("quadratic_oracle.json"),
     "mixed_cost_microgrid": mixed_cost_microgrid,
     "unequal_heights": unequal_height_game,
@@ -201,7 +208,9 @@ def test_players_without_support_draw_nothing(monkeypatch):
 
 
 def test_nan_drawn_for_one_player_names_only_that_player(monkeypatch):
-    game, offsets = config_game("microgrid_reduced.json")
+    # a NaN written into the support rows drawn from the declared law, and
+    # one drawn through the sampler of a generic copy
+    declared, offsets = config_game("microgrid_reduced.json")
     poisoned = []  # player 2's generators (entity 3), kept alive so `is` holds
 
     def stream(seed, k, entity):
@@ -210,15 +219,22 @@ def test_nan_drawn_for_one_player_names_only_that_player(monkeypatch):
             poisoned.append(rng)
         return rng
 
-    def sample(rng, n):
-        w = game.disturbance.sample(rng, n)
+    def poison(rng, rows):
         if any(rng is p for p in poisoned):
-            w[-1, 0] = np.nan
-        return w
+            rows[-1, 0] = np.nan
+        return rows
 
-    monkeypatch.setattr(solver, "iteration_stream", stream)
-    nan_game = replace(game, disturbance=replace(game.disturbance, sample=sample))
-    trace = solver.run(nan_game, offsets, step_config(max_iterations=5))
-    assert trace.termination_reason == solver.TERMINATION_NON_FINITE
-    assert trace.final_state.k == 1
-    assert solver.non_finite_updates(game, trace.final_state) == ["player 2 strategy update"]
+    draw, game = solver.draw_support_noise, generic_copy(declared)
+    sampler = replace(game, disturbance=replace(
+        game.disturbance, sample=lambda rng, n: poison(rng, game.disturbance.sample(rng, n))))
+    for nan_game in (declared, sampler):
+        monkeypatch.setattr(solver, "iteration_stream", stream)
+        if nan_game is declared:
+            monkeypatch.setattr(solver, "draw_support_noise",
+                                lambda g, rng, out: poison(rng, draw(g, rng, out)))
+        trace = solver.run(nan_game, offsets, step_config(max_iterations=5))
+        monkeypatch.undo()
+        assert trace.termination_reason == solver.TERMINATION_NON_FINITE
+        assert trace.final_state.k == 1
+        assert solver.non_finite_updates(game, trace.final_state) == \
+            ["player 2 strategy update"]

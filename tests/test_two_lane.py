@@ -1,10 +1,12 @@
-"""Players' draws in row blocks, split between two threads for large batches.
+"""Players' draws split between two threads for large batches.
 
-A player's batch is drawn in blocks of ``DRAW_BLOCK_ROWS`` rows, and from
-``TWO_LANE_MIN_DRAWS`` numbers per draw on, half of the players draw on a
-second thread. Neither may change a bit of a seeded run: the blocked rows
-equal one whole draw, and a two-lane run equals a serial whole-draw
-reference. Failures on the second thread reach the caller.
+Through a sampler, a player's batch is drawn in blocks of ``DRAW_BLOCK_ROWS``
+rows; for a declared Gaussian disturbance its support rows are drawn from
+their law directly. From ``TWO_LANE_MIN_DRAWS`` numbers per player's draw on,
+half of the players draw on a second thread. Neither may change a bit of a
+seeded run: the blocked rows equal one whole draw, and a two-lane run equals
+a serial reference drawn one entity at a time. Failures on the second thread
+reach the caller.
 """
 
 import multiprocessing
@@ -22,8 +24,8 @@ from ccgames.game import lift_base, random_feasible_profile, reduce_noise, reduc
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
 
-from conftest import (CONFIG_DIR, assert_run_equals_reference, random_lq_params,
-                      serial_reference_run, with_support_oracles)
+from conftest import (CONFIG_DIR, assert_run_equals_reference, generic_copy, random_lq_params,
+                      serial_entity_noise, serial_reference_run, with_support_oracles)
 
 B = solver.DRAW_BLOCK_ROWS
 ROW_COUNTS = (1, B - 1, B, B + 1, 3 * B + 7)
@@ -43,7 +45,14 @@ def test_lq_seeds_cover_disturbance_dim_one():
     assert 1 in {lq_game(seed).disturbance.dim for seed in LQ_SEEDS}
 
 
+def per_row(game):
+    """Numbers a player's draw takes per row."""
+    law = game.support_law
+    return game.disturbance.dim if law is None else law.factor.shape[0]
+
+
 def assert_blocked_equals_whole(game, m):
+    game = generic_copy(game)  # blocks are drawn through the sampler only
     rng = np.random.default_rng(m)
     base = lift_base(game, random_feasible_profile(game, rng))
     blocked = np.full((m, len(game.support)), np.nan)
@@ -68,88 +77,101 @@ def test_lq_blocked_rows_equal_one_whole_draw(seed, m):
 
 @pytest.fixture(scope="module")
 def reduced_tail():
-    """microgrid_reduced resumed at RESUME_K for ITERATIONS iterations."""
+    """microgrid_reduced resumed at RESUME_K for ITERATIONS iterations, as
+    (the game drawn from its declared law, the same game drawn through its
+    sampler, offsets, solver config, initial state)."""
     cfg = parse_config(CONFIG_DIR / "microgrid_reduced.json")
     game, offsets = build_game(cfg)
     scfg = replace(cfg.solver, max_iterations=RESUME_K + ITERATIONS)
     initial = replace(solver.initial_state(game, scfg), k=RESUME_K)
-    assert solver.batch_size(scfg, RESUME_K) * game.disturbance.dim \
-        >= solver.TWO_LANE_MIN_DRAWS
-    return game, offsets, scfg, initial
+    games = (game, generic_copy(game))
+    for g in games:
+        assert solver.batch_size(scfg, RESUME_K) * per_row(g) >= solver.TWO_LANE_MIN_DRAWS
+    return games, offsets, scfg, initial
 
 
-def with_sampler(game, wrap):
-    """The game with its sampler replaced by ``wrap(original sampler)``."""
-    return replace(game, disturbance=replace(game.disturbance,
-                                             sample=wrap(game.disturbance.sample)))
+def with_draw_hook(monkeypatch, game, hook):
+    """``game`` with ``hook(rows)`` applied to each draw as it is made, and
+    its result used: to the rows of each sampler call through a sampler, and
+    to the support rows of each ``draw_support_noise`` call for a declared
+    law (patched on the solver module through ``monkeypatch``)."""
+    if game.support_law is None:
+        sample = game.disturbance.sample
+        return replace(game, disturbance=replace(
+            game.disturbance, sample=lambda rng, count: hook(sample(rng, count))))
+    draw = solver.draw_support_noise
+    monkeypatch.setattr(solver, "draw_support_noise",
+                        lambda g, rng, out: hook(draw(g, rng, out)))
+    return game
 
 
 def on_second_lane():
     return threading.current_thread() is not threading.main_thread()
 
 
-def test_two_lane_run_equals_serial_reference(reduced_tail):
-    game, offsets, scfg, initial = reduced_tail
-    lanes = set()
+def test_two_lane_run_equals_serial_reference(reduced_tail, monkeypatch):
+    games, offsets, scfg, initial = reduced_tail
+    for game in games:
+        lanes = set()
 
-    def watched(sample):
-        def draw(rng, count):
+        def watched(rows):
             lanes.add(on_second_lane())
-            return sample(rng, count)
-        return draw
+            return rows
 
-    trace = solver.run(with_sampler(game, watched), offsets, scfg, initial=initial)
-    assert lanes == {False, True}
-    assert trace.termination_reason == solver.TERMINATION_BUDGET
-    assert_run_equals_reference(trace, serial_reference_run(game, offsets, scfg, initial))
+        trace = solver.run(with_draw_hook(monkeypatch, game, watched), offsets, scfg,
+                           initial=initial)
+        monkeypatch.undo()
+        assert lanes == {False, True}
+        assert trace.termination_reason == solver.TERMINATION_BUDGET
+        assert_run_equals_reference(trace, serial_reference_run(game, offsets, scfg, initial))
 
 
 class DrawFailure(Exception):
     pass
 
 
-def test_second_lane_exception_reaches_run(reduced_tail):
-    game, offsets, scfg, initial = reduced_tail
+def test_second_lane_exception_reaches_run(reduced_tail, monkeypatch):
+    games, offsets, scfg, initial = reduced_tail
 
-    def failing(sample):
-        def draw(rng, count):
-            if on_second_lane():
-                raise DrawFailure("sampler failed on the second lane")
-            return sample(rng, count)
-        return draw
+    def failing(rows):
+        if on_second_lane():
+            raise DrawFailure("draw failed on the second lane")
+        return rows
 
-    with pytest.raises(DrawFailure, match="second lane"):
-        solver.run(with_sampler(game, failing), offsets, scfg, initial=initial)
-    # the lane survives its failure: the next run completes, bit for bit
-    one = replace(scfg, max_iterations=RESUME_K + 1)
-    trace = solver.run(game, offsets, one, initial=initial)
-    assert_run_equals_reference(trace, serial_reference_run(game, offsets, one, initial))
-
-
-def test_nan_draw_on_second_lane_stops_non_finite(reduced_tail):
-    game, offsets, scfg, initial = reduced_tail
-
-    def poisoned(sample):
-        def draw(rng, count):
-            w = sample(rng, count)
-            if on_second_lane():
-                w[-1, 0] = np.nan
-            return w
-        return draw
-
-    trace = solver.run(with_sampler(game, poisoned), offsets, scfg, initial=initial)
-    assert trace.termination_reason == solver.TERMINATION_NON_FINITE
-    assert trace.final_state.k == RESUME_K + 1
-    # the second lane draws players 0, 2, 4, ...
-    assert solver.non_finite_updates(game, trace.final_state) == \
-        [f"player {i} strategy update" for i in range(0, game.n_players, 2)]
+    for game in games:
+        with pytest.raises(DrawFailure, match="second lane"):
+            solver.run(with_draw_hook(monkeypatch, game, failing), offsets, scfg,
+                       initial=initial)
+        monkeypatch.undo()
+        # the lane survives its failure: the next run completes, bit for bit
+        one = replace(scfg, max_iterations=RESUME_K + 1)
+        trace = solver.run(game, offsets, one, initial=initial)
+        assert_run_equals_reference(trace, serial_reference_run(game, offsets, one, initial))
 
 
-def test_concurrent_callers_share_the_lane():
-    # more calling threads than cores, switching as often as the interpreter
-    # allows: each call still gets its own entities' rows, in entity order
-    game, _ = build_game(parse_config(CONFIG_DIR / "microgrid_reduced.json"))
-    m = solver.TWO_LANE_MIN_DRAWS // game.disturbance.dim + 1
+def test_nan_draw_on_second_lane_stops_non_finite(reduced_tail, monkeypatch):
+    games, offsets, scfg, initial = reduced_tail
+
+    def poisoned(rows):
+        if on_second_lane():
+            rows[-1, 0] = np.nan
+        return rows
+
+    for game in games:
+        trace = solver.run(with_draw_hook(monkeypatch, game, poisoned), offsets, scfg,
+                           initial=initial)
+        monkeypatch.undo()
+        assert trace.termination_reason == solver.TERMINATION_NON_FINITE
+        assert trace.final_state.k == RESUME_K + 1
+        # the second lane draws players 0, 2, 4, ...
+        assert solver.non_finite_updates(game, trace.final_state) == \
+            [f"player {i} strategy update" for i in range(0, game.n_players, 2)]
+
+
+def assert_concurrent_calls_agree(game):
+    """More calling threads than cores, switching as often as the interpreter
+    allows: each call still gets its own entities' rows, in entity order."""
+    m = solver.TWO_LANE_MIN_DRAWS // per_row(game) + 1
     callers, calls = 4, 5
     got, failures = {}, []
 
@@ -173,15 +195,20 @@ def test_concurrent_callers_share_the_lane():
         sys.setswitchinterval(switch)
     assert not failures
     for k in range(callers):
-        whole = [reduce_noise(game, game.disturbance.sample(iteration_stream(2, k, e), m))
-                 for e in range(1 + game.n_players)]
+        want_coordinator, want_players = serial_entity_noise(game, 2, k, m)
         assert len(got[k]) == calls
         for coordinator, rows in got[k]:
-            assert np.array_equal(coordinator.mean, whole[0].mean)
-            assert np.array_equal(coordinator.support, whole[0].support)
+            assert np.array_equal(coordinator.mean, want_coordinator.mean)
+            assert np.array_equal(coordinator.support, want_coordinator.support)
             assert len(rows) == game.n_players
             for i, r in enumerate(rows):
-                assert np.array_equal(r, whole[1 + i].support), (k, i)
+                assert np.array_equal(r, want_players[i]), (k, i)
+
+
+def test_concurrent_callers_share_the_lane():
+    game, _ = build_game(parse_config(CONFIG_DIR / "microgrid_reduced.json"))
+    assert_concurrent_calls_agree(game)
+    assert_concurrent_calls_agree(generic_copy(game))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -189,7 +216,7 @@ def test_forked_child_gets_its_own_lane():
     # a forked child inherits the parent's lane executor but not its thread;
     # a task handed to that executor would never run
     game, _ = build_game(parse_config(CONFIG_DIR / "microgrid_reduced.json"))
-    m = solver.TWO_LANE_MIN_DRAWS // game.disturbance.dim + 1
+    m = solver.TWO_LANE_MIN_DRAWS // per_row(game) + 1
     solver.draw_noise(game, 3, 0, m)  # the parent's lane exists
     child = multiprocessing.get_context("fork").Process(
         target=solver.draw_noise, args=(game, 3, 1, m))
