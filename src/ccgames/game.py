@@ -272,6 +272,7 @@ class GameSpec:
 
     Derived in ``__post_init__`` (so ``dataclasses.replace`` rebuilds them):
 
+    input_dim            : length of the stacked profile, T sum_i n_i.
     box_lower/box_upper  : (input_dim,), the players' boxes stacked in order.
     block_height         : T n_i when every player's block has that height.
     constant_jacobian    : (input_dim, m) Jacobian of the coefficients (a
@@ -304,6 +305,7 @@ class GameSpec:
     player_slices: tuple = field(default=())
     state_support: tuple | None = None
     cost_input_grad: Callable | None = None
+    input_dim: int = field(init=False, repr=False, compare=False)
     box_lower: np.ndarray = field(init=False, repr=False, compare=False)
     box_upper: np.ndarray = field(init=False, repr=False, compare=False)
     block_height: int | None = field(init=False, repr=False, compare=False)
@@ -320,6 +322,7 @@ class GameSpec:
     support_law: SupportLaw | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _set_derived(self, input_dim=self.dynamics.input_dim_total)
         cons, sdim = self.constraints, self.lift.init_map.shape[0]
         state_map = _stacked(cons, "state_coeffs", sdim)
         input_map = _stacked(cons, "input_coeffs", self.input_dim)
@@ -420,10 +423,6 @@ class GameSpec:
     @property
     def n_players(self) -> int:
         return len(self.players)
-
-    @property
-    def input_dim(self) -> int:
-        return self.dynamics.input_dim_total
 
     @property
     def constraint_count(self) -> int:

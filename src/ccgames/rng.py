@@ -12,28 +12,119 @@ Key layout used by the solver:
                                      coordinator, entity 1+i is player i
     (PURPOSE_RESIDUAL,)              reference batch for residual estimates
     (PURPOSE_PROBE, j)               Lipschitz / diagnostic probes
+
+``iteration_stream`` derives the state words of ``substream`` once per
+iteration for every entity. ``SeedSequence`` follows O'Neill's ``seed_seq``
+(HMC-CS-2014-0905): it hashes its 32-bit entropy words (the seed's, padded
+with zeros to four, then the key's) into a 4-word pool, then hashes the pool
+into PCG64's state. Each word after the fourth is hashed into every pool word
+in turn, and the hash constant advances once per hash, whatever the word. So
+the pool before the last word, the entity, is that of the key
+``(PURPOSE_ITERATION, k)``, and the entity's constants follow from the count
+of words before it. The entity's mix and the state generation then run for a
+block of entities at once, in uint64 arithmetic masked to 32 bits: the same
+operations on the same words, so the streams are bit-equal to ``substream``.
+The (E, 4) tables of state words of the newest ``TABLE_CACHE`` (seed, k) are
+kept; PCG64 is seeded from a row through ``_StateWords``.
 """
 
 from __future__ import annotations
 
+import operator
+import threading
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 PURPOSE_ITERATION = 0
 PURPOSE_RESIDUAL = 1
 PURPOSE_PROBE = 2
 
+# rows of an iteration stream table; an entity past it grows the table to
+# the next multiple
+TABLE_BLOCK = 64
+# (seed, k) tables kept, the newest; the solver uses one iteration's at a time
+TABLE_CACHE = 8
+
+# numpy's SeedSequence constants: the entropy hash (A), the state hash (B),
+# and the mix of a pool word with a hashed word
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# generate_state(4, uint64) hashes pool word j % 4 into 32-bit word j of 8
+_STATE_HASH = np.array([_INIT_B * pow(_MULT_B, j, 1 << 32) & _MASK for j in range(9)],
+                       dtype=np.uint64)
+
+_tables = {}  # (seed, k) -> read-only (E, 4) uint64 state words of entities 0..E-1
+_tables_lock = threading.Lock()
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Return the generator for a keyed substream of the given seed."""
     # what default_rng builds from a SeedSequence, without its argument dispatch
-    # (a fifth of the cost; the solver makes one per entity per iteration)
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
+class _StateWords(ISeedSequence):
+    """A seed sequence whose state words are generated already. PCG64 asks
+    for ``generate_state(4, np.uint64)`` and reads the buffer it gets, so
+    the words must be one C-contiguous row."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("holds PCG64's 4 uint64 state words only")
+        return self.words
+
+
+def _hash(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s hash of word j by constants j and j + 1, per row."""
+    v = (words ^ constants[:-1]) * constants[1:] & _MASK
+    return v ^ v >> 16
+
+
+def _state_table(seed: int, k: int, rows: int) -> np.ndarray:
+    """Read-only C-contiguous (rows, 4) uint64: row e holds the PCG64 state
+    words of ``substream(seed, PURPOSE_ITERATION, k, e)``."""
+    prefix = np.random.SeedSequence(seed, spawn_key=(PURPOSE_ITERATION, k))
+    n_words = max(4, _n_words(seed)) + _n_words(PURPOSE_ITERATION) + _n_words(k)
+    # 4 hashes per entropy word so far, then the 4 that mix in the entity
+    hs = np.array([_INIT_A * pow(_MULT_A, 4 * n_words + j, 1 << 32) & _MASK
+                   for j in range(5)], dtype=np.uint64)
+    entity = _hash(np.arange(rows, dtype=np.uint64)[:, None], hs)
+    pool = (_MIX_L * prefix.pool.astype(np.uint64) - _MIX_R * entity) & _MASK
+    pool ^= pool >> 16
+    state = _hash(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH)
+    # little-endian pairs of 32-bit words, in a new C-contiguous array
+    table = np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
+    table.flags.writeable = False
+    return table
+
+
+def _n_words(n: int) -> int:
+    return (max(n.bit_length(), 1) + 31) // 32  # 32-bit words of n, at least 1
+
+
 def iteration_stream(seed: int, k: int, entity: int) -> np.random.Generator:
-    """Stream for iteration ``k``; entity 0 = coordinator, 1 + i = player i."""
-    return substream(seed, PURPOSE_ITERATION, k, entity)
+    """Stream for iteration ``k``; entity 0 = coordinator, 1 + i = player i.
+    A new generator each call, bit-equal to ``substream(seed,
+    PURPOSE_ITERATION, k, entity)``. The table of ``(seed, k)`` holds every
+    entity up to this one, 32 bytes each."""
+    seed, k = operator.index(seed), operator.index(k)
+    table = _tables.get((seed, k))
+    if table is None or not 0 <= entity < table.shape[0]:
+        if operator.index(entity) < 0:
+            raise ValueError(f"expected a nonnegative entity, got {entity}")
+        table = _state_table(seed, k, TABLE_BLOCK * (entity // TABLE_BLOCK + 1))
+        with _tables_lock:
+            _tables.pop((seed, k), None)
+            _tables[seed, k] = table
+            while len(_tables) > TABLE_CACHE:
+                del _tables[next(iter(_tables))]
+    return np.random.Generator(np.random.PCG64(_StateWords(table[entity])))
 
 
 def residual_stream(seed: int) -> np.random.Generator:

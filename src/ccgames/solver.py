@@ -27,7 +27,8 @@ An entity draws only what its estimates read. For a disturbance model that
 declares its Gaussian ``mean``/``std``, a player draws its support rows
 directly from their law (r normals per row, r the rank of their covariance;
 ``game.support_law``), and the coordinator draws the same rows and then its
-mean disturbance from its law given them. Otherwise every batch is drawn
+mean disturbance from its law given them (its mean disturbance alone when no
+constraint closure reads the rows). Otherwise every batch is drawn
 whole through ``disturbance.sample``: the coordinator's on the calling
 thread, since its mean disturbance is one sum over every row, and a
 player's in blocks of ``DRAW_BLOCK_ROWS`` rows, keeping only its support
@@ -259,19 +260,25 @@ def coordinator_noise(game, seed: int, k: int, m: int) -> game_mod.ReducedLift:
     For a declared Gaussian disturbance (``game.support_law``) the support
     rows z come from ``draw_support_noise`` and then the mean disturbance
     from its law given mean(z), with ``len(mean)`` more normals from the same
-    stream: T n_s + M r numbers in all. Otherwise the batch is drawn whole,
-    since its mean disturbance is one sum over every row.
+    stream: T n_s + M r numbers in all. When no constraint closure reads z,
+    the support rows are zero and only the mean disturbance is drawn, from
+    its law ``mean + std eta / sqrt(M)``: T n_s numbers. For any other model
+    the batch is drawn whole, since its mean disturbance is one sum over
+    every row.
     """
     if game.state_map is None and not game.nonlinear_columns:
         return game_mod.ReducedLift(np.zeros(game.state_traj_dim),
                                     np.zeros((m, len(game.support))))
-    rng, law = iteration_stream(seed, k, 0), game.support_law
+    rng, law, d = iteration_stream(seed, k, 0), game.support_law, game.disturbance
     if law is None:
-        return game_mod.reduce_noise(game, game.disturbance.sample(rng, m))
-    z = draw_support_noise(game, rng, np.empty((m, len(game.support))))
-    eta = rng.standard_normal(game.disturbance.dim)
-    w_mean = game.disturbance.mean + law.gain @ (z.mean(axis=0) - law.shift) \
-        + law.spread @ eta / math.sqrt(m)
+        return game_mod.reduce_noise(game, d.sample(rng, m))
+    if game.nonlinear_columns:
+        z = draw_support_noise(game, rng, np.empty((m, len(game.support))))
+        w_mean = d.mean + law.gain @ (z.mean(axis=0) - law.shift) \
+            + law.spread @ rng.standard_normal(d.dim) / math.sqrt(m)
+    else:
+        z = np.zeros((m, len(game.support)))
+        w_mean = d.mean + d.std * rng.standard_normal(d.dim) / math.sqrt(m)
     return game_mod.ReducedLift(w_mean @ game.lift.noise_map.T, z)
 
 

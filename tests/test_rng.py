@@ -1,0 +1,83 @@
+"""Iteration streams: the words ``iteration_stream`` derives for a whole
+iteration equal those of a ``SeedSequence`` per entity, bit for bit."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from ccgames import rng
+from ccgames.rng import PURPOSE_ITERATION, TABLE_BLOCK, TABLE_CACHE, iteration_stream, substream
+
+SEEDS = [0, 1, 2 ** 32 + 7, 2 ** 128 + 3]
+ITERATIONS = [0, 9000, 2 ** 32 + 1]
+# the coordinator, the players of the shipped games, and entities past the
+# first table block, which grow the table
+ENTITIES = [0, 1, 20, TABLE_BLOCK - 1, TABLE_BLOCK, 3 * TABLE_BLOCK + 5]
+
+
+def assert_same_stream(got, want):
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
+    assert np.array_equal(got.integers(0, 2 ** 63, size=3), want.integers(0, 2 ** 63, size=3))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k", ITERATIONS)
+def test_equals_the_seed_sequence_stream(seed, k):
+    # entities in both orders: growing a table and reading a grown one
+    for entity in ENTITIES + ENTITIES[::-1]:
+        assert_same_stream(iteration_stream(seed, k, entity),
+                           substream(seed, PURPOSE_ITERATION, k, entity))
+
+
+def test_each_call_is_a_new_generator():
+    first, second = iteration_stream(3, 4, 5), iteration_stream(3, 4, 5)
+    assert first is not second and first.bit_generator is not second.bit_generator
+    first.standard_normal(100)
+    assert_same_stream(second, substream(3, PURPOSE_ITERATION, 4, 5))
+
+
+def test_streams_from_threads_at_once_have_the_same_bits():
+    # more keys than the cache holds, so the threads make, grow and evict
+    # tables while the others read them; four threads on short switches
+    keys = [(seed, k, entity) for seed in (1, 2) for k in range(TABLE_CACHE + 2)
+            for entity in (0, 7, TABLE_BLOCK + 1)]
+    want = [substream(seed, PURPOSE_ITERATION, k, e).bit_generator.state
+            for seed, k, e in keys]
+    orders = [list(range(len(keys))), list(range(len(keys) - 1, -1, -1))] * 2
+    start, results = threading.Barrier(len(orders), timeout=60), [None] * len(orders)
+
+    def create(t):
+        start.wait()
+        results[t] = {i: iteration_stream(*keys[i]).bit_generator.state for i in orders[t]}
+
+    rng._tables.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=create, args=(t,)) for t in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for t, got in enumerate(results):
+        assert [got[i] for i in range(len(keys))] == want, f"thread {t}"
+
+
+def test_the_cache_stays_bounded():
+    for k in range(3 * TABLE_CACHE):
+        iteration_stream(9, k, 1)
+        assert len(rng._tables) <= TABLE_CACHE
+    assert (9, 3 * TABLE_CACHE - 1) in rng._tables
+    assert all(not table.flags.writeable for table in rng._tables.values())
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_negative_key_words_are_refused(key):
+    with pytest.raises(ValueError):
+        iteration_stream(*key)

@@ -120,6 +120,51 @@ def test_without_support_the_coordinator_draws_only_its_mean():
                           (d.mean + (eta * d.std) / np.sqrt(m)) @ game.lift.noise_map.T)
 
 
+def state_cost_lq():
+    """An LQ game with state coefficients whose only callable oracles are the
+    players' state costs: the players read every column, no constraint
+    closure reads any."""
+    rng = np.random.default_rng(2)
+    game, _ = build_lq_game(random_lq_params(rng))
+    while game.state_map is None:
+        game, _ = build_lq_game(random_lq_params(rng))
+    game = replace(with_support_oracles(game, rng), constraints=game.constraints)
+    assert game.support and not game.nonlinear_columns
+    return game
+
+
+def test_without_a_constraint_closure_the_coordinator_draws_only_its_mean(monkeypatch):
+    game = state_cost_lq()
+    d = game.disturbance
+    streams = []
+
+    def spy(*key):
+        streams.append(iteration_stream(*key))
+        return streams[-1]
+
+    monkeypatch.setattr(solver, "iteration_stream", spy)
+    for m in (1, 1000, 10 ** 5):
+        streams.clear()
+        noise = solver.coordinator_noise(game, 4, 0, m)
+        assert len(streams) == 1
+        # T n_s normals, whatever m: the stream is where that draw leaves it
+        reference = iteration_stream(4, 0, 0)
+        eta = reference.standard_normal(d.dim)
+        assert streams[0].bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(noise.mean,
+                              (d.mean + d.std * eta / np.sqrt(m)) @ game.lift.noise_map.T)
+        assert noise.support.shape == (m, len(game.support)) and not noise.support.any()
+
+
+def test_without_a_constraint_closure_the_coordinator_mean_has_the_exact_law():
+    game = state_cost_lq()
+    sdim = game.state_traj_dim
+    draws = np.array([solver.coordinator_noise(game, 11, k, ROWS).mean
+                      for k in range(REPETITIONS)])
+    mean, cov = joint_law(game, ROWS)
+    assert_moments(draws, mean[:sdim], cov[:sdim, :sdim])
+
+
 def test_factors_of_a_singular_support_covariance():
     game, _ = full_support_lq()
     law, d, a = game.support_law, game.disturbance, game.support_noise_map_t
