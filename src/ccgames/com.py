@@ -152,6 +152,15 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def wilson_intervals(successes: np.ndarray, n: int, z: float = _Z95) -> tuple:
+    """(lower, upper) arrays of ``wilson_interval`` of each count, by the same IEEE operations."""
+    p = successes / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = z * np.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
+    return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
+
+
 @dataclass(frozen=True)
 class SatisfactionReport:
     """Empirical chance-constraint satisfaction at a fixed strategy profile."""
@@ -178,14 +187,9 @@ def estimate_constraint_satisfaction(game, u: np.ndarray, n_samples: int,
     w = game.disturbance.sample(rng, n_samples)
     vals = game_mod.constraint_values(game, u, game_mod.state_batch(game, u, w))
     hits = (vals <= 0.0).sum(axis=0)
-    p_hat = hits / n_samples
-    los, his = [], []
-    for h in hits:
-        lo, hi = wilson_interval(int(h), n_samples)
-        los.append(lo)
-        his.append(hi)
     targets = np.array([1.0 - c.gamma for c in game.constraints])
-    return SatisfactionReport(p_hat, np.array(los), np.array(his), targets, n_samples)
+    return SatisfactionReport(hits / n_samples, *wilson_intervals(hits, n_samples), targets,
+                              n_samples)
 
 
 @dataclass(frozen=True)
@@ -203,17 +207,24 @@ class EpsilonGapEstimate:
     candidates_evaluated: int = 0
 
 
+def _probe_block(m: int, s: int) -> int:
+    """Gap probes per closure call: their (n, s) support rows fit in n m numbers, or one."""
+    return max(1, m // max(s, 1))
+
+
 def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
                          rng: np.random.Generator,
                          offsets: UnderApproxOffsets) -> EpsilonGapEstimate:
     """Evaluate the gap terms over per-player unilateral deviations.
 
     Each candidate is a full stacked profile; for every (candidate, player)
-    pair the player's block is substituted into ``u_star`` and both the
-    satisfaction probability and the expected tightened value are estimated
-    on one shared sample set (common random numbers), tightened by
-    ``offsets``. The noise part of that set is lifted once; each probe adds
-    only its noise-free trajectory.
+    pair, a probe, the player's block is substituted into ``u_star``, and the
+    satisfaction probability and expected tightened value are estimated on one
+    shared sample set (common random numbers), tightened by ``offsets``. Its
+    noise part ``N = lift_noise(w) @ state_map`` is evaluated once, and a probe
+    shifts column j by its noise-free part C_j: an affine-only column counts
+    ``N_j <= -C_j`` in a sorted N_j (``fl(a + b) <= 0`` exactly when ``a <= -b``)
+    and averages ``mean(N_j) + C_j``; a closure column is evaluated per row.
     """
     from . import game as game_mod
 
@@ -232,18 +243,26 @@ def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
             raise ValueError("candidates must lie in the local strategy sets")
 
     noise = game_mod.lift_noise(game, game.disturbance.sample(rng, n_samples))
+    m, support, nonlinear = game.constraint_count, game.support_index, game.nonlinear_columns
+    shared = np.zeros((n_samples, m)) if game.state_map is None else noise @ game.state_map
+    # each probe's noise-free constraint part and support columns, one product per player
+    u_base, steps = game_mod.lift_base(game, u_star), np.array(candidates) - u_star
+    shift = np.stack([steps[:, sl] @ game.constant_jacobian[sl] for sl in game.player_slices], 1)
+    base = np.stack([steps[:, sl] @ maps
+                     for sl, maps in zip(game.player_slices, game.support_input_maps_t)], 1)
+    shift = (shift + game_mod._affine_part(game, u_star, u_base)).reshape(-1, m)
+    base = (base + u_base[support]).reshape(len(shift), -1)
+    hits, e_g = np.empty_like(shift), shared.mean(axis=0) + shift
+    affine = [j for j in range(m) if j not in nonlinear]
+    for j, column in zip(affine, np.sort(shared[:, affine].T, axis=1)):
+        hits[:, j] = np.searchsorted(column, -shift[:, j], side="right")
+    rows, block = noise[:, support], _probe_block(m, len(game.support))
+    for j in nonlinear:
+        for probes in (slice(lo, lo + block) for lo in range(0, len(shift), block)):
+            probe_rows = (rows + base[probes, None, :]).reshape(-1, rows.shape[1])
+            raw = shared[:, j] + shift[probes, j, None]
+            raw += game.constraints[j].state_value(probe_rows).reshape(raw.shape)
+            hits[probes, j], e_g[probes, j] = (raw <= 0.0).sum(axis=1), raw.mean(axis=1)
     gammas = np.array([c.gamma for c in game.constraints])
-    m_hat = np.zeros(game.constraint_count)
-    pairs = 0
-    for cand in candidates:
-        for i in range(game.n_players):
-            probe = u_star.copy()
-            sl = game.player_slices[i]
-            probe[sl] = cand[sl]
-            states = noise + game_mod.lift_base(game, probe)
-            raw = game_mod.constraint_values(game, probe, states)
-            p_hat = (raw <= 0.0).mean(axis=0)
-            e_g = raw.mean(axis=0) + offsets.offsets
-            m_hat = np.maximum(m_hat, np.abs(1.0 - gammas - p_hat - e_g))
-            pairs += 1
-    return EpsilonGapEstimate(m_hat, samples_used=n_samples, candidates_evaluated=pairs)
+    m_hat = np.abs(1.0 - gammas - hits / n_samples - (e_g + offsets.offsets)).max(axis=0)
+    return EpsilonGapEstimate(m_hat, n_samples, len(shift))

@@ -31,9 +31,9 @@ columns ``w @ noise_map[support].T + base[support]`` (``reduce_noise``,
 one per player (N, M, s) (an iteration). Each distinct oracle runs once on
 them, and every player's block is assembled from the means at once;
 per-player products stay one product per block (``blockwise``), so every bit
-equals a per-player evaluation. Verification needs per-row values of every
-constraint, so it lifts whole trajectories (``state_batch``, or
-``lift_base`` plus ``lift_noise``) for ``constraint_values``.
+equals a per-player evaluation. The satisfaction estimate lifts whole
+trajectories (``state_batch``) for ``constraint_values``; the gap estimate
+evaluates its sample set's noise part once and each probe as a shift of it.
 
 A ``DisturbanceModel`` may declare independent Gaussian coordinates (its
 ``mean`` and ``std``). The game then derives, once, the law of what a

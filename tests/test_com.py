@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccgames import com
 from ccgames.com import (ComModel, UnderApproxOffsets,
                          estimate_constraint_satisfaction, estimate_epsilon_gap,
-                         h_gaussian, h_inverse, wilson_interval)
+                         h_gaussian, h_inverse, wilson_interval, wilson_intervals)
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           PlayerSpec, constraint_sample, random_feasible_profile,
                           state_batch)
 
-from conftest import reference_constraint_values
+from conftest import random_dynamics, reference_constraint_values
 
 
 def make_tiny_game(constraints, noise_std=1.0, box=(0.0, 1.0)):
@@ -28,6 +29,44 @@ def make_tiny_game(constraints, noise_std=1.0, box=(0.0, 1.0)):
         com_model=ComModel())
     return GameSpec.build(dyn, (player,), tuple(constraints), dist,
                           cost_input_grad=lambda u: u[:1])
+
+
+@pytest.fixture(scope="module")
+def branch_game():
+    """Two players over three steps with every kind of constraint part: state
+    coefficients together with a value closure on two support columns, input
+    coefficients, and a deterministic constant."""
+    dyn = random_dynamics(np.random.default_rng(11), n_s=2, n_players=2, horizon=3)
+    rng = np.random.default_rng(12)
+    players = tuple(PlayerSpec(input_dim=n, box_lower=-np.ones(3 * n),
+                               box_upper=np.ones(3 * n)) for n in dyn.input_dims)
+    rho = np.array([0.7, -0.4])
+    cons = (CouplingConstraintSpec(gamma=0.2, state_coeffs=rng.normal(size=8), offset=0.3,
+                                   state_value=lambda S: np.abs(S) @ rho,
+                                   state_grad=lambda S: np.sign(S) * rho),
+            CouplingConstraintSpec(gamma=0.1, input_coeffs=rng.normal(size=dyn.input_dim_total),
+                                   offset=-0.2),
+            CouplingConstraintSpec(gamma=0.3, com_scale=0.0, offset=-1.0))
+    dist = DisturbanceModel(dim=6, com_model=ComModel(), mean=np.zeros(6), std=np.full(6, 0.5))
+    game = GameSpec.build(dyn, players, cons, dist, state_support=(3, 7))
+    return game, UnderApproxOffsets.from_game(game)
+
+
+def relifting_reference(game, u_star, cands, n_samples, seed, offsets):
+    """The gap terms with every (candidate, player) probe lifted on its own:
+    the whole sample set moved onto the probe's trajectory, every constraint
+    evaluated one at a time, then the two batch means."""
+    w = game.disturbance.sample(np.random.default_rng(seed), n_samples)
+    gammas = np.array([c.gamma for c in game.constraints])
+    m_ref = np.zeros(game.constraint_count)
+    for cand in cands:
+        for sl in game.player_slices:
+            probe = u_star.copy()
+            probe[sl] = cand[sl]
+            raw = reference_constraint_values(game, probe, state_batch(game, probe, w))
+            e_g = raw.mean(axis=0) + offsets.offsets
+            m_ref = np.maximum(m_ref, np.abs(1.0 - gammas - (raw <= 0.0).mean(axis=0) - e_g))
+    return m_ref
 
 
 class TestGaussianBound:
@@ -161,6 +200,20 @@ class TestSatisfaction:
         lo_all, hi_all = wilson_interval(100, 100)
         assert hi_all == 1.0 and lo_all > 0.95
 
+    @pytest.mark.parametrize("n", [1, 7, 10000])
+    def test_wilson_intervals_equal_scalar_bit_for_bit(self, n):
+        counts = np.arange(n + 1)
+        lo, hi = wilson_intervals(counts, n)
+        scalar = np.array([wilson_interval(int(k), n) for k in counts])
+        assert np.array_equal(lo, scalar[:, 0]) and np.array_equal(hi, scalar[:, 1])
+
+    def test_report_uses_the_intervals_of_its_counts(self):
+        con = CouplingConstraintSpec(gamma=0.5, state_coeffs=[0.0, 1.0])
+        game = make_tiny_game([con, con])
+        rep = estimate_constraint_satisfaction(game, np.zeros(1), 37, np.random.default_rng(4))
+        hits = round(rep.p_hat[0] * 37)
+        assert (rep.ci_lower[0], rep.ci_upper[0]) == wilson_interval(hits, 37)
+
 
 class TestEpsilonGap:
     def make_game_with_offset_value(self):
@@ -189,26 +242,63 @@ class TestEpsilonGap:
             assert est.m_hat[0] >= prev - 1e-15
             prev = est.m_hat[0]
 
-    def test_matches_relifting_reference(self, reduced_microgrid):
-        # the sample set is lifted once; re-lifting it per probe gives the same bits
-        _, game, offsets = reduced_microgrid
+    @pytest.mark.parametrize("fixture", ["reduced_microgrid", "branch_game", "quadratic_game"])
+    def test_matches_relifting_reference(self, fixture, request):
+        # the noise part is evaluated once and each probe is a shift of it; per
+        # probe re-lifting rounds differently, by a few ulps
+        *_, game, offsets = request.getfixturevalue(fixture)
         rng = np.random.default_rng(6)
         u_star = random_feasible_profile(game, rng)
         cands = [random_feasible_profile(game, rng) for _ in range(3)]
         est = estimate_epsilon_gap(game, u_star, cands, 500, np.random.default_rng(7),
                                    offsets=offsets)
-        w = game.disturbance.sample(np.random.default_rng(7), 500)
-        gammas = np.array([c.gamma for c in game.constraints])
-        m_ref = np.zeros(game.constraint_count)
-        for cand in cands:
-            for sl in game.player_slices:
-                probe = u_star.copy()
-                probe[sl] = cand[sl]
-                raw = reference_constraint_values(game, probe, state_batch(game, probe, w))
-                e_g = raw.mean(axis=0) + offsets.offsets
-                m_ref = np.maximum(m_ref, np.abs(1.0 - gammas - (raw <= 0.0).mean(axis=0) - e_g))
-        assert np.array_equal(est.m_hat, m_ref)
+        m_ref = relifting_reference(game, u_star, cands, 500, 7, offsets)
+        assert np.abs(est.m_hat - m_ref).max() <= 1e-14
         assert est.candidates_evaluated == 3 * game.n_players
+
+    def test_exact_ties_match_reference_bit_for_bit(self):
+        # integer draws, unit coefficients, integer offsets and an integer
+        # closure: every value is an exact integer, some rows sit exactly on 0,
+        # and means of 512 integers are exact, so the counts and means of the
+        # shifted columns must equal the reference bit for bit
+        dyn = TimeVaryingLinearDynamics(a_mats=np.ones((1, 1, 1)),
+                                        b_mats=(np.ones((1, 1, 1)),), s0=np.zeros(1))
+        player = PlayerSpec(input_dim=1, box_lower=np.array([0.0]), box_upper=np.array([4.0]))
+        dist = DisturbanceModel(
+            dim=1, com_model=ComModel(),
+            sample=lambda rng, n: rng.integers(-3, 4, size=(n, 1)).astype(float))
+        cons = (CouplingConstraintSpec(gamma=0.1, state_coeffs=[0.0, 1.0], offset=-2.0),
+                CouplingConstraintSpec(gamma=0.2, state_coeffs=[0.0, -1.0], offset=1.0),
+                CouplingConstraintSpec(gamma=0.3, offset=-2.0,
+                                       state_value=lambda S: np.abs(S[:, 1]),
+                                       state_grad=lambda S: np.sign(S) * [0.0, 1.0]))
+        game = GameSpec.build(dyn, (player,), cons, dist)
+        offsets = UnderApproxOffsets.from_game(game)
+        cands = [np.array([x]) for x in (0.0, 1.0, 3.0, 4.0)]
+        est = estimate_epsilon_gap(game, np.array([2.0]), cands, 512,
+                                   np.random.default_rng(8), offsets)
+        w = game.disturbance.sample(np.random.default_rng(8), 512)
+        assert np.any(state_batch(game, np.array([1.0]), w)[:, 1] == 2.0)
+        assert np.array_equal(est.m_hat, relifting_reference(
+            game, np.array([2.0]), cands, 512, 8, offsets))
+
+    @pytest.mark.parametrize("fixture", ["reduced_microgrid", "branch_game"])
+    def test_probe_blocks_do_not_change_bits(self, fixture, request, monkeypatch):
+        # the value closures are row-wise, so one probe per closure call and all
+        # probes in one call give the same bits as the default blocks
+        *_, game, offsets = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(9)
+        u_star = random_feasible_profile(game, rng)
+        cands = [random_feasible_profile(game, rng) for _ in range(4)]
+
+        def m_hat():
+            return estimate_epsilon_gap(game, u_star, cands, 300, np.random.default_rng(10),
+                                        offsets).m_hat
+
+        default = m_hat()
+        for block in (1, 4 * game.n_players):
+            monkeypatch.setattr(com, "_probe_block", lambda m, s, b=block: b)
+            assert np.array_equal(m_hat(), default)
 
     def test_empty_candidates_rejected(self):
         game, _ = self.make_game_with_offset_value()
