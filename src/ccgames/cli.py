@@ -351,6 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        print(f"--seed must be nonnegative, got {args.seed}", file=sys.stderr)
+        return 1
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:

@@ -246,11 +246,12 @@ def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
     m, support, nonlinear = game.constraint_count, game.support_index, game.nonlinear_columns
     shared = np.zeros((n_samples, m)) if game.state_map is None else noise @ game.state_map
     # each probe's noise-free constraint part and support columns, one product per player
-    u_base, steps = game_mod.lift_base(game, u_star), np.array(candidates) - u_star
+    u_base, steps = game_mod.base_trajectory(game, u_star), np.array(candidates) - u_star
     shift = np.stack([steps[:, sl] @ game.constant_jacobian[sl] for sl in game.player_slices], 1)
     base = np.stack([steps[:, sl] @ maps
                      for sl, maps in zip(game.player_slices, game.support_input_maps_t)], 1)
-    shift = (shift + game_mod._affine_part(game, u_star, u_base)).reshape(-1, m)
+    shift = (shift + game_mod._affine_part(game, game_mod._input_part(game, u_star),
+                                           u_base)).reshape(-1, m)
     base = (base + u_base[support]).reshape(len(shift), -1)
     hits, e_g = np.empty_like(shift), shared.mean(axis=0) + shift
     affine = [j for j in range(m) if j not in nonlinear]

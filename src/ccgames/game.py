@@ -24,16 +24,18 @@ return (M,) values or (M, len(support)) gradients. The microgrid declares
 ``(T,)``: its terminal closures read SoC_T alone.
 
 The solve needs only batch means, and every affine part of them is an
-affine map of the mean disturbance. So it evaluates from a ``ReducedLift``:
-the mean trajectory ``base + mean(w) @ noise_map.T`` and the per-row support
-columns ``w @ noise_map[support].T + base[support]`` (``reduce_noise``,
-``reduced_lift``), one batch (M, s) shared by every player (the residual) or
-one per player (N, M, s) (an iteration). Each distinct oracle runs once on
-them, and every player's block is assembled from the means at once;
-per-player products stay one product per block (``blockwise``), so every bit
-equals a per-player evaluation. The satisfaction estimate lifts whole
-trajectories (``state_batch``) for ``constraint_values``; the gap estimate
-evaluates its sample set's noise part once and each probe as a shift of it.
+affine map of the mean disturbance. What reads no batch is evaluated once per
+profile u (``lift_base``, an ``IterateBase``): the noise-free trajectory
+``base``, the input-cost gradient and the constraints' part ``u @ input_map
++ constant``. A batch enters as a ``ReducedLift``: the mean trajectory ``base
++ mean(w) @ noise_map.T`` and the per-row support columns ``w @
+noise_map[support].T + base[support]`` (``reduce_noise``, ``reduced_lift``),
+one batch (M, s) shared by every player (the residual) or one per player (N,
+M, s) (an iteration). Each distinct oracle runs once on them; per-player
+products stay one product per block (``blockwise``), so every bit equals a
+per-player evaluation. The satisfaction estimate lifts whole trajectories
+(``state_batch``); the gap estimate evaluates its sample set's noise part
+once and each probe as a shift of it.
 
 A ``DisturbanceModel`` may declare independent Gaussian coordinates (its
 ``mean`` and ``std``). The game then derives, once, the law of what a
@@ -281,6 +283,8 @@ class GameSpec:
                            constraint j's ``state_coeffs``/``input_coeffs``
                            (zero if absent); None when no constraint has one.
     constant             : (m,), the ``offset`` of every constraint.
+    init_trajectory      : (state_dim,) ``init_map @ s0``, the trajectory
+                           under zero input and zero noise.
     nonlinear_columns    : constraints with ``state_value``/``state_grad``.
     state_cost_groups    : (cost_state_grad, player indices) per distinct
                            state-cost gradient object.
@@ -313,6 +317,7 @@ class GameSpec:
     state_map: np.ndarray | None = field(init=False, repr=False, compare=False)
     input_map: np.ndarray | None = field(init=False, repr=False, compare=False)
     constant: np.ndarray = field(init=False, repr=False, compare=False)
+    init_trajectory: np.ndarray = field(init=False, repr=False, compare=False)
     nonlinear_columns: tuple = field(init=False, repr=False, compare=False)
     state_cost_groups: tuple = field(init=False, repr=False, compare=False)
     support: tuple = field(init=False, repr=False, compare=False)
@@ -338,7 +343,8 @@ class GameSpec:
         read_only = dict(box_lower=np.concatenate([p.box_lower for p in self.players]),
                          box_upper=np.concatenate([p.box_upper for p in self.players]),
                          constant_jacobian=jac,
-                         constant=np.array([c.offset for c in cons], dtype=float))
+                         constant=np.array([c.offset for c in cons], dtype=float),
+                         init_trajectory=self.lift.init_map @ self.dynamics.s0)
         for array in read_only.values():
             array.flags.writeable = False
         heights = {sl.stop - sl.start for sl in self.player_slices}
@@ -433,14 +439,42 @@ class GameSpec:
         return (self.dynamics.horizon + 1) * self.dynamics.state_dim
 
 
-def lift_base(game: GameSpec, u: np.ndarray) -> np.ndarray:
+def base_trajectory(game: GameSpec, u: np.ndarray) -> np.ndarray:
     """Noise-free trajectory ``init_map @ s0 + sum_j input_maps[j] @ u^j``."""
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape[0] != game.input_dim:
         raise ValueError(f"profile length {u.shape[0]}, expected {game.input_dim}")
-    base = game.lift.init_map @ game.dynamics.s0
+    base = game.init_trajectory
     for gm, sl in zip(game.lift.input_maps, game.player_slices):
         base = base + gm @ u[sl]
+    return base
+
+
+@dataclass(frozen=True)
+class IterateBase:
+    """The parts of the operator at a profile u that read no batch
+    (``lift_base``), evaluated once and read by every estimate at u.
+
+    trajectory : (state_dim,) ``base_trajectory(game, u)``.
+    input_grad : (input_dim,) ``cost_input_grad(u)``, zero without one.
+    affine     : (m,) ``u @ input_map + constant``.
+    The arrays are read-only, so estimates may share them.
+    """
+
+    trajectory: np.ndarray
+    input_grad: np.ndarray
+    affine: np.ndarray
+
+
+def lift_base(game: GameSpec, u: np.ndarray) -> IterateBase:
+    """The batch-free parts of the operator at the profile u."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    traj, grad = base_trajectory(game, u), np.zeros(game.input_dim)
+    if game.cost_input_grad is not None:
+        grad += game.cost_input_grad(u)
+    base = IterateBase(traj, grad, _input_part(game, u))
+    for array in (traj, grad, base.affine):
+        array.flags.writeable = False
     return base
 
 
@@ -455,7 +489,7 @@ def lift_noise(game: GameSpec, w_batch: np.ndarray) -> np.ndarray:
 def state_batch(game: GameSpec, u: np.ndarray, w_batch: np.ndarray) -> np.ndarray:
     """Sampled stacked trajectories, one row per disturbance draw."""
     states = lift_noise(game, w_batch)
-    states += lift_base(game, u)
+    states += base_trajectory(game, u)
     return states
 
 
@@ -478,9 +512,10 @@ def reduce_noise(game: GameSpec, w_batch: np.ndarray) -> ReducedLift:
                        w_batch @ game.support_noise_map_t)
 
 
-def reduced_lift(game: GameSpec, noise: ReducedLift, base: np.ndarray) -> ReducedLift:
-    """``reduce_noise`` of a batch moved onto the noise-free trajectory ``base``."""
-    return ReducedLift(base + noise.mean, noise.support + base[game.support_index])
+def reduced_lift(game: GameSpec, noise: ReducedLift, base: IterateBase) -> ReducedLift:
+    """``reduce_noise`` of a batch moved onto the noise-free trajectory of ``base``."""
+    traj = base.trajectory
+    return ReducedLift(traj + noise.mean, noise.support + traj[game.support_index])
 
 
 def reduce_states(game: GameSpec, states: np.ndarray) -> ReducedLift:
@@ -517,36 +552,40 @@ def blockwise(game: GameSpec, maps, vecs: np.ndarray) -> np.ndarray:
     blocks; ``vecs`` is (N, k), or (k,) for all. Each block is its own
     product, so the bits equal a per-player loop, as a product over the
     whole stack's rows would not."""
-    vecs = np.broadcast_to(vecs, (game.n_players, vecs.shape[-1]))
     if isinstance(maps, np.ndarray) and maps.ndim == 2:
         maps = tuple(maps[sl] for sl in game.player_slices) if game.block_height is None \
             else maps.reshape(game.n_players, game.block_height, -1)
-    if isinstance(maps, np.ndarray):
-        return np.matmul(maps, vecs[:, :, None]).reshape(-1)
+    if isinstance(maps, np.ndarray):  # a (k,) vecs broadcasts over the players in matmul
+        return np.matmul(maps, vecs[..., None]).reshape(-1)
+    vecs = np.broadcast_to(vecs, (game.n_players, vecs.shape[-1]))
     return np.concatenate([a @ v for a, v in zip(maps, vecs)])
 
 
-def player_pseudo_gradient_mean(game: GameSpec, u: np.ndarray,
+def player_pseudo_gradient_mean(game: GameSpec, base: IterateBase,
                                 state_grad_means: np.ndarray) -> np.ndarray:
     """The stacked pseudo-gradient mean (input_dim,), block i player i's cost
-    gradient; ``state_grad_means`` is ``cost_state_grad_means`` of the batch."""
-    out = np.zeros(game.input_dim)
-    if game.cost_input_grad is not None:
-        out += game.cost_input_grad(np.asarray(u, dtype=float).reshape(-1))
-    if game.state_cost_groups:
-        # out holds no -0.0, so a stateless player's +-0 product changes nothing
-        out += blockwise(game, game.support_input_maps_t, state_grad_means)
-    return out
+    gradient: ``base.input_grad`` plus the state costs' part, from
+    ``cost_state_grad_means`` of the batch; read-only without state costs."""
+    if not game.state_cost_groups:
+        return base.input_grad
+    # input_grad holds no -0.0, so a stateless player's +-0 product changes nothing
+    return base.input_grad + blockwise(game, game.support_input_maps_t, state_grad_means)
 
 
-def _affine_part(game: GameSpec, u: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``states @ state_map + (u @ input_map + constant)`` for one trajectory
-    or a batch of them; a map that no constraint declares is skipped."""
+def _input_part(game: GameSpec, u: np.ndarray) -> np.ndarray:
+    """``u @ input_map + constant``, the constraint values' part that reads
+    no trajectory (``constant`` itself when no map is declared)."""
     if game.input_map is None:
-        part = game.constant
-    else:
-        part = u @ game.input_map
-        part += game.constant
+        return game.constant
+    part = u @ game.input_map
+    part += game.constant
+    return part
+
+
+def _affine_part(game: GameSpec, part: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``states @ state_map + part`` for one trajectory or a batch of them,
+    ``part`` the ``_input_part``; a state map that no constraint declares is
+    skipped."""
     if game.state_map is None:
         out = np.empty(states.shape[:-1] + part.shape)
         out[...] = part
@@ -560,7 +599,7 @@ def constraint_values(game: GameSpec, u: np.ndarray, states: np.ndarray) -> np.n
     """Raw coupled-constraint values along whole trajectories, shape (batch, m):
     the affine parts from the stacked maps, then the value closures on the
     support columns."""
-    out = _affine_part(game, u, states)
+    out = _affine_part(game, _input_part(game, u), states)
     if game.nonlinear_columns:
         rows = states[:, game.support_index]
         for j in game.nonlinear_columns:
@@ -568,11 +607,11 @@ def constraint_values(game: GameSpec, u: np.ndarray, states: np.ndarray) -> np.n
     return out
 
 
-def constraint_value_mean(game: GameSpec, u: np.ndarray, lift: ReducedLift) -> np.ndarray:
-    """Batch mean of ``constraint_values``, shape (m,), from a reduced lift:
-    the affine parts from the mean trajectory, the value closures averaged
-    over the support rows."""
-    out = _affine_part(game, u, lift.mean)
+def constraint_value_mean(game: GameSpec, base: IterateBase, lift: ReducedLift) -> np.ndarray:
+    """Batch mean of ``constraint_values``, shape (m,), from a reduced lift
+    on ``base``: the affine parts from the mean trajectory, the value closures
+    averaged over the support rows."""
+    out = _affine_part(game, base.affine, lift.mean)
     for j in game.nonlinear_columns:
         out[j] += game.constraints[j].state_value(lift.support).mean()
     return out
@@ -588,16 +627,19 @@ def constraint_state_grad_means(game: GameSpec, rows: np.ndarray) -> list:
 
 def player_constraint_gradient_mean(game: GameSpec, state_grad_means: list) -> np.ndarray:
     """The stacked constraint-Jacobian mean (input_dim, m): the constant
-    Jacobian plus the closure columns from ``constraint_state_grad_means``."""
+    Jacobian plus the closure columns from ``constraint_state_grad_means``;
+    the read-only ``constant_jacobian`` itself when there are none."""
+    if not game.nonlinear_columns:
+        return game.constant_jacobian
     out = game.constant_jacobian.copy()
     for j, means in zip(game.nonlinear_columns, state_grad_means):
         out[:, j] += blockwise(game, game.support_input_maps_t, means)
     return out
 
 
-def operator_estimate(game: GameSpec, u: np.ndarray, lift: ReducedLift):
-    """Sampled operator parts at u over the reduced lift of a batch shared by
-    every player.
+def operator_estimate(game: GameSpec, base: IterateBase, noise: ReducedLift):
+    """Sampled operator parts at the profile of ``base`` (``lift_base``) over
+    a batch shared by every player, its reduced noise ``noise``.
 
     Returns (F_hat, Jac_hat, G_raw_mean): the stacked pseudo-gradient mean,
     the stacked constraint-Jacobian mean (dim, m) and the raw constraint
@@ -605,16 +647,16 @@ def operator_estimate(game: GameSpec, u: np.ndarray, lift: ReducedLift):
     (F_hat + Jac_hat @ lam, -(G_raw_mean + o)). Each distinct state-cost
     gradient and each constraint gradient closure is averaged once.
     """
-    return (player_pseudo_gradient_mean(game, u, cost_state_grad_means(game, lift.support)),
+    lift = reduced_lift(game, noise, base)
+    return (player_pseudo_gradient_mean(game, base, cost_state_grad_means(game, lift.support)),
             player_constraint_gradient_mean(
                 game, constraint_state_grad_means(game, lift.support)),
-            constraint_value_mean(game, u, lift))
+            constraint_value_mean(game, base, lift))
 
 
 def _single_sample_operator(game: GameSpec, u: np.ndarray, w: np.ndarray):
     w_batch = np.reshape(np.asarray(w, dtype=float), (1, -1))
-    return operator_estimate(game, u, reduced_lift(game, reduce_noise(game, w_batch),
-                                                   lift_base(game, u)))
+    return operator_estimate(game, lift_base(game, u), reduce_noise(game, w_batch))
 
 
 def pseudo_gradient_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:

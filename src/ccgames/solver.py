@@ -19,31 +19,25 @@ Every entity draws its own fresh batch each iteration from a substream keyed
 by (``cfg.seed``, iteration, entity), so a run is bit-reproducible regardless
 of execution order. A ``SolverState`` is the iterate alone; a checkpoint is
 one JSON document of (solver settings, iterate), and a resume from it
-continues the run it left (``load_checkpoint``). An entity whose draws no
-estimate reads (a player when ``game.support`` is empty, the coordinator when
-no constraint value reads the trajectory) draws nothing.
+continues the run it left (``load_checkpoint``).
 
-An entity draws only what its estimates read. For a disturbance model that
-declares its Gaussian ``mean``/``std``, a player draws its support rows
-directly from their law (r normals per row, r the rank of their covariance;
-``game.support_law``), and the coordinator draws the same rows and then its
-mean disturbance from its law given them (its mean disturbance alone when no
-constraint closure reads the rows). Otherwise every batch is drawn
-whole through ``disturbance.sample``: the coordinator's on the calling
-thread, since its mean disturbance is one sum over every row, and a
-player's in blocks of ``DRAW_BLOCK_ROWS`` rows, keeping only its support
-columns. Either way a player's rows go into its slab of one (N, M,
-len(support)) array (``draw_support_noise``). Drawing is most of a
+An entity draws only what its estimates read, and nothing when no estimate
+reads its draw. For a disturbance model that declares its Gaussian
+``mean``/``std`` the players' support rows and the coordinator's mean
+disturbance are drawn from their law (``game.support_law``); otherwise every
+batch is drawn whole through ``disturbance.sample`` and reduced
+(``coordinator_noise``, ``draw_support_noise``). Drawing is most of a
 large-batch iteration, so ``draw_noise`` splits the players' draws between
-the calling thread and one persistent worker thread once one player's draw
-holds ``TWO_LANE_MIN_DRAWS`` numbers. Each entity's draw is one function of
-its own stream, so a seeded run is bit-identical to a serial one; for a
-row-sequential sampler the blocked rows equal one whole draw.
+the calling thread and one persistent worker thread; each entity's draw is
+one function of its own stream, so a seeded run is bit-identical to a
+serial one.
 
 The steps take their shared inputs from the caller, as ``run`` supplies them:
-each iterate's ``lift_base``, the run's reduced residual batch
-(``residual_noise``) and each entity's reduced batch (``draw_noise``). No
-step lifts whole trajectories: the coordinator maps the mean disturbance
+the run's reduced residual batch (``residual_noise``), each entity's reduced
+batch (``draw_noise``) and each iterate's batch-free evaluation
+(``lift_base``: its noise-free trajectory, input-cost gradient and affine
+constraint part), evaluated once and read by the residual and both steps.
+No step lifts whole trajectories: the coordinator maps the mean disturbance
 through the affine constraint parts, and the players read only the support
 columns. ``player_step`` steps every player at once: each oracle runs once
 on the rows of every player that uses it, and the means, products, averaging
@@ -216,10 +210,15 @@ class SolverState:
     lam_avg_prev: np.ndarray
 
     def z_norm(self) -> float:
-        return math.hypot(float(np.linalg.norm(self.u)), float(np.linalg.norm(self.lam)))
+        return math.hypot(_norm(self.u), _norm(self.lam))
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.lam)))
+        return bool(np.isfinite(self.u).all() and np.isfinite(self.lam).all())
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array, by numpy's own formula for ``norm``."""
+    return math.sqrt(x.dot(x))
 
 
 def initial_state(game, cfg: SolverConfig) -> SolverState:
@@ -298,8 +297,7 @@ def draw_support_noise(game, rng: np.random.Generator, out: np.ndarray) -> np.nd
     """
     law = game.support_law
     if law is not None:
-        np.matmul(rng.standard_normal((out.shape[0], law.factor.shape[0])), law.factor,
-                  out=out)
+        np.dot(rng.standard_normal((out.shape[0], law.factor.shape[0])), law.factor, out=out)
         out += law.shift
         return out
     m, lo = out.shape[0], 0
@@ -366,34 +364,36 @@ def draw_noise(game, seed: int, k: int, m: int):
 
 
 def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
-                     cfg: SolverConfig, noise: game_mod.ReducedLift, base: np.ndarray):
+                     cfg: SolverConfig, noise: game_mod.ReducedLift,
+                     base: game_mod.IterateBase):
     """One multiplier update; returns (lam_avg, lam_next, g_hat).
 
     ``noise`` is the reduced noise of the coordinator's batch
     (``coordinator_noise``); ``base`` is ``lift_base(game, state.u)``, the
-    iterate's noise-free trajectory.
+    iterate's batch-free parts.
     """
     alpha = step_size(cfg, state.k)
     lift = game_mod.reduced_lift(game, noise, base)
-    g_hat = game_mod.constraint_value_mean(game, state.u, lift) + offsets.offsets
+    g_hat = game_mod.constraint_value_mean(game, base, lift) + offsets.offsets
     lam_avg = (1.0 - cfg.delta) * state.lam + cfg.delta * state.lam_avg_prev
     lam_next = np.maximum(lam_avg + alpha * g_hat, 0.0)
     return lam_avg, lam_next, g_hat
 
 
 def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray,
-                base: np.ndarray):
+                base: game_mod.IterateBase):
     """Every player's strategy update against ``state.lam``; returns the
     stacked (u_avg, u_next).
 
     ``noise`` is the players' (N, M, len(game.support)) support noise from
-    ``draw_noise``; ``base[support]`` is added to it in place, so it holds
-    their support rows afterwards. ``base`` is ``lift_base(game, state.u)``.
+    ``draw_noise``; the support columns of ``base.trajectory`` are added to
+    it in place, so it holds their support rows afterwards. ``base`` is
+    ``lift_base(game, state.u)``.
     """
     alpha = step_size(cfg, state.k)
-    noise += base[game.support_index]
+    noise += base.trajectory[game.support_index]
     f = game_mod.player_pseudo_gradient_mean(
-        game, state.u, game_mod.cost_state_grad_means(game, noise))
+        game, base, game_mod.cost_state_grad_means(game, noise))
     jac = game_mod.player_constraint_gradient_mean(
         game, game_mod.constraint_state_grad_means(game, noise))
     u_avg = (1.0 - cfg.delta) * state.u + cfg.delta * state.u_avg_prev
@@ -402,7 +402,7 @@ def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray,
 
 
 def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverConfig,
-            residual: float, base: np.ndarray):
+            residual: float, base: game_mod.IterateBase):
     """Run one full iteration on ``draw_noise``'s batches; returns (next
     state, record for iteration k). ``residual`` is ``residual_estimate`` of
     ``state``, for the record; ``base`` is its ``lift_base``, shared by all."""
@@ -422,7 +422,7 @@ def _record(state: SolverState, cfg: SolverConfig, residual: float, g_hat: np.nd
     return IterationRecord(
         k=state.k, residual=residual,
         g_hat_max=float(g_hat.max()) if g_hat.size else 0.0,
-        g_hat_norm=float(np.linalg.norm(g_hat)),
+        g_hat_norm=_norm(g_hat),
         lam=state.lam.copy(), alpha=step_size(cfg, state.k), batch=batch_size(cfg, state.k),
         wall_ms=(time.perf_counter() - t0) * 1e3,
         strategies=state.u.copy() if snapshot else None)
@@ -436,7 +436,7 @@ def residual_noise(game, cfg: SolverConfig, seed: int) -> game_mod.ReducedLift:
 
 
 def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
-                      cfg: SolverConfig, noise, base: np.ndarray) -> float:
+                      cfg: SolverConfig, noise, base: game_mod.IterateBase) -> float:
     """Distance from the iterate to one exact projected forward step.
 
     The expected operator is replaced by a large-reference-batch estimate
@@ -450,12 +450,10 @@ def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
     alpha = step_size(cfg, state.k)
     if isinstance(noise, np.ndarray):
         noise = game_mod.reduce_states(game, noise)
-    f_hat, jac, g_raw = game_mod.operator_estimate(
-        game, state.u, game_mod.reduced_lift(game, noise, base))
-    u_step = game_mod.project_local(game, state.u - alpha * (f_hat + jac @ state.lam))
+    f_hat, jac, g_raw = game_mod.operator_estimate(game, base, noise)
+    u_step = np.clip(state.u - alpha * (f_hat + jac @ state.lam), game.box_lower, game.box_upper)
     lam_step = np.maximum(state.lam + alpha * (g_raw + offsets.offsets), 0.0)
-    return math.hypot(float(np.linalg.norm(state.u - u_step)),
-                      float(np.linalg.norm(state.lam - lam_step)))
+    return math.hypot(_norm(state.u - u_step), _norm(state.lam - lam_step))
 
 
 def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
@@ -467,8 +465,8 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     at the last iterate (so a zero-iteration run still yields the initial
     record), whose constraint mean comes from the coordinator's batch of
     that iterate. The residual batch is drawn and reduced once per run; each
-    iterate's noise-free trajectory is lifted once and shared by the
-    residual and the iteration. ``initial`` (a loaded checkpoint, say) needs
+    iterate's batch-free parts (``lift_base``) are evaluated once and shared
+    by the residual and both steps. ``initial`` (a loaded checkpoint, say) needs
     the game's dimensions and a nonnegative multiplier. The divergence guard
     is relative to ``initial_state``, the projected origin, wherever a run starts.
     """
@@ -598,18 +596,15 @@ def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int) -> float:
         l1 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
         l2 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
         noise = game_mod.reduce_noise(game, game.disturbance.sample(rng, LIPSCHITZ_BATCH))
-        f1, j1, g1 = game_mod.operator_estimate(
-            game, u1, game_mod.reduced_lift(game, noise, game_mod.lift_base(game, u1)))
-        f2, j2, g2 = game_mod.operator_estimate(
-            game, u2, game_mod.reduced_lift(game, noise, game_mod.lift_base(game, u2)))
+        f1, j1, g1 = game_mod.operator_estimate(game, game_mod.lift_base(game, u1), noise)
+        f2, j2, g2 = game_mod.operator_estimate(game, game_mod.lift_base(game, u2), noise)
         g1, g2 = g1 + offsets.offsets, g2 + offsets.offsets
         if not all(np.all(np.isfinite(a)) for a in (f1, j1, g1, f2, j2, g2)):
             return math.nan
-        dz = math.hypot(float(np.linalg.norm(u1 - u2)), float(np.linalg.norm(l1 - l2)))
+        dz = math.hypot(_norm(u1 - u2), _norm(l1 - l2))
         if dz < 1e-12:
             continue
-        da = math.hypot(float(np.linalg.norm((f1 + j1 @ l1) - (f2 + j2 @ l2))),
-                        float(np.linalg.norm(g1 - g2)))
+        da = math.hypot(_norm((f1 + j1 @ l1) - (f2 + j2 @ l2)), _norm(g1 - g2))
         worst = max(worst, da / dz)
     return worst
 
@@ -642,15 +637,13 @@ def estimator_diagnostics(game, u: np.ndarray, lam: np.ndarray, batch_sizes,
     if not batch_sizes:
         raise ValueError("batch_sizes must be nonempty")
     batch_sizes = tuple(int(m) for m in batch_sizes)
-    u = np.asarray(u, dtype=float).reshape(-1)
     lam = np.asarray(lam, dtype=float).reshape(-1)
     m_ref = 10 * max(batch_sizes)
     base = game_mod.lift_base(game, u)
 
     def estimate(m):
         noise = game_mod.reduce_noise(game, game.disturbance.sample(rng, m))
-        f_hat, jac, g_raw = game_mod.operator_estimate(
-            game, u, game_mod.reduced_lift(game, noise, base))
+        f_hat, jac, g_raw = game_mod.operator_estimate(game, base, noise)
         return f_hat, jac, g_raw + offsets.offsets
 
     f_ref, jac_ref, g_ref = estimate(m_ref)

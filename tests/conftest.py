@@ -310,7 +310,7 @@ def serial_reference_run(game, offsets, cfg, initial):
             alpha=solver.step_size(cfg, k), batch=m, strategies=None))
         if k >= cfg.max_iterations:
             return state, records
-        rows = [n + base[list(game.support)] for n in players]
+        rows = [n + base.trajectory[list(game.support)] for n in players]
         u_avg, u_next = reference_player_step(game, state, cfg, rows)
         state = solver.SolverState(k + 1, u_next, u_avg, lam_next, lam_avg)
 

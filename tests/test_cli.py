@@ -607,6 +607,26 @@ class TestCheckConstraintsSamples:
         assert "over 7 samples" in capsys.readouterr().out
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["run", "validate", "check-constraints",
+                                         "epsilon-gap", "plot-data"])
+    def test_negative_seed_exit_one(self, tmp_path, capsys, command):
+        path = write_doc(tmp_path, small_lq_doc(max_iterations=3))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+        capsys.readouterr()
+        extra = {"run": ["--out-dir", str(tmp_path / "again")],
+                 "check-constraints": ["--strategies", str(out / "strategies.csv")],
+                 "epsilon-gap": ["--strategies", str(out / "strategies.csv")],
+                 "plot-data": ["--trace", str(out / "trace.csv"),
+                               "--out-dir", str(tmp_path / "plots")]}.get(command, [])
+        assert main([command, "--config", str(path), "--seed", "-1"] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["--seed must be nonnegative, got -1"]
+        assert captured.out == ""
+        assert not (tmp_path / "again").exists() and not (tmp_path / "plots").exists()
+
+
 class TestEpsilonGap:
     def test_profile_outside_boxes_exit_one(self, tmp_path, capsys):
         config = CONFIG_DIR / "quadratic_oracle.json"

@@ -12,10 +12,12 @@ from dataclasses import replace
 
 import ccgames.solver as solver
 from ccgames.com import ComModel, UnderApproxOffsets
+from ccgames.config import build_game, parse_config
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           PlayerSpec, constraint_values, lift_base, lift_noise,
-                          operator_estimate, random_feasible_profile,
+                          operator_estimate, player_constraint_gradient_mean,
+                          random_feasible_profile,
                           reduce_noise, reduced_lift, state_batch)
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import residual_stream
@@ -26,8 +28,9 @@ from ccgames.solver import (BatchSchedule, SolverConfig,
                             residual_estimate, residual_noise, run, step_size,
                             validate_config)
 
-from conftest import (assert_run_equals_reference, quadratic_oracle_params, random_lq_params,
-                      reference_jacobian_block, reference_pseudo_gradient_block)
+from conftest import (CONFIG_DIR, assert_run_equals_reference, quadratic_oracle_params,
+                      random_lq_params, reference_jacobian_block,
+                      reference_pseudo_gradient_block)
 
 PAPER_STEP = StepSchedule(a0=1.4e-4, offset=2.0)
 PAPER_BATCH = BatchSchedule(scale=1.0, offset=2.0, exponent=1.1)
@@ -408,8 +411,9 @@ def per_player_pseudo_gradient(game, u, rows):
 
 
 def assert_operator_exact(game, offsets, u, w):
-    lift = reduced_lift(game, reduce_noise(game, w), lift_base(game, u))
-    f_hat, jac, g_raw = operator_estimate(game, u, lift)
+    base, noise = lift_base(game, u), reduce_noise(game, w)
+    lift = reduced_lift(game, noise, base)
+    f_hat, jac, g_raw = operator_estimate(game, base, noise)
     g_hat = g_raw + offsets.offsets
     states = state_batch(game, u, w)
     f_ref = per_player_pseudo_gradient(game, u, lift.support)
@@ -454,9 +458,10 @@ class TestSharedEvaluation:
             replace(p, cost_state_grad=counted) for p in game.players))
         rng = np.random.default_rng(8)
         u = random_feasible_profile(game, rng)
-        lift = reduced_lift(game, reduce_noise(game, game.disturbance.sample(rng, 70)),
-                            lift_base(game, u))
-        f_hat, _, _ = operator_estimate(counted_game, u, lift)
+        noise = reduce_noise(game, game.disturbance.sample(rng, 70))
+        base = lift_base(counted_game, u)
+        lift = reduced_lift(game, noise, base)
+        f_hat, _, _ = operator_estimate(counted_game, base, noise)
         assert calls == [70]
         f_ref = per_player_pseudo_gradient(game, u, lift.support)
         assert np.array_equal(f_hat, f_ref)
@@ -468,6 +473,30 @@ class TestSharedEvaluation:
         n = game.n_players
         per_iteration = [[cfg.residual_batch, n * batch_size(cfg, k)] for k in range(4)]
         assert calls == sum(per_iteration, []) + [cfg.residual_batch]
+
+    def test_input_cost_gradient_evaluated_once_per_iterate(self):
+        # the residual and the player step read the iterate's one lift_base
+        cfg = parse_config(CONFIG_DIR / "quadratic_oracle.json")
+        game, offsets = build_game(cfg)
+        calls = []
+
+        def spy(u):
+            calls.append(u.copy())
+            return game.cost_input_grad(u)
+
+        trace = run(replace(game, cost_input_grad=spy), offsets, cfg.solver)
+        k = trace.final_state.k
+        assert trace.termination_reason == solver.TERMINATION_TOLERANCE and k > 100
+        assert len(calls) == k + 1
+        assert np.array_equal(calls[-1], trace.final_state.u)
+
+    def test_closure_free_jacobian_not_copied(self, quadratic_game):
+        game, _ = quadratic_game
+        assert not game.nonlinear_columns and not game.constant_jacobian.flags.writeable
+        assert player_constraint_gradient_mean(game, []) is game.constant_jacobian
+        noise = reduce_noise(game, game.disturbance.sample(np.random.default_rng(3), 5))
+        assert operator_estimate(game, lift_base(game, np.ones(game.input_dim)), noise)[1] \
+            is game.constant_jacobian
 
     def test_cached_residual_equals_uncached(self, reduced_microgrid):
         # run() passes the reduced batch residual_noise; the same draws lifted

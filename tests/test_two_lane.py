@@ -59,7 +59,7 @@ def assert_blocked_equals_whole(game, m):
     solver.draw_support_noise(game, iteration_stream(5, 7, 2), blocked)
     w = game.disturbance.sample(iteration_stream(5, 7, 2), m)
     whole = reduced_lift(game, reduce_noise(game, w), base).support
-    assert np.array_equal(blocked + base[game.support_index], whole)
+    assert np.array_equal(blocked + base.trajectory[game.support_index], whole)
 
 
 @pytest.mark.parametrize("m", ROW_COUNTS)
