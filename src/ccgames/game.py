@@ -277,6 +277,7 @@ class GameSpec:
     input_dim            : length of the stacked profile, T sum_i n_i.
     box_lower/box_upper  : (input_dim,), the players' boxes stacked in order.
     block_height         : T n_i when every player's block has that height.
+    stacked_input_maps   : ``lift.input_maps``, stacked when ``block_height`` is set.
     constant_jacobian    : (input_dim, m) Jacobian of the coefficients (a
                            closure column holds only its coefficient part).
     state_map/input_map  : (state_dim, m) and (input_dim, m), column j
@@ -313,6 +314,7 @@ class GameSpec:
     box_lower: np.ndarray = field(init=False, repr=False, compare=False)
     box_upper: np.ndarray = field(init=False, repr=False, compare=False)
     block_height: int | None = field(init=False, repr=False, compare=False)
+    stacked_input_maps: object = field(init=False, repr=False, compare=False)
     constant_jacobian: np.ndarray = field(init=False, repr=False, compare=False)
     state_map: np.ndarray | None = field(init=False, repr=False, compare=False)
     input_map: np.ndarray | None = field(init=False, repr=False, compare=False)
@@ -378,15 +380,16 @@ class GameSpec:
             else np.array(support, dtype=np.intp)
         # each map keeps the layout of ``gm[index].T``: products with another
         # layout can round differently
-        maps = [gm[index] for gm in self.lift.input_maps]
+        maps = self.lift.input_maps if self.block_height is None \
+            else np.stack(self.lift.input_maps)
         noise_map_t = self.lift.noise_map[index].T
         d = self.disturbance
-        _set_derived(self, support=support, support_index=index,
+        _set_derived(self, support=support, support_index=index, stacked_input_maps=maps,
                      support_noise_map_t=noise_map_t,
                      support_law=None if d.mean is None
                      else SupportLaw.of(d.mean, d.std, noise_map_t),
-                     support_input_maps_t=tuple(gm.T for gm in maps)
-                     if self.block_height is None else np.stack(maps).transpose(0, 2, 1))
+                     support_input_maps_t=tuple(gm[index].T for gm in maps)
+                     if self.block_height is None else maps[:, index].transpose(0, 2, 1))
 
     @classmethod
     def build(cls, dynamics: TimeVaryingLinearDynamics, players, constraints,
@@ -440,14 +443,17 @@ class GameSpec:
 
 
 def base_trajectory(game: GameSpec, u: np.ndarray) -> np.ndarray:
-    """Noise-free trajectory ``init_map @ s0 + sum_j input_maps[j] @ u^j``."""
+    """Noise-free trajectory ``init_map @ s0 + sum_j input_maps[j] @ u^j``. Its terms
+    are summed over axis 0 row after row (2+ columns): the bits of a per-player loop."""
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape[0] != game.input_dim:
         raise ValueError(f"profile length {u.shape[0]}, expected {game.input_dim}")
-    base = game.init_trajectory
-    for gm, sl in zip(game.lift.input_maps, game.player_slices):
-        base = base + gm @ u[sl]
-    return base
+    maps = game.stacked_input_maps
+    if isinstance(maps, np.ndarray):
+        terms = np.matmul(maps, u.reshape(game.n_players, -1, 1))[..., 0]
+    else:
+        terms = [gm @ u[sl] for gm, sl in zip(maps, game.player_slices)]
+    return np.concatenate((game.init_trajectory[None], terms)).sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -13,23 +13,24 @@ Key layout used by the solver:
     (PURPOSE_RESIDUAL,)              reference batch for residual estimates
     (PURPOSE_PROBE, j)               Lipschitz / diagnostic probes
 
-``iteration_stream`` derives the state words of ``substream`` once per
+``iteration_streams`` derives the state words of ``substream`` once per
 iteration for every entity. ``SeedSequence`` follows O'Neill's ``seed_seq``
 (HMC-CS-2014-0905): it hashes its 32-bit entropy words (the seed's, padded
 with zeros to four, then the key's) into a 4-word pool, then hashes the pool
 into PCG64's state. Each word after the fourth is hashed into every pool word
 in turn, and the hash constant advances once per hash, whatever the word. So
 the pool before the last word, the entity, is that of the key
-``(PURPOSE_ITERATION, k)``, and the entity's constants follow from the count
-of words before it. The entity's mix and the state generation then run for a
-block of entities at once, in uint64 arithmetic masked to 32 bits: the same
-operations on the same words, so the streams are bit-equal to ``substream``.
-The (E, 4) tables of state words of the newest ``TABLE_CACHE`` (seed, k) are
-kept; PCG64 is seeded from a row through ``_StateWords``.
+``(PURPOSE_ITERATION, k)``, and the entity's hashes follow from the count of
+words before it (``_entity_words``, kept). Its mix and the state generation
+then run for a block of entities at once, in uint64 arithmetic masked to 32
+bits: the same operations on the same words, so the streams are bit-equal to
+``substream``. The (E, 4) tables of state words of the newest ``TABLE_CACHE``
+(seed, k) are kept; PCG64 is seeded from a row through ``_StateWords``.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import threading
 
@@ -86,16 +87,22 @@ def _hash(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
     return v ^ v >> 16
 
 
+@functools.lru_cache(maxsize=16)
+def _entity_words(n_words: int, rows: int) -> np.ndarray:
+    """(rows, 4): row e ``_MIX_R`` x entity e's hashes after ``n_words`` words."""
+    hs = np.array([_INIT_A * pow(_MULT_A, 4 * n_words + j, 1 << 32) & _MASK
+                   for j in range(5)], dtype=np.uint64)
+    words = _MIX_R * _hash(np.arange(rows, dtype=np.uint64)[:, None], hs)
+    words.flags.writeable = False  # one array for every caller
+    return words
+
+
 def _state_table(seed: int, k: int, rows: int) -> np.ndarray:
     """Read-only C-contiguous (rows, 4) uint64: row e holds the PCG64 state
     words of ``substream(seed, PURPOSE_ITERATION, k, e)``."""
     prefix = np.random.SeedSequence(seed, spawn_key=(PURPOSE_ITERATION, k))
     n_words = max(4, _n_words(seed)) + _n_words(PURPOSE_ITERATION) + _n_words(k)
-    # 4 hashes per entropy word so far, then the 4 that mix in the entity
-    hs = np.array([_INIT_A * pow(_MULT_A, 4 * n_words + j, 1 << 32) & _MASK
-                   for j in range(5)], dtype=np.uint64)
-    entity = _hash(np.arange(rows, dtype=np.uint64)[:, None], hs)
-    pool = (_MIX_L * prefix.pool.astype(np.uint64) - _MIX_R * entity) & _MASK
+    pool = (_MIX_L * prefix.pool.astype(np.uint64) - _entity_words(n_words, rows)) & _MASK
     pool ^= pool >> 16
     state = _hash(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH)
     # little-endian pairs of 32-bit words, in a new C-contiguous array
@@ -109,22 +116,27 @@ def _n_words(n: int) -> int:
 
 
 def iteration_stream(seed: int, k: int, entity: int) -> np.random.Generator:
-    """Stream for iteration ``k``; entity 0 = coordinator, 1 + i = player i.
-    A new generator each call, bit-equal to ``substream(seed,
-    PURPOSE_ITERATION, k, entity)``. The table of ``(seed, k)`` holds every
-    entity up to this one, 32 bytes each."""
+    """Stream of ``entity`` for iteration ``k`` (0 = coordinator, 1 + i = player i):
+    a new generator, bit-equal to ``substream(seed, PURPOSE_ITERATION, k, entity)``."""
+    return iteration_streams(seed, k, entity + 1, first=entity)[0]
+
+
+def iteration_streams(seed: int, k: int, n: int, first: int = 0) -> list:
+    """``iteration_stream(seed, k, e)`` for e = first, ..., n - 1 from one read of
+    the kept table of ``(seed, k)``, replaced by whole ``TABLE_BLOCK``s if short."""
     seed, k = operator.index(seed), operator.index(k)
+    if operator.index(first) < 0 or n < first:
+        raise ValueError(f"expected 0 <= first <= n, got first={first}, n={n}")
     table = _tables.get((seed, k))
-    if table is None or not 0 <= entity < table.shape[0]:
-        if operator.index(entity) < 0:
-            raise ValueError(f"expected a nonnegative entity, got {entity}")
-        table = _state_table(seed, k, TABLE_BLOCK * (entity // TABLE_BLOCK + 1))
+    if table is None or table.shape[0] < n:
+        table = _state_table(seed, k, TABLE_BLOCK * max(1, -(-n // TABLE_BLOCK)))
         with _tables_lock:
             _tables.pop((seed, k), None)
             _tables[seed, k] = table
             while len(_tables) > TABLE_CACHE:
                 del _tables[next(iter(_tables))]
-    return np.random.Generator(np.random.PCG64(_StateWords(table[entity])))
+    return [np.random.Generator(np.random.PCG64(_StateWords(words)))
+            for words in table[first:n]]
 
 
 def residual_stream(seed: int) -> np.random.Generator:

@@ -24,13 +24,14 @@ continues the run it left (``load_checkpoint``).
 An entity draws only what its estimates read, and nothing when no estimate
 reads its draw. For a disturbance model that declares its Gaussian
 ``mean``/``std`` the players' support rows and the coordinator's mean
-disturbance are drawn from their law (``game.support_law``); otherwise every
-batch is drawn whole through ``disturbance.sample`` and reduced
-(``coordinator_noise``, ``draw_support_noise``). Drawing is most of a
-large-batch iteration, so ``draw_noise`` splits the players' draws between
-the calling thread and one persistent worker thread; each entity's draw is
-one function of its own stream, so a seeded run is bit-identical to a
-serial one.
+disturbance are drawn from their law (``game.support_law``): the players'
+streams, from one ``iteration_streams`` call, fill one array of standard
+normals per lane, mapped by one product and one add (``_draw_players``).
+Otherwise every batch is drawn whole through ``disturbance.sample`` and
+reduced (``coordinator_noise``, ``draw_support_noise``). Drawing is most of
+a large-batch iteration, so ``draw_noise`` splits the players between the
+calling thread and one persistent worker thread; each entity's draw is one
+function of its own stream, so a seeded run is bit-identical to a serial one.
 
 The steps take their shared inputs from the caller, as ``run`` supplies them:
 the run's reduced residual batch (``residual_noise``), each entity's reduced
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import game as game_mod
 from .com import UnderApproxOffsets
-from .rng import iteration_stream, residual_stream, substream, PURPOSE_PROBE
+from .rng import iteration_stream, iteration_streams, residual_stream, substream, PURPOSE_PROBE
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -310,10 +311,21 @@ def draw_support_noise(game, rng: np.random.Generator, out: np.ndarray) -> np.nd
 
 
 def _draw_players(game, streams, out: np.ndarray) -> None:
-    """One lane's players: ``draw_support_noise`` from each stream in turn
-    into its (M, len(game.support)) slab of ``out``."""
-    for rng, rows in zip(streams, out):
-        draw_support_noise(game, rng, rows)
+    """Each stream's ``draw_support_noise`` rows, bit for bit, in its slab of
+    ``out``. For a declared law the streams fill one (n, M, r) array of normals
+    (``out`` itself if r = s), mapped by one batched matmul and one add; for r = 1
+    a multiply, as matmul runs a one-term product in a loop several times slower."""
+    law = game.support_law
+    if law is None:
+        for rng, rows in zip(streams, out):
+            draw_support_noise(game, rng, rows)
+        return
+    r = law.factor.shape[0]
+    xi = out if r == out.shape[2] else np.empty(out.shape[:2] + (r,))
+    for rng, slab in zip(streams, xi):
+        rng.standard_normal(out=slab)
+    (np.multiply if r == 1 else np.matmul)(xi, law.factor, out=out)
+    out += law.shift
 
 
 _draw_lane = (None, None)  # (process id, one-thread executor) of the second lane
@@ -333,10 +345,10 @@ def _second_lane() -> ThreadPoolExecutor:
 def draw_noise(game, seed: int, k: int, m: int):
     """Every entity's reduced noise for iteration k with m-row batches:
     (``coordinator_noise``, an (N, m, len(game.support)) array whose slab i
-    is player i's ``draw_support_noise``; nothing is drawn into it when the
-    support is empty).
+    is player i's ``draw_support_noise`` rows (``_draw_players``); nothing is
+    drawn into it when the support is empty).
 
-    The streams are created on the calling thread. From
+    One ``iteration_streams`` call makes the players' streams. From
     ``TWO_LANE_MIN_DRAWS`` numbers per player's draw (M r for a declared
     Gaussian disturbance, M T n_s through the sampler), the second lane fills
     the slabs of players 0, 2, 4, ... while this thread draws the other
@@ -345,7 +357,7 @@ def draw_noise(game, seed: int, k: int, m: int):
     noise = np.empty((game.n_players, m, len(game.support)))
     if not game.support:
         return coordinator_noise(game, seed, k, m), noise
-    streams = [iteration_stream(seed, k, 1 + i) for i in range(game.n_players)]
+    streams = iteration_streams(seed, k, 1 + game.n_players, first=1)
     own, lane = slice(None), None
     per_row = game.disturbance.dim if game.support_law is None \
         else game.support_law.factor.shape[0]

@@ -137,6 +137,15 @@ def reference_player_step(game, state, cfg, rows):
     return np.concatenate(u_avg), np.concatenate(u_next)
 
 
+def reference_base_trajectory(game, u):
+    """``init_trajectory + input_maps[0] @ u^0 + input_maps[1] @ u^1 + ...``,
+    one player's product added at a time, in player order."""
+    out = game.init_trajectory
+    for gm, sl in zip(game.lift.input_maps, game.player_slices):
+        out = out + gm @ u[sl]
+    return out
+
+
 def reference_project_local(game, u):
     """Each player's block clipped to its own box, one player at a time."""
     out = np.array(u, dtype=float)
@@ -255,6 +264,39 @@ def generic_copy(game):
     from dataclasses import replace
 
     return replace(game, disturbance=replace(game.disturbance, mean=None, std=None))
+
+
+class HookedStream:
+    """A generator whose ``standard_normal`` draws pass through ``hook(values)``
+    as they are made: the hook may write into them or raise. Every other
+    attribute is the generator's own."""
+
+    def __init__(self, rng, hook):
+        self._rng, self._hook = rng, hook
+
+    def standard_normal(self, *args, **kwargs):
+        values = self._rng.standard_normal(*args, **kwargs)
+        self._hook(values)
+        return values
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def hook_player_streams(monkeypatch, hook, players=None):
+    """Patch ``solver.iteration_streams`` through ``monkeypatch`` so that the
+    streams of the players in ``players`` (default: every player) are
+    ``HookedStream``s of ``hook``: each of their draws, through a sampler or
+    from a declared law, on whichever thread it is made."""
+    from ccgames import solver
+
+    streams = solver.iteration_streams
+
+    def hooked(seed, k, n, first=0):
+        return [HookedStream(rng, hook) if e > 0 and (players is None or e - 1 in players)
+                else rng for e, rng in enumerate(streams(seed, k, n, first), first)]
+
+    monkeypatch.setattr(solver, "iteration_streams", hooked)
 
 
 def serial_entity_noise(game, seed, k, m):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ccgames import rng
-from ccgames.rng import PURPOSE_ITERATION, TABLE_BLOCK, TABLE_CACHE, iteration_stream, substream
+from ccgames.rng import (PURPOSE_ITERATION, TABLE_BLOCK, TABLE_CACHE, iteration_stream,
+                         iteration_streams, substream)
 
 SEEDS = [0, 1, 2 ** 32 + 7, 2 ** 128 + 3]
 ITERATIONS = [0, 9000, 2 ** 32 + 1]
@@ -30,6 +31,19 @@ def test_equals_the_seed_sequence_stream(seed, k):
     for entity in ENTITIES + ENTITIES[::-1]:
         assert_same_stream(iteration_stream(seed, k, entity),
                            substream(seed, PURPOSE_ITERATION, k, entity))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 21, TABLE_BLOCK + 1])
+def test_one_call_gives_every_entity_of_an_iteration(seed, n):
+    # from a new table, from a kept one, and from entity 1 on (the players)
+    rng._tables.clear()
+    for first in (0, 0, 1):
+        streams = iteration_streams(seed, 9000, n, first=first)
+        assert len(streams) == n - first
+        for entity, got in enumerate(streams, first):
+            assert_same_stream(got, substream(seed, PURPOSE_ITERATION, 9000, entity))
+    assert iteration_streams(seed, 9000, 0) == []
 
 
 def test_each_call_is_a_new_generator():
@@ -81,3 +95,10 @@ def test_the_cache_stays_bounded():
 def test_negative_key_words_are_refused(key):
     with pytest.raises(ValueError):
         iteration_stream(*key)
+    with pytest.raises(ValueError):
+        iteration_streams(*key[:2], 1, first=key[2])
+
+
+def test_a_count_below_the_first_entity_is_refused():
+    with pytest.raises(ValueError):
+        iteration_streams(0, 0, 2, first=3)

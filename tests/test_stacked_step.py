@@ -20,14 +20,16 @@ from ccgames.com import ComModel, UnderApproxOffsets
 from ccgames.config import build_game, parse_config
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec, PlayerSpec,
-                          lift_base, random_feasible_profile)
+                          base_trajectory, lift_base, random_feasible_profile)
 from ccgames.lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
-from ccgames.rng import iteration_stream
+from ccgames.rng import iteration_stream, iteration_streams
 
-from conftest import (CONFIG_DIR, assert_run_equals_reference, generic_copy, random_lq_params,
+from conftest import (CONFIG_DIR, assert_run_equals_reference, generic_copy,
+                      hook_player_streams, random_lq_params, reference_base_trajectory,
                       reference_player_step, serial_reference_run, with_support_oracles)
 
 LQ_SEEDS = range(6)
+LIFT_LQ_SEEDS = range(12)  # the LQ seeds of test_two_lane
 
 
 def config_game(name):
@@ -159,6 +161,30 @@ def test_run_equals_per_player_reference(name):
     assert_run_equals_reference(trace, serial_reference_run(game, offsets, cfg, initial))
 
 
+LIFT_GAMES = {
+    **{name: (lambda name=name: config_game(name + ".json")[0])
+       for name in ("microgrid_reduced", "microgrid_paper", "quadratic_oracle")},
+    "unequal_heights": lambda: unequal_height_game()[0],
+    **{f"lq_{s}": (lambda s=s: lq_support_game(s)[0]) for s in LIFT_LQ_SEEDS},
+}
+
+
+@pytest.mark.parametrize("name", LIFT_GAMES)
+def test_base_trajectory_equals_per_player_sum(name):
+    # the stacked maps and the tuple of unequal heights, against a loop that
+    # adds one player's product at a time; bytes, so signed zeros count too
+    game = LIFT_GAMES[name]()
+    rng = np.random.default_rng(17)
+    for u in (np.zeros(game.input_dim), random_feasible_profile(game, rng),
+              rng.normal(scale=1e3, size=game.input_dim)):
+        assert base_trajectory(game, u).tobytes() == reference_base_trajectory(game, u).tobytes()
+
+
+def test_lift_games_cover_both_layouts():
+    heights = [LIFT_GAMES[name]().block_height for name in ("microgrid_paper", "unequal_heights")]
+    assert heights[0] is not None and heights[1] is None
+
+
 def counted_draws(monkeypatch, game):
     """(game with a counting sampler, list of rows per sampler call, list of
     (seed, k, entity) per iteration stream the solver creates)."""
@@ -172,7 +198,12 @@ def counted_draws(monkeypatch, game):
         streams.append((seed, k, entity))
         return iteration_stream(seed, k, entity)
 
+    def batch(seed, k, n, first=0):
+        streams.extend((seed, k, e) for e in range(first, n))
+        return iteration_streams(seed, k, n, first)
+
     monkeypatch.setattr(solver, "iteration_stream", stream)
+    monkeypatch.setattr(solver, "iteration_streams", batch)
     return replace(game, disturbance=replace(game.disturbance, sample=sample)), rows, streams
 
 
@@ -208,33 +239,18 @@ def test_players_without_support_draw_nothing(monkeypatch):
 
 
 def test_nan_drawn_for_one_player_names_only_that_player(monkeypatch):
-    # a NaN written into the support rows drawn from the declared law, and
-    # one drawn through the sampler of a generic copy
+    # a NaN written into player 2's standard normals, drawn from the declared
+    # law and through the sampler of a generic copy
     declared, offsets = config_game("microgrid_reduced.json")
-    poisoned = []  # player 2's generators (entity 3), kept alive so `is` holds
 
-    def stream(seed, k, entity):
-        rng = iteration_stream(seed, k, entity)
-        if entity == 3:
-            poisoned.append(rng)
-        return rng
+    def poison(rows):
+        rows[-1, 0] = np.nan
 
-    def poison(rng, rows):
-        if any(rng is p for p in poisoned):
-            rows[-1, 0] = np.nan
-        return rows
-
-    draw, game = solver.draw_support_noise, generic_copy(declared)
-    sampler = replace(game, disturbance=replace(
-        game.disturbance, sample=lambda rng, n: poison(rng, game.disturbance.sample(rng, n))))
-    for nan_game in (declared, sampler):
-        monkeypatch.setattr(solver, "iteration_stream", stream)
-        if nan_game is declared:
-            monkeypatch.setattr(solver, "draw_support_noise",
-                                lambda g, rng, out: poison(rng, draw(g, rng, out)))
+    for nan_game in (declared, generic_copy(declared)):
+        hook_player_streams(monkeypatch, poison, players={2})
         trace = solver.run(nan_game, offsets, step_config(max_iterations=5))
         monkeypatch.undo()
         assert trace.termination_reason == solver.TERMINATION_NON_FINITE
         assert trace.final_state.k == 1
-        assert solver.non_finite_updates(game, trace.final_state) == \
+        assert solver.non_finite_updates(nan_game, trace.final_state) == \
             ["player 2 strategy update"]

@@ -24,8 +24,9 @@ from ccgames.game import lift_base, random_feasible_profile, reduce_noise, reduc
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
 
-from conftest import (CONFIG_DIR, assert_run_equals_reference, generic_copy, random_lq_params,
-                      serial_entity_noise, serial_reference_run, with_support_oracles)
+from conftest import (CONFIG_DIR, assert_run_equals_reference, generic_copy,
+                      hook_player_streams, random_lq_params, serial_entity_noise,
+                      serial_reference_run, with_support_oracles)
 
 B = solver.DRAW_BLOCK_ROWS
 ROW_COUNTS = (1, B - 1, B, B + 1, 3 * B + 7)
@@ -75,6 +76,58 @@ def test_lq_blocked_rows_equal_one_whole_draw(seed, m):
     assert_blocked_equals_whole(lq_game(seed), m)
 
 
+def zero_rank_game():
+    """An LQ game whose declared law has rank 0: no noise, r = 0."""
+    game, _ = build_lq_game(replace(random_lq_params(np.random.default_rng(0)),
+                                    noise_std=None))
+    return with_support_oracles(game, np.random.default_rng(1))
+
+
+def full_rank_game():
+    """An LQ game whose support is every column after the initial state: a
+    law of rank r = s > 1, drawn in place."""
+    rng = np.random.default_rng(3)
+    game, _ = build_lq_game(random_lq_params(rng))
+    while game.dynamics.horizon * game.dynamics.state_dim < 2:
+        game, _ = build_lq_game(random_lq_params(rng))
+    n_s = game.dynamics.state_dim
+    return with_support_oracles(game, rng, support=range(n_s, game.state_traj_dim))
+
+
+LANE_GAMES = {
+    **{name: (lambda name=name: build_game(parse_config(CONFIG_DIR / name))[0])
+       for name in MICROGRID_CONFIGS},
+    **{f"lq_{seed}": (lambda seed=seed: lq_game(seed)) for seed in LQ_SEEDS},
+    "zero_rank": zero_rank_game,
+    "full_rank": full_rank_game,
+}
+
+
+@pytest.mark.parametrize("name", LANE_GAMES)
+def test_lane_draw_equals_one_draw_per_player(name):
+    # one row, and the row counts just below and at the split into two lanes
+    game = LANE_GAMES[name]()
+    r = per_row(game)
+    assert game.support_law is not None
+    counts = {1} if r == 0 else {1, -(-solver.TWO_LANE_MIN_DRAWS // r) - 1,
+                                  -(-solver.TWO_LANE_MIN_DRAWS // r)}
+    for m in counts:
+        coordinator, noise = solver.draw_noise(game, 6, 11, m)
+        want_coordinator, want_players = serial_entity_noise(game, 6, 11, m)
+        assert np.array_equal(coordinator.mean, want_coordinator.mean)
+        assert np.array_equal(coordinator.support, want_coordinator.support)
+        for i, rows in enumerate(noise):
+            assert rows.tobytes() == want_players[i].tobytes(), (m, i)
+
+
+def test_lane_games_cover_every_rank():
+    ranks = {name: per_row(make()) for name, make in LANE_GAMES.items()}
+    assert ranks["microgrid_paper.json"] == ranks["microgrid_reduced.json"] == 1
+    assert ranks["zero_rank"] == 0 and max(ranks.values()) > 1
+    full = LANE_GAMES["full_rank"]()
+    assert per_row(full) == len(full.support) > 1
+
+
 @pytest.fixture(scope="module")
 def reduced_tail():
     """microgrid_reduced resumed at RESUME_K for ITERATIONS iterations, as
@@ -90,21 +143,6 @@ def reduced_tail():
     return games, offsets, scfg, initial
 
 
-def with_draw_hook(monkeypatch, game, hook):
-    """``game`` with ``hook(rows)`` applied to each draw as it is made, and
-    its result used: to the rows of each sampler call through a sampler, and
-    to the support rows of each ``draw_support_noise`` call for a declared
-    law (patched on the solver module through ``monkeypatch``)."""
-    if game.support_law is None:
-        sample = game.disturbance.sample
-        return replace(game, disturbance=replace(
-            game.disturbance, sample=lambda rng, count: hook(sample(rng, count))))
-    draw = solver.draw_support_noise
-    monkeypatch.setattr(solver, "draw_support_noise",
-                        lambda g, rng, out: hook(draw(g, rng, out)))
-    return game
-
-
 def on_second_lane():
     return threading.current_thread() is not threading.main_thread()
 
@@ -116,10 +154,9 @@ def test_two_lane_run_equals_serial_reference(reduced_tail, monkeypatch):
 
         def watched(rows):
             lanes.add(on_second_lane())
-            return rows
 
-        trace = solver.run(with_draw_hook(monkeypatch, game, watched), offsets, scfg,
-                           initial=initial)
+        hook_player_streams(monkeypatch, watched)
+        trace = solver.run(game, offsets, scfg, initial=initial)
         monkeypatch.undo()
         assert lanes == {False, True}
         assert trace.termination_reason == solver.TERMINATION_BUDGET
@@ -136,12 +173,11 @@ def test_second_lane_exception_reaches_run(reduced_tail, monkeypatch):
     def failing(rows):
         if on_second_lane():
             raise DrawFailure("draw failed on the second lane")
-        return rows
 
     for game in games:
+        hook_player_streams(monkeypatch, failing)
         with pytest.raises(DrawFailure, match="second lane"):
-            solver.run(with_draw_hook(monkeypatch, game, failing), offsets, scfg,
-                       initial=initial)
+            solver.run(game, offsets, scfg, initial=initial)
         monkeypatch.undo()
         # the lane survives its failure: the next run completes, bit for bit
         one = replace(scfg, max_iterations=RESUME_K + 1)
@@ -155,11 +191,10 @@ def test_nan_draw_on_second_lane_stops_non_finite(reduced_tail, monkeypatch):
     def poisoned(rows):
         if on_second_lane():
             rows[-1, 0] = np.nan
-        return rows
 
     for game in games:
-        trace = solver.run(with_draw_hook(monkeypatch, game, poisoned), offsets, scfg,
-                           initial=initial)
+        hook_player_streams(monkeypatch, poisoned)
+        trace = solver.run(game, offsets, scfg, initial=initial)
         monkeypatch.undo()
         assert trace.termination_reason == solver.TERMINATION_NON_FINITE
         assert trace.final_state.k == RESUME_K + 1
