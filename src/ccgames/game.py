@@ -151,11 +151,8 @@ class DisturbanceModel:
 
     sample(rng, n) must return an (n, T * n_s) array of stacked draws,
     independent within and across batches. The solver calls it from two
-    threads, each call with one entity's own generator, and may draw one
-    batch in several calls of consecutive row blocks; so it must keep no
-    mutable state between calls. Seeded runs are bit-identical across block
-    sizes only for a row-sequential sampler, whose n rows equal the rows of
-    draws of consecutive parts of n from the same generator.
+    threads, each call with one entity's own generator for that entity's
+    whole batch; so it must keep no mutable state between calls.
 
     mean/std : optional (dim,) arrays declaring independent Gaussian
                coordinates N(mean_d, std_d^2), finite, std >= 0; both or

@@ -13,26 +13,25 @@ Key layout used by the solver:
     (PURPOSE_RESIDUAL,)              reference batch for residual estimates
     (PURPOSE_PROBE, j)               Lipschitz / diagnostic probes
 
-``iteration_streams`` derives the state words of ``substream`` once per
-iteration for every entity. ``SeedSequence`` follows O'Neill's ``seed_seq``
-(HMC-CS-2014-0905): it hashes its 32-bit entropy words (the seed's, padded
-with zeros to four, then the key's) into a 4-word pool, then hashes the pool
-into PCG64's state. Each word after the fourth is hashed into every pool word
-in turn, and the hash constant advances once per hash, whatever the word. So
-the pool before the last word, the entity, is that of the key
-``(PURPOSE_ITERATION, k)``, and the entity's hashes follow from the count of
-words before it (``_entity_words``, kept). Its mix and the state generation
-then run for a block of entities at once, in uint64 arithmetic masked to 32
-bits: the same operations on the same words, so the streams are bit-equal to
-``substream``. The (E, 4) tables of state words of the newest ``TABLE_CACHE``
-(seed, k) are kept; PCG64 is seeded from a row through ``_StateWords``.
+``iteration_streams`` derives the state words of ``substream`` for entities 0
+to n - 1 of an iteration in one pass. ``SeedSequence`` follows O'Neill's
+``seed_seq`` (HMC-CS-2014-0905): it hashes its 32-bit entropy words (the
+seed's, padded with zeros to four, then the key's) into a 4-word pool, then
+hashes the pool into PCG64's state. Each word after the fourth is hashed into
+every pool word in turn, and the hash constant advances once per hash,
+whatever the word. So the pool before the last word, the entity, is that of
+the key ``(PURPOSE_ITERATION, k)``, and the entity's hashes follow from the
+count of words before it (``_entity_words``, kept). Its mix and the state
+generation then run for the n entities at once, in uint64 arithmetic masked to
+32 bits: the same operations on the same words, so the streams are bit-equal
+to ``substream``. PCG64 is seeded from a row of that (n, 4) table of state
+words through ``_StateWords``; each call builds its own table.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-import threading
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -40,12 +39,6 @@ from numpy.random.bit_generator import ISeedSequence
 PURPOSE_ITERATION = 0
 PURPOSE_RESIDUAL = 1
 PURPOSE_PROBE = 2
-
-# rows of an iteration stream table; an entity past it grows the table to
-# the next multiple
-TABLE_BLOCK = 64
-# (seed, k) tables kept, the newest; the solver uses one iteration's at a time
-TABLE_CACHE = 8
 
 # numpy's SeedSequence constants: the entropy hash (A), the state hash (B),
 # and the mix of a pool word with a hashed word
@@ -55,9 +48,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # generate_state(4, uint64) hashes pool word j % 4 into 32-bit word j of 8
 _STATE_HASH = np.array([_INIT_B * pow(_MULT_B, j, 1 << 32) & _MASK for j in range(9)],
                        dtype=np.uint64)
-
-_tables = {}  # (seed, k) -> read-only (E, 4) uint64 state words of entities 0..E-1
-_tables_lock = threading.Lock()
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -97,20 +87,6 @@ def _entity_words(n_words: int, rows: int) -> np.ndarray:
     return words
 
 
-def _state_table(seed: int, k: int, rows: int) -> np.ndarray:
-    """Read-only C-contiguous (rows, 4) uint64: row e holds the PCG64 state
-    words of ``substream(seed, PURPOSE_ITERATION, k, e)``."""
-    prefix = np.random.SeedSequence(seed, spawn_key=(PURPOSE_ITERATION, k))
-    n_words = max(4, _n_words(seed)) + _n_words(PURPOSE_ITERATION) + _n_words(k)
-    pool = (_MIX_L * prefix.pool.astype(np.uint64) - _entity_words(n_words, rows)) & _MASK
-    pool ^= pool >> 16
-    state = _hash(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH)
-    # little-endian pairs of 32-bit words, in a new C-contiguous array
-    table = np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
-    table.flags.writeable = False
-    return table
-
-
 def _n_words(n: int) -> int:
     return (max(n.bit_length(), 1) + 31) // 32  # 32-bit words of n, at least 1
 
@@ -122,21 +98,19 @@ def iteration_stream(seed: int, k: int, entity: int) -> np.random.Generator:
 
 
 def iteration_streams(seed: int, k: int, n: int, first: int = 0) -> list:
-    """``iteration_stream(seed, k, e)`` for e = first, ..., n - 1 from one read of
-    the kept table of ``(seed, k)``, replaced by whole ``TABLE_BLOCK``s if short."""
+    """``iteration_stream(seed, k, e)`` for e = first, ..., n - 1, each seeded
+    from its row of one table of the PCG64 state words of these entities."""
     seed, k = operator.index(seed), operator.index(k)
     if operator.index(first) < 0 or n < first:
         raise ValueError(f"expected 0 <= first <= n, got first={first}, n={n}")
-    table = _tables.get((seed, k))
-    if table is None or table.shape[0] < n:
-        table = _state_table(seed, k, TABLE_BLOCK * max(1, -(-n // TABLE_BLOCK)))
-        with _tables_lock:
-            _tables.pop((seed, k), None)
-            _tables[seed, k] = table
-            while len(_tables) > TABLE_CACHE:
-                del _tables[next(iter(_tables))]
-    return [np.random.Generator(np.random.PCG64(_StateWords(words)))
-            for words in table[first:n]]
+    prefix = np.random.SeedSequence(seed, spawn_key=(PURPOSE_ITERATION, k))
+    n_words = max(4, _n_words(seed)) + _n_words(PURPOSE_ITERATION) + _n_words(k)
+    pool = (_MIX_L * prefix.pool.astype(np.uint64) - _entity_words(n_words, n)[first:]) & _MASK
+    pool ^= pool >> 16
+    state = _hash(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH)
+    # little-endian pairs of 32-bit words, in a new C-contiguous array
+    table = np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
+    return [np.random.Generator(np.random.PCG64(_StateWords(words))) for words in table]
 
 
 def residual_stream(seed: int) -> np.random.Generator:

@@ -22,16 +22,14 @@ one JSON document of (solver settings, iterate), and a resume from it
 continues the run it left (``load_checkpoint``).
 
 An entity draws only what its estimates read, and nothing when no estimate
-reads its draw. For a disturbance model that declares its Gaussian
-``mean``/``std`` the players' support rows and the coordinator's mean
-disturbance are drawn from their law (``game.support_law``): the players'
-streams, from one ``iteration_streams`` call, fill one array of standard
-normals per lane, mapped by one product and one add (``_draw_players``).
-Otherwise every batch is drawn whole through ``disturbance.sample`` and
-reduced (``coordinator_noise``, ``draw_support_noise``). Drawing is most of
-a large-batch iteration, so ``draw_noise`` splits the players between the
-calling thread and one persistent worker thread; each entity's draw is one
-function of its own stream, so a seeded run is bit-identical to a serial one.
+reads its draw. ``draw_noise`` makes the generators of the entities that draw
+with one ``iteration_streams`` call, and ``draw_support_noise`` draws the
+support rows of the coordinator and of each lane of players: for a declared
+Gaussian ``mean``/``std`` from their law (``game.support_law``), otherwise one
+whole draw through ``disturbance.sample`` per entity. Drawing is most of a
+large-batch iteration, so the players are split between the calling thread
+and one persistent worker thread; each entity's draw is one function of its
+own stream, so a seeded run is bit-identical to a serial one.
 
 The steps take their shared inputs from the caller, as ``run`` supplies them:
 the run's reduced residual batch (``residual_noise``), each entity's reduced
@@ -79,8 +77,6 @@ LIPSCHITZ_PAIRS = 16
 LIPSCHITZ_BATCH = 256
 LIPSCHITZ_MULTIPLIER_SCALE = 1.0
 
-# rows per block of a player's draw through the sampler (``draw_support_noise``)
-DRAW_BLOCK_ROWS = 2048
 # numbers in one player's draw (rows x numbers per row) from which the
 # players' draws are split between two threads (``draw_noise``)
 TWO_LANE_MIN_DRAWS = 16384
@@ -253,9 +249,15 @@ class RunTrace:
     final_state: SolverState
 
 
-def coordinator_noise(game, seed: int, k: int, m: int) -> game_mod.ReducedLift:
-    """Reduced noise of the coordinator's m-row batch of iteration k. It is
-    zero, and nothing is drawn, when no constraint value reads the trajectory.
+def _coordinator_draws(game) -> bool:
+    """Whether a constraint value reads the trajectory, so the coordinator draws."""
+    return game.state_map is not None or bool(game.nonlinear_columns)
+
+
+def coordinator_noise(game, rng: np.random.Generator | None, m: int) -> game_mod.ReducedLift:
+    """Reduced noise of the coordinator's m-row batch, drawn from its iteration
+    stream ``rng``. It is zero, and ``rng`` is not read (None will do), when
+    no constraint value reads the trajectory.
 
     For a declared Gaussian disturbance (``game.support_law``) the support
     rows z come from ``draw_support_noise`` and then the mean disturbance
@@ -266,14 +268,14 @@ def coordinator_noise(game, seed: int, k: int, m: int) -> game_mod.ReducedLift:
     the batch is drawn whole, since its mean disturbance is one sum over
     every row.
     """
-    if game.state_map is None and not game.nonlinear_columns:
+    if not _coordinator_draws(game):
         return game_mod.ReducedLift(np.zeros(game.state_traj_dim),
                                     np.zeros((m, len(game.support))))
-    rng, law, d = iteration_stream(seed, k, 0), game.support_law, game.disturbance
+    law, d = game.support_law, game.disturbance
     if law is None:
         return game_mod.reduce_noise(game, d.sample(rng, m))
     if game.nonlinear_columns:
-        z = draw_support_noise(game, rng, np.empty((m, len(game.support))))
+        z = draw_support_noise(game, [rng], np.empty((1, m, len(game.support))))[0]
         w_mean = d.mean + law.gain @ (z.mean(axis=0) - law.shift) \
             + law.spread @ rng.standard_normal(d.dim) / math.sqrt(m)
     else:
@@ -282,50 +284,32 @@ def coordinator_noise(game, seed: int, k: int, m: int) -> game_mod.ReducedLift:
     return game_mod.ReducedLift(w_mean @ game.lift.noise_map.T, z)
 
 
-def draw_support_noise(game, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+def draw_support_noise(game, streams, out: np.ndarray) -> np.ndarray:
     """Write the support noise rows ``w @ support_noise_map_t`` of a draw
-    ``w`` of ``len(out)`` rows from ``rng`` into ``out``, shape
-    (M, len(game.support)), and return it.
+    ``w`` of M rows from ``streams[j]`` into slab j of ``out``, shape
+    (n, M, len(game.support)) for n streams, and return ``out``.
 
     For a declared Gaussian disturbance the rows are drawn from their law
     directly: ``xi @ factor + shift`` of ``game.support_law`` for xi an
-    (M, r) standard normal, r normals per row. Otherwise ``w`` is drawn
-    through the sampler in consecutive blocks of ``DRAW_BLOCK_ROWS`` rows,
-    each mapped into its rows of ``out``, so a block at a time is held. A
-    remainder of one row joins the block before it, since numpy multiplies a
-    single row by another path. For a row-sequential sampler ``out`` then
-    equals ``reduce_noise(game, w).support`` of one whole draw, bit for bit.
+    (M, r) standard normal, r normals per row. The streams fill one
+    (n, M, r) array of normals (``out`` itself if r = s), mapped by one
+    batched matmul and one add; for r = 1 a multiply, as matmul runs a
+    one-term product in a loop several times slower. Otherwise each stream's
+    ``w`` is drawn whole through the sampler, so slab j equals
+    ``reduce_noise(game, w).support``.
     """
-    law = game.support_law
-    if law is not None:
-        np.dot(rng.standard_normal((out.shape[0], law.factor.shape[0])), law.factor, out=out)
-        out += law.shift
-        return out
-    m, lo = out.shape[0], 0
-    while lo < m:
-        hi = m if m - lo <= DRAW_BLOCK_ROWS + 1 else lo + DRAW_BLOCK_ROWS
-        np.matmul(game.disturbance.sample(rng, hi - lo), game.support_noise_map_t,
-                  out=out[lo:hi])
-        lo = hi
-    return out
-
-
-def _draw_players(game, streams, out: np.ndarray) -> None:
-    """Each stream's ``draw_support_noise`` rows, bit for bit, in its slab of
-    ``out``. For a declared law the streams fill one (n, M, r) array of normals
-    (``out`` itself if r = s), mapped by one batched matmul and one add; for r = 1
-    a multiply, as matmul runs a one-term product in a loop several times slower."""
     law = game.support_law
     if law is None:
         for rng, rows in zip(streams, out):
-            draw_support_noise(game, rng, rows)
-        return
+            np.matmul(game.disturbance.sample(rng, len(rows)), game.support_noise_map_t, out=rows)
+        return out
     r = law.factor.shape[0]
     xi = out if r == out.shape[2] else np.empty(out.shape[:2] + (r,))
     for rng, slab in zip(streams, xi):
         rng.standard_normal(out=slab)
     (np.multiply if r == 1 else np.matmul)(xi, law.factor, out=out)
     out += law.shift
+    return out
 
 
 _draw_lane = (None, None)  # (process id, one-thread executor) of the second lane
@@ -345,28 +329,32 @@ def _second_lane() -> ThreadPoolExecutor:
 def draw_noise(game, seed: int, k: int, m: int):
     """Every entity's reduced noise for iteration k with m-row batches:
     (``coordinator_noise``, an (N, m, len(game.support)) array whose slab i
-    is player i's ``draw_support_noise`` rows (``_draw_players``); nothing is
-    drawn into it when the support is empty).
+    is player i's ``draw_support_noise`` rows; nothing is drawn into it when
+    the support is empty).
 
-    One ``iteration_streams`` call makes the players' streams. From
-    ``TWO_LANE_MIN_DRAWS`` numbers per player's draw (M r for a declared
-    Gaussian disturbance, M T n_s through the sampler), the second lane fills
-    the slabs of players 0, 2, 4, ... while this thread draws the other
-    entities. An exception from either lane is raised once both lanes are done.
+    One ``iteration_streams`` call makes the streams of every entity that
+    draws, and none is made when no entity draws. From ``TWO_LANE_MIN_DRAWS``
+    numbers per player's draw (M r for a declared Gaussian disturbance, M T n_s
+    through the sampler), the second lane fills the slabs of players 0, 2, 4,
+    ... while this thread draws the other entities. An exception from either
+    lane is raised once both lanes are done.
     """
     noise = np.empty((game.n_players, m, len(game.support)))
-    if not game.support:
-        return coordinator_noise(game, seed, k, m), noise
-    streams = iteration_streams(seed, k, 1 + game.n_players, first=1)
+    first = 0 if _coordinator_draws(game) else 1
+    n = 1 + game.n_players if game.support else 1
+    streams = iteration_streams(seed, k, n, first) if first < n else []
+    rng = streams.pop(0) if first == 0 else None
+    if not streams:
+        return coordinator_noise(game, rng, m), noise
     own, lane = slice(None), None
     per_row = game.disturbance.dim if game.support_law is None \
         else game.support_law.factor.shape[0]
     if m * per_row >= TWO_LANE_MIN_DRAWS:
-        lane = _second_lane().submit(_draw_players, game, streams[::2], noise[::2])
+        lane = _second_lane().submit(draw_support_noise, game, streams[::2], noise[::2])
         own = slice(1, None, 2)
     try:
-        coordinator = coordinator_noise(game, seed, k, m)
-        _draw_players(game, streams[own], noise[own])
+        coordinator = coordinator_noise(game, rng, m)
+        draw_support_noise(game, streams[own], noise[own])
     finally:
         if lane is not None:
             wait([lane])  # so no draw outlives the call
@@ -500,7 +488,8 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             t0 = time.perf_counter()  # like iteration records, excludes the residual
             reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
                 else TERMINATION_BUDGET
-            noise = coordinator_noise(game, cfg.seed, state.k, batch_size(cfg, state.k))
+            rng = iteration_stream(cfg.seed, state.k, 0) if _coordinator_draws(game) else None
+            noise = coordinator_noise(game, rng, batch_size(cfg, state.k))
             g_hat = coordinator_step(state, game, offsets, cfg, noise, base)[2]
             records.append(_record(state, cfg, res, g_hat, t0, bool(cfg.snapshot_every)))
             break
@@ -566,7 +555,8 @@ def _settings(solver: dict) -> dict:
 def load_checkpoint(path, cfg: SolverConfig) -> SolverState:
     """The iterate of the checkpoint at ``path`` for a resume with settings
     ``cfg``. One ``ValueError`` names ``path`` when the file is not a
-    ``CHECKPOINT_FORMAT`` document (v1 text checkpoints are not read) or its
+    ``CHECKPOINT_FORMAT`` document (v1 text checkpoints are not read), its
+    ``k`` is not a nonnegative integer, an array entry is not finite, or its
     settings differ from ``cfg`` outside ``RESUMABLE_SETTINGS``, naming them."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -578,6 +568,10 @@ def load_checkpoint(path, cfg: SolverConfig) -> SolverState:
         stored, wanted = _settings(doc["solver"]), _settings(asdict(cfg))
         state = SolverState(operator.index(doc["k"]),
                             *(np.array(doc[name], dtype=float) for name in STATE_ARRAYS))
+        if isinstance(doc["k"], bool) or state.k < 0:
+            raise ValueError(f"k={doc['k']!r} is not a nonnegative integer")
+        if not all(np.isfinite(getattr(state, name)).all() for name in STATE_ARRAYS):
+            raise ValueError("non-finite entries")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed {CHECKPOINT_FORMAT} checkpoint ({exc!r})") \
             from None
@@ -646,9 +640,10 @@ def estimator_diagnostics(game, u: np.ndarray, lam: np.ndarray, batch_sizes,
     a 10x-larger batch. The fitted log-log slope of the total error should
     sit near -1 for i.i.d. sample means.
     """
-    if not batch_sizes:
-        raise ValueError("batch_sizes must be nonempty")
     batch_sizes = tuple(int(m) for m in batch_sizes)
+    if not batch_sizes or min(batch_sizes) < 1 or repetitions < 1:
+        raise ValueError("batch_sizes must be nonempty, and every batch size and "
+                         f"repetitions at least 1: got {batch_sizes}, {repetitions}")
     lam = np.asarray(lam, dtype=float).reshape(-1)
     m_ref = 10 * max(batch_sizes)
     base = game_mod.lift_base(game, u)

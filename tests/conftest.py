@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -301,27 +302,45 @@ def hook_player_streams(monkeypatch, hook, players=None):
 
 def serial_entity_noise(game, seed, k, m):
     """Every entity's reduced noise for iteration k with m-row batches, drawn
-    one entity at a time, in entity order, on this thread: (the coordinator's
-    ``ReducedLift``, a list of each player's (m, len(support)) support rows).
+    one entity at a time, in entity order, on this thread, each by code of
+    its own here, not the solver's: (the coordinator's ``ReducedLift``, a list
+    of each player's (m, len(support)) support rows).
 
-    Through a sampler, each entity's batch is drawn whole from its
-    ``iteration_stream`` and reduced by ``reduce_noise``. For a declared
-    Gaussian disturbance, each entity draws from its stream with the
-    solver's own per-entity draw (``coordinator_noise``,
-    ``draw_support_noise``).
+    A player draws its rows from its ``iteration_stream``: through a sampler
+    ``sample(rng, m) @ support_noise_map_t`` of one whole draw, and for a
+    declared Gaussian disturbance ``xi @ factor + shift`` of
+    ``game.support_law``, xi an (m, r) standard normal. The coordinator draws
+    nothing, and has zero noise, when no constraint value reads the
+    trajectory. Otherwise, through a sampler, it reduces one whole draw
+    (``reduce_noise``); for a declared law it draws its rows as a player
+    does, then its mean disturbance from its law given their mean, or, when
+    no constraint closure reads the rows, zero rows and the mean disturbance
+    ``mean + std eta / sqrt(m)``.
     """
-    from ccgames import solver
-    from ccgames.game import reduce_noise
+    from ccgames.game import ReducedLift, reduce_noise
     from ccgames.rng import iteration_stream
 
-    if game.support_law is None:
-        noise = [reduce_noise(game, game.disturbance.sample(iteration_stream(seed, k, e), m))
-                 for e in range(1 + game.n_players)]
-        return noise[0], [n.support for n in noise[1:]]
-    players = [solver.draw_support_noise(game, iteration_stream(seed, k, 1 + i),
-                                         np.empty((m, len(game.support))))
-               for i in range(game.n_players)]
-    return solver.coordinator_noise(game, seed, k, m), players
+    law, d, s = game.support_law, game.disturbance, len(game.support)
+
+    def rows(rng):
+        if law is None:
+            return d.sample(rng, m) @ game.support_noise_map_t
+        return np.dot(rng.standard_normal((m, law.factor.shape[0])), law.factor) + law.shift
+
+    players = [rows(iteration_stream(seed, k, 1 + i)) for i in range(game.n_players)]
+    if game.state_map is None and not game.nonlinear_columns:
+        return ReducedLift(np.zeros(game.state_traj_dim), np.zeros((m, s))), players
+    rng = iteration_stream(seed, k, 0)
+    if law is None:
+        return reduce_noise(game, d.sample(rng, m)), players
+    if game.nonlinear_columns:
+        z = rows(rng)
+        w_mean = d.mean + law.gain @ (z.mean(axis=0) - law.shift) \
+            + law.spread @ rng.standard_normal(d.dim) / math.sqrt(m)
+    else:
+        z = np.zeros((m, s))
+        w_mean = d.mean + d.std * rng.standard_normal(d.dim) / math.sqrt(m)
+    return ReducedLift(w_mean @ game.lift.noise_map.T, z), players
 
 
 def serial_reference_run(game, offsets, cfg, initial):

@@ -49,7 +49,8 @@ def assert_matches_reference(game, offsets, u, w, seed, k=3):
     cfg = SolverConfig(seed=seed)
     state = replace(initial_state(game, cfg), k=k, u=u)
     _, _, g_hat = coordinator_step(state, game, offsets, cfg,
-                                   coordinator_noise(game, seed, k, batch_size(cfg, k)),
+                                   coordinator_noise(game, iteration_stream(seed, k, 0),
+                                                     batch_size(cfg, k)),
                                    lift_base(game, u))
     w0 = game.disturbance.sample(iteration_stream(seed, k, 0), batch_size(cfg, k))
     np.testing.assert_allclose(g_hat, reference_operator(game, u, w0)[2] + offsets.offsets,

@@ -7,15 +7,13 @@ import threading
 import numpy as np
 import pytest
 
-from ccgames import rng
-from ccgames.rng import (PURPOSE_ITERATION, TABLE_BLOCK, TABLE_CACHE, iteration_stream,
-                         iteration_streams, substream)
+from ccgames.rng import PURPOSE_ITERATION, iteration_stream, iteration_streams, substream
 
 SEEDS = [0, 1, 2 ** 32 + 7, 2 ** 128 + 3]
 ITERATIONS = [0, 9000, 2 ** 32 + 1]
-# the coordinator, the players of the shipped games, and entities past the
-# first table block, which grow the table
-ENTITIES = [0, 1, 20, TABLE_BLOCK - 1, TABLE_BLOCK, 3 * TABLE_BLOCK + 5]
+# the coordinator, the players of the shipped games, and entities of larger
+# tables
+ENTITIES = [0, 1, 20, 63, 64, 197]
 
 
 def assert_same_stream(got, want):
@@ -27,18 +25,16 @@ def assert_same_stream(got, want):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("k", ITERATIONS)
 def test_equals_the_seed_sequence_stream(seed, k):
-    # entities in both orders: growing a table and reading a grown one
-    for entity in ENTITIES + ENTITIES[::-1]:
+    for entity in ENTITIES:
         assert_same_stream(iteration_stream(seed, k, entity),
                            substream(seed, PURPOSE_ITERATION, k, entity))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("n", [1, 21, TABLE_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 21, 65])
 def test_one_call_gives_every_entity_of_an_iteration(seed, n):
-    # from a new table, from a kept one, and from entity 1 on (the players)
-    rng._tables.clear()
-    for first in (0, 0, 1):
+    # from entity 0 on, and from entity 1 on (the players)
+    for first in (0, 1):
         streams = iteration_streams(seed, 9000, n, first=first)
         assert len(streams) == n - first
         for entity, got in enumerate(streams, first):
@@ -54,10 +50,9 @@ def test_each_call_is_a_new_generator():
 
 
 def test_streams_from_threads_at_once_have_the_same_bits():
-    # more keys than the cache holds, so the threads make, grow and evict
-    # tables while the others read them; four threads on short switches
-    keys = [(seed, k, entity) for seed in (1, 2) for k in range(TABLE_CACHE + 2)
-            for entity in (0, 7, TABLE_BLOCK + 1)]
+    # four threads on short switches, each making the tables of every key
+    keys = [(seed, k, entity) for seed in (1, 2) for k in range(10)
+            for entity in (0, 7, 65)]
     want = [substream(seed, PURPOSE_ITERATION, k, e).bit_generator.state
             for seed, k, e in keys]
     orders = [list(range(len(keys))), list(range(len(keys) - 1, -1, -1))] * 2
@@ -67,7 +62,6 @@ def test_streams_from_threads_at_once_have_the_same_bits():
         start.wait()
         results[t] = {i: iteration_stream(*keys[i]).bit_generator.state for i in orders[t]}
 
-    rng._tables.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -81,14 +75,6 @@ def test_streams_from_threads_at_once_have_the_same_bits():
     assert not any(t.is_alive() for t in threads)
     for t, got in enumerate(results):
         assert [got[i] for i in range(len(keys))] == want, f"thread {t}"
-
-
-def test_the_cache_stays_bounded():
-    for k in range(3 * TABLE_CACHE):
-        iteration_stream(9, k, 1)
-        assert len(rng._tables) <= TABLE_CACHE
-    assert (9, 3 * TABLE_CACHE - 1) in rng._tables
-    assert all(not table.flags.writeable for table in rng._tables.values())
 
 
 @pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])

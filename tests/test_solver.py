@@ -20,7 +20,7 @@ from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           random_feasible_profile,
                           reduce_noise, reduced_lift, state_batch)
 from ccgames.lqgame import build_lq_game
-from ccgames.rng import residual_stream
+from ccgames.rng import iteration_stream, residual_stream
 from ccgames.solver import (BatchSchedule, SolverConfig,
                             StepSchedule, batch_size, coordinator_noise, coordinator_step,
                             draw_noise, estimate_lipschitz, estimator_diagnostics,
@@ -80,6 +80,11 @@ def step(state, game, offsets, cfg):
 def player_noise(game, cfg):
     """Support noise rows of the players' batches of iteration 0."""
     return draw_noise(game, cfg.seed, 0, batch_size(cfg, 0))[1]
+
+
+def coordinator_batch(game, cfg, k=0):
+    """Reduced noise of the coordinator's batch of iteration k."""
+    return coordinator_noise(game, iteration_stream(cfg.seed, k, 0), batch_size(cfg, k))
 
 
 def quick_config(**kw):
@@ -158,8 +163,7 @@ class TestCoordinatorStep:
         cfg = quick_config()
         state = initial_state(game, cfg)
         lam_avg, lam_next, g_hat = coordinator_step(
-            state, game, offsets, cfg, coordinator_noise(game, cfg.seed, 0, batch_size(cfg, 0)),
-            lift_base(game, state.u))
+            state, game, offsets, cfg, coordinator_batch(game, cfg), lift_base(game, state.u))
         # lam_avg + alpha * g = (-1, 2) -> projected to (0, 2)
         assert np.allclose(lam_next, [0.0, 2.0])
 
@@ -170,8 +174,7 @@ class TestCoordinatorStep:
         state.lam = np.array([1.3])
         state.lam_avg_prev = np.array([1.3])
         lam_avg, _, _ = coordinator_step(state, game, offsets, cfg,
-                                         coordinator_noise(game, cfg.seed, 0,
-                                                           batch_size(cfg, 0)),
+                                         coordinator_batch(game, cfg),
                                          lift_base(game, state.u))
         assert lam_avg[0] == pytest.approx(1.3)
 
@@ -182,8 +185,7 @@ class TestCoordinatorStep:
         for k in (0, 3, 7):
             state.k = k
             _, _, g_hat = coordinator_step(state, game, offsets, cfg,
-                                           coordinator_noise(game, cfg.seed, k,
-                                                             batch_size(cfg, k)),
+                                           coordinator_batch(game, cfg, k),
                                            lift_base(game, state.u))
             assert g_hat[0] == pytest.approx(float(state.u.sum()) - 2.5)
 
@@ -629,7 +631,12 @@ class TestCheckpoint:
         lambda doc: doc.update(k=2.5),
         lambda doc: doc.update(u=["x", 1.0]),
         lambda doc: doc.update(solver=[]),
-    ], ids=["missing-array", "fractional-k", "text-entry", "solver-not-object"])
+        lambda doc: doc["u"].__setitem__(0, math.nan),
+        lambda doc: doc["lam_avg_prev"].__setitem__(0, -math.inf),
+        lambda doc: doc.update(k=-3),
+        lambda doc: doc.update(k=True),
+    ], ids=["missing-array", "fractional-k", "text-entry", "solver-not-object", "nan-entry",
+            "inf-entry", "negative-k", "boolean-k"])
     def test_malformed_checkpoint_rejected(self, tmp_path, edit):
         game, offsets = simple_game()
         cfg = quick_config(max_iterations=2)
@@ -707,6 +714,15 @@ class TestDiagnostics:
                                     offsets=offsets)
         assert np.all(rep.total_mse == 0.0)
         assert rep.slope is None
+
+    @pytest.mark.parametrize("batch_sizes, repetitions", [
+        ([], 5), ([4, 16], 0), ([0, 16], 5), ([4, -2], 5),
+    ], ids=["no-batch-sizes", "no-repetitions", "zero-batch", "negative-batch"])
+    def test_empty_estimates_refused(self, batch_sizes, repetitions):
+        game, offsets = simple_game(noise_std=1.0)
+        with pytest.raises(ValueError, match="at least 1"):
+            estimator_diagnostics(game, np.zeros(game.input_dim), np.ones(1), batch_sizes,
+                                  repetitions, np.random.default_rng(0), offsets=offsets)
 
     def test_linear_gaussian_variance_scaling(self):
         game, offsets = simple_game(noise_std=1.0)

@@ -87,7 +87,7 @@ def test_coordinator_noise_has_the_exact_law(name):
     assert game.state_map is not None or game.nonlinear_columns  # the coordinator draws
     draws = np.empty((REPETITIONS, game.state_traj_dim + ROWS * len(game.support)))
     for k in range(REPETITIONS):
-        noise = solver.coordinator_noise(game, 11, k, ROWS)
+        noise = solver.coordinator_noise(game, iteration_stream(11, k, 0), ROWS)
         draws[k] = np.concatenate([noise.mean, noise.support.ravel()])
     assert_moments(draws, *joint_law(game, ROWS))
 
@@ -95,8 +95,8 @@ def test_coordinator_noise_has_the_exact_law(name):
 @pytest.mark.parametrize("name", GAMES)
 def test_player_support_rows_have_the_exact_law(name):
     game, _ = GAMES[name]()
-    rows = solver.draw_support_noise(game, iteration_stream(12, 0, 1),
-                                     np.empty((REPETITIONS, len(game.support))))
+    rows = solver.draw_support_noise(game, [iteration_stream(12, 0, 1)],
+                                     np.empty((1, REPETITIONS, len(game.support))))[0]
     mean, cov = joint_law(game, 1)
     sdim = game.state_traj_dim
     assert_moments(rows, mean[sdim:], cov[sdim:, sdim:])
@@ -111,7 +111,7 @@ def test_without_support_the_coordinator_draws_only_its_mean():
         game, _ = build_lq_game(random_lq_params(rng))
     assert game.support == ()
     m = 10 ** 6
-    noise = solver.coordinator_noise(game, 4, 0, m)
+    noise = solver.coordinator_noise(game, iteration_stream(4, 0, 0), m)
     assert noise.support.shape == (m, 0)
     stream = iteration_stream(4, 0, 0)
     eta = stream.standard_normal(game.disturbance.dim)
@@ -133,24 +133,16 @@ def state_cost_lq():
     return game
 
 
-def test_without_a_constraint_closure_the_coordinator_draws_only_its_mean(monkeypatch):
+def test_without_a_constraint_closure_the_coordinator_draws_only_its_mean():
     game = state_cost_lq()
     d = game.disturbance
-    streams = []
-
-    def spy(*key):
-        streams.append(iteration_stream(*key))
-        return streams[-1]
-
-    monkeypatch.setattr(solver, "iteration_stream", spy)
     for m in (1, 1000, 10 ** 5):
-        streams.clear()
-        noise = solver.coordinator_noise(game, 4, 0, m)
-        assert len(streams) == 1
+        stream = iteration_stream(4, 0, 0)
+        noise = solver.coordinator_noise(game, stream, m)
         # T n_s normals, whatever m: the stream is where that draw leaves it
         reference = iteration_stream(4, 0, 0)
         eta = reference.standard_normal(d.dim)
-        assert streams[0].bit_generator.state == reference.bit_generator.state
+        assert stream.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(noise.mean,
                               (d.mean + d.std * eta / np.sqrt(m)) @ game.lift.noise_map.T)
         assert noise.support.shape == (m, len(game.support)) and not noise.support.any()
@@ -159,7 +151,7 @@ def test_without_a_constraint_closure_the_coordinator_draws_only_its_mean(monkey
 def test_without_a_constraint_closure_the_coordinator_mean_has_the_exact_law():
     game = state_cost_lq()
     sdim = game.state_traj_dim
-    draws = np.array([solver.coordinator_noise(game, 11, k, ROWS).mean
+    draws = np.array([solver.coordinator_noise(game, iteration_stream(11, k, 0), ROWS).mean
                       for k in range(REPETITIONS)])
     mean, cov = joint_law(game, ROWS)
     assert_moments(draws, mean[:sdim], cov[:sdim, :sdim])
@@ -184,8 +176,8 @@ def test_zero_variance_law_draws_the_mean():
                                     noise_std=None))
     game = with_support_oracles(game, np.random.default_rng(1))
     assert game.support_law.factor.shape[0] == 0
-    rows = solver.draw_support_noise(game, iteration_stream(1, 0, 1),
-                                     np.empty((5, len(game.support))))
+    rows = solver.draw_support_noise(game, [iteration_stream(1, 0, 1)],
+                                     np.empty((1, 5, len(game.support))))[0]
     assert np.array_equal(rows, np.broadcast_to(game.support_law.shift, rows.shape))
 
 

@@ -1,12 +1,12 @@
 """Players' draws split between two threads for large batches.
 
-Through a sampler, a player's batch is drawn in blocks of ``DRAW_BLOCK_ROWS``
-rows; for a declared Gaussian disturbance its support rows are drawn from
-their law directly. From ``TWO_LANE_MIN_DRAWS`` numbers per player's draw on,
-half of the players draw on a second thread. Neither may change a bit of a
-seeded run: the blocked rows equal one whole draw, and a two-lane run equals
-a serial reference drawn one entity at a time. Failures on the second thread
-reach the caller.
+Through a sampler, a player's batch is drawn whole in one call; for a
+declared Gaussian disturbance its support rows are drawn from their law
+directly. From ``TWO_LANE_MIN_DRAWS`` numbers per player's draw on, half of
+the players draw on a second thread. Neither may change a bit of a seeded
+run: a player's sampler rows equal ``reduce_noise`` of one whole draw, and a
+two-lane run equals a serial reference drawn one entity at a time. Failures
+on the second thread reach the caller.
 """
 
 import multiprocessing
@@ -28,8 +28,8 @@ from conftest import (CONFIG_DIR, assert_run_equals_reference, generic_copy,
                       hook_player_streams, random_lq_params, serial_entity_noise,
                       serial_reference_run, with_support_oracles)
 
-B = solver.DRAW_BLOCK_ROWS
-ROW_COUNTS = (1, B - 1, B, B + 1, 3 * B + 7)
+# one row, which numpy multiplies by another path, and thousands of rows
+ROW_COUNTS = (1, 2047, 2048, 2049, 6151)
 MICROGRID_CONFIGS = ("microgrid_reduced.json", "microgrid_paper.json")
 LQ_SEEDS = range(12)  # seed 11 draws a disturbance of dimension 1
 RESUME_K = 9000  # the tail of the reduced acceptance run: two-lane batches
@@ -52,28 +52,28 @@ def per_row(game):
     return game.disturbance.dim if law is None else law.factor.shape[0]
 
 
-def assert_blocked_equals_whole(game, m):
-    game = generic_copy(game)  # blocks are drawn through the sampler only
+def assert_sampler_rows_equal_whole(game, m):
+    game = generic_copy(game)
     rng = np.random.default_rng(m)
     base = lift_base(game, random_feasible_profile(game, rng))
-    blocked = np.full((m, len(game.support)), np.nan)
-    solver.draw_support_noise(game, iteration_stream(5, 7, 2), blocked)
+    rows = np.full((1, m, len(game.support)), np.nan)
+    solver.draw_support_noise(game, [iteration_stream(5, 7, 2)], rows)
     w = game.disturbance.sample(iteration_stream(5, 7, 2), m)
     whole = reduced_lift(game, reduce_noise(game, w), base).support
-    assert np.array_equal(blocked + base.trajectory[game.support_index], whole)
+    assert np.array_equal(rows[0] + base.trajectory[game.support_index], whole)
 
 
 @pytest.mark.parametrize("m", ROW_COUNTS)
 @pytest.mark.parametrize("config", MICROGRID_CONFIGS)
 def test_microgrid_blocked_rows_equal_one_whole_draw(config, m):
     game, _ = build_game(parse_config(CONFIG_DIR / config))
-    assert_blocked_equals_whole(game, m)
+    assert_sampler_rows_equal_whole(game, m)
 
 
 @pytest.mark.parametrize("m", ROW_COUNTS)
 @pytest.mark.parametrize("seed", LQ_SEEDS)
 def test_lq_blocked_rows_equal_one_whole_draw(seed, m):
-    assert_blocked_equals_whole(lq_game(seed), m)
+    assert_sampler_rows_equal_whole(lq_game(seed), m)
 
 
 def zero_rank_game():
