@@ -19,7 +19,11 @@ constraint) and added on top of the offsets ``UnderApproxOffsets`` computes.
 This module also provides empirical verification (satisfaction frequencies
 with Wilson intervals) and the equilibrium-quality gap estimate that bounds
 how much the tightened game's equilibrium can be exploited in the original
-chance-constrained game.
+chance-constrained game. Both evaluate their sample set in blocks of at
+most ``BLOCK_FLOATS`` = 2^14 float64s (128 KiB, glibc's default mmap
+threshold), which the allocator serves without faulting in fresh pages on
+every call: row blocks of the satisfaction estimate's trajectories and
+values, probe blocks of the gap estimate's closure columns.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ USER_TABULATED = "user-tabulated"
 
 # 95% two-sided normal quantile, used by the Wilson intervals
 _Z95 = 1.959963984540054
+
+# float64s in one block of a verification estimate's arrays (128 KiB)
+BLOCK_FLOATS = 2 ** 14
 
 
 def h_gaussian(theta: float) -> float:
@@ -177,16 +184,29 @@ class SatisfactionReport:
         return bool(np.all(self.ci_lower >= self.targets))
 
 
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` floats each that fit in ``BLOCK_FLOATS``, or one."""
+    return max(1, BLOCK_FLOATS // max(width, 1))
+
+
 def estimate_constraint_satisfaction(game, u: np.ndarray, n_samples: int,
                                      rng: np.random.Generator) -> SatisfactionReport:
-    """Monte Carlo frequencies of raw constraint satisfaction, with 95% Wilson CIs."""
+    """Monte Carlo frequencies of raw constraint satisfaction, with 95% Wilson CIs.
+
+    The rows are one ``sample`` call, lifted and evaluated in row blocks; the
+    values are row-wise and the hit counts integer sums, so blocks change no bit.
+    """
     from . import game as game_mod
 
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     w = game.disturbance.sample(rng, n_samples)
-    vals = game_mod.constraint_values(game, u, game_mod.state_batch(game, u, w))
-    hits = (vals <= 0.0).sum(axis=0)
+    base, hits = game_mod.base_trajectory(game, u), np.zeros(game.constraint_count, np.intp)
+    block = _block_rows(max(game.state_traj_dim, game.constraint_count))
+    for lo in range(0, n_samples, block):
+        states = game_mod.lift_noise(game, w[lo:lo + block])
+        states += base
+        hits += (game_mod.constraint_values(game, u, states) <= 0.0).sum(axis=0)
     targets = np.array([1.0 - c.gamma for c in game.constraints])
     return SatisfactionReport(hits / n_samples, *wilson_intervals(hits, n_samples), targets,
                               n_samples)
@@ -205,11 +225,6 @@ class EpsilonGapEstimate:
     m_hat: np.ndarray
     samples_used: int = 0
     candidates_evaluated: int = 0
-
-
-def _probe_block(m: int, s: int) -> int:
-    """Gap probes per closure call: their (n, s) support rows fit in n m numbers, or one."""
-    return max(1, m // max(s, 1))
 
 
 def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
@@ -255,9 +270,12 @@ def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
     base = (base + u_base[support]).reshape(len(shift), -1)
     hits, e_g = np.empty_like(shift), shared.mean(axis=0) + shift
     affine = [j for j in range(m) if j not in nonlinear]
-    for j, column in zip(affine, np.sort(shared[:, affine].T, axis=1)):
+    columns = shared.T[affine]  # one copy, sorted in place
+    columns.sort(axis=1)
+    for j, column in zip(affine, columns):
         hits[:, j] = np.searchsorted(column, -shift[:, j], side="right")
-    rows, block = noise[:, support], _probe_block(m, len(game.support))
+    # a block of probes' (n_samples, s) support rows fits in BLOCK_FLOATS
+    rows, block = noise[:, support], _block_rows(n_samples * len(game.support))
     for j in nonlinear:
         for probes in (slice(lo, lo + block) for lo in range(0, len(shift), block)):
             probe_rows = (rows + base[probes, None, :]).reshape(-1, rows.shape[1])

@@ -20,8 +20,10 @@ so the rows of several players' batches can share one call. The callable
 state oracles (``cost_state_grad`` and the constraint closures) receive an
 (M, len(support)) array of the trajectory columns the game declares in
 ``state_support`` (default: every column; none without such an oracle) and
-return (M,) values or (M, len(support)) gradients. The microgrid declares
-``(T,)``: its terminal closures read SoC_T alone.
+return (M,) values or (M, len(support)) gradients. A closure returns one new
+array and holds no other batch-sized temporary (it computes in the array it
+returns), since each such array is faulted in afresh as the batch grows. The
+microgrid declares ``(T,)``: its terminal closures read SoC_T alone.
 
 The solve needs only batch means, and every affine part of them is an
 affine map of the mean disturbance. What reads no batch is evaluated once per
@@ -33,9 +35,9 @@ noise_map[support].T + base[support]`` (``reduce_noise``, ``reduced_lift``),
 one batch (M, s) shared by every player (the residual) or one per player (N,
 M, s) (an iteration). Each distinct oracle runs once on them; per-player
 products stay one product per block (``blockwise``), so every bit equals a
-per-player evaluation. The satisfaction estimate lifts whole trajectories
-(``state_batch``); the gap estimate evaluates its sample set's noise part
-once and each probe as a shift of it.
+per-player evaluation. The satisfaction estimate lifts whole trajectories,
+a block of rows at a time; the gap estimate evaluates its sample set's noise
+part once and each probe as a shift of it.
 
 A ``DisturbanceModel`` may declare independent Gaussian coordinates (its
 ``mean`` and ``std``). The game then derives, once, the law of what a
@@ -554,11 +556,14 @@ def blockwise(game: GameSpec, maps, vecs: np.ndarray) -> np.ndarray:
     product) or a tuple, or a stacked (input_dim, k) array split into player
     blocks; ``vecs`` is (N, k), or (k,) for all. Each block is its own
     product, so the bits equal a per-player loop, as a product over the
-    whole stack's rows would not."""
+    whole stack's rows would not. A one-term product (k = 1) is a multiply:
+    ``matmul`` runs it in a loop about twice as slow."""
     if isinstance(maps, np.ndarray) and maps.ndim == 2:
         maps = tuple(maps[sl] for sl in game.player_slices) if game.block_height is None \
             else maps.reshape(game.n_players, game.block_height, -1)
-    if isinstance(maps, np.ndarray):  # a (k,) vecs broadcasts over the players in matmul
+    if isinstance(maps, np.ndarray):  # a (k,) vecs broadcasts over the players
+        if maps.shape[2] == 1:
+            return np.multiply(maps[..., 0], vecs).reshape(-1)
         return np.matmul(maps, vecs[..., None]).reshape(-1)
     vecs = np.broadcast_to(vecs, (game.n_players, vecs.shape[-1]))
     return np.concatenate([a @ v for a, v in zip(maps, vecs)])

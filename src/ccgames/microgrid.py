@@ -168,7 +168,9 @@ def _input_cost_grad(p: MicrogridParams):
 def _terminal_cost_grad(p: MicrogridParams):
     def grad(soc_final):
         # the support is (T,): the one column SoC_T in and its gradient out
-        return p.alpha_battery * (soc_final - p.soc_desired)
+        out = soc_final - p.soc_desired
+        out *= p.alpha_battery
+        return out
 
     return grad
 
@@ -224,12 +226,17 @@ def _soc_band_constraints(p: MicrogridParams):
     cons.extend(band(t, 1.0, -p.soc_max) for t in range(1, T + 1))
     cons.extend(band(t, -1.0, p.soc_min) for t in range(1, T + 1))
 
-    # both closures receive the support (T,), the one column SoC_T
+    # both closures receive the support (T,), the one column SoC_T, and
+    # compute in the one array they return
     def terminal_value(soc_final):
-        return np.abs(soc_final[:, 0] - p.soc_desired) - p.terminal_band
+        out = soc_final[:, 0] - p.soc_desired
+        np.abs(out, out=out)
+        out -= p.terminal_band
+        return out
 
     def terminal_grad(soc_final):
-        return np.sign(soc_final - p.soc_desired)  # sign(0) = 0 at the kink
+        out = soc_final - p.soc_desired
+        return np.sign(out, out=out)  # sign(0) = 0 at the kink
 
     cons.append(CouplingConstraintSpec(
         gamma=p.gamma_terminal, com_scale=scales[T],

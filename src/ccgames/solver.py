@@ -29,7 +29,9 @@ Gaussian ``mean``/``std`` from their law (``game.support_law``), otherwise one
 whole draw through ``disturbance.sample`` per entity. Drawing is most of a
 large-batch iteration, so the players are split between the calling thread
 and one persistent worker thread; each entity's draw is one function of its
-own stream, so a seeded run is bit-identical to a serial one.
+own stream, so a seeded run is bit-identical to a serial one. The players'
+(N, M, s) support rows go into one flat buffer that each ``run`` owns, so the
+growing batches are not faulted in afresh every iterate.
 
 The steps take their shared inputs from the caller, as ``run`` supplies them:
 the run's reduced residual batch (``residual_noise``), each entity's reduced
@@ -326,11 +328,12 @@ def _second_lane() -> ThreadPoolExecutor:
         return _draw_lane[1]
 
 
-def draw_noise(game, seed: int, k: int, m: int):
+def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray | None = None):
     """Every entity's reduced noise for iteration k with m-row batches:
     (``coordinator_noise``, an (N, m, len(game.support)) array whose slab i
     is player i's ``draw_support_noise`` rows; nothing is drawn into it when
-    the support is empty).
+    the support is empty). The array is a view of the flat float ``buffer``
+    when one is given (it must hold N m len(game.support) floats), else new.
 
     One ``iteration_streams`` call makes the streams of every entity that
     draws, and none is made when no entity draws. From ``TWO_LANE_MIN_DRAWS``
@@ -339,7 +342,8 @@ def draw_noise(game, seed: int, k: int, m: int):
     ... while this thread draws the other entities. An exception from either
     lane is raised once both lanes are done.
     """
-    noise = np.empty((game.n_players, m, len(game.support)))
+    shape = (game.n_players, m, len(game.support))
+    noise = np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
     first = 0 if _coordinator_draws(game) else 1
     n = 1 + game.n_players if game.support else 1
     streams = iteration_streams(seed, k, n, first) if first < n else []
@@ -402,13 +406,14 @@ def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray,
 
 
 def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverConfig,
-            residual: float, base: game_mod.IterateBase):
+            residual: float, base: game_mod.IterateBase, buffer: np.ndarray | None = None):
     """Run one full iteration on ``draw_noise``'s batches; returns (next
     state, record for iteration k). ``residual`` is ``residual_estimate`` of
-    ``state``, for the record; ``base`` is its ``lift_base``, shared by all."""
+    ``state``, for the record; ``base`` is its ``lift_base``, shared by all;
+    ``buffer``, when given, holds the players' support noise (``draw_noise``)."""
     t0 = time.perf_counter()
     k = state.k
-    coordinator, player_noise = draw_noise(game, cfg.seed, k, batch_size(cfg, k))
+    coordinator, player_noise = draw_noise(game, cfg.seed, k, batch_size(cfg, k), buffer)
     lam_avg, lam_next, g_hat = coordinator_step(state, game, offsets, cfg, coordinator, base)
     u_avg, u_next = player_step(state, game, cfg, player_noise, base)
     new_state = SolverState(k + 1, u_next, u_avg, lam_next, lam_avg)
@@ -466,7 +471,9 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     record), whose constraint mean comes from the coordinator's batch of
     that iterate. The residual batch is drawn and reduced once per run; each
     iterate's batch-free parts (``lift_base``) are evaluated once and shared
-    by the residual and both steps. ``initial`` (a loaded checkpoint, say) needs
+    by the residual and both steps. The players' support noise is drawn into
+    one flat buffer the run owns, made twice a batch's need whenever a batch
+    outgrows it. ``initial`` (a loaded checkpoint, say) needs
     the game's dimensions and a nonnegative multiplier. The divergence guard
     is relative to ``initial_state``, the projected origin, wherever a run starts.
     """
@@ -480,7 +487,7 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
         raise ValueError("initial multiplier must be nonnegative")
     guard = cfg.divergence_factor * (1.0 + origin.z_norm())
     noise_res = residual_noise(game, cfg, cfg.seed)
-    records = []
+    records, buffer = [], np.empty(0)
     while True:
         base = game_mod.lift_base(game, state.u)
         res = residual_estimate(state, game, offsets, cfg, noise_res, base)
@@ -493,7 +500,10 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             g_hat = coordinator_step(state, game, offsets, cfg, noise, base)[2]
             records.append(_record(state, cfg, res, g_hat, t0, bool(cfg.snapshot_every)))
             break
-        state, record = iterate(state, game, offsets, cfg, res, base)
+        need = game.n_players * batch_size(cfg, state.k) * len(game.support)
+        if need > buffer.size:
+            buffer = np.empty(2 * need)
+        state, record = iterate(state, game, offsets, cfg, res, base, buffer)
         records.append(record)
         if not state.is_finite():
             # NaN compares False against the guard, so it needs its own stop

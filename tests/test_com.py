@@ -15,7 +15,10 @@ from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           PlayerSpec, constraint_sample, random_feasible_profile,
                           state_batch)
 
-from conftest import random_dynamics, reference_constraint_values
+from ccgames.config import build_game, parse_config
+from ccgames.lqgame import build_lq_game
+
+from conftest import CONFIG_DIR, random_dynamics, random_lq_params, reference_constraint_values
 
 
 def make_tiny_game(constraints, noise_std=1.0, box=(0.0, 1.0)):
@@ -162,7 +165,51 @@ class TestOffsetsAndTightenedValues:
         assert val[0] == pytest.approx(-5.0 + h_inverse(ComModel(), 0.1))
 
 
+def fixed_block_rows(rows, widths):
+    """A stand-in for ``com._block_rows`` that answers ``rows`` for any width
+    and appends each width it is asked about to ``widths``."""
+    def block_rows(width):
+        widths.append(width)
+        return rows
+
+    return block_rows
+
+
+def satisfaction_game(name, request):
+    """A shipped config's game, a noisy LQ game or ``branch_game``."""
+    if name == "branch_game":
+        return request.getfixturevalue(name)[0]
+    if name == "noisy_lq":
+        return build_lq_game(random_lq_params(np.random.default_rng(5)))[0]
+    return build_game(parse_config(CONFIG_DIR / name))[0]
+
+
 class TestSatisfaction:
+    @pytest.mark.parametrize("name", ["microgrid_reduced.json", "microgrid_paper.json",
+                                      "quadratic_oracle.json", "noisy_lq", "branch_game"])
+    def test_row_blocks_do_not_change_bits(self, name, request, monkeypatch):
+        # trajectories and values are row-wise and the hits integer sums, so
+        # one row per block, the default budget and all rows in one block give
+        # the same bytes; the sample spans two budget blocks and one row more
+        game = satisfaction_game(name, request)
+        assert game.disturbance.dim > 0
+        width = max(game.state_traj_dim, game.constraint_count)
+        budget = com._block_rows(width)
+        assert budget * width <= com.BLOCK_FLOATS
+        n = 2 * budget + 1
+        u = random_feasible_profile(game, np.random.default_rng(3))
+
+        def report():
+            rep = estimate_constraint_satisfaction(game, u, n, np.random.default_rng(4))
+            return [a.tobytes() for a in (rep.p_hat, rep.ci_lower, rep.ci_upper)]
+
+        default = report()
+        for rows in (1, n):
+            widths = []
+            monkeypatch.setattr(com, "_block_rows", fixed_block_rows(rows, widths))
+            assert report() == default
+            assert widths == [width]
+
     def test_deterministic_always_satisfied(self):
         con = CouplingConstraintSpec(gamma=0.1, offset=-1.0)
         game = make_tiny_game([con])
@@ -284,8 +331,9 @@ class TestEpsilonGap:
 
     @pytest.mark.parametrize("fixture", ["reduced_microgrid", "branch_game"])
     def test_probe_blocks_do_not_change_bits(self, fixture, request, monkeypatch):
-        # the value closures are row-wise, so one probe per closure call and all
-        # probes in one call give the same bits as the default blocks
+        # the value closures are row-wise, so one probe per closure call, three
+        # (a short last block) and all probes in one call give the same bits as
+        # the default blocks; a block of probes is sized by their support rows
         *_, game, offsets = request.getfixturevalue(fixture)
         rng = np.random.default_rng(9)
         u_star = random_feasible_profile(game, rng)
@@ -296,9 +344,11 @@ class TestEpsilonGap:
                                         offsets).m_hat
 
         default = m_hat()
-        for block in (1, 4 * game.n_players):
-            monkeypatch.setattr(com, "_probe_block", lambda m, s, b=block: b)
+        for block in (1, 3, 4 * game.n_players):
+            widths = []
+            monkeypatch.setattr(com, "_block_rows", fixed_block_rows(block, widths))
             assert np.array_equal(m_hat(), default)
+            assert widths == [300 * len(game.support)]
 
     def test_empty_candidates_rejected(self):
         game, _ = self.make_game_with_offset_value()

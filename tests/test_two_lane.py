@@ -203,6 +203,52 @@ def test_nan_draw_on_second_lane_stops_non_finite(reduced_tail, monkeypatch):
             [f"player {i} strategy update" for i in range(0, game.n_players, 2)]
 
 
+def poison_draw_buffers(monkeypatch):
+    """Patch ``solver.draw_noise`` so that the buffer ``run`` passes is
+    filled with NaN before every draw; returns the list of buffers passed."""
+    draw, buffers = solver.draw_noise, []
+
+    def poisoned(game, seed, k, m, buffer=None):
+        assert buffer is not None
+        buffer.fill(np.nan)
+        buffers.append(buffer)
+        return draw(game, seed, k, m, buffer)
+
+    monkeypatch.setattr(solver, "draw_noise", poisoned)
+    return buffers
+
+
+def as_reference(trace):
+    """(final state, records) of ``trace`` in ``assert_run_equals_reference``'s form."""
+    return trace.final_state, [{name: value for name, value in vars(record).items()
+                                if name != "wall_ms"} for record in trace.records]
+
+
+def assert_stale_rows_unread(monkeypatch, game, offsets, scfg, initial):
+    """A run whose draw buffer is NaN before every draw equals the run as
+    it is, bit for bit: every entry a step reads was drawn in its iterate."""
+    clean = solver.run(game, offsets, scfg, initial=initial)
+    buffers = poison_draw_buffers(monkeypatch)
+    poisoned = solver.run(game, offsets, scfg, initial=initial)
+    monkeypatch.undo()
+    assert len(buffers) == scfg.max_iterations - initial.k
+    assert len({id(b) for b in buffers}) < len(buffers)  # the buffer is reused
+    assert_run_equals_reference(poisoned, as_reference(clean))
+
+
+def test_reused_draw_buffer_leaks_no_stale_rows_two_lane(reduced_tail, monkeypatch):
+    games, offsets, scfg, initial = reduced_tail
+    assert_stale_rows_unread(monkeypatch, games[0], offsets, scfg, initial)
+
+
+def test_reused_draw_buffer_leaks_no_stale_rows_paper(monkeypatch):
+    # from k = 0 the buffer grows several times and is reused in between
+    cfg = parse_config(CONFIG_DIR / "microgrid_paper.json")
+    game, offsets = build_game(cfg)
+    scfg = replace(cfg.solver, max_iterations=200)
+    assert_stale_rows_unread(monkeypatch, game, offsets, scfg, solver.initial_state(game, scfg))
+
+
 def assert_concurrent_calls_agree(game):
     """More calling threads than cores, switching as often as the interpreter
     allows: each call still gets its own entities' rows, in entity order."""
