@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes for ``run``: 0 tolerance reached, 2 iteration budget exhausted,
 3 divergence guard tripped, 4 non-finite iterate, 1 configuration or I/O
-failure.
+failure. ``summary.json`` is strict JSON: a non-finite number is written as null.
 """
 
 from __future__ import annotations
@@ -103,6 +103,17 @@ def _write_snapshots_csv(path, trace, game) -> None:
         for row in _strategy_rows(game, rec.strategies))))
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
+
+
 def epsilon_gap(cfg: RunConfig, game, offsets, u) -> com_mod.EpsilonGapEstimate:
     """Gap terms at ``u`` over the configured random candidates and probe streams."""
     cand_rng = substream(cfg.solver.seed, PURPOSE_PROBE, 1)
@@ -151,7 +162,7 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
     summary = {
         "termination_reason": trace.termination_reason,
         "iterations": state.k,
-        "final_residual": trace.records[-1].residual if trace.records else None,
+        "final_residual": trace.records[-1].residual,
         "final_multiplier": [float(x) for x in state.lam],
         "constraint_satisfaction": [
             {"index": j, "p_hat": float(satisfaction.p_hat[j]),
@@ -165,7 +176,11 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
         "seed": cfg.solver.seed,
         "config": cfg.to_json_dict(),
     }
-    if cfg.verification.epsilon_gap_in_summary and cfg.verification.epsilon_gap_candidates:
+    wants_gap = cfg.verification.epsilon_gap_in_summary and cfg.verification.epsilon_gap_candidates
+    if wants_gap and not state.is_finite():
+        # the gap is defined at a profile in the local sets, which a NaN is not
+        summary["epsilon_gap_omitted"] = "the final iterate is not finite"
+    elif wants_gap:
         gap = epsilon_gap(cfg, game, offsets, state.u)
         summary["epsilon_gap"] = {
             "m_hat": [float(x) for x in gap.m_hat],
@@ -178,8 +193,9 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
         write_strategies_csv(out_dir / cfg.output.strategies, game, state.u)
         if cfg.solver.snapshot_every:
             _write_snapshots_csv(out_dir / "strategy_snapshots.csv", trace, game)
-        solver_mod.write_text_atomic(out_dir / cfg.output.summary,
-                                     json.dumps(summary, indent=2) + "\n")
+        solver_mod.write_text_atomic(
+            out_dir / cfg.output.summary,
+            json.dumps(_strict_json(summary), indent=2, allow_nan=False) + "\n")
     except OSError as exc:
         print(f"failed to write outputs: {exc}", file=sys.stderr)
         return 1
@@ -187,7 +203,7 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
     culprits = summary["non_finite_updates"]
     reason = trace.termination_reason + (f" ({', '.join(culprits)})" if culprits else "")
     print(f"terminated: {reason} after {state.k} iterations, "
-          f"residual {summary['final_residual']:.6g}")
+          f"residual {trace.records[-1].residual:.6g}")
     return {solver_mod.TERMINATION_TOLERANCE: 0,
             solver_mod.TERMINATION_BUDGET: 2,
             solver_mod.TERMINATION_DIVERGENCE: 3,

@@ -35,9 +35,11 @@ noise_map[support].T + base[support]`` (``reduce_noise``, ``reduced_lift``),
 one batch (M, s) shared by every player (the residual) or one per player (N,
 M, s) (an iteration). Each distinct oracle runs once on them; per-player
 products stay one product per block (``blockwise``), so every bit equals a
-per-player evaluation. The satisfaction estimate lifts whole trajectories,
-a block of rows at a time; the gap estimate evaluates its sample set's noise
-part once and each probe as a shift of it.
+per-player evaluation. A game with no state map and an empty support (the
+quadratic oracle) reads no trajectory: none is computed and no batch lifted.
+The satisfaction estimate lifts whole trajectories, a block of rows at a
+time; the gap estimate evaluates its sample set's noise part once and each
+probe as a shift of it.
 
 A ``DisturbanceModel`` may declare independent Gaussian coordinates (its
 ``mean`` and ``std``). The game then derives, once, the law of what a
@@ -299,6 +301,7 @@ class GameSpec:
     support_law          : ``SupportLaw`` of the support rows and the mean
                            disturbance when the disturbance model declares
                            its Gaussian ``mean``/``std``, else None.
+    reads_trajectory     : whether an estimate reads the trajectory (a state map or a support).
     """
 
     dynamics: TimeVaryingLinearDynamics
@@ -326,6 +329,7 @@ class GameSpec:
     support_noise_map_t: np.ndarray = field(init=False, repr=False, compare=False)
     support_input_maps_t: object = field(init=False, repr=False, compare=False)
     support_law: SupportLaw | None = field(init=False, repr=False, compare=False)
+    reads_trajectory: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _set_derived(self, input_dim=self.dynamics.input_dim_total)
@@ -384,6 +388,7 @@ class GameSpec:
         noise_map_t = self.lift.noise_map[index].T
         d = self.disturbance
         _set_derived(self, support=support, support_index=index, stacked_input_maps=maps,
+                     reads_trajectory=self.state_map is not None or bool(support),
                      support_noise_map_t=noise_map_t,
                      support_law=None if d.mean is None
                      else SupportLaw.of(d.mean, d.std, noise_map_t),
@@ -440,13 +445,24 @@ class GameSpec:
     def state_traj_dim(self) -> int:
         return (self.dynamics.horizon + 1) * self.dynamics.state_dim
 
+    @property
+    def values_read_trajectory(self) -> bool:
+        """Whether a constraint value reads the trajectory, so the coordinator draws."""
+        return self.state_map is not None or bool(self.nonlinear_columns)
+
+
+def _profile(game: GameSpec, u: np.ndarray) -> np.ndarray:
+    """The profile ``u`` as a flat float array of the game's length."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape[0] != game.input_dim:
+        raise ValueError(f"profile length {u.shape[0]}, expected {game.input_dim}")
+    return u
+
 
 def base_trajectory(game: GameSpec, u: np.ndarray) -> np.ndarray:
     """Noise-free trajectory ``init_map @ s0 + sum_j input_maps[j] @ u^j``. Its terms
     are summed over axis 0 row after row (2+ columns): the bits of a per-player loop."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != game.input_dim:
-        raise ValueError(f"profile length {u.shape[0]}, expected {game.input_dim}")
+    u = _profile(game, u)
     maps = game.stacked_input_maps
     if isinstance(maps, np.ndarray):
         terms = np.matmul(maps, u.reshape(game.n_players, -1, 1))[..., 0]
@@ -460,26 +476,29 @@ class IterateBase:
     """The parts of the operator at a profile u that read no batch
     (``lift_base``), evaluated once and read by every estimate at u.
 
-    trajectory : (state_dim,) ``base_trajectory(game, u)``.
+    trajectory : (state_dim,) ``base_trajectory(game, u)``, or None when no
+                 estimate reads it (``game.reads_trajectory`` is False).
     input_grad : (input_dim,) ``cost_input_grad(u)``, zero without one.
     affine     : (m,) ``u @ input_map + constant``.
     The arrays are read-only, so estimates may share them.
     """
 
-    trajectory: np.ndarray
+    trajectory: np.ndarray | None
     input_grad: np.ndarray
     affine: np.ndarray
 
 
 def lift_base(game: GameSpec, u: np.ndarray) -> IterateBase:
-    """The batch-free parts of the operator at the profile u."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    traj, grad = base_trajectory(game, u), np.zeros(game.input_dim)
+    """The batch-free parts of the operator at the profile u (``IterateBase``)."""
+    u = _profile(game, u)
+    traj = base_trajectory(game, u) if game.reads_trajectory else None
+    grad = np.zeros(game.input_dim)
     if game.cost_input_grad is not None:
         grad += game.cost_input_grad(u)
     base = IterateBase(traj, grad, _input_part(game, u))
     for array in (traj, grad, base.affine):
-        array.flags.writeable = False
+        if array is not None:
+            array.flags.writeable = False
     return base
 
 
@@ -618,7 +637,10 @@ def constraint_values(game: GameSpec, u: np.ndarray, states: np.ndarray) -> np.n
 def constraint_value_mean(game: GameSpec, base: IterateBase, lift: ReducedLift) -> np.ndarray:
     """Batch mean of ``constraint_values``, shape (m,), from a reduced lift
     on ``base``: the affine parts from the mean trajectory, the value closures
-    averaged over the support rows."""
+    averaged over the support rows. When no value reads the trajectory it is
+    the read-only ``base.affine`` itself, and ``lift`` is not read (None will do)."""
+    if not game.values_read_trajectory:
+        return base.affine
     out = _affine_part(game, base.affine, lift.mean)
     for j in game.nonlinear_columns:
         out[j] += game.constraints[j].state_value(lift.support).mean()
@@ -653,8 +675,11 @@ def operator_estimate(game: GameSpec, base: IterateBase, noise: ReducedLift):
     the stacked constraint-Jacobian mean (dim, m) and the raw constraint
     mean. With tightening offsets o, the extended operator at (u, lam) is
     (F_hat + Jac_hat @ lam, -(G_raw_mean + o)). Each distinct state-cost
-    gradient and each constraint gradient closure is averaged once.
+    gradient and each constraint gradient closure is averaged once. Without
+    ``game.reads_trajectory`` nothing is lifted and ``noise`` is not read.
     """
+    if not game.reads_trajectory:
+        return base.input_grad, game.constant_jacobian, base.affine
     lift = reduced_lift(game, noise, base)
     return (player_pseudo_gradient_mean(game, base, cost_state_grad_means(game, lift.support)),
             player_constraint_gradient_mean(
@@ -684,10 +709,7 @@ def constraint_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarra
 
 def project_local(game: GameSpec, u: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the local sets: a clip to the stacked box."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != game.input_dim:
-        raise ValueError(f"profile length {u.shape[0]}, expected {game.input_dim}")
-    return np.clip(u, game.box_lower, game.box_upper)
+    return np.clip(_profile(game, u), game.box_lower, game.box_upper)
 
 
 def random_feasible_profile(game: GameSpec, rng: np.random.Generator) -> np.ndarray:

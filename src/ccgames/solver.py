@@ -40,7 +40,8 @@ batch (``draw_noise``) and each iterate's batch-free evaluation
 constraint part), evaluated once and read by the residual and both steps.
 No step lifts whole trajectories: the coordinator maps the mean disturbance
 through the affine constraint parts, and the players read only the support
-columns. ``player_step`` steps every player at once: each oracle runs once
+columns; what none reads (``game.reads_trajectory``) is neither drawn nor
+computed. ``player_step`` steps every player at once: each oracle runs once
 on the rows of every player that uses it, and the means, products, averaging
 and clip are whole-profile operations with the bits of a per-player loop.
 """
@@ -251,14 +252,10 @@ class RunTrace:
     final_state: SolverState
 
 
-def _coordinator_draws(game) -> bool:
-    """Whether a constraint value reads the trajectory, so the coordinator draws."""
-    return game.state_map is not None or bool(game.nonlinear_columns)
-
-
-def coordinator_noise(game, rng: np.random.Generator | None, m: int) -> game_mod.ReducedLift:
+def coordinator_noise(game, rng: np.random.Generator | None,
+                      m: int) -> game_mod.ReducedLift | None:
     """Reduced noise of the coordinator's m-row batch, drawn from its iteration
-    stream ``rng``. It is zero, and ``rng`` is not read (None will do), when
+    stream ``rng``. It is None, and ``rng`` is not read (None will do), when
     no constraint value reads the trajectory.
 
     For a declared Gaussian disturbance (``game.support_law``) the support
@@ -270,9 +267,8 @@ def coordinator_noise(game, rng: np.random.Generator | None, m: int) -> game_mod
     the batch is drawn whole, since its mean disturbance is one sum over
     every row.
     """
-    if not _coordinator_draws(game):
-        return game_mod.ReducedLift(np.zeros(game.state_traj_dim),
-                                    np.zeros((m, len(game.support))))
+    if not game.values_read_trajectory:
+        return None
     law, d = game.support_law, game.disturbance
     if law is None:
         return game_mod.reduce_noise(game, d.sample(rng, m))
@@ -344,7 +340,7 @@ def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray | None = None
     """
     shape = (game.n_players, m, len(game.support))
     noise = np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
-    first = 0 if _coordinator_draws(game) else 1
+    first = 0 if game.values_read_trajectory else 1
     n = 1 + game.n_players if game.support else 1
     streams = iteration_streams(seed, k, n, first) if first < n else []
     rng = streams.pop(0) if first == 0 else None
@@ -377,7 +373,7 @@ def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
     iterate's batch-free parts.
     """
     alpha = step_size(cfg, state.k)
-    lift = game_mod.reduced_lift(game, noise, base)
+    lift = game_mod.reduced_lift(game, noise, base) if game.values_read_trajectory else None
     g_hat = game_mod.constraint_value_mean(game, base, lift) + offsets.offsets
     lam_avg = (1.0 - cfg.delta) * state.lam + cfg.delta * state.lam_avg_prev
     lam_next = np.maximum(lam_avg + alpha * g_hat, 0.0)
@@ -392,14 +388,16 @@ def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray,
     ``noise`` is the players' (N, M, len(game.support)) support noise from
     ``draw_noise``; the support columns of ``base.trajectory`` are added to
     it in place, so it holds their support rows afterwards. ``base`` is
-    ``lift_base(game, state.u)``.
+    ``lift_base(game, state.u)``; with an empty support neither noise nor trajectory is read.
     """
     alpha = step_size(cfg, state.k)
-    noise += base.trajectory[game.support_index]
-    f = game_mod.player_pseudo_gradient_mean(
-        game, base, game_mod.cost_state_grad_means(game, noise))
-    jac = game_mod.player_constraint_gradient_mean(
-        game, game_mod.constraint_state_grad_means(game, noise))
+    f, jac = base.input_grad, game.constant_jacobian
+    if game.support:
+        noise += base.trajectory[game.support_index]
+        f = game_mod.player_pseudo_gradient_mean(
+            game, base, game_mod.cost_state_grad_means(game, noise))
+        jac = game_mod.player_constraint_gradient_mean(
+            game, game_mod.constraint_state_grad_means(game, noise))
     u_avg = (1.0 - cfg.delta) * state.u + cfg.delta * state.u_avg_prev
     raw = u_avg - alpha * (f + game_mod.blockwise(game, jac, state.lam))
     return u_avg, np.clip(raw, game.box_lower, game.box_upper)
@@ -495,7 +493,7 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             t0 = time.perf_counter()  # like iteration records, excludes the residual
             reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
                 else TERMINATION_BUDGET
-            rng = iteration_stream(cfg.seed, state.k, 0) if _coordinator_draws(game) else None
+            rng = iteration_stream(cfg.seed, state.k, 0) if game.values_read_trajectory else None
             noise = coordinator_noise(game, rng, batch_size(cfg, state.k))
             g_hat = coordinator_step(state, game, offsets, cfg, noise, base)[2]
             records.append(_record(state, cfg, res, g_hat, t0, bool(cfg.snapshot_every)))

@@ -310,7 +310,7 @@ def serial_entity_noise(game, seed, k, m):
     ``sample(rng, m) @ support_noise_map_t`` of one whole draw, and for a
     declared Gaussian disturbance ``xi @ factor + shift`` of
     ``game.support_law``, xi an (m, r) standard normal. The coordinator draws
-    nothing, and has zero noise, when no constraint value reads the
+    nothing, and its noise is None, when no constraint value reads the
     trajectory. Otherwise, through a sampler, it reduces one whole draw
     (``reduce_noise``); for a declared law it draws its rows as a player
     does, then its mean disturbance from its law given their mean, or, when
@@ -329,7 +329,7 @@ def serial_entity_noise(game, seed, k, m):
 
     players = [rows(iteration_stream(seed, k, 1 + i)) for i in range(game.n_players)]
     if game.state_map is None and not game.nonlinear_columns:
-        return ReducedLift(np.zeros(game.state_traj_dim), np.zeros((m, s))), players
+        return None, players
     rng = iteration_stream(seed, k, 0)
     if law is None:
         return reduce_noise(game, d.sample(rng, m)), players
@@ -371,7 +371,8 @@ def serial_reference_run(game, offsets, cfg, initial):
             alpha=solver.step_size(cfg, k), batch=m, strategies=None))
         if k >= cfg.max_iterations:
             return state, records
-        rows = [n + base.trajectory[list(game.support)] for n in players]
+        traj = reference_base_trajectory(game, state.u)
+        rows = [n + traj[list(game.support)] for n in players]
         u_avg, u_next = reference_player_step(game, state, cfg, rows)
         state = solver.SolverState(k + 1, u_next, u_avg, lam_next, lam_avg)
 

@@ -345,6 +345,14 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(write_doc(tmp_path, doc))]) == 2
 
 
+def read_strict_json(path):
+    """``path`` parsed as strict JSON: a NaN, Infinity or -Infinity token raises."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not a JSON value")
+
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
+
+
 def nan_player_zero_gradient(monkeypatch):
     """Make ``build_game`` give linear-quadratic games a cost gradient whose
     first entry of player 0's block is NaN (a config can no longer hold one)."""
@@ -414,6 +422,36 @@ class TestRunCommand:
         assert summary["termination_reason"] == "non-finite"
         assert summary["iterations"] == 1
         assert summary["non_finite_updates"] == ["player 0 strategy update"]
+        assert "terminated: non-finite (player 0 strategy update) after 1 iterations" \
+            in capsys.readouterr().out
+
+    def test_non_finite_summary_is_strict_json(self, tmp_path, monkeypatch):
+        # the residual at the NaN iterate is NaN, which strict JSON has no token for
+        nan_player_zero_gradient(monkeypatch)
+        doc = small_lq_doc(max_iterations=50)
+        code = main(["run", "--config", str(write_doc(tmp_path, doc)), "--force",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 4
+        summary = read_strict_json(tmp_path / "out" / "summary.json")
+        assert summary["final_residual"] is None
+        assert all(isinstance(x, float) for x in summary["final_multiplier"])
+
+    def test_non_finite_run_omits_the_gap_and_writes_every_output(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        nan_player_zero_gradient(monkeypatch)
+        doc = small_lq_doc(max_iterations=50)
+        doc["verification"]["epsilon_gap_in_summary"] = True
+        code = main(["run", "--config", str(write_doc(tmp_path, doc)), "--force",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 4
+        summary = read_strict_json(tmp_path / "out" / "summary.json")
+        assert "epsilon_gap" not in summary
+        assert summary["epsilon_gap_omitted"] == "the final iterate is not finite"
+        assert summary["non_finite_updates"] == ["player 0 strategy update"]
+        rows = (tmp_path / "out" / "trace.csv").read_text().strip().splitlines()
+        assert len(rows) == 2  # header and iteration 0, whose step made the NaN
+        assert len((tmp_path / "out" / "strategies.csv").read_text().splitlines()) \
+            == 1 + summary["config"]["game"]["horizon"] * 3
         assert "terminated: non-finite (player 0 strategy update) after 1 iterations" \
             in capsys.readouterr().out
 

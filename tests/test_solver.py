@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
+import ccgames.game as game_mod
 import ccgames.solver as solver
 from ccgames.com import ComModel, UnderApproxOffsets
 from ccgames.config import build_game, parse_config
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
-                          PlayerSpec, constraint_values, lift_base, lift_noise,
+                          PlayerSpec, base_trajectory, constraint_values, lift_base,
+                          lift_noise,
                           operator_estimate, player_constraint_gradient_mean,
                           random_feasible_profile,
                           reduce_noise, reduced_lift, state_batch)
@@ -414,11 +417,13 @@ def per_player_pseudo_gradient(game, u, rows):
 
 def assert_operator_exact(game, offsets, u, w):
     base, noise = lift_base(game, u), reduce_noise(game, w)
-    lift = reduced_lift(game, noise, base)
+    # the support rows on the noise-free trajectory, which the base holds
+    # only when an estimate reads it
+    rows = noise.support + base_trajectory(game, u)[game.support_index]
     f_hat, jac, g_raw = operator_estimate(game, base, noise)
     g_hat = g_raw + offsets.offsets
     states = state_batch(game, u, w)
-    f_ref = per_player_pseudo_gradient(game, u, lift.support)
+    f_ref = per_player_pseudo_gradient(game, u, rows)
     jac_ref = np.vstack([reference_jacobian_block(game, i, states[:, list(game.support)])
                          for i in range(game.n_players)])
     g_ref = constraint_values(game, u, states).mean(axis=0) + offsets.offsets
@@ -491,6 +496,51 @@ class TestSharedEvaluation:
         assert trace.termination_reason == solver.TERMINATION_TOLERANCE and k > 100
         assert len(calls) == k + 1
         assert np.array_equal(calls[-1], trace.final_state.u)
+
+    def test_oracle_run_lifts_nothing(self, monkeypatch):
+        # quadratic_oracle declares no state map and no state oracle, so no
+        # estimate reads the trajectory: no iterate computes one or lifts a batch
+        cfg = parse_config(CONFIG_DIR / "quadratic_oracle.json")
+        game, offsets = build_game(cfg)
+        assert not game.reads_trajectory and lift_base(game, game.box_lower).trajectory is None
+        calls = []
+        for name in ("base_trajectory", "reduced_lift"):
+            def spy(*args, name=name, real=getattr(game_mod, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(game_mod, name, spy)
+        scfg = replace(cfg.solver, seed=1)
+        assert math.isfinite(estimate_lipschitz(game, offsets, scfg.seed))
+        trace = run(game, offsets, scfg)
+        assert calls == []
+        assert trace.termination_reason == solver.TERMINATION_TOLERANCE
+        # the seed-1 solve digest of the benchmark's oracle_solve workload
+        bits = hashlib.sha256()
+        for a in (trace.final_state.u, trace.final_state.lam):
+            bits.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        assert bits.hexdigest()[:16] == "1d55dc283d274d5d"
+
+    def test_state_map_without_support_still_lifts(self):
+        # a coefficient constraint on the trajectory and no callable state
+        # oracle: the support is empty, but the constraint values read the
+        # trajectory, so the iterate's base holds it and the batches are lifted
+        game, offsets = simple_game(noise_std=0.5)
+        assert game.support == () and game.state_map is not None and game.reads_trajectory
+        rng = np.random.default_rng(2)
+        u = random_feasible_profile(game, rng)
+        assert np.array_equal(lift_base(game, u).trajectory, base_trajectory(game, u))
+        assert_operator_exact(game, offsets, u, game.disturbance.sample(rng, 9))
+        # the coordinator's tightened constraint mean, on the batch it draws
+        cfg = quick_config()
+        state = replace(initial_state(game, cfg), k=3, u=u)
+        m = batch_size(cfg, state.k)
+        g_hat = coordinator_step(state, game, offsets, cfg, coordinator_batch(game, cfg, k=3),
+                                 lift_base(game, u))[2]
+        w = game.disturbance.sample(iteration_stream(cfg.seed, 3, 0), m)
+        g_ref = constraint_values(game, u, state_batch(game, u, w)).mean(axis=0)
+        np.testing.assert_allclose(g_hat, g_ref + offsets.offsets, rtol=1e-12, atol=1e-12)
+        assert abs(g_hat - game.constant - u @ game.input_map[:, 0] - offsets.offsets).max() \
+            > 1e-3  # the batch moves the value: the state part is read
 
     def test_closure_free_jacobian_not_copied(self, quadratic_game):
         game, _ = quadratic_game

@@ -142,7 +142,9 @@ def test_player_step_equals_per_player_reference(name):
         base = lift_base(game, state.u)
         noise = solver.draw_noise(game, cfg.seed, k, m)[1]
         assert noise.shape == (game.n_players, m, len(game.support))
-        rows = [n + base.trajectory[list(game.support)] for n in noise]
+        # the reference trajectory: the base holds none when nothing reads it
+        traj = reference_base_trajectory(game, state.u)
+        rows = [n + traj[list(game.support)] for n in noise]
         u_avg, u_next = solver.player_step(state, game, cfg, noise, base)
         ref_avg, ref_next = reference_player_step(game, state, cfg, rows)
         assert np.array_equal(u_avg, ref_avg)

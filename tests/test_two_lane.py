@@ -114,8 +114,11 @@ def test_lane_draw_equals_one_draw_per_player(name):
     for m in counts:
         coordinator, noise = solver.draw_noise(game, 6, 11, m)
         want_coordinator, want_players = serial_entity_noise(game, 6, 11, m)
-        assert np.array_equal(coordinator.mean, want_coordinator.mean)
-        assert np.array_equal(coordinator.support, want_coordinator.support)
+        if want_coordinator is None:  # no constraint value reads the trajectory
+            assert coordinator is None
+        else:
+            assert np.array_equal(coordinator.mean, want_coordinator.mean)
+            assert np.array_equal(coordinator.support, want_coordinator.support)
         for i, rows in enumerate(noise):
             assert rows.tobytes() == want_players[i].tobytes(), (m, i)
 
