@@ -155,31 +155,32 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
     trace = solver_mod.run(game, offsets, cfg.solver,
                            checkpoint_dir=out_dir if cfg.solver.checkpoint_every else None)
     state = trace.final_state
-    rng = substream(cfg.solver.seed, PURPOSE_PROBE, 3)
-    satisfaction = com_mod.estimate_constraint_satisfaction(
-        game, state.u, cfg.verification.satisfaction_samples, rng)
+    # the estimates are defined at a profile in the local sets, which a NaN is not
+    omitted = None if state.is_finite() else "the final iterate is not finite"
+    if omitted:
+        satisfaction = {"constraint_satisfaction_omitted": omitted, "all_constraints_met": None}
+    else:
+        rep = com_mod.estimate_constraint_satisfaction(
+            game, state.u, cfg.verification.satisfaction_samples,
+            substream(cfg.solver.seed, PURPOSE_PROBE, 3))
+        satisfaction = {"constraint_satisfaction": [
+            {"index": j, "p_hat": float(rep.p_hat[j]), "ci_lower": float(rep.ci_lower[j]),
+             "ci_upper": float(rep.ci_upper[j]), "target": float(rep.targets[j])}
+            for j in range(game.constraint_count)], "all_constraints_met": rep.all_met}
 
     summary = {
         "termination_reason": trace.termination_reason,
         "iterations": state.k,
         "final_residual": trace.records[-1].residual,
         "final_multiplier": [float(x) for x in state.lam],
-        "constraint_satisfaction": [
-            {"index": j, "p_hat": float(satisfaction.p_hat[j]),
-             "ci_lower": float(satisfaction.ci_lower[j]),
-             "ci_upper": float(satisfaction.ci_upper[j]),
-             "target": float(satisfaction.targets[j])}
-            for j in range(game.constraint_count)
-        ],
-        "all_constraints_met": satisfaction.all_met,
+        **satisfaction,
         "non_finite_updates": solver_mod.non_finite_updates(game, state),
         "seed": cfg.solver.seed,
         "config": cfg.to_json_dict(),
     }
     wants_gap = cfg.verification.epsilon_gap_in_summary and cfg.verification.epsilon_gap_candidates
-    if wants_gap and not state.is_finite():
-        # the gap is defined at a profile in the local sets, which a NaN is not
-        summary["epsilon_gap_omitted"] = "the final iterate is not finite"
+    if wants_gap and omitted:
+        summary["epsilon_gap_omitted"] = omitted
     elif wants_gap:
         gap = epsilon_gap(cfg, game, offsets, state.u)
         summary["epsilon_gap"] = {

@@ -31,9 +31,11 @@ profile u (``lift_base``, an ``IterateBase``): the noise-free trajectory
 ``base``, the input-cost gradient and the constraints' part ``u @ input_map
 + constant``. A batch enters as a ``ReducedLift``: the mean trajectory ``base
 + mean(w) @ noise_map.T`` and the per-row support columns ``w @
-noise_map[support].T + base[support]`` (``reduce_noise``, ``reduced_lift``),
-one batch (M, s) shared by every player (the residual) or one per player (N,
-M, s) (an iteration). Each distinct oracle runs once on them; per-player
+noise_map[support].T + base[support]`` (``reduce_noise``, ``reduced_lift``).
+Two evaluators, ``player_pseudo_gradient_mean`` and
+``player_constraint_gradient_mean``, read the support rows of one batch
+(M, s) shared by every player (the residual) or one per player (N, M, s)
+(an iteration); each distinct oracle runs once on them, and per-player
 products stay one product per block (``blockwise``), so every bit equals a
 per-player evaluation. A game with no state map and an empty support (the
 quadratic oracle) reads no trajectory: none is computed and no batch lifted.
@@ -556,18 +558,6 @@ def _batch_means(fn, rows: np.ndarray) -> np.ndarray:
     return fn(rows.reshape(n * m, s)).reshape(n, m, -1).mean(axis=1)
 
 
-def cost_state_grad_means(game: GameSpec, rows: np.ndarray) -> np.ndarray:
-    """(N, len(support)) batch means of the players' state-cost gradients
-    (zero without one) over the support ``rows``: one batch (M, s) shared by
-    every player or one per player (N, M, s). Each distinct
-    ``cost_state_grad`` runs once, on the rows of the players holding it."""
-    out = np.zeros((game.n_players, len(game.support)))
-    for grad, players in game.state_cost_groups:
-        own = rows if rows.ndim == 2 or len(players) == game.n_players else rows[players]
-        out[players] = _batch_means(grad, own)
-    return out
-
-
 def blockwise(game: GameSpec, maps, vecs: np.ndarray) -> np.ndarray:
     """``maps[i] @ vecs[i]`` for every player i, concatenated in player order.
 
@@ -588,15 +578,21 @@ def blockwise(game: GameSpec, maps, vecs: np.ndarray) -> np.ndarray:
     return np.concatenate([a @ v for a, v in zip(maps, vecs)])
 
 
-def player_pseudo_gradient_mean(game: GameSpec, base: IterateBase,
-                                state_grad_means: np.ndarray) -> np.ndarray:
+def player_pseudo_gradient_mean(game: GameSpec, base: IterateBase, rows: np.ndarray) -> np.ndarray:
     """The stacked pseudo-gradient mean (input_dim,), block i player i's cost
-    gradient: ``base.input_grad`` plus the state costs' part, from
-    ``cost_state_grad_means`` of the batch; read-only without state costs."""
+    gradient: ``base.input_grad`` plus the state costs' batch means over the
+    support ``rows``, one batch (M, s) shared by every player or one per
+    player (N, M, s); each distinct ``cost_state_grad`` runs once, on the rows
+    of the players holding it. Without state costs: the read-only
+    ``base.input_grad``, and ``rows`` is not read (None will do)."""
     if not game.state_cost_groups:
         return base.input_grad
+    means = np.zeros((game.n_players, len(game.support)))
+    for grad, players in game.state_cost_groups:
+        own = rows if rows.ndim == 2 or len(players) == game.n_players else rows[players]
+        means[players] = _batch_means(grad, own)
     # input_grad holds no -0.0, so a stateless player's +-0 product changes nothing
-    return base.input_grad + blockwise(game, game.support_input_maps_t, state_grad_means)
+    return base.input_grad + blockwise(game, game.support_input_maps_t, means)
 
 
 def _input_part(game: GameSpec, u: np.ndarray) -> np.ndarray:
@@ -647,22 +643,16 @@ def constraint_value_mean(game: GameSpec, base: IterateBase, lift: ReducedLift) 
     return out
 
 
-def constraint_state_grad_means(game: GameSpec, rows: np.ndarray) -> list:
-    """Batch means of the constraint gradient closures over the support
-    ``rows``, one per entry of ``game.nonlinear_columns``: (s,) for a shared
-    batch (M, s), (N, s) for one batch per player (N, M, s)."""
-    return [_batch_means(game.constraints[j].state_grad, rows)
-            for j in game.nonlinear_columns]
-
-
-def player_constraint_gradient_mean(game: GameSpec, state_grad_means: list) -> np.ndarray:
+def player_constraint_gradient_mean(game: GameSpec, rows: np.ndarray) -> np.ndarray:
     """The stacked constraint-Jacobian mean (input_dim, m): the constant
-    Jacobian plus the closure columns from ``constraint_state_grad_means``;
-    the read-only ``constant_jacobian`` itself when there are none."""
+    Jacobian plus each closure column's ``state_grad`` batch means over the
+    support ``rows``, (M, s) shared or (N, M, s) one batch per player. Without
+    closures: the read-only ``constant_jacobian``, and ``rows`` is not read."""
     if not game.nonlinear_columns:
         return game.constant_jacobian
     out = game.constant_jacobian.copy()
-    for j, means in zip(game.nonlinear_columns, state_grad_means):
+    for j in game.nonlinear_columns:
+        means = _batch_means(game.constraints[j].state_grad, rows)
         out[:, j] += blockwise(game, game.support_input_maps_t, means)
     return out
 
@@ -681,9 +671,8 @@ def operator_estimate(game: GameSpec, base: IterateBase, noise: ReducedLift):
     if not game.reads_trajectory:
         return base.input_grad, game.constant_jacobian, base.affine
     lift = reduced_lift(game, noise, base)
-    return (player_pseudo_gradient_mean(game, base, cost_state_grad_means(game, lift.support)),
-            player_constraint_gradient_mean(
-                game, constraint_state_grad_means(game, lift.support)),
+    return (player_pseudo_gradient_mean(game, base, lift.support),
+            player_constraint_gradient_mean(game, lift.support),
             constraint_value_mean(game, base, lift))
 
 

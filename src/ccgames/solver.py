@@ -41,9 +41,9 @@ constraint part), evaluated once and read by the residual and both steps.
 No step lifts whole trajectories: the coordinator maps the mean disturbance
 through the affine constraint parts, and the players read only the support
 columns; what none reads (``game.reads_trajectory``) is neither drawn nor
-computed. ``player_step`` steps every player at once: each oracle runs once
-on the rows of every player that uses it, and the means, products, averaging
-and clip are whole-profile operations with the bits of a per-player loop.
+computed. ``player_step`` steps every player at once, through the evaluators
+of ``operator_estimate`` on the (N, M, s) support rows, with the bits of a
+per-player loop: each oracle runs once on the rows of every player using it.
 """
 
 from __future__ import annotations
@@ -169,9 +169,12 @@ def validate_config(cfg: SolverConfig, lipschitz_estimate: float) -> ValidationR
     checks.append(ValidationCheck(
         "averaging-upper", cfg.delta < 1.0,
         f"delta={cfg.delta} must be < 1 (strict)"))
+    positive = cfg.step.a0 > 0 and cfg.step.offset > 0
     checks.append(ValidationCheck(
-        "step-positive", cfg.step.a0 > 0 and cfg.step.offset > 0,
+        "step-positive", positive,
         f"step schedule a0={cfg.step.a0}, offset={cfg.step.offset} must be positive"))
+    # alpha(k) is evaluated only for a positive schedule: k + offset may be 0 otherwise
+    unchecked = "not evaluated: the step schedule fails step-positive"
     if not math.isfinite(lipschitz_estimate):
         checks.append(ValidationCheck(
             "operator-finite", False,
@@ -180,6 +183,8 @@ def validate_config(cfg: SolverConfig, lipschitz_estimate: float) -> ValidationR
     elif lipschitz_estimate <= 0:
         checks.append(ValidationCheck(
             "step-bound", False, "lipschitz estimate must be positive"))
+    elif not positive:
+        checks.append(ValidationCheck("step-bound", False, unchecked))
     else:
         bound = 1.0 / (4.0 * cfg.delta * (2.0 * lipschitz_estimate + 1.0))
         a0 = step_size(cfg, 0)
@@ -187,9 +192,10 @@ def validate_config(cfg: SolverConfig, lipschitz_estimate: float) -> ValidationR
             "step-bound", a0 <= bound,
             f"alpha(0)={a0:.3e} must be <= 1/(4 delta (2 L + 1)) = {bound:.3e} "
             f"for L={lipschitz_estimate:.3e}"))
-    ratios_ok = all(step_size(cfg, k + 1) <= step_size(cfg, k) for k in range(100))
+    ratios_ok = positive and all(step_size(cfg, k + 1) <= step_size(cfg, k) for k in range(100))
     checks.append(ValidationCheck(
-        "step-decreasing", ratios_ok, "alpha(k) must be nonincreasing"))
+        "step-decreasing", ratios_ok,
+        "alpha(k) must be nonincreasing" if positive else unchecked))
     checks.append(ValidationCheck(
         "batch-growth", cfg.batch.exponent > 1.0,
         f"batch exponent {cfg.batch.exponent} must exceed 1 (superlinear growth)"))
@@ -327,9 +333,9 @@ def _second_lane() -> ThreadPoolExecutor:
 def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray | None = None):
     """Every entity's reduced noise for iteration k with m-row batches:
     (``coordinator_noise``, an (N, m, len(game.support)) array whose slab i
-    is player i's ``draw_support_noise`` rows; nothing is drawn into it when
-    the support is empty). The array is a view of the flat float ``buffer``
-    when one is given (it must hold N m len(game.support) floats), else new.
+    is player i's ``draw_support_noise`` rows, None for an empty support).
+    The array is a view of the flat float ``buffer`` when one is given (it
+    must hold N m len(game.support) floats), else new.
 
     One ``iteration_streams`` call makes the streams of every entity that
     draws, and none is made when no entity draws. From ``TWO_LANE_MIN_DRAWS``
@@ -338,14 +344,14 @@ def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray | None = None
     ... while this thread draws the other entities. An exception from either
     lane is raised once both lanes are done.
     """
-    shape = (game.n_players, m, len(game.support))
-    noise = np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
     first = 0 if game.values_read_trajectory else 1
     n = 1 + game.n_players if game.support else 1
     streams = iteration_streams(seed, k, n, first) if first < n else []
     rng = streams.pop(0) if first == 0 else None
     if not streams:
-        return coordinator_noise(game, rng, m), noise
+        return coordinator_noise(game, rng, m), None
+    shape = (game.n_players, m, len(game.support))
+    noise = np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
     own, lane = slice(None), None
     per_row = game.disturbance.dim if game.support_law is None \
         else game.support_law.factor.shape[0]
@@ -380,7 +386,7 @@ def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
     return lam_avg, lam_next, g_hat
 
 
-def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray,
+def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray | None,
                 base: game_mod.IterateBase):
     """Every player's strategy update against ``state.lam``; returns the
     stacked (u_avg, u_next).
@@ -388,16 +394,14 @@ def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray,
     ``noise`` is the players' (N, M, len(game.support)) support noise from
     ``draw_noise``; the support columns of ``base.trajectory`` are added to
     it in place, so it holds their support rows afterwards. ``base`` is
-    ``lift_base(game, state.u)``; with an empty support neither noise nor trajectory is read.
+    ``lift_base(game, state.u)``; with an empty support neither noise (None)
+    nor trajectory is read.
     """
     alpha = step_size(cfg, state.k)
-    f, jac = base.input_grad, game.constant_jacobian
     if game.support:
         noise += base.trajectory[game.support_index]
-        f = game_mod.player_pseudo_gradient_mean(
-            game, base, game_mod.cost_state_grad_means(game, noise))
-        jac = game_mod.player_constraint_gradient_mean(
-            game, game_mod.constraint_state_grad_means(game, noise))
+    f = game_mod.player_pseudo_gradient_mean(game, base, noise)
+    jac = game_mod.player_constraint_gradient_mean(game, noise)
     u_avg = (1.0 - cfg.delta) * state.u + cfg.delta * state.u_avg_prev
     raw = u_avg - alpha * (f + game_mod.blockwise(game, jac, state.lam))
     return u_avg, np.clip(raw, game.box_lower, game.box_upper)

@@ -447,6 +447,10 @@ class TestRunCommand:
         summary = read_strict_json(tmp_path / "out" / "summary.json")
         assert "epsilon_gap" not in summary
         assert summary["epsilon_gap_omitted"] == "the final iterate is not finite"
+        # no satisfaction is measured at a NaN profile, so none is reported
+        assert "constraint_satisfaction" not in summary
+        assert summary["constraint_satisfaction_omitted"] == "the final iterate is not finite"
+        assert summary["all_constraints_met"] is None
         assert summary["non_finite_updates"] == ["player 0 strategy update"]
         rows = (tmp_path / "out" / "trace.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header and iteration 0, whose step made the NaN

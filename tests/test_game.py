@@ -10,9 +10,8 @@ from dataclasses import replace
 from ccgames.config import build_game, parse_config
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           PlayerSpec, constraint_gradient_sample,
-                          constraint_sample, constraint_state_grad_means,
-                          constraint_values, player_constraint_gradient_mean,
-                          project_local,
+                          constraint_sample, constraint_values,
+                          player_constraint_gradient_mean, project_local,
                           pseudo_gradient_sample, random_feasible_profile,
                           state_batch)
 from ccgames.lqgame import build_lq_game
@@ -244,8 +243,7 @@ class TestValidation:
 
 
 def assert_blocks_exact(game, u, states):
-    jac = player_constraint_gradient_mean(
-        game, constraint_state_grad_means(game, states[:, game.support_index]))
+    jac = player_constraint_gradient_mean(game, states[:, game.support_index])
     for i, sl in enumerate(game.player_slices):
         assert np.array_equal(jac[sl], reference_jacobian_block(
             game, i, states[:, list(game.support)]))

@@ -21,9 +21,14 @@ from ccgames.solver import (SolverConfig, batch_size, coordinator_noise, coordin
 
 from conftest import (CONFIG_DIR, generic_copy, random_lq_params, reference_operator,
                       with_support_oracles)
+from test_stacked_step import GAMES as STEP_GAMES
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 MICROGRID_CONFIGS = ("microgrid_reduced.json", "microgrid_paper.json")
+# games with a state-cost closure shared by a subset of players, a player
+# without one, or player blocks of unequal heights
+SUBSET_GAMES = ("mixed_cost_microgrid", "unequal_heights", "unequal_heights_declared",
+                "wide_constraints")
 
 
 def random_support_game(rng, subset):
@@ -73,6 +78,17 @@ class TestReducedOperator:
     @settings(max_examples=5, deadline=None)
     def test_microgrid_matches_per_row_reference(self, config, seed):
         game, offsets = build_game(parse_config(CONFIG_DIR / config))
+        rng = np.random.default_rng(seed)
+        u = random_feasible_profile(game, rng)
+        assert_matches_reference(game, offsets, u, game.disturbance.sample(rng, 5), seed)
+
+    @pytest.mark.parametrize("name", SUBSET_GAMES)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_subset_games_match_per_row_reference(self, name, seed):
+        # the shared (M, s) batch goes through the evaluators that the player
+        # step feeds one batch per player: no player may index it
+        game, offsets = STEP_GAMES[name]()
         rng = np.random.default_rng(seed)
         u = random_feasible_profile(game, rng)
         assert_matches_reference(game, offsets, u, game.disturbance.sample(rng, 5), seed)

@@ -149,6 +149,15 @@ class TestValidateConfig:
         cfg = quick_config(batch=BatchSchedule(scale=1.0, offset=2.0, exponent=0.9))
         assert any(c.name == "batch-growth" for c in validate_config(cfg, 1.0).failures)
 
+    @pytest.mark.parametrize("offset", [0.0, -1.0])
+    def test_nonpositive_step_offset_reported_not_raised(self, offset):
+        # alpha(k) divides by k + offset, which is 0 at k = 0 or k = 1 here
+        report = validate_config(quick_config(step=StepSchedule(a0=1e-4, offset=offset)), 1.0)
+        failed = {c.name: c.detail for c in report.failures}
+        assert set(failed) == {"step-positive", "step-bound", "step-decreasing"}
+        assert "step-positive" in failed["step-bound"]
+        assert "step-positive" in failed["step-decreasing"]
+
 
 class TestCoordinatorStep:
     def test_orthant_projection(self):
@@ -545,7 +554,7 @@ class TestSharedEvaluation:
     def test_closure_free_jacobian_not_copied(self, quadratic_game):
         game, _ = quadratic_game
         assert not game.nonlinear_columns and not game.constant_jacobian.flags.writeable
-        assert player_constraint_gradient_mean(game, []) is game.constant_jacobian
+        assert player_constraint_gradient_mean(game, None) is game.constant_jacobian
         noise = reduce_noise(game, game.disturbance.sample(np.random.default_rng(3), 5))
         assert operator_estimate(game, lift_base(game, np.ones(game.input_dim)), noise)[1] \
             is game.constant_jacobian

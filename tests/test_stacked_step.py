@@ -1,13 +1,15 @@
 """All players step in one stacked computation.
 
-``player_step`` evaluates each oracle once on the rows of every player that
-uses it, takes every player's means in one reduction and forms the
-pseudo-gradient, the Jacobian, the averaging and the clip as whole-profile
-array operations. None of that may change a bit: every player's update must
-equal its own evaluation on its own batch (``conftest.reference_player_step``,
-which uses no stacked code), also for players holding distinct state-cost
-closures, players without one, and blocks of unequal heights. Entities whose
-draws no estimate reads draw nothing.
+``player_step`` calls the two evaluators of ``operator_estimate``
+(``player_pseudo_gradient_mean``, ``player_constraint_gradient_mean``) on
+the players' (N, M, s) support rows: each oracle runs once on the rows of
+every player that uses it, every player's means come from one reduction, and
+the averaging and the clip are whole-profile array operations. None of that
+may change a bit: every player's update must equal its own evaluation on its
+own batch (``conftest.reference_player_step``, which uses no stacked code),
+also for players holding distinct state-cost closures, players without one,
+and blocks of unequal heights. Entities whose draws no estimate reads draw
+nothing; with an empty support the players get no batch (None).
 """
 
 from dataclasses import replace
@@ -141,16 +143,19 @@ def test_player_step_equals_per_player_reference(name):
         state = random_state(game, rng, k)
         base = lift_base(game, state.u)
         noise = solver.draw_noise(game, cfg.seed, k, m)[1]
-        assert noise.shape == (game.n_players, m, len(game.support))
-        # the reference trajectory: the base holds none when nothing reads it
-        traj = reference_base_trajectory(game, state.u)
-        rows = [n + traj[list(game.support)] for n in noise]
+        if game.support:
+            assert noise.shape == (game.n_players, m, len(game.support))
+            traj = reference_base_trajectory(game, state.u)
+            rows = [n + traj[list(game.support)] for n in noise]
+        else:  # no player draws: no batch, and the reference reads no rows
+            assert noise is None
+            rows = [np.empty((m, 0))] * game.n_players
         u_avg, u_next = solver.player_step(state, game, cfg, noise, base)
         ref_avg, ref_next = reference_player_step(game, state, cfg, rows)
         assert np.array_equal(u_avg, ref_avg)
         assert np.array_equal(u_next, ref_next)
-        # the noise now holds the support rows
-        assert np.array_equal(noise, np.reshape(rows, noise.shape))
+        if game.support:  # the noise now holds the support rows
+            assert np.array_equal(noise, np.reshape(rows, noise.shape))
 
 
 @pytest.mark.parametrize("name", GAMES)
