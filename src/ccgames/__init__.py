@@ -10,13 +10,10 @@ demand-side-management benchmark; ``cli`` exposes the config-driven front end.
 from .com import (ComModel, EpsilonGapEstimate, UnderApproxOffsets,
                   estimate_constraint_satisfaction, estimate_epsilon_gap,
                   h_gaussian, h_inverse)
-from .dynamics import (CompactLift, TimeVaryingLinearDynamics,
-                       build_compact_lift, lift_state, simulate_state)
-from .game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
-                   PlayerSpec, constraint_gradient_sample, constraint_sample,
-                   project_local, pseudo_gradient_sample)
+from .dynamics import CompactLift, TimeVaryingLinearDynamics, build_compact_lift, simulate_state
+from .game import CouplingConstraintSpec, DisturbanceModel, GameSpec, PlayerSpec, project_local
 from .lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
-from .microgrid import MicrogridParams, build_microgrid_game, household_cost_value, tariff
+from .microgrid import MicrogridParams, build_microgrid_game, household_cost_value
 from .solver import (BatchSchedule, IterationRecord, RunTrace, SolverConfig,
                      SolverState, StepSchedule, batch_size, estimate_lipschitz,
                      estimator_diagnostics, initial_state, iterate,

@@ -151,21 +151,3 @@ def simulate_state(dyn: TimeVaryingLinearDynamics, u: np.ndarray, w: np.ndarray)
         s[(t + 1) * n_s:(t + 2) * n_s] = nxt
     return s
 
-
-def lift_state(lift: CompactLift, s0: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Evaluate the affine map at (s0, stacked strategies, disturbance)."""
-    s0 = np.asarray(s0, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if s0.shape[0] != lift.init_map.shape[1]:
-        raise ValueError("s0 dimension does not match the lift")
-    if w.shape[0] != lift.noise_map.shape[1]:
-        raise ValueError("disturbance dimension does not match the lift")
-    if u.shape[0] != sum(gm.shape[1] for gm in lift.input_maps):
-        raise ValueError("strategy profile dimension does not match the lift")
-    s = lift.init_map @ s0 + lift.noise_map @ w
-    off = 0
-    for gm in lift.input_maps:
-        s = s + gm @ u[off:off + gm.shape[1]]
-        off += gm.shape[1]
-    return s

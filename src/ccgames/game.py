@@ -544,11 +544,6 @@ def reduced_lift(game: GameSpec, noise: ReducedLift, base: IterateBase) -> Reduc
     return ReducedLift(traj + noise.mean, noise.support + traj[game.support_index])
 
 
-def reduce_states(game: GameSpec, states: np.ndarray) -> ReducedLift:
-    """Reduced lift of already lifted trajectories (M, state_dim)."""
-    return ReducedLift(states.mean(axis=0), states[:, game.support_index])
-
-
 def _batch_means(fn, rows: np.ndarray) -> np.ndarray:
     """Batch means of the row-wise closure ``fn``: (k,) over one batch
     (M, s), or (n, k) over n batches (n, M, s) from one call on their rows."""
@@ -674,26 +669,6 @@ def operator_estimate(game: GameSpec, base: IterateBase, noise: ReducedLift):
     return (player_pseudo_gradient_mean(game, base, lift.support),
             player_constraint_gradient_mean(game, lift.support),
             constraint_value_mean(game, base, lift))
-
-
-def _single_sample_operator(game: GameSpec, u: np.ndarray, w: np.ndarray):
-    w_batch = np.reshape(np.asarray(w, dtype=float), (1, -1))
-    return operator_estimate(game, lift_base(game, u), reduce_noise(game, w_batch))
-
-
-def pseudo_gradient_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Single-sample pseudo-gradient; block i is player i's own cost gradient."""
-    return _single_sample_operator(game, u, w)[0]
-
-
-def constraint_gradient_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Single-sample constraint Jacobian, column j = gradient of constraint j."""
-    return _single_sample_operator(game, u, w)[1]
-
-
-def constraint_sample(game: GameSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Single-sample raw constraint vector."""
-    return _single_sample_operator(game, u, w)[2]
 
 
 def project_local(game: GameSpec, u: np.ndarray) -> np.ndarray:

@@ -143,13 +143,6 @@ class MicrogridParams:
         object.__setattr__(self, "renewable_std", r_std)
 
 
-def tariff(t: int, aggregate_exchange: float, p: MicrogridParams) -> float:
-    """Electricity price at hour t: time-of-use base plus aggregate load term."""
-    if not (0 <= t < p.horizon):
-        raise ValueError(f"hour {t} outside [0, {p.horizon})")
-    return float(p.tou_tariff[t] + p.tariff_coupling / p.n_households * aggregate_exchange)
-
-
 def _input_cost_grad(p: MicrogridParams):
     n, T = p.n_households, p.horizon
     kc = p.tariff_coupling

@@ -30,8 +30,8 @@ whole draw through ``disturbance.sample`` per entity. Drawing is most of a
 large-batch iteration, so the players are split between the calling thread
 and one persistent worker thread; each entity's draw is one function of its
 own stream, so a seeded run is bit-identical to a serial one. The players'
-(N, M, s) support rows go into one flat buffer that each ``run`` owns, so the
-growing batches are not faulted in afresh every iterate.
+(N, M, s) support rows go into the flat buffer that every ``iterate`` is
+given, one per ``run``, so the growing batches are not faulted in afresh.
 
 The steps take their shared inputs from the caller, as ``run`` supplies them:
 the run's reduced residual batch (``residual_noise``), each entity's reduced
@@ -330,12 +330,12 @@ def _second_lane() -> ThreadPoolExecutor:
         return _draw_lane[1]
 
 
-def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray | None = None):
+def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray):
     """Every entity's reduced noise for iteration k with m-row batches:
     (``coordinator_noise``, an (N, m, len(game.support)) array whose slab i
     is player i's ``draw_support_noise`` rows, None for an empty support).
-    The array is a view of the flat float ``buffer`` when one is given (it
-    must hold N m len(game.support) floats), else new.
+    The array is a view of the flat float ``buffer``, which must hold N m
+    len(game.support) floats.
 
     One ``iteration_streams`` call makes the streams of every entity that
     draws, and none is made when no entity draws. From ``TWO_LANE_MIN_DRAWS``
@@ -351,7 +351,7 @@ def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray | None = None
     if not streams:
         return coordinator_noise(game, rng, m), None
     shape = (game.n_players, m, len(game.support))
-    noise = np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
+    noise = buffer[:math.prod(shape)].reshape(shape)
     own, lane = slice(None), None
     per_row = game.disturbance.dim if game.support_law is None \
         else game.support_law.factor.shape[0]
@@ -408,11 +408,11 @@ def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray |
 
 
 def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverConfig,
-            residual: float, base: game_mod.IterateBase, buffer: np.ndarray | None = None):
+            residual: float, base: game_mod.IterateBase, buffer: np.ndarray):
     """Run one full iteration on ``draw_noise``'s batches; returns (next
     state, record for iteration k). ``residual`` is ``residual_estimate`` of
     ``state``, for the record; ``base`` is its ``lift_base``, shared by all;
-    ``buffer``, when given, holds the players' support noise (``draw_noise``)."""
+    ``buffer`` holds the players' support noise (``draw_noise``)."""
     t0 = time.perf_counter()
     k = state.k
     coordinator, player_noise = draw_noise(game, cfg.seed, k, batch_size(cfg, k), buffer)
@@ -443,7 +443,8 @@ def residual_noise(game, cfg: SolverConfig, seed: int) -> game_mod.ReducedLift:
 
 
 def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
-                      cfg: SolverConfig, noise, base: game_mod.IterateBase) -> float:
+                      cfg: SolverConfig, noise: game_mod.ReducedLift,
+                      base: game_mod.IterateBase) -> float:
     """Distance from the iterate to one exact projected forward step.
 
     The expected operator is replaced by a large-reference-batch estimate
@@ -451,12 +452,9 @@ def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
     local-set projection and the nonnegative-orthant projection. Zero exactly
     at equilibrium-multiplier pairs, up to estimator noise. ``noise`` is the
     reduced reference batch ``residual_noise(game, cfg, cfg.seed)``, common
-    to every iteration of a run, or the same batch lifted whole
-    (``lift_noise``); ``base`` is ``lift_base(game, state.u)``.
+    to every iteration of a run; ``base`` is ``lift_base(game, state.u)``.
     """
     alpha = step_size(cfg, state.k)
-    if isinstance(noise, np.ndarray):
-        noise = game_mod.reduce_states(game, noise)
     f_hat, jac, g_raw = game_mod.operator_estimate(game, base, noise)
     u_step = np.clip(state.u - alpha * (f_hat + jac @ state.lam), game.box_lower, game.box_upper)
     lam_step = np.maximum(state.lam + alpha * (g_raw + offsets.offsets), 0.0)

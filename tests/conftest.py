@@ -7,6 +7,7 @@ import pytest
 
 from ccgames import MicrogridParams, build_microgrid_game
 from ccgames.dynamics import TimeVaryingLinearDynamics
+from ccgames.game import lift_base, operator_estimate, reduce_noise
 from ccgames.lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -22,6 +23,18 @@ def random_dynamics(rng, n_s=None, n_players=None, horizon=None):
               for _ in range(n_players))
     s0 = rng.normal(size=n_s)
     return TimeVaryingLinearDynamics(a_mats=a, b_mats=b, s0=s0)
+
+
+def apply_lift(lift, s0, u, w):
+    """The lift's affine map at (s0, u, w): each player's product added in order."""
+    parts = np.split(u, np.cumsum([gm.shape[1] for gm in lift.input_maps])[:-1])
+    return sum((gm @ uj for gm, uj in zip(lift.input_maps, parts)),
+               lift.init_map @ s0 + lift.noise_map @ w)
+
+
+def sample_operator(game, u, w):
+    """(F, Jac, G_raw) of ``operator_estimate`` at u on the one draw w."""
+    return operator_estimate(game, lift_base(game, u), reduce_noise(game, np.reshape(w, (1, -1))))
 
 
 def central_difference(f, x, h=1e-6):

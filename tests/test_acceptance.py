@@ -6,6 +6,7 @@ and shared across criteria.
 """
 
 import math
+import resource
 import time
 from statistics import NormalDist
 
@@ -15,16 +16,16 @@ import pytest
 import ccgames.solver as solver
 from ccgames.com import (ComModel, estimate_constraint_satisfaction, h_inverse)
 from ccgames.config import build_game, parse_config
-from ccgames.dynamics import build_compact_lift, lift_state, simulate_state
-from ccgames.game import (constraint_gradient_sample, constraint_sample, lift_base,
-                          lift_noise, pseudo_gradient_sample, random_feasible_profile)
+from ccgames.dynamics import build_compact_lift, simulate_state
+from ccgames.game import lift_base, random_feasible_profile
 from ccgames.microgrid import household_cost_value
-from ccgames.rng import residual_stream, substream
+from ccgames.rng import substream
 from ccgames.solver import (batch_size, estimate_lipschitz,
                             estimator_diagnostics, initial_state, iterate,
                             residual_estimate, step_size, validate_config)
 
-from conftest import CONFIG_DIR, central_difference, random_dynamics, relative_error
+from conftest import (CONFIG_DIR, apply_lift, central_difference, random_dynamics,
+                      relative_error, sample_operator)
 
 pytestmark = pytest.mark.slow
 
@@ -56,16 +57,17 @@ def benchmark_run(reduced_microgrid):
     params, game, offsets = reduced_microgrid
     cfg = parse_config(CONFIG_DIR / "microgrid_reduced.json").solver
     state = initial_state(game, cfg)
-    w_res = game.disturbance.sample(residual_stream(cfg.seed), cfg.residual_batch)
-    noise_res = lift_noise(game, w_res)  # lifted once, as solver.run does
+    # the residual batch and one draw buffer for every iterate, as solver.run has them
+    noise_res = solver.residual_noise(game, cfg, cfg.seed)
+    buffer = np.empty(game.n_players * batch_size(cfg, cfg.max_iterations) * len(game.support))
     residuals, alphas, batches = [], [], []
     identity_ok = feasible_ok = multiplier_ok = True
-    t0 = time.time()
+    usage, t0 = resource.getrusage(resource.RUSAGE_SELF), time.time()
     for _ in range(cfg.max_iterations):
         base = lift_base(game, state.u)
         res = residual_estimate(state, game, offsets, cfg, noise=noise_res, base=base)
         prev = state
-        state, rec = iterate(state, game, offsets, cfg, residual=res, base=base)
+        state, rec = iterate(state, game, offsets, cfg, residual=res, base=base, buffer=buffer)
         residuals.append(res)
         alphas.append(rec.alpha)
         batches.append(rec.batch)
@@ -77,12 +79,15 @@ def benchmark_run(reduced_microgrid):
         for p, sl in zip(game.players, game.player_slices):
             if np.any(state.u[sl] < p.box_lower) or np.any(state.u[sl] > p.box_upper):
                 feasible_ok = False
+    seconds, after = time.time() - t0, resource.getrusage(resource.RUSAGE_SELF)
     return {
         "params": params, "game": game, "offsets": offsets, "cfg": cfg,
         "state": state, "residuals": np.array(residuals),
         "alphas": np.array(alphas), "batches": np.array(batches),
         "identity_ok": identity_ok, "feasible_ok": feasible_ok,
-        "multiplier_ok": multiplier_ok, "seconds": time.time() - t0,
+        "multiplier_ok": multiplier_ok, "seconds": seconds,
+        "system_seconds": after.ru_stime - usage.ru_stime,
+        "minor_faults": after.ru_minflt - usage.ru_minflt,
     }
 
 
@@ -101,7 +106,7 @@ class TestAcceptance:
             u = rng.normal(size=dyn.input_dim_total)
             w = rng.normal(size=dyn.horizon * dyn.state_dim)
             direct = simulate_state(dyn, u, w)
-            lifted = lift_state(lift, dyn.s0, u, w)
+            lifted = apply_lift(lift, dyn.s0, u, w)
             err = np.linalg.norm(lifted - direct) / max(1.0, np.linalg.norm(direct))
             worst = max(worst, err)
         dt = time.time() - t0
@@ -118,7 +123,7 @@ class TestAcceptance:
         for trial in range(20):
             u = random_feasible_profile(game, rng) * 0.9
             w = game.disturbance.sample(rng, 1)[0]
-            grad = pseudo_gradient_sample(game, u, w)
+            grad, jac, _ = sample_operator(game, u, w)
             i = trial % game.n_players
             sl = game.player_slices[i]
 
@@ -130,16 +135,15 @@ class TestAcceptance:
             worst = max(worst, relative_error(
                 grad[sl], central_difference(cost_block, u[sl], h=1e-6)))
 
-            jac = constraint_gradient_sample(game, u, w)
             j = trial % game.constraint_count
             fd = central_difference(
-                lambda v, j=j: float(constraint_sample(game, v, w)[j]), u)
+                lambda v, j=j: float(sample_operator(game, v, w)[2][j]), u)
             denom = max(1e-6, float(np.linalg.norm(jac[:, j])))
             worst = max(worst, float(np.linalg.norm(jac[:, j] - fd)) / denom)
 
             u_lq = random_feasible_profile(lq_game, rng)
             w_lq = np.zeros(lq_game.disturbance.dim)
-            grad_lq = pseudo_gradient_sample(lq_game, u_lq, w_lq)
+            grad_lq = sample_operator(lq_game, u_lq, w_lq)[0]
             for i_lq, sl_lq in enumerate(lq_game.player_slices):
                 def lq_block(block, i=i_lq, sl=sl_lq):
                     probe = u_lq.copy()
@@ -203,7 +207,9 @@ class TestAcceptance:
         report(4, "residual-decay", ok_o and ok_m and ok_time,
                f"oracle tail {tail_o[-1]:.2e} mono={mono_o}; benchmark "
                f"tail/start {tail_m[-1] / tail_m[0]:.2e} mono={mono_m}; "
-               f"benchmark run {benchmark_run['seconds']:.0f}s")
+               f"benchmark run {benchmark_run['seconds']:.0f}s, system "
+               f"{benchmark_run['system_seconds']:.2f}s, "
+               f"{benchmark_run['minor_faults']} minor faults")
 
     def test_05_chance_constraint_soundness(self, benchmark_run):
         game = benchmark_run["game"]

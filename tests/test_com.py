@@ -12,13 +12,13 @@ from ccgames.com import (ComModel, UnderApproxOffsets,
                          h_gaussian, h_inverse, wilson_interval, wilson_intervals)
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
-                          PlayerSpec, constraint_sample, random_feasible_profile,
-                          state_batch)
+                          PlayerSpec, random_feasible_profile, state_batch)
 
 from ccgames.config import build_game, parse_config
 from ccgames.lqgame import build_lq_game
 
-from conftest import CONFIG_DIR, random_dynamics, random_lq_params, reference_constraint_values
+from conftest import (CONFIG_DIR, random_dynamics, random_lq_params,
+                      reference_constraint_values, sample_operator)
 
 
 def make_tiny_game(constraints, noise_std=1.0, box=(0.0, 1.0)):
@@ -154,14 +154,14 @@ class TestOffsetsAndTightenedValues:
         game = make_tiny_game([con])
         off = UnderApproxOffsets.from_game(game)
         u, w = np.zeros(1), np.zeros(1)
-        assert np.array_equal(constraint_sample(game, u, w) + off.offsets,
-                              constraint_sample(game, u, w))
+        assert np.array_equal(sample_operator(game, u, w)[2] + off.offsets,
+                              sample_operator(game, u, w)[2])
 
     def test_offset_arithmetic(self):
         con = CouplingConstraintSpec(gamma=0.1, offset=-5.0)
         game = make_tiny_game([con])
         off = UnderApproxOffsets.from_tolerances(ComModel(), [0.1])
-        val = constraint_sample(game, np.zeros(1), np.zeros(1)) + off.offsets
+        val = sample_operator(game, np.zeros(1), np.zeros(1))[2] + off.offsets
         assert val[0] == pytest.approx(-5.0 + h_inverse(ComModel(), 0.1))
 
 

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccgames.dynamics import (TimeVaryingLinearDynamics, build_compact_lift,
-                              lift_state, simulate_state)
+from ccgames.dynamics import TimeVaryingLinearDynamics, build_compact_lift, simulate_state
 
-from conftest import random_dynamics
+from conftest import apply_lift, random_dynamics
 
 
 def scalar_dynamics(a_value, horizon, n_players=1, b_value=0.0, s0=0.0):
@@ -51,7 +50,7 @@ class TestCompactLift:
         u = rng.normal(size=dyn.input_dim_total)
         w = rng.normal(size=dyn.horizon * dyn.state_dim)
         direct = simulate_state(dyn, u, w)
-        lifted = lift_state(lift, dyn.s0, u, w)
+        lifted = apply_lift(lift, dyn.s0, u, w)
         assert np.allclose(lifted, direct, atol=1e-12)
 
 
@@ -75,7 +74,7 @@ class TestSimulateAndLift:
     def test_zero_inputs_gives_init_map_column(self):
         dyn = random_dynamics(np.random.default_rng(6))
         lift = build_compact_lift(dyn)
-        s = lift_state(lift, dyn.s0, np.zeros(dyn.input_dim_total),
+        s = apply_lift(lift, dyn.s0, np.zeros(dyn.input_dim_total),
                        np.zeros(dyn.horizon * dyn.state_dim))
         assert np.allclose(s, lift.init_map @ dyn.s0)
 
@@ -86,8 +85,8 @@ class TestSimulateAndLift:
         w0 = np.zeros(dyn.horizon * dyn.state_dim)
         u1 = rng.normal(size=dyn.input_dim_total)
         u2 = rng.normal(size=dyn.input_dim_total)
-        combined = lift_state(lift, dyn.s0, u1 + u2, w0)
-        parts = (lift_state(lift, dyn.s0, u1, w0) + lift_state(lift, dyn.s0, u2, w0)
+        combined = apply_lift(lift, dyn.s0, u1 + u2, w0)
+        parts = (apply_lift(lift, dyn.s0, u1, w0) + apply_lift(lift, dyn.s0, u2, w0)
                  - lift.init_map @ dyn.s0)
         assert np.allclose(combined, parts, atol=1e-10)
 
@@ -102,9 +101,9 @@ class TestSimulateAndLift:
         free = lift.init_map @ dyn.s0
         u1, u2 = rng.normal(size=(2, dyn.input_dim_total))
         w1, w2 = rng.normal(size=(2, dyn.horizon * dyn.state_dim))
-        combined = lift_state(lift, dyn.s0, a * u1 + b * u2, a * w1 + b * w2) - free
-        parts = (a * (lift_state(lift, dyn.s0, u1, w1) - free)
-                 + b * (lift_state(lift, dyn.s0, u2, w2) - free))
+        combined = apply_lift(lift, dyn.s0, a * u1 + b * u2, a * w1 + b * w2) - free
+        parts = (a * (apply_lift(lift, dyn.s0, u1, w1) - free)
+                 + b * (apply_lift(lift, dyn.s0, u2, w2) - free))
         scale = max(1.0, float(np.linalg.norm(parts)))
         assert np.linalg.norm(combined - parts) / scale < 1e-10
 
@@ -117,7 +116,7 @@ class TestSimulateAndLift:
         u = rng.normal(size=dyn.input_dim_total)
         w = rng.normal(size=dyn.horizon * dyn.state_dim)
         direct = simulate_state(dyn, u, w)
-        lifted = lift_state(lift, dyn.s0, u, w)
+        lifted = apply_lift(lift, dyn.s0, u, w)
         denom = max(1.0, float(np.linalg.norm(direct)))
         assert np.linalg.norm(lifted - direct) / denom < 1e-10
 

@@ -8,18 +8,17 @@ from ccgames.dynamics import TimeVaryingLinearDynamics
 from dataclasses import replace
 
 from ccgames.config import build_game, parse_config
+from ccgames.dynamics import simulate_state
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
-                          PlayerSpec, constraint_gradient_sample,
-                          constraint_sample, constraint_values,
+                          PlayerSpec, constraint_values,
                           player_constraint_gradient_mean, project_local,
-                          pseudo_gradient_sample, random_feasible_profile,
-                          state_batch)
+                          random_feasible_profile, state_batch)
 from ccgames.lqgame import build_lq_game
 
 from conftest import (CONFIG_DIR, central_difference, random_dynamics,
                       random_lq_params, reference_constraint_values,
                       reference_jacobian_block, reference_project_local,
-                      reference_random_profile, relative_error)
+                      reference_random_profile, relative_error, sample_operator)
 
 
 def assert_stacked_box_matches_reference(game, rng):
@@ -60,14 +59,14 @@ class TestPseudoGradient:
         rng = np.random.default_rng(1)
         u = rng.normal(size=game.input_dim)
         w = rng.normal(size=game.disturbance.dim)
-        assert np.allclose(pseudo_gradient_sample(game, u, w), u)
+        assert np.allclose(sample_operator(game, u, w)[0], u)
 
     def test_state_cost_chain_rule_at_origin(self):
         # cost |s|^2/2 at zero inputs and zero noise: block i = input_map_i^T init_map s0
         game = build_quadratic_state_game(np.random.default_rng(2), state_cost=True)
         u0 = np.zeros(game.input_dim)
         w0 = np.zeros(game.disturbance.dim)
-        grad = pseudo_gradient_sample(game, u0, w0)
+        grad = sample_operator(game, u0, w0)[0]
         base = game.lift.init_map @ game.dynamics.s0
         expected = np.concatenate([
             gm.T @ base + u0[sl]
@@ -79,7 +78,7 @@ class TestPseudoGradient:
         rng = np.random.default_rng(4)
         u = rng.normal(size=game.input_dim)
         w = rng.normal(size=game.disturbance.dim)
-        grad = pseudo_gradient_sample(game, u, w)
+        grad = sample_operator(game, u, w)[0]
         from ccgames.game import state_batch
 
         for i, sl in enumerate(game.player_slices):
@@ -97,16 +96,16 @@ class TestPseudoGradient:
         rng = np.random.default_rng(6)
         u = rng.normal(size=game.input_dim)
         w = rng.normal(size=game.disturbance.dim)
-        a = pseudo_gradient_sample(game, u, w)
-        b = pseudo_gradient_sample(game, u, w)
+        a = sample_operator(game, u, w)[0]
+        b = sample_operator(game, u, w)[0]
         assert np.array_equal(a, b)
 
 
 class TestConstraints:
     def test_zero_input_function(self):
         game = build_quadratic_state_game(np.random.default_rng(7))
-        val = constraint_sample(game, np.zeros(game.input_dim),
-                                np.zeros(game.disturbance.dim))
+        val = sample_operator(game, np.zeros(game.input_dim),
+                              np.zeros(game.disturbance.dim))[2]
         assert val[0] == pytest.approx(-1.0)
 
     def test_affine_gradient_is_constant(self):
@@ -115,7 +114,7 @@ class TestConstraints:
         for _ in range(3):
             u = rng.normal(size=game.input_dim)
             w = rng.normal(size=game.disturbance.dim)
-            jac = constraint_gradient_sample(game, u, w)
+            jac = sample_operator(game, u, w)[1]
             assert np.allclose(jac[:, 0], np.ones(game.input_dim))
 
     def test_gradient_matches_finite_differences(self):
@@ -123,12 +122,12 @@ class TestConstraints:
         rng = np.random.default_rng(11)
         u = rng.normal(size=game.input_dim)
         w = rng.normal(size=game.disturbance.dim)
-        jac = constraint_gradient_sample(game, u, w)
-        fd = central_difference(lambda v: float(constraint_sample(game, v, w)[0]), u)
+        jac = sample_operator(game, u, w)[1]
+        fd = central_difference(lambda v: float(sample_operator(game, v, w)[2][0]), u)
         assert relative_error(jac[:, 0], fd) < 1e-6
 
     def test_linear_state_constraint_value(self):
-        # value = <ones, s> - affine in (u, w); compare against the lift directly
+        # value = <ones, s> - affine in (u, w); compare against the recursion
         rng = np.random.default_rng(12)
         dyn = random_dynamics(rng, n_s=2, n_players=2, horizon=3)
         sdim = (dyn.horizon + 1) * dyn.state_dim
@@ -144,10 +143,35 @@ class TestConstraints:
         game = GameSpec.build(dyn, players, (con,), dist)
         u = rng.normal(size=game.input_dim)
         w = rng.normal(size=game.disturbance.dim)
-        from ccgames.dynamics import lift_state
+        expected = simulate_state(dyn, u, w).sum()
+        assert sample_operator(game, u, w)[2][0] == pytest.approx(expected, rel=1e-12)
 
-        expected = lift_state(game.lift, dyn.s0, u, w).sum()
-        assert constraint_sample(game, u, w)[0] == pytest.approx(expected, rel=1e-12)
+
+class TestStateBatch:
+    @given(seed=st.integers(0, 2**32 - 1), equal=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_the_recursion(self, seed, equal):
+        # the solver's own lift (base_trajectory plus lift_noise) against
+        # stepping the dynamics, row by row: equal block heights take the
+        # stacked-array path of base_trajectory, unequal ones the tuple path
+        rng = np.random.default_rng(seed)
+        dyn = random_dynamics(rng, n_players=int(rng.integers(2, 5)))
+        T, n_s = dyn.horizon, dyn.state_dim
+        widths = [1 + (0 if equal else i % 2) for i in range(dyn.n_players)]
+        dyn = TimeVaryingLinearDynamics(
+            a_mats=dyn.a_mats, s0=dyn.s0,
+            b_mats=tuple(rng.normal(size=(T, n_s, nj)) for nj in widths))
+        players = [PlayerSpec(input_dim=nj, box_lower=-np.ones(T * nj),
+                              box_upper=np.ones(T * nj)) for nj in widths]
+        dist = DisturbanceModel(dim=T * n_s, com_model=ComModel(),
+                                mean=np.zeros(T * n_s), std=np.ones(T * n_s))
+        game = GameSpec.build(dyn, players, (), dist)
+        assert isinstance(game.stacked_input_maps, np.ndarray) == equal
+        u = rng.normal(size=game.input_dim)
+        w = rng.normal(size=(int(rng.integers(1, 8)), T * n_s))
+        for row, w_r in zip(state_batch(game, u, w), w):
+            direct = simulate_state(dyn, u, w_r)
+            assert np.linalg.norm(row - direct) / max(1.0, np.linalg.norm(direct)) < 1e-10
 
 
 class TestProjection:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ccgames.game import (constraint_gradient_sample, constraint_sample,
-                          pseudo_gradient_sample, random_feasible_profile)
+from ccgames.game import random_feasible_profile
 from ccgames.lqgame import (LqConstraint, LqGameParams, LqPlayer, build_lq_game,
                             pseudo_gradient_matrix, solve_vgne_kkt)
 
-from conftest import central_difference, quadratic_oracle_params, relative_error
+from conftest import (central_difference, quadratic_oracle_params, relative_error,
+                      sample_operator)
 
 
 class TestPseudoGradientMatrix:
@@ -27,7 +27,7 @@ class TestPseudoGradientMatrix:
         for _ in range(4):
             u = random_feasible_profile(game, rng)
             w = game.disturbance.sample(rng, 1)[0]
-            assert np.allclose(pseudo_gradient_sample(game, u, w), mat @ u + vec)
+            assert np.allclose(sample_operator(game, u, w)[0], mat @ u + vec)
 
 
 class TestKktOracle:
@@ -56,8 +56,8 @@ class TestBuiltGame:
         rng = np.random.default_rng(1)
         u = random_feasible_profile(game, rng)
         w = np.zeros(game.disturbance.dim)
-        assert constraint_sample(game, u, w)[0] == pytest.approx(float(u.sum() - 3.0))
-        assert np.allclose(constraint_gradient_sample(game, u, w)[:, 0], 1.0)
+        assert sample_operator(game, u, w)[2][0] == pytest.approx(float(u.sum() - 3.0))
+        assert np.allclose(sample_operator(game, u, w)[1][:, 0], 1.0)
 
     def test_deterministic_game_zero_offset(self, quadratic_game):
         _, offsets = quadratic_game
@@ -70,7 +70,7 @@ class TestBuiltGame:
         rng = np.random.default_rng(2)
         u = random_feasible_profile(game, rng)
         w = np.zeros(game.disturbance.dim)
-        grad = pseudo_gradient_sample(game, u, w)
+        grad = sample_operator(game, u, w)[0]
         for i, sl in enumerate(game.player_slices):
             def cost_block(block, i=i, sl=sl):
                 probe = u.copy()

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ccgames.game import (constraint_gradient_sample, constraint_sample,
-                          pseudo_gradient_sample, random_feasible_profile,
-                          state_batch)
+from ccgames.game import random_feasible_profile, state_batch
 from ccgames.microgrid import (MicrogridParams, build_microgrid_game,
-                               default_tou_tariff, household_cost_value, tariff)
+                               default_tou_tariff, household_cost_value)
 
-from conftest import central_difference, relative_error
+from conftest import central_difference, relative_error, sample_operator
 
 
 def paper_params(**kw):
@@ -44,19 +42,22 @@ class TestParams:
 
 class TestTariff:
     def test_early_hours_rate(self):
-        assert tariff(3, 0.0, paper_params()) == pytest.approx(15.3)
+        assert paper_params().tou_tariff[3] == pytest.approx(15.3)
 
     def test_evening_peak_rate(self):
-        assert tariff(18, 0.0, paper_params()) == pytest.approx(45.6)
+        assert paper_params().tou_tariff[18] == pytest.approx(45.6)
 
     def test_aggregate_term(self):
+        # the price rises by tariff_coupling / n per unit of aggregate exchange:
+        # 20 more units from household 1 at hour 6 raise it by 1.0, and so
+        # lower household 0's input-cost gradient there by 1.0
         p = paper_params()
-        base = tariff(6, 0.0, p)
-        assert tariff(6, 20.0, p) == pytest.approx(base + 1.0)
-
-    def test_out_of_range_hour(self):
-        with pytest.raises(ValueError):
-            tariff(24, 0.0, paper_params())
+        game, _ = build_microgrid_game(p)
+        u = np.zeros(game.input_dim)
+        more = u.copy()
+        more[game.player_slices[1].start + 6] -= 20.0
+        at = game.player_slices[0].start + 6
+        assert game.cost_input_grad(more)[at] == pytest.approx(game.cost_input_grad(u)[at] - 1.0)
 
     def test_band_table_covers_day(self):
         tou = default_tou_tariff(24, 1.0)
@@ -167,7 +168,7 @@ class TestGradients:
         for trial in range(20):
             u = random_feasible_profile(game, rng) * 0.9  # keep off the kink
             w = game.disturbance.sample(rng, 1)[0]
-            grad = pseudo_gradient_sample(game, u, w)
+            grad = sample_operator(game, u, w)[0]
             i = trial % game.n_players
             sl = game.player_slices[i]
 
@@ -189,7 +190,7 @@ class TestGradients:
         w = game.disturbance.sample(rng, 1)[0]
         states = state_batch(game, u, w[None, :])
         soc_dev = states[0, -1] - p.soc_desired
-        grad = pseudo_gradient_sample(game, u, w)
+        grad = sample_operator(game, u, w)[0]
         for i, sl in enumerate(game.player_slices):
             input_part = game.cost_input_grad(u)[sl]
             terminal_part = grad[sl] - input_part
@@ -203,10 +204,10 @@ class TestGradients:
         for _ in range(5):
             u = random_feasible_profile(game, rng)
             w = game.disturbance.sample(rng, 1)[0]
-            jac = constraint_gradient_sample(game, u, w)
+            jac = sample_operator(game, u, w)[1]
             for j in (0, p.horizon - 1, game.constraint_count - 1):
                 fd = central_difference(
-                    lambda v, j=j: float(constraint_sample(game, v, w)[j]), u)
+                    lambda v, j=j: float(sample_operator(game, v, w)[2][j]), u)
                 assert np.linalg.norm(jac[:, j] - fd) <= 1e-4 * max(
                     1e-6, np.linalg.norm(jac[:, j]))
 
@@ -216,5 +217,5 @@ class TestGradients:
                             renewable_std=np.full(2, 1e-9))
         game, _ = build_microgrid_game(p)
         # zero strategies, zero noise: SoC_T = desired exactly -> at the kink
-        jac = constraint_gradient_sample(game, np.zeros(game.input_dim), np.zeros(2))
+        jac = sample_operator(game, np.zeros(game.input_dim), np.zeros(2))[1]
         assert not jac[:, -1].any()

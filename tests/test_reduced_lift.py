@@ -12,8 +12,8 @@ import ccgames.game as game_mod
 import ccgames.solver as solver
 from ccgames.config import build_game, parse_config
 from ccgames.game import (CouplingConstraintSpec, GameSpec, lift_base, operator_estimate,
-                          random_feasible_profile, reduce_noise, reduce_states,
-                          reduced_lift, state_batch)
+                          ReducedLift, random_feasible_profile, reduce_noise, reduced_lift,
+                          state_batch)
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
 from ccgames.solver import (SolverConfig, batch_size, coordinator_noise, coordinator_step,
@@ -105,7 +105,8 @@ class TestLiftLinearity:
         u = rng.normal(size=game.input_dim)
         w = game.disturbance.sample(rng, int(rng.integers(1, 50)))
         base = lift_base(game, u)
-        whole = reduce_states(game, state_batch(game, u, w))
+        states = state_batch(game, u, w)
+        whole = ReducedLift(states.mean(axis=0), states[:, game.support_index])
         lift = reduced_lift(game, reduce_noise(game, w), base)
         np.testing.assert_allclose(lift.mean, whole.mean, **TOL)
         np.testing.assert_allclose(lift.support, whole.support, **TOL)

@@ -17,7 +17,7 @@ from ccgames.com import ComModel, UnderApproxOffsets
 from ccgames.config import build_game, parse_config
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
-                          PlayerSpec, base_trajectory, constraint_values, lift_base,
+                          PlayerSpec, ReducedLift, base_trajectory, constraint_values, lift_base,
                           lift_noise,
                           operator_estimate, player_constraint_gradient_mean,
                           random_feasible_profile,
@@ -75,14 +75,16 @@ def residual_at(state, game, offsets, cfg):
 
 
 def step(state, game, offsets, cfg):
-    """One iteration with its residual and lift base computed afresh."""
+    """One iteration with its residual, lift base and draw buffer made afresh."""
+    buffer = np.empty(game.n_players * batch_size(cfg, state.k) * len(game.support))
     return iterate(state, game, offsets, cfg, residual_at(state, game, offsets, cfg),
-                   lift_base(game, state.u))
+                   lift_base(game, state.u), buffer)
 
 
 def player_noise(game, cfg):
     """Support noise rows of the players' batches of iteration 0."""
-    return draw_noise(game, cfg.seed, 0, batch_size(cfg, 0))[1]
+    m = batch_size(cfg, 0)
+    return draw_noise(game, cfg.seed, 0, m, np.empty(game.n_players * m * len(game.support)))[1]
 
 
 def coordinator_batch(game, cfg, k=0):
@@ -561,13 +563,14 @@ class TestSharedEvaluation:
 
     def test_cached_residual_equals_uncached(self, reduced_microgrid):
         # run() passes the reduced batch residual_noise; the same draws lifted
-        # whole must give the same bits
+        # whole, then reduced, must give the same bits
         _, game, offsets = reduced_microgrid
         cfg = quick_config(residual_batch=300)
         rng = np.random.default_rng(3)
         reduced = residual_noise(game, cfg, cfg.seed)
-        lifted = lift_noise(game, game.disturbance.sample(residual_stream(cfg.seed),
+        states = lift_noise(game, game.disturbance.sample(residual_stream(cfg.seed),
                                                           cfg.residual_batch))
+        lifted = ReducedLift(states.mean(axis=0), states[:, game.support_index])
         state = initial_state(game, cfg)
         for k in (0, 4):
             state = replace(state, k=k, u=random_feasible_profile(game, rng),

@@ -112,7 +112,8 @@ def test_lane_draw_equals_one_draw_per_player(name):
     counts = {1} if r == 0 else {1, -(-solver.TWO_LANE_MIN_DRAWS // r) - 1,
                                   -(-solver.TWO_LANE_MIN_DRAWS // r)}
     for m in counts:
-        coordinator, noise = solver.draw_noise(game, 6, 11, m)
+        buffer = np.empty(game.n_players * m * len(game.support))
+        coordinator, noise = solver.draw_noise(game, 6, 11, m, buffer)
         want_coordinator, want_players = serial_entity_noise(game, 6, 11, m)
         if want_coordinator is None:  # no constraint value reads the trajectory
             assert coordinator is None
@@ -211,7 +212,7 @@ def poison_draw_buffers(monkeypatch):
     filled with NaN before every draw; returns the list of buffers passed."""
     draw, buffers = solver.draw_noise, []
 
-    def poisoned(game, seed, k, m, buffer=None):
+    def poisoned(game, seed, k, m, buffer):
         assert buffer is not None
         buffer.fill(np.nan)
         buffers.append(buffer)
@@ -262,7 +263,8 @@ def assert_concurrent_calls_agree(game):
     def call(k):
         try:
             for _ in range(calls):
-                got.setdefault(k, []).append(solver.draw_noise(game, 2, k, m))
+                buffer = np.empty(game.n_players * m * len(game.support))
+                got.setdefault(k, []).append(solver.draw_noise(game, 2, k, m, buffer))
         except Exception as exc:  # reported below, with the caller's index
             failures.append((k, exc))
 
@@ -301,9 +303,10 @@ def test_forked_child_gets_its_own_lane():
     # a task handed to that executor would never run
     game, _ = build_game(parse_config(CONFIG_DIR / "microgrid_reduced.json"))
     m = solver.TWO_LANE_MIN_DRAWS // per_row(game) + 1
-    solver.draw_noise(game, 3, 0, m)  # the parent's lane exists
+    buffer = np.empty(game.n_players * m * len(game.support))
+    solver.draw_noise(game, 3, 0, m, buffer)  # the parent's lane exists
     child = multiprocessing.get_context("fork").Process(
-        target=solver.draw_noise, args=(game, 3, 1, m))
+        target=solver.draw_noise, args=(game, 3, 1, m, buffer))
     child.start()
     child.join(timeout=30)
     hung = child.is_alive()
