@@ -14,9 +14,8 @@ from .dynamics import CompactLift, TimeVaryingLinearDynamics, build_compact_lift
 from .game import CouplingConstraintSpec, DisturbanceModel, GameSpec, PlayerSpec, project_local
 from .lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
 from .microgrid import MicrogridParams, build_microgrid_game, household_cost_value
-from .solver import (BatchSchedule, IterationRecord, RunTrace, SolverConfig,
-                     SolverState, StepSchedule, batch_size, estimate_lipschitz,
-                     estimator_diagnostics, initial_state, iterate,
+from .solver import (IterationRecord, RunTrace, SolverConfig, SolverState, batch_size,
+                     estimate_lipschitz, estimator_diagnostics, initial_state, iterate,
                      residual_estimate, run, step_size, validate_config)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -160,39 +160,26 @@ def _list(item):
     return read
 
 
-def _filled(cls, table):
-    """Reader of a section whose keys are the fields of ``cls``."""
-    return lambda section, where, errors: cls(**_read(section, table, where, errors))
+def _filled(cls, table, required=()):
+    """Reader of a section whose keys are the fields of ``cls``, each key of
+    ``required`` present; None if the section has an error."""
+    def read(section, where, errors):
+        mark = len(errors)
+        fields = _read(section, table, where, errors)
+        if len(errors) == mark:
+            errors.extend(f"{where}.{key}: required" for key in required if key not in fields)
+        return cls(**fields) if len(errors) == mark else None
+    return read
 
 
-_LQ_PLAYER = {
+_PLAYER = _filled(LqPlayer, {
     "input_dim": _SIZE, "box_lower": _array, "box_upper": _array,
     "quad_self": _REAL, "quad_couple": _REAL, "linear": _array,
-}
-
-
-def _player(section, where, errors) -> LqPlayer | None:
-    mark = len(errors)
-    fields = _read(section, _LQ_PLAYER, where, errors)
-    if len(errors) == mark and not {"box_lower", "box_upper"} <= fields.keys():
-        errors.append(f"{where}: box_lower and box_upper are required")
-    return LqPlayer(**fields) if len(errors) == mark else None
-
-
-_LQ_CONSTRAINT = {
+}, required=("box_lower", "box_upper"))
+_CONSTRAINT = _filled(LqConstraint, {
     "input_coeffs": _array, "offset": _REAL, "gamma": _PROBABILITY,
     "state_coeffs": _array,
-}
-
-
-def _constraint(section, where, errors) -> LqConstraint | None:
-    mark = len(errors)
-    fields = _read(section, _LQ_CONSTRAINT, where, errors)
-    if len(errors) == mark and "input_coeffs" not in fields:
-        errors.append(f"{where}.input_coeffs: required")
-    return LqConstraint(**fields) if len(errors) == mark else None
-
-
+}, required=("input_coeffs",))
 _MICROGRID = {
     "kind": _text, "n_households": _SIZE, "horizon": _SIZE,
     "delta_t": _POSITIVE, "efficiency": _POSITIVE,
@@ -206,7 +193,7 @@ _MICROGRID = {
 _LQ = {
     "kind": _text, "horizon": _SIZE, "state_dim": _SIZE, "initial_state": _array,
     "a_mats": _array, "b_mats": _list(_array),
-    "players": _list(_player), "constraints": _list(_constraint),
+    "players": _list(_PLAYER), "constraints": _list(_CONSTRAINT),
     "noise_mean": _array, "noise_std": _array,
 }
 
@@ -279,23 +266,8 @@ _SOLVER = {
     "snapshot_every": _COUNT, "divergence_factor": _number(lo=1),
 }
 
-
-def _solver(section, where, errors) -> SolverConfig:
-    """SolverConfig with the keys present; ``step_x`` and ``batch_x`` set the
-    field ``x`` of its step and batch schedules."""
-    fields = _read(section, _SOLVER, where, errors)
-    schedules = {"step": {}, "batch": {}}
-    for key in list(fields):
-        group, _, name = key.partition("_")
-        if group in schedules:
-            schedules[group][name] = fields.pop(key)
-    cfg = SolverConfig()
-    return replace(cfg, **fields, **{group: replace(getattr(cfg, group), **values)
-                                     for group, values in schedules.items()})
-
-
 _TOP = {
-    "game": _game, "com": _com, "solver": _solver,
+    "game": _game, "com": _com, "solver": _filled(SolverConfig, _SOLVER),
     "output": _filled(OutputPaths, {"trace": _text, "summary": _text, "strategies": _text}),
     "verification": _filled(VerificationParams, {
         "satisfaction_samples": _SIZE, "epsilon_gap_candidates": _COUNT,

@@ -168,28 +168,6 @@ def _terminal_cost_grad(p: MicrogridParams):
     return grad
 
 
-def _cost_value(p: MicrogridParams, i: int):
-    n, T = p.n_households, p.horizon
-
-    def value(u, states):
-        profile = u.reshape(n, T)
-        exchange = p.demand - profile
-        price = p.tou_tariff + (p.tariff_coupling / n) * exchange.sum(axis=0)
-        degradation = (p.alpha_discharge * profile ** 2
-                       + p.beta_discharge * profile).sum()
-        term1 = float((price * exchange[i]).sum() + degradation)
-        inside = 1.0 + exchange[i].sum()
-        if inside <= 0:
-            raise ValueError(
-                f"household {i} grid exchange sum {inside - 1.0} leaves the log domain; "
-                "check demand/bounds in the config")
-        term2 = -p.alpha_utility * math.log(inside)
-        dev = states[:, -1] - p.soc_desired
-        return term1 + term2 + 0.5 * p.alpha_battery * dev ** 2
-
-    return value
-
-
 def household_cost_value(i: int, u: np.ndarray, w: np.ndarray, p: MicrogridParams) -> float:
     """Total cost of household i at one sampled disturbance (reporting only)."""
     n, T = p.n_households, p.horizon
@@ -198,10 +176,18 @@ def household_cost_value(i: int, u: np.ndarray, w: np.ndarray, p: MicrogridParam
     if u.shape[0] != n * T or w.shape[0] != T:
         raise ValueError("dimension mismatch in strategies or disturbance")
     profile = u.reshape(n, T)
-    soc_final = (p.soc_initial + w.sum()
-                 - p.efficiency * p.delta_t * profile.sum())
-    states = np.array([[soc_final]])  # value closure only reads the last column
-    return float(_cost_value(p, i)(u, states)[0])
+    exchange = p.demand - profile
+    price = p.tou_tariff + (p.tariff_coupling / n) * exchange.sum(axis=0)
+    degradation = (p.alpha_discharge * profile[i] ** 2 + p.beta_discharge * profile[i]).sum()
+    inside = 1.0 + exchange[i].sum()
+    if inside <= 0:
+        raise ValueError(
+            f"household {i} grid exchange sum {inside - 1.0} leaves the log domain; "
+            "check demand/bounds in the config")
+    soc_final = p.soc_initial + w.sum() - p.efficiency * p.delta_t * profile.sum()
+    return float((price * exchange[i]).sum() + degradation
+                 - p.alpha_utility * math.log(inside)
+                 + 0.5 * p.alpha_battery * (soc_final - p.soc_desired) ** 2)
 
 
 def _soc_band_constraints(p: MicrogridParams):

@@ -55,7 +55,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +71,7 @@ TERMINATION_BUDGET = "budget"
 TERMINATION_DIVERGENCE = "divergence-guard"
 TERMINATION_NON_FINITE = "non-finite"
 
-CHECKPOINT_FORMAT = "ccgames-state v3"
+CHECKPOINT_FORMAT = "ccgames-state v4"
 # the settings a resume may change: extending the budget is what resume is for
 RESUMABLE_SETTINGS = ("max_iterations", "residual_tolerance", "checkpoint_every", "snapshot_every")
 STATE_ARRAYS = ("u", "u_avg_prev", "lam", "lam_avg_prev")
@@ -86,33 +86,17 @@ TWO_LANE_MIN_DRAWS = 16384
 
 
 @dataclass(frozen=True)
-class StepSchedule:
-    """Decaying step sizes a0 / (k + offset)."""
-
-    a0: float
-    offset: float = 2.0
-
-    def value(self, k: int) -> float:
-        return self.a0 / (k + self.offset)
-
-
-@dataclass(frozen=True)
-class BatchSchedule:
-    """Growing batch sizes ceil(scale * (k + offset)^exponent), at least 1."""
-
-    scale: float = 1.0
-    offset: float = 2.0
-    exponent: float = 1.1
-
-    def value(self, k: int) -> int:
-        return max(1, math.ceil(self.scale * (k + self.offset) ** self.exponent))
-
-
-@dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings; the fields are the keys of a config's ``solver``
+    section. Step sizes are step_a0 / (k + step_offset) and batch sizes
+    ceil(batch_scale * (k + batch_offset)^batch_exponent), at least 1."""
+
     delta: float = 0.9
-    step: StepSchedule = field(default_factory=lambda: StepSchedule(a0=1.4e-4))
-    batch: BatchSchedule = field(default_factory=BatchSchedule)
+    step_a0: float = 1.4e-4
+    step_offset: float = 2.0
+    batch_scale: float = 1.0
+    batch_offset: float = 2.0
+    batch_exponent: float = 1.1
     max_iterations: int = 1000
     residual_tolerance: float = 1e-8
     residual_batch: int = 2000
@@ -125,13 +109,13 @@ class SolverConfig:
 def step_size(cfg: SolverConfig, k: int) -> float:
     if k < 0:
         raise ValueError("iteration index must be nonnegative")
-    return cfg.step.value(k)
+    return cfg.step_a0 / (k + cfg.step_offset)
 
 
 def batch_size(cfg: SolverConfig, k: int) -> int:
     if k < 0:
         raise ValueError("iteration index must be nonnegative")
-    return cfg.batch.value(k)
+    return max(1, math.ceil(cfg.batch_scale * (k + cfg.batch_offset) ** cfg.batch_exponent))
 
 
 @dataclass(frozen=True)
@@ -169,10 +153,10 @@ def validate_config(cfg: SolverConfig, lipschitz_estimate: float) -> ValidationR
     checks.append(ValidationCheck(
         "averaging-upper", cfg.delta < 1.0,
         f"delta={cfg.delta} must be < 1 (strict)"))
-    positive = cfg.step.a0 > 0 and cfg.step.offset > 0
+    positive = cfg.step_a0 > 0 and cfg.step_offset > 0
     checks.append(ValidationCheck(
         "step-positive", positive,
-        f"step schedule a0={cfg.step.a0}, offset={cfg.step.offset} must be positive"))
+        f"step_a0={cfg.step_a0}, step_offset={cfg.step_offset} must be positive"))
     # alpha(k) is evaluated only for a positive schedule: k + offset may be 0 otherwise
     unchecked = "not evaluated: the step schedule fails step-positive"
     if not math.isfinite(lipschitz_estimate):
@@ -197,11 +181,11 @@ def validate_config(cfg: SolverConfig, lipschitz_estimate: float) -> ValidationR
         "step-decreasing", ratios_ok,
         "alpha(k) must be nonincreasing" if positive else unchecked))
     checks.append(ValidationCheck(
-        "batch-growth", cfg.batch.exponent > 1.0,
-        f"batch exponent {cfg.batch.exponent} must exceed 1 (superlinear growth)"))
+        "batch-growth", cfg.batch_exponent > 1.0,
+        f"batch_exponent={cfg.batch_exponent} must exceed 1 (superlinear growth)"))
     checks.append(ValidationCheck(
-        "batch-scale", cfg.batch.scale > 0 and cfg.batch.offset > 0,
-        f"batch schedule scale={cfg.batch.scale}, offset={cfg.batch.offset} must be positive"))
+        "batch-scale", cfg.batch_scale > 0 and cfg.batch_offset > 0,
+        f"batch_scale={cfg.batch_scale}, batch_offset={cfg.batch_offset} must be positive"))
     return ValidationReport(tuple(checks))
 
 
@@ -547,19 +531,14 @@ def write_text_atomic(path, text: str) -> None:
 
 def write_checkpoint(state: SolverState, cfg: SolverConfig, directory) -> str:
     """Write ``checkpoint_<k>.json`` atomically (``write_text_atomic``): the
-    settings ``cfg`` and the iterate ``state``. ``json`` writes each float
+    settings ``cfg``, whose object is a config ``solver`` section, and the
+    iterate ``state``. ``json`` writes each float
     as its shortest repr, which reads back to the same bits."""
     path = Path(directory) / f"checkpoint_{state.k:08d}.json"
     doc = {"format": CHECKPOINT_FORMAT, "solver": asdict(cfg), "k": state.k,
            **{name: getattr(state, name).tolist() for name in STATE_ARRAYS}}
     write_text_atomic(path, json.dumps(doc) + "\n")
     return str(path)
-
-
-def _settings(solver: dict) -> dict:
-    """``asdict`` of a SolverConfig keyed by dotted names such as ``step.a0``."""
-    return {f"{name}.{sub}" if sub else name: v for name, value in solver.items()
-            for sub, v in (value.items() if isinstance(value, dict) else [("", value)])}
 
 
 def load_checkpoint(path, cfg: SolverConfig) -> SolverState:
@@ -575,7 +554,9 @@ def load_checkpoint(path, cfg: SolverConfig) -> SolverState:
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
     try:
-        stored, wanted = _settings(doc["solver"]), _settings(asdict(cfg))
+        stored, wanted = doc["solver"], asdict(cfg)
+        if not isinstance(stored, dict):
+            raise TypeError(f"solver={stored!r} is not an object")
         state = SolverState(operator.index(doc["k"]),
                             *(np.array(doc[name], dtype=float) for name in STATE_ARRAYS))
         if isinstance(doc["k"], bool) or state.k < 0:

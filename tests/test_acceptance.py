@@ -276,8 +276,7 @@ class TestAcceptance:
         bad_delta = replace(cfg.solver, delta=0.5)
         rejects_delta = not validate_config(bad_delta, lip).passed
         bound = 1.0 / (4.0 * cfg.solver.delta * (2.0 * lip + 1.0))
-        big_step = replace(cfg.solver,
-                           step=solver.StepSchedule(a0=4.0 * bound, offset=1.0))
+        big_step = replace(cfg.solver, step_a0=4.0 * bound, step_offset=1.0)
         rejects_step = not validate_config(big_step, lip).passed
         dt = time.time() - t0
         report(9, "config-gate",

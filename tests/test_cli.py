@@ -241,9 +241,14 @@ class TestConfigErrors:
         (edited("game", "b_mats", [[[1.0], [1.0, 2.0]]]),
          "game.b_mats[0]: expected a numeric array"),
         (edited("output", "trace", 1), "output.trace: expected a string, got 1"),
+        (lambda doc: doc["game"]["players"][1].pop("box_upper"),
+         "game.players[1].box_upper: required"),
+        (lambda doc: doc["game"]["constraints"][0].pop("input_coeffs"),
+         "game.constraints[0].input_coeffs: required"),
     ], ids=["solver-list", "solver-string", "com-list", "output-list",
             "verification-string", "player-not-object", "b-mats-not-list",
-            "b-mats-ragged", "output-name-number"])
+            "b-mats-ragged", "output-name-number", "player-without-box-upper",
+            "constraint-without-input-coeffs"])
     def test_malformed_section_is_one_path_error(self, tmp_path, capsys, edit, message):
         doc = oracle_doc()
         edit(doc)
@@ -268,9 +273,7 @@ class TestConfigErrors:
         doc = oracle_doc()
         doc["solver"] = {"step_a0": 3.0, "batch_exponent": 1.5}
         cfg = parse_config(write_doc(tmp_path, doc))
-        assert cfg.solver == replace(SolverConfig(),
-                                     step=replace(SolverConfig().step, a0=3.0),
-                                     batch=replace(SolverConfig().batch, exponent=1.5))
+        assert cfg.solver == replace(SolverConfig(), step_a0=3.0, batch_exponent=1.5)
 
     @pytest.mark.parametrize("beta", [-0.1, [-0.1]])
     def test_negative_com_beta_rejected(self, tmp_path, capsys, beta):

@@ -152,6 +152,23 @@ class TestCostOracle:
         assert household_cost_value(0, u, w, p) == pytest.approx(
             term1 + term2 + term3, rel=1e-12)
 
+    def test_two_household_hand_value(self):
+        # household 0 pays its own degradation only: household 1's discharge
+        # enters its cost through the price and the shared state alone
+        p = MicrogridParams(n_households=2, horizon=2, delta_t=12.0,
+                            demand=np.array([1.0, 2.0]), tou_tariff=np.array([20.0, 30.0]),
+                            renewable_mean=np.zeros(2), renewable_std=np.full(2, 0.1))
+        u = np.array([0.2, 0.0, 0.1, 0.1])
+        w = np.array([1e-4, 0.0])
+        exchange0, exchange1 = np.array([0.8, 2.0]), np.array([0.9, 1.9])
+        price = np.array([20.0, 30.0]) + 0.5 * (exchange0 + exchange1)
+        term1 = (price * exchange0).sum() + 80.0 * 0.04 + 10.0 * 0.2
+        term2 = -50.0 * math.log(1.0 + 2.8)
+        soc_final = 0.5 + 1e-4 - 5e-5 * 12.0 * 0.4
+        term3 = 0.5 * (soc_final - 0.5) ** 2
+        assert household_cost_value(0, u, w, p) == pytest.approx(
+            term1 + term2 + term3, rel=1e-12)
+
     def test_log_domain_guard(self):
         p = MicrogridParams(n_households=1, horizon=1, delta_t=1.0,
                             demand=np.array([0.2]))

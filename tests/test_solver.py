@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import ccgames.config as config_mod
 import ccgames.game as game_mod
 import ccgames.solver as solver
 from ccgames.com import ComModel, UnderApproxOffsets
-from ccgames.config import build_game, parse_config
+from ccgames.config import build_game, parse_config, parse_config_dict
 from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           PlayerSpec, ReducedLift, base_trajectory, constraint_values, lift_base,
@@ -24,8 +25,7 @@ from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           reduce_noise, reduced_lift, state_batch)
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream, residual_stream
-from ccgames.solver import (BatchSchedule, SolverConfig,
-                            StepSchedule, batch_size, coordinator_noise, coordinator_step,
+from ccgames.solver import (SolverConfig, batch_size, coordinator_noise, coordinator_step,
                             draw_noise, estimate_lipschitz, estimator_diagnostics,
                             initial_state, iterate, player_step,
                             residual_estimate, residual_noise, run, step_size,
@@ -35,8 +35,8 @@ from conftest import (CONFIG_DIR, assert_run_equals_reference, quadratic_oracle_
                       random_lq_params, reference_jacobian_block,
                       reference_pseudo_gradient_block)
 
-PAPER_STEP = StepSchedule(a0=1.4e-4, offset=2.0)
-PAPER_BATCH = BatchSchedule(scale=1.0, offset=2.0, exponent=1.1)
+PAPER_STEP = dict(step_a0=1.4e-4, step_offset=2.0)
+PAPER_BATCH = dict(batch_scale=1.0, batch_offset=2.0, batch_exponent=1.1)
 
 
 def simple_game(n_players=2, horizon=2, constraint_offset=-1.0, noise_std=0.0,
@@ -93,8 +93,8 @@ def coordinator_batch(game, cfg, k=0):
 
 
 def quick_config(**kw):
-    base = dict(delta=0.7, step=StepSchedule(a0=0.2, offset=2.0),
-                batch=BatchSchedule(scale=1.0, offset=2.0, exponent=1.1),
+    base = dict(delta=0.7, step_a0=0.2, step_offset=2.0,
+                batch_scale=1.0, batch_offset=2.0, batch_exponent=1.1,
                 max_iterations=50, residual_tolerance=0.0, residual_batch=64, seed=5)
     base.update(kw)
     return SolverConfig(**base)
@@ -102,24 +102,24 @@ def quick_config(**kw):
 
 class TestSchedules:
     def test_paper_batch_values(self):
-        cfg = quick_config(batch=PAPER_BATCH)
+        cfg = quick_config(**PAPER_BATCH)
         assert batch_size(cfg, 0) == 3      # ceil(2^1.1)
         assert batch_size(cfg, 8) == 13     # ceil(10^1.1)
 
     def test_paper_step_value(self):
-        cfg = quick_config(step=PAPER_STEP)
+        cfg = quick_config(**PAPER_STEP)
         assert step_size(cfg, 0) == pytest.approx(7e-5)
 
     @given(k=st.integers(0, 10**4))
     @settings(max_examples=60)
     def test_batch_nondecreasing(self, k):
-        cfg = quick_config(batch=PAPER_BATCH)
+        cfg = quick_config(**PAPER_BATCH)
         assert batch_size(cfg, k + 1) >= batch_size(cfg, k) >= 1
 
     @given(k=st.integers(0, 10**6))
     @settings(max_examples=60)
     def test_step_monotone_with_bounded_ratio(self, k):
-        cfg = quick_config(step=PAPER_STEP)
+        cfg = quick_config(**PAPER_STEP)
         a_k, a_next = step_size(cfg, k), step_size(cfg, k + 1)
         assert 0 < a_next <= a_k
         assert a_next / a_k >= (k + 2) / (k + 3) - 1e-12
@@ -127,34 +127,34 @@ class TestSchedules:
 
 class TestValidateConfig:
     def test_paper_delta_passes(self):
-        report = validate_config(quick_config(delta=0.9, step=PAPER_STEP), 1.0)
+        report = validate_config(quick_config(delta=0.9, **PAPER_STEP), 1.0)
         assert report.passed
 
     def test_delta_half_fails_golden_ratio(self):
-        report = validate_config(quick_config(delta=0.5, step=PAPER_STEP), 1.0)
+        report = validate_config(quick_config(delta=0.5, **PAPER_STEP), 1.0)
         assert not report.passed
         assert any(c.name == "averaging-lower" for c in report.failures)
 
     def test_delta_one_fails_strict_bound(self):
-        report = validate_config(quick_config(delta=1.0, step=PAPER_STEP), 1.0)
+        report = validate_config(quick_config(delta=1.0, **PAPER_STEP), 1.0)
         assert any(c.name == "averaging-upper" for c in report.failures)
 
     def test_step_bound_against_lipschitz(self):
-        cfg = quick_config(delta=0.9, step=StepSchedule(a0=1.0, offset=2.0))
+        cfg = quick_config(delta=0.9, step_a0=1.0, step_offset=2.0)
         report = validate_config(cfg, 10.0)
         assert any(c.name == "step-bound" for c in report.failures)
         bound = 1.0 / (4 * 0.9 * 21.0)
-        ok = quick_config(delta=0.9, step=StepSchedule(a0=bound, offset=1.0))
+        ok = quick_config(delta=0.9, step_a0=bound, step_offset=1.0)
         assert validate_config(ok, 10.0).passed
 
     def test_sublinear_batch_growth_fails(self):
-        cfg = quick_config(batch=BatchSchedule(scale=1.0, offset=2.0, exponent=0.9))
+        cfg = quick_config(batch_scale=1.0, batch_offset=2.0, batch_exponent=0.9)
         assert any(c.name == "batch-growth" for c in validate_config(cfg, 1.0).failures)
 
     @pytest.mark.parametrize("offset", [0.0, -1.0])
     def test_nonpositive_step_offset_reported_not_raised(self, offset):
         # alpha(k) divides by k + offset, which is 0 at k = 0 or k = 1 here
-        report = validate_config(quick_config(step=StepSchedule(a0=1e-4, offset=offset)), 1.0)
+        report = validate_config(quick_config(step_a0=1e-4, step_offset=offset), 1.0)
         failed = {c.name: c.detail for c in report.failures}
         assert set(failed) == {"step-positive", "step-bound", "step-decreasing"}
         assert "step-positive" in failed["step-bound"]
@@ -228,7 +228,7 @@ class TestPlayerStep:
 
     def test_clamp_at_upper_bound(self):
         game, offsets = simple_game(n_players=1, box=(0.0, 0.5))
-        cfg = quick_config(step=StepSchedule(a0=10.0, offset=2.0))
+        cfg = quick_config(step_a0=10.0, step_offset=2.0)
         state = initial_state(game, cfg)
         _, u_next = player_step(state, game, cfg, player_noise(game, cfg),
                                 lift_base(game, state.u))
@@ -281,7 +281,7 @@ class TestIterate:
 
     def test_feasibility_invariants(self):
         game, offsets = simple_game(noise_std=0.4, box=(0.0, 0.6))
-        cfg = quick_config(step=StepSchedule(a0=1.0, offset=2.0))
+        cfg = quick_config(step_a0=1.0, step_offset=2.0)
         state = initial_state(game, cfg)
         for _ in range(20):
             state, _ = step(state, game, offsets, cfg)
@@ -369,7 +369,7 @@ class TestRun:
     def test_tolerance_termination(self):
         game, offsets = simple_game(n_players=1, constraint_offset=None)
         cfg = quick_config(max_iterations=4000, residual_tolerance=1e-6,
-                           step=StepSchedule(a0=20.0, offset=50.0))
+                           step_a0=20.0, step_offset=50.0)
         trace = run(game, offsets, cfg)
         assert trace.termination_reason == solver.TERMINATION_TOLERANCE
         assert trace.records[-1].residual <= 1e-6
@@ -379,7 +379,7 @@ class TestRun:
         game, offsets = simple_game(n_players=1, constraint_offset=None,
                                     box=(-1e12, 1e12))
         # absurd step on an expansive problem: blow past the guard
-        cfg = quick_config(step=StepSchedule(a0=1e9, offset=1.0),
+        cfg = quick_config(step_a0=1e9, step_offset=1.0,
                            divergence_factor=10.0, max_iterations=2000)
         trace = run(game, offsets, cfg)
         assert trace.termination_reason == solver.TERMINATION_DIVERGENCE
@@ -584,7 +584,7 @@ class TestSharedEvaluation:
         # run() lifts the residual noise once and each iterate's base once;
         # stepping with freshly computed inputs must give the same bits
         _, game, offsets = reduced_microgrid
-        cfg = quick_config(step=StepSchedule(a0=5e-3, offset=2.0), max_iterations=6,
+        cfg = quick_config(step_a0=5e-3, step_offset=2.0, max_iterations=6,
                            residual_batch=100)
         trace = run(game, offsets, cfg)
         state = initial_state(game, cfg)
@@ -626,7 +626,7 @@ class TestCheckpoint:
         # the guard is relative to the projected origin, not to the resumed iterate
         game, offsets = simple_game(n_players=1, constraint_offset=None,
                                     box=(-1e12, 1e12))
-        cfg = quick_config(step=StepSchedule(a0=5.0, offset=1.0), divergence_factor=10.0,
+        cfg = quick_config(step_a0=5.0, step_offset=1.0, divergence_factor=10.0,
                            checkpoint_every=1, max_iterations=300)
         full = run(game, offsets, cfg, checkpoint_dir=tmp_path)
         assert (full.termination_reason, full.final_state.k) == \
@@ -640,10 +640,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("name, changed", [
         ("seed", lambda cfg: replace(cfg, seed=6)),
         ("delta", lambda cfg: replace(cfg, delta=0.8)),
-        ("step.a0", lambda cfg: replace(cfg, step=replace(cfg.step, a0=0.1))),
-        ("batch.exponent", lambda cfg: replace(cfg, batch=replace(cfg.batch, exponent=1.2))),
+        ("step_a0", lambda cfg: replace(cfg, step_a0=0.1)),
+        ("batch_exponent", lambda cfg: replace(cfg, batch_exponent=1.2)),
         ("divergence_factor", lambda cfg: replace(cfg, divergence_factor=7.0)),
-    ], ids=["seed", "delta", "step.a0", "batch.exponent", "divergence_factor"])
+    ], ids=["seed", "delta", "step_a0", "batch_exponent", "divergence_factor"])
     def test_other_settings_refused(self, tmp_path, name, changed):
         game, offsets = simple_game(noise_std=0.3)
         cfg = quick_config(max_iterations=3)
@@ -661,10 +661,21 @@ class TestCheckpoint:
                           checkpoint_every=4, snapshot_every=2)
         assert np.array_equal(solver.load_checkpoint(path, resumed).u, state.u)
 
+    def test_settings_are_the_config_solver_keys(self):
+        assert {f.name for f in fields(SolverConfig)} == set(config_mod._SOLVER)
+
+    def test_checkpoint_settings_read_as_a_config_section(self, tmp_path):
+        game, offsets = simple_game()
+        cfg = quick_config(max_iterations=2)
+        path = solver.write_checkpoint(run(game, offsets, cfg).final_state, cfg, tmp_path)
+        doc = json.loads((CONFIG_DIR / "quadratic_oracle.json").read_text())
+        doc["solver"] = json.loads(Path(path).read_text())["solver"]
+        assert parse_config_dict(doc).solver == cfg
+
     def test_bad_tag_rejected(self, tmp_path):
         # a v1 text checkpoint is refused, and so is a JSON document of another
         # format; a complete v2 document too, since its run drew its batches
-        # by another law
+        # by another law, and a v3 one, whose settings carry nested names
         v1 = tmp_path / "checkpoint_00000003.txt"
         v1.write_text("ccgames-state v1\nseed 5\nk 3\nu 0.5 0.5\nu_avg_prev 0.5 0.5\n"
                       "multiplier 0.0\nmultiplier_avg_prev 0.0\n")
@@ -673,11 +684,18 @@ class TestCheckpoint:
         game, offsets = simple_game()
         cfg = quick_config(max_iterations=2)
         v2 = Path(solver.write_checkpoint(run(game, offsets, cfg).final_state, cfg, tmp_path))
-        v2.write_text(json.dumps({**json.loads(v2.read_text()), "format": "ccgames-state v2"}))
-        for path in (v1, other, v2):
+        doc = json.loads(v2.read_text())
+        v2.write_text(json.dumps({**doc, "format": "ccgames-state v2"}))
+        v3 = tmp_path / "v3.json"
+        v3.write_text(json.dumps({**doc, "format": "ccgames-state v3", "solver": {
+            **{k: v for k, v in doc["solver"].items() if not k.startswith(("step_", "batch_"))},
+            "step": {"a0": cfg.step_a0, "offset": cfg.step_offset},
+            "batch": {"scale": cfg.batch_scale, "offset": cfg.batch_offset,
+                      "exponent": cfg.batch_exponent}}}))
+        for path in (v1, other, v2, v3):
             with pytest.raises(ValueError) as err:
                 solver.load_checkpoint(path, quick_config())
-            assert str(err.value) == f"{path}: not a ccgames-state v3 checkpoint"
+            assert str(err.value) == f"{path}: not a ccgames-state v4 checkpoint"
 
     @pytest.mark.parametrize("text", ["", "{", "[1, 2]", "\u00ff\u00fe"],
                              ids=["empty", "truncated", "list", "not-utf-8"])
@@ -686,7 +704,7 @@ class TestCheckpoint:
         path.write_text(text, encoding="latin-1")
         with pytest.raises(ValueError) as err:
             solver.load_checkpoint(path, quick_config())
-        assert str(err.value) == f"{path}: not a ccgames-state v3 checkpoint"
+        assert str(err.value) == f"{path}: not a ccgames-state v4 checkpoint"
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("lam_avg_prev"),
@@ -706,7 +724,7 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"{path}: malformed ccgames-state v3 checkpoint"):
+        with pytest.raises(ValueError, match=f"{path}: malformed ccgames-state v4 checkpoint"):
             solver.load_checkpoint(path, cfg)
 
     @pytest.mark.parametrize("name, wrong", [
@@ -764,7 +782,7 @@ class TestDiagnostics:
         game, offsets = build_lq_game(replace(params, players=players))
         lip = estimate_lipschitz(game, offsets, seed=1)
         assert math.isnan(lip)
-        report = validate_config(quick_config(step=PAPER_STEP), lip)
+        report = validate_config(quick_config(**PAPER_STEP), lip)
         [failure] = report.failures
         assert failure.name == "operator-finite"
         assert "not finite" in failure.detail

@@ -123,7 +123,7 @@ GAMES = {
 
 
 def step_config(**kw):
-    return replace(solver.SolverConfig(delta=0.7, step=solver.StepSchedule(a0=0.5, offset=2.0),
+    return replace(solver.SolverConfig(delta=0.7, step_a0=0.5, step_offset=2.0,
                                        residual_batch=50, seed=3), **kw)
 
 
