@@ -11,6 +11,8 @@ Subcommands:
 Exit codes for ``run``: 0 tolerance reached, 2 iteration budget exhausted,
 3 divergence guard tripped, 4 non-finite iterate, 1 configuration or I/O
 failure. ``summary.json`` is strict JSON: a non-finite number is written as null.
+Every front-end failure, in any subcommand, is one ``CliError`` (or
+``ConfigError``) that ``main`` prints to stderr before it returns 1.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +33,19 @@ from . import game as game_mod
 from . import solver as solver_mod
 from .config import ConfigError, RunConfig, build_game, parse_config
 from .rng import PURPOSE_PROBE, substream
+
+
+class CliError(Exception):
+    """A front-end failure: ``main`` prints the message to stderr and returns 1."""
+
+
+@contextmanager
+def _failing_as(prefix):
+    """Re-raise an OSError or ValueError of the block as ``CliError("prefix: error")``."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise CliError(f"{prefix}: {exc}") from exc
 
 
 def _strategy_rows(game, u):
@@ -140,17 +156,13 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
         lip = solver_mod.estimate_lipschitz(game, offsets, seed=cfg.solver.seed)
         report = solver_mod.validate_config(cfg.solver, lip)
         if not report.passed:
-            for check in report.failures:
-                print(f"validation failure: {check.name}: {check.detail}", file=sys.stderr)
-            print("refusing to run; pass --force to override", file=sys.stderr)
-            return 1
+            raise CliError("\n".join([*(f"validation failure: {check.name}: {check.detail}"
+                                        for check in report.failures),
+                                      "refusing to run; pass --force to override"]))
 
     out_dir = Path(args.out_dir)
-    try:
+    with _failing_as("cannot create output directory"):
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return 1
 
     trace = solver_mod.run(game, offsets, cfg.solver,
                            checkpoint_dir=out_dir if cfg.solver.checkpoint_every else None)
@@ -189,7 +201,7 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
             "candidates_evaluated": gap.candidates_evaluated,
         }
 
-    try:
+    with _failing_as("failed to write outputs"):
         write_trace_csv(trace, out_dir / cfg.output.trace)
         write_strategies_csv(out_dir / cfg.output.strategies, game, state.u)
         if cfg.solver.snapshot_every:
@@ -197,9 +209,6 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
         solver_mod.write_text_atomic(
             out_dir / cfg.output.summary,
             json.dumps(_strict_json(summary), indent=2, allow_nan=False) + "\n")
-    except OSError as exc:
-        print(f"failed to write outputs: {exc}", file=sys.stderr)
-        return 1
 
     culprits = summary["non_finite_updates"]
     reason = trace.termination_reason + (f" ({', '.join(culprits)})" if culprits else "")
@@ -212,14 +221,10 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
 
 
 def cmd_check_constraints(args, cfg: RunConfig, game, offsets) -> int:
-    try:
+    with _failing_as("cannot read strategies"):
         u = read_strategies_csv(args.strategies, game)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read strategies: {exc}", file=sys.stderr)
-        return 1
     if args.samples is not None and args.samples < 1:
-        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
-        return 1
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
     samples = cfg.verification.satisfaction_samples if args.samples is None else args.samples
     rng = substream(cfg.solver.seed, PURPOSE_PROBE, 3)
     rep = com_mod.estimate_constraint_satisfaction(game, u, samples, rng)
@@ -235,19 +240,12 @@ def cmd_check_constraints(args, cfg: RunConfig, game, offsets) -> int:
 
 
 def cmd_epsilon_gap(args, cfg: RunConfig, game, offsets) -> int:
-    try:
+    with _failing_as("cannot read strategies"):
         u_star = read_strategies_csv(args.strategies, game)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read strategies: {exc}", file=sys.stderr)
-        return 1
     if cfg.verification.epsilon_gap_candidates < 1:
-        print("verification.epsilon_gap_candidates must be at least 1", file=sys.stderr)
-        return 1
-    try:
+        raise CliError("verification.epsilon_gap_candidates must be at least 1")
+    with _failing_as("cannot certify the strategies"):
         gap = epsilon_gap(cfg, game, offsets, u_star)
-    except ValueError as exc:
-        print(f"cannot certify the strategies: {exc}", file=sys.stderr)
-        return 1
     print(f"gap terms over {gap.candidates_evaluated} unilateral deviations "
           f"({gap.samples_used} samples each); sampled max is a lower bound on the sup:")
     for j, m in enumerate(gap.m_hat):
@@ -283,25 +281,19 @@ def _read_trace(path):
 
 
 def cmd_plot_data(args, cfg: RunConfig, game, offsets) -> int:
-    try:
+    with _failing_as("cannot read trace"):
         rows = _read_trace(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return 1
     strategies_path = Path(args.strategies) if args.strategies else \
         Path(args.trace).parent / cfg.output.strategies
     u = None
     if cfg.game_kind == "microgrid" and strategies_path.exists():
-        try:
+        with _failing_as("cannot read strategies"):
             u = read_strategies_csv(strategies_path, game)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read strategies: {exc}", file=sys.stderr)
-            return 1
 
     outputs = {"residual_vs_iteration.csv": _lines("k,residual,alpha,batch", (
         f"{row['k']},{row['residual']},{row['alpha']},{row['batch']}" for row in rows))}
     out_dir, snaps = Path(args.out_dir), Path(args.trace).parent / "strategy_snapshots.csv"
-    try:
+    with _failing_as("failed to write outputs"):
         if snaps.exists():
             outputs["strategies_vs_iteration.csv"] = snaps.read_text(encoding="utf-8")
         if u is not None:
@@ -316,9 +308,6 @@ def cmd_plot_data(args, cfg: RunConfig, game, offsets) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in outputs.items():
             solver_mod.write_text_atomic(out_dir / name, text)
-    except OSError as exc:
-        print(f"failed to write outputs: {exc}", file=sys.stderr)
-        return 1
 
     print("wrote " + ", ".join(outputs))
     return 0
@@ -330,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="equilibrium seeking for dynamic games with coupled chance constraints")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=False):
+    def common(p, handler, needs_out=False):
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured seed")
@@ -338,27 +328,27 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out-dir", default=".", help="output directory")
 
     p_run = sub.add_parser("run", help="solve and write trace/summary/strategies")
-    common(p_run, needs_out=True)
+    common(p_run, cmd_run, needs_out=True)
     p_run.add_argument("--force", action="store_true",
                        help="run even if schedule validation fails")
 
     p_val = sub.add_parser("validate", help="check solver schedules")
-    common(p_val)
+    common(p_val, cmd_validate)
 
     p_chk = sub.add_parser("check-constraints",
                            help="verify chance constraints at a strategy file")
-    common(p_chk)
+    common(p_chk, cmd_check_constraints)
     p_chk.add_argument("--strategies", required=True, help="strategy CSV to verify")
     p_chk.add_argument("--samples", type=int, default=None,
                        help="override verification sample count")
 
     p_eps = sub.add_parser("epsilon-gap",
                            help="equilibrium-gap certificate terms at a strategy file")
-    common(p_eps)
+    common(p_eps, cmd_epsilon_gap)
     p_eps.add_argument("--strategies", required=True, help="strategy CSV to probe")
 
     p_plot = sub.add_parser("plot-data", help="emit tidy CSVs from a trace")
-    common(p_plot, needs_out=True)
+    common(p_plot, cmd_plot_data, needs_out=True)
     p_plot.add_argument("--trace", required=True, help="trace CSV from a run")
     p_plot.add_argument("--strategies", default=None,
                         help="strategy CSV for profile extracts")
@@ -368,25 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None and args.seed < 0:
-        print(f"--seed must be nonnegative, got {args.seed}", file=sys.stderr)
-        return 1
     try:
+        if args.seed is not None and args.seed < 0:
+            raise CliError(f"--seed must be nonnegative, got {args.seed}")
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
         game, offsets = build_game(cfg)
-    except ConfigError as exc:
+        return args.handler(args, cfg, game, offsets)
+    except (CliError, ConfigError) as exc:
         print(exc, file=sys.stderr)
         return 1
-    handlers = {
-        "run": cmd_run,
-        "validate": cmd_validate,
-        "check-constraints": cmd_check_constraints,
-        "epsilon-gap": cmd_epsilon_gap,
-        "plot-data": cmd_plot_data,
-    }
-    return handlers[args.command](args, cfg, game, offsets)
 
 
 if __name__ == "__main__":

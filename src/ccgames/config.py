@@ -106,6 +106,7 @@ _POSITIVE = _number(lo=0, strict_lo=True)
 _COUNT = _number(lo=0, integer=True)
 _SIZE = _number(lo=1, integer=True)
 _PROBABILITY = _number(lo=0, hi=1, strict_lo=True, strict_hi=True)
+_NONNEGATIVE = _number(lo=0)
 
 
 def _non_number(val, where):
@@ -187,7 +188,7 @@ _MICROGRID = {
     "terminal_band": _POSITIVE, "gamma_soc": _PROBABILITY, "gamma_terminal": _PROBABILITY,
     "tariff_coupling": _POSITIVE, "alpha_discharge": _POSITIVE,
     "beta_discharge": _POSITIVE, "alpha_utility": _POSITIVE, "alpha_battery": _POSITIVE,
-    "tou_tariff": _array, "demand": _array, "renewable_peak": _number(lo=0),
+    "tou_tariff": _array, "demand": _array, "renewable_peak": _NONNEGATIVE,
     "renewable_mean": _array, "renewable_std": _array,
 }
 _LQ = {
@@ -230,15 +231,9 @@ def _com_kind(val, where, errors):
 
 
 def _com_beta(val, where, errors):
-    entries = val if isinstance(val, list) else [val]
-    if any(isinstance(b, bool) or not isinstance(b, (int, float)) for b in entries):
-        errors.append(f"{where}: expected a number or a list of numbers, got {val!r}")
-    elif not all(math.isfinite(b) for b in entries):
-        errors.append(f"{where}: expected a finite number")
-    elif any(b < 0 for b in entries):
-        errors.append(f"{where}: must be nonnegative, got {val!r}")
-    else:
-        return val
+    """A nonnegative margin, or a list of them, one per constraint."""
+    read = _list(_NONNEGATIVE) if isinstance(val, list) else _NONNEGATIVE
+    return read(val, where, errors)
 
 
 _COM = {"kind": _com_kind, "beta": _com_beta, "theta_grid": _array, "h_grid": _array}
@@ -261,7 +256,7 @@ _SOLVER = {
     "delta": _number(lo=0, hi=1, strict_lo=True),
     "step_a0": _POSITIVE, "step_offset": _POSITIVE,
     "batch_scale": _POSITIVE, "batch_offset": _POSITIVE, "batch_exponent": _POSITIVE,
-    "max_iterations": _COUNT, "residual_tolerance": _number(lo=0),
+    "max_iterations": _COUNT, "residual_tolerance": _NONNEGATIVE,
     "residual_batch": _SIZE, "seed": _COUNT, "checkpoint_every": _COUNT,
     "snapshot_every": _COUNT, "divergence_factor": _number(lo=1),
 }
@@ -290,10 +285,13 @@ def parse_config_dict(doc: dict) -> RunConfig:
 def parse_config(path) -> RunConfig:
     """Load and validate a JSON run config; raises ConfigError with details."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError([f"config file not found: {path}"])
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError([f"config file not found: {path}"]) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config file {path}: "
+                           f"{getattr(exc, 'strerror', None) or exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path}:{exc.lineno}: {exc.msg}"]) from exc
     return parse_config_dict(doc)

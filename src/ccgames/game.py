@@ -270,13 +270,19 @@ def _set_derived(obj, **values):
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Full game: dynamics with cached lift, players, constraints, noise.
+    """Full game: dynamics, players, constraints, noise; checked and derived
+    on construction, so ``dataclasses.replace`` rebuilds and re-checks it.
 
+    state_support   : the increasing trajectory columns the state oracles read (default: all).
     cost_input_grad : u -> (input_dim,) gradient of the input costs, block i
                       player i's own; None means no input cost.
 
-    Derived in ``__post_init__`` (so ``dataclasses.replace`` rebuilds them):
+    ``__post_init__`` checks the players against the dynamics (count, input
+    dims, box lengths) and the disturbance dimension, and ends by checking the
+    lift against the stepped recursion. Derived there:
 
+    lift                 : ``build_compact_lift(dynamics)``.
+    player_slices        : player i's block of the stacked profile, in order.
     input_dim            : length of the stacked profile, T sum_i n_i.
     box_lower/box_upper  : (input_dim,), the players' boxes stacked in order.
     block_height         : T n_i when every player's block has that height.
@@ -304,16 +310,17 @@ class GameSpec:
                            disturbance when the disturbance model declares
                            its Gaussian ``mean``/``std``, else None.
     reads_trajectory     : whether an estimate reads the trajectory (a state map or a support).
+    values_read_trajectory : whether a constraint value does (a state map or a closure).
     """
 
     dynamics: TimeVaryingLinearDynamics
-    lift: CompactLift
     players: tuple
     constraints: tuple
     disturbance: DisturbanceModel
-    player_slices: tuple = field(default=())
     state_support: tuple | None = None
     cost_input_grad: Callable | None = None
+    lift: CompactLift = field(init=False, repr=False, compare=False)
+    player_slices: tuple = field(init=False, repr=False, compare=False)
     input_dim: int = field(init=False, repr=False, compare=False)
     box_lower: np.ndarray = field(init=False, repr=False, compare=False)
     box_upper: np.ndarray = field(init=False, repr=False, compare=False)
@@ -332,39 +339,58 @@ class GameSpec:
     support_input_maps_t: object = field(init=False, repr=False, compare=False)
     support_law: SupportLaw | None = field(init=False, repr=False, compare=False)
     reads_trajectory: bool = field(init=False, repr=False, compare=False)
+    values_read_trajectory: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _set_derived(self, input_dim=self.dynamics.input_dim_total)
-        cons, sdim = self.constraints, self.lift.init_map.shape[0]
+        dyn, players, cons = self.dynamics, tuple(self.players), tuple(self.constraints)
+        if len(players) != dyn.n_players:
+            raise ValueError("player count does not match the dynamics input maps")
+        slices, off = [], 0
+        for i, (p, nj) in enumerate(zip(players, dyn.input_dims)):
+            if p.input_dim != nj:
+                raise ValueError(f"player {i} input_dim {p.input_dim} != dynamics {nj}")
+            if p.box_lower.shape[0] != dyn.horizon * nj:
+                raise ValueError(f"player {i} box bounds must cover T * n_i entries")
+            slices.append(slice(off, off + dyn.horizon * nj))
+            off += dyn.horizon * nj
+        if self.disturbance.dim != dyn.horizon * dyn.state_dim:
+            raise ValueError("disturbance dimension must be T * n_s")
+        lift = build_compact_lift(dyn)
+        _set_derived(self, players=players, constraints=cons, lift=lift,
+                     player_slices=tuple(slices), input_dim=dyn.input_dim_total)
+        sdim = lift.init_map.shape[0]
         state_map = _stacked(cons, "state_coeffs", sdim)
         input_map = _stacked(cons, "input_coeffs", self.input_dim)
         jac = np.zeros((self.input_dim, len(cons)))
-        for gm, sl in zip(self.lift.input_maps, self.player_slices):
-            # the same per-column products, in the same order, as a per-sample
-            # evaluation, so cached columns are bit-identical to evaluated ones
+        for gm, sl in zip(lift.input_maps, self.player_slices):
+            # one product per column, not one ``gm.T @ state_map`` per player:
+            # that rounds differently, and tests/conftest.py's
+            # reference_jacobian_block pins these bits with np.array_equal
             for j, c in enumerate(cons):
                 if c.state_coeffs is not None:
                     jac[sl, j] += gm.T @ c.state_coeffs
                 if c.input_coeffs is not None:
                     jac[sl, j] += c.input_coeffs[sl]
-        read_only = dict(box_lower=np.concatenate([p.box_lower for p in self.players]),
-                         box_upper=np.concatenate([p.box_upper for p in self.players]),
+        read_only = dict(box_lower=np.concatenate([p.box_lower for p in players]),
+                         box_upper=np.concatenate([p.box_upper for p in players]),
                          constant_jacobian=jac,
                          constant=np.array([c.offset for c in cons], dtype=float),
-                         init_trajectory=self.lift.init_map @ self.dynamics.s0)
+                         init_trajectory=lift.init_map @ dyn.s0)
         for array in read_only.values():
             array.flags.writeable = False
         heights = {sl.stop - sl.start for sl in self.player_slices}
         groups = {}
-        for i, p in enumerate(self.players):
+        for i, p in enumerate(players):
             if p.cost_state_grad is not None:
                 groups.setdefault(id(p.cost_state_grad), (p.cost_state_grad, []))[1].append(i)
+        nonlinear = tuple(j for j, c in enumerate(cons) if c.state_value is not None)
         _set_derived(self, **read_only, state_map=state_map, input_map=input_map,
                      block_height=heights.pop() if len(heights) == 1 else None,
-                     nonlinear_columns=tuple(j for j, c in enumerate(cons)
-                                             if c.state_value is not None),
+                     nonlinear_columns=nonlinear,
+                     values_read_trajectory=state_map is not None or bool(nonlinear),
                      state_cost_groups=tuple((g, np.array(ix)) for g, ix in groups.values()))
         self._resolve_support(sdim)
+        self._check_lift()
 
     def _resolve_support(self, sdim):
         declared = self.state_support
@@ -389,40 +415,14 @@ class GameSpec:
             else np.stack(self.lift.input_maps)
         noise_map_t = self.lift.noise_map[index].T
         d = self.disturbance
-        _set_derived(self, support=support, support_index=index, stacked_input_maps=maps,
+        _set_derived(self, state_support=declared, support=support, support_index=index,
+                     stacked_input_maps=maps,
                      reads_trajectory=self.state_map is not None or bool(support),
                      support_noise_map_t=noise_map_t,
                      support_law=None if d.mean is None
                      else SupportLaw.of(d.mean, d.std, noise_map_t),
                      support_input_maps_t=tuple(gm[index].T for gm in maps)
                      if self.block_height is None else maps[:, index].transpose(0, 2, 1))
-
-    @classmethod
-    def build(cls, dynamics: TimeVaryingLinearDynamics, players, constraints,
-              disturbance: DisturbanceModel, state_support=None,
-              cost_input_grad=None) -> "GameSpec":
-        """Validate and assemble a game; ``state_support`` declares the
-        trajectory columns its callable state oracles read (default: all)."""
-        players = tuple(players)
-        constraints = tuple(constraints)
-        if len(players) != dynamics.n_players:
-            raise ValueError("player count does not match the dynamics input maps")
-        for i, (p, nj) in enumerate(zip(players, dynamics.input_dims)):
-            if p.input_dim != nj:
-                raise ValueError(f"player {i} input_dim {p.input_dim} != dynamics {nj}")
-            if p.box_lower.shape[0] != dynamics.horizon * nj:
-                raise ValueError(f"player {i} box bounds must cover T * n_i entries")
-        if disturbance.dim != dynamics.horizon * dynamics.state_dim:
-            raise ValueError("disturbance dimension must be T * n_s")
-        lift = build_compact_lift(dynamics)
-        slices, off = [], 0
-        for nj in dynamics.input_dims:
-            slices.append(slice(off, off + dynamics.horizon * nj))
-            off += dynamics.horizon * nj
-        game = cls(dynamics, lift, players, constraints, disturbance, tuple(slices),
-                   None if state_support is None else tuple(state_support), cost_input_grad)
-        game._check_lift()
-        return game
 
     def _check_lift(self):
         # cheap construction-time cross-check of the cached lift against the recursion
@@ -446,11 +446,6 @@ class GameSpec:
     @property
     def state_traj_dim(self) -> int:
         return (self.dynamics.horizon + 1) * self.dynamics.state_dim
-
-    @property
-    def values_read_trajectory(self) -> bool:
-        """Whether a constraint value reads the trajectory, so the coordinator draws."""
-        return self.state_map is not None or bool(self.nonlinear_columns)
 
 
 def _profile(game: GameSpec, u: np.ndarray) -> np.ndarray:

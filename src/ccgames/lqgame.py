@@ -159,8 +159,7 @@ def build_lq_game(p: LqGameParams):
             input_coeffs=c.input_coeffs, offset=c.offset))
 
     disturbance = DisturbanceModel(dim=wdim, com_model=ComModel(), mean=mean, std=std)
-    game = GameSpec.build(dyn, players, constraints, disturbance,
-                          cost_input_grad=_input_grad(p, d))
+    game = GameSpec(dyn, players, constraints, disturbance, cost_input_grad=_input_grad(p, d))
     offsets = UnderApproxOffsets.from_game(game)
     return game, offsets
 

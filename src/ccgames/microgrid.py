@@ -256,7 +256,7 @@ def build_microgrid_game(p: MicrogridParams):
     disturbance = DisturbanceModel(dim=T, com_model=ComModel(), mean=eff * p.renewable_mean,
                                    std=eff * p.renewable_std)
     # every state oracle reads SoC_T alone
-    game = GameSpec.build(dyn, players, constraints, disturbance, state_support=(T,),
-                          cost_input_grad=_input_cost_grad(p))
+    game = GameSpec(dyn, players, constraints, disturbance, state_support=(T,),
+                    cost_input_grad=_input_cost_grad(p))
     offsets = UnderApproxOffsets.from_game(game)
     return game, offsets

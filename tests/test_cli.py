@@ -108,6 +108,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="bad.json:1"):
             parse_config(path)
 
+    @pytest.mark.parametrize("content, reason", [
+        (None, "Is a directory"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["directory", "non-utf8"])
+    def test_unreadable_config_is_one_message(self, tmp_path, capsys, content, reason):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "config.json"
+            path.write_bytes(content)
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == ("invalid configuration:\n  cannot read config "
+                                           f"file {path}: {reason}\n")
+
 
 def oracle_doc():
     return json.loads((CONFIG_DIR / "quadratic_oracle.json").read_text())
@@ -152,7 +165,7 @@ class TestConfigErrors:
         (edited("solver", "divergence_factor", float("nan")), "solver.divergence_factor"),
         (edited("solver", "residual_tolerance", float("nan")), "solver.residual_tolerance"),
         (edited("com", "beta", float("nan")), "com.beta"),
-        (edited("com", "beta", [float("inf")]), "com.beta"),
+        (edited("com", "beta", [float("inf")]), "com.beta[0]"),
     ], ids=["nan-iterations", "nan-seed", "inf-iterations", "nan-divergence",
             "nan-tolerance", "nan-beta", "inf-beta-entry"])
     def test_non_finite_scalar_rejected(self, tmp_path, capsys, edit, path):
@@ -279,8 +292,8 @@ class TestConfigErrors:
     def test_negative_com_beta_rejected(self, tmp_path, capsys, beta):
         doc = oracle_doc()
         doc["com"]["beta"] = beta
-        assert_one_message_exit_one(tmp_path, capsys, doc,
-                                    f"com.beta: must be nonnegative, got {beta!r}")
+        path = "com.beta[0]" if isinstance(beta, list) else "com.beta"
+        assert_one_message_exit_one(tmp_path, capsys, doc, f"{path}: must be >= 0, got -0.1")
 
     def test_constraint_beta_key_rejected(self, tmp_path):
         doc = oracle_doc()

@@ -30,8 +30,8 @@ def make_tiny_game(constraints, noise_std=1.0, box=(0.0, 1.0)):
     dist = DisturbanceModel(
         dim=1, sample=lambda rng, n: rng.normal(0.0, noise_std, size=(n, 1)),
         com_model=ComModel())
-    return GameSpec.build(dyn, (player,), tuple(constraints), dist,
-                          cost_input_grad=lambda u: u[:1])
+    return GameSpec(dyn, (player,), tuple(constraints), dist,
+                    cost_input_grad=lambda u: u[:1])
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def branch_game():
                                    offset=-0.2),
             CouplingConstraintSpec(gamma=0.3, com_scale=0.0, offset=-1.0))
     dist = DisturbanceModel(dim=6, com_model=ComModel(), mean=np.zeros(6), std=np.full(6, 0.5))
-    game = GameSpec.build(dyn, players, cons, dist, state_support=(3, 7))
+    game = GameSpec(dyn, players, cons, dist, state_support=(3, 7))
     return game, UnderApproxOffsets.from_game(game)
 
 
@@ -319,7 +319,7 @@ class TestEpsilonGap:
                 CouplingConstraintSpec(gamma=0.3, offset=-2.0,
                                        state_value=lambda S: np.abs(S[:, 1]),
                                        state_grad=lambda S: np.sign(S) * [0.0, 1.0]))
-        game = GameSpec.build(dyn, (player,), cons, dist)
+        game = GameSpec(dyn, (player,), cons, dist)
         offsets = UnderApproxOffsets.from_game(game)
         cands = [np.array([x]) for x in (0.0, 1.0, 3.0, 4.0)]
         est = estimate_epsilon_gap(game, np.array([2.0]), cands, 512,

@@ -14,6 +14,7 @@ from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           player_constraint_gradient_mean, project_local,
                           random_feasible_profile, state_batch)
 from ccgames.lqgame import build_lq_game
+from ccgames.microgrid import MicrogridParams, build_microgrid_game
 
 from conftest import (CONFIG_DIR, central_difference, random_dynamics,
                       random_lq_params, reference_constraint_values,
@@ -50,7 +51,7 @@ def build_quadratic_state_game(rng, state_cost=False):
         sample=lambda rng_, n: rng_.normal(size=(n, T * dyn.state_dim)),
         com_model=ComModel())
     # block i of the profile is player i's own gradient u_i
-    return GameSpec.build(dyn, players, (con,), dist, cost_input_grad=lambda u: u.copy())
+    return GameSpec(dyn, players, (con,), dist, cost_input_grad=lambda u: u.copy())
 
 
 class TestPseudoGradient:
@@ -140,7 +141,7 @@ class TestConstraints:
             dim=dyn.horizon * dyn.state_dim,
             sample=lambda r, n: r.normal(size=(n, dyn.horizon * dyn.state_dim)),
             com_model=ComModel())
-        game = GameSpec.build(dyn, players, (con,), dist)
+        game = GameSpec(dyn, players, (con,), dist)
         u = rng.normal(size=game.input_dim)
         w = rng.normal(size=game.disturbance.dim)
         expected = simulate_state(dyn, u, w).sum()
@@ -165,7 +166,7 @@ class TestStateBatch:
                               box_upper=np.ones(T * nj)) for nj in widths]
         dist = DisturbanceModel(dim=T * n_s, com_model=ComModel(),
                                 mean=np.zeros(T * n_s), std=np.ones(T * n_s))
-        game = GameSpec.build(dyn, players, (), dist)
+        game = GameSpec(dyn, players, (), dist)
         assert isinstance(game.stacked_input_maps, np.ndarray) == equal
         u = rng.normal(size=game.input_dim)
         w = rng.normal(size=(int(rng.integers(1, 8)), T * n_s))
@@ -250,8 +251,25 @@ class TestValidation:
                             box_upper=np.ones(2 * dyn.input_dims[0]))
         dist = DisturbanceModel(dim=2, sample=lambda r, n: r.normal(size=(n, 2)),
                                 com_model=ComModel())
-        with pytest.raises(ValueError):
-            GameSpec.build(dyn, (player,), (), dist)
+        with pytest.raises(ValueError, match="player count"):
+            GameSpec(dyn, (player,), (), dist)
+        game = build_quadratic_state_game(rng)
+        with pytest.raises(ValueError, match="player count"):
+            replace(game, players=game.players[:1])
+
+    def test_replaced_dynamics_rebuild_the_lift(self):
+        # a replaced game is built and checked again, so its lift follows the
+        # new dynamics instead of keeping the old one
+        game, _ = build_microgrid_game(MicrogridParams(n_households=2, horizon=4, delta_t=6.0))
+        dyn = game.dynamics
+        halved = replace(game, dynamics=replace(dyn, a_mats=0.5 * dyn.a_mats))
+        rng = np.random.default_rng(21)
+        u = random_feasible_profile(halved, rng)
+        w = halved.disturbance.sample(rng, 3)
+        rows = state_batch(halved, u, w)
+        for row, w_row in zip(rows, w):
+            np.testing.assert_allclose(row, simulate_state(halved.dynamics, u, w_row),
+                                       rtol=0, atol=1e-10)
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError):

@@ -141,8 +141,8 @@ class TestSupport:
 
     def test_build_passes_the_declaration(self, reduced_microgrid):
         _, game, _ = reduced_microgrid
-        rebuilt = GameSpec.build(game.dynamics, game.players, game.constraints,
-                                 game.disturbance, state_support=(2, 5))
+        rebuilt = GameSpec(game.dynamics, game.players, game.constraints,
+                           game.disturbance, state_support=(2, 5))
         assert rebuilt.support == (2, 5)
         assert isinstance(rebuilt.support_index, np.ndarray)
 

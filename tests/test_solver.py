@@ -64,7 +64,7 @@ def simple_game(n_players=2, horizon=2, constraint_offset=-1.0, noise_std=0.0,
     dist = DisturbanceModel(
         dim=T, sample=lambda rng, n: rng.standard_normal((n, T)),
         com_model=ComModel())
-    game = GameSpec.build(dyn, players, tuple(cons), dist, cost_input_grad=grad)
+    game = GameSpec(dyn, players, tuple(cons), dist, cost_input_grad=grad)
     return game, UnderApproxOffsets.from_game(game)
 
 

@@ -78,8 +78,8 @@ def unequal_height_game(state_support=None):
     )
     dist = DisturbanceModel(dim=T * n_s, sample=lambda r, n: r.standard_normal((n, T * n_s)),
                             com_model=ComModel())
-    game = GameSpec.build(dyn, players, cons, dist, state_support=state_support,
-                          cost_input_grad=lambda u: 0.3 * u + 0.1)
+    game = GameSpec(dyn, players, cons, dist, state_support=state_support,
+                    cost_input_grad=lambda u: 0.3 * u + 0.1)
     assert game.block_height is None
     return game, UnderApproxOffsets.from_game(game)
 
