@@ -164,8 +164,12 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
     with _failing_as("cannot create output directory"):
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    def checkpoint(state, record):
+        if state.k % cfg.solver.checkpoint_every == 0:
+            with _failing_as("cannot write checkpoint"):
+                solver_mod.write_checkpoint(state, cfg.solver, out_dir)
     trace = solver_mod.run(game, offsets, cfg.solver,
-                           checkpoint_dir=out_dir if cfg.solver.checkpoint_every else None)
+                           observe=checkpoint if cfg.solver.checkpoint_every else None)
     state = trace.final_state
     # the estimates are defined at a profile in the local sets, which a NaN is not
     omitted = None if state.is_finite() else "the final iterate is not finite"
@@ -286,7 +290,7 @@ def cmd_plot_data(args, cfg: RunConfig, game, offsets) -> int:
     strategies_path = Path(args.strategies) if args.strategies else \
         Path(args.trace).parent / cfg.output.strategies
     u = None
-    if cfg.game_kind == "microgrid" and strategies_path.exists():
+    if cfg.game_kind == "microgrid" and (args.strategies or strategies_path.exists()):
         with _failing_as("cannot read strategies"):
             u = read_strategies_csv(strategies_path, game)
 

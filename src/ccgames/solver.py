@@ -17,9 +17,9 @@ grow superlinearly and step sizes decay so sampling error is summable.
 
 Every entity draws its own fresh batch each iteration from a substream keyed
 by (``cfg.seed``, iteration, entity), so a run is bit-reproducible regardless
-of execution order. A ``SolverState`` is the iterate alone; a checkpoint is
-one JSON document of (solver settings, iterate), and a resume from it
-continues the run it left (``load_checkpoint``).
+of execution order. A ``SolverState`` is the iterate alone. ``run`` hands each
+iterate to its caller's ``observe``, which may write a checkpoint: one JSON
+document of (settings, iterate) that a resume continues (``load_checkpoint``).
 
 An entity draws only what its estimates read, and nothing when no estimate
 reads its draw. ``draw_noise`` makes the generators of the entities that draw
@@ -446,7 +446,7 @@ def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
 
 
 def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
-        initial: SolverState | None = None, checkpoint_dir=None) -> RunTrace:
+        initial: SolverState | None = None, observe=None) -> RunTrace:
     """Iterate until the residual tolerance, the budget, the divergence guard,
     or a non-finite iterate.
 
@@ -457,9 +457,11 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     iterate's batch-free parts (``lift_base``) are evaluated once and shared
     by the residual and both steps. The players' support noise is drawn into
     one flat buffer the run owns, made twice a batch's need whenever a batch
-    outgrows it. ``initial`` (a loaded checkpoint, say) needs
-    the game's dimensions and a nonnegative multiplier. The divergence guard
-    is relative to ``initial_state``, the projected origin, wherever a run starts.
+    outgrows it. ``initial`` (a loaded checkpoint, say) needs the game's
+    dimensions and a nonnegative multiplier. The divergence guard is relative
+    to ``initial_state``, the projected origin, wherever a run starts. Each
+    finite new iterate, before the guard, goes to ``observe(state, record)``
+    (read-only) with the record of its iteration; an exception from it propagates.
     """
     origin = initial_state(game, cfg)
     state = origin if initial is None else initial
@@ -493,9 +495,8 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             # NaN compares False against the guard, so it needs its own stop
             reason = TERMINATION_NON_FINITE
             break
-        if checkpoint_dir is not None and cfg.checkpoint_every > 0 \
-                and state.k % cfg.checkpoint_every == 0:
-            write_checkpoint(state, cfg, checkpoint_dir)
+        if observe is not None:
+            observe(state, record)
         if state.z_norm() > guard:
             reason = TERMINATION_DIVERGENCE
             break

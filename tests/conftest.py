@@ -1,14 +1,17 @@
 import json
 import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccgames import MicrogridParams, build_microgrid_game
-from ccgames.dynamics import TimeVaryingLinearDynamics
-from ccgames.game import lift_base, operator_estimate, reduce_noise
+from ccgames import MicrogridParams, build_microgrid_game, solver
+from ccgames.config import build_game, parse_config
+from ccgames.dynamics import TimeVaryingLinearDynamics, simulate_state
+from ccgames.game import ReducedLift, lift_base, operator_estimate, reduce_noise
 from ccgames.lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
+from ccgames.rng import iteration_stream
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -138,9 +141,7 @@ def reference_player_step(game, state, cfg, rows):
     time on its own support rows ``rows[i]`` (M, len(support)), with no
     stacked evaluation: each player's gradient and Jacobian block from the
     references above, its averaging, forward step and clip to its own box."""
-    from ccgames.solver import step_size
-
-    alpha = step_size(cfg, state.k)
+    alpha = solver.step_size(cfg, state.k)
     u_avg, u_next = [], []
     for i, (p, sl) in enumerate(zip(game.players, game.player_slices)):
         f_i = reference_pseudo_gradient_block(game, i, state.u, rows[i])
@@ -199,8 +200,6 @@ def reference_operator(game, u, w):
     not the lift); every oracle is evaluated on that row alone, and the
     per-row results are averaged at the end.
     """
-    from ccgames.dynamics import simulate_state
-
     u = np.asarray(u, dtype=float).reshape(-1)
     rows_f, rows_j, rows_g = [], [], []
     for w_r in np.atleast_2d(w):
@@ -254,8 +253,6 @@ def with_support_oracles(game, rng, support=None):
     ``state_coeffs`` for the value ``|S| @ rho`` with gradient
     ``sign(S) * rho`` on the support columns.
     """
-    from dataclasses import replace
-
     cols = list(range(game.state_traj_dim)) if support is None else list(support)
     players = tuple(
         replace(p, cost_state_grad=lambda S, wt=rng.uniform(0.5, 1.5, len(cols)):
@@ -275,8 +272,6 @@ def with_support_oracles(game, rng, support=None):
 def generic_copy(game):
     """The game with its disturbance model's Gaussian declaration dropped, so
     the solver draws every batch through ``disturbance.sample``."""
-    from dataclasses import replace
-
     return replace(game, disturbance=replace(game.disturbance, mean=None, std=None))
 
 
@@ -302,8 +297,6 @@ def hook_player_streams(monkeypatch, hook, players=None):
     streams of the players in ``players`` (default: every player) are
     ``HookedStream``s of ``hook``: each of their draws, through a sampler or
     from a declared law, on whichever thread it is made."""
-    from ccgames import solver
-
     streams = solver.iteration_streams
 
     def hooked(seed, k, n, first=0):
@@ -311,6 +304,40 @@ def hook_player_streams(monkeypatch, hook, players=None):
                 else rng for e, rng in enumerate(streams(seed, k, n, first), first)]
 
     monkeypatch.setattr(solver, "iteration_streams", hooked)
+
+
+def per_row(game):
+    """Numbers a player's draw takes per row."""
+    law = game.support_law
+    return game.disturbance.dim if law is None else law.factor.shape[0]
+
+
+RESUME_K = 9000  # the tail of the reduced acceptance run: two-lane batches
+
+
+@pytest.fixture(scope="session")
+def reduced_tail():
+    """microgrid_reduced resumed at RESUME_K for 3 iterations, as (the game
+    drawn from its declared law, the same game drawn through its sampler,
+    offsets, solver config, initial state). Both games draw on two lanes."""
+    cfg = parse_config(CONFIG_DIR / "microgrid_reduced.json")
+    game, offsets = build_game(cfg)
+    scfg = replace(cfg.solver, max_iterations=RESUME_K + 3)
+    initial = replace(solver.initial_state(game, scfg), k=RESUME_K)
+    games = (game, generic_copy(game))
+    for g in games:
+        assert solver.batch_size(scfg, RESUME_K) * per_row(g) >= solver.TWO_LANE_MIN_DRAWS
+    return games, offsets, scfg, initial
+
+
+def checkpoint_writer(cfg, directory):
+    """A ``solver.run`` observer that writes every ``cfg.checkpoint_every``-th
+    iterate's checkpoint into ``directory``, as ``ccgames run`` does."""
+    def observe(state, record):
+        if state.k % cfg.checkpoint_every == 0:
+            solver.write_checkpoint(state, cfg, directory)
+
+    return observe
 
 
 def serial_entity_noise(game, seed, k, m):
@@ -330,9 +357,6 @@ def serial_entity_noise(game, seed, k, m):
     no constraint closure reads the rows, zero rows and the mean disturbance
     ``mean + std eta / sqrt(m)``.
     """
-    from ccgames.game import ReducedLift, reduce_noise
-    from ccgames.rng import iteration_stream
-
     law, d, s = game.support_law, game.disturbance, len(game.support)
 
     def rows(rng):
@@ -366,9 +390,6 @@ def serial_reference_run(game, offsets, cfg, initial):
     every ``IterationRecord`` field but ``wall_ms`` (for a config without
     snapshots, so ``strategies`` is None). No divergence or non-finite stop.
     """
-    from ccgames import solver
-    from ccgames.game import lift_base
-
     state, records = initial, []
     noise_res = solver.residual_noise(game, cfg, cfg.seed)
     while True:
@@ -390,20 +411,22 @@ def serial_reference_run(game, offsets, cfg, initial):
         state = solver.SolverState(k + 1, u_next, u_avg, lam_next, lam_avg)
 
 
+def as_reference(trace):
+    """(final state, records) of ``trace`` in ``assert_run_equals_reference``'s form."""
+    return trace.final_state, [{name: value for name, value in vars(record).items()
+                                if name != "wall_ms"} for record in trace.records]
+
+
 def assert_run_equals_reference(trace, reference):
     """``trace`` of ``solver.run`` equals ``serial_reference_run``'s (final
     state, records) bit for bit, in every record field but ``wall_ms``."""
-    from dataclasses import fields
-
-    from ccgames.solver import IterationRecord
-
     state, records = reference
     final = trace.final_state
     assert final.k == state.k
     for name in ("u", "u_avg_prev", "lam", "lam_avg_prev"):
         assert np.array_equal(getattr(final, name), getattr(state, name)), name
     assert len(trace.records) == len(records)
-    names = [f.name for f in fields(IterationRecord) if f.name != "wall_ms"]
+    names = [f.name for f in fields(solver.IterationRecord) if f.name != "wall_ms"]
     for record, expected in zip(trace.records, records):
         assert sorted(names) == sorted(expected)
         for name in names:

@@ -5,9 +5,9 @@ oracle run and the 10^4-iteration reduced benchmark run) are session-scoped
 and shared across criteria.
 """
 
-import math
 import resource
 import time
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -17,12 +17,11 @@ import ccgames.solver as solver
 from ccgames.com import (ComModel, estimate_constraint_satisfaction, h_inverse)
 from ccgames.config import build_game, parse_config
 from ccgames.dynamics import build_compact_lift, simulate_state
-from ccgames.game import lift_base, random_feasible_profile
+from ccgames.game import random_feasible_profile
 from ccgames.microgrid import household_cost_value
 from ccgames.rng import substream
-from ccgames.solver import (batch_size, estimate_lipschitz,
-                            estimator_diagnostics, initial_state, iterate,
-                            residual_estimate, step_size, validate_config)
+from ccgames.solver import (estimate_lipschitz, estimator_diagnostics, initial_state,
+                            validate_config)
 
 from conftest import (CONFIG_DIR, apply_lift, central_difference, random_dynamics,
                       relative_error, sample_operator)
@@ -53,39 +52,36 @@ def oracle_run():
 
 @pytest.fixture(scope="session")
 def benchmark_run(reduced_microgrid):
-    """Instrumented 10^4-iteration run of the reduced shared-battery game."""
+    """The 10^4-iteration ``solver.run`` of the reduced shared-battery game,
+    whose observer checks criterion 8's invariants at each iterate against
+    the one before; the residuals, step sizes and batches are its records'."""
     params, game, offsets = reduced_microgrid
     cfg = parse_config(CONFIG_DIR / "microgrid_reduced.json").solver
-    state = initial_state(game, cfg)
-    # the residual batch and one draw buffer for every iterate, as solver.run has them
-    noise_res = solver.residual_noise(game, cfg, cfg.seed)
-    buffer = np.empty(game.n_players * batch_size(cfg, cfg.max_iterations) * len(game.support))
-    residuals, alphas, batches = [], [], []
-    identity_ok = feasible_ok = multiplier_ok = True
-    usage, t0 = resource.getrusage(resource.RUSAGE_SELF), time.time()
-    for _ in range(cfg.max_iterations):
-        base = lift_base(game, state.u)
-        res = residual_estimate(state, game, offsets, cfg, noise=noise_res, base=base)
-        prev = state
-        state, rec = iterate(state, game, offsets, cfg, residual=res, base=base, buffer=buffer)
-        residuals.append(res)
-        alphas.append(rec.alpha)
-        batches.append(rec.batch)
+    prev = initial_state(game, cfg)
+    ok = dict(identity_ok=True, feasible_ok=True, multiplier_ok=True)
+
+    def check(state, record):
+        nonlocal prev
         expect_u = (1.0 - cfg.delta) * prev.u + cfg.delta * prev.u_avg_prev
         expect_lam = (1.0 - cfg.delta) * prev.lam + cfg.delta * prev.lam_avg_prev
-        identity_ok = identity_ok and np.array_equal(state.u_avg_prev, expect_u) \
+        ok["identity_ok"] &= np.array_equal(state.u_avg_prev, expect_u) \
             and np.array_equal(state.lam_avg_prev, expect_lam)
-        multiplier_ok = multiplier_ok and bool(np.all(state.lam >= 0.0))
-        for p, sl in zip(game.players, game.player_slices):
-            if np.any(state.u[sl] < p.box_lower) or np.any(state.u[sl] > p.box_upper):
-                feasible_ok = False
+        ok["multiplier_ok"] &= bool(np.all(state.lam >= 0.0))
+        ok["feasible_ok"] &= bool(np.all((game.box_lower <= state.u)
+                                         & (state.u <= game.box_upper)))
+        prev = state
+
+    usage, t0 = resource.getrusage(resource.RUSAGE_SELF), time.time()
+    trace = solver.run(game, offsets, cfg, observe=check)
     seconds, after = time.time() - t0, resource.getrusage(resource.RUSAGE_SELF)
+    # the observer saw every iterate, the last one included
+    assert prev is trace.final_state and prev.k == cfg.max_iterations, trace.termination_reason
+    records = trace.records[:-1]
     return {
         "params": params, "game": game, "offsets": offsets, "cfg": cfg,
-        "state": state, "residuals": np.array(residuals),
-        "alphas": np.array(alphas), "batches": np.array(batches),
-        "identity_ok": identity_ok, "feasible_ok": feasible_ok,
-        "multiplier_ok": multiplier_ok, "seconds": seconds,
+        "state": trace.final_state, "residuals": np.array([r.residual for r in records]),
+        "alphas": np.array([r.alpha for r in records]),
+        "batches": np.array([r.batch for r in records]), **ok, "seconds": seconds,
         "system_seconds": after.ru_stime - usage.ru_stime,
         "minor_faults": after.ru_minflt - usage.ru_minflt,
     }
@@ -270,9 +266,6 @@ class TestAcceptance:
         game, offsets = build_game(cfg)
         lip = estimate_lipschitz(game, offsets, seed=cfg.solver.seed)
         accepts_shipped = validate_config(cfg.solver, lip).passed
-
-        from dataclasses import replace
-
         bad_delta = replace(cfg.solver, delta=0.5)
         rejects_delta = not validate_config(bad_delta, lip).passed
         bound = 1.0 / (4.0 * cfg.solver.delta * (2.0 * lip + 1.0))

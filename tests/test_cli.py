@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ccgames.com as com_mod
 from ccgames.com import h_inverse
 from ccgames.cli import epsilon_gap, main, read_strategies_csv, write_strategies_csv
 from ccgames.config import (ConfigError, OutputPaths, VerificationParams, build_game,
                             parse_config, parse_config_dict)
-from ccgames.solver import SolverConfig
+from ccgames.solver import SolverConfig, run, write_checkpoint
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -59,6 +60,11 @@ def write_doc(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def run_cli(config, out, *extra):
+    """Exit code of ``ccgames run --config config --out-dir out *extra``."""
+    return main(["run", "--config", str(config), "--out-dir", str(out), *extra])
 
 
 class TestParseConfig:
@@ -315,10 +321,7 @@ class TestConfigErrors:
             _, tightened = build_game(parse_config(write_doc(tmp_path, doc)))
             assert np.array_equal(tightened.offsets, np.add(base, beta))
 
-
     def test_build_game_computes_each_offset_once(self, tmp_path, monkeypatch):
-        import ccgames.com as com_mod
-
         calls = []
 
         def counted(model, gamma, **kw):
@@ -389,52 +392,65 @@ def nan_player_zero_gradient(monkeypatch):
     monkeypatch.setattr(config_mod, "build_lq_game", build)
 
 
+def non_finite_run(tmp_path, monkeypatch, gap_in_summary=False):
+    """A forced 50-iteration run into ``tmp_path / "out"`` whose first step
+    is NaN (``nan_player_zero_gradient``); checks exit 4 and returns the
+    summary, read as strict JSON."""
+    nan_player_zero_gradient(monkeypatch)
+    doc = small_lq_doc(max_iterations=50)
+    doc["verification"]["epsilon_gap_in_summary"] = gap_in_summary
+    assert run_cli(write_doc(tmp_path, doc), tmp_path / "out", "--force") == 4
+    return read_strict_json(tmp_path / "out" / "summary.json")
+
+
 class TestRunCommand:
     def test_zero_budget_exit_two_one_row(self, tmp_path):
-        doc = small_lq_doc(max_iterations=0)
-        code = main(["run", "--config", str(write_doc(tmp_path, doc)),
-                     "--out-dir", str(tmp_path / "out")])
-        assert code == 2
+        assert run_cli(write_doc(tmp_path, small_lq_doc(max_iterations=0)), tmp_path / "out") == 2
         rows = (tmp_path / "out" / "trace.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + the single initial record
 
     def test_oracle_run_converges_exit_zero(self, tmp_path):
-        doc = small_lq_doc()
-        code = main(["run", "--config", str(write_doc(tmp_path, doc)),
-                     "--out-dir", str(tmp_path / "out")])
-        assert code == 0
+        path = write_doc(tmp_path, small_lq_doc())
+        assert run_cli(path, tmp_path / "out") == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["termination_reason"] == "tolerance"
-        cfg = parse_config(write_doc(tmp_path, doc))
-        game, _ = build_game(cfg)
+        game, _ = build_game(parse_config(path))
         u = read_strategies_csv(tmp_path / "out" / "strategies.csv", game)
         assert np.linalg.norm(u - 0.5) <= 1e-2  # closed-form equilibrium
 
     def test_unwritable_output_exit_one(self, tmp_path):
-        doc = small_lq_doc(max_iterations=0)
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        code = main(["run", "--config", str(write_doc(tmp_path, doc)),
-                     "--out-dir", str(blocker / "out")])
-        assert code == 1
+        assert run_cli(write_doc(tmp_path, small_lq_doc(max_iterations=0)), blocker / "out") == 1
+
+    def test_checkpoints_are_the_library_writes(self, tmp_path):
+        path = write_doc(tmp_path, small_lq_doc(max_iterations=7, checkpoint_every=3))
+        assert run_cli(path, tmp_path / "out") == 2
+        cfg = parse_config(path)
+        game, offsets = build_game(cfg)
+        state = run(game, offsets, replace(cfg.solver, max_iterations=6)).final_state
+        written = Path(write_checkpoint(state, cfg.solver, tmp_path))
+        assert sorted(p.name for p in (tmp_path / "out").glob("checkpoint_*")) == \
+            ["checkpoint_00000003.json", "checkpoint_00000006.json"]
+        assert (tmp_path / "out" / written.name).read_bytes() == written.read_bytes()
+
+    def test_unwritable_checkpoint_exit_one(self, tmp_path, capsys):
+        path = write_doc(tmp_path, small_lq_doc(max_iterations=3, checkpoint_every=1))
+        (tmp_path / "out" / "checkpoint_00000001.json").mkdir(parents=True)
+        assert run_cli(path, tmp_path / "out") == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("cannot write checkpoint: ")
 
     def test_validation_gate_and_force(self, tmp_path):
         doc = small_lq_doc()
         doc["solver"]["delta"] = 0.5
         doc["solver"]["max_iterations"] = 1
         path = write_doc(tmp_path, doc)
-        assert main(["run", "--config", str(path),
-                     "--out-dir", str(tmp_path / "o1")]) == 1
-        assert main(["run", "--config", str(path), "--force",
-                     "--out-dir", str(tmp_path / "o2")]) == 2
+        assert run_cli(path, tmp_path / "o1") == 1
+        assert run_cli(path, tmp_path / "o2", "--force") == 2
 
     def test_non_finite_gradient_exit_four(self, tmp_path, capsys, monkeypatch):
-        nan_player_zero_gradient(monkeypatch)
-        doc = small_lq_doc(max_iterations=50)
-        code = main(["run", "--config", str(write_doc(tmp_path, doc)), "--force",
-                     "--out-dir", str(tmp_path / "out")])
-        assert code == 4
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        summary = non_finite_run(tmp_path, monkeypatch)
         assert summary["termination_reason"] == "non-finite"
         assert summary["iterations"] == 1
         assert summary["non_finite_updates"] == ["player 0 strategy update"]
@@ -443,24 +459,13 @@ class TestRunCommand:
 
     def test_non_finite_summary_is_strict_json(self, tmp_path, monkeypatch):
         # the residual at the NaN iterate is NaN, which strict JSON has no token for
-        nan_player_zero_gradient(monkeypatch)
-        doc = small_lq_doc(max_iterations=50)
-        code = main(["run", "--config", str(write_doc(tmp_path, doc)), "--force",
-                     "--out-dir", str(tmp_path / "out")])
-        assert code == 4
-        summary = read_strict_json(tmp_path / "out" / "summary.json")
+        summary = non_finite_run(tmp_path, monkeypatch)
         assert summary["final_residual"] is None
         assert all(isinstance(x, float) for x in summary["final_multiplier"])
 
     def test_non_finite_run_omits_the_gap_and_writes_every_output(self, tmp_path, capsys,
                                                                   monkeypatch):
-        nan_player_zero_gradient(monkeypatch)
-        doc = small_lq_doc(max_iterations=50)
-        doc["verification"]["epsilon_gap_in_summary"] = True
-        code = main(["run", "--config", str(write_doc(tmp_path, doc)), "--force",
-                     "--out-dir", str(tmp_path / "out")])
-        assert code == 4
-        summary = read_strict_json(tmp_path / "out" / "summary.json")
+        summary = non_finite_run(tmp_path, monkeypatch, gap_in_summary=True)
         assert "epsilon_gap" not in summary
         assert summary["epsilon_gap_omitted"] == "the final iterate is not finite"
         # no satisfaction is measured at a NaN profile, so none is reported
@@ -477,10 +482,7 @@ class TestRunCommand:
 
     def test_non_finite_operator_refused_by_gate(self, tmp_path, capsys, monkeypatch):
         nan_player_zero_gradient(monkeypatch)
-        doc = small_lq_doc()
-        code = main(["run", "--config", str(write_doc(tmp_path, doc)),
-                     "--out-dir", str(tmp_path / "out")])
-        assert code == 1
+        assert run_cli(write_doc(tmp_path, small_lq_doc()), tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert "operator-finite: the sampled operator is not finite" in err
         assert "lipschitz estimate must be positive" not in err
@@ -488,10 +490,8 @@ class TestRunCommand:
     def test_seed_override_changes_run(self, tmp_path):
         doc = small_microgrid_doc()
         path = write_doc(tmp_path, doc)
-        main(["run", "--config", str(path), "--out-dir", str(tmp_path / "a"),
-              "--seed", "1"])
-        main(["run", "--config", str(path), "--out-dir", str(tmp_path / "b"),
-              "--seed", "2"])
+        run_cli(path, tmp_path / "a", "--seed", "1")
+        run_cli(path, tmp_path / "b", "--seed", "2")
         a = (tmp_path / "a" / "strategies.csv").read_text()
         b = (tmp_path / "b" / "strategies.csv").read_text()
         assert a != b
@@ -499,12 +499,10 @@ class TestRunCommand:
     def test_rerun_bit_identical_except_wall_time(self, tmp_path):
         doc = small_microgrid_doc()
         path = write_doc(tmp_path, doc)
-        main(["run", "--config", str(path), "--out-dir", str(tmp_path / "a")])
-        main(["run", "--config", str(path), "--out-dir", str(tmp_path / "b")])
+        run_cli(path, tmp_path / "a")
+        run_cli(path, tmp_path / "b")
         assert (tmp_path / "a" / "strategies.csv").read_text() == \
             (tmp_path / "b" / "strategies.csv").read_text()
-        for name in ("a", "b"):
-            pass
         rows_a = (tmp_path / "a" / "trace.csv").read_text().splitlines()
         rows_b = (tmp_path / "b" / "trace.csv").read_text().splitlines()
         # wall_ms is the last column and inherently nondeterministic
@@ -518,7 +516,7 @@ class TestRunCommand:
         doc = small_microgrid_doc()
         doc["solver"]["snapshot_every"] = 2
         path, out = write_doc(tmp_path, doc), tmp_path / "out"
-        main(["run", "--config", str(path), "--out-dir", str(out)])
+        run_cli(path, out)
         before = (out / name).read_bytes()
         attempted = []
         real = Path.write_text
@@ -532,8 +530,7 @@ class TestRunCommand:
             raise OSError("disk full")
 
         monkeypatch.setattr(Path, "write_text", interrupted)
-        assert main(["run", "--config", str(path), "--out-dir", str(out),
-                     "--seed", "8"]) == 1
+        assert run_cli(path, out, "--seed", "8") == 1
         assert "failed to write outputs: disk full" in capsys.readouterr().err
         assert attempted and attempted[0].encode() != before
         assert (out / name).read_bytes() == before
@@ -671,7 +668,7 @@ class TestNegativeSeed:
     def test_negative_seed_exit_one(self, tmp_path, capsys, command):
         path = write_doc(tmp_path, small_lq_doc(max_iterations=3))
         out = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert run_cli(path, out) == 2
         capsys.readouterr()
         extra = {"run": ["--out-dir", str(tmp_path / "again")],
                  "check-constraints": ["--strategies", str(out / "strategies.csv")],
@@ -710,7 +707,7 @@ class TestEpsilonGap:
         doc = small_lq_doc(max_iterations=20)
         doc["verification"]["epsilon_gap_in_summary"] = True
         path = write_doc(tmp_path, doc)
-        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert run_cli(path, tmp_path) == 2
         summary = json.loads((tmp_path / "summary.json").read_text())
         cfg = parse_config(path)
         game, offsets = build_game(cfg)
@@ -737,7 +734,7 @@ class TestPlotData:
         doc["solver"]["snapshot_every"] = 2
         path = write_doc(tmp_path, doc)
         out = tmp_path / "out"
-        main(["run", "--config", str(path), "--out-dir", str(out)])
+        run_cli(path, out)
         return path, out
 
     def test_residual_file_matches_trace(self, tmp_path):
@@ -760,6 +757,17 @@ class TestPlotData:
         assert [int(r["t"]) for r in rows] == list(range(4))
         assert (out / "plots" / "strategies_vs_iteration.csv").exists()
 
+    def test_missing_strategies_exit_one_unless_defaulted(self, tmp_path, capsys):
+        path, out = self.run_small_microgrid(tmp_path)
+        plot = ["plot-data", "--config", str(path), "--trace", str(out / "trace.csv"),
+                "--out-dir", str(out / "plots")]
+        assert main(plot + ["--strategies", str(tmp_path / "missing.csv")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("cannot read strategies: ")
+        (out / "strategies.csv").unlink()
+        assert main(plot) == 0
+        assert not (out / "plots" / "aggregate_profiles.csv").exists()
+
     def test_unwritable_output_exit_one(self, tmp_path, capsys):
         path, out = self.run_small_microgrid(tmp_path)
         code = main(["plot-data", "--config", str(path), "--trace", str(out / "trace.csv"),
@@ -775,7 +783,7 @@ class TestPlotData:
                 "--out-dir", str(out / "plots")]
         assert main(plot) == 0
         before = (out / "plots" / name).read_bytes()
-        assert main(["run", "--config", str(path), "--out-dir", str(out), "--seed", "8"]) == 2
+        assert run_cli(path, out, "--seed", "8") == 2
         real = Path.write_text
 
         def interrupted(self, text, *args, **kwargs):

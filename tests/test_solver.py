@@ -31,7 +31,8 @@ from ccgames.solver import (SolverConfig, batch_size, coordinator_noise, coordin
                             residual_estimate, residual_noise, run, step_size,
                             validate_config)
 
-from conftest import (CONFIG_DIR, assert_run_equals_reference, quadratic_oracle_params,
+from conftest import (CONFIG_DIR, as_reference, assert_run_equals_reference,
+                      checkpoint_writer, hook_player_streams, quadratic_oracle_params,
                       random_lq_params, reference_jacobian_block,
                       reference_pseudo_gradient_block)
 
@@ -171,7 +172,6 @@ class TestCoordinatorStep:
             CouplingConstraintSpec(gamma=0.5, com_scale=0.0,
                                    offset=2.0 / step_size(quick_config(), 0)),
         )
-        from dataclasses import replace
         game = replace(game, constraints=cons)
         offsets = UnderApproxOffsets(np.zeros(2))
         cfg = quick_config()
@@ -244,36 +244,30 @@ class TestPlayerStep:
             run(game, offsets, cfg, initial=state)
 
 
-class TestIterate:
-    def test_same_seed_bit_identical(self):
-        game, offsets = simple_game(noise_std=0.5)
-        cfg = quick_config(seed=123)
-        s1 = initial_state(game, cfg)
-        s2 = initial_state(game, cfg)
-        for _ in range(5):
-            s1, _ = step(s1, game, offsets, cfg)
-            s2, _ = step(s2, game, offsets, cfg)
-        assert np.array_equal(s1.u, s2.u)
-        assert np.array_equal(s1.lam, s2.lam)
-        assert np.array_equal(s1.u_avg_prev, s2.u_avg_prev)
+def observed_run(game, offsets, cfg, initial=None):
+    """``run`` with an observer that keeps each (state, record) it is handed;
+    returns (the trace, that list)."""
+    seen = []
+    trace = run(game, offsets, cfg, initial=initial,
+                observe=lambda state, record: seen.append((state, record)))
+    return trace, seen
 
+
+class TestIterate:
     def test_no_constraints_runs(self):
         game, offsets = simple_game(constraint_offset=None)
-        cfg = quick_config()
-        state = initial_state(game, cfg)
-        for _ in range(10):
-            state, rec = step(state, game, offsets, cfg)
+        state = run(game, offsets, quick_config(max_iterations=10)).final_state
         assert state.lam.shape == (0,)
         # pure averaged projected gradient play drifts toward the minimizer at 1
         assert np.all(state.u > 0.1)
 
     def test_averaging_identity_exact(self):
         game, offsets = simple_game(noise_std=0.3)
-        cfg = quick_config()
-        state = initial_state(game, cfg)
-        for _ in range(8):
-            prev = state
-            state, _ = step(state, game, offsets, cfg)
+        cfg = quick_config(max_iterations=8)
+        states = [initial_state(game, cfg)] + [state for state, _ in
+                                               observed_run(game, offsets, cfg)[1]]
+        assert len(states) == 9
+        for prev, state in zip(states, states[1:]):
             expect_u = (1.0 - cfg.delta) * prev.u + cfg.delta * prev.u_avg_prev
             expect_lam = (1.0 - cfg.delta) * prev.lam + cfg.delta * prev.lam_avg_prev
             assert np.array_equal(state.u_avg_prev, expect_u)
@@ -281,10 +275,10 @@ class TestIterate:
 
     def test_feasibility_invariants(self):
         game, offsets = simple_game(noise_std=0.4, box=(0.0, 0.6))
-        cfg = quick_config(step_a0=1.0, step_offset=2.0)
-        state = initial_state(game, cfg)
-        for _ in range(20):
-            state, _ = step(state, game, offsets, cfg)
+        _, seen = observed_run(game, offsets,
+                               quick_config(step_a0=1.0, step_offset=2.0, max_iterations=20))
+        assert len(seen) == 20
+        for state, _ in seen:
             assert np.all(state.lam >= 0)
             assert np.all(state.u >= 0.0) and np.all(state.u <= 0.6)
 
@@ -414,10 +408,7 @@ class TestRun:
         cfg = quick_config(max_iterations=15)
         t1 = run(game, offsets, cfg)
         t2 = run(game, offsets, cfg)
-        assert np.array_equal(t1.final_state.u, t2.final_state.u)
-        for a, b in zip(t1.records, t2.records):
-            assert a.residual == b.residual
-            assert np.array_equal(a.lam, b.lam)
+        assert_run_equals_reference(t2, as_reference(t1))
 
 
 def per_player_pseudo_gradient(game, u, rows):
@@ -596,6 +587,43 @@ class TestSharedEvaluation:
         assert np.any(state.u != 0.0)
 
 
+class TestObserver:
+    def test_observed_run_equals_unobserved(self, reduced_tail):
+        games, *tail = reduced_tail  # resumed microgrid_reduced: two-lane batches
+        cases = [(*simple_game(noise_std=0.4), quick_config(max_iterations=12, snapshot_every=3),
+                  None), (games[0], *tail)]
+        for game, offsets, cfg, initial in cases:
+            trace, seen = observed_run(game, offsets, cfg, initial)
+            plain = run(game, offsets, cfg, initial=initial)
+            assert len(seen) == len(plain.records) - 1
+            assert trace.termination_reason == plain.termination_reason
+            assert_run_equals_reference(trace, as_reference(plain))
+
+    def test_called_once_per_finite_iterate_in_order(self, reduced_microgrid, monkeypatch):
+        _, game, offsets = reduced_microgrid
+        cfg = replace(parse_config(CONFIG_DIR / "microgrid_reduced.json").solver,
+                      max_iterations=8)
+        start = replace(initial_state(game, cfg), k=3)
+        trace, seen = observed_run(game, offsets, cfg, start)
+        assert [state.k for state, _ in seen] == [4, 5, 6, 7, 8]
+        assert all(record.k == state.k - 1 for state, record in seen)
+        assert all(rec is kept for (_, rec), kept in zip(seen, trace.records))
+        assert seen[-1][0] is trace.final_state
+        # the players' draws once iterate 5 is observed are NaN: iterate 6 is not finite
+        ks = []
+        hook_player_streams(monkeypatch, lambda rows: rows.fill(np.nan) if ks[-1:] == [5] else None)
+        trace = run(game, offsets, cfg, initial=start,
+                    observe=lambda state, record: ks.append(state.k))
+        assert (trace.termination_reason, trace.final_state.k) == \
+            (solver.TERMINATION_NON_FINITE, 6)
+        assert ks == [4, 5]
+
+    def test_exception_propagates(self):
+        game, offsets = simple_game(noise_std=0.4)
+        with pytest.raises(ZeroDivisionError):
+            run(game, offsets, quick_config(max_iterations=10), observe=lambda *seen: 1 / 0)
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         game, offsets = simple_game(noise_std=0.3)
@@ -614,13 +642,13 @@ class TestCheckpoint:
         game, offsets = simple_game(noise_std=0.6)
         cfg = quick_config(max_iterations=20, checkpoint_every=5, snapshot_every=3)
         full = run(game, offsets, cfg)
-        run(game, offsets, replace(cfg, max_iterations=10), checkpoint_dir=tmp_path)
+        short = replace(cfg, max_iterations=10)
+        run(game, offsets, short, observe=checkpoint_writer(short, tmp_path))
         ckpt = solver.load_checkpoint(tmp_path / "checkpoint_00000010.json", cfg)
         resumed = run(game, offsets, cfg, initial=ckpt)
         assert resumed.termination_reason == full.termination_reason
-        assert_run_equals_reference(resumed, (full.final_state, [
-            {name: value for name, value in vars(record).items() if name != "wall_ms"}
-            for record in full.records[10:]]))
+        final, records = as_reference(full)
+        assert_run_equals_reference(resumed, (final, records[10:]))
 
     def test_resumed_divergence_guard_stops_where_the_run_did(self, tmp_path):
         # the guard is relative to the projected origin, not to the resumed iterate
@@ -628,7 +656,7 @@ class TestCheckpoint:
                                     box=(-1e12, 1e12))
         cfg = quick_config(step_a0=5.0, step_offset=1.0, divergence_factor=10.0,
                            checkpoint_every=1, max_iterations=300)
-        full = run(game, offsets, cfg, checkpoint_dir=tmp_path)
+        full = run(game, offsets, cfg, observe=checkpoint_writer(cfg, tmp_path))
         assert (full.termination_reason, full.final_state.k) == \
             (solver.TERMINATION_DIVERGENCE, 2)
         ckpt = solver.load_checkpoint(tmp_path / "checkpoint_00000001.json", cfg)

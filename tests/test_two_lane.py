@@ -24,16 +24,14 @@ from ccgames.game import lift_base, random_feasible_profile, reduce_noise, reduc
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
 
-from conftest import (CONFIG_DIR, assert_run_equals_reference, generic_copy,
-                      hook_player_streams, random_lq_params, serial_entity_noise,
-                      serial_reference_run, with_support_oracles)
+from conftest import (CONFIG_DIR, RESUME_K, as_reference, assert_run_equals_reference,
+                      generic_copy, hook_player_streams, per_row, random_lq_params,
+                      serial_entity_noise, serial_reference_run, with_support_oracles)
 
 # one row, which numpy multiplies by another path, and thousands of rows
 ROW_COUNTS = (1, 2047, 2048, 2049, 6151)
 MICROGRID_CONFIGS = ("microgrid_reduced.json", "microgrid_paper.json")
 LQ_SEEDS = range(12)  # seed 11 draws a disturbance of dimension 1
-RESUME_K = 9000  # the tail of the reduced acceptance run: two-lane batches
-ITERATIONS = 3
 
 
 def lq_game(seed):
@@ -44,12 +42,6 @@ def lq_game(seed):
 
 def test_lq_seeds_cover_disturbance_dim_one():
     assert 1 in {lq_game(seed).disturbance.dim for seed in LQ_SEEDS}
-
-
-def per_row(game):
-    """Numbers a player's draw takes per row."""
-    law = game.support_law
-    return game.disturbance.dim if law is None else law.factor.shape[0]
 
 
 def assert_sampler_rows_equal_whole(game, m):
@@ -132,21 +124,6 @@ def test_lane_games_cover_every_rank():
     assert per_row(full) == len(full.support) > 1
 
 
-@pytest.fixture(scope="module")
-def reduced_tail():
-    """microgrid_reduced resumed at RESUME_K for ITERATIONS iterations, as
-    (the game drawn from its declared law, the same game drawn through its
-    sampler, offsets, solver config, initial state)."""
-    cfg = parse_config(CONFIG_DIR / "microgrid_reduced.json")
-    game, offsets = build_game(cfg)
-    scfg = replace(cfg.solver, max_iterations=RESUME_K + ITERATIONS)
-    initial = replace(solver.initial_state(game, scfg), k=RESUME_K)
-    games = (game, generic_copy(game))
-    for g in games:
-        assert solver.batch_size(scfg, RESUME_K) * per_row(g) >= solver.TWO_LANE_MIN_DRAWS
-    return games, offsets, scfg, initial
-
-
 def on_second_lane():
     return threading.current_thread() is not threading.main_thread()
 
@@ -220,12 +197,6 @@ def poison_draw_buffers(monkeypatch):
 
     monkeypatch.setattr(solver, "draw_noise", poisoned)
     return buffers
-
-
-def as_reference(trace):
-    """(final state, records) of ``trace`` in ``assert_run_equals_reference``'s form."""
-    return trace.final_state, [{name: value for name, value in vars(record).items()
-                                if name != "wall_ms"} for record in trace.records]
 
 
 def assert_stale_rows_unread(monkeypatch, game, offsets, scfg, initial):
