@@ -194,10 +194,9 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
         "seed": cfg.solver.seed,
         "config": cfg.to_json_dict(),
     }
-    wants_gap = cfg.verification.epsilon_gap_in_summary and cfg.verification.epsilon_gap_candidates
-    if wants_gap and omitted:
+    if cfg.verification.epsilon_gap_in_summary and omitted:
         summary["epsilon_gap_omitted"] = omitted
-    elif wants_gap:
+    elif cfg.verification.epsilon_gap_in_summary:
         gap = epsilon_gap(cfg, game, offsets, state.u)
         summary["epsilon_gap"] = {
             "m_hat": [float(x) for x in gap.m_hat],
@@ -210,6 +209,8 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
         write_strategies_csv(out_dir / cfg.output.strategies, game, state.u)
         if cfg.solver.snapshot_every:
             _write_snapshots_csv(out_dir / "strategy_snapshots.csv", trace, game)
+        else:  # no older run's snapshots beside this run's trace
+            (out_dir / "strategy_snapshots.csv").unlink(missing_ok=True)
         solver_mod.write_text_atomic(
             out_dir / cfg.output.summary,
             json.dumps(_strict_json(summary), indent=2, allow_nan=False) + "\n")
@@ -290,7 +291,7 @@ def cmd_plot_data(args, cfg: RunConfig, game, offsets) -> int:
     strategies_path = Path(args.strategies) if args.strategies else \
         Path(args.trace).parent / cfg.output.strategies
     u = None
-    if cfg.game_kind == "microgrid" and (args.strategies or strategies_path.exists()):
+    if args.strategies or cfg.game_kind == "microgrid" and strategies_path.exists():
         with _failing_as("cannot read strategies"):
             u = read_strategies_csv(strategies_path, game)
 
@@ -300,7 +301,7 @@ def cmd_plot_data(args, cfg: RunConfig, game, offsets) -> int:
     with _failing_as("failed to write outputs"):
         if snaps.exists():
             outputs["strategies_vs_iteration.csv"] = snaps.read_text(encoding="utf-8")
-        if u is not None:
+        if u is not None and cfg.game_kind == "microgrid":
             p = cfg.microgrid
             battery = u.reshape(p.n_households, p.horizon).sum(axis=0)
             total_demand = p.demand.sum(axis=0)

@@ -277,6 +277,10 @@ def parse_config_dict(doc: dict) -> RunConfig:
     sections = _read(doc, _TOP, "", errors)
     if "game" not in doc:
         errors.append("game: section is required")
+    ver = sections.get("verification")
+    if ver and ver.epsilon_gap_in_summary and ver.epsilon_gap_candidates < 1:
+        errors.append("verification.epsilon_gap_candidates: must be at least 1 when "
+                      "verification.epsilon_gap_in_summary is true")
     if errors:
         raise ConfigError(errors)
     return RunConfig(**sections.pop("game"), **sections.pop("com", {}), **sections, raw=doc)

@@ -28,7 +28,7 @@ support rows of the coordinator and of each lane of players: for a declared
 Gaussian ``mean``/``std`` from their law (``game.support_law``), otherwise one
 whole draw through ``disturbance.sample`` per entity. Drawing is most of a
 large-batch iteration, so the players are split between the calling thread
-and one persistent worker thread; each entity's draw is one function of its
+and the run's own worker thread; each entity's draw is one function of its
 own stream, so a seeded run is bit-identical to a serial one. The players'
 (N, M, s) support rows go into the flat buffer that every ``iterate`` is
 given, one per ``run``, so the growing batches are not faulted in afresh.
@@ -52,7 +52,6 @@ import json
 import math
 import operator
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
@@ -300,21 +299,7 @@ def draw_support_noise(game, streams, out: np.ndarray) -> np.ndarray:
     return out
 
 
-_draw_lane = (None, None)  # (process id, one-thread executor) of the second lane
-_draw_lane_lock = threading.Lock()
-
-
-def _second_lane() -> ThreadPoolExecutor:
-    """The second lane's executor, made on first use (and again in a forked
-    child, whose inherited executor has no thread and would never run)."""
-    global _draw_lane
-    with _draw_lane_lock:
-        if _draw_lane[0] != os.getpid():
-            _draw_lane = (os.getpid(), ThreadPoolExecutor(1, "ccgames-draws"))
-        return _draw_lane[1]
-
-
-def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray):
+def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray, lane: ThreadPoolExecutor):
     """Every entity's reduced noise for iteration k with m-row batches:
     (``coordinator_noise``, an (N, m, len(game.support)) array whose slab i
     is player i's ``draw_support_noise`` rows, None for an empty support).
@@ -324,9 +309,9 @@ def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray):
     One ``iteration_streams`` call makes the streams of every entity that
     draws, and none is made when no entity draws. From ``TWO_LANE_MIN_DRAWS``
     numbers per player's draw (M r for a declared Gaussian disturbance, M T n_s
-    through the sampler), the second lane fills the slabs of players 0, 2, 4,
-    ... while this thread draws the other entities. An exception from either
-    lane is raised once both lanes are done.
+    through the sampler), the executor ``lane`` fills the slabs of players 0,
+    2, 4, ... while this thread draws the other entities; below it ``lane`` is
+    not used. An exception from either lane is raised once both are done.
     """
     first = 0 if game.values_read_trajectory else 1
     n = 1 + game.n_players if game.support else 1
@@ -336,20 +321,20 @@ def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray):
         return coordinator_noise(game, rng, m), None
     shape = (game.n_players, m, len(game.support))
     noise = buffer[:math.prod(shape)].reshape(shape)
-    own, lane = slice(None), None
+    own, half = slice(None), None
     per_row = game.disturbance.dim if game.support_law is None \
         else game.support_law.factor.shape[0]
     if m * per_row >= TWO_LANE_MIN_DRAWS:
-        lane = _second_lane().submit(draw_support_noise, game, streams[::2], noise[::2])
+        half = lane.submit(draw_support_noise, game, streams[::2], noise[::2])
         own = slice(1, None, 2)
     try:
         coordinator = coordinator_noise(game, rng, m)
         draw_support_noise(game, streams[own], noise[own])
     finally:
-        if lane is not None:
-            wait([lane])  # so no draw outlives the call
-    if lane is not None:
-        lane.result()
+        if half is not None:
+            wait([half])  # so no draw outlives the call
+    if half is not None:
+        half.result()
     return coordinator, noise
 
 
@@ -392,14 +377,14 @@ def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray |
 
 
 def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverConfig,
-            residual: float, base: game_mod.IterateBase, buffer: np.ndarray):
+            residual: float, base: game_mod.IterateBase, buffer: np.ndarray, lane):
     """Run one full iteration on ``draw_noise``'s batches; returns (next
     state, record for iteration k). ``residual`` is ``residual_estimate`` of
     ``state``, for the record; ``base`` is its ``lift_base``, shared by all;
-    ``buffer`` holds the players' support noise (``draw_noise``)."""
+    ``buffer`` and ``lane`` are the run's draw buffer and lane (``draw_noise``)."""
     t0 = time.perf_counter()
     k = state.k
-    coordinator, player_noise = draw_noise(game, cfg.seed, k, batch_size(cfg, k), buffer)
+    coordinator, player_noise = draw_noise(game, cfg.seed, k, batch_size(cfg, k), buffer, lane)
     lam_avg, lam_next, g_hat = coordinator_step(state, game, offsets, cfg, coordinator, base)
     u_avg, u_next = player_step(state, game, cfg, player_noise, base)
     new_state = SolverState(k + 1, u_next, u_avg, lam_next, lam_avg)
@@ -455,9 +440,11 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     record), whose constraint mean comes from the coordinator's batch of
     that iterate. The residual batch is drawn and reduced once per run; each
     iterate's batch-free parts (``lift_base``) are evaluated once and shared
-    by the residual and both steps. The players' support noise is drawn into
-    one flat buffer the run owns, made twice a batch's need whenever a batch
-    outgrows it. ``initial`` (a loaded checkpoint, say) needs the game's
+    by the residual and both steps. The run owns the players' draw buffer,
+    made twice a batch's need whenever a batch outgrows it, and the second
+    draw lane (``draw_noise``), whose thread starts at the first batch that
+    crosses ``TWO_LANE_MIN_DRAWS`` and is joined before ``run`` returns or
+    raises. ``initial`` (a loaded checkpoint, say) needs the game's
     dimensions and a nonnegative multiplier. The divergence guard is relative
     to ``initial_state``, the projected origin, wherever a run starts. Each
     finite new iterate, before the guard, goes to ``observe(state, record)``
@@ -474,32 +461,34 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     guard = cfg.divergence_factor * (1.0 + origin.z_norm())
     noise_res = residual_noise(game, cfg, cfg.seed)
     records, buffer = [], np.empty(0)
-    while True:
-        base = game_mod.lift_base(game, state.u)
-        res = residual_estimate(state, game, offsets, cfg, noise_res, base)
-        if res <= cfg.residual_tolerance or state.k >= cfg.max_iterations:
-            t0 = time.perf_counter()  # like iteration records, excludes the residual
-            reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
-                else TERMINATION_BUDGET
-            rng = iteration_stream(cfg.seed, state.k, 0) if game.values_read_trajectory else None
-            noise = coordinator_noise(game, rng, batch_size(cfg, state.k))
-            g_hat = coordinator_step(state, game, offsets, cfg, noise, base)[2]
-            records.append(_record(state, cfg, res, g_hat, t0, bool(cfg.snapshot_every)))
-            break
-        need = game.n_players * batch_size(cfg, state.k) * len(game.support)
-        if need > buffer.size:
-            buffer = np.empty(2 * need)
-        state, record = iterate(state, game, offsets, cfg, res, base, buffer)
-        records.append(record)
-        if not state.is_finite():
-            # NaN compares False against the guard, so it needs its own stop
-            reason = TERMINATION_NON_FINITE
-            break
-        if observe is not None:
-            observe(state, record)
-        if state.z_norm() > guard:
-            reason = TERMINATION_DIVERGENCE
-            break
+    with ThreadPoolExecutor(1, "ccgames-draws") as lane:
+        while True:
+            base = game_mod.lift_base(game, state.u)
+            res = residual_estimate(state, game, offsets, cfg, noise_res, base)
+            if res <= cfg.residual_tolerance or state.k >= cfg.max_iterations:
+                t0 = time.perf_counter()  # like iteration records, excludes the residual
+                reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
+                    else TERMINATION_BUDGET
+                rng = iteration_stream(cfg.seed, state.k, 0) \
+                    if game.values_read_trajectory else None
+                noise = coordinator_noise(game, rng, batch_size(cfg, state.k))
+                g_hat = coordinator_step(state, game, offsets, cfg, noise, base)[2]
+                records.append(_record(state, cfg, res, g_hat, t0, bool(cfg.snapshot_every)))
+                break
+            need = game.n_players * batch_size(cfg, state.k) * len(game.support)
+            if need > buffer.size:
+                buffer = np.empty(2 * need)
+            state, record = iterate(state, game, offsets, cfg, res, base, buffer, lane)
+            records.append(record)
+            if not state.is_finite():
+                # NaN compares False against the guard, so it needs its own stop
+                reason = TERMINATION_NON_FINITE
+                break
+            if observe is not None:
+                observe(state, record)
+            if state.z_norm() > guard:
+                reason = TERMINATION_DIVERGENCE
+                break
     return RunTrace(tuple(records), reason, state)
 
 

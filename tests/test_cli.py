@@ -301,6 +301,20 @@ class TestConfigErrors:
         path = "com.beta[0]" if isinstance(beta, list) else "com.beta"
         assert_one_message_exit_one(tmp_path, capsys, doc, f"{path}: must be >= 0, got -0.1")
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_gap_in_summary_needs_a_candidate(self, tmp_path, capsys, command):
+        doc = oracle_doc()
+        doc["verification"].update(epsilon_gap_in_summary=True, epsilon_gap_candidates=0)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_doc(tmp_path, doc))]
+        assert main(argv + (["--out-dir", str(out)] if command == "run" else [])) == 1
+        assert capsys.readouterr().err == (
+            "invalid configuration:\n  verification.epsilon_gap_candidates: must be at least 1 "
+            "when verification.epsilon_gap_in_summary is true\n")
+        assert not out.exists()
+        doc["verification"]["epsilon_gap_in_summary"] = False  # no gap asked for: no refusal
+        assert parse_config_dict(doc).verification.epsilon_gap_candidates == 0
+
     def test_constraint_beta_key_rejected(self, tmp_path):
         doc = oracle_doc()
         doc["game"]["constraints"][0]["beta"] = 0.1
@@ -508,6 +522,19 @@ class TestRunCommand:
         # wall_ms is the last column and inherently nondeterministic
         strip = lambda rows: ["," .join(r.split(",")[:-1]) for r in rows]
         assert strip(rows_a) == strip(rows_b)
+
+    def test_run_without_snapshots_removes_older_ones(self, tmp_path):
+        doc = small_lq_doc(max_iterations=3, snapshot_every=1)
+        out, plots = tmp_path / "out", tmp_path / "plots"
+        assert run_cli(write_doc(tmp_path, doc), out) == 2
+        assert (out / "strategy_snapshots.csv").exists()
+        doc["solver"]["snapshot_every"] = 0
+        path = write_doc(tmp_path, doc)
+        assert run_cli(path, out, "--seed", "5") == 2
+        assert not (out / "strategy_snapshots.csv").exists()
+        assert main(["plot-data", "--config", str(path), "--trace", str(out / "trace.csv"),
+                     "--out-dir", str(plots)]) == 0
+        assert sorted(p.name for p in plots.iterdir()) == ["residual_vs_iteration.csv"]
 
     @pytest.mark.parametrize("name", ["trace.csv", "strategies.csv",
                                       "strategy_snapshots.csv", "summary.json"])
@@ -766,6 +793,19 @@ class TestPlotData:
         assert line.startswith("cannot read strategies: ")
         (out / "strategies.csv").unlink()
         assert main(plot) == 0
+        assert not (out / "plots" / "aggregate_profiles.csv").exists()
+
+    def test_missing_strategies_exit_one_on_any_game(self, tmp_path, capsys):
+        path, out = write_doc(tmp_path, small_lq_doc(max_iterations=3)), tmp_path / "out"
+        assert run_cli(path, out) == 2
+        plot = ["plot-data", "--config", str(path), "--trace", str(out / "trace.csv"),
+                "--out-dir", str(out / "plots")]
+        assert main(plot + ["--strategies", str(tmp_path / "missing.csv")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("cannot read strategies: ")
+        assert not (out / "plots").exists()
+        # a readable file is read and checked, but only a microgrid has profiles
+        assert main(plot + ["--strategies", str(out / "strategies.csv")]) == 0
         assert not (out / "plots" / "aggregate_profiles.csv").exists()
 
     def test_unwritable_output_exit_one(self, tmp_path, capsys):

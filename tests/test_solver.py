@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -76,16 +77,19 @@ def residual_at(state, game, offsets, cfg):
 
 
 def step(state, game, offsets, cfg):
-    """One iteration with its residual, lift base and draw buffer made afresh."""
+    """One iteration with its residual, lift base, draw buffer and lane made afresh."""
     buffer = np.empty(game.n_players * batch_size(cfg, state.k) * len(game.support))
-    return iterate(state, game, offsets, cfg, residual_at(state, game, offsets, cfg),
-                   lift_base(game, state.u), buffer)
+    with ThreadPoolExecutor(1) as lane:
+        return iterate(state, game, offsets, cfg, residual_at(state, game, offsets, cfg),
+                       lift_base(game, state.u), buffer, lane)
 
 
 def player_noise(game, cfg):
     """Support noise rows of the players' batches of iteration 0."""
     m = batch_size(cfg, 0)
-    return draw_noise(game, cfg.seed, 0, m, np.empty(game.n_players * m * len(game.support)))[1]
+    with ThreadPoolExecutor(1) as lane:
+        return draw_noise(game, cfg.seed, 0, m,
+                          np.empty(game.n_players * m * len(game.support)), lane)[1]
 
 
 def coordinator_batch(game, cfg, k=0):

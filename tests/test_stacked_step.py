@@ -12,6 +12,7 @@ and blocks of unequal heights. Entities whose draws no estimate reads draw
 nothing; with an empty support the players get no batch (None).
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -142,8 +143,9 @@ def test_player_step_equals_per_player_reference(name):
     for k, m in ((0, 1), (5, 7), (40, 300)):
         state = random_state(game, rng, k)
         base = lift_base(game, state.u)
-        noise = solver.draw_noise(game, cfg.seed, k, m,
-                                  np.empty(game.n_players * m * len(game.support)))[1]
+        with ThreadPoolExecutor(1) as lane:
+            noise = solver.draw_noise(game, cfg.seed, k, m,
+                                      np.empty(game.n_players * m * len(game.support)), lane)[1]
         if game.support:
             assert noise.shape == (game.n_players, m, len(game.support))
             traj = reference_base_trajectory(game, state.u)

@@ -6,13 +6,15 @@ directly. From ``TWO_LANE_MIN_DRAWS`` numbers per player's draw on, half of
 the players draw on a second thread. Neither may change a bit of a seeded
 run: a player's sampler rows equal ``reduce_noise`` of one whole draw, and a
 two-lane run equals a serial reference drawn one entity at a time. Failures
-on the second thread reach the caller.
+on the second thread reach the caller. Each run owns its second thread and
+joins it before it returns, so concurrent runs never share one.
 """
 
 import multiprocessing
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -24,11 +26,13 @@ from ccgames.game import lift_base, random_feasible_profile, reduce_noise, reduc
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
 
-from conftest import (CONFIG_DIR, RESUME_K, as_reference, assert_run_equals_reference,
-                      generic_copy, hook_player_streams, per_row, random_lq_params,
-                      serial_entity_noise, serial_reference_run, with_support_oracles)
+from conftest import (CONFIG_DIR, RESUME_K, HookedStream, as_reference,
+                      assert_run_equals_reference, generic_copy, hook_player_streams, per_row,
+                      random_lq_params, serial_entity_noise, serial_reference_run,
+                      with_support_oracles)
 
-# one row, which numpy multiplies by another path, and thousands of rows
+# one row, which numpy multiplies by another path, and odd and even counts of
+# thousands of rows: a sampler player's rows are one whole draw at any count
 ROW_COUNTS = (1, 2047, 2048, 2049, 6151)
 MICROGRID_CONFIGS = ("microgrid_reduced.json", "microgrid_paper.json")
 LQ_SEEDS = range(12)  # seed 11 draws a disturbance of dimension 1
@@ -105,7 +109,8 @@ def test_lane_draw_equals_one_draw_per_player(name):
                                   -(-solver.TWO_LANE_MIN_DRAWS // r)}
     for m in counts:
         buffer = np.empty(game.n_players * m * len(game.support))
-        coordinator, noise = solver.draw_noise(game, 6, 11, m, buffer)
+        with ThreadPoolExecutor(1) as lane:
+            coordinator, noise = solver.draw_noise(game, 6, 11, m, buffer, lane)
         want_coordinator, want_players = serial_entity_noise(game, 6, 11, m)
         if want_coordinator is None:  # no constraint value reads the trajectory
             assert coordinator is None
@@ -160,7 +165,7 @@ def test_second_lane_exception_reaches_run(reduced_tail, monkeypatch):
         with pytest.raises(DrawFailure, match="second lane"):
             solver.run(game, offsets, scfg, initial=initial)
         monkeypatch.undo()
-        # the lane survives its failure: the next run completes, bit for bit
+        # a failed run leaves nothing behind: the next run completes, bit for bit
         one = replace(scfg, max_iterations=RESUME_K + 1)
         trace = solver.run(game, offsets, one, initial=initial)
         assert_run_equals_reference(trace, serial_reference_run(game, offsets, one, initial))
@@ -189,11 +194,11 @@ def poison_draw_buffers(monkeypatch):
     filled with NaN before every draw; returns the list of buffers passed."""
     draw, buffers = solver.draw_noise, []
 
-    def poisoned(game, seed, k, m, buffer):
+    def poisoned(game, seed, k, m, buffer, lane):
         assert buffer is not None
         buffer.fill(np.nan)
         buffers.append(buffer)
-        return draw(game, seed, k, m, buffer)
+        return draw(game, seed, k, m, buffer, lane)
 
     monkeypatch.setattr(solver, "draw_noise", poisoned)
     return buffers
@@ -224,9 +229,27 @@ def test_reused_draw_buffer_leaks_no_stale_rows_paper(monkeypatch):
     assert_stale_rows_unread(monkeypatch, game, offsets, scfg, solver.initial_state(game, scfg))
 
 
+def run_concurrently(target, args):
+    """``target(arg)`` for each of ``args`` on a thread of its own, all at
+    once, switching as often as the interpreter allows; returns the threads,
+    each joined."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=(arg,)) for arg in args]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    return threads
+
+
 def assert_concurrent_calls_agree(game):
-    """More calling threads than cores, switching as often as the interpreter
-    allows: each call still gets its own entities' rows, in entity order."""
+    """More calling threads than cores, all handing half their draws to one
+    shared lane: each call still gets its own entities' rows, in entity order."""
     m = solver.TWO_LANE_MIN_DRAWS // per_row(game) + 1
     callers, calls = 4, 5
     got, failures = {}, []
@@ -235,21 +258,12 @@ def assert_concurrent_calls_agree(game):
         try:
             for _ in range(calls):
                 buffer = np.empty(game.n_players * m * len(game.support))
-                got.setdefault(k, []).append(solver.draw_noise(game, 2, k, m, buffer))
+                got.setdefault(k, []).append(solver.draw_noise(game, 2, k, m, buffer, lane))
         except Exception as exc:  # reported below, with the caller's index
             failures.append((k, exc))
 
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=call, args=(k,)) for k in range(callers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(switch)
+    with ThreadPoolExecutor(1) as lane:
+        run_concurrently(call, range(callers))
     assert not failures
     for k in range(callers):
         want_coordinator, want_players = serial_entity_noise(game, 2, k, m)
@@ -269,19 +283,85 @@ def test_concurrent_callers_share_the_lane():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_gets_its_own_lane():
-    # a forked child inherits the parent's lane executor but not its thread;
-    # a task handed to that executor would never run
-    game, _ = build_game(parse_config(CONFIG_DIR / "microgrid_reduced.json"))
-    m = solver.TWO_LANE_MIN_DRAWS // per_row(game) + 1
-    buffer = np.empty(game.n_players * m * len(game.support))
-    solver.draw_noise(game, 3, 0, m, buffer)  # the parent's lane exists
-    child = multiprocessing.get_context("fork").Process(
-        target=solver.draw_noise, args=(game, 3, 1, m, buffer))
-    child.start()
-    child.join(timeout=30)
-    hung = child.is_alive()
+def test_forked_child_gets_its_own_lane(reduced_tail):
+    # a forked child inherits no running thread: after a two-lane run in the
+    # parent, a run in the child draws on a lane of its own and equals it
+    games, offsets, scfg, initial = reduced_tail
+    parent = solver.run(games[0], offsets, scfg, initial=initial)
+
+    def child():
+        trace = solver.run(games[0], offsets, scfg, initial=initial)
+        assert_run_equals_reference(trace, as_reference(parent))
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    process.start()
+    process.join(timeout=60)
+    hung = process.is_alive()
     if hung:
-        child.kill()
-        child.join()
-    assert not hung and child.exitcode == 0
+        process.kill()
+        process.join()
+    assert not hung and process.exitcode == 0
+
+
+def draw_lanes():
+    """The second-lane threads alive in this process."""
+    return [t for t in threading.enumerate() if t.name.startswith("ccgames-draws")]
+
+
+def test_run_joins_its_lane_on_return_and_on_raise(reduced_tail, monkeypatch):
+    games, offsets, scfg, initial = reduced_tail
+    drew = set()
+
+    def noted(rows):  # by name, so that draw_lanes below looks for the right threads
+        drew.add(threading.current_thread().name.startswith("ccgames-draws"))
+
+    hook_player_streams(monkeypatch, noted)
+    solver.run(games[0], offsets, scfg, initial=initial)
+    monkeypatch.undo()
+    assert drew == {False, True}
+    assert not draw_lanes()
+
+    def failing(rows):
+        if on_second_lane():
+            raise DrawFailure("draw failed on the second lane")
+
+    hook_player_streams(monkeypatch, failing)
+    with pytest.raises(DrawFailure):
+        solver.run(games[0], offsets, scfg, initial=initial)
+    monkeypatch.undo()
+    assert not draw_lanes()
+
+
+def test_concurrent_runs_each_draw_on_their_own_lane(reduced_tail, monkeypatch):
+    # two runs at once, told apart by their seeds: each equals its serial
+    # reference, and each hands half its draws to a thread no other run uses
+    games, offsets, scfg, initial = reduced_tail
+    game = games[0]
+    configs = [replace(scfg, seed=seed) for seed in (scfg.seed, scfg.seed + 1)]
+    drawn_on = {cfg.seed: set() for cfg in configs}  # threads of each run's player draws
+    streams = solver.iteration_streams
+
+    def hooked(seed, k, n, first=0):
+        def note(rows):
+            drawn_on[seed].add(threading.current_thread())
+        return [HookedStream(rng, note) if e > 0 else rng
+                for e, rng in enumerate(streams(seed, k, n, first), first)]
+
+    traces, failures = {}, []
+
+    def solve(cfg):
+        try:
+            traces[cfg.seed] = solver.run(game, offsets, cfg, initial=initial)
+        except Exception as exc:  # reported below, with the run's seed
+            failures.append((cfg.seed, exc))
+
+    monkeypatch.setattr(solver, "iteration_streams", hooked)
+    callers = set(run_concurrently(solve, configs))
+    monkeypatch.undo()
+    assert not failures
+    for cfg in configs:
+        assert_run_equals_reference(traces[cfg.seed],
+                                    serial_reference_run(game, offsets, cfg, initial))
+    lanes = [drawn_on[cfg.seed] - callers for cfg in configs]
+    assert [len(lane) for lane in lanes] == [1, 1] and lanes[0] != lanes[1]
+    assert not draw_lanes()
