@@ -489,9 +489,9 @@ def lift_base(game: GameSpec, u: np.ndarray) -> IterateBase:
     """The batch-free parts of the operator at the profile u (``IterateBase``)."""
     u = _profile(game, u)
     traj = base_trajectory(game, u) if game.reads_trajectory else None
-    grad = np.zeros(game.input_dim)
-    if game.cost_input_grad is not None:
-        grad += game.cost_input_grad(u)
+    # + 0.0: a new array, holding no -0.0 (player_pseudo_gradient_mean relies on that)
+    grad = np.zeros(game.input_dim) if game.cost_input_grad is None \
+        else game.cost_input_grad(u) + 0.0
     base = IterateBase(traj, grad, _input_part(game, u))
     for array in (traj, grad, base.affine):
         if array is not None:
@@ -529,7 +529,7 @@ class ReducedLift:
 def reduce_noise(game: GameSpec, w_batch: np.ndarray) -> ReducedLift:
     """Reduced noise part of a batch: ``mean(w) @ noise_map.T`` and the
     per-row support columns ``w @ noise_map[support].T``."""
-    return ReducedLift(w_batch.mean(axis=0) @ game.lift.noise_map.T,
+    return ReducedLift(batch_mean(w_batch) @ game.lift.noise_map.T,
                        w_batch @ game.support_noise_map_t)
 
 
@@ -539,13 +539,16 @@ def reduced_lift(game: GameSpec, noise: ReducedLift, base: IterateBase) -> Reduc
     return ReducedLift(traj + noise.mean, noise.support + traj[game.support_index])
 
 
+def batch_mean(a: np.ndarray, axis: int = 0):
+    """``a.mean(axis)`` of a float64 array, bit for bit: the two ufuncs it runs."""
+    return np.true_divide(np.add.reduce(a, axis), a.shape[axis])
+
+
 def _batch_means(fn, rows: np.ndarray) -> np.ndarray:
     """Batch means of the row-wise closure ``fn``: (k,) over one batch
     (M, s), or (n, k) over n batches (n, M, s) from one call on their rows."""
-    if rows.ndim == 2:
-        return fn(rows).mean(axis=0)
-    n, m, s = rows.shape
-    return fn(rows.reshape(n * m, s)).reshape(n, m, -1).mean(axis=1)
+    *n, m, s = rows.shape
+    return batch_mean(fn(rows.reshape(-1, s)).reshape(*n, m, -1), len(n))
 
 
 def blockwise(game: GameSpec, maps, vecs: np.ndarray) -> np.ndarray:
@@ -629,7 +632,7 @@ def constraint_value_mean(game: GameSpec, base: IterateBase, lift: ReducedLift) 
         return base.affine
     out = _affine_part(game, base.affine, lift.mean)
     for j in game.nonlinear_columns:
-        out[j] += game.constraints[j].state_value(lift.support).mean()
+        out[j] += batch_mean(game.constraints[j].state_value(lift.support))
     return out
 
 
@@ -667,8 +670,8 @@ def operator_estimate(game: GameSpec, base: IterateBase, noise: ReducedLift):
 
 
 def project_local(game: GameSpec, u: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the local sets: a clip to the stacked box."""
-    return np.clip(_profile(game, u), game.box_lower, game.box_upper)
+    """Euclidean projection onto the local sets: ``ndarray.clip`` (as ``np.clip``) to the box."""
+    return _profile(game, u).clip(game.box_lower, game.box_upper)
 
 
 def random_feasible_profile(game: GameSpec, rng: np.random.Generator) -> np.ndarray:

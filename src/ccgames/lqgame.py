@@ -99,14 +99,16 @@ def pseudo_gradient_matrix(p: LqGameParams):
 
 
 def _input_grad(p: LqGameParams, d: int):
-    quad_self = np.array([[float(pl.quad_self)] for pl in p.players])
-    quad_couple = np.array([[float(pl.quad_couple)] for pl in p.players])
+    # coefficients of the blocks' shape: the products skip broadcasting, same bits
+    quad_self = np.repeat([float(pl.quad_self) for pl in p.players], d).reshape(-1, d)
+    quad_couple = np.repeat([float(pl.quad_couple) for pl in p.players], d).reshape(-1, d)
     lin = np.array([np.zeros(d) if pl.linear is None
                     else np.asarray(pl.linear, dtype=float).reshape(-1) for pl in p.players])
 
     def grad(u):
-        blocks = u.reshape(len(p.players), d)
-        return (quad_self * blocks + quad_couple * (blocks.sum(axis=0) - blocks) + lin).reshape(-1)
+        blocks = u.reshape(quad_self.shape)
+        out = quad_self * blocks + quad_couple * (np.add.reduce(blocks) - blocks) + lin
+        return out.reshape(-1)
 
     return grad
 

@@ -35,9 +35,10 @@ given, one per ``run``, so the growing batches are not faulted in afresh.
 
 The steps take their shared inputs from the caller, as ``run`` supplies them:
 the run's reduced residual batch (``residual_noise``), each entity's reduced
-batch (``draw_noise``) and each iterate's batch-free evaluation
-(``lift_base``: its noise-free trajectory, input-cost gradient and affine
-constraint part), evaluated once and read by the residual and both steps.
+batch (``draw_noise``), and what ``run`` evaluates once per iterate: alpha_k,
+M_k and the batch-free parts (``lift_base``: noise-free trajectory, input-cost
+gradient, affine constraint part). One projection (``game.project_local``)
+serves the residual and the player step; the guard's norm is the finite check.
 No step lifts whole trajectories: the coordinator maps the mean disturbance
 through the affine constraint parts, and the players read only the support
 columns; what none reads (``game.reads_trajectory``) is neither drawn nor
@@ -263,7 +264,7 @@ def coordinator_noise(game, rng: np.random.Generator | None,
         return game_mod.reduce_noise(game, d.sample(rng, m))
     if game.nonlinear_columns:
         z = draw_support_noise(game, [rng], np.empty((1, m, len(game.support))))[0]
-        w_mean = d.mean + law.gain @ (z.mean(axis=0) - law.shift) \
+        w_mean = d.mean + law.gain @ (game_mod.batch_mean(z) - law.shift) \
             + law.spread @ rng.standard_normal(d.dim) / math.sqrt(m)
     else:
         z = np.zeros((m, len(game.support)))
@@ -339,15 +340,14 @@ def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray, lane: Thread
 
 
 def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
-                     cfg: SolverConfig, noise: game_mod.ReducedLift,
+                     cfg: SolverConfig, alpha: float, noise: game_mod.ReducedLift,
                      base: game_mod.IterateBase):
-    """One multiplier update; returns (lam_avg, lam_next, g_hat).
+    """One multiplier update with step ``alpha``; returns (lam_avg, lam_next, g_hat).
 
     ``noise`` is the reduced noise of the coordinator's batch
     (``coordinator_noise``); ``base`` is ``lift_base(game, state.u)``, the
     iterate's batch-free parts.
     """
-    alpha = step_size(cfg, state.k)
     lift = game_mod.reduced_lift(game, noise, base) if game.values_read_trajectory else None
     g_hat = game_mod.constraint_value_mean(game, base, lift) + offsets.offsets
     lam_avg = (1.0 - cfg.delta) * state.lam + cfg.delta * state.lam_avg_prev
@@ -355,10 +355,10 @@ def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
     return lam_avg, lam_next, g_hat
 
 
-def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray | None,
-                base: game_mod.IterateBase):
-    """Every player's strategy update against ``state.lam``; returns the
-    stacked (u_avg, u_next).
+def player_step(state: SolverState, game, cfg: SolverConfig, alpha: float,
+                noise: np.ndarray | None, base: game_mod.IterateBase):
+    """Every player's strategy update with step ``alpha`` against ``state.lam``;
+    returns the stacked (u_avg, u_next).
 
     ``noise`` is the players' (N, M, len(game.support)) support noise from
     ``draw_noise``; the support columns of ``base.trajectory`` are added to
@@ -366,40 +366,40 @@ def player_step(state: SolverState, game, cfg: SolverConfig, noise: np.ndarray |
     ``lift_base(game, state.u)``; with an empty support neither noise (None)
     nor trajectory is read.
     """
-    alpha = step_size(cfg, state.k)
     if game.support:
         noise += base.trajectory[game.support_index]
     f = game_mod.player_pseudo_gradient_mean(game, base, noise)
     jac = game_mod.player_constraint_gradient_mean(game, noise)
     u_avg = (1.0 - cfg.delta) * state.u + cfg.delta * state.u_avg_prev
     raw = u_avg - alpha * (f + game_mod.blockwise(game, jac, state.lam))
-    return u_avg, np.clip(raw, game.box_lower, game.box_upper)
+    return u_avg, game_mod.project_local(game, raw)
 
 
 def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverConfig,
-            residual: float, base: game_mod.IterateBase, buffer: np.ndarray, lane):
-    """Run one full iteration on ``draw_noise``'s batches; returns (next
-    state, record for iteration k). ``residual`` is ``residual_estimate`` of
-    ``state``, for the record; ``base`` is its ``lift_base``, shared by all;
-    ``buffer`` and ``lane`` are the run's draw buffer and lane (``draw_noise``)."""
+            alpha: float, m: int, residual: float, base: game_mod.IterateBase,
+            buffer: np.ndarray, lane):
+    """Run one full iteration with step ``alpha`` on ``draw_noise``'s m-row
+    batches; returns (next state, record for iteration k). ``residual`` is
+    ``residual_estimate`` of ``state``, for the record; ``base`` is its ``lift_base``,
+    shared by all; ``buffer`` and ``lane`` are the run's draw buffer and lane."""
     t0 = time.perf_counter()
     k = state.k
-    coordinator, player_noise = draw_noise(game, cfg.seed, k, batch_size(cfg, k), buffer, lane)
-    lam_avg, lam_next, g_hat = coordinator_step(state, game, offsets, cfg, coordinator, base)
-    u_avg, u_next = player_step(state, game, cfg, player_noise, base)
+    coordinator, player_noise = draw_noise(game, cfg.seed, k, m, buffer, lane)
+    lam_avg, lam_next, g_hat = coordinator_step(state, game, offsets, cfg, alpha,
+                                                coordinator, base)
+    u_avg, u_next = player_step(state, game, cfg, alpha, player_noise, base)
     new_state = SolverState(k + 1, u_next, u_avg, lam_next, lam_avg)
     snapshot = bool(cfg.snapshot_every) and k % cfg.snapshot_every == 0
-    return new_state, _record(state, cfg, residual, g_hat, t0, snapshot)
+    return new_state, _record(state, alpha, m, residual, g_hat, t0, snapshot)
 
 
-def _record(state: SolverState, cfg: SolverConfig, residual: float, g_hat: np.ndarray,
+def _record(state: SolverState, alpha: float, m: int, residual: float, g_hat: np.ndarray,
             t0: float, snapshot: bool) -> IterationRecord:
-    """Record of the iterate ``state``, timed from ``perf_counter`` value t0."""
+    """Record of the iterate ``state`` (step ``alpha``, batch m), timed from t0."""
     return IterationRecord(
         k=state.k, residual=residual,
-        g_hat_max=float(g_hat.max()) if g_hat.size else 0.0,
-        g_hat_norm=_norm(g_hat),
-        lam=state.lam.copy(), alpha=step_size(cfg, state.k), batch=batch_size(cfg, state.k),
+        g_hat_max=float(np.maximum.reduce(g_hat)) if g_hat.size else 0.0,
+        g_hat_norm=_norm(g_hat), lam=state.lam.copy(), alpha=alpha, batch=m,
         wall_ms=(time.perf_counter() - t0) * 1e3,
         strategies=state.u.copy() if snapshot else None)
 
@@ -412,9 +412,9 @@ def residual_noise(game, cfg: SolverConfig, seed: int) -> game_mod.ReducedLift:
 
 
 def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
-                      cfg: SolverConfig, noise: game_mod.ReducedLift,
+                      cfg: SolverConfig, alpha: float, noise: game_mod.ReducedLift,
                       base: game_mod.IterateBase) -> float:
-    """Distance from the iterate to one exact projected forward step.
+    """Distance from the iterate to one exact projected forward step of size ``alpha``.
 
     The expected operator is replaced by a large-reference-batch estimate
     (``cfg.residual_batch`` samples); the backward step is the product of the
@@ -423,9 +423,8 @@ def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
     reduced reference batch ``residual_noise(game, cfg, cfg.seed)``, common
     to every iteration of a run; ``base`` is ``lift_base(game, state.u)``.
     """
-    alpha = step_size(cfg, state.k)
     f_hat, jac, g_raw = game_mod.operator_estimate(game, base, noise)
-    u_step = np.clip(state.u - alpha * (f_hat + jac @ state.lam), game.box_lower, game.box_upper)
+    u_step = game_mod.project_local(game, state.u - alpha * (f_hat + jac @ state.lam))
     lam_step = np.maximum(state.lam + alpha * (g_raw + offsets.offsets), 0.0)
     return math.hypot(_norm(state.u - u_step), _norm(state.lam - lam_step))
 
@@ -438,17 +437,16 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     The trace holds one record per completed iteration plus a final record
     at the last iterate (so a zero-iteration run still yields the initial
     record), whose constraint mean comes from the coordinator's batch of
-    that iterate. The residual batch is drawn and reduced once per run; each
-    iterate's batch-free parts (``lift_base``) are evaluated once and shared
-    by the residual and both steps. The run owns the players' draw buffer,
-    made twice a batch's need whenever a batch outgrows it, and the second
-    draw lane (``draw_noise``), whose thread starts at the first batch that
-    crosses ``TWO_LANE_MIN_DRAWS`` and is joined before ``run`` returns or
-    raises. ``initial`` (a loaded checkpoint, say) needs the game's
-    dimensions and a nonnegative multiplier. The divergence guard is relative
-    to ``initial_state``, the projected origin, wherever a run starts. Each
-    finite new iterate, before the guard, goes to ``observe(state, record)``
-    (read-only) with the record of its iteration; an exception from it propagates.
+    that iterate. The residual batch is drawn and reduced once per run. The
+    run owns the players' draw buffer, made twice a batch's need whenever a
+    batch outgrows it, and the second draw lane (``draw_noise``), whose thread
+    starts at the first batch that crosses ``TWO_LANE_MIN_DRAWS`` and is
+    joined before ``run`` returns or raises. ``initial`` (a loaded checkpoint,
+    say) needs the game's dimensions and a nonnegative multiplier. The
+    divergence guard is relative to ``initial_state``, the projected origin,
+    wherever a run starts. Each finite new iterate, before the guard, goes to
+    ``observe(state, record)`` (read-only) with the record of its iteration;
+    an exception from it propagates.
     """
     origin = initial_state(game, cfg)
     state = origin if initial is None else initial
@@ -463,30 +461,32 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     records, buffer = [], np.empty(0)
     with ThreadPoolExecutor(1, "ccgames-draws") as lane:
         while True:
+            alpha, m = step_size(cfg, state.k), batch_size(cfg, state.k)
             base = game_mod.lift_base(game, state.u)
-            res = residual_estimate(state, game, offsets, cfg, noise_res, base)
+            res = residual_estimate(state, game, offsets, cfg, alpha, noise_res, base)
             if res <= cfg.residual_tolerance or state.k >= cfg.max_iterations:
                 t0 = time.perf_counter()  # like iteration records, excludes the residual
                 reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
                     else TERMINATION_BUDGET
                 rng = iteration_stream(cfg.seed, state.k, 0) \
                     if game.values_read_trajectory else None
-                noise = coordinator_noise(game, rng, batch_size(cfg, state.k))
-                g_hat = coordinator_step(state, game, offsets, cfg, noise, base)[2]
-                records.append(_record(state, cfg, res, g_hat, t0, bool(cfg.snapshot_every)))
+                noise = coordinator_noise(game, rng, m)
+                g_hat = coordinator_step(state, game, offsets, cfg, alpha, noise, base)[2]
+                records.append(_record(state, alpha, m, res, g_hat, t0, bool(cfg.snapshot_every)))
                 break
-            need = game.n_players * batch_size(cfg, state.k) * len(game.support)
+            need = game.n_players * m * len(game.support)
             if need > buffer.size:
                 buffer = np.empty(2 * need)
-            state, record = iterate(state, game, offsets, cfg, res, base, buffer, lane)
+            state, record = iterate(state, game, offsets, cfg, alpha, m, res, base, buffer, lane)
             records.append(record)
-            if not state.is_finite():
+            z_norm = state.z_norm()  # finite only if every entry is
+            if not math.isfinite(z_norm) and not state.is_finite():
                 # NaN compares False against the guard, so it needs its own stop
                 reason = TERMINATION_NON_FINITE
                 break
             if observe is not None:
                 observe(state, record)
-            if state.z_norm() > guard:
+            if z_norm > guard:
                 reason = TERMINATION_DIVERGENCE
                 break
     return RunTrace(tuple(records), reason, state)

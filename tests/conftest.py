@@ -396,10 +396,12 @@ def serial_reference_run(game, offsets, cfg, initial):
         k, m = state.k, solver.batch_size(cfg, state.k)
         base = lift_base(game, state.u)
         coordinator, players = serial_entity_noise(game, cfg.seed, k, m)
-        lam_avg, lam_next, g_hat = solver.coordinator_step(state, game, offsets, cfg,
+        alpha = solver.step_size(cfg, k)
+        lam_avg, lam_next, g_hat = solver.coordinator_step(state, game, offsets, cfg, alpha,
                                                            coordinator, base)
         records.append(dict(
-            k=k, residual=solver.residual_estimate(state, game, offsets, cfg, noise_res, base),
+            k=k, residual=solver.residual_estimate(state, game, offsets, cfg, alpha, noise_res,
+                                                   base),
             g_hat_max=float(g_hat.max()) if g_hat.size else 0.0,
             g_hat_norm=float(np.linalg.norm(g_hat)), lam=state.lam.copy(),
             alpha=solver.step_size(cfg, k), batch=m, strategies=None))

@@ -10,7 +10,7 @@ from dataclasses import replace
 from ccgames.config import build_game, parse_config
 from ccgames.dynamics import simulate_state
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
-                          PlayerSpec, constraint_values,
+                          PlayerSpec, _batch_means, batch_mean, constraint_values, lift_base,
                           player_constraint_gradient_mean, project_local,
                           random_feasible_profile, state_batch)
 from ccgames.lqgame import build_lq_game
@@ -420,3 +420,60 @@ class TestAffineConstraintValues:
         np.testing.assert_allclose(constraint_values(rebuilt, u, states),
                                    reference_constraint_values(rebuilt, u, states),
                                    rtol=1e-12, atol=1e-12)
+
+
+def same_bits(a, b) -> bool:
+    """Equal type, dtype, shape and bytes: -0.0 differs from 0.0, NaN equals itself."""
+    return type(a) is type(b) and a.dtype == b.dtype and np.shape(a) == np.shape(b) \
+        and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def wide_values(rng, shape):
+    """Floats from 1e-8 to 1e8 in size, both signs, a tenth of them +-0.0."""
+    out = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+    zeros = rng.uniform(size=shape) < 0.1
+    out[zeros] = np.where(rng.uniform(size=shape) < 0.5, 0.0, -0.0)[zeros]
+    return out
+
+
+class TestFastPathsKeepTheBits:
+    """Each per-iterate primitive equals, bit for bit, the numpy expression it replaced."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 1001])
+    def test_batch_mean_equals_ndarray_mean(self, m):
+        rng = np.random.default_rng(m)
+        rows = wide_values(rng, (m, 5))
+        stacked = wide_values(rng, (4, m, 5))
+        assert same_bits(batch_mean(rows), rows.mean(axis=0))
+        assert same_bits(batch_mean(stacked, 1), stacked.mean(axis=1))
+        assert same_bits(batch_mean(rows[:, 2]), rows[:, 2].mean())  # a value closure's (M,)
+        # the closures' batch means, as _batch_means took them before
+        fn = np.tanh
+        assert same_bits(_batch_means(fn, rows), fn(rows).mean(axis=0))
+        assert same_bits(_batch_means(fn, stacked),
+                         fn(stacked.reshape(4 * m, 5)).reshape(4, m, -1).mean(axis=1))
+
+    def test_input_grad_equals_zeros_plus_oracle(self):
+        game = build_quadratic_state_game(np.random.default_rng(31))
+        signed = np.resize([-0.0, 0.0, 1.5, -2.0, -0.0], game.input_dim)
+        game = replace(game, cost_input_grad=lambda u: signed.copy())
+        u = np.zeros(game.input_dim)
+        got = lift_base(game, u).input_grad
+        assert same_bits(got, np.zeros(game.input_dim) + game.cost_input_grad(u))
+        assert not np.signbit(got[signed == 0.0]).any()  # -0.0 becomes +0.0, as before
+        no_cost = lift_base(replace(game, cost_input_grad=None), u).input_grad
+        assert same_bits(no_cost, np.zeros(game.input_dim))
+
+    def test_projection_equals_np_clip(self):
+        game = build_quadratic_state_game(np.random.default_rng(32))
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 3.0, -3.0, 20.0, -20.0])
+        lo = np.resize([-np.inf, -0.0, 0.0, np.nan, -1.0, -10.0], game.input_dim)
+        hi = np.resize([np.inf, 0.0, -0.0, np.nan, np.inf, 10.0], game.input_dim)
+        boxed = replace(game, players=tuple(
+            replace(p, box_lower=lo[sl], box_upper=hi[sl])
+            for p, sl in zip(game.players, game.player_slices)))
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            u = rng.choice(special, size=game.input_dim)
+            for g in (game, boxed):
+                assert same_bits(project_local(g, u), np.clip(u, g.box_lower, g.box_upper))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from ccgames.game import random_feasible_profile
 from ccgames.lqgame import (LqConstraint, LqGameParams, LqPlayer, build_lq_game,
                             pseudo_gradient_matrix, solve_vgne_kkt)
 
-from conftest import (central_difference, quadratic_oracle_params, relative_error,
+from conftest import (central_difference, quadratic_oracle_params, random_lq_params,
+                      relative_error,
                       sample_operator)
 
 
@@ -101,3 +104,32 @@ class TestBuiltGame:
         params = LqGameParams(horizon=2, state_dim=1, players=players)
         with pytest.raises(ValueError):
             build_lq_game(params)
+
+
+def reference_input_grad(p, u):
+    """The input-cost gradient by its former expression: (N, 1) coefficients
+    broadcast over the blocks, the block sum by ``ndarray.sum``."""
+    quad_self = np.array([[float(pl.quad_self)] for pl in p.players])
+    quad_couple = np.array([[float(pl.quad_couple)] for pl in p.players])
+    d = p.horizon * p.players[0].input_dim
+    lin = np.array([np.zeros(d) if pl.linear is None
+                    else np.asarray(pl.linear, dtype=float).reshape(-1) for pl in p.players])
+    blocks = u.reshape(len(p.players), d)
+    return (quad_self * blocks + quad_couple * (blocks.sum(axis=0) - blocks) + lin).reshape(-1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_input_grad_keeps_the_bits_of_its_former_expression(seed):
+    rng = np.random.default_rng(seed)
+    params = quadratic_oracle_params() if seed == 0 else random_lq_params(rng)
+    if seed % 3 == 1:  # players without a linear term
+        params = replace(params, players=tuple(replace(pl, linear=None)
+                                               for pl in params.players))
+    grad = build_lq_game(params)[0].cost_input_grad
+    for _ in range(10):
+        n = sum(params.horizon * pl.input_dim for pl in params.players)
+        u = rng.normal(size=n) * 10.0 ** rng.uniform(-300, 200, size=n)
+        u[rng.uniform(size=n) < 0.2] = 0.0
+        u[rng.uniform(size=n) < 0.2] = -0.0
+        got, want = grad(u), reference_input_grad(params, u)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -17,7 +17,7 @@ from ccgames.game import (CouplingConstraintSpec, GameSpec, lift_base, operator_
 from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
 from ccgames.solver import (SolverConfig, batch_size, coordinator_noise, coordinator_step,
-                            initial_state)
+                            initial_state, step_size)
 
 from conftest import (CONFIG_DIR, generic_copy, random_lq_params, reference_operator,
                       with_support_oracles)
@@ -53,7 +53,7 @@ def assert_matches_reference(game, offsets, u, w, seed, k=3):
     game = generic_copy(game)
     cfg = SolverConfig(seed=seed)
     state = replace(initial_state(game, cfg), k=k, u=u)
-    _, _, g_hat = coordinator_step(state, game, offsets, cfg,
+    _, _, g_hat = coordinator_step(state, game, offsets, cfg, step_size(cfg, k),
                                    coordinator_noise(game, iteration_stream(seed, k, 0),
                                                      batch_size(cfg, k)),
                                    lift_base(game, u))

@@ -72,16 +72,19 @@ def simple_game(n_players=2, horizon=2, constraint_offset=-1.0, noise_std=0.0,
 
 def residual_at(state, game, offsets, cfg):
     """``residual_estimate`` on the run's residual batch and the iterate's lift base."""
-    return residual_estimate(state, game, offsets, cfg, residual_noise(game, cfg, cfg.seed),
-                             lift_base(game, state.u))
+    return residual_estimate(state, game, offsets, cfg, step_size(cfg, state.k),
+                             residual_noise(game, cfg, cfg.seed), lift_base(game, state.u))
 
 
 def step(state, game, offsets, cfg):
-    """One iteration with its residual, lift base, draw buffer and lane made afresh."""
-    buffer = np.empty(game.n_players * batch_size(cfg, state.k) * len(game.support))
+    """One iteration with its step, batch size, residual, lift base, draw
+    buffer and lane made afresh."""
+    m = batch_size(cfg, state.k)
+    buffer = np.empty(game.n_players * m * len(game.support))
     with ThreadPoolExecutor(1) as lane:
-        return iterate(state, game, offsets, cfg, residual_at(state, game, offsets, cfg),
-                       lift_base(game, state.u), buffer, lane)
+        return iterate(state, game, offsets, cfg, step_size(cfg, state.k), m,
+                       residual_at(state, game, offsets, cfg), lift_base(game, state.u),
+                       buffer, lane)
 
 
 def player_noise(game, cfg):
@@ -181,7 +184,8 @@ class TestCoordinatorStep:
         cfg = quick_config()
         state = initial_state(game, cfg)
         lam_avg, lam_next, g_hat = coordinator_step(
-            state, game, offsets, cfg, coordinator_batch(game, cfg), lift_base(game, state.u))
+            state, game, offsets, cfg, step_size(cfg, state.k), coordinator_batch(game, cfg),
+            lift_base(game, state.u))
         # lam_avg + alpha * g = (-1, 2) -> projected to (0, 2)
         assert np.allclose(lam_next, [0.0, 2.0])
 
@@ -191,7 +195,7 @@ class TestCoordinatorStep:
         state = initial_state(game, cfg)
         state.lam = np.array([1.3])
         state.lam_avg_prev = np.array([1.3])
-        lam_avg, _, _ = coordinator_step(state, game, offsets, cfg,
+        lam_avg, _, _ = coordinator_step(state, game, offsets, cfg, step_size(cfg, state.k),
                                          coordinator_batch(game, cfg),
                                          lift_base(game, state.u))
         assert lam_avg[0] == pytest.approx(1.3)
@@ -202,7 +206,7 @@ class TestCoordinatorStep:
         state = initial_state(game, cfg)
         for k in (0, 3, 7):
             state.k = k
-            _, _, g_hat = coordinator_step(state, game, offsets, cfg,
+            _, _, g_hat = coordinator_step(state, game, offsets, cfg, step_size(cfg, k),
                                            coordinator_batch(game, cfg, k),
                                            lift_base(game, state.u))
             assert g_hat[0] == pytest.approx(float(state.u.sum()) - 2.5)
@@ -215,8 +219,8 @@ class TestPlayerStep:
         state = initial_state(game, cfg)
         state.u = np.ones(game.input_dim)          # gradient u - 1 vanishes
         state.u_avg_prev = state.u.copy()
-        _, u_next = player_step(state, game, cfg, player_noise(game, cfg),
-                                lift_base(game, state.u))
+        _, u_next = player_step(state, game, cfg, step_size(cfg, state.k),
+                                player_noise(game, cfg), lift_base(game, state.u))
         assert np.allclose(u_next, state.u)
 
     def test_zero_multiplier_reduces_to_gradient_step(self):
@@ -224,8 +228,8 @@ class TestPlayerStep:
         cfg = quick_config()
         state = initial_state(game, cfg)
         assert np.array_equal(state.lam, np.zeros(1))
-        _, with_zero_lam = player_step(state, game, cfg, player_noise(game, cfg),
-                                       lift_base(game, state.u))
+        _, with_zero_lam = player_step(state, game, cfg, step_size(cfg, state.k),
+                                       player_noise(game, cfg), lift_base(game, state.u))
         alpha = step_size(cfg, 0)
         expected = np.clip(state.u - alpha * (state.u - 1.0), -4.0, 4.0)
         assert np.allclose(with_zero_lam, expected)
@@ -234,8 +238,8 @@ class TestPlayerStep:
         game, offsets = simple_game(n_players=1, box=(0.0, 0.5))
         cfg = quick_config(step_a0=10.0, step_offset=2.0)
         state = initial_state(game, cfg)
-        _, u_next = player_step(state, game, cfg, player_noise(game, cfg),
-                                lift_base(game, state.u))
+        _, u_next = player_step(state, game, cfg, step_size(cfg, state.k),
+                                player_noise(game, cfg), lift_base(game, state.u))
         # gradient at u=0 is -1, big step overshoots: clamp to the box
         assert np.allclose(u_next, 0.5)
 
@@ -299,9 +303,10 @@ class TestResidual:
         game, offsets = simple_game(noise_std=0.7)
         cfg = quick_config()
         state = initial_state(game, cfg)
-        r1 = residual_estimate(state, game, offsets, cfg, residual_noise(game, cfg, 9),
+        alpha = step_size(cfg, state.k)
+        r1 = residual_estimate(state, game, offsets, cfg, alpha, residual_noise(game, cfg, 9),
                                lift_base(game, state.u))
-        r2 = residual_estimate(state, game, offsets, cfg, residual_noise(game, cfg, 9),
+        r2 = residual_estimate(state, game, offsets, cfg, alpha, residual_noise(game, cfg, 9),
                                lift_base(game, state.u))
         assert r1 == r2
 
@@ -400,6 +405,23 @@ class TestRun:
         assert trace.final_state.k == 1
         assert solver.non_finite_updates(game, trace.final_state) == \
             ["coordinator multiplier update"]
+
+    def test_finite_iterate_with_overflowing_norm_diverges(self):
+        # one unit step lands on 1e200 in every entry: finite, but the squares
+        # in z_norm overflow to inf, so only the entries themselves can tell
+        # it from a non-finite iterate (the overflow is the point: not a warning)
+        game, offsets = simple_game(n_players=1, constraint_offset=None,
+                                    box=(-1e300, 1e300))
+        game = replace(game, cost_input_grad=lambda u: u - 1e200)
+        cfg = quick_config(step_a0=2.0, step_offset=2.0, max_iterations=50)
+        seen = []
+        with np.errstate(over="ignore"):
+            trace = run(game, offsets, cfg, observe=lambda state, record: seen.append(state))
+            final = trace.final_state
+            assert final.is_finite() and final.z_norm() == math.inf
+        assert trace.termination_reason == solver.TERMINATION_DIVERGENCE
+        assert final.k == 1 and np.array_equal(final.u, np.full(game.input_dim, 1e200))
+        assert seen == [final] and seen[0] is final
 
     def test_records_contiguous(self):
         game, offsets = simple_game(noise_std=0.2)
@@ -540,8 +562,8 @@ class TestSharedEvaluation:
         cfg = quick_config()
         state = replace(initial_state(game, cfg), k=3, u=u)
         m = batch_size(cfg, state.k)
-        g_hat = coordinator_step(state, game, offsets, cfg, coordinator_batch(game, cfg, k=3),
-                                 lift_base(game, u))[2]
+        g_hat = coordinator_step(state, game, offsets, cfg, step_size(cfg, state.k),
+                                 coordinator_batch(game, cfg, k=3), lift_base(game, u))[2]
         w = game.disturbance.sample(iteration_stream(cfg.seed, 3, 0), m)
         g_ref = constraint_values(game, u, state_batch(game, u, w)).mean(axis=0)
         np.testing.assert_allclose(g_hat, g_ref + offsets.offsets, rtol=1e-12, atol=1e-12)
@@ -571,8 +593,9 @@ class TestSharedEvaluation:
             state = replace(state, k=k, u=random_feasible_profile(game, rng),
                             lam=rng.uniform(0.0, 2.0, size=game.constraint_count))
             base = lift_base(game, state.u)
-            uncached = residual_estimate(state, game, offsets, cfg, noise=lifted, base=base)
-            cached = residual_estimate(state, game, offsets, cfg, noise=reduced, base=base)
+            alpha = step_size(cfg, state.k)
+            uncached = residual_estimate(state, game, offsets, cfg, alpha, noise=lifted, base=base)
+            cached = residual_estimate(state, game, offsets, cfg, alpha, noise=reduced, base=base)
             assert cached == uncached > 0.0
 
     def test_run_matches_uncached_iteration(self, reduced_microgrid):

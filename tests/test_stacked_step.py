@@ -153,7 +153,8 @@ def test_player_step_equals_per_player_reference(name):
         else:  # no player draws: no batch, and the reference reads no rows
             assert noise is None
             rows = [np.empty((m, 0))] * game.n_players
-        u_avg, u_next = solver.player_step(state, game, cfg, noise, base)
+        u_avg, u_next = solver.player_step(state, game, cfg, solver.step_size(cfg, k), noise,
+                                           base)
         ref_avg, ref_next = reference_player_step(game, state, cfg, rows)
         assert np.array_equal(u_avg, ref_avg)
         assert np.array_equal(u_next, ref_next)

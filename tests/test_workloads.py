@@ -4,7 +4,9 @@
 function, or a changed signature, would only show up when the benchmark
 runs. This loads the file, without changing it, and runs its whole flow
 (set-up, solve, solve checks, verification, verification checks) on the
-oracle workload and on a 2-iteration slice of ``paper_run``.
+oracle workload and on 2-iteration slices of ``paper_run`` and of
+``reduced_tail``, which resumes at k=9000 through
+``replace(initial_state(...), k=start_k)``.
 """
 
 import importlib.util
@@ -28,7 +30,8 @@ def workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name, iterations", [("oracle_solve", None), ("paper_run", 2)])
+@pytest.mark.parametrize("name, iterations", [("oracle_solve", None), ("paper_run", 2),
+                                              ("reduced_tail", 2)])
 def test_workload_flow_passes_its_checks(workloads, name, iterations):
     W = workloads
     workload = W.WORKLOADS[name]
