@@ -39,6 +39,8 @@ batch (``draw_noise``), and what ``run`` evaluates once per iterate: alpha_k,
 M_k and the batch-free parts (``lift_base``: noise-free trajectory, input-cost
 gradient, affine constraint part). One projection (``game.project_local``)
 serves the residual and the player step; the guard's norm is the finite check.
+Only ``extended_operator`` forms the operator on one shared batch, for the
+residual and the Lipschitz probe; the steps form its parts on their own batches.
 No step lifts whole trajectories: the coordinator maps the mean disturbance
 through the affine constraint parts, and the players read only the support
 columns; what none reads (``game.reads_trajectory``) is neither drawn nor
@@ -207,8 +209,8 @@ class SolverState:
 
 
 def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a 1-D array, by numpy's own formula for ``norm``."""
-    return math.sqrt(x.dot(x))
+    """Euclidean norm of a 1-D array, numpy's ``norm`` formula; ``vdot`` overflows silently."""
+    return math.sqrt(np.vdot(x, x))
 
 
 def initial_state(game, cfg: SolverConfig) -> SolverState:
@@ -411,21 +413,28 @@ def residual_noise(game, cfg: SolverConfig, seed: int) -> game_mod.ReducedLift:
     return game_mod.reduce_noise(game, w_res)
 
 
-def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets,
-                      cfg: SolverConfig, alpha: float, noise: game_mod.ReducedLift,
-                      base: game_mod.IterateBase) -> float:
+def extended_operator(game, offsets: UnderApproxOffsets, base: game_mod.IterateBase,
+                      noise: game_mod.ReducedLift, lam: np.ndarray):
+    """(field_u, field_lam) = (F_hat + Jac lam, G_hat + o) at (u of ``base``, ``lam``) on
+    ``noise``, by one ``operator_estimate``; the monotone operator is (field_u, -field_lam)."""
+    f_hat, jac, g_raw = game_mod.operator_estimate(game, base, noise)
+    return f_hat + jac @ lam, g_raw + offsets.offsets
+
+
+def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets, alpha: float,
+                      noise: game_mod.ReducedLift, base: game_mod.IterateBase) -> float:
     """Distance from the iterate to one exact projected forward step of size ``alpha``.
 
     The expected operator is replaced by a large-reference-batch estimate
-    (``cfg.residual_batch`` samples); the backward step is the product of the
+    (``residual_batch`` samples); the backward step is the product of the
     local-set projection and the nonnegative-orthant projection. Zero exactly
     at equilibrium-multiplier pairs, up to estimator noise. ``noise`` is the
     reduced reference batch ``residual_noise(game, cfg, cfg.seed)``, common
     to every iteration of a run; ``base`` is ``lift_base(game, state.u)``.
     """
-    f_hat, jac, g_raw = game_mod.operator_estimate(game, base, noise)
-    u_step = game_mod.project_local(game, state.u - alpha * (f_hat + jac @ state.lam))
-    lam_step = np.maximum(state.lam + alpha * (g_raw + offsets.offsets), 0.0)
+    field_u, field_lam = extended_operator(game, offsets, base, noise, state.lam)
+    u_step = game_mod.project_local(game, state.u - alpha * field_u)
+    lam_step = np.maximum(state.lam + alpha * field_lam, 0.0)
     return math.hypot(_norm(state.u - u_step), _norm(state.lam - lam_step))
 
 
@@ -463,7 +472,7 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
         while True:
             alpha, m = step_size(cfg, state.k), batch_size(cfg, state.k)
             base = game_mod.lift_base(game, state.u)
-            res = residual_estimate(state, game, offsets, cfg, alpha, noise_res, base)
+            res = residual_estimate(state, game, offsets, alpha, noise_res, base)
             if res <= cfg.residual_tolerance or state.k >= cfg.max_iterations:
                 t0 = time.perf_counter()  # like iteration records, excludes the residual
                 reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
@@ -572,7 +581,7 @@ def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int) -> float:
     each pair on one shared batch of ``LIPSCHITZ_BATCH`` draws, and returns
     the largest difference ratio. Used to size the step
     bound in ``validate_config`` since no analytic constant is available.
-    Returns NaN when any sampled operator value is not finite.
+    Returns NaN when a field of the ``extended_operator`` is not finite.
     """
     rng = substream(seed, PURPOSE_PROBE, 0)
     worst = 0.0
@@ -583,15 +592,14 @@ def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int) -> float:
         l1 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
         l2 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
         noise = game_mod.reduce_noise(game, game.disturbance.sample(rng, LIPSCHITZ_BATCH))
-        f1, j1, g1 = game_mod.operator_estimate(game, game_mod.lift_base(game, u1), noise)
-        f2, j2, g2 = game_mod.operator_estimate(game, game_mod.lift_base(game, u2), noise)
-        g1, g2 = g1 + offsets.offsets, g2 + offsets.offsets
-        if not all(np.all(np.isfinite(a)) for a in (f1, j1, g1, f2, j2, g2)):
+        a1u, a1l = extended_operator(game, offsets, game_mod.lift_base(game, u1), noise, l1)
+        a2u, a2l = extended_operator(game, offsets, game_mod.lift_base(game, u2), noise, l2)
+        if not all(np.all(np.isfinite(a)) for a in (a1u, a1l, a2u, a2l)):
             return math.nan
         dz = math.hypot(_norm(u1 - u2), _norm(l1 - l2))
         if dz < 1e-12:
             continue
-        da = math.hypot(_norm((f1 + j1 @ l1) - (f2 + j2 @ l2)), _norm(g1 - g2))
+        da = math.hypot(_norm(a1u - a2u), _norm(a1l - a2l))
         worst = max(worst, da / dz)
     return worst
 

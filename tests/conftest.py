@@ -400,8 +400,7 @@ def serial_reference_run(game, offsets, cfg, initial):
         lam_avg, lam_next, g_hat = solver.coordinator_step(state, game, offsets, cfg, alpha,
                                                            coordinator, base)
         records.append(dict(
-            k=k, residual=solver.residual_estimate(state, game, offsets, cfg, alpha, noise_res,
-                                                   base),
+            k=k, residual=solver.residual_estimate(state, game, offsets, alpha, noise_res, base),
             g_hat_max=float(g_hat.max()) if g_hat.size else 0.0,
             g_hat_norm=float(np.linalg.norm(g_hat)), lam=state.lam.copy(),
             alpha=solver.step_size(cfg, k), batch=m, strategies=None))

@@ -501,6 +501,18 @@ class TestRunCommand:
         assert "operator-finite: the sampled operator is not finite" in err
         assert "lipschitz estimate must be positive" not in err
 
+    def test_overflowing_norm_diverges_without_a_warning(self, tmp_path, capsys):
+        # one unit step lands every entry on 1e200: finite, but the squares in
+        # the norms overflow, so the run stops at the divergence guard (exit
+        # 3) and warns nothing (the suite turns a RuntimeWarning into an error)
+        doc = oracle_doc()
+        for player in doc["game"]["players"]:
+            player.update(box_lower=[-1e300] * 2, box_upper=[1e300] * 2,
+                          linear=[-1e200] * 2, quad_couple=0.0)
+        doc["solver"].update(step_a0=2.0, step_offset=2.0)
+        assert run_cli(write_doc(tmp_path, doc), tmp_path / "out", "--force") == 3
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
     def test_seed_override_changes_run(self, tmp_path):
         doc = small_microgrid_doc()
         path = write_doc(tmp_path, doc)

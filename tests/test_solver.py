@@ -24,11 +24,11 @@ from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           operator_estimate, player_constraint_gradient_mean,
                           random_feasible_profile,
                           reduce_noise, reduced_lift, state_batch)
-from ccgames.lqgame import build_lq_game
+from ccgames.lqgame import build_lq_game, solve_vgne_kkt
 from ccgames.rng import iteration_stream, residual_stream
 from ccgames.solver import (SolverConfig, batch_size, coordinator_noise, coordinator_step,
                             draw_noise, estimate_lipschitz, estimator_diagnostics,
-                            initial_state, iterate, player_step,
+                            extended_operator, initial_state, iterate, player_step,
                             residual_estimate, residual_noise, run, step_size,
                             validate_config)
 
@@ -72,7 +72,7 @@ def simple_game(n_players=2, horizon=2, constraint_offset=-1.0, noise_std=0.0,
 
 def residual_at(state, game, offsets, cfg):
     """``residual_estimate`` on the run's residual batch and the iterate's lift base."""
-    return residual_estimate(state, game, offsets, cfg, step_size(cfg, state.k),
+    return residual_estimate(state, game, offsets, step_size(cfg, state.k),
                              residual_noise(game, cfg, cfg.seed), lift_base(game, state.u))
 
 
@@ -304,9 +304,9 @@ class TestResidual:
         cfg = quick_config()
         state = initial_state(game, cfg)
         alpha = step_size(cfg, state.k)
-        r1 = residual_estimate(state, game, offsets, cfg, alpha, residual_noise(game, cfg, 9),
+        r1 = residual_estimate(state, game, offsets, alpha, residual_noise(game, cfg, 9),
                                lift_base(game, state.u))
-        r2 = residual_estimate(state, game, offsets, cfg, alpha, residual_noise(game, cfg, 9),
+        r2 = residual_estimate(state, game, offsets, alpha, residual_noise(game, cfg, 9),
                                lift_base(game, state.u))
         assert r1 == r2
 
@@ -334,6 +334,58 @@ class TestResidual:
         drift = step_size(cfg, 0) * abs(float(state.u.sum()) - 10.0 + offsets.offsets[0])
         se = step_size(cfg, 0) * noise * (1.0 + 1.0) / math.sqrt(500)
         assert res_active <= drift + 3.0 * se
+
+
+def extragradient(game, offsets, alpha, noise, tol=1e-12, max_iterations=1000):
+    """Projected extragradient (Korpelevich) with step ``alpha`` through
+    ``extended_operator`` on the batch ``noise``, from the projected origin
+    with a zero multiplier, until one step moves (u, lam) by at most ``tol``;
+    returns (u, lam)."""
+    def forward(u, lam, at_u, at_lam):
+        field_u, field_lam = extended_operator(game, offsets, lift_base(game, at_u), noise,
+                                               at_lam)
+        return (game_mod.project_local(game, u - alpha * field_u),
+                np.maximum(lam + alpha * field_lam, 0.0))
+
+    u, lam = game_mod.project_local(game, np.zeros(game.input_dim)), \
+        np.zeros(game.constraint_count)
+    for _ in range(max_iterations):
+        u_next, lam_next = forward(u, lam, *forward(u, lam, u, lam))
+        moved = math.hypot(np.linalg.norm(u_next - u), np.linalg.norm(lam_next - lam))
+        u, lam = u_next, lam_next
+        if moved <= tol:
+            return u, lam
+    raise AssertionError(f"no step of at most {tol} in {max_iterations} iterations")
+
+
+class TestExtendedOperator:
+    @pytest.mark.parametrize("beta, lam_star", [(0.0, 0.25), (0.5, 0.375)])
+    def test_zero_is_the_closed_form_equilibrium(self, beta, lam_star):
+        # the margin beta raises the offset o of the oracle's one constraint
+        # (its concentration offset is 0: the oracle is deterministic), so the
+        # zero must be the KKT point of the game whose offset is raised by beta
+        doc = json.loads((CONFIG_DIR / "quadratic_oracle.json").read_text())
+        doc["com"]["beta"] = beta
+        cfg = parse_config_dict(doc)
+        game, offsets = build_game(cfg)
+        assert np.array_equal(offsets.offsets, [beta])
+        params = quadratic_oracle_params()
+        [con] = params.constraints
+        u_star, lam_kkt = solve_vgne_kkt(replace(params, constraints=(
+            replace(con, offset=con.offset + beta),)))
+        assert lam_kkt == pytest.approx(lam_star)
+        alpha = 1.0 / (2.0 * estimate_lipschitz(game, offsets, seed=cfg.solver.seed))
+        noise = residual_noise(game, cfg.solver, cfg.solver.seed)
+        u, lam_hat = extragradient(game, offsets, alpha, noise)
+        assert np.max(np.abs(u - u_star)) <= 1e-8
+        assert np.max(np.abs(lam_hat - lam_kkt)) <= 1e-8
+
+    def test_norm_is_numpy_dot_formula(self):
+        # vdot is the dot of numpy's norm formula, bit for bit, on any length
+        rng = np.random.default_rng(4)
+        for n in [0, 1, 2, 3, 7, 16, 49, 1000, 4097, *rng.integers(1, 4098, size=40)]:
+            x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=n)
+            assert solver._norm(x) == math.sqrt(x.dot(x))
 
 
 class TestRun:
@@ -409,16 +461,16 @@ class TestRun:
     def test_finite_iterate_with_overflowing_norm_diverges(self):
         # one unit step lands on 1e200 in every entry: finite, but the squares
         # in z_norm overflow to inf, so only the entries themselves can tell
-        # it from a non-finite iterate (the overflow is the point: not a warning)
+        # it from a non-finite iterate; the overflow warns nothing (the suite
+        # turns a RuntimeWarning into an error)
         game, offsets = simple_game(n_players=1, constraint_offset=None,
                                     box=(-1e300, 1e300))
         game = replace(game, cost_input_grad=lambda u: u - 1e200)
         cfg = quick_config(step_a0=2.0, step_offset=2.0, max_iterations=50)
         seen = []
-        with np.errstate(over="ignore"):
-            trace = run(game, offsets, cfg, observe=lambda state, record: seen.append(state))
-            final = trace.final_state
-            assert final.is_finite() and final.z_norm() == math.inf
+        trace = run(game, offsets, cfg, observe=lambda state, record: seen.append(state))
+        final = trace.final_state
+        assert final.is_finite() and final.z_norm() == math.inf
         assert trace.termination_reason == solver.TERMINATION_DIVERGENCE
         assert final.k == 1 and np.array_equal(final.u, np.full(game.input_dim, 1e200))
         assert seen == [final] and seen[0] is final
@@ -594,8 +646,8 @@ class TestSharedEvaluation:
                             lam=rng.uniform(0.0, 2.0, size=game.constraint_count))
             base = lift_base(game, state.u)
             alpha = step_size(cfg, state.k)
-            uncached = residual_estimate(state, game, offsets, cfg, alpha, noise=lifted, base=base)
-            cached = residual_estimate(state, game, offsets, cfg, alpha, noise=reduced, base=base)
+            uncached = residual_estimate(state, game, offsets, alpha, noise=lifted, base=base)
+            cached = residual_estimate(state, game, offsets, alpha, noise=reduced, base=base)
             assert cached == uncached > 0.0
 
     def test_run_matches_uncached_iteration(self, reduced_microgrid):
@@ -829,18 +881,31 @@ class TestDiagnostics:
         l2 = estimate_lipschitz(game, offsets, seed=1)
         assert l1 == l2 > 0.5
 
-    def test_non_finite_operator_fails_validation(self):
+    def test_non_finite_operator_fails_validation(self, quadratic_game):
+        # each part of the operator non-finite on its own: F_hat (a NaN cost
+        # term), G_hat (a NaN constraint offset), Jac (a NaN closure gradient)
         params = quadratic_oracle_params()
         linear = params.players[0].linear.copy()
         linear[0] = np.nan
         players = (replace(params.players[0], linear=linear),) + params.players[1:]
-        game, offsets = build_lq_game(replace(params, players=players))
-        lip = estimate_lipschitz(game, offsets, seed=1)
-        assert math.isnan(lip)
-        report = validate_config(quick_config(**PAPER_STEP), lip)
-        [failure] = report.failures
-        assert failure.name == "operator-finite"
-        assert "not finite" in failure.detail
+        [con] = params.constraints
+        game, _ = quadratic_game
+        closure = CouplingConstraintSpec(
+            gamma=0.5, com_scale=0.0, input_coeffs=np.ones(game.input_dim), offset=-3.0,
+            state_value=lambda S: np.zeros(len(S)),
+            state_grad=lambda S: np.full(S.shape, np.nan))
+        closure_game = replace(game, constraints=(closure,))
+        for game, offsets in (build_lq_game(replace(params, players=players)),
+                              build_lq_game(replace(params, constraints=(
+                                  replace(con, offset=float("nan")),))),
+                              (closure_game, UnderApproxOffsets.from_game(closure_game))):
+            assert np.all(np.isfinite(offsets.offsets))
+            lip = estimate_lipschitz(game, offsets, seed=1)
+            assert math.isnan(lip)
+            report = validate_config(quick_config(**PAPER_STEP), lip)
+            [failure] = report.failures
+            assert failure.name == "operator-finite"
+            assert "not finite" in failure.detail
 
     def test_deterministic_game_zero_variance(self):
         game, offsets = simple_game()
