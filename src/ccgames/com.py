@@ -251,17 +251,17 @@ def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
     u_star = np.asarray(u_star, dtype=float).reshape(-1)
     if not np.allclose(game_mod.project_local(game, u_star), u_star, atol=1e-8):
         raise ValueError("the profile must lie in the local strategy sets")
-    for c in candidates:
-        if c.shape != u_star.shape:
-            raise ValueError("candidate dimension does not match the profile")
-        if not np.allclose(game_mod.project_local(game, c), c, atol=1e-8):
-            raise ValueError("candidates must lie in the local strategy sets")
+    if any(c.shape != u_star.shape for c in candidates):
+        raise ValueError("candidate dimension does not match the profile")
+    stacked = np.array(candidates)
+    if not np.allclose(stacked.clip(game.box_lower, game.box_upper), stacked, atol=1e-8):
+        raise ValueError("candidates must lie in the local strategy sets")
 
     noise = game_mod.lift_noise(game, game.disturbance.sample(rng, n_samples))
     m, support, nonlinear = game.constraint_count, game.support_index, game.nonlinear_columns
     shared = np.zeros((n_samples, m)) if game.state_map is None else noise @ game.state_map
     # each probe's noise-free constraint part and support columns, one product per player
-    u_base, steps = game_mod.base_trajectory(game, u_star), np.array(candidates) - u_star
+    u_base, steps = game_mod.base_trajectory(game, u_star), stacked - u_star
     shift = np.stack([steps[:, sl] @ game.constant_jacobian[sl] for sl in game.player_slices], 1)
     base = np.stack([steps[:, sl] @ maps
                      for sl, maps in zip(game.player_slices, game.support_input_maps_t)], 1)

@@ -177,6 +177,21 @@ _PLAYER = _filled(LqPlayer, {
     "input_dim": _SIZE, "box_lower": _array, "box_upper": _array,
     "quad_self": _REAL, "quad_couple": _REAL, "linear": _array,
 }, required=("box_lower", "box_upper"))
+
+
+def _finite_box_player(val, where, errors):
+    """``_PLAYER`` with finite box widths, from which random profiles can be
+    drawn; boxes of unequal lengths or in the wrong order are the game's to refuse."""
+    player = _PLAYER(val, where, errors)
+    if player is not None and player.box_lower.shape == player.box_upper.shape:
+        with np.errstate(over="ignore"):
+            width = player.box_upper - player.box_lower
+        if np.any(width == math.inf):
+            errors.append(f"{where}: box_upper - box_lower overflows a double")
+            return None
+    return player
+
+
 _CONSTRAINT = _filled(LqConstraint, {
     "input_coeffs": _array, "offset": _REAL, "gamma": _PROBABILITY,
     "state_coeffs": _array,
@@ -194,7 +209,7 @@ _MICROGRID = {
 _LQ = {
     "kind": _text, "horizon": _SIZE, "state_dim": _SIZE, "initial_state": _array,
     "a_mats": _array, "b_mats": _list(_array),
-    "players": _list(_PLAYER), "constraints": _list(_CONSTRAINT),
+    "players": _list(_finite_box_player), "constraints": _list(_CONSTRAINT),
     "noise_mean": _array, "noise_std": _array,
 }
 

@@ -103,28 +103,27 @@ def build_compact_lift(dyn: TimeVaryingLinearDynamics) -> CompactLift:
     input_maps[j] row-block t, column-block k is A_{t-1} ... A_{k+1} B^j_k
     for k < t and zero otherwise; noise_map is the same with the identity in
     place of B^j_k.
+
+    The maps' columns share one array (the initial state's, then per step
+    the noise's and each player's), so a step is one product and one placed
+    block. A product's column reads only its own column: each map, copied
+    out C-contiguous, has the bits of its own recursion.
     """
     T, n_s = dyn.horizon, dyn.state_dim
-    n_in = dyn.input_dims
-    sdim = (T + 1) * n_s
-
-    init_map = np.zeros((sdim, n_s))
-    input_maps = [np.zeros((sdim, T * nj)) for nj in n_in]
-    noise_map = np.zeros((sdim, T * n_s))
-
-    init_map[0:n_s] = np.eye(n_s)
-    # row-block t+1 = A_t @ row-block t, plus fresh B/I entries at column t
+    widths = (n_s,) + dyn.input_dims  # one step's columns: noise, then each player's
+    width = sum(widths)
+    fresh = np.concatenate((np.broadcast_to(np.eye(n_s), (T, n_s, n_s)),) + dyn.b_mats, axis=2)
+    maps = np.zeros(((T + 1) * n_s, n_s + T * width))
+    maps[:n_s, :n_s] = np.eye(n_s)
+    # row-block t+1 = A_t @ row-block t, plus the fresh I/B entries of step t
     for t in range(T):
-        rows = slice(t * n_s, (t + 1) * n_s)
         rows_next = slice((t + 1) * n_s, (t + 2) * n_s)
-        a_t = dyn.a_mats[t]
-        init_map[rows_next] = a_t @ init_map[rows]
-        noise_map[rows_next] = a_t @ noise_map[rows]
-        noise_map[rows_next, t * n_s:(t + 1) * n_s] = np.eye(n_s)
-        for j, nj in enumerate(n_in):
-            input_maps[j][rows_next] = a_t @ input_maps[j][rows]
-            input_maps[j][rows_next, t * nj:(t + 1) * nj] = dyn.b_mats[j][t]
-    return CompactLift(init_map, tuple(input_maps), noise_map)
+        maps[rows_next] = dyn.a_mats[t] @ maps[t * n_s:(t + 1) * n_s]
+        maps[rows_next, n_s + t * width:n_s + (t + 1) * width] = fresh[t]
+    steps = maps[:, n_s:].reshape(-1, T, width)
+    noise_map, *input_maps = (np.ascontiguousarray(steps[:, :, end - w:end].reshape(-1, T * w))
+                              for w, end in zip(widths, np.cumsum(widths)))
+    return CompactLift(maps[:, :n_s].copy(), tuple(input_maps), noise_map)
 
 
 def simulate_state(dyn: TimeVaryingLinearDynamics, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -137,17 +136,13 @@ def simulate_state(dyn: TimeVaryingLinearDynamics, u: np.ndarray, w: np.ndarray)
     if u.shape[0] != dyn.input_dim_total:
         raise ValueError(
             f"strategy profile has length {u.shape[0]}, expected {dyn.input_dim_total}")
-    per_player, off = [], 0
-    for nj in dyn.input_dims:
-        per_player.append(u[off:off + T * nj])
-        off += T * nj
+    # every player's input term at every step, one product a player
+    drive = w.reshape(T, n_s).copy()
+    ends = np.cumsum([T * b.shape[2] for b in dyn.b_mats])
+    for b, u_j in zip(dyn.b_mats, np.split(u, ends[:-1])):
+        drive += np.matmul(b, u_j.reshape(T, -1, 1))[..., 0]
     s = np.zeros((T + 1) * n_s)
     s[0:n_s] = dyn.s0
     for t in range(T):
-        cur = s[t * n_s:(t + 1) * n_s]
-        nxt = dyn.a_mats[t] @ cur + w[t * n_s:(t + 1) * n_s]
-        for j, nj in enumerate(dyn.input_dims):
-            nxt = nxt + dyn.b_mats[j][t] @ per_player[j][t * nj:(t + 1) * nj]
-        s[(t + 1) * n_s:(t + 2) * n_s] = nxt
+        s[(t + 1) * n_s:(t + 2) * n_s] = dyn.a_mats[t] @ s[t * n_s:(t + 1) * n_s] + drive[t]
     return s
-

@@ -285,6 +285,8 @@ class GameSpec:
     player_slices        : player i's block of the stacked profile, in order.
     input_dim            : length of the stacked profile, T sum_i n_i.
     box_lower/box_upper  : (input_dim,), the players' boxes stacked in order.
+    box_width            : (input_dim,) ``box_upper - box_lower``, None when a
+                           width is not finite.
     block_height         : T n_i when every player's block has that height.
     stacked_input_maps   : ``lift.input_maps``, stacked when ``block_height`` is set.
     constant_jacobian    : (input_dim, m) Jacobian of the coefficients (a
@@ -324,6 +326,7 @@ class GameSpec:
     input_dim: int = field(init=False, repr=False, compare=False)
     box_lower: np.ndarray = field(init=False, repr=False, compare=False)
     box_upper: np.ndarray = field(init=False, repr=False, compare=False)
+    box_width: np.ndarray | None = field(init=False, repr=False, compare=False)
     block_height: int | None = field(init=False, repr=False, compare=False)
     stacked_input_maps: object = field(init=False, repr=False, compare=False)
     constant_jacobian: np.ndarray = field(init=False, repr=False, compare=False)
@@ -356,41 +359,55 @@ class GameSpec:
         if self.disturbance.dim != dyn.horizon * dyn.state_dim:
             raise ValueError("disturbance dimension must be T * n_s")
         lift = build_compact_lift(dyn)
+        heights = {sl.stop - sl.start for sl in slices}
+        height = heights.pop() if len(heights) == 1 else None
         _set_derived(self, players=players, constraints=cons, lift=lift,
-                     player_slices=tuple(slices), input_dim=dyn.input_dim_total)
+                     player_slices=tuple(slices), input_dim=dyn.input_dim_total,
+                     block_height=height, stacked_input_maps=lift.input_maps if height is None
+                     else np.stack(lift.input_maps))
         sdim = lift.init_map.shape[0]
         state_map = _stacked(cons, "state_coeffs", sdim)
         input_map = _stacked(cons, "input_coeffs", self.input_dim)
-        jac = np.zeros((self.input_dim, len(cons)))
-        for gm, sl in zip(lift.input_maps, self.player_slices):
-            # one product per column, not one ``gm.T @ state_map`` per player:
-            # that rounds differently, and tests/conftest.py's
-            # reference_jacobian_block pins these bits with np.array_equal
-            for j, c in enumerate(cons):
-                if c.state_coeffs is not None:
-                    jac[sl, j] += gm.T @ c.state_coeffs
-                if c.input_coeffs is not None:
-                    jac[sl, j] += c.input_coeffs[sl]
-        read_only = dict(box_lower=np.concatenate([p.box_lower for p in players]),
-                         box_upper=np.concatenate([p.box_upper for p in players]),
-                         constant_jacobian=jac,
+        box_lower = np.concatenate([p.box_lower for p in players])
+        box_upper = np.concatenate([p.box_upper for p in players])
+        with np.errstate(over="ignore", invalid="ignore"):  # a width that is not finite is None
+            width = box_upper - box_lower
+        read_only = dict(box_lower=box_lower, box_upper=box_upper,
+                         box_width=width if np.isfinite(width).all() else None,
+                         constant_jacobian=self._constant_jacobian(input_map),
                          constant=np.array([c.offset for c in cons], dtype=float),
                          init_trajectory=lift.init_map @ dyn.s0)
         for array in read_only.values():
-            array.flags.writeable = False
-        heights = {sl.stop - sl.start for sl in self.player_slices}
+            if array is not None:
+                array.flags.writeable = False
         groups = {}
         for i, p in enumerate(players):
             if p.cost_state_grad is not None:
                 groups.setdefault(id(p.cost_state_grad), (p.cost_state_grad, []))[1].append(i)
         nonlinear = tuple(j for j, c in enumerate(cons) if c.state_value is not None)
         _set_derived(self, **read_only, state_map=state_map, input_map=input_map,
-                     block_height=heights.pop() if len(heights) == 1 else None,
                      nonlinear_columns=nonlinear,
                      values_read_trajectory=state_map is not None or bool(nonlinear),
                      state_cost_groups=tuple((g, np.array(ix)) for g, ix in groups.values()))
         self._resolve_support(sdim)
         self._check_lift()
+
+    def _constant_jacobian(self, input_map):
+        # column j: state_coeffs through every player's map in one product,
+        # each block its own (``blockwise``), the bits of ``input_maps[i].T @
+        # state_coeffs`` that reference_jacobian_block pins (one product over
+        # the concatenated maps rounds differently); then input_map, whose
+        # zeros change no bit of a sum that starts from +0.0
+        maps = self.stacked_input_maps
+        maps_t = maps.transpose(0, 2, 1) if self.block_height is not None \
+            else tuple(gm.T for gm in maps)
+        jac = np.zeros((self.input_dim, len(self.constraints)))
+        for j, c in enumerate(self.constraints):
+            if c.state_coeffs is not None:
+                jac[:, j] += blockwise(self, maps_t, c.state_coeffs)
+        if input_map is not None:
+            jac += input_map
+        return jac
 
     def _resolve_support(self, sdim):
         declared = self.state_support
@@ -411,12 +428,10 @@ class GameSpec:
             else np.array(support, dtype=np.intp)
         # each map keeps the layout of ``gm[index].T``: products with another
         # layout can round differently
-        maps = self.lift.input_maps if self.block_height is None \
-            else np.stack(self.lift.input_maps)
+        maps = self.stacked_input_maps
         noise_map_t = self.lift.noise_map[index].T
         d = self.disturbance
         _set_derived(self, state_support=declared, support=support, support_index=index,
-                     stacked_input_maps=maps,
                      reads_trajectory=self.state_map is not None or bool(support),
                      support_noise_map_t=noise_map_t,
                      support_law=None if d.mean is None
@@ -675,5 +690,9 @@ def project_local(game: GameSpec, u: np.ndarray) -> np.ndarray:
 
 
 def random_feasible_profile(game: GameSpec, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the stacked box, one double per coordinate in order."""
-    return rng.uniform(game.box_lower, game.box_upper)
+    """Uniform draw from the stacked box, one double per coordinate in order:
+    the doubles and the stream state of ``rng.uniform(box_lower, box_upper)``,
+    which also raises for a width that is not finite."""
+    if game.box_width is None:
+        raise OverflowError("Range exceeds valid bounds")
+    return game.box_lower + game.box_width * rng.random(game.input_dim)

@@ -193,14 +193,15 @@ def household_cost_value(i: int, u: np.ndarray, w: np.ndarray, p: MicrogridParam
 def _soc_band_constraints(p: MicrogridParams):
     """Two one-sided band constraints per step t = 1..T plus the terminal band."""
     T = p.horizon
-    sdim = T + 1
     cons = []
     scales = _soc_std(p)
 
     def band(t, sign, offset):
+        # sign * e_t, its zeros signed as sign * 0.0 is (-0.0 for the lower band)
+        coeffs = np.full(T + 1, sign * 0.0)
+        coeffs[t] = sign
         return CouplingConstraintSpec(
-            gamma=p.gamma_soc / 2.0, com_scale=scales[t],
-            state_coeffs=sign * np.eye(sdim)[t], offset=offset)
+            gamma=p.gamma_soc / 2.0, com_scale=scales[t], state_coeffs=coeffs, offset=offset)
 
     cons.extend(band(t, 1.0, -p.soc_max) for t in range(1, T + 1))
     cons.extend(band(t, -1.0, p.soc_min) for t in range(1, T + 1))

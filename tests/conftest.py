@@ -8,7 +8,7 @@ import pytest
 
 from ccgames import MicrogridParams, build_microgrid_game, solver
 from ccgames.config import build_game, parse_config
-from ccgames.dynamics import TimeVaryingLinearDynamics, simulate_state
+from ccgames.dynamics import CompactLift, TimeVaryingLinearDynamics, simulate_state
 from ccgames.game import ReducedLift, lift_base, operator_estimate, reduce_noise
 from ccgames.lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
 from ccgames.rng import iteration_stream
@@ -26,6 +26,46 @@ def random_dynamics(rng, n_s=None, n_players=None, horizon=None):
               for _ in range(n_players))
     s0 = rng.normal(size=n_s)
     return TimeVaryingLinearDynamics(a_mats=a, b_mats=b, s0=s0)
+
+
+def reference_compact_lift(dyn):
+    """``build_compact_lift`` by its per-map recursion: row-block t+1 of each
+    map is ``A_t @`` row-block t, one product per map (the initial state's,
+    the noise's and each player's own) and step, then the step's fresh
+    identity or ``B^j_t`` block is placed."""
+    T, n_s = dyn.horizon, dyn.state_dim
+    sdim = (T + 1) * n_s
+    init_map = np.zeros((sdim, n_s))
+    input_maps = [np.zeros((sdim, T * b.shape[2])) for b in dyn.b_mats]
+    noise_map = np.zeros((sdim, T * n_s))
+    init_map[0:n_s] = np.eye(n_s)
+    for t in range(T):
+        rows = slice(t * n_s, (t + 1) * n_s)
+        rows_next = slice((t + 1) * n_s, (t + 2) * n_s)
+        a_t = dyn.a_mats[t]
+        init_map[rows_next] = a_t @ init_map[rows]
+        noise_map[rows_next] = a_t @ noise_map[rows]
+        noise_map[rows_next, t * n_s:(t + 1) * n_s] = np.eye(n_s)
+        for gm, b in zip(input_maps, dyn.b_mats):
+            nj = b.shape[2]
+            gm[rows_next] = a_t @ gm[rows]
+            gm[rows_next, t * nj:(t + 1) * nj] = b[t]
+    return CompactLift(init_map, tuple(input_maps), noise_map)
+
+
+def reference_constant_jacobian(game):
+    """The constant Jacobian (input_dim, m) built one (player, constraint)
+    pair at a time from the reference lift: ``input_maps[i].T @
+    state_coeffs``, then the ``input_coeffs`` block, each added to zero."""
+    maps = reference_compact_lift(game.dynamics).input_maps
+    out = np.zeros((game.input_dim, len(game.constraints)))
+    for gm, sl in zip(maps, game.player_slices):
+        for j, c in enumerate(game.constraints):
+            if c.state_coeffs is not None:
+                out[sl, j] += gm.T @ c.state_coeffs
+            if c.input_coeffs is not None:
+                out[sl, j] += c.input_coeffs[sl]
+    return out
 
 
 def apply_lift(lift, s0, u, w):

@@ -249,6 +249,21 @@ class TestConfigErrors:
         edit(doc)
         assert_one_message_exit_one(tmp_path, capsys, doc, message)
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_box_width_past_the_largest_double_rejected(self, tmp_path, capsys, command):
+        # finite bounds, so each is read, but their difference overflows: the
+        # Lipschitz probe's random profiles could not be drawn from the box
+        doc = oracle_doc()
+        doc["game"]["players"][1].update(box_lower=[-1e308, -5.0], box_upper=[1e308, 5.0])
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_doc(tmp_path, doc))]
+        assert main(argv + (["--out-dir", str(out)] if command == "run" else [])) == 1
+        assert capsys.readouterr().err == (
+            "invalid configuration:\n  game.players[1]: box_upper - box_lower overflows a double\n")
+        assert not out.exists()
+        doc["game"]["players"][1].update(box_lower=[-1e308, -5.0], box_upper=[0.0, 5.0])
+        assert parse_config_dict(doc).lq.players[1].box_lower[0] == -1e308  # a finite width
+
     @pytest.mark.parametrize("edit, message", [
         (replaced("solver", []), "solver: expected an object, got []"),
         (replaced("solver", "x"), "solver: expected an object, got 'x'"),

@@ -364,6 +364,17 @@ class TestEpsilonGap:
 
     def test_infeasible_candidate_rejected(self):
         game, _ = self.make_game_with_offset_value()
-        with pytest.raises(ValueError):
-            estimate_epsilon_gap(game, np.zeros(1), [np.array([7.0])], 100,
-                                 np.random.default_rng(0), UnderApproxOffsets.from_game(game))
+        offsets = UnderApproxOffsets.from_game(game)
+
+        def gap(*candidates):
+            return estimate_epsilon_gap(game, np.zeros(1), list(candidates), 100,
+                                        np.random.default_rng(0), offsets)
+
+        # every candidate is checked, the last as the first, with the same tolerance
+        for candidates in ([np.array([7.0])], [np.array([0.5]), np.array([1.0 + 1e-4])],
+                           [np.array([0.5]), np.array([np.nan])]):
+            with pytest.raises(ValueError, match="candidates must lie in the local strategy sets"):
+                gap(*candidates)
+        with pytest.raises(ValueError, match="candidate dimension does not match the profile"):
+            gap(np.array([0.5]), np.array([0.5, 0.5]))
+        assert gap(np.array([0.5]), np.array([1.0 + 1e-9])).candidates_evaluated == 2

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccgames.config import build_game, parse_config
 from ccgames.dynamics import TimeVaryingLinearDynamics, build_compact_lift, simulate_state
 
-from conftest import apply_lift, random_dynamics
+from conftest import CONFIG_DIR, apply_lift, random_dynamics, reference_compact_lift
 
 
 def scalar_dynamics(a_value, horizon, n_players=1, b_value=0.0, s0=0.0):
@@ -52,6 +53,40 @@ class TestCompactLift:
         direct = simulate_state(dyn, u, w)
         lifted = apply_lift(lift, dyn.s0, u, w)
         assert np.allclose(lifted, direct, atol=1e-12)
+
+
+def assert_same_lift(lift, reference):
+    """Every map of ``lift`` has the shape and the bytes (so -0.0 counts) of
+    the reference's, and is its own C-contiguous array."""
+    pairs = [(lift.init_map, reference.init_map), (lift.noise_map, reference.noise_map)]
+    assert len(lift.input_maps) == len(reference.input_maps)
+    for got, want in pairs + list(zip(lift.input_maps, reference.input_maps)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+
+class TestLiftBits:
+    """One product per step over every map's columns gives each map the
+    bytes of its own recursion (``reference_compact_lift``)."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_dynamics_unequal_widths(self, seed):
+        rng = np.random.default_rng(seed)
+        n_s, T, n = int(rng.integers(2, 7)), int(rng.integers(1, 10)), int(rng.integers(2, 5))
+        a = rng.normal(scale=0.8, size=(T, n_s, n_s))
+        a[rng.uniform(size=a.shape) < 0.2] = 0.0  # zero entries: products of signed zeros
+        dyn = TimeVaryingLinearDynamics(
+            a_mats=a, s0=rng.normal(size=n_s),
+            b_mats=tuple(rng.normal(size=(T, n_s, 1 + i % 3)) for i in range(n)))
+        assert len(set(dyn.input_dims)) > 1
+        assert_same_lift(build_compact_lift(dyn), reference_compact_lift(dyn))
+
+    @pytest.mark.parametrize("config", ["microgrid_reduced.json", "microgrid_paper.json"])
+    def test_shipped_microgrids(self, config):
+        game, _ = build_game(parse_config(CONFIG_DIR / config))
+        assert_same_lift(game.lift, reference_compact_lift(game.dynamics))
 
 
 class TestSimulateAndLift:

@@ -17,9 +17,10 @@ from ccgames.lqgame import build_lq_game
 from ccgames.microgrid import MicrogridParams, build_microgrid_game
 
 from conftest import (CONFIG_DIR, central_difference, random_dynamics,
-                      random_lq_params, reference_constraint_values,
-                      reference_jacobian_block, reference_project_local,
-                      reference_random_profile, relative_error, sample_operator)
+                      random_lq_params, reference_constant_jacobian,
+                      reference_constraint_values, reference_jacobian_block,
+                      reference_project_local, reference_random_profile, relative_error,
+                      sample_operator)
 
 
 def assert_stacked_box_matches_reference(game, rng):
@@ -297,6 +298,8 @@ class TestConstantJacobianBlocks:
     def test_lq_blocks_match_per_constraint_reference(self, seed):
         rng = np.random.default_rng(seed)
         game, _ = build_lq_game(random_lq_params(rng))
+        # -0.0 counts: the bytes of one product per (player, constraint) pair
+        assert same_bits(game.constant_jacobian, reference_constant_jacobian(game))
         u = rng.normal(size=game.input_dim)
         states = state_batch(game, u, game.disturbance.sample(rng, 7))
         assert_blocks_exact(game, u, states)
@@ -313,10 +316,21 @@ class TestConstantJacobianBlocks:
     @pytest.mark.parametrize("config", ["microgrid_reduced.json", "microgrid_paper.json"])
     def test_shipped_microgrid_blocks_match_per_constraint_reference(self, config):
         game, _ = build_game(parse_config(CONFIG_DIR / config))
+        assert same_bits(game.constant_jacobian, reference_constant_jacobian(game))
         rng = np.random.default_rng(27)
         for rows in (1, 64):
             u = random_feasible_profile(game, rng)
             assert_blocks_exact(game, u, state_batch(game, u, game.disturbance.sample(rng, rows)))
+
+    def test_constant_jacobian_bytes_unequal_heights(self):
+        # players of unequal heights take one product per (player, constraint)
+        game = build_quadratic_state_game(np.random.default_rng(26))
+        assert game.block_height is None
+        sdim, rng = game.state_traj_dim, np.random.default_rng(27)
+        game = replace(game, constraints=game.constraints + tuple(
+            CouplingConstraintSpec(gamma=0.3, state_coeffs=rng.normal(size=sdim) * (k - 1))
+            for k in range(3)))  # -0.0 coefficients in the first, zeros in the second
+        assert same_bits(game.constant_jacobian, reference_constant_jacobian(game))
 
     def test_microgrid_declares_band_gradients_constant(self, reduced_microgrid):
         params, game, _ = reduced_microgrid
@@ -436,6 +450,12 @@ def wide_values(rng, shape):
     return out
 
 
+def with_boxes(game, lo, hi):
+    """The game with the stacked box [lo, hi], each player's block its own box."""
+    return replace(game, players=tuple(replace(p, box_lower=lo[sl], box_upper=hi[sl])
+                                       for p, sl in zip(game.players, game.player_slices)))
+
+
 class TestFastPathsKeepTheBits:
     """Each per-iterate primitive equals, bit for bit, the numpy expression it replaced."""
 
@@ -469,11 +489,42 @@ class TestFastPathsKeepTheBits:
         special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 3.0, -3.0, 20.0, -20.0])
         lo = np.resize([-np.inf, -0.0, 0.0, np.nan, -1.0, -10.0], game.input_dim)
         hi = np.resize([np.inf, 0.0, -0.0, np.nan, np.inf, 10.0], game.input_dim)
-        boxed = replace(game, players=tuple(
-            replace(p, box_lower=lo[sl], box_upper=hi[sl])
-            for p, sl in zip(game.players, game.player_slices)))
+        boxed = with_boxes(game, lo, hi)
         rng = np.random.default_rng(33)
         for _ in range(20):
             u = rng.choice(special, size=game.input_dim)
             for g in (game, boxed):
                 assert same_bits(project_local(g, u), np.clip(u, g.box_lower, g.box_upper))
+
+    def test_random_profile_equals_rng_uniform(self):
+        # the doubles and the stream state of one rng.uniform over the stacked
+        # box, zero widths (signed zeros too) and wide ones included
+        game = build_quadratic_state_game(np.random.default_rng(34))
+        lo = np.resize([-0.0, 0.0, -0.0, -3.0, -1e300, 2.5, -1e-300], game.input_dim)
+        hi = np.resize([0.0, 0.0, -0.0, 7.0, 1e300, 2.5, 1e-300], game.input_dim)
+        for g in (game, with_boxes(game, lo, hi)):
+            rng, ref = np.random.default_rng(35), np.random.default_rng(35)
+            for _ in range(5):
+                assert same_bits(random_feasible_profile(g, rng), ref.uniform(g.box_lower,
+                                                                              g.box_upper))
+                assert rng.bit_generator.state == ref.bit_generator.state
+        # a box [0.0, -0.0] has the width -0.0, which rng.uniform refuses
+        # ("high - low < 0"); the draw is its one point
+        point = with_boxes(game, np.zeros(game.input_dim), np.full(game.input_dim, -0.0))
+        assert same_bits(random_feasible_profile(point, np.random.default_rng(35)),
+                         np.zeros(game.input_dim))
+
+    @pytest.mark.parametrize("lower, upper", [(-np.inf, 0.0), (0.0, np.inf), (np.nan, np.nan),
+                                              (-1e308, 1e308)])
+    def test_random_profile_raises_for_a_width_that_is_not_finite(self, lower, upper):
+        # such a game builds without a warning, and its draw raises as
+        # rng.uniform does, whose own overflow warning is silenced here
+        game = build_quadratic_state_game(np.random.default_rng(36))
+        wide = with_boxes(game, np.resize([lower, -1.0], game.input_dim),
+                          np.resize([upper, 1.0], game.input_dim))
+        assert wide.box_width is None
+        with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+            random_feasible_profile(wide, np.random.default_rng(37))
+        with np.errstate(over="ignore"), \
+                pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+            np.random.default_rng(37).uniform(wide.box_lower, wide.box_upper)

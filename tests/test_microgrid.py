@@ -92,6 +92,15 @@ class TestConstruction:
             assert gammas[:2 * T] == [p.gamma_soc / 2] * (2 * T)
             assert gammas[-1] == p.gamma_terminal
 
+    def test_band_coefficients_are_signed_unit_rows(self):
+        # the bytes of +-1.0 * np.eye(T + 1)[t]: the lower band's zeros are -0.0
+        T = 24
+        game, _ = build_microgrid_game(paper_params())
+        for k, c in enumerate(game.constraints[:2 * T]):
+            sign, t = (1.0, k + 1) if k < T else (-1.0, k - T + 1)
+            assert c.state_coeffs.tobytes() == (sign * np.eye(T + 1)[t]).tobytes()
+        assert np.signbit(game.constraints[T].state_coeffs).all()
+
     def test_offsets_strictly_positive(self):
         _, offsets = build_microgrid_game(paper_params())
         assert np.all(offsets.offsets > 0)
