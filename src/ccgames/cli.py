@@ -11,8 +11,8 @@ Subcommands:
 Exit codes for ``run``: 0 tolerance reached, 2 iteration budget exhausted,
 3 divergence guard tripped, 4 non-finite iterate, 1 configuration or I/O
 failure. ``summary.json`` is strict JSON: a non-finite number is written as null.
-Every front-end failure, in any subcommand, is one ``CliError`` (or
-``ConfigError``) that ``main`` prints to stderr before it returns 1.
+Every front-end failure, in any subcommand, is one ``CliError`` (or a
+``ConfigError`` or ``BatchError``) that ``main`` prints to stderr, then returns 1.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
         game, offsets = build_game(cfg)
         return args.handler(args, cfg, game, offsets)
-    except (CliError, ConfigError) as exc:
+    except (CliError, ConfigError, solver_mod.BatchError) as exc:
         print(exc, file=sys.stderr)
         return 1
 

@@ -34,14 +34,16 @@ profile u (``lift_base``, an ``IterateBase``): the noise-free trajectory
 noise_map[support].T + base[support]`` (``reduce_noise``, ``reduced_lift``).
 Two evaluators, ``player_pseudo_gradient_mean`` and
 ``player_constraint_gradient_mean``, read the support rows of one batch
-(M, s) shared by every player (the residual) or one per player (N, M, s)
+(1, M, s) shared by every player (the residual) or one per player (N, M, s)
 (an iteration); each distinct oracle runs once on them, and per-player
 products stay one product per block (``blockwise``), so every bit equals a
-per-player evaluation. A game with no state map and an empty support (the
-quadratic oracle) reads no trajectory: none is computed and no batch lifted.
-The satisfaction estimate lifts whole trajectories, a block of rows at a
-time; the gap estimate evaluates its sample set's noise part once and each
-probe as a shift of it.
+per-player evaluation. Profiles and their batches may be stacked along a
+leading axis (the Lipschitz probe's points): each oracle still runs once, and
+each result has the bits of its profile's own evaluation. A game with no
+state map and an empty support (the quadratic oracle) reads no trajectory:
+none is computed and no batch lifted. The satisfaction estimate lifts whole
+trajectories, a block of rows at a time; the gap estimate evaluates its sample
+set's noise part once and each probe as a shift of it.
 
 A ``DisturbanceModel`` may declare independent Gaussian coordinates (its
 ``mean`` and ``std``). The game then derives, once, the law of what a
@@ -464,23 +466,27 @@ class GameSpec:
 
 
 def _profile(game: GameSpec, u: np.ndarray) -> np.ndarray:
-    """The profile ``u`` as a flat float array of the game's length."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != game.input_dim:
-        raise ValueError(f"profile length {u.shape[0]}, expected {game.input_dim}")
+    """The profile ``u`` as a flat float array of the game's length; a 2-D u is a stack."""
+    u = np.asarray(u, dtype=float)
+    u = u if u.ndim == 2 else u.reshape(-1)
+    if u.shape[-1] != game.input_dim:
+        raise ValueError(f"profile length {u.shape[-1]}, expected {game.input_dim}")
     return u
 
 
 def base_trajectory(game: GameSpec, u: np.ndarray) -> np.ndarray:
-    """Noise-free trajectory ``init_map @ s0 + sum_j input_maps[j] @ u^j``. Its terms
-    are summed over axis 0 row after row (2+ columns): the bits of a per-player loop."""
+    """Noise-free trajectory ``init_map @ s0 + sum_j input_maps[j] @ u^j``. Its terms are
+    summed over their axis row after row (2+ columns): the bits of a per-player loop."""
     u = _profile(game, u)
     maps = game.stacked_input_maps
     if isinstance(maps, np.ndarray):
-        terms = np.matmul(maps, u.reshape(game.n_players, -1, 1))[..., 0]
+        terms = np.matmul(maps, u.reshape(*u.shape[:-1], game.n_players, -1, 1))[..., 0]
     else:
-        terms = [gm @ u[sl] for gm, sl in zip(maps, game.player_slices)]
-    return np.concatenate((game.init_trajectory[None], terms)).sum(axis=0)
+        terms = np.stack([np.matmul(gm, u[..., sl, None])[..., 0]
+                          for gm, sl in zip(maps, game.player_slices)], axis=-2)
+    init = game.init_trajectory[None] if u.ndim == 1 \
+        else np.broadcast_to(game.init_trajectory, terms[..., :1, :].shape)
+    return np.concatenate((init, terms), axis=-2).sum(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -505,8 +511,9 @@ def lift_base(game: GameSpec, u: np.ndarray) -> IterateBase:
     u = _profile(game, u)
     traj = base_trajectory(game, u) if game.reads_trajectory else None
     # + 0.0: a new array, holding no -0.0 (player_pseudo_gradient_mean relies on that)
-    grad = np.zeros(game.input_dim) if game.cost_input_grad is None \
-        else game.cost_input_grad(u) + 0.0
+    cost = game.cost_input_grad
+    grad = np.zeros(u.shape) if cost is None \
+        else (cost(u) if u.ndim == 1 else np.array([cost(p) for p in u])) + 0.0
     base = IterateBase(traj, grad, _input_part(game, u))
     for array in (traj, grad, base.affine):
         if array is not None:
@@ -551,7 +558,7 @@ def reduce_noise(game: GameSpec, w_batch: np.ndarray) -> ReducedLift:
 def reduced_lift(game: GameSpec, noise: ReducedLift, base: IterateBase) -> ReducedLift:
     """``reduce_noise`` of a batch moved onto the noise-free trajectory of ``base``."""
     traj = base.trajectory
-    return ReducedLift(traj + noise.mean, noise.support + traj[game.support_index])
+    return ReducedLift(traj + noise.mean, noise.support + traj[..., None, game.support_index])
 
 
 def batch_mean(a: np.ndarray, axis: int = 0):
@@ -561,7 +568,7 @@ def batch_mean(a: np.ndarray, axis: int = 0):
 
 def _batch_means(fn, rows: np.ndarray) -> np.ndarray:
     """Batch means of the row-wise closure ``fn``: (k,) over one batch
-    (M, s), or (n, k) over n batches (n, M, s) from one call on their rows."""
+    (M, s), or (n..., k) over batches (n..., M, s) from one call on their rows."""
     *n, m, s = rows.shape
     return batch_mean(fn(rows.reshape(-1, s)).reshape(*n, m, -1), len(n))
 
@@ -571,7 +578,7 @@ def blockwise(game: GameSpec, maps, vecs: np.ndarray) -> np.ndarray:
 
     ``maps`` is one matrix per player, an (N, h, k) array (one batched
     product) or a tuple, or a stacked (input_dim, k) array split into player
-    blocks; ``vecs`` is (N, k), or (k,) for all. Each block is its own
+    blocks; ``vecs`` is (..., N, k), or (k,) for all. Each block is its own
     product, so the bits equal a per-player loop, as a product over the
     whole stack's rows would not. A one-term product (k = 1) is a multiply:
     ``matmul`` runs it in a loop about twice as slow."""
@@ -580,35 +587,37 @@ def blockwise(game: GameSpec, maps, vecs: np.ndarray) -> np.ndarray:
             else maps.reshape(game.n_players, game.block_height, -1)
     if isinstance(maps, np.ndarray):  # a (k,) vecs broadcasts over the players
         if maps.shape[2] == 1:
-            return np.multiply(maps[..., 0], vecs).reshape(-1)
-        return np.matmul(maps, vecs[..., None]).reshape(-1)
-    vecs = np.broadcast_to(vecs, (game.n_players, vecs.shape[-1]))
-    return np.concatenate([a @ v for a, v in zip(maps, vecs)])
+            return np.multiply(maps[..., 0], vecs).reshape(vecs.shape[:-2] + (-1,))
+        return np.matmul(maps, vecs[..., None]).reshape(vecs.shape[:-2] + (-1,))
+    vecs = np.broadcast_to(vecs, (*vecs.shape[:-2], game.n_players, vecs.shape[-1]))
+    return np.concatenate([np.matmul(a, vecs[..., i, :, None])[..., 0]
+                           for i, a in enumerate(maps)], axis=-1)
 
 
 def player_pseudo_gradient_mean(game: GameSpec, base: IterateBase, rows: np.ndarray) -> np.ndarray:
     """The stacked pseudo-gradient mean (input_dim,), block i player i's cost
     gradient: ``base.input_grad`` plus the state costs' batch means over the
-    support ``rows``, one batch (M, s) shared by every player or one per
-    player (N, M, s); each distinct ``cost_state_grad`` runs once, on the rows
+    support ``rows`` (P, M, s), one batch shared by every player (P = 1) or one
+    per player (P = N); each distinct ``cost_state_grad`` runs once, on the rows
     of the players holding it. Without state costs: the read-only
     ``base.input_grad``, and ``rows`` is not read (None will do)."""
     if not game.state_cost_groups:
         return base.input_grad
-    means = np.zeros((game.n_players, len(game.support)))
+    means = np.zeros(rows.shape[:-3] + (game.n_players, len(game.support)))
     for grad, players in game.state_cost_groups:
-        own = rows if rows.ndim == 2 or len(players) == game.n_players else rows[players]
-        means[players] = _batch_means(grad, own)
+        shared = rows.shape[-3] == 1 or len(players) == game.n_players
+        means[..., players, :] = _batch_means(grad, rows if shared else rows[..., players, :, :])
     # input_grad holds no -0.0, so a stateless player's +-0 product changes nothing
     return base.input_grad + blockwise(game, game.support_input_maps_t, means)
 
 
 def _input_part(game: GameSpec, u: np.ndarray) -> np.ndarray:
     """``u @ input_map + constant``, the constraint values' part that reads
-    no trajectory (``constant`` itself when no map is declared)."""
+    no trajectory (``constant`` itself when no map is declared); a stack's is
+    one vector-matrix product per profile, as a matrix product rounds differently."""
     if game.input_map is None:
-        return game.constant
-    part = u @ game.input_map
+        return game.constant if u.ndim == 1 else np.tile(game.constant, (len(u), 1))
+    part = u @ game.input_map if u.ndim == 1 else np.matmul(u[:, None], game.input_map)[:, 0]
     part += game.constant
     return part
 
@@ -618,7 +627,7 @@ def _affine_part(game: GameSpec, part: np.ndarray, states: np.ndarray) -> np.nda
     ``part`` the ``_input_part``; a state map that no constraint declares is
     skipped."""
     if game.state_map is None:
-        out = np.empty(states.shape[:-1] + part.shape)
+        out = np.empty(states.shape[:-1] + part.shape[-1:])
         out[...] = part
         return out
     out = states @ game.state_map
@@ -645,24 +654,40 @@ def constraint_value_mean(game: GameSpec, base: IterateBase, lift: ReducedLift) 
     the read-only ``base.affine`` itself, and ``lift`` is not read (None will do)."""
     if not game.values_read_trajectory:
         return base.affine
-    out = _affine_part(game, base.affine, lift.mean)
-    for j in game.nonlinear_columns:
-        out[j] += batch_mean(game.constraints[j].state_value(lift.support))
+    # each mean a one-row batch: a vector-matrix product per profile
+    out = _affine_part(game, base.affine[..., None, :], lift.mean[..., None, :])[..., 0, :]
+    rows = lift.support
+    for j in game.nonlinear_columns:  # out.T[j]: column j of one profile's or a stack's values
+        out.T[j] += batch_mean(game.constraints[j].state_value(
+            rows.reshape(-1, rows.shape[-1])).reshape(rows.shape[:-1]), -1)
     return out
 
 
 def player_constraint_gradient_mean(game: GameSpec, rows: np.ndarray) -> np.ndarray:
     """The stacked constraint-Jacobian mean (input_dim, m): the constant
     Jacobian plus each closure column's ``state_grad`` batch means over the
-    support ``rows``, (M, s) shared or (N, M, s) one batch per player. Without
-    closures: the read-only ``constant_jacobian``, and ``rows`` is not read."""
+    support ``rows`` (P, M, s), as in ``player_pseudo_gradient_mean``. Without
+    closures: the read-only ``constant_jacobian``, and ``rows`` is not read.
+    Stacked profiles get an iterator of their means, one buffer whose closure
+    columns are rewritten for each (n copies of the rest would cost more)."""
     if not game.nonlinear_columns:
         return game.constant_jacobian
     out = game.constant_jacobian.copy()
-    for j in game.nonlinear_columns:
-        means = _batch_means(game.constraints[j].state_grad, rows)
-        out[:, j] += blockwise(game, game.support_input_maps_t, means)
+    grads = [game.constraints[j].state_grad for j in game.nonlinear_columns]
+    columns = [blockwise(game, game.support_input_maps_t, _batch_means(g, rows)) for g in grads]
+    if columns[0].ndim > 1:
+        return _rewritten(out, list(game.nonlinear_columns), np.stack(columns, axis=-1))
+    for j, column in zip(game.nonlinear_columns, columns):
+        out[:, j] += column
     return out
+
+
+def _rewritten(out: np.ndarray, index: list, columns: np.ndarray):
+    """Yield ``out``, its ``index`` columns set to their start plus ``columns[k]``, for each k."""
+    start = out[:, index]
+    for added in columns:
+        out[:, index] = start + added
+        yield out
 
 
 def operator_estimate(game: GameSpec, base: IterateBase, noise: ReducedLift):
@@ -675,12 +700,14 @@ def operator_estimate(game: GameSpec, base: IterateBase, noise: ReducedLift):
     (F_hat + Jac_hat @ lam, -(G_raw_mean + o)). Each distinct state-cost
     gradient and each constraint gradient closure is averaged once. Without
     ``game.reads_trajectory`` nothing is lifted and ``noise`` is not read.
+    Stacked profiles get stacked parts, Jac_hat one matrix for all or an iterator.
     """
     if not game.reads_trajectory:
         return base.input_grad, game.constant_jacobian, base.affine
     lift = reduced_lift(game, noise, base)
-    return (player_pseudo_gradient_mean(game, base, lift.support),
-            player_constraint_gradient_mean(game, lift.support),
+    rows = lift.support[..., None, :, :]  # one batch shared by every player
+    return (player_pseudo_gradient_mean(game, base, rows),
+            player_constraint_gradient_mean(game, rows),
             constraint_value_mean(game, base, lift))
 
 

@@ -120,6 +120,10 @@ def batch_size(cfg: SolverConfig, k: int) -> int:
     return max(1, math.ceil(cfg.batch_scale * (k + cfg.batch_offset) ** cfg.batch_exponent))
 
 
+class BatchError(ValueError):
+    """A batch of the schedule that no array can hold (``run``)."""
+
+
 @dataclass(frozen=True)
 class ValidationCheck:
     name: str
@@ -416,8 +420,12 @@ def residual_noise(game, cfg: SolverConfig, seed: int) -> game_mod.ReducedLift:
 def extended_operator(game, offsets: UnderApproxOffsets, base: game_mod.IterateBase,
                       noise: game_mod.ReducedLift, lam: np.ndarray):
     """(field_u, field_lam) = (F_hat + Jac lam, G_hat + o) at (u of ``base``, ``lam``) on
-    ``noise``, by one ``operator_estimate``; the monotone operator is (field_u, -field_lam)."""
+    ``noise``, by one ``operator_estimate``; the monotone operator is (field_u, -field_lam).
+    Stacked profiles (and lam) get stacked fields, Jac lam one product per profile."""
     f_hat, jac, g_raw = game_mod.operator_estimate(game, base, noise)
+    if lam.ndim > 1:  # a stack: one Jacobian for all, or an iterator of one per profile
+        jac = [jac] * len(lam) if isinstance(jac, np.ndarray) else jac
+        return f_hat + [j @ v for j, v in zip(jac, lam)], g_raw + offsets.offsets
     return f_hat + jac @ lam, g_raw + offsets.offsets
 
 
@@ -455,7 +463,7 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     divergence guard is relative to ``initial_state``, the projected origin,
     wherever a run starts. Each finite new iterate, before the guard, goes to
     ``observe(state, record)`` (read-only) with the record of its iteration;
-    an exception from it propagates.
+    an exception from it propagates. A batch no array holds is a ``BatchError``.
     """
     origin = initial_state(game, cfg)
     state = origin if initial is None else initial
@@ -470,7 +478,16 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     records, buffer = [], np.empty(0)
     with ThreadPoolExecutor(1, "ccgames-draws") as lane:
         while True:
-            alpha, m = step_size(cfg, state.k), batch_size(cfg, state.k)
+            alpha = step_size(cfg, state.k)
+            try:  # free unless it raises: a batch size past the doubles, or past any array
+                m = batch_size(cfg, state.k)
+                need = game.n_players * m * len(game.support)
+                if need > buffer.size:
+                    buffer = np.empty(2 * need)
+            except (OverflowError, ValueError, MemoryError):
+                raise BatchError(f"iteration {state.k}: no array holds its batch of ceil("
+                                 f"{cfg.batch_scale} * ({state.k} + {cfg.batch_offset}) ** "
+                                 f"{cfg.batch_exponent}) rows") from None
             base = game_mod.lift_base(game, state.u)
             res = residual_estimate(state, game, offsets, alpha, noise_res, base)
             if res <= cfg.residual_tolerance or state.k >= cfg.max_iterations:
@@ -483,9 +500,6 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
                 g_hat = coordinator_step(state, game, offsets, cfg, alpha, noise, base)[2]
                 records.append(_record(state, alpha, m, res, g_hat, t0, bool(cfg.snapshot_every)))
                 break
-            need = game.n_players * m * len(game.support)
-            if need > buffer.size:
-                buffer = np.empty(2 * need)
             state, record = iterate(state, game, offsets, cfg, alpha, m, res, base, buffer, lane)
             records.append(record)
             z_norm = state.z_norm()  # finite only if every entry is
@@ -577,31 +591,36 @@ def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int) -> float:
     """Empirical Lipschitz bound of the sampled operator over feasible pairs.
 
     Samples ``LIPSCHITZ_PAIRS`` random (u, multiplier) pairs, with multipliers
-    uniform in [0, ``LIPSCHITZ_MULTIPLIER_SCALE``], evaluates the operator of
-    each pair on one shared batch of ``LIPSCHITZ_BATCH`` draws, and returns
-    the largest difference ratio. Used to size the step
-    bound in ``validate_config`` since no analytic constant is available.
-    Returns NaN when a field of the ``extended_operator`` is not finite.
+    uniform in [0, ``LIPSCHITZ_MULTIPLIER_SCALE``], each pair with its own batch
+    of ``LIPSCHITZ_BATCH`` draws, evaluates the operator at all their points
+    in one stacked ``extended_operator`` call, and returns the largest
+    difference ratio; a pair whose squares overflow has its norms taken by
+    ``math.hypot``. Used to size the step bound in ``validate_config`` since
+    no analytic constant is available. NaN when a field or a ratio is not finite.
     """
-    rng = substream(seed, PURPOSE_PROBE, 0)
-    worst = 0.0
-    m = game.constraint_count
-    for _ in range(LIPSCHITZ_PAIRS):
-        u1 = game_mod.random_feasible_profile(game, rng)
-        u2 = game_mod.random_feasible_profile(game, rng)
-        l1 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
-        l2 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
-        noise = game_mod.reduce_noise(game, game.disturbance.sample(rng, LIPSCHITZ_BATCH))
-        a1u, a1l = extended_operator(game, offsets, game_mod.lift_base(game, u1), noise, l1)
-        a2u, a2l = extended_operator(game, offsets, game_mod.lift_base(game, u2), noise, l2)
-        if not all(np.all(np.isfinite(a)) for a in (a1u, a1l, a2u, a2l)):
-            return math.nan
-        dz = math.hypot(_norm(u1 - u2), _norm(l1 - l2))
-        if dz < 1e-12:
-            continue
-        da = math.hypot(_norm(a1u - a2u), _norm(a1l - a2l))
-        worst = max(worst, da / dz)
-    return worst
+    rng, m = substream(seed, PURPOSE_PROBE, 0), game.constraint_count
+    draws = [(game_mod.random_feasible_profile(game, rng),
+              game_mod.random_feasible_profile(game, rng),
+              rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m),
+              rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m),
+              game_mod.reduce_noise(game, game.disturbance.sample(rng, LIPSCHITZ_BATCH)))
+             for _ in range(LIPSCHITZ_PAIRS)]
+    u1, u2, l1, l2, noises = zip(*draws)
+    # pair p is points p and p + LIPSCHITZ_PAIRS, both on its batch
+    u, lam, noises = np.array(u1 + u2), np.array(l1 + l2), noises * 2
+    noise = game_mod.ReducedLift(np.array([n.mean for n in noises]),
+                                 np.array([n.support for n in noises]))
+    field_u, field_lam = extended_operator(game, offsets, game_mod.lift_base(game, u), noise, lam)
+    if not (np.isfinite(field_u).all() and np.isfinite(field_lam).all()):
+        return math.nan
+    ratios, half = [0.0], LIPSCHITZ_PAIRS
+    for du, dl, dfu, dfl in zip(*(a[:half] - a[half:] for a in (u, lam, field_u, field_lam))):
+        dz, da = math.hypot(_norm(du), _norm(dl)), math.hypot(_norm(dfu), _norm(dfl))
+        if math.isinf(dz) or math.isinf(da):  # a square overflowed
+            dz, da = math.hypot(*du, *dl), math.hypot(*dfu, *dfl)
+        if dz >= 1e-12:
+            ratios.append(da / dz)
+    return float(np.max(ratios))  # a NaN ratio is the result, not dropped
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ import pytest
 from ccgames import MicrogridParams, build_microgrid_game, solver
 from ccgames.config import build_game, parse_config
 from ccgames.dynamics import CompactLift, TimeVaryingLinearDynamics, simulate_state
-from ccgames.game import ReducedLift, lift_base, operator_estimate, reduce_noise
+from ccgames.game import (ReducedLift, lift_base, operator_estimate, random_feasible_profile,
+                          reduce_noise)
 from ccgames.lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
-from ccgames.rng import iteration_stream
+from ccgames.rng import PURPOSE_PROBE, iteration_stream, substream
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -258,6 +259,31 @@ def reference_operator(game, u, w):
                                  for i in range(game.n_players)]))
         rows_g.append(reference_constraint_values(game, u, s)[0])
     return (np.mean(rows_f, axis=0), np.mean(rows_j, axis=0), np.mean(rows_g, axis=0))
+
+
+def reference_lipschitz(game, offsets, seed):
+    """``solver.estimate_lipschitz`` by the per-pair loop that the stacked
+    evaluation replaced: per pair, u1, u2, l1, l2 and its batch drawn from the
+    probe stream, then one single-profile ``extended_operator`` call at each
+    point and the pair's ratio. NaN at the first pair with a field that is
+    not finite; a NaN ratio is dropped, as the loop's ``max`` dropped it."""
+    rng = substream(seed, PURPOSE_PROBE, 0)
+    worst, m, scale = 0.0, game.constraint_count, solver.LIPSCHITZ_MULTIPLIER_SCALE
+    for _ in range(solver.LIPSCHITZ_PAIRS):
+        u1 = random_feasible_profile(game, rng)
+        u2 = random_feasible_profile(game, rng)
+        l1 = rng.uniform(0.0, scale, size=m)
+        l2 = rng.uniform(0.0, scale, size=m)
+        noise = reduce_noise(game, game.disturbance.sample(rng, solver.LIPSCHITZ_BATCH))
+        a1u, a1l = solver.extended_operator(game, offsets, lift_base(game, u1), noise, l1)
+        a2u, a2l = solver.extended_operator(game, offsets, lift_base(game, u2), noise, l2)
+        if not all(np.all(np.isfinite(a)) for a in (a1u, a1l, a2u, a2l)):
+            return math.nan
+        dz = math.hypot(np.linalg.norm(u1 - u2), np.linalg.norm(l1 - l2))
+        if dz < 1e-12:
+            continue
+        worst = max(worst, math.hypot(np.linalg.norm(a1u - a2u), np.linalg.norm(a1l - a2l)) / dz)
+    return worst
 
 
 def random_lq_params(rng):

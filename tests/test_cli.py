@@ -11,7 +11,7 @@ from ccgames.com import h_inverse
 from ccgames.cli import epsilon_gap, main, read_strategies_csv, write_strategies_csv
 from ccgames.config import (ConfigError, OutputPaths, VerificationParams, build_game,
                             parse_config, parse_config_dict)
-from ccgames.solver import SolverConfig, run, write_checkpoint
+from ccgames.solver import SolverConfig, estimate_lipschitz, run, write_checkpoint
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -161,6 +161,40 @@ def assert_one_message_exit_one(tmp_path, capsys, doc, message):
     captured = capsys.readouterr()
     assert captured.err == f"invalid configuration:\n  {message}\n"
     assert "validation passed" not in captured.out
+
+
+class TestWideBoxAndHugeBatch:
+    @pytest.mark.parametrize("width", [1e160, 1e300])
+    def test_wide_box_validates(self, capsys, width, tmp_path):
+        # the squares of the probe's profile differences overflow; past the
+        # multipliers' scale the ratio does not depend on the box scale, and
+        # at 1e100 no square overflows
+        def lipschitz(doc_width):
+            doc = oracle_doc()
+            for p in doc["game"]["players"]:
+                p.update(box_lower=[-doc_width] * 2, box_upper=[doc_width] * 2)
+            game, offsets = build_game(parse_config_dict(doc))
+            return doc, estimate_lipschitz(game, offsets, seed=doc["solver"]["seed"])
+
+        doc, wide = lipschitz(width)
+        assert wide == pytest.approx(lipschitz(1e100)[1], rel=1e-12)
+        assert main(["validate", "--config", str(write_doc(tmp_path, doc))]) == 0
+        assert f"estimated operator Lipschitz bound: {wide:.6g}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("exponent", [70.0, 2000.0])
+    def test_unrepresentable_batch_is_one_message(self, tmp_path, capsys, exponent):
+        # schedules that validate passes but whose first batch no array holds:
+        # 2^70 rows is past numpy's largest dimension, 2^2000 past the doubles;
+        # neither can be allocated, as a batch that overcommitted memory might
+        # grant could be
+        doc = json.loads((CONFIG_DIR / "microgrid_reduced.json").read_text())
+        doc["solver"]["batch_exponent"] = exponent
+        config = write_doc(tmp_path, doc)
+        assert main(["validate", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert run_cli(config, tmp_path / "out") == 1
+        assert capsys.readouterr().err == ("iteration 0: no array holds its batch of "
+                                           f"ceil(1.0 * (0 + 2.0) ** {exponent}) rows\n")
 
 
 class TestConfigErrors:

@@ -29,7 +29,8 @@ from ccgames.rng import iteration_stream, iteration_streams
 
 from conftest import (CONFIG_DIR, assert_run_equals_reference, generic_copy,
                       hook_player_streams, random_lq_params, reference_base_trajectory,
-                      reference_player_step, serial_reference_run, with_support_oracles)
+                      reference_lipschitz, reference_player_step, serial_reference_run,
+                      with_support_oracles)
 
 LQ_SEEDS = range(6)
 LIFT_LQ_SEEDS = range(12)  # the LQ seeds of test_two_lane
@@ -265,3 +266,43 @@ def test_nan_drawn_for_one_player_names_only_that_player(monkeypatch):
         assert trace.final_state.k == 1
         assert solver.non_finite_updates(nan_game, trace.final_state) == \
             ["player 2 strategy update"]
+
+
+# estimate_lipschitz of each shipped config at its own seed and at seed 1
+SHIPPED_PROBE = {
+    "quadratic_oracle": ("0x1.4f8458f622e51p+1", "0x1.48d8b403ccbe1p+1"),
+    "microgrid_reduced": ("0x1.27463ec2edb4ep+7", "0x1.1f6f460afc9dcp+7"),
+    "microgrid_paper": ("0x1.37dfbb2f799afp+7", "0x1.37bd0638ffb84p+7"),
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED_PROBE)
+def test_shipped_lipschitz_bits(name):
+    cfg = parse_config(CONFIG_DIR / f"{name}.json")
+    game, offsets = build_game(cfg)
+    for seed, expected in zip((cfg.solver.seed, 1), SHIPPED_PROBE[name]):
+        assert solver.estimate_lipschitz(game, offsets, seed).hex() == expected
+    for seed in (cfg.solver.seed, 1, 2, 3):
+        assert solver.estimate_lipschitz(game, offsets, seed).hex() \
+            == reference_lipschitz(game, offsets, seed).hex()
+
+
+def lq_game(seed, sampler=False):
+    """A random LQ game with coefficient constraints, an input map and no
+    support; with ``sampler``, its disturbance drawn only through a sampler."""
+    game, offsets = build_lq_game(random_lq_params(np.random.default_rng(seed)))
+    return (generic_copy(game) if sampler else game), offsets
+
+
+PROBE_GAMES = {**GAMES, **{f"lq_{s}": (lambda s=s: lq_game(s)) for s in LQ_SEEDS},
+               **{f"lq_sampler_{s}": (lambda s=s: lq_game(s, sampler=True)) for s in LQ_SEEDS}}
+
+
+@pytest.mark.parametrize("name", PROBE_GAMES)
+def test_lipschitz_equals_per_pair_reference(name):
+    # the 32 points in one stacked pass against one call per point: every
+    # layout (unequal heights, a declared support, a sampler, no support)
+    game, offsets = PROBE_GAMES[name]()
+    for seed in (1, 2, 3):
+        assert solver.estimate_lipschitz(game, offsets, seed).hex() \
+            == reference_lipschitz(game, offsets, seed).hex()
