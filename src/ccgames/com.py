@@ -87,16 +87,15 @@ class ComModel:
             raise ValueError(f"theta must be nonnegative, got {theta}")
         if self.kind == GAUSSIAN_STANDARD:
             return h_gaussian(theta)
-        if theta >= self.theta_grid[-1]:
-            return float(self.h_grid[-1])
         return float(np.interp(theta, self.theta_grid, self.h_grid))
 
 
-def h_inverse(model: ComModel, gamma: float, tol: float = 1e-10) -> float:
+def h_inverse(model: ComModel, gamma: float) -> float:
     """Smallest theta with h(theta) <= gamma.
 
-    Gaussian models use the closed form pi * sqrt(ln(2/gamma) / 2); other
-    kinds bisect on [0, theta_max], doubling theta_max until it covers gamma.
+    Gaussian models use the closed form pi * sqrt(ln(2/gamma) / 2). A table
+    is inverted exactly: the crossing on the first segment that reaches
+    gamma, stepped up to the next double while h there still exceeds gamma.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
@@ -104,18 +103,14 @@ def h_inverse(model: ComModel, gamma: float, tol: float = 1e-10) -> float:
         return 0.0
     if model.kind == GAUSSIAN_STANDARD:
         return math.pi * math.sqrt(math.log(2.0 / gamma) / 2.0)
-    lo, hi = 0.0, 1.0
-    while model.h(hi) > gamma:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError(f"h never drops to gamma={gamma}; model cannot cover it")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if model.h(mid) <= gamma:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    tg, hg = model.theta_grid, model.h_grid
+    if hg[-1] > gamma:
+        raise ValueError(f"h never drops to gamma={gamma}; model cannot cover it")
+    i = int(np.argmax(hg <= gamma))  # h(tg[i - 1]) > gamma >= h(tg[i])
+    theta = float(tg[i - 1] + (tg[i] - tg[i - 1]) * (hg[i - 1] - gamma) / (hg[i - 1] - hg[i]))
+    while model.h(theta) > gamma:
+        theta = math.nextafter(theta, math.inf)
+    return theta
 
 
 @dataclass(frozen=True)

@@ -107,8 +107,8 @@ def build_compact_lift(dyn: TimeVaryingLinearDynamics) -> CompactLift:
     The maps' columns share one array (the initial state's, then per step
     the noise's and each player's), so a step is one product and one placed
     block. A product's column reads only its own column: each map, copied
-    out C-contiguous, has the bits of its own recursion.
-    """
+    out C-contiguous, has the bits of its own recursion. A lift past the
+    doubles is a ``ValueError``."""
     T, n_s = dyn.horizon, dyn.state_dim
     widths = (n_s,) + dyn.input_dims  # one step's columns: noise, then each player's
     width = sum(widths)
@@ -116,10 +116,13 @@ def build_compact_lift(dyn: TimeVaryingLinearDynamics) -> CompactLift:
     maps = np.zeros(((T + 1) * n_s, n_s + T * width))
     maps[:n_s, :n_s] = np.eye(n_s)
     # row-block t+1 = A_t @ row-block t, plus the fresh I/B entries of step t
-    for t in range(T):
-        rows_next = slice((t + 1) * n_s, (t + 2) * n_s)
-        maps[rows_next] = dyn.a_mats[t] @ maps[t * n_s:(t + 1) * n_s]
-        maps[rows_next, n_s + t * width:n_s + (t + 1) * width] = fresh[t]
+    with np.errstate(over="ignore", invalid="ignore"):  # a lift past the doubles is refused below
+        for t in range(T):
+            rows_next = slice((t + 1) * n_s, (t + 2) * n_s)
+            maps[rows_next] = dyn.a_mats[t] @ maps[t * n_s:(t + 1) * n_s]
+            maps[rows_next, n_s + t * width:n_s + (t + 1) * width] = fresh[t]
+    if not np.isfinite(maps).all():
+        raise ValueError("the dynamics overflow a double within the horizon")
     steps = maps[:, n_s:].reshape(-1, T, width)
     noise_map, *input_maps = (np.ascontiguousarray(steps[:, :, end - w:end].reshape(-1, T * w))
                               for w, end in zip(widths, np.cumsum(widths)))

@@ -64,7 +64,7 @@ from typing import Callable
 import numpy as np
 
 from .com import ComModel
-from .dynamics import CompactLift, TimeVaryingLinearDynamics, build_compact_lift, simulate_state
+from .dynamics import CompactLift, TimeVaryingLinearDynamics, build_compact_lift
 
 
 @dataclass(frozen=True)
@@ -254,12 +254,10 @@ def _stacked(constraints, name, dim):
         return None
     out = np.zeros((dim, len(columns)))
     for j, coeffs in enumerate(columns):
-        if coeffs is None:
-            continue
-        if coeffs.shape[0] != dim:
+        if coeffs is not None and coeffs.shape[0] != dim:
             raise ValueError(f"constraint {j}: {name} has length {coeffs.shape[0]}, "
                              f"expected {dim}")
-        out[:, j] = coeffs
+        out[:, j] = 0.0 if coeffs is None else coeffs
     out.flags.writeable = False
     return out
 
@@ -280,8 +278,8 @@ class GameSpec:
                       player i's own; None means no input cost.
 
     ``__post_init__`` checks the players against the dynamics (count, input
-    dims, box lengths) and the disturbance dimension, and ends by checking the
-    lift against the stepped recursion. Derived there:
+    dims, box lengths) and the disturbance dimension; dynamics whose lift
+    overflows a double are refused (``build_compact_lift``). Derived there:
 
     lift                 : ``build_compact_lift(dynamics)``.
     player_slices        : player i's block of the stacked profile, in order.
@@ -392,7 +390,6 @@ class GameSpec:
                      values_read_trajectory=state_map is not None or bool(nonlinear),
                      state_cost_groups=tuple((g, np.array(ix)) for g, ix in groups.values()))
         self._resolve_support(sdim)
-        self._check_lift()
 
     def _constant_jacobian(self, input_map):
         # column j: state_coeffs through every player's map in one product,
@@ -440,17 +437,6 @@ class GameSpec:
                      else SupportLaw.of(d.mean, d.std, noise_map_t),
                      support_input_maps_t=tuple(gm[index].T for gm in maps)
                      if self.block_height is None else maps[:, index].transpose(0, 2, 1))
-
-    def _check_lift(self):
-        # cheap construction-time cross-check of the cached lift against the recursion
-        rng = np.random.default_rng(0)
-        for _ in range(2):
-            u = rng.normal(size=self.input_dim)
-            w = rng.normal(size=self.disturbance.dim)
-            direct = simulate_state(self.dynamics, u, w)
-            lifted = state_batch(self, u, w[None, :])[0]
-            if not np.allclose(direct, lifted, atol=1e-9):
-                raise ValueError("compact lift disagrees with the stepped dynamics")
 
     @property
     def n_players(self) -> int:

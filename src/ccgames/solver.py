@@ -86,6 +86,8 @@ LIPSCHITZ_MULTIPLIER_SCALE = 1.0
 # players' draws are split between two threads (``draw_noise``)
 TWO_LANE_MIN_DRAWS = 16384
 
+MAX_ROWS = np.iinfo(np.intp).max  # numpy's largest dimension, a batch's most rows
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -114,14 +116,25 @@ def step_size(cfg: SolverConfig, k: int) -> float:
     return cfg.step_a0 / (k + cfg.step_offset)
 
 
+class BatchError(ValueError):
+    """A batch of the schedule at iteration k that no array can hold."""
+
+    def __init__(self, cfg: SolverConfig, k: int):
+        super().__init__(f"iteration {k}: no array holds its batch of ceil({cfg.batch_scale} * "
+                         f"({k} + {cfg.batch_offset}) ** {cfg.batch_exponent}) rows")
+
+
 def batch_size(cfg: SolverConfig, k: int) -> int:
+    """The batch of iteration k; a ``BatchError`` past the doubles or an array index."""
     if k < 0:
         raise ValueError("iteration index must be nonnegative")
-    return max(1, math.ceil(cfg.batch_scale * (k + cfg.batch_offset) ** cfg.batch_exponent))
-
-
-class BatchError(ValueError):
-    """A batch of the schedule that no array can hold (``run``)."""
+    try:  # a TypeError is a negative base's complex power
+        m = max(1, math.ceil(cfg.batch_scale * (k + cfg.batch_offset) ** cfg.batch_exponent))
+    except (OverflowError, TypeError):
+        m = math.inf
+    if m > MAX_ROWS:
+        raise BatchError(cfg, k)
+    return m
 
 
 @dataclass(frozen=True)
@@ -192,6 +205,11 @@ def validate_config(cfg: SolverConfig, lipschitz_estimate: float) -> ValidationR
     checks.append(ValidationCheck(
         "batch-scale", cfg.batch_scale > 0 and cfg.batch_offset > 0,
         f"batch_scale={cfg.batch_scale}, batch_offset={cfg.batch_offset} must be positive"))
+    try:  # the first batch; run refuses a later one at its iterate
+        held, detail = True, f"iteration 0: batch size {batch_size(cfg, 0)}"
+    except BatchError as exc:
+        held, detail = False, str(exc)
+    checks.append(ValidationCheck("batch-size", held, detail))
     return ValidationReport(tuple(checks))
 
 
@@ -479,15 +497,12 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     with ThreadPoolExecutor(1, "ccgames-draws") as lane:
         while True:
             alpha = step_size(cfg, state.k)
-            try:  # free unless it raises: a batch size past the doubles, or past any array
-                m = batch_size(cfg, state.k)
-                need = game.n_players * m * len(game.support)
-                if need > buffer.size:
+            m = batch_size(cfg, state.k)
+            if (need := game.n_players * m * len(game.support)) > buffer.size:
+                try:  # a buffer past any array
                     buffer = np.empty(2 * need)
-            except (OverflowError, ValueError, MemoryError):
-                raise BatchError(f"iteration {state.k}: no array holds its batch of ceil("
-                                 f"{cfg.batch_scale} * ({state.k} + {cfg.batch_offset}) ** "
-                                 f"{cfg.batch_exponent}) rows") from None
+                except (ValueError, MemoryError):
+                    raise BatchError(cfg, state.k) from None
             base = game_mod.lift_base(game, state.u)
             res = residual_estimate(state, game, offsets, alpha, noise_res, base)
             if res <= cfg.residual_tolerance or state.k >= cfg.max_iterations:

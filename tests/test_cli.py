@@ -183,18 +183,43 @@ class TestWideBoxAndHugeBatch:
 
     @pytest.mark.parametrize("exponent", [70.0, 2000.0])
     def test_unrepresentable_batch_is_one_message(self, tmp_path, capsys, exponent):
-        # schedules that validate passes but whose first batch no array holds:
-        # 2^70 rows is past numpy's largest dimension, 2^2000 past the doubles;
-        # neither can be allocated, as a batch that overcommitted memory might
-        # grant could be
+        # schedules whose first batch no array holds: 2^70 rows is past
+        # numpy's largest dimension, 2^2000 past the doubles; neither can be
+        # allocated, as a batch that overcommitted memory might grant could
+        # be. validate fails its batch-size check, run refuses the schedule,
+        # and a forced run stops at iteration 0 with the same one line
         doc = json.loads((CONFIG_DIR / "microgrid_reduced.json").read_text())
         doc["solver"]["batch_exponent"] = exponent
         config = write_doc(tmp_path, doc)
-        assert main(["validate", "--config", str(config)]) == 0
-        capsys.readouterr()
+        message = ("iteration 0: no array holds its batch of "
+                   f"ceil(1.0 * (0 + 2.0) ** {exponent}) rows")
+        assert main(["validate", "--config", str(config)]) == 2
+        out = capsys.readouterr().out
+        assert f"  [FAIL] batch-size: {message}\n" in out and out.count("[FAIL]") == 1
         assert run_cli(config, tmp_path / "out") == 1
-        assert capsys.readouterr().err == ("iteration 0: no array holds its batch of "
-                                           f"ceil(1.0 * (0 + 2.0) ** {exponent}) rows\n")
+        assert capsys.readouterr().err == (f"validation failure: batch-size: {message}\n"
+                                           "refusing to run; pass --force to override\n")
+        assert run_cli(config, tmp_path / "out", "--force") == 1
+        assert capsys.readouterr().err == message + "\n"
+
+
+class TestOverflowingDynamics:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_lift_is_one_message(self, tmp_path, capsys, command):
+        # A = 1e10 over 40 steps: the lift's 1e400 is past the doubles, refused
+        # where the lift is built, with no RuntimeWarning (an error in this suite)
+        doc, T = oracle_doc(), 40
+        doc["game"].update(horizon=T, a_mats=[[[1e10]]] * T)
+        for p in doc["game"]["players"]:
+            p.update(box_lower=[-5.0] * T, box_upper=[5.0] * T, linear=[-1.0] * T)
+        doc["game"]["constraints"][0]["input_coeffs"] = [1.0] * (3 * T)
+        config = str(write_doc(tmp_path, doc))
+        extra = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, "--config", config, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("invalid configuration:\n  game: the dynamics overflow a "
+                                "double within the horizon\n")
+        assert captured.out == ""
 
 
 class TestConfigErrors:

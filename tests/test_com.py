@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -119,13 +120,44 @@ class TestHInverse:
         model = ComModel()
         assert h_inverse(model, lo) >= h_inverse(model, hi)
 
-    def test_tabulated_bisection_matches_gaussian(self):
+    def test_tabulated_inverse_matches_gaussian(self):
         thetas = np.linspace(0.0, 20.0, 4001)
         model = ComModel(kind="user-tabulated", theta_grid=thetas,
                          h_grid=[h_gaussian(t) for t in thetas])
         for gamma in (0.05, 0.1, 0.3, 0.9):
             assert h_inverse(model, gamma) == pytest.approx(
                 h_inverse(ComModel(), gamma), abs=2e-2)
+
+    def test_tabulated_exact_crossing(self):
+        # the second segment falls from 0.3 at 1 to 0 at 4: 0.15 at 2.5
+        model = ComModel(kind="user-tabulated", theta_grid=[0.0, 1.0, 4.0],
+                         h_grid=[1.0, 0.3, 0.0])
+        assert h_inverse(model, 0.15) == 2.5
+        assert h_inverse(model, 0.3) == 1.0
+        assert h_inverse(model, 1e-300) == 4.0
+
+    @given(st.lists(st.tuples(st.floats(1e-6, 1e3), st.floats(0.0, 1.0)), min_size=1,
+                    max_size=6), st.floats(1e-6, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_tabulated_inverse_on_random_tables(self, steps, gamma):
+        # h(theta) <= gamma at the inverse, which is the crossing in exact
+        # arithmetic to within rounding
+        widths, drops = np.array(steps).T
+        hg = np.concatenate(([1.0], 1.0 - np.cumsum(drops) / max(drops.sum(), 1.0)))
+        model = ComModel(kind="user-tabulated",
+                         theta_grid=np.concatenate(([0.0], np.cumsum(widths))),
+                         h_grid=np.minimum.accumulate(np.clip(hg, 0.0, 1.0)))
+        if model.h_grid[-1] > gamma:
+            with pytest.raises(ValueError, match="cannot cover"):
+                h_inverse(model, gamma)
+            return
+        theta = h_inverse(model, gamma)
+        assert model.h(theta) <= gamma
+        i = int(np.argmax(model.h_grid <= gamma))
+        tg, hg = ([Fraction(x) for x in grid] for grid in (model.theta_grid, model.h_grid))
+        exact = tg[i] if i == 0 else \
+            tg[i - 1] + (tg[i] - tg[i - 1]) * (hg[i - 1] - Fraction(gamma)) / (hg[i - 1] - hg[i])
+        assert theta == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
 
     def test_tabulated_insufficient_coverage(self):
         model = ComModel(kind="user-tabulated", theta_grid=[0.0, 1.0],

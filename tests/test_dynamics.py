@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccgames.dynamics as dynamics_mod
+import ccgames.game as game_mod
 from ccgames.config import build_game, parse_config
 from ccgames.dynamics import TimeVaryingLinearDynamics, build_compact_lift, simulate_state
+from ccgames.lqgame import LqGameParams, LqPlayer, build_lq_game
 
 from conftest import CONFIG_DIR, apply_lift, random_dynamics, reference_compact_lift
 
@@ -195,3 +200,42 @@ class TestConstruction:
             TimeVaryingLinearDynamics(
                 a_mats=np.zeros((3, 2, 2)), b_mats=(np.zeros((3, 2, 1)),),
                 s0=np.zeros(3))
+
+
+OVERFLOW = "^the dynamics overflow a double within the horizon$"
+
+
+class TestOverflowingLift:
+    """The lift is built once and trusted; dynamics whose lift overflows a
+    double are refused where it is built, with no RuntimeWarning (an error in
+    this suite) on the way."""
+
+    @pytest.mark.parametrize("a_value, horizon", [(1e10, 40), (-1e10, 40), (1e200, 2)])
+    def test_refused_where_built(self, a_value, horizon):
+        # 1e10^40 = 1e400 and 1e200^2 are past the doubles
+        with pytest.raises(ValueError, match=OVERFLOW):
+            build_compact_lift(scalar_dynamics(a_value, horizon, b_value=1.0))
+
+    def test_largest_finite_lift_kept(self):
+        # 1e7^40 = 1e280 is finite: the lift is built and holds it
+        lift = build_compact_lift(scalar_dynamics(1e7, 40, b_value=1.0))
+        assert lift.init_map[-1, 0] == pytest.approx(1e280, rel=1e-12)
+
+    def test_game_builders_refuse(self):
+        T = 40
+        params = LqGameParams(horizon=T, a_mats=np.full((T, 1, 1), 1e10),
+                              players=(LqPlayer(box_lower=-np.ones(T), box_upper=np.ones(T)),))
+        with pytest.raises(ValueError, match=OVERFLOW):
+            build_lq_game(params)
+        game, _ = build_lq_game(replace(params, a_mats=None))
+        with pytest.raises(ValueError, match=OVERFLOW):
+            replace(game, dynamics=scalar_dynamics(1e10, T))
+
+    def test_construction_steps_no_trajectory(self, monkeypatch):
+        def stepped(*args):
+            raise AssertionError("a construction path stepped the dynamics")
+        monkeypatch.setattr(game_mod, "state_batch", stepped)
+        monkeypatch.setattr(dynamics_mod, "simulate_state", stepped)
+        for config in ("quadratic_oracle.json", "microgrid_reduced.json", "microgrid_paper.json"):
+            game, _ = build_game(parse_config(CONFIG_DIR / config))
+            replace(game, state_support=game.state_support)

@@ -26,11 +26,11 @@ from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           reduce_noise, reduced_lift, state_batch)
 from ccgames.lqgame import build_lq_game, solve_vgne_kkt
 from ccgames.rng import iteration_stream, residual_stream
-from ccgames.solver import (SolverConfig, batch_size, coordinator_noise, coordinator_step,
-                            draw_noise, estimate_lipschitz, estimator_diagnostics,
-                            extended_operator, initial_state, iterate, player_step,
-                            residual_estimate, residual_noise, run, step_size,
-                            validate_config)
+from ccgames.solver import (BatchError, SolverConfig, ValidationCheck, batch_size,
+                            coordinator_noise, coordinator_step, draw_noise,
+                            estimate_lipschitz, estimator_diagnostics, extended_operator,
+                            initial_state, iterate, player_step, residual_estimate,
+                            residual_noise, run, step_size, validate_config)
 
 from conftest import (CONFIG_DIR, as_reference, assert_run_equals_reference,
                       checkpoint_writer, hook_player_streams, quadratic_oracle_params,
@@ -114,6 +114,14 @@ class TestSchedules:
         assert batch_size(cfg, 0) == 3      # ceil(2^1.1)
         assert batch_size(cfg, 8) == 13     # ceil(10^1.1)
 
+    def test_batch_past_any_array_refused(self):
+        # 2^62 rows is an array index; 2^63 is not, and 2^2000 is past the doubles
+        assert batch_size(quick_config(batch_exponent=62.0), 0) == 2**62
+        for exponent in (63.0, 2000.0):
+            with pytest.raises(BatchError, match=r"^iteration 3: no array holds its batch of "
+                               rf"ceil\(1\.0 \* \(3 \+ 2\.0\) \*\* {exponent}\) rows$"):
+                batch_size(quick_config(batch_exponent=exponent), 3)
+
     def test_paper_step_value(self):
         cfg = quick_config(**PAPER_STEP)
         assert step_size(cfg, 0) == pytest.approx(7e-5)
@@ -158,6 +166,19 @@ class TestValidateConfig:
     def test_sublinear_batch_growth_fails(self):
         cfg = quick_config(batch_scale=1.0, batch_offset=2.0, batch_exponent=0.9)
         assert any(c.name == "batch-growth" for c in validate_config(cfg, 1.0).failures)
+
+    def test_first_batch_no_array_holds_fails(self):
+        assert validate_config(quick_config(), 1.0).checks[-1] == ValidationCheck(
+            "batch-size", True, "iteration 0: batch size 3")
+        failed = {c.name: c.detail for c in
+                  validate_config(quick_config(batch_exponent=70.0), 1.0).failures}
+        assert failed == {"batch-size": "iteration 0: no array holds its batch of "
+                                        "ceil(1.0 * (0 + 2.0) ** 70.0) rows"}
+
+    def test_negative_batch_offset_reported_not_raised(self):
+        # a negative base to a fractional power is complex: no batch size at all
+        report = validate_config(quick_config(batch_offset=-1.0), 1.0)
+        assert {c.name for c in report.failures} == {"batch-scale", "batch-size"}
 
     @pytest.mark.parametrize("offset", [0.0, -1.0])
     def test_nonpositive_step_offset_reported_not_raised(self, offset):
