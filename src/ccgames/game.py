@@ -34,16 +34,14 @@ profile u (``lift_base``, an ``IterateBase``): the noise-free trajectory
 noise_map[support].T + base[support]`` (``reduce_noise``, ``reduced_lift``).
 Two evaluators, ``player_pseudo_gradient_mean`` and
 ``player_constraint_gradient_mean``, read the support rows of one batch
-(1, M, s) shared by every player (the residual) or one per player (N, M, s)
+(M, s) shared by every player (the residual) or one per player (N, M, s)
 (an iteration); each distinct oracle runs once on them, and per-player
 products stay one product per block (``blockwise``), so every bit equals a
-per-player evaluation. Profiles and their batches may be stacked along a
-leading axis (the Lipschitz probe's points): each oracle still runs once, and
-each result has the bits of its profile's own evaluation. A game with no
-state map and an empty support (the quadratic oracle) reads no trajectory:
-none is computed and no batch lifted. The satisfaction estimate lifts whole
-trajectories, a block of rows at a time; the gap estimate evaluates its sample
-set's noise part once and each probe as a shift of it.
+per-player evaluation. A game with no state map and an empty support (the
+quadratic oracle) reads no trajectory: none is computed and no batch lifted.
+The satisfaction estimate lifts whole trajectories, a block of rows at a
+time; the gap estimate evaluates its sample set's noise part once and each
+probe as a shift of it.
 
 A ``DisturbanceModel`` may declare independent Gaussian coordinates (its
 ``mean`` and ``std``). The game then derives, once, the law of what a
@@ -126,8 +124,8 @@ class CouplingConstraintSpec:
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.com_scale < 0:
-            raise ValueError("com_scale must be nonnegative")
+        if not 0.0 <= self.com_scale < np.inf:
+            raise ValueError(f"com_scale must be finite and nonnegative, got {self.com_scale}")
         if (self.state_value is None) != (self.state_grad is None):
             raise ValueError("state_value and state_grad must be given together")
         for name in ("state_coeffs", "input_coeffs"):
@@ -167,10 +165,11 @@ class DisturbanceModel:
                neither. ``sample`` then defaults to the row draw
                ``standard_normal((n, dim)) * std + mean`` (in place, in that
                order), and a given ``sample`` must draw rows of that law. For
-               a declared model the solver's iteration batches are drawn from
-               the law of what the estimates read (``GameSpec.support_law``),
-               not through ``sample``; the residual batch, the Lipschitz probe,
-               the estimator diagnostics and the verification still call it.
+               a declared model the solver's iteration batches and the
+               Lipschitz probe's are drawn from the law of what the estimates
+               read (``GameSpec.support_law``), not through ``sample``; the
+               residual batch, the estimator diagnostics and the verification
+               still call it.
     """
 
     dim: int
@@ -279,7 +278,8 @@ class GameSpec:
 
     ``__post_init__`` checks the players against the dynamics (count, input
     dims, box lengths) and the disturbance dimension; dynamics whose lift
-    overflows a double are refused (``build_compact_lift``). Derived there:
+    overflows a double are refused (``build_compact_lift``), and so are an
+    ``init_trajectory`` or a ``constant_jacobian`` that does. Derived there:
 
     lift                 : ``build_compact_lift(dynamics)``.
     player_slices        : player i's block of the stacked profile, in order.
@@ -370,13 +370,18 @@ class GameSpec:
         input_map = _stacked(cons, "input_coeffs", self.input_dim)
         box_lower = np.concatenate([p.box_lower for p in players])
         box_upper = np.concatenate([p.box_upper for p in players])
-        with np.errstate(over="ignore", invalid="ignore"):  # a width that is not finite is None
+        # a width that is not finite is None; a trajectory or Jacobian that is not is refused
+        with np.errstate(over="ignore", invalid="ignore"):
             width = box_upper - box_lower
+            derived = dict(constant_jacobian=self._constant_jacobian(input_map),
+                           init_trajectory=lift.init_map @ dyn.s0)
+        for name, what in (("init_trajectory", "noise-free trajectory init_map @ s0"),
+                           ("constant_jacobian", "constant constraint Jacobian")):
+            if not np.isfinite(derived[name]).all():
+                raise ValueError(f"the {what} overflows a double")
         read_only = dict(box_lower=box_lower, box_upper=box_upper,
                          box_width=width if np.isfinite(width).all() else None,
-                         constant_jacobian=self._constant_jacobian(input_map),
-                         constant=np.array([c.offset for c in cons], dtype=float),
-                         init_trajectory=lift.init_map @ dyn.s0)
+                         constant=np.array([c.offset for c in cons], dtype=float), **derived)
         for array in read_only.values():
             if array is not None:
                 array.flags.writeable = False
@@ -452,27 +457,23 @@ class GameSpec:
 
 
 def _profile(game: GameSpec, u: np.ndarray) -> np.ndarray:
-    """The profile ``u`` as a flat float array of the game's length; a 2-D u is a stack."""
-    u = np.asarray(u, dtype=float)
-    u = u if u.ndim == 2 else u.reshape(-1)
-    if u.shape[-1] != game.input_dim:
-        raise ValueError(f"profile length {u.shape[-1]}, expected {game.input_dim}")
+    """The profile ``u`` as a flat float array of the game's length."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape[0] != game.input_dim:
+        raise ValueError(f"profile length {u.shape[0]}, expected {game.input_dim}")
     return u
 
 
 def base_trajectory(game: GameSpec, u: np.ndarray) -> np.ndarray:
-    """Noise-free trajectory ``init_map @ s0 + sum_j input_maps[j] @ u^j``. Its terms are
-    summed over their axis row after row (2+ columns): the bits of a per-player loop."""
+    """Noise-free trajectory ``init_map @ s0 + sum_j input_maps[j] @ u^j``. Its terms
+    are summed over axis 0 row after row (2+ columns): the bits of a per-player loop."""
     u = _profile(game, u)
     maps = game.stacked_input_maps
     if isinstance(maps, np.ndarray):
-        terms = np.matmul(maps, u.reshape(*u.shape[:-1], game.n_players, -1, 1))[..., 0]
+        terms = np.matmul(maps, u.reshape(game.n_players, -1, 1))[..., 0]
     else:
-        terms = np.stack([np.matmul(gm, u[..., sl, None])[..., 0]
-                          for gm, sl in zip(maps, game.player_slices)], axis=-2)
-    init = game.init_trajectory[None] if u.ndim == 1 \
-        else np.broadcast_to(game.init_trajectory, terms[..., :1, :].shape)
-    return np.concatenate((init, terms), axis=-2).sum(axis=-2)
+        terms = [gm @ u[sl] for gm, sl in zip(maps, game.player_slices)]
+    return np.concatenate((game.init_trajectory[None], terms)).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -497,9 +498,8 @@ def lift_base(game: GameSpec, u: np.ndarray) -> IterateBase:
     u = _profile(game, u)
     traj = base_trajectory(game, u) if game.reads_trajectory else None
     # + 0.0: a new array, holding no -0.0 (player_pseudo_gradient_mean relies on that)
-    cost = game.cost_input_grad
-    grad = np.zeros(u.shape) if cost is None \
-        else (cost(u) if u.ndim == 1 else np.array([cost(p) for p in u])) + 0.0
+    grad = np.zeros(game.input_dim) if game.cost_input_grad is None \
+        else game.cost_input_grad(u) + 0.0
     base = IterateBase(traj, grad, _input_part(game, u))
     for array in (traj, grad, base.affine):
         if array is not None:
@@ -544,7 +544,7 @@ def reduce_noise(game: GameSpec, w_batch: np.ndarray) -> ReducedLift:
 def reduced_lift(game: GameSpec, noise: ReducedLift, base: IterateBase) -> ReducedLift:
     """``reduce_noise`` of a batch moved onto the noise-free trajectory of ``base``."""
     traj = base.trajectory
-    return ReducedLift(traj + noise.mean, noise.support + traj[..., None, game.support_index])
+    return ReducedLift(traj + noise.mean, noise.support + traj[game.support_index])
 
 
 def batch_mean(a: np.ndarray, axis: int = 0):
@@ -554,7 +554,7 @@ def batch_mean(a: np.ndarray, axis: int = 0):
 
 def _batch_means(fn, rows: np.ndarray) -> np.ndarray:
     """Batch means of the row-wise closure ``fn``: (k,) over one batch
-    (M, s), or (n..., k) over batches (n..., M, s) from one call on their rows."""
+    (M, s), or (n, k) over n batches (n, M, s) from one call on their rows."""
     *n, m, s = rows.shape
     return batch_mean(fn(rows.reshape(-1, s)).reshape(*n, m, -1), len(n))
 
@@ -564,7 +564,7 @@ def blockwise(game: GameSpec, maps, vecs: np.ndarray) -> np.ndarray:
 
     ``maps`` is one matrix per player, an (N, h, k) array (one batched
     product) or a tuple, or a stacked (input_dim, k) array split into player
-    blocks; ``vecs`` is (..., N, k), or (k,) for all. Each block is its own
+    blocks; ``vecs`` is (N, k), or (k,) for all. Each block is its own
     product, so the bits equal a per-player loop, as a product over the
     whole stack's rows would not. A one-term product (k = 1) is a multiply:
     ``matmul`` runs it in a loop about twice as slow."""
@@ -573,37 +573,35 @@ def blockwise(game: GameSpec, maps, vecs: np.ndarray) -> np.ndarray:
             else maps.reshape(game.n_players, game.block_height, -1)
     if isinstance(maps, np.ndarray):  # a (k,) vecs broadcasts over the players
         if maps.shape[2] == 1:
-            return np.multiply(maps[..., 0], vecs).reshape(vecs.shape[:-2] + (-1,))
-        return np.matmul(maps, vecs[..., None]).reshape(vecs.shape[:-2] + (-1,))
-    vecs = np.broadcast_to(vecs, (*vecs.shape[:-2], game.n_players, vecs.shape[-1]))
-    return np.concatenate([np.matmul(a, vecs[..., i, :, None])[..., 0]
-                           for i, a in enumerate(maps)], axis=-1)
+            return np.multiply(maps[..., 0], vecs).reshape(-1)
+        return np.matmul(maps, vecs[..., None]).reshape(-1)
+    vecs = np.broadcast_to(vecs, (game.n_players, vecs.shape[-1]))
+    return np.concatenate([a @ v for a, v in zip(maps, vecs)])
 
 
 def player_pseudo_gradient_mean(game: GameSpec, base: IterateBase, rows: np.ndarray) -> np.ndarray:
     """The stacked pseudo-gradient mean (input_dim,), block i player i's cost
     gradient: ``base.input_grad`` plus the state costs' batch means over the
-    support ``rows`` (P, M, s), one batch shared by every player (P = 1) or one
-    per player (P = N); each distinct ``cost_state_grad`` runs once, on the rows
+    support ``rows``, one batch (M, s) shared by every player or one per
+    player (N, M, s); each distinct ``cost_state_grad`` runs once, on the rows
     of the players holding it. Without state costs: the read-only
     ``base.input_grad``, and ``rows`` is not read (None will do)."""
     if not game.state_cost_groups:
         return base.input_grad
-    means = np.zeros(rows.shape[:-3] + (game.n_players, len(game.support)))
+    means = np.zeros((game.n_players, len(game.support)))
     for grad, players in game.state_cost_groups:
-        shared = rows.shape[-3] == 1 or len(players) == game.n_players
-        means[..., players, :] = _batch_means(grad, rows if shared else rows[..., players, :, :])
+        own = rows if rows.ndim == 2 or len(players) == game.n_players else rows[players]
+        means[players] = _batch_means(grad, own)
     # input_grad holds no -0.0, so a stateless player's +-0 product changes nothing
     return base.input_grad + blockwise(game, game.support_input_maps_t, means)
 
 
 def _input_part(game: GameSpec, u: np.ndarray) -> np.ndarray:
     """``u @ input_map + constant``, the constraint values' part that reads
-    no trajectory (``constant`` itself when no map is declared); a stack's is
-    one vector-matrix product per profile, as a matrix product rounds differently."""
+    no trajectory (``constant`` itself when no map is declared)."""
     if game.input_map is None:
-        return game.constant if u.ndim == 1 else np.tile(game.constant, (len(u), 1))
-    part = u @ game.input_map if u.ndim == 1 else np.matmul(u[:, None], game.input_map)[:, 0]
+        return game.constant
+    part = u @ game.input_map
     part += game.constant
     return part
 
@@ -613,7 +611,7 @@ def _affine_part(game: GameSpec, part: np.ndarray, states: np.ndarray) -> np.nda
     ``part`` the ``_input_part``; a state map that no constraint declares is
     skipped."""
     if game.state_map is None:
-        out = np.empty(states.shape[:-1] + part.shape[-1:])
+        out = np.empty(states.shape[:-1] + part.shape)
         out[...] = part
         return out
     out = states @ game.state_map
@@ -640,40 +638,24 @@ def constraint_value_mean(game: GameSpec, base: IterateBase, lift: ReducedLift) 
     the read-only ``base.affine`` itself, and ``lift`` is not read (None will do)."""
     if not game.values_read_trajectory:
         return base.affine
-    # each mean a one-row batch: a vector-matrix product per profile
-    out = _affine_part(game, base.affine[..., None, :], lift.mean[..., None, :])[..., 0, :]
-    rows = lift.support
-    for j in game.nonlinear_columns:  # out.T[j]: column j of one profile's or a stack's values
-        out.T[j] += batch_mean(game.constraints[j].state_value(
-            rows.reshape(-1, rows.shape[-1])).reshape(rows.shape[:-1]), -1)
+    out = _affine_part(game, base.affine, lift.mean)
+    for j in game.nonlinear_columns:
+        out[j] += batch_mean(game.constraints[j].state_value(lift.support))
     return out
 
 
 def player_constraint_gradient_mean(game: GameSpec, rows: np.ndarray) -> np.ndarray:
     """The stacked constraint-Jacobian mean (input_dim, m): the constant
     Jacobian plus each closure column's ``state_grad`` batch means over the
-    support ``rows`` (P, M, s), as in ``player_pseudo_gradient_mean``. Without
-    closures: the read-only ``constant_jacobian``, and ``rows`` is not read.
-    Stacked profiles get an iterator of their means, one buffer whose closure
-    columns are rewritten for each (n copies of the rest would cost more)."""
+    support ``rows``, (M, s) shared or (N, M, s) one batch per player. Without
+    closures: the read-only ``constant_jacobian``, and ``rows`` is not read."""
     if not game.nonlinear_columns:
         return game.constant_jacobian
     out = game.constant_jacobian.copy()
-    grads = [game.constraints[j].state_grad for j in game.nonlinear_columns]
-    columns = [blockwise(game, game.support_input_maps_t, _batch_means(g, rows)) for g in grads]
-    if columns[0].ndim > 1:
-        return _rewritten(out, list(game.nonlinear_columns), np.stack(columns, axis=-1))
-    for j, column in zip(game.nonlinear_columns, columns):
-        out[:, j] += column
+    for j in game.nonlinear_columns:
+        means = _batch_means(game.constraints[j].state_grad, rows)
+        out[:, j] += blockwise(game, game.support_input_maps_t, means)
     return out
-
-
-def _rewritten(out: np.ndarray, index: list, columns: np.ndarray):
-    """Yield ``out``, its ``index`` columns set to their start plus ``columns[k]``, for each k."""
-    start = out[:, index]
-    for added in columns:
-        out[:, index] = start + added
-        yield out
 
 
 def operator_estimate(game: GameSpec, base: IterateBase, noise: ReducedLift):
@@ -686,14 +668,12 @@ def operator_estimate(game: GameSpec, base: IterateBase, noise: ReducedLift):
     (F_hat + Jac_hat @ lam, -(G_raw_mean + o)). Each distinct state-cost
     gradient and each constraint gradient closure is averaged once. Without
     ``game.reads_trajectory`` nothing is lifted and ``noise`` is not read.
-    Stacked profiles get stacked parts, Jac_hat one matrix for all or an iterator.
     """
     if not game.reads_trajectory:
         return base.input_grad, game.constant_jacobian, base.affine
     lift = reduced_lift(game, noise, base)
-    rows = lift.support[..., None, :, :]  # one batch shared by every player
-    return (player_pseudo_gradient_mean(game, base, rows),
-            player_constraint_gradient_mean(game, rows),
+    return (player_pseudo_gradient_mean(game, base, lift.support),
+            player_constraint_gradient_mean(game, lift.support),
             constraint_value_mean(game, base, lift))
 
 

@@ -155,7 +155,8 @@ def build_lq_game(p: LqGameParams):
             if np.shape(c.state_coeffs) != (sdim,):
                 raise ValueError(f"constraint {j}: state_coeffs has length "
                                  f"{np.size(c.state_coeffs)}, expected {sdim}")
-            scale = float(np.linalg.norm((lift.noise_map.T @ c.state_coeffs) * std))
+            with np.errstate(over="ignore", invalid="ignore"):  # the constraint refuses inf
+                scale = float(np.linalg.norm((lift.noise_map.T @ c.state_coeffs) * std))
         constraints.append(CouplingConstraintSpec(
             gamma=c.gamma, com_scale=scale, state_coeffs=c.state_coeffs,
             input_coeffs=c.input_coeffs, offset=c.offset))

@@ -269,30 +269,38 @@ class RunTrace:
 def coordinator_noise(game, rng: np.random.Generator | None,
                       m: int) -> game_mod.ReducedLift | None:
     """Reduced noise of the coordinator's m-row batch, drawn from its iteration
-    stream ``rng``. It is None, and ``rng`` is not read (None will do), when
-    no constraint value reads the trajectory.
+    stream ``rng``: ``batch_noise``'s. It is None, and ``rng`` is not read
+    (None will do), when no constraint value reads the trajectory. For a
+    declared Gaussian disturbance and no constraint closure, no value reads
+    the support rows: they are zero, and only the mean disturbance is drawn,
+    from its law ``mean + std eta / sqrt(M)``: T n_s numbers.
+    """
+    if not game.values_read_trajectory:
+        return None
+    d = game.disturbance
+    if game.support_law is None or game.nonlinear_columns:
+        return batch_noise(game, rng, m)
+    w_mean = d.mean + d.std * rng.standard_normal(d.dim) / math.sqrt(m)
+    return game_mod.ReducedLift(w_mean @ game.lift.noise_map.T, np.zeros((m, len(game.support))))
+
+
+def batch_noise(game, rng: np.random.Generator, m: int) -> game_mod.ReducedLift:
+    """Reduced noise of an m-row batch drawn from ``rng`` (the coordinator's
+    and each Lipschitz probe pair's).
 
     For a declared Gaussian disturbance (``game.support_law``) the support
     rows z come from ``draw_support_noise`` and then the mean disturbance
     from its law given mean(z), with ``len(mean)`` more normals from the same
-    stream: T n_s + M r numbers in all. When no constraint closure reads z,
-    the support rows are zero and only the mean disturbance is drawn, from
-    its law ``mean + std eta / sqrt(M)``: T n_s numbers. For any other model
-    the batch is drawn whole, since its mean disturbance is one sum over
-    every row.
+    stream: T n_s + M r numbers in all. For any other model the batch is
+    drawn whole through ``disturbance.sample``, since its mean disturbance is
+    one sum over every row.
     """
-    if not game.values_read_trajectory:
-        return None
     law, d = game.support_law, game.disturbance
     if law is None:
         return game_mod.reduce_noise(game, d.sample(rng, m))
-    if game.nonlinear_columns:
-        z = draw_support_noise(game, [rng], np.empty((1, m, len(game.support))))[0]
-        w_mean = d.mean + law.gain @ (game_mod.batch_mean(z) - law.shift) \
-            + law.spread @ rng.standard_normal(d.dim) / math.sqrt(m)
-    else:
-        z = np.zeros((m, len(game.support)))
-        w_mean = d.mean + d.std * rng.standard_normal(d.dim) / math.sqrt(m)
+    z = draw_support_noise(game, [rng], np.empty((1, m, len(game.support))))[0]
+    w_mean = d.mean + law.gain @ (game_mod.batch_mean(z) - law.shift) \
+        + law.spread @ rng.standard_normal(d.dim) / math.sqrt(m)
     return game_mod.ReducedLift(w_mean @ game.lift.noise_map.T, z)
 
 
@@ -438,12 +446,8 @@ def residual_noise(game, cfg: SolverConfig, seed: int) -> game_mod.ReducedLift:
 def extended_operator(game, offsets: UnderApproxOffsets, base: game_mod.IterateBase,
                       noise: game_mod.ReducedLift, lam: np.ndarray):
     """(field_u, field_lam) = (F_hat + Jac lam, G_hat + o) at (u of ``base``, ``lam``) on
-    ``noise``, by one ``operator_estimate``; the monotone operator is (field_u, -field_lam).
-    Stacked profiles (and lam) get stacked fields, Jac lam one product per profile."""
+    ``noise``, by one ``operator_estimate``; the monotone operator is (field_u, -field_lam)."""
     f_hat, jac, g_raw = game_mod.operator_estimate(game, base, noise)
-    if lam.ndim > 1:  # a stack: one Jacobian for all, or an iterator of one per profile
-        jac = [jac] * len(lam) if isinstance(jac, np.ndarray) else jac
-        return f_hat + [j @ v for j, v in zip(jac, lam)], g_raw + offsets.offsets
     return f_hat + jac @ lam, g_raw + offsets.offsets
 
 
@@ -606,30 +610,26 @@ def estimate_lipschitz(game, offsets: UnderApproxOffsets, seed: int) -> float:
     """Empirical Lipschitz bound of the sampled operator over feasible pairs.
 
     Samples ``LIPSCHITZ_PAIRS`` random (u, multiplier) pairs, with multipliers
-    uniform in [0, ``LIPSCHITZ_MULTIPLIER_SCALE``], each pair with its own batch
-    of ``LIPSCHITZ_BATCH`` draws, evaluates the operator at all their points
-    in one stacked ``extended_operator`` call, and returns the largest
-    difference ratio; a pair whose squares overflow has its norms taken by
-    ``math.hypot``. Used to size the step bound in ``validate_config`` since
-    no analytic constant is available. NaN when a field or a ratio is not finite.
+    uniform in [0, ``LIPSCHITZ_MULTIPLIER_SCALE``], each pair with its own
+    ``batch_noise`` of ``LIPSCHITZ_BATCH`` rows (none when no estimate reads
+    the trajectory), evaluates the operator at each point by one
+    ``extended_operator`` call, and returns the largest difference ratio; a
+    pair whose squares overflow has its norms taken by ``math.hypot``. Used to
+    size the step bound in ``validate_config`` since no analytic constant is
+    available. NaN when a field or a ratio is not finite.
     """
-    rng, m = substream(seed, PURPOSE_PROBE, 0), game.constraint_count
-    draws = [(game_mod.random_feasible_profile(game, rng),
-              game_mod.random_feasible_profile(game, rng),
-              rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m),
-              rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m),
-              game_mod.reduce_noise(game, game.disturbance.sample(rng, LIPSCHITZ_BATCH)))
-             for _ in range(LIPSCHITZ_PAIRS)]
-    u1, u2, l1, l2, noises = zip(*draws)
-    # pair p is points p and p + LIPSCHITZ_PAIRS, both on its batch
-    u, lam, noises = np.array(u1 + u2), np.array(l1 + l2), noises * 2
-    noise = game_mod.ReducedLift(np.array([n.mean for n in noises]),
-                                 np.array([n.support for n in noises]))
-    field_u, field_lam = extended_operator(game, offsets, game_mod.lift_base(game, u), noise, lam)
-    if not (np.isfinite(field_u).all() and np.isfinite(field_lam).all()):
-        return math.nan
-    ratios, half = [0.0], LIPSCHITZ_PAIRS
-    for du, dl, dfu, dfl in zip(*(a[:half] - a[half:] for a in (u, lam, field_u, field_lam))):
+    rng, m, ratios = substream(seed, PURPOSE_PROBE, 0), game.constraint_count, [0.0]
+    for _ in range(LIPSCHITZ_PAIRS):
+        u1 = game_mod.random_feasible_profile(game, rng)
+        u2 = game_mod.random_feasible_profile(game, rng)
+        l1 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
+        l2 = rng.uniform(0.0, LIPSCHITZ_MULTIPLIER_SCALE, size=m)
+        noise = batch_noise(game, rng, LIPSCHITZ_BATCH) if game.reads_trajectory else None
+        f1u, f1l = extended_operator(game, offsets, game_mod.lift_base(game, u1), noise, l1)
+        f2u, f2l = extended_operator(game, offsets, game_mod.lift_base(game, u2), noise, l2)
+        if not all(np.isfinite(f).all() for f in (f1u, f1l, f2u, f2l)):
+            return math.nan
+        du, dl, dfu, dfl = u1 - u2, l1 - l2, f1u - f2u, f1l - f2l
         dz, da = math.hypot(_norm(du), _norm(dl)), math.hypot(_norm(dfu), _norm(dfl))
         if math.isinf(dz) or math.isinf(da):  # a square overflowed
             dz, da = math.hypot(*du, *dl), math.hypot(*dfu, *dfl)

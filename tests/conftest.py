@@ -262,11 +262,12 @@ def reference_operator(game, u, w):
 
 
 def reference_lipschitz(game, offsets, seed):
-    """``solver.estimate_lipschitz`` by the per-pair loop that the stacked
-    evaluation replaced: per pair, u1, u2, l1, l2 and its batch drawn from the
-    probe stream, then one single-profile ``extended_operator`` call at each
-    point and the pair's ratio. NaN at the first pair with a field that is
-    not finite; a NaN ratio is dropped, as the loop's ``max`` dropped it."""
+    """``solver.estimate_lipschitz`` with numpy's norms: per pair, u1, u2, l1,
+    l2 and its batch (``solver.batch_noise``, none when no estimate reads the
+    trajectory) drawn from the probe stream, then one ``extended_operator``
+    call at each point and the pair's ratio. NaN at the first pair with a
+    field that is not finite; a NaN ratio is dropped, as the loop's ``max``
+    dropped it."""
     rng = substream(seed, PURPOSE_PROBE, 0)
     worst, m, scale = 0.0, game.constraint_count, solver.LIPSCHITZ_MULTIPLIER_SCALE
     for _ in range(solver.LIPSCHITZ_PAIRS):
@@ -274,7 +275,8 @@ def reference_lipschitz(game, offsets, seed):
         u2 = random_feasible_profile(game, rng)
         l1 = rng.uniform(0.0, scale, size=m)
         l2 = rng.uniform(0.0, scale, size=m)
-        noise = reduce_noise(game, game.disturbance.sample(rng, solver.LIPSCHITZ_BATCH))
+        noise = solver.batch_noise(game, rng, solver.LIPSCHITZ_BATCH) \
+            if game.reads_trajectory else None
         a1u, a1l = solver.extended_operator(game, offsets, lift_base(game, u1), noise, l1)
         a2u, a2l = solver.extended_operator(game, offsets, lift_base(game, u2), noise, l2)
         if not all(np.all(np.isfinite(a)) for a in (a1u, a1l, a2u, a2l)):

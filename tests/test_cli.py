@@ -323,6 +323,21 @@ class TestConfigErrors:
         doc["game"]["players"][1].update(box_lower=[-1e308, -5.0], box_upper=[0.0, 5.0])
         assert parse_config_dict(doc).lq.players[1].box_lower[0] == -1e308  # a finite width
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_initial_trajectory_rejected(self, tmp_path, capsys, command):
+        # the lift (10^40) is finite, the noise-free trajectory from 1e300 is not
+        doc, T = oracle_doc(), 40
+        doc["game"].update(horizon=T, a_mats=[[[10.0]]] * T, initial_state=[1e300])
+        for p in doc["game"]["players"]:
+            p.update(box_lower=[-5.0] * T, box_upper=[5.0] * T, linear=[-1.0] * T)
+        doc["game"]["constraints"][0]["input_coeffs"] = [1.0] * (3 * T)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_doc(tmp_path, doc))]
+        assert main(argv + (["--out-dir", str(out)] if command == "run" else [])) == 1
+        assert capsys.readouterr().err == ("invalid configuration:\n  game: the noise-free "
+                                           "trajectory init_map @ s0 overflows a double\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, message", [
         (replaced("solver", []), "solver: expected an object, got []"),
         (replaced("solver", "x"), "solver: expected an object, got 'x'"),

@@ -9,7 +9,7 @@ import ccgames.dynamics as dynamics_mod
 import ccgames.game as game_mod
 from ccgames.config import build_game, parse_config
 from ccgames.dynamics import TimeVaryingLinearDynamics, build_compact_lift, simulate_state
-from ccgames.lqgame import LqGameParams, LqPlayer, build_lq_game
+from ccgames.lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
 
 from conftest import CONFIG_DIR, apply_lift, random_dynamics, reference_compact_lift
 
@@ -203,6 +203,7 @@ class TestConstruction:
 
 
 OVERFLOW = "^the dynamics overflow a double within the horizon$"
+HUGE_STATE_COEFFS = (LqConstraint(input_coeffs=np.ones(40), state_coeffs=np.full(41, 1e300)),)
 
 
 class TestOverflowingLift:
@@ -230,6 +231,24 @@ class TestOverflowingLift:
         game, _ = build_lq_game(replace(params, a_mats=None))
         with pytest.raises(ValueError, match=OVERFLOW):
             replace(game, dynamics=scalar_dynamics(1e10, T))
+
+    @pytest.mark.parametrize("edit, message", [
+        # a finite lift (10^40) of a state of 1e300
+        (dict(a_mats=np.full((40, 1, 1), 10.0), initial_state=[1e300]),
+         "^the noise-free trajectory init_map @ s0 overflows a double$"),
+        # coefficients of 1e300 through an input map of 1e10, with no noise
+        (dict(b_mats=(np.full((40, 1, 1), 1e10),), constraints=HUGE_STATE_COEFFS),
+         "^the constant constraint Jacobian overflows a double$"),
+        # their sums over up to 40 noise columns (4e301) scaled by 1e10
+        (dict(noise_std=np.full(40, 1e10), constraints=HUGE_STATE_COEFFS),
+         "^com_scale must be finite and nonnegative, got inf$"),
+    ], ids=["trajectory", "jacobian", "com-scale"])
+    def test_non_finite_derived_data_refused(self, edit, message):
+        T = 40
+        params = LqGameParams(horizon=T, players=(
+            LqPlayer(box_lower=-np.ones(T), box_upper=np.ones(T)),), **edit)
+        with pytest.raises(ValueError, match=message):
+            build_lq_game(params)
 
     def test_construction_steps_no_trajectory(self, monkeypatch):
         def stepped(*args):

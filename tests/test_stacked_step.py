@@ -270,9 +270,9 @@ def test_nan_drawn_for_one_player_names_only_that_player(monkeypatch):
 
 # estimate_lipschitz of each shipped config at its own seed and at seed 1
 SHIPPED_PROBE = {
-    "quadratic_oracle": ("0x1.4f8458f622e51p+1", "0x1.48d8b403ccbe1p+1"),
-    "microgrid_reduced": ("0x1.27463ec2edb4ep+7", "0x1.1f6f460afc9dcp+7"),
-    "microgrid_paper": ("0x1.37dfbb2f799afp+7", "0x1.37bd0638ffb84p+7"),
+    "quadratic_oracle": ("0x1.30e9ee78f2f9dp+1", "0x1.525d7789742ebp+1"),
+    "microgrid_reduced": ("0x1.26673fc293ee2p+7", "0x1.23401763fb2f5p+7"),
+    "microgrid_paper": ("0x1.3811fe4521564p+7", "0x1.38af2d116cf25p+7"),
 }
 
 
@@ -300,9 +300,29 @@ PROBE_GAMES = {**GAMES, **{f"lq_{s}": (lambda s=s: lq_game(s)) for s in LQ_SEEDS
 
 @pytest.mark.parametrize("name", PROBE_GAMES)
 def test_lipschitz_equals_per_pair_reference(name):
-    # the 32 points in one stacked pass against one call per point: every
-    # layout (unequal heights, a declared support, a sampler, no support)
+    # every layout (unequal heights, a declared support, a sampler, no support)
     game, offsets = PROBE_GAMES[name]()
     for seed in (1, 2, 3):
         assert solver.estimate_lipschitz(game, offsets, seed).hex() \
             == reference_lipschitz(game, offsets, seed).hex()
+
+
+@pytest.mark.parametrize("name, sampled", [("microgrid_reduced", False),
+                                           ("microgrid_reduced_sampler", True),
+                                           ("quadratic_oracle", None)])
+def test_probe_draws_only_what_it_reads(monkeypatch, name, sampled):
+    # one batch per pair: from a declared law with no sampler call, through
+    # the sampler otherwise, and none when no estimate reads the trajectory
+    game, offsets = GAMES[name]()
+    counted, rows, _ = counted_draws(monkeypatch, game)
+    batches, draw = [], solver.batch_noise
+
+    def batch_noise(game, rng, m):
+        batches.append(m)
+        return draw(game, rng, m)
+
+    monkeypatch.setattr(solver, "batch_noise", batch_noise)
+    solver.estimate_lipschitz(counted, offsets, 1)
+    pairs = 0 if sampled is None else solver.LIPSCHITZ_PAIRS
+    assert batches == [solver.LIPSCHITZ_BATCH] * pairs
+    assert rows == (batches if sampled else [])
