@@ -261,7 +261,7 @@ def estimate_epsilon_gap(game, u_star: np.ndarray, candidates, n_samples: int,
     base = np.stack([steps[:, sl] @ maps
                      for sl, maps in zip(game.player_slices, game.support_input_maps_t)], 1)
     shift = (shift + game_mod._affine_part(game, game_mod._input_part(game, u_star),
-                                           u_base)).reshape(-1, m)
+                                           u_base)).reshape(len(stacked) * game.n_players, m)
     base = (base + u_base[support]).reshape(len(shift), -1)
     hits, e_g = np.empty_like(shift), shared.mean(axis=0) + shift
     affine = [j for j in range(m) if j not in nonlinear]

@@ -13,24 +13,22 @@ Key layout used by the solver:
     (PURPOSE_RESIDUAL,)              reference batch for residual estimates
     (PURPOSE_PROBE, j)               Lipschitz / diagnostic probes
 
-``iteration_streams`` derives the state words of ``substream`` for entities 0
-to n - 1 of an iteration in one pass. ``SeedSequence`` follows O'Neill's
+``IterationTable`` derives the state words of ``substream`` for entities 0 to
+n - 1 of a block of iterations in one pass. ``SeedSequence`` follows O'Neill's
 ``seed_seq`` (HMC-CS-2014-0905): it hashes its 32-bit entropy words (the
-seed's, padded with zeros to four, then the key's) into a 4-word pool, then
-hashes the pool into PCG64's state. Each word after the fourth is hashed into
-every pool word in turn, and the hash constant advances once per hash,
-whatever the word. So the pool before the last word, the entity, is that of
-the key ``(PURPOSE_ITERATION, k)``, and the entity's hashes follow from the
-count of words before it (``_entity_words``, kept). Its mix and the state
-generation then run for the n entities at once, in uint64 arithmetic masked to
-32 bits: the same operations on the same words, so the streams are bit-equal
-to ``substream``. PCG64 is seeded from a row of that (n, 4) table of state
-words through ``_StateWords``; each call builds its own table.
+seed's, padded with zeros to four, then the key's) into a 4-word pool, then the
+pool into PCG64's state. Each word after the fourth is hashed into every pool
+word in turn, the hash constant advancing once per hash, whatever the word. So
+every k starts from the pool of the key ``(PURPOSE_ITERATION,)``, and a word's
+hashes follow from its position (``_mix``): k's words, the entity's and the
+state generation run for the whole block at once, in uint64 arithmetic masked
+to 32 bits, the same operations on the same words as ``substream``'s. PCG64 is
+seeded from a row of the table through ``_StateWords``; ``solver.run`` keeps the
+table of its current block, and ``iteration_streams`` is the one-row case.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 
 import numpy as np
@@ -77,18 +75,46 @@ def _hash(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
     return v ^ v >> 16
 
 
-@functools.lru_cache(maxsize=16)
-def _entity_words(n_words: int, rows: int) -> np.ndarray:
-    """(rows, 4): row e ``_MIX_R`` x entity e's hashes after ``n_words`` words."""
-    hs = np.array([_INIT_A * pow(_MULT_A, 4 * n_words + j, 1 << 32) & _MASK
+def _mix(pool: np.ndarray, values: np.ndarray, position: int) -> np.ndarray:
+    """``pool`` with each of ``values`` hashed in as the entropy word at ``position``."""
+    hs = np.array([_INIT_A * pow(_MULT_A, 4 * position + j, 1 << 32) & _MASK
                    for j in range(5)], dtype=np.uint64)
-    words = _MIX_R * _hash(np.arange(rows, dtype=np.uint64)[:, None], hs)
-    words.flags.writeable = False  # one array for every caller
-    return words
+    pool = (_MIX_L * pool - _MIX_R * _hash(values[:, None], hs)) & _MASK
+    return pool ^ pool >> 16
 
 
 def _n_words(n: int) -> int:
     return (max(n.bit_length(), 1) + 31) // 32  # 32-bit words of n, at least 1
+
+
+class IterationTable:
+    """The streams of entities 0 to n - 1 for iterations k0 to k0 + count - 1.
+    Read-only (c, n, 4) ``words``: row k - k0, column e the PCG64 state words of
+    ``substream(seed, PURPOSE_ITERATION, k, e)``; c = count, or fewer where k's
+    count of 32-bit words changes (at 2^32, 2^64)."""
+
+    def __init__(self, seed: int, k0: int, count: int, n: int):
+        seed, k0 = operator.index(seed), operator.index(k0)
+        if k0 < 0:  # as SeedSequence refuses a negative key word
+            raise ValueError("expected non-negative integer")
+        self.seed, self.k0 = seed, k0
+        at, k_words = max(4, _n_words(seed)) + _n_words(PURPOSE_ITERATION), _n_words(k0)
+        ks = range(k0, min(k0 + count, 1 << 32 * k_words))
+        pool = np.random.SeedSequence(seed, spawn_key=(PURPOSE_ITERATION,)).pool.astype(np.uint64)
+        for j in range(k_words):  # k's words, lowest first, for the whole block
+            pool = _mix(pool, np.array([k >> 32 * j & _MASK for k in ks], dtype=np.uint64), at + j)
+        pool = _mix(pool[:, None], np.arange(n, dtype=np.uint64), at + k_words)
+        state = _hash(pool[..., [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH)
+        # little-endian pairs of 32-bit words, in a new C-contiguous array
+        self.words = np.ascontiguousarray(state[..., 0::2] | state[..., 1::2] << 32)
+        self.words.flags.writeable = False
+
+    def streams(self, k: int, first: int = 0) -> list:
+        """New generators of entities first, ..., n - 1 of iteration k, from row k - k0."""
+        if not 0 <= k - self.k0 < len(self.words):
+            raise IndexError(f"iteration {k} is not in the block from {self.k0}")
+        return [np.random.Generator(np.random.PCG64(_StateWords(words)))
+                for words in self.words[k - self.k0, first:]]
 
 
 def iteration_stream(seed: int, k: int, entity: int) -> np.random.Generator:
@@ -98,19 +124,10 @@ def iteration_stream(seed: int, k: int, entity: int) -> np.random.Generator:
 
 
 def iteration_streams(seed: int, k: int, n: int, first: int = 0) -> list:
-    """``iteration_stream(seed, k, e)`` for e = first, ..., n - 1, each seeded
-    from its row of one table of the PCG64 state words of these entities."""
-    seed, k = operator.index(seed), operator.index(k)
+    """``iteration_stream(seed, k, e)`` for e = first, ..., n - 1: a one-row table's."""
     if operator.index(first) < 0 or n < first:
         raise ValueError(f"expected 0 <= first <= n, got first={first}, n={n}")
-    prefix = np.random.SeedSequence(seed, spawn_key=(PURPOSE_ITERATION, k))
-    n_words = max(4, _n_words(seed)) + _n_words(PURPOSE_ITERATION) + _n_words(k)
-    pool = (_MIX_L * prefix.pool.astype(np.uint64) - _entity_words(n_words, n)[first:]) & _MASK
-    pool ^= pool >> 16
-    state = _hash(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH)
-    # little-endian pairs of 32-bit words, in a new C-contiguous array
-    table = np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
-    return [np.random.Generator(np.random.PCG64(_StateWords(words))) for words in table]
+    return IterationTable(seed, k, 1, n).streams(k, first)
 
 
 def residual_stream(seed: int) -> np.random.Generator:

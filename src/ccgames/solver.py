@@ -23,7 +23,8 @@ document of (settings, iterate) that a resume continues (``load_checkpoint``).
 
 An entity draws only what its estimates read, and nothing when no estimate
 reads its draw. ``draw_noise`` makes the generators of the entities that draw
-with one ``iteration_streams`` call, and ``draw_support_noise`` draws the
+from a row of the run's ``iteration_table``, which derives their state words
+for a block of iterations in one pass, and ``draw_support_noise`` draws the
 support rows of the coordinator and of each lane of players: for a declared
 Gaussian ``mean``/``std`` from their law (``game.support_law``), otherwise one
 whole draw through ``disturbance.sample`` per entity. Drawing is most of a
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import game as game_mod
 from .com import UnderApproxOffsets
-from .rng import iteration_stream, iteration_streams, residual_stream, substream, PURPOSE_PROBE
+from .rng import IterationTable, iteration_stream, residual_stream, substream, PURPOSE_PROBE
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -85,6 +86,8 @@ LIPSCHITZ_MULTIPLIER_SCALE = 1.0
 # numbers in one player's draw (rows x numbers per row) from which the
 # players' draws are split between two threads (``draw_noise``)
 TWO_LANE_MIN_DRAWS = 16384
+# iterations whose streams ``run`` derives in one table (``iteration_table``)
+ITERATION_BLOCK = 64
 
 MAX_ROWS = np.iinfo(np.intp).max  # numpy's largest dimension, a batch's most rows
 
@@ -332,23 +335,29 @@ def draw_support_noise(game, streams, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def draw_noise(game, seed: int, k: int, m: int, buffer: np.ndarray, lane: ThreadPoolExecutor):
+def iteration_table(game, seed: int, k0: int, stop: int) -> IterationTable | None:
+    """The streams of the entities that draw (``draw_noise``) from iteration k0 for
+    ``ITERATION_BLOCK`` iterations, or up to ``stop``; None when no entity draws."""
+    first, n = 0 if game.values_read_trajectory else 1, 1 + game.n_players if game.support else 1
+    return IterationTable(seed, k0, min(ITERATION_BLOCK, stop - k0), n) if first < n else None
+
+
+def draw_noise(game, table, k: int, m: int, buffer: np.ndarray, lane: ThreadPoolExecutor):
     """Every entity's reduced noise for iteration k with m-row batches:
     (``coordinator_noise``, an (N, m, len(game.support)) array whose slab i
     is player i's ``draw_support_noise`` rows, None for an empty support).
     The array is a view of the flat float ``buffer``, which must hold N m
     len(game.support) floats.
 
-    One ``iteration_streams`` call makes the streams of every entity that
-    draws, and none is made when no entity draws. From ``TWO_LANE_MIN_DRAWS``
+    The streams of the entities that draw come from row k of ``table``, an
+    ``iteration_table`` (None when no entity draws). From ``TWO_LANE_MIN_DRAWS``
     numbers per player's draw (M r for a declared Gaussian disturbance, M T n_s
     through the sampler), the executor ``lane`` fills the slabs of players 0,
     2, 4, ... while this thread draws the other entities; below it ``lane`` is
     not used. An exception from either lane is raised once both are done.
     """
     first = 0 if game.values_read_trajectory else 1
-    n = 1 + game.n_players if game.support else 1
-    streams = iteration_streams(seed, k, n, first) if first < n else []
+    streams = [] if table is None else table.streams(k, first)
     rng = streams.pop(0) if first == 0 else None
     if not streams:
         return coordinator_noise(game, rng, m), None
@@ -409,14 +418,14 @@ def player_step(state: SolverState, game, cfg: SolverConfig, alpha: float,
 
 def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             alpha: float, m: int, residual: float, base: game_mod.IterateBase,
-            buffer: np.ndarray, lane):
+            buffer: np.ndarray, lane, table: IterationTable | None):
     """Run one full iteration with step ``alpha`` on ``draw_noise``'s m-row
     batches; returns (next state, record for iteration k). ``residual`` is
     ``residual_estimate`` of ``state``, for the record; ``base`` is its ``lift_base``,
-    shared by all; ``buffer`` and ``lane`` are the run's draw buffer and lane."""
+    shared by all; ``buffer``, ``lane`` and ``table`` are the run's (``draw_noise``)."""
     t0 = time.perf_counter()
     k = state.k
-    coordinator, player_noise = draw_noise(game, cfg.seed, k, m, buffer, lane)
+    coordinator, player_noise = draw_noise(game, table, k, m, buffer, lane)
     lam_avg, lam_next, g_hat = coordinator_step(state, game, offsets, cfg, alpha,
                                                 coordinator, base)
     u_avg, u_next = player_step(state, game, cfg, alpha, player_noise, base)
@@ -478,9 +487,10 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     record), whose constraint mean comes from the coordinator's batch of
     that iterate. The residual batch is drawn and reduced once per run. The
     run owns the players' draw buffer, made twice a batch's need whenever a
-    batch outgrows it, and the second draw lane (``draw_noise``), whose thread
-    starts at the first batch that crosses ``TWO_LANE_MIN_DRAWS`` and is
-    joined before ``run`` returns or raises. ``initial`` (a loaded checkpoint,
+    batch outgrows it, the ``iteration_table`` of its current block, made as
+    k leaves the last (None when no entity draws), and the second draw lane
+    (``draw_noise``), whose thread starts at the first batch that crosses
+    ``TWO_LANE_MIN_DRAWS`` and is joined before ``run`` returns or raises. ``initial`` (a loaded checkpoint,
     say) needs the game's dimensions and a nonnegative multiplier. The
     divergence guard is relative to ``initial_state``, the projected origin,
     wherever a run starts. Each finite new iterate, before the guard, goes to
@@ -497,7 +507,7 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
         raise ValueError("initial multiplier must be nonnegative")
     guard = cfg.divergence_factor * (1.0 + origin.z_norm())
     noise_res = residual_noise(game, cfg, cfg.seed)
-    records, buffer = [], np.empty(0)
+    records, buffer, table = [], np.empty(0), None
     with ThreadPoolExecutor(1, "ccgames-draws") as lane:
         while True:
             alpha = step_size(cfg, state.k)
@@ -519,7 +529,10 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
                 g_hat = coordinator_step(state, game, offsets, cfg, alpha, noise, base)[2]
                 records.append(_record(state, alpha, m, res, g_hat, t0, bool(cfg.snapshot_every)))
                 break
-            state, record = iterate(state, game, offsets, cfg, alpha, m, res, base, buffer, lane)
+            if table is None or state.k - table.k0 >= len(table.words):  # the next block
+                table = iteration_table(game, cfg.seed, state.k, cfg.max_iterations)
+            state, record = iterate(state, game, offsets, cfg, alpha, m, res, base, buffer, lane,
+                                    table)
             records.append(record)
             z_norm = state.z_norm()  # finite only if every entry is
             if not math.isfinite(z_norm) and not state.is_finite():

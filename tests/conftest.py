@@ -360,18 +360,33 @@ class HookedStream:
         return getattr(self._rng, name)
 
 
+def hook_tables(monkeypatch, wrap, built=None):
+    """Patch ``solver.IterationTable`` through ``monkeypatch``: each stream a
+    table makes is ``wrap(seed, k, entity, rng)``, and each table built appends
+    its (seed, k0, rows, entities) to the list ``built``, when given."""
+
+    class Hooked(solver.IterationTable):
+        def __init__(self, seed, k0, count, n):
+            super().__init__(seed, k0, count, n)
+            if built is not None:
+                built.append((seed, k0, len(self.words), n))
+
+        def streams(self, k, first=0):
+            return [wrap(self.seed, k, e, rng)
+                    for e, rng in enumerate(super().streams(k, first), first)]
+
+    monkeypatch.setattr(solver, "IterationTable", Hooked)
+
+
 def hook_player_streams(monkeypatch, hook, players=None):
-    """Patch ``solver.iteration_streams`` through ``monkeypatch`` so that the
-    streams of the players in ``players`` (default: every player) are
-    ``HookedStream``s of ``hook``: each of their draws, through a sampler or
-    from a declared law, on whichever thread it is made."""
-    streams = solver.iteration_streams
+    """``hook_tables`` so that the streams of the players in ``players``
+    (default: every player) are ``HookedStream``s of ``hook``: each of their
+    draws, through a sampler or from a declared law, on whichever thread it
+    is made."""
+    def wrap(seed, k, e, rng):
+        return HookedStream(rng, hook) if e > 0 and (players is None or e - 1 in players) else rng
 
-    def hooked(seed, k, n, first=0):
-        return [HookedStream(rng, hook) if e > 0 and (players is None or e - 1 in players)
-                else rng for e, rng in enumerate(streams(seed, k, n, first), first)]
-
-    monkeypatch.setattr(solver, "iteration_streams", hooked)
+    hook_tables(monkeypatch, wrap)
 
 
 def per_row(game):

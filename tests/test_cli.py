@@ -845,6 +845,24 @@ class TestEpsilonGap:
         assert summary["epsilon_gap"]["candidates_evaluated"] == 3 * game.n_players
         assert any(x > 0.0 for x in gap.m_hat)
 
+    def test_game_without_coupled_constraints(self, tmp_path, capsys):
+        # run with the gap in its summary, then epsilon-gap on its strategies
+        doc = oracle_doc()
+        doc["game"]["constraints"] = []
+        doc["verification"]["epsilon_gap_in_summary"] = True
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run_cli(path, out) == 0
+        assert {p.name for p in out.iterdir()} == {"trace.csv", "summary.json", "strategies.csv"}
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["epsilon_gap"] == {
+            "m_hat": [], "bound_with_final_multiplier": 0.0,
+            "candidates_evaluated": doc["verification"]["epsilon_gap_candidates"] * 3}
+        capsys.readouterr()
+        assert main(["epsilon-gap", "--config", str(path),
+                     "--strategies", str(out / "strategies.csv")]) == 0
+        assert "gap terms over 12 unilateral deviations" in capsys.readouterr().out
+
     def test_zero_candidates_exit_one(self, tmp_path):
         doc = small_lq_doc()
         doc["verification"]["epsilon_gap_candidates"] = 0

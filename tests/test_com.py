@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from statistics import NormalDist
@@ -15,7 +16,7 @@ from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec,
                           PlayerSpec, random_feasible_profile, state_batch)
 
-from ccgames.config import build_game, parse_config
+from ccgames.config import build_game, parse_config, parse_config_dict
 from ccgames.lqgame import build_lq_game
 
 from conftest import (CONFIG_DIR, random_dynamics, random_lq_params,
@@ -381,6 +382,18 @@ class TestEpsilonGap:
             monkeypatch.setattr(com, "_block_rows", fixed_block_rows(block, widths))
             assert np.array_equal(m_hat(), default)
             assert widths == [300 * len(game.support)]
+
+    def test_game_without_coupled_constraints_has_empty_terms(self):
+        # the oracle with its one constraint dropped: nothing to certify
+        doc = json.loads((CONFIG_DIR / "quadratic_oracle.json").read_text())
+        doc["game"]["constraints"] = []
+        game, offsets = build_game(parse_config_dict(doc))
+        assert game.constraint_count == 0
+        u_star = np.zeros(game.input_dim)
+        cands = [random_feasible_profile(game, np.random.default_rng(j)) for j in range(4)]
+        est = estimate_epsilon_gap(game, u_star, cands, 50, np.random.default_rng(1), offsets)
+        assert est.m_hat.shape == (0,)
+        assert est.candidates_evaluated == 4 * game.n_players
 
     def test_empty_candidates_rejected(self):
         game, _ = self.make_game_with_offset_value()

@@ -1,13 +1,20 @@
-"""Iteration streams: the words ``iteration_stream`` derives for a whole
-iteration equal those of a ``SeedSequence`` per entity, bit for bit."""
+"""Iteration streams: the words an ``IterationTable`` derives for a block of
+iterations equal those of a ``SeedSequence`` per iteration and entity, bit for
+bit, and so do the streams of a run that crosses blocks."""
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ccgames.rng import PURPOSE_ITERATION, iteration_stream, iteration_streams, substream
+import ccgames.solver as solver
+from ccgames.config import build_game, parse_config
+from ccgames.rng import (PURPOSE_ITERATION, IterationTable, iteration_stream, iteration_streams,
+                         substream)
+
+from conftest import CONFIG_DIR, assert_run_equals_reference, hook_tables, serial_reference_run
 
 SEEDS = [0, 1, 2 ** 32 + 7, 2 ** 128 + 3]
 ITERATIONS = [0, 9000, 2 ** 32 + 1]
@@ -28,6 +35,30 @@ def test_equals_the_seed_sequence_stream(seed, k):
     for entity in ENTITIES:
         assert_same_stream(iteration_stream(seed, k, entity),
                            substream(seed, PURPOSE_ITERATION, k, entity))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k0", [0, 9000, 2 ** 32 - 3])
+def test_every_row_of_a_table_is_the_seed_sequence_stream(seed, k0):
+    # a block from 2^32 - 3 stops after 3 rows, where k gets its second word
+    rows = min(solver.ITERATION_BLOCK, 2 ** 32 - k0)
+    want = [[substream(seed, PURPOSE_ITERATION, k, e).bit_generator.state for e in range(198)]
+            for k in range(k0, k0 + rows)]
+    for n in (1, 21, 65, 198):
+        table = IterationTable(seed, k0, solver.ITERATION_BLOCK, n)
+        assert table.words.shape == (rows, n, 4) and not table.words.flags.writeable
+        for first in (0, 1):
+            for k, states in enumerate(want, k0):
+                got = [rng.bit_generator.state for rng in table.streams(k, first)]
+                assert got == states[first:n], (n, first, k)
+        for k in (k0 - 1, k0 + rows):
+            with pytest.raises(IndexError):
+                table.streams(k)
+    if k0 + rows == 2 ** 32:  # the next block, of two-word k
+        next_block = IterationTable(seed, k0 + rows, 2, 3)
+        for k in (2 ** 32, 2 ** 32 + 1):
+            assert_same_stream(next_block.streams(k, 2)[0],
+                               substream(seed, PURPOSE_ITERATION, k, 2))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -79,12 +110,39 @@ def test_streams_from_threads_at_once_have_the_same_bits():
 
 @pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
 def test_negative_key_words_are_refused(key):
+    # as SeedSequence refuses them
+    with pytest.raises(ValueError):
+        substream(key[0], PURPOSE_ITERATION, *key[1:])
     with pytest.raises(ValueError):
         iteration_stream(*key)
     with pytest.raises(ValueError):
         iteration_streams(*key[:2], 1, first=key[2])
+    if key[2] == 0:
+        with pytest.raises(ValueError):
+            IterationTable(*key[:2], solver.ITERATION_BLOCK, 1)
 
 
 def test_a_count_below_the_first_entity_is_refused():
     with pytest.raises(ValueError):
         iteration_streams(0, 0, 2, first=3)
+
+
+@pytest.mark.parametrize("name, start, scale, blocks", [
+    ("microgrid_paper", 0, None, [(0, 64), (64, 64), (128, 22)]),
+    # up to k's second word, then from it; small batches there
+    ("microgrid_reduced", 2 ** 32 - 5, 1e-9, [(2 ** 32 - 5, 5), (2 ** 32, 5)])])
+def test_runs_across_blocks_equal_the_per_iterate_reference(monkeypatch, name, start, scale,
+                                                            blocks):
+    cfg = parse_config(CONFIG_DIR / f"{name}.json")
+    game, offsets = build_game(cfg)
+    stop = blocks[-1][0] + blocks[-1][1]
+    scfg = replace(cfg.solver, max_iterations=stop, residual_tolerance=0.0, snapshot_every=0,
+                   batch_scale=scale or cfg.solver.batch_scale)
+    initial = replace(solver.initial_state(game, scfg), k=start)
+    tables = []
+    hook_tables(monkeypatch, lambda seed, k, e, rng: rng, tables)
+    trace = solver.run(game, offsets, scfg, initial=initial)
+    monkeypatch.undo()
+    assert trace.final_state.k == stop
+    assert tables == [(scfg.seed, k0, rows, 1 + game.n_players) for k0, rows in blocks]
+    assert_run_equals_reference(trace, serial_reference_run(game, offsets, scfg, initial))

@@ -78,20 +78,20 @@ def residual_at(state, game, offsets, cfg):
 
 def step(state, game, offsets, cfg):
     """One iteration with its step, batch size, residual, lift base, draw
-    buffer and lane made afresh."""
+    buffer, lane and iteration table made afresh."""
     m = batch_size(cfg, state.k)
     buffer = np.empty(game.n_players * m * len(game.support))
     with ThreadPoolExecutor(1) as lane:
         return iterate(state, game, offsets, cfg, step_size(cfg, state.k), m,
                        residual_at(state, game, offsets, cfg), lift_base(game, state.u),
-                       buffer, lane)
+                       buffer, lane, solver.iteration_table(game, cfg.seed, state.k, state.k + 1))
 
 
 def player_noise(game, cfg):
     """Support noise rows of the players' batches of iteration 0."""
     m = batch_size(cfg, 0)
     with ThreadPoolExecutor(1) as lane:
-        return draw_noise(game, cfg.seed, 0, m,
+        return draw_noise(game, solver.iteration_table(game, cfg.seed, 0, 1), 0, m,
                           np.empty(game.n_players * m * len(game.support)), lane)[1]
 
 

@@ -25,12 +25,12 @@ from ccgames.dynamics import TimeVaryingLinearDynamics
 from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec, PlayerSpec,
                           base_trajectory, lift_base, random_feasible_profile)
 from ccgames.lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
-from ccgames.rng import iteration_stream, iteration_streams
+from ccgames.rng import iteration_stream
 
 from conftest import (CONFIG_DIR, assert_run_equals_reference, generic_copy,
-                      hook_player_streams, random_lq_params, reference_base_trajectory,
-                      reference_lipschitz, reference_player_step, serial_reference_run,
-                      with_support_oracles)
+                      hook_player_streams, hook_tables, random_lq_params,
+                      reference_base_trajectory, reference_lipschitz, reference_player_step,
+                      serial_reference_run, with_support_oracles)
 
 LQ_SEEDS = range(6)
 LIFT_LQ_SEEDS = range(12)  # the LQ seeds of test_two_lane
@@ -144,8 +144,9 @@ def test_player_step_equals_per_player_reference(name):
     for k, m in ((0, 1), (5, 7), (40, 300)):
         state = random_state(game, rng, k)
         base = lift_base(game, state.u)
+        table = solver.iteration_table(game, cfg.seed, k, k + 1)
         with ThreadPoolExecutor(1) as lane:
-            noise = solver.draw_noise(game, cfg.seed, k, m,
+            noise = solver.draw_noise(game, table, k, m,
                                       np.empty(game.n_players * m * len(game.support)), lane)[1]
         if game.support:
             assert noise.shape == (game.n_players, m, len(game.support))
@@ -199,8 +200,9 @@ def test_lift_games_cover_both_layouts():
 
 def counted_draws(monkeypatch, game):
     """(game with a counting sampler, list of rows per sampler call, list of
-    (seed, k, entity) per iteration stream the solver creates)."""
-    rows, streams = [], []
+    (seed, k, entity) per iteration stream the solver creates, list of the
+    (seed, k0, rows, entities) of each iteration table it builds)."""
+    rows, streams, tables = [], [], []
 
     def sample(rng, n):
         rows.append(n)
@@ -210,13 +212,14 @@ def counted_draws(monkeypatch, game):
         streams.append((seed, k, entity))
         return iteration_stream(seed, k, entity)
 
-    def batch(seed, k, n, first=0):
-        streams.extend((seed, k, e) for e in range(first, n))
-        return iteration_streams(seed, k, n, first)
+    def made(seed, k, entity, rng):
+        streams.append((seed, k, entity))
+        return rng
 
     monkeypatch.setattr(solver, "iteration_stream", stream)
-    monkeypatch.setattr(solver, "iteration_streams", batch)
-    return replace(game, disturbance=replace(game.disturbance, sample=sample)), rows, streams
+    hook_tables(monkeypatch, made, tables)
+    counted = replace(game, disturbance=replace(game.disturbance, sample=sample))
+    return counted, rows, streams, tables
 
 
 def test_oracle_run_makes_no_iteration_draws(monkeypatch):
@@ -226,10 +229,10 @@ def test_oracle_run_makes_no_iteration_draws(monkeypatch):
     assert game.support == () and game.state_map is None and not game.nonlinear_columns
     scfg = replace(cfg.solver, max_iterations=60, residual_tolerance=0.0)
     initial = solver.initial_state(game, scfg)
-    counted, rows, streams = counted_draws(monkeypatch, game)
+    counted, rows, streams, tables = counted_draws(monkeypatch, game)
     trace = solver.run(counted, offsets, scfg, initial=initial)
     monkeypatch.undo()
-    assert streams == []
+    assert streams == [] and tables == []
     assert rows == [scfg.residual_batch]  # the run's residual batch alone
     assert_run_equals_reference(trace, serial_reference_run(game, offsets, scfg, initial))
 
@@ -243,10 +246,11 @@ def test_players_without_support_draw_nothing(monkeypatch):
     assert game.support == ()
     cfg = step_config(max_iterations=5, residual_tolerance=0.0)
     initial = solver.initial_state(game, cfg)
-    counted, rows, streams = counted_draws(monkeypatch, game)
+    counted, rows, streams, tables = counted_draws(monkeypatch, game)
     trace = solver.run(counted, offsets, cfg, initial=initial)
     monkeypatch.undo()
     assert streams == [(cfg.seed, k, 0) for k in range(cfg.max_iterations + 1)]
+    assert tables == [(cfg.seed, 0, cfg.max_iterations, 1)]  # the coordinator's column alone
     assert_run_equals_reference(trace, serial_reference_run(game, offsets, cfg, initial))
 
 
@@ -314,7 +318,7 @@ def test_probe_draws_only_what_it_reads(monkeypatch, name, sampled):
     # one batch per pair: from a declared law with no sampler call, through
     # the sampler otherwise, and none when no estimate reads the trajectory
     game, offsets = GAMES[name]()
-    counted, rows, _ = counted_draws(monkeypatch, game)
+    counted, rows, _, _ = counted_draws(monkeypatch, game)
     batches, draw = [], solver.batch_noise
 
     def batch_noise(game, rng, m):

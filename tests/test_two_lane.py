@@ -27,8 +27,8 @@ from ccgames.lqgame import build_lq_game
 from ccgames.rng import iteration_stream
 
 from conftest import (CONFIG_DIR, RESUME_K, HookedStream, as_reference,
-                      assert_run_equals_reference, generic_copy, hook_player_streams, per_row,
-                      random_lq_params, serial_entity_noise, serial_reference_run,
+                      assert_run_equals_reference, generic_copy, hook_player_streams, hook_tables,
+                      per_row, random_lq_params, serial_entity_noise, serial_reference_run,
                       with_support_oracles)
 
 # one row, which numpy multiplies by another path, and odd and even counts of
@@ -109,8 +109,9 @@ def test_lane_draw_equals_one_draw_per_player(name):
                                   -(-solver.TWO_LANE_MIN_DRAWS // r)}
     for m in counts:
         buffer = np.empty(game.n_players * m * len(game.support))
+        table = solver.iteration_table(game, 6, 11, 12)
         with ThreadPoolExecutor(1) as lane:
-            coordinator, noise = solver.draw_noise(game, 6, 11, m, buffer, lane)
+            coordinator, noise = solver.draw_noise(game, table, 11, m, buffer, lane)
         want_coordinator, want_players = serial_entity_noise(game, 6, 11, m)
         if want_coordinator is None:  # no constraint value reads the trajectory
             assert coordinator is None
@@ -258,7 +259,8 @@ def assert_concurrent_calls_agree(game):
         try:
             for _ in range(calls):
                 buffer = np.empty(game.n_players * m * len(game.support))
-                got.setdefault(k, []).append(solver.draw_noise(game, 2, k, m, buffer, lane))
+                table = solver.iteration_table(game, 2, k, k + 1)
+                got.setdefault(k, []).append(solver.draw_noise(game, table, k, m, buffer, lane))
         except Exception as exc:  # reported below, with the caller's index
             failures.append((k, exc))
 
@@ -339,13 +341,11 @@ def test_concurrent_runs_each_draw_on_their_own_lane(reduced_tail, monkeypatch):
     game = games[0]
     configs = [replace(scfg, seed=seed) for seed in (scfg.seed, scfg.seed + 1)]
     drawn_on = {cfg.seed: set() for cfg in configs}  # threads of each run's player draws
-    streams = solver.iteration_streams
 
-    def hooked(seed, k, n, first=0):
+    def hooked(seed, k, e, rng):
         def note(rows):
             drawn_on[seed].add(threading.current_thread())
-        return [HookedStream(rng, note) if e > 0 else rng
-                for e, rng in enumerate(streams(seed, k, n, first), first)]
+        return HookedStream(rng, note) if e > 0 else rng
 
     traces, failures = {}, []
 
@@ -355,7 +355,7 @@ def test_concurrent_runs_each_draw_on_their_own_lane(reduced_tail, monkeypatch):
         except Exception as exc:  # reported below, with the run's seed
             failures.append((cfg.seed, exc))
 
-    monkeypatch.setattr(solver, "iteration_streams", hooked)
+    hook_tables(monkeypatch, hooked)
     callers = set(run_concurrently(solve, configs))
     monkeypatch.undo()
     assert not failures
