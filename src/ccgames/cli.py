@@ -189,6 +189,7 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
         "iterations": state.k,
         "final_residual": trace.records[-1].residual,
         "final_multiplier": [float(x) for x in state.lam],
+        "active_iterations": (np.array([r.lam for r in trace.records]) > 0).sum(axis=0).tolist(),
         **satisfaction,
         "non_finite_updates": solver_mod.non_finite_updates(game, state),
         "seed": cfg.solver.seed,

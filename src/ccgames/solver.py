@@ -48,6 +48,7 @@ columns; what none reads (``game.reads_trajectory``) is neither drawn nor
 computed. ``player_step`` steps every player at once, through the evaluators
 of ``operator_estimate`` on the (N, M, s) support rows, with the bits of a
 per-player loop: each oracle runs once on the rows of every player using it.
+It and the residual estimate the Jacobian only for a positive multiplier.
 """
 
 from __future__ import annotations
@@ -405,15 +406,17 @@ def player_step(state: SolverState, game, cfg: SolverConfig, alpha: float,
     ``draw_noise``; the support columns of ``base.trajectory`` are added to
     it in place, so it holds their support rows afterwards. ``base`` is
     ``lift_base(game, state.u)``; with an empty support neither noise (None)
-    nor trajectory is read.
+    nor trajectory is read. As in ``extended_operator``, the Jacobian blocks
+    are estimated only for a positive multiplier, with the same bits.
     """
     if game.support:
         noise += base.trajectory[game.support_index]
     f = game_mod.player_pseudo_gradient_mean(game, base, noise)
-    jac = game_mod.player_constraint_gradient_mean(game, noise)
+    if np.count_nonzero(state.lam):
+        jac = game_mod.player_constraint_gradient_mean(game, noise)
+        f = f + game_mod.blockwise(game, jac, state.lam)
     u_avg = (1.0 - cfg.delta) * state.u + cfg.delta * state.u_avg_prev
-    raw = u_avg - alpha * (f + game_mod.blockwise(game, jac, state.lam))
-    return u_avg, game_mod.project_local(game, raw)
+    return u_avg, game_mod.project_local(game, u_avg - alpha * f)
 
 
 def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverConfig,
@@ -455,9 +458,15 @@ def residual_noise(game, cfg: SolverConfig, seed: int) -> game_mod.ReducedLift:
 def extended_operator(game, offsets: UnderApproxOffsets, base: game_mod.IterateBase,
                       noise: game_mod.ReducedLift, lam: np.ndarray):
     """(field_u, field_lam) = (F_hat + Jac lam, G_hat + o) at (u of ``base``, ``lam``) on
-    ``noise``, by one ``operator_estimate``; the monotone operator is (field_u, -field_lam)."""
-    f_hat, jac, g_raw = game_mod.operator_estimate(game, base, noise)
-    return f_hat + jac @ lam, g_raw + offsets.offsets
+    ``noise``; the monotone operator is (field_u, -field_lam). Jac is estimated (one
+    ``operator_estimate``) only for a positive multiplier: at lam = 0 field_u is F_hat,
+    maybe read-only, the bits of F_hat + Jac 0 for a finite Jac (F_hat holds no -0.0)."""
+    if np.count_nonzero(lam):
+        f_hat, jac, g_raw = game_mod.operator_estimate(game, base, noise)
+        return f_hat + jac @ lam, g_raw + offsets.offsets
+    lift = game_mod.reduced_lift(game, noise, base) if game.reads_trajectory else None
+    return (game_mod.player_pseudo_gradient_mean(game, base, lift and lift.support),
+            game_mod.constraint_value_mean(game, base, lift) + offsets.offsets)
 
 
 def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets, alpha: float,

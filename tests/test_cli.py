@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -495,6 +496,30 @@ def nan_player_zero_gradient(monkeypatch):
     monkeypatch.setattr(config_mod, "build_lq_game", build)
 
 
+def nan_terminal_state_grad(monkeypatch):
+    """Make ``build_game`` give microgrids a terminal band constraint, their
+    one closure column, whose ``state_grad`` is NaN."""
+    import ccgames.config as config_mod
+
+    real = config_mod.build_microgrid_game
+
+    def build(params):
+        game, offsets = real(params)
+        cons = list(game.constraints)
+        [j] = game.nonlinear_columns
+        cons[j] = replace(cons[j], state_grad=lambda S: np.full(S.shape, np.nan))
+        return replace(game, constraints=tuple(cons)), offsets
+
+    monkeypatch.setattr(config_mod, "build_microgrid_game", build)
+
+
+def active_counts(trace_csv, m):
+    """Per constraint, the rows of ``trace_csv`` whose multiplier is positive."""
+    with open(trace_csv, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [sum(float(row[f"lambda_{j}"]) > 0 for row in rows) for j in range(m)]
+
+
 def non_finite_run(tmp_path, monkeypatch, gap_in_summary=False):
     """A forced 50-iteration run into ``tmp_path / "out"`` whose first step
     is NaN (``nan_player_zero_gradient``); checks exit 4 and returns the
@@ -589,6 +614,36 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "operator-finite: the sampled operator is not finite" in err
         assert "lipschitz estimate must be positive" not in err
+
+    def test_nan_closure_gradient_refused_by_gate(self, tmp_path, capsys, monkeypatch):
+        # the solve reads no closure gradient while every multiplier is zero,
+        # but the probe's multipliers are positive, so the gate still refuses
+        nan_terminal_state_grad(monkeypatch)
+        path = CONFIG_DIR / "microgrid_reduced.json"
+        cfg = parse_config(path)
+        game, offsets = build_game(cfg)
+        assert math.isnan(estimate_lipschitz(game, offsets, cfg.solver.seed))
+        assert run_cli(path, tmp_path / "out") == 1
+        assert "operator-finite: the sampled operator is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, max_iterations", [("microgrid_reduced", 30),
+                                                      ("quadratic_oracle", None)])
+    def test_active_iterations_count_positive_multipliers(self, tmp_path, name, max_iterations):
+        # no microgrid multiplier turns positive; the oracle's constraint is
+        # active at its solution, from its second record on
+        doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        if max_iterations is not None:
+            doc["solver"]["max_iterations"] = max_iterations
+        run_cli(write_doc(tmp_path, doc), tmp_path / "out")
+        summary = read_strict_json(tmp_path / "out" / "summary.json")
+        m = len(summary["final_multiplier"])
+        active = summary["active_iterations"]
+        assert active == active_counts(tmp_path / "out" / "trace.csv", m)
+        if name == "microgrid_reduced":
+            assert active == [0] * m == [0] * 25
+        else:
+            assert 0 < active[0] < summary["iterations"] + 1
 
     def test_overflowing_norm_diverges_without_a_warning(self, tmp_path, capsys):
         # one unit step lands every entry on 1e200: finite, but the squares in

@@ -471,6 +471,21 @@ class TestRun:
         assert solver.non_finite_updates(game, trace.final_state) == \
             ["player 0 strategy update"]
 
+    def test_nan_closure_gradient_unread_at_zero_multiplier(self):
+        # no multiplier of the reduced microgrid turns positive, so a NaN
+        # terminal state_grad is never read and the run keeps every bit; the
+        # Lipschitz probe reads it, so the gate refuses the game (test_cli)
+        cfg = parse_config(CONFIG_DIR / "microgrid_reduced.json")
+        game, offsets = build_game(cfg)
+        cons = list(game.constraints)
+        [j] = game.nonlinear_columns
+        cons[j] = replace(cons[j], state_grad=lambda S: np.full(S.shape, np.nan))
+        scfg = replace(cfg.solver, max_iterations=20)
+        trace = run(replace(game, constraints=tuple(cons)), offsets, scfg)
+        assert trace.termination_reason == solver.TERMINATION_BUDGET
+        assert not any(record.lam.any() for record in trace.records)
+        assert_run_equals_reference(trace, as_reference(run(game, offsets, scfg)))
+
     def test_nan_constraint_names_the_coordinator(self):
         game, offsets = simple_game(n_players=2, constraint_offset=float("nan"))
         trace = run(game, offsets, quick_config(max_iterations=50))

@@ -1,10 +1,11 @@
 """All players step in one stacked computation.
 
 ``player_step`` calls the two evaluators of ``operator_estimate``
-(``player_pseudo_gradient_mean``, ``player_constraint_gradient_mean``) on
-the players' (N, M, s) support rows: each oracle runs once on the rows of
-every player that uses it, every player's means come from one reduction, and
-the averaging and the clip are whole-profile array operations. None of that
+(``player_pseudo_gradient_mean``, and ``player_constraint_gradient_mean``
+while a multiplier is positive) on the players' (N, M, s) support rows:
+each oracle runs once on the rows of every player that uses it, every
+player's means come from one reduction, and the averaging and the clip are
+whole-profile array operations. None of that
 may change a bit: every player's update must equal its own evaluation on its
 own batch (``conftest.reference_player_step``, which uses no stacked code),
 also for players holding distinct state-cost closures, players without one,
@@ -13,11 +14,13 @@ nothing; with an empty support the players get no batch (None).
 """
 
 from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ccgames.game as game_mod
 import ccgames.solver as solver
 from ccgames.com import ComModel, UnderApproxOffsets
 from ccgames.config import build_game, parse_config
@@ -162,6 +165,76 @@ def test_player_step_equals_per_player_reference(name):
         assert np.array_equal(u_next, ref_next)
         if game.support:  # the noise now holds the support rows
             assert np.array_equal(noise, np.reshape(rows, noise.shape))
+
+
+def counted_jacobians(monkeypatch, game):
+    """(copy of ``game`` whose closure ``state_grad``s log "state_grad" to a
+    list, the list): each ``player_constraint_gradient_mean`` call logs
+    "jacobian" to it too, the solver's and ``operator_estimate``'s alike."""
+    calls, evaluator = [], game_mod.player_constraint_gradient_mean
+
+    def watched(grad):
+        def counted(rows):
+            calls.append("state_grad")
+            return grad(rows)
+        return counted
+
+    def jacobian(*args):
+        calls.append("jacobian")
+        return evaluator(*args)
+
+    monkeypatch.setattr(game_mod, "player_constraint_gradient_mean", jacobian)
+    cons = tuple(c if c.state_grad is None else replace(c, state_grad=watched(c.state_grad))
+                 for c in game.constraints)
+    return replace(game, constraints=cons), calls
+
+
+@pytest.mark.parametrize("positive", [None, 0, -1], ids=["zero", "first-only", "last-only"])
+@pytest.mark.parametrize("name", ["microgrid_reduced", "microgrid_paper",
+                                  "microgrid_reduced_sampler"])
+def test_jacobian_formed_only_for_a_positive_multiplier(monkeypatch, name, positive):
+    # the residual, the extended operator and the player step against the full
+    # formula F_hat + Jac lam, Jac from the evaluators: at lam = 0 no Jacobian
+    # is estimated and no closure gradient runs, yet every bit is the formula's;
+    # one positive entry, affine (first) or the terminal closure (last), forms
+    # the whole Jacobian once per call, as before
+    game, offsets = GAMES[name]()
+    assert game.nonlinear_columns
+    cfg, k, m = step_config(), 5, 40
+    rng = np.random.default_rng(23)
+    state = replace(random_state(game, rng, k), lam=np.zeros(game.constraint_count))
+    if positive is not None:
+        state.lam[positive] = 0.75
+    alpha, base = solver.step_size(cfg, k), lift_base(game, state.u)
+    res_noise = solver.residual_noise(game, cfg, cfg.seed)
+    table = solver.iteration_table(game, cfg.seed, k, k + 1)
+    buffer = np.empty(game.n_players * m * len(game.support))
+    with ThreadPoolExecutor(1) as lane:
+        rows = solver.draw_noise(game, table, k, m, buffer, lane)[1]
+    watched, calls = counted_jacobians(monkeypatch, game)
+    field_u, field_lam = solver.extended_operator(watched, offsets, base, res_noise, state.lam)
+    residual = solver.residual_estimate(state, watched, offsets, alpha, res_noise, base)
+    u_avg, u_next = solver.player_step(state, watched, cfg, alpha, rows, base)  # rows += base
+    formed = 0 if positive is None else 3
+    assert calls.count("jacobian") == formed
+    assert calls.count("state_grad") == formed * len(game.nonlinear_columns)
+    monkeypatch.undo()
+
+    f_hat, jac, g_raw = game_mod.operator_estimate(game, base, res_noise)
+    want_u, want_lam = f_hat + jac @ state.lam, g_raw + offsets.offsets
+    assert field_u.tobytes() == want_u.tobytes()
+    assert field_lam.tobytes() == want_lam.tobytes()
+    u_step = game_mod.project_local(game, state.u - alpha * want_u)
+    lam_step = np.maximum(state.lam + alpha * want_lam, 0.0)
+    assert residual == math.hypot(np.linalg.norm(state.u - u_step),
+                                  np.linalg.norm(state.lam - lam_step))
+    f = game_mod.player_pseudo_gradient_mean(game, base, rows)
+    jac = game_mod.player_constraint_gradient_mean(game, rows)
+    want_avg = (1.0 - cfg.delta) * state.u + cfg.delta * state.u_avg_prev
+    want_next = game_mod.project_local(
+        game, want_avg - alpha * (f + game_mod.blockwise(game, jac, state.lam)))
+    assert u_avg.tobytes() == want_avg.tobytes()
+    assert u_next.tobytes() == want_next.tobytes()
 
 
 @pytest.mark.parametrize("name", GAMES)
