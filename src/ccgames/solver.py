@@ -406,8 +406,8 @@ def player_step(state: SolverState, game, cfg: SolverConfig, alpha: float,
     ``draw_noise``; the support columns of ``base.trajectory`` are added to
     it in place, so it holds their support rows afterwards. ``base`` is
     ``lift_base(game, state.u)``; with an empty support neither noise (None)
-    nor trajectory is read. As in ``extended_operator``, the Jacobian blocks
-    are estimated only for a positive multiplier, with the same bits.
+    nor trajectory is read. The Jacobian blocks are estimated only for a
+    positive multiplier; at lam = 0 the step has the bits of the full formula.
     """
     if game.support:
         noise += base.trajectory[game.support_index]
@@ -458,15 +458,15 @@ def residual_noise(game, cfg: SolverConfig, seed: int) -> game_mod.ReducedLift:
 def extended_operator(game, offsets: UnderApproxOffsets, base: game_mod.IterateBase,
                       noise: game_mod.ReducedLift, lam: np.ndarray):
     """(field_u, field_lam) = (F_hat + Jac lam, G_hat + o) at (u of ``base``, ``lam``) on
-    ``noise``; the monotone operator is (field_u, -field_lam). Jac is estimated (one
-    ``operator_estimate``) only for a positive multiplier: at lam = 0 field_u is F_hat,
-    maybe read-only, the bits of F_hat + Jac 0 for a finite Jac (F_hat holds no -0.0)."""
-    if np.count_nonzero(lam):
-        f_hat, jac, g_raw = game_mod.operator_estimate(game, base, noise)
-        return f_hat + jac @ lam, g_raw + offsets.offsets
+    ``noise``; the monotone operator is (field_u, -field_lam). As in ``player_step``, Jac
+    is estimated only for a positive multiplier (at lam = 0 field_u is F_hat, maybe
+    read-only: the bits of F_hat + Jac 0 for a finite Jac, as F_hat holds no -0.0)."""
     lift = game_mod.reduced_lift(game, noise, base) if game.reads_trajectory else None
-    return (game_mod.player_pseudo_gradient_mean(game, base, lift and lift.support),
-            game_mod.constraint_value_mean(game, base, lift) + offsets.offsets)
+    rows = lift and lift.support
+    f = game_mod.player_pseudo_gradient_mean(game, base, rows)
+    if np.count_nonzero(lam):
+        f = f + game_mod.player_constraint_gradient_mean(game, rows) @ lam
+    return f, game_mod.constraint_value_mean(game, base, lift) + offsets.offsets
 
 
 def residual_estimate(state: SolverState, game, offsets: UnderApproxOffsets, alpha: float,
