@@ -190,6 +190,8 @@ def cmd_run(args, cfg: RunConfig, game, offsets) -> int:
         "final_residual": trace.records[-1].residual,
         "final_multiplier": [float(x) for x in state.lam],
         "active_iterations": (np.array([r.lam for r in trace.records]) > 0).sum(axis=0).tolist(),
+        "row_draw_iterations": sum(bool(game.support) and solver_mod.players_draw_rows(game, r.lam)
+                                   for r in trace.records if r.k < state.k),
         **satisfaction,
         "non_finite_updates": solver_mod.non_finite_updates(game, state),
         "seed": cfg.solver.seed,

@@ -15,15 +15,15 @@ band). ``GameSpec`` stacks the coefficients once into a state map, an input
 map, a constant vector and the constant Jacobian, so the evaluators do matrix
 products and call only the closures.
 
-Oracles are batched and row-wise (output row r depends only on input row r),
-so the rows of several players' batches can share one call. The callable
-state oracles (``cost_state_grad`` and the constraint closures) receive an
-(M, len(support)) array of the trajectory columns the game declares in
-``state_support`` (default: every column; none without such an oracle) and
-return (M,) values or (M, len(support)) gradients. A closure returns one new
-array and holds no other batch-sized temporary (it computes in the array it
-returns), since each such array is faulted in afresh as the batch grows. The
-microgrid declares ``(T,)``: its terminal closures read SoC_T alone.
+Oracles are batched and row-wise (output row r depends only on input row r), so the
+rows of several players' batches can share one call. The callable state oracles
+(``cost_state_grad`` and the constraint closures) receive an (M, len(support)) array
+of the trajectory columns the game declares in ``state_support`` (default: every
+column; none without such an oracle) and return (M,) values or (M, len(support))
+gradients. A closure returns one new array and holds no other batch-sized temporary
+(it computes in the array it returns), since each such array is faulted in afresh as
+the batch grows. The microgrid declares ``(T,)``: its terminal closures read SoC_T
+alone, and its state cost is ``cost_state_affine``: its batch mean is its value at the mean row.
 
 The solve needs only batch means, and every affine part of them is an
 affine map of the mean disturbance. What reads no batch is evaluated once per
@@ -75,16 +75,20 @@ class PlayerSpec:
     cost_state_grad : S -> (M, len(support)) gradient of the state cost over
                       the support columns S of each sampled trajectory,
                       row-wise; None means no state cost.
+    cost_state_affine : declares ``cost_state_grad``, then required, affine in S.
     """
 
     input_dim: int
     box_lower: np.ndarray
     box_upper: np.ndarray
     cost_state_grad: Callable | None = None
+    cost_state_affine: bool = False
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
+        if self.cost_state_affine and self.cost_state_grad is None:
+            raise ValueError("cost_state_affine declares a cost_state_grad, and none is given")
         lo = np.asarray(self.box_lower, dtype=float).reshape(-1)
         hi = np.asarray(self.box_upper, dtype=float).reshape(-1)
         if lo.shape != hi.shape:
@@ -300,6 +304,7 @@ class GameSpec:
     nonlinear_columns    : constraints with ``state_value``/``state_grad``.
     state_cost_groups    : (cost_state_grad, player indices) per distinct
                            state-cost gradient object.
+    state_costs_read_rows : whether a state cost is not declared affine.
     support              : the columns the callable state oracles receive:
                            ``state_support`` when declared, else every
                            column; empty without a callable state oracle.
@@ -336,6 +341,7 @@ class GameSpec:
     init_trajectory: np.ndarray = field(init=False, repr=False, compare=False)
     nonlinear_columns: tuple = field(init=False, repr=False, compare=False)
     state_cost_groups: tuple = field(init=False, repr=False, compare=False)
+    state_costs_read_rows: bool = field(init=False, repr=False, compare=False)
     support: tuple = field(init=False, repr=False, compare=False)
     support_index: object = field(init=False, repr=False, compare=False)
     support_noise_map_t: np.ndarray = field(init=False, repr=False, compare=False)
@@ -393,6 +399,8 @@ class GameSpec:
         _set_derived(self, **read_only, state_map=state_map, input_map=input_map,
                      nonlinear_columns=nonlinear,
                      values_read_trajectory=state_map is not None or bool(nonlinear),
+                     state_costs_read_rows=any(p.cost_state_grad is not None
+                                               and not p.cost_state_affine for p in players),
                      state_cost_groups=tuple((g, np.array(ix)) for g, ix in groups.values()))
         self._resolve_support(sdim)
 

@@ -146,8 +146,10 @@ def build_lq_game(p: LqGameParams):
         except ValueError as exc:
             raise ValueError(f"player {i}: {exc}") from None
 
-    lift = build_compact_lift(dyn)
-    sdim = lift.noise_map.shape[0]
+    sdim = (dyn.horizon + 1) * dyn.state_dim
+    # the lift only when a com_scale reads it; GameSpec builds its own
+    reads = any(c.state_coeffs is not None for c in p.constraints)
+    noise_map = build_compact_lift(dyn).noise_map if reads else None
     constraints = []
     for j, c in enumerate(p.constraints):
         scale = 0.0
@@ -156,7 +158,7 @@ def build_lq_game(p: LqGameParams):
                 raise ValueError(f"constraint {j}: state_coeffs has length "
                                  f"{np.size(c.state_coeffs)}, expected {sdim}")
             with np.errstate(over="ignore", invalid="ignore"):  # the constraint refuses inf
-                scale = float(np.linalg.norm((lift.noise_map.T @ c.state_coeffs) * std))
+                scale = float(np.linalg.norm((noise_map.T @ c.state_coeffs) * std))
         constraints.append(CouplingConstraintSpec(
             gamma=c.gamma, com_scale=scale, state_coeffs=c.state_coeffs,
             input_coeffs=c.input_coeffs, offset=c.offset))

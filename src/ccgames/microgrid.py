@@ -9,7 +9,8 @@ where u^i_t is household i's discharging decision and r_t the (random)
 renewable generation, modeled as independent normals per hour. The
 disturbance entering the shared dynamics is w_t = eta * dt * r_t, declared
 to the game as independent Gaussian coordinates (``DisturbanceModel`` mean
-and std), so the solver draws only the SoC_T column its oracles read.
+and std), so the solver draws only the SoC_T column its oracles read: for a
+household, while the terminal band's multiplier is zero, only its batch mean.
 
 Each household pays a tariff that is affine in the aggregate grid exchange,
 carries a quadratic battery-degradation charge, earns a log utility for the
@@ -241,7 +242,7 @@ def build_microgrid_game(p: MicrogridParams):
         s0=np.array([p.soc_initial]),
     )
     # one terminal-cost gradient object for every household, so the solver
-    # evaluates it once per shared batch
+    # evaluates it once per shared batch; affine, so its mean reads one row
     terminal_grad = _terminal_cost_grad(p)
     players = [
         PlayerSpec(
@@ -249,6 +250,7 @@ def build_microgrid_game(p: MicrogridParams):
             box_lower=np.zeros(T),
             box_upper=p.demand[i].copy(),
             cost_state_grad=terminal_grad,
+            cost_state_affine=True,
         )
         for i in range(n)
     ]

@@ -23,16 +23,16 @@ document of (settings, iterate) that a resume continues (``load_checkpoint``).
 
 An entity draws only what its estimates read, and nothing when no estimate
 reads its draw. ``draw_noise`` makes the generators of the entities that draw
-from a row of the run's ``iteration_table``, which derives their state words
-for a block of iterations in one pass, and ``draw_support_noise`` draws the
-support rows of the coordinator and of each lane of players: for a declared
-Gaussian ``mean``/``std`` from their law (``game.support_law``), otherwise one
-whole draw through ``disturbance.sample`` per entity. Drawing is most of a
-large-batch iteration, so the players are split between the calling thread
-and the run's own worker thread; each entity's draw is one function of its
-own stream, so a seeded run is bit-identical to a serial one. The players'
-(N, M, s) support rows go into the flat buffer that every ``iterate`` is
-given, one per ``run``, so the growing batches are not faulted in afresh.
+from a row of the run's ``iteration_table`` (their state words for a block of
+iterations in one pass), and ``draw_support_noise`` draws their support rows:
+from a declared Gaussian law (``game.support_law``), else one whole draw through
+``disturbance.sample`` per entity. A player whose step reads only its batch
+mean (``players_draw_rows``) draws that mean alone, from its law. Row draws
+are most of a large-batch iteration, so the players' are split between the
+calling thread and the run's own worker thread, into the flat buffer each
+``iterate`` is given, one per ``run``, so growing batches are not faulted in
+afresh; each entity's draw is one function of its own stream, so a seeded
+run is bit-identical to a serial one.
 
 The steps take their shared inputs from the caller, as ``run`` supplies them:
 the run's reduced residual batch (``residual_noise``), each entity's reduced
@@ -308,7 +308,7 @@ def batch_noise(game, rng: np.random.Generator, m: int) -> game_mod.ReducedLift:
     return game_mod.ReducedLift(w_mean @ game.lift.noise_map.T, z)
 
 
-def draw_support_noise(game, streams, out: np.ndarray) -> np.ndarray:
+def draw_support_noise(game, streams, out: np.ndarray, mean_of: int = 1) -> np.ndarray:
     """Write the support noise rows ``w @ support_noise_map_t`` of a draw
     ``w`` of M rows from ``streams[j]`` into slab j of ``out``, shape
     (n, M, len(game.support)) for n streams, and return ``out``.
@@ -316,11 +316,11 @@ def draw_support_noise(game, streams, out: np.ndarray) -> np.ndarray:
     For a declared Gaussian disturbance the rows are drawn from their law
     directly: ``xi @ factor + shift`` of ``game.support_law`` for xi an
     (M, r) standard normal, r normals per row. The streams fill one
-    (n, M, r) array of normals (``out`` itself if r = s), mapped by one
-    batched matmul and one add; for r = 1 a multiply, as matmul runs a
-    one-term product in a loop several times slower. Otherwise each stream's
-    ``w`` is drawn whole through the sampler, so slab j equals
-    ``reduce_noise(game, w).support``.
+    (n, M, r) array of normals (``out`` itself if r = s), mapped by one batched
+    matmul and one add; for r = 1 a multiply, as matmul runs a one-term product
+    in a loop several times slower. With ``mean_of`` = K each row is the mean of K
+    rows, from its law: ``xi @ (factor / sqrt(K)) + shift``. Otherwise (K = 1) each
+    stream's ``w`` is drawn whole through the sampler: slab j is ``reduce_noise(game, w).support``.
     """
     law = game.support_law
     if law is None:
@@ -331,7 +331,7 @@ def draw_support_noise(game, streams, out: np.ndarray) -> np.ndarray:
     xi = out if r == out.shape[2] else np.empty(out.shape[:2] + (r,))
     for rng, slab in zip(streams, xi):
         rng.standard_normal(out=slab)
-    (np.multiply if r == 1 else np.matmul)(xi, law.factor, out=out)
+    (np.multiply if r == 1 else np.matmul)(xi, law.factor / math.sqrt(mean_of), out=out)
     out += law.shift
     return out
 
@@ -343,12 +343,19 @@ def iteration_table(game, seed: int, k0: int, stop: int) -> IterationTable | Non
     return IterationTable(seed, k0, min(ITERATION_BLOCK, stop - k0), n) if first < n else None
 
 
-def draw_noise(game, table, k: int, m: int, buffer: np.ndarray, lane: ThreadPoolExecutor):
+def players_draw_rows(game, lam: np.ndarray) -> bool:
+    """Whether the player step at ``lam`` reads rows, not only batch means: without a
+    declared law, a state cost not declared affine, or a closure Jacobian to form."""
+    return game.support_law is None or game.state_costs_read_rows \
+        or bool(game.nonlinear_columns and np.count_nonzero(lam))
+
+
+def draw_noise(game, table, k: int, m: int, lam, buffer: np.ndarray, lane: ThreadPoolExecutor):
     """Every entity's reduced noise for iteration k with m-row batches:
-    (``coordinator_noise``, an (N, m, len(game.support)) array whose slab i
-    is player i's ``draw_support_noise`` rows, None for an empty support).
-    The array is a view of the flat float ``buffer``, which must hold N m
-    len(game.support) floats.
+    (``coordinator_noise``, an (N, m, len(game.support)) array whose slab i is player
+    i's ``draw_support_noise`` rows, None for an empty support), a view of the flat
+    float ``buffer`` of N m len(game.support) floats; (N, 1, s) batch means of
+    their own if not ``players_draw_rows(game, lam)``.
 
     The streams of the entities that draw come from row k of ``table``, an
     ``iteration_table`` (None when no entity draws). From ``TWO_LANE_MIN_DRAWS``
@@ -362,11 +369,13 @@ def draw_noise(game, table, k: int, m: int, buffer: np.ndarray, lane: ThreadPool
     rng = streams.pop(0) if first == 0 else None
     if not streams:
         return coordinator_noise(game, rng, m), None
+    if not players_draw_rows(game, lam):
+        means = np.empty((game.n_players, 1, len(game.support)))
+        return coordinator_noise(game, rng, m), draw_support_noise(game, streams, means, m)
     shape = (game.n_players, m, len(game.support))
     noise = buffer[:math.prod(shape)].reshape(shape)
     own, half = slice(None), None
-    per_row = game.disturbance.dim if game.support_law is None \
-        else game.support_law.factor.shape[0]
+    per_row = game.disturbance.dim if game.support_law is None else game.support_law.factor.shape[0]
     if m * per_row >= TWO_LANE_MIN_DRAWS:
         half = lane.submit(draw_support_noise, game, streams[::2], noise[::2])
         own = slice(1, None, 2)
@@ -402,8 +411,8 @@ def player_step(state: SolverState, game, cfg: SolverConfig, alpha: float,
     """Every player's strategy update with step ``alpha`` against ``state.lam``;
     returns the stacked (u_avg, u_next).
 
-    ``noise`` is the players' (N, M, len(game.support)) support noise from
-    ``draw_noise``; the support columns of ``base.trajectory`` are added to
+    ``noise`` is the players' support noise from ``draw_noise``, (N, M, s) rows
+    or (N, 1, s) means; the support columns of ``base.trajectory`` are added to
     it in place, so it holds their support rows afterwards. ``base`` is
     ``lift_base(game, state.u)``; with an empty support neither noise (None)
     nor trajectory is read. The Jacobian blocks are estimated only for a
@@ -428,7 +437,7 @@ def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverCo
     shared by all; ``buffer``, ``lane`` and ``table`` are the run's (``draw_noise``)."""
     t0 = time.perf_counter()
     k = state.k
-    coordinator, player_noise = draw_noise(game, table, k, m, buffer, lane)
+    coordinator, player_noise = draw_noise(game, table, k, m, state.lam, buffer, lane)
     lam_avg, lam_next, g_hat = coordinator_step(state, game, offsets, cfg, alpha,
                                                 coordinator, base)
     u_avg, u_next = player_step(state, game, cfg, alpha, player_noise, base)
@@ -495,12 +504,12 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     at the last iterate (so a zero-iteration run still yields the initial
     record), whose constraint mean comes from the coordinator's batch of
     that iterate. The residual batch is drawn and reduced once per run. The
-    run owns the players' draw buffer, made twice a batch's need whenever a
-    batch outgrows it, the ``iteration_table`` of its current block, made as
-    k leaves the last (None when no entity draws), and the second draw lane
-    (``draw_noise``), whose thread starts at the first batch that crosses
-    ``TWO_LANE_MIN_DRAWS`` and is joined before ``run`` returns or raises. ``initial`` (a loaded checkpoint,
-    say) needs the game's dimensions and a nonnegative multiplier. The
+    run owns the players' draw buffer, made twice a batch's need whenever the rows
+    the players draw (``players_draw_rows``) outgrow it, the ``iteration_table`` of its
+    current block, made as k leaves the last (None when no entity draws), and the second
+    draw lane (``draw_noise``), whose thread starts at the first batch that crosses
+    ``TWO_LANE_MIN_DRAWS`` and is joined before ``run`` returns or raises. ``initial``
+    (a loaded checkpoint, say) needs the game's dimensions and a nonnegative multiplier. The
     divergence guard is relative to ``initial_state``, the projected origin,
     wherever a run starts. Each finite new iterate, before the guard, goes to
     ``observe(state, record)`` (read-only) with the record of its iteration;
@@ -521,7 +530,8 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
         while True:
             alpha = step_size(cfg, state.k)
             m = batch_size(cfg, state.k)
-            if (need := game.n_players * m * len(game.support)) > buffer.size:
+            if (need := game.n_players * m * len(game.support)) > buffer.size \
+                    and players_draw_rows(game, state.lam):
                 try:  # a buffer past any array
                     buffer = np.empty(2 * need)
                 except (ValueError, MemoryError):

@@ -343,6 +343,14 @@ def generic_copy(game):
     return replace(game, disturbance=replace(game.disturbance, mean=None, std=None))
 
 
+def undeclared_copy(game):
+    """The game with its players' ``cost_state_affine`` declarations dropped, so
+    the players draw all their support rows at every iterate, as the shipped
+    microgrids' players do only while a closure column's multiplier is positive."""
+    return replace(game, players=tuple(replace(p, cost_state_affine=False)
+                                       for p in game.players))
+
+
 class HookedStream:
     """A generator whose ``standard_normal`` draws pass through ``hook(values)``
     as they are made: the hook may write into them or raise. Every other
@@ -401,13 +409,14 @@ RESUME_K = 9000  # the tail of the reduced acceptance run: two-lane batches
 @pytest.fixture(scope="session")
 def reduced_tail():
     """microgrid_reduced resumed at RESUME_K for 3 iterations, as (the game
-    drawn from its declared law, the same game drawn through its sampler,
-    offsets, solver config, initial state). Both games draw on two lanes."""
+    drawn from its declared law with its state cost undeclared, so that its
+    players draw rows, the same game drawn through its sampler, offsets,
+    solver config, initial state). Both games draw on two lanes."""
     cfg = parse_config(CONFIG_DIR / "microgrid_reduced.json")
     game, offsets = build_game(cfg)
     scfg = replace(cfg.solver, max_iterations=RESUME_K + 3)
     initial = replace(solver.initial_state(game, scfg), k=RESUME_K)
-    games = (game, generic_copy(game))
+    games = (undeclared_copy(game), generic_copy(game))
     for g in games:
         assert solver.batch_size(scfg, RESUME_K) * per_row(g) >= solver.TWO_LANE_MIN_DRAWS
     return games, offsets, scfg, initial

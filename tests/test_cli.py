@@ -7,12 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ccgames.cli as cli_mod
 import ccgames.com as com_mod
 from ccgames.com import h_inverse
 from ccgames.cli import epsilon_gap, main, read_strategies_csv, write_strategies_csv
 from ccgames.config import (ConfigError, OutputPaths, VerificationParams, build_game,
                             parse_config, parse_config_dict)
 from ccgames.solver import SolverConfig, estimate_lipschitz, run, write_checkpoint
+
+from conftest import undeclared_copy
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -644,6 +647,23 @@ class TestRunCommand:
             assert active == [0] * m == [0] * 25
         else:
             assert 0 < active[0] < summary["iterations"] + 1
+
+    @pytest.mark.parametrize("undeclared, drew_rows", [(False, 0), (True, 30)])
+    def test_row_draw_iterations_count_the_iterates_that_drew_rows(self, tmp_path, monkeypatch,
+                                                                  undeclared, drew_rows):
+        # the shipped microgrid's players draw batch means at every zero-multiplier
+        # iterate; with its state cost undeclared they draw rows at each of them
+        if undeclared:
+            def build(cfg):
+                game, offsets = build_game(cfg)
+                return undeclared_copy(game), offsets
+            monkeypatch.setattr(cli_mod, "build_game", build)
+        doc = json.loads((CONFIG_DIR / "microgrid_reduced.json").read_text())
+        doc["solver"]["max_iterations"] = 30
+        assert run_cli(write_doc(tmp_path, doc), tmp_path / "out") == 2
+        summary = read_strict_json(tmp_path / "out" / "summary.json")
+        assert summary["iterations"] == 30 and summary["active_iterations"] == [0] * 25
+        assert summary["row_draw_iterations"] == drew_rows
 
     def test_overflowing_norm_diverges_without_a_warning(self, tmp_path, capsys):
         # one unit step lands every entry on 1e200: finite, but the squares in

@@ -284,6 +284,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="state_value and state_grad"):
             CouplingConstraintSpec(gamma=0.5, state_grad=lambda S: S)
 
+    def test_affine_state_cost_needs_a_gradient(self):
+        with pytest.raises(ValueError, match="cost_state_affine declares a cost_state_grad"):
+            PlayerSpec(input_dim=1, box_lower=[0.0], box_upper=[1.0], cost_state_affine=True)
+
+    def test_state_costs_read_rows_unless_every_one_is_declared_affine(self, reduced_microgrid):
+        _, game, _ = reduced_microgrid
+        assert all(p.cost_state_affine for p in game.players) and not game.state_costs_read_rows
+        # one undeclared state cost is enough; a player without one reads no row
+        players = list(game.players)
+        players[1] = replace(players[1], cost_state_affine=False)
+        assert replace(game, players=tuple(players)).state_costs_read_rows
+        players[1] = replace(players[1], cost_state_grad=None)
+        assert not replace(game, players=tuple(players)).state_costs_read_rows
+
 
 def assert_blocks_exact(game, u, states):
     jac = player_constraint_gradient_mean(game, states[:, game.support_index])

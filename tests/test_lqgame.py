@@ -3,11 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ccgames.game as game_mod
+import ccgames.lqgame as lqgame_mod
+from ccgames.config import build_game, parse_config
+from ccgames.dynamics import build_compact_lift
 from ccgames.game import random_feasible_profile
 from ccgames.lqgame import (LqConstraint, LqGameParams, LqPlayer, build_lq_game,
                             pseudo_gradient_matrix, solve_vgne_kkt)
 
-from conftest import (central_difference, quadratic_oracle_params, random_lq_params,
+from conftest import (CONFIG_DIR, central_difference, quadratic_oracle_params, random_lq_params,
                       relative_error,
                       sample_operator)
 
@@ -133,3 +137,42 @@ def test_input_grad_keeps_the_bits_of_its_former_expression(seed):
         u[rng.uniform(size=n) < 0.2] = -0.0
         got, want = grad(u), reference_input_grad(params, u)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def counted_lifts(monkeypatch):
+    """The dynamics of each ``build_compact_lift`` call that ``build_lq_game``
+    or ``GameSpec`` makes from now on, in a list."""
+    calls = []
+
+    def counted(dyn):
+        calls.append(dyn)
+        return build_compact_lift(dyn)
+
+    for module in (lqgame_mod, game_mod):
+        monkeypatch.setattr(module, "build_compact_lift", counted)
+    return calls
+
+
+def test_oracle_set_up_builds_one_lift(monkeypatch):
+    cfg = parse_config(CONFIG_DIR / "quadratic_oracle.json")
+    calls = counted_lifts(monkeypatch)
+    build_game(cfg)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lift_built_again_only_for_a_state_com_scale(monkeypatch, seed):
+    # the com_scale of a constraint on the trajectory reads a lift of its own,
+    # with the bits of the game's
+    params = random_lq_params(np.random.default_rng(seed))
+    if seed % 3 == 0:  # constraints on the profile alone
+        params = replace(params, constraints=tuple(replace(c, state_coeffs=None)
+                                                   for c in params.constraints))
+    calls = counted_lifts(monkeypatch)
+    game, _ = build_lq_game(params)
+    reads = any(c.state_coeffs is not None for c in params.constraints)
+    assert len(calls) == 1 + reads
+    for c, lq in zip(game.constraints, params.constraints):
+        want = 0.0 if lq.state_coeffs is None else float(np.linalg.norm(
+            (game.lift.noise_map.T @ lq.state_coeffs) * params.noise_std))
+        assert c.com_scale == want

@@ -14,7 +14,8 @@ from ccgames.config import build_game, parse_config
 from ccgames.rng import (PURPOSE_ITERATION, IterationTable, iteration_stream, iteration_streams,
                          substream)
 
-from conftest import CONFIG_DIR, assert_run_equals_reference, hook_tables, serial_reference_run
+from conftest import (CONFIG_DIR, assert_run_equals_reference, hook_tables, serial_reference_run,
+                      undeclared_copy)
 
 SEEDS = [0, 1, 2 ** 32 + 7, 2 ** 128 + 3]
 ITERATIONS = [0, 9000, 2 ** 32 + 1]
@@ -135,6 +136,7 @@ def test_runs_across_blocks_equal_the_per_iterate_reference(monkeypatch, name, s
                                                             blocks):
     cfg = parse_config(CONFIG_DIR / f"{name}.json")
     game, offsets = build_game(cfg)
+    game = undeclared_copy(game)  # so its players draw rows, as the reference does
     stop = blocks[-1][0] + blocks[-1][1]
     scfg = replace(cfg.solver, max_iterations=stop, residual_tolerance=0.0, snapshot_every=0,
                    batch_scale=scale or cfg.solver.batch_scale)

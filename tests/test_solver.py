@@ -35,7 +35,7 @@ from ccgames.solver import (BatchError, SolverConfig, ValidationCheck, batch_siz
 from conftest import (CONFIG_DIR, as_reference, assert_run_equals_reference,
                       checkpoint_writer, hook_player_streams, quadratic_oracle_params,
                       random_lq_params, reference_jacobian_block,
-                      reference_pseudo_gradient_block)
+                      reference_pseudo_gradient_block, undeclared_copy)
 
 PAPER_STEP = dict(step_a0=1.4e-4, step_offset=2.0)
 PAPER_BATCH = dict(batch_scale=1.0, batch_offset=2.0, batch_exponent=1.1)
@@ -88,10 +88,11 @@ def step(state, game, offsets, cfg):
 
 
 def player_noise(game, cfg):
-    """Support noise rows of the players' batches of iteration 0."""
+    """Support noise rows of the players' batches of iteration 0, at a zero multiplier."""
     m = batch_size(cfg, 0)
     with ThreadPoolExecutor(1) as lane:
         return draw_noise(game, solver.iteration_table(game, cfg.seed, 0, 1), 0, m,
+                          np.zeros(game.constraint_count),
                           np.empty(game.n_players * m * len(game.support)), lane)[1]
 
 
@@ -577,8 +578,9 @@ class TestSharedEvaluation:
             calls.append(states.shape[0])
             return shared(states)
 
-        counted_game = replace(game, players=tuple(
-            replace(p, cost_state_grad=counted) for p in game.players))
+        # undeclared, so that the players' run reads every row of their batches
+        counted_game = undeclared_copy(replace(game, players=tuple(
+            replace(p, cost_state_grad=counted) for p in game.players)))
         rng = np.random.default_rng(8)
         u = random_feasible_profile(game, rng)
         noise = reduce_noise(game, game.disturbance.sample(rng, 70))

@@ -10,7 +10,10 @@ may change a bit: every player's update must equal its own evaluation on its
 own batch (``conftest.reference_player_step``, which uses no stacked code),
 also for players holding distinct state-cost closures, players without one,
 and blocks of unequal heights. Entities whose draws no estimate reads draw
-nothing; with an empty support the players get no batch (None).
+nothing; with an empty support the players get no batch (None). Players
+whose step reads only their batch means (``solver.players_draw_rows``) draw
+one mean row each; a run compared with the per-player reference uses the
+game's undeclared copy, whose players draw every row, as the reference does.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -30,10 +33,10 @@ from ccgames.game import (CouplingConstraintSpec, DisturbanceModel, GameSpec, Pl
 from ccgames.lqgame import LqConstraint, LqGameParams, LqPlayer, build_lq_game
 from ccgames.rng import iteration_stream
 
-from conftest import (CONFIG_DIR, assert_run_equals_reference, generic_copy,
+from conftest import (CONFIG_DIR, as_reference, assert_run_equals_reference, generic_copy,
                       hook_player_streams, hook_tables, random_lq_params,
                       reference_base_trajectory, reference_lipschitz, reference_player_step,
-                      serial_reference_run, with_support_oracles)
+                      serial_reference_run, undeclared_copy, with_support_oracles)
 
 LQ_SEEDS = range(6)
 LIFT_LQ_SEEDS = range(12)  # the LQ seeds of test_two_lane
@@ -49,7 +52,8 @@ def mixed_cost_microgrid():
     game, offsets = config_game("microgrid_reduced.json")
     shared = game.players[0].cost_state_grad
     grads = (shared, None, lambda S: 3.0 * np.tanh(S - 0.5), shared, lambda S: S * S)
-    players = tuple(replace(p, cost_state_grad=g) for p, g in zip(game.players, grads))
+    players = tuple(replace(p, cost_state_grad=g, cost_state_affine=g is shared)
+                    for p, g in zip(game.players, grads))
     return replace(game, players=players), offsets
 
 
@@ -149,7 +153,7 @@ def test_player_step_equals_per_player_reference(name):
         base = lift_base(game, state.u)
         table = solver.iteration_table(game, cfg.seed, k, k + 1)
         with ThreadPoolExecutor(1) as lane:
-            noise = solver.draw_noise(game, table, k, m,
+            noise = solver.draw_noise(game, table, k, m, state.lam,
                                       np.empty(game.n_players * m * len(game.support)), lane)[1]
         if game.support:
             assert noise.shape == (game.n_players, m, len(game.support))
@@ -210,7 +214,7 @@ def test_jacobian_formed_only_for_a_positive_multiplier(monkeypatch, name, posit
     table = solver.iteration_table(game, cfg.seed, k, k + 1)
     buffer = np.empty(game.n_players * m * len(game.support))
     with ThreadPoolExecutor(1) as lane:
-        rows = solver.draw_noise(game, table, k, m, buffer, lane)[1]
+        rows = solver.draw_noise(game, table, k, m, state.lam, buffer, lane)[1]
     watched, calls = counted_jacobians(monkeypatch, game)
     field_u, field_lam = solver.extended_operator(watched, offsets, base, res_noise, state.lam)
     residual = solver.residual_estimate(state, watched, offsets, alpha, res_noise, base)
@@ -240,11 +244,64 @@ def test_jacobian_formed_only_for_a_positive_multiplier(monkeypatch, name, posit
 @pytest.mark.parametrize("name", GAMES)
 def test_run_equals_per_player_reference(name):
     game, offsets = GAMES[name]()
+    game = undeclared_copy(game)  # so its players draw rows, as the reference does
     cfg = step_config(max_iterations=4, residual_tolerance=0.0)
     initial = solver.initial_state(game, cfg)
     trace = solver.run(game, offsets, cfg, initial=initial)
     assert trace.termination_reason == solver.TERMINATION_BUDGET
     assert_run_equals_reference(trace, serial_reference_run(game, offsets, cfg, initial))
+
+
+DECLARED = ("microgrid_reduced", "microgrid_paper")  # the state costs declared affine
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_declared_state_cost_reads_the_batch_mean_alone(name):
+    # player i's (1, s) mean row gives the gradient of its (M, s) rows, up to
+    # rounding; without the input cost the state costs' part is all of it
+    game, _ = GAMES[name]()
+    assert all(p.cost_state_affine for p in game.players) and not game.state_costs_read_rows
+    game = replace(game, cost_input_grad=None)
+    rng = np.random.default_rng(29)
+    base = lift_base(game, random_feasible_profile(game, rng))
+    streams = [iteration_stream(4, 0, 1 + i) for i in range(game.n_players)]
+    rows = np.empty((game.n_players, 5000, len(game.support)))
+    solver.draw_support_noise(game, streams, rows)
+    rows += base.trajectory[game.support_index]
+    means = game_mod.batch_mean(rows, 1)[:, None]
+    want = game_mod.player_pseudo_gradient_mean(game, base, rows)
+    got = game_mod.player_pseudo_gradient_mean(game, base, means)
+    assert np.all(want != 0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_players_draw_rows_only_where_a_row_is_read(name):
+    # a positive multiplier, even of an affine column, forms the whole
+    # Jacobian, the closure column's too, which reads every row
+    game, _ = GAMES[name]()
+    zero = np.zeros(game.constraint_count)
+    assert not solver.players_draw_rows(game, zero)
+    for j in (0, game.nonlinear_columns[0]):
+        assert solver.players_draw_rows(game, np.eye(game.constraint_count)[j])
+    assert solver.players_draw_rows(undeclared_copy(game), zero)
+    assert solver.players_draw_rows(generic_copy(game), zero)
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_positive_closure_multiplier_draws_rows_as_undeclared(name):
+    # while the terminal closure's multiplier is positive the declared game's
+    # players draw and read every row: its run equals the undeclared one
+    game, offsets = GAMES[name]()
+    cfg = step_config(max_iterations=4, residual_tolerance=0.0)
+    j = game.nonlinear_columns[0]
+    lam = np.zeros(game.constraint_count)
+    lam[j] = 0.75
+    initial = replace(solver.initial_state(game, cfg), lam=lam, lam_avg_prev=lam.copy())
+    declared = solver.run(game, offsets, cfg, initial=initial)
+    assert all(record.lam[j] > 0 for record in declared.records)
+    undeclared = solver.run(undeclared_copy(game), offsets, cfg, initial=initial)
+    assert_run_equals_reference(declared, as_reference(undeclared))
 
 
 LIFT_GAMES = {

@@ -102,6 +102,31 @@ def test_player_support_rows_have_the_exact_law(name):
     assert_moments(rows, mean[sdim:], cov[sdim:, sdim:])
 
 
+MEAN_LIMIT = 4.0  # standard errors of the mean rows' mean
+VARIANCE_RATIO = 0.05  # |sample variance / (C / M) - 1|; its standard error is 0.01
+
+
+@pytest.mark.parametrize("m", [1, 64, 22500])
+@pytest.mark.parametrize("name", GAMES)
+def test_player_mean_rows_have_the_law_of_a_batch_mean(name, m):
+    # the mean of m rows z ~ N(shift, C) is N(shift, C / m): each column of
+    # many mean rows, drawn as one player's are, has that mean and variance,
+    # and a column that carries no noise is the shift itself
+    game, _ = GAMES[name]()
+    law = game.support_law
+    means = solver.draw_support_noise(game, [iteration_stream(13, m, 1)],
+                                      np.empty((1, REPETITIONS, len(game.support))), m)[0]
+    dev = means - law.shift
+    var = np.diag(law.factor.T @ law.factor) / m
+    noisy = var > 0
+    assert noisy.any() and not dev[:, ~noisy].any()
+    dev, var = dev[:, noisy], var[noisy]
+    mean_z = np.abs(dev.mean(axis=0)) / np.sqrt(var / REPETITIONS)
+    assert mean_z.max() <= MEAN_LIMIT, f"mean off by {mean_z.max():.1f} standard errors"
+    ratio = (dev * dev).mean(axis=0) / var
+    assert np.abs(ratio - 1.0).max() <= VARIANCE_RATIO, ratio
+
+
 def test_without_support_the_coordinator_draws_only_its_mean():
     # an LQ game with state coefficients and no callable oracle: the
     # coordinator draws T n_s normals whatever its batch size

@@ -7,7 +7,11 @@ the players draw on a second thread. Neither may change a bit of a seeded
 run: a player's sampler rows equal ``reduce_noise`` of one whole draw, and a
 two-lane run equals a serial reference drawn one entity at a time. Failures
 on the second thread reach the caller. Each run owns its second thread and
-joins it before it returns, so concurrent runs never share one.
+joins it before it returns, so concurrent runs never share one. Players that
+draw only their batch means (the shipped microgrids at a zero multiplier)
+draw on the calling thread, so the lane tests run the microgrids with their
+state costs undeclared (``conftest.undeclared_copy``): their players draw
+every row.
 """
 
 import multiprocessing
@@ -29,7 +33,7 @@ from ccgames.rng import iteration_stream
 from conftest import (CONFIG_DIR, RESUME_K, HookedStream, as_reference,
                       assert_run_equals_reference, generic_copy, hook_player_streams, hook_tables,
                       per_row, random_lq_params, serial_entity_noise, serial_reference_run,
-                      with_support_oracles)
+                      undeclared_copy, with_support_oracles)
 
 # one row, which numpy multiplies by another path, and odd and even counts of
 # thousands of rows: a sampler player's rows are one whole draw at any count
@@ -91,7 +95,8 @@ def full_rank_game():
 
 
 LANE_GAMES = {
-    **{name: (lambda name=name: build_game(parse_config(CONFIG_DIR / name))[0])
+    # undeclared, so that their players draw rows at a zero multiplier
+    **{name: (lambda name=name: undeclared_copy(build_game(parse_config(CONFIG_DIR / name))[0]))
        for name in MICROGRID_CONFIGS},
     **{f"lq_{seed}": (lambda seed=seed: lq_game(seed)) for seed in LQ_SEEDS},
     "zero_rank": zero_rank_game,
@@ -110,8 +115,9 @@ def test_lane_draw_equals_one_draw_per_player(name):
     for m in counts:
         buffer = np.empty(game.n_players * m * len(game.support))
         table = solver.iteration_table(game, 6, 11, 12)
+        lam = np.zeros(game.constraint_count)
         with ThreadPoolExecutor(1) as lane:
-            coordinator, noise = solver.draw_noise(game, table, 11, m, buffer, lane)
+            coordinator, noise = solver.draw_noise(game, table, 11, m, lam, buffer, lane)
         want_coordinator, want_players = serial_entity_noise(game, 6, 11, m)
         if want_coordinator is None:  # no constraint value reads the trajectory
             assert coordinator is None
@@ -195,11 +201,11 @@ def poison_draw_buffers(monkeypatch):
     filled with NaN before every draw; returns the list of buffers passed."""
     draw, buffers = solver.draw_noise, []
 
-    def poisoned(game, seed, k, m, buffer, lane):
+    def poisoned(game, seed, k, m, lam, buffer, lane):
         assert buffer is not None
         buffer.fill(np.nan)
         buffers.append(buffer)
-        return draw(game, seed, k, m, buffer, lane)
+        return draw(game, seed, k, m, lam, buffer, lane)
 
     monkeypatch.setattr(solver, "draw_noise", poisoned)
     return buffers
@@ -226,8 +232,32 @@ def test_reused_draw_buffer_leaks_no_stale_rows_paper(monkeypatch):
     # from k = 0 the buffer grows several times and is reused in between
     cfg = parse_config(CONFIG_DIR / "microgrid_paper.json")
     game, offsets = build_game(cfg)
+    game = undeclared_copy(game)  # so its players draw rows into the buffer
     scfg = replace(cfg.solver, max_iterations=200)
     assert_stale_rows_unread(monkeypatch, game, offsets, scfg, solver.initial_state(game, scfg))
+
+
+def test_mean_draws_take_no_lane_and_size_no_buffer(reduced_tail, monkeypatch):
+    # the shipped game at a zero multiplier: each player draws its batch mean,
+    # one row, on the calling thread, and the run's row buffer stays empty
+    _, offsets, scfg, initial = reduced_tail
+    game, _ = build_game(parse_config(CONFIG_DIR / "microgrid_reduced.json"))
+    assert not solver.players_draw_rows(game, initial.lam)
+    lanes, shapes = set(), []
+
+    def watched(normals):
+        lanes.add(on_second_lane())
+        shapes.append(normals.shape)
+
+    hook_player_streams(monkeypatch, watched)
+    buffers = poison_draw_buffers(monkeypatch)
+    trace = solver.run(game, offsets, scfg, initial=initial)
+    monkeypatch.undo()
+    assert trace.termination_reason == solver.TERMINATION_BUDGET
+    assert lanes == {False} and set(shapes) == {(1, 1)}
+    assert len(shapes) == game.n_players * (scfg.max_iterations - initial.k)
+    assert [b.size for b in buffers] == [0] * (scfg.max_iterations - initial.k)
+    assert not draw_lanes()
 
 
 def run_concurrently(target, args):
@@ -252,6 +282,7 @@ def assert_concurrent_calls_agree(game):
     """More calling threads than cores, all handing half their draws to one
     shared lane: each call still gets its own entities' rows, in entity order."""
     m = solver.TWO_LANE_MIN_DRAWS // per_row(game) + 1
+    lam = np.zeros(game.constraint_count)
     callers, calls = 4, 5
     got, failures = {}, []
 
@@ -260,7 +291,8 @@ def assert_concurrent_calls_agree(game):
             for _ in range(calls):
                 buffer = np.empty(game.n_players * m * len(game.support))
                 table = solver.iteration_table(game, 2, k, k + 1)
-                got.setdefault(k, []).append(solver.draw_noise(game, table, k, m, buffer, lane))
+                got.setdefault(k, []).append(solver.draw_noise(game, table, k, m, lam, buffer,
+                                                               lane))
         except Exception as exc:  # reported below, with the caller's index
             failures.append((k, exc))
 
@@ -280,7 +312,7 @@ def assert_concurrent_calls_agree(game):
 
 def test_concurrent_callers_share_the_lane():
     game, _ = build_game(parse_config(CONFIG_DIR / "microgrid_reduced.json"))
-    assert_concurrent_calls_agree(game)
+    assert_concurrent_calls_agree(undeclared_copy(game))
     assert_concurrent_calls_agree(generic_copy(game))
 
 

@@ -6,7 +6,10 @@ runs. This loads the file, without changing it, and runs its whole flow
 (set-up, solve, solve checks, verification, verification checks) on the
 oracle workload and on 2-iteration slices of ``paper_run`` and of
 ``reduced_tail``, which resumes at k=9000 through
-``replace(initial_state(...), k=start_k)``.
+``replace(initial_state(...), k=start_k)``. The microgrid workloads' seed-1
+solve digests are pinned, for the shipped game and for its undeclared copy,
+whose players draw every row as the shipped game's did before they drew
+batch means.
 """
 
 import importlib.util
@@ -15,6 +18,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from conftest import undeclared_copy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +49,19 @@ def test_workload_flow_passes_its_checks(workloads, name, iterations):
     assert W.check_solve(problem, workload, trace, W.reference_solution(problem)) == []
     satisfaction, gap = W.verify(problem, trace.final_state.u)
     assert W.check_verify(workload, satisfaction, gap) == []
+
+
+# seed-1 solve digests of the two microgrid workloads: their players drawing
+# batch means (the shipped, declared state cost) and every row (undeclared)
+MICROGRID_DIGESTS = {"reduced_tail": ("5a34360b1dd28858", "3d9ff8c15ebfaa18"),
+                     "paper_run": ("37966069ebfe133e", "90e96a96dcd0329c")}
+
+
+@pytest.mark.parametrize("name", MICROGRID_DIGESTS)
+def test_undeclared_state_cost_keeps_the_row_draw_digest(workloads, name):
+    W = workloads
+    workload = W.WORKLOADS[name]
+    for wrap, want in zip((None, undeclared_copy), MICROGRID_DIGESTS[name]):
+        problem = W.setup(ROOT, workload, seed=1, wrap_game=wrap)
+        trace = W.solve(problem, *W.solve_arguments(problem, workload))
+        assert W.digest(trace.final_state.u, trace.final_state.lam) == want
