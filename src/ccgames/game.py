@@ -160,9 +160,10 @@ class DisturbanceModel:
     """I.i.d. disturbance sampler plus its concentration model.
 
     sample(rng, n) must return an (n, T * n_s) array of stacked draws,
-    independent within and across batches. The solver calls it from two
-    threads, each call with one entity's own generator for that entity's
-    whole batch; so it must keep no mutable state between calls.
+    independent within and across batches. The solver calls it once per
+    entity's batch, with that entity's own generator. It must keep no mutable
+    state between calls: a seeded run's bits must not depend on the order in
+    which the entities draw.
 
     mean/std : optional (dim,) arrays declaring independent Gaussian
                coordinates N(mean_d, std_d^2), finite, std >= 0; both or

@@ -27,12 +27,10 @@ from a row of the run's ``iteration_table`` (their state words for a block of
 iterations in one pass), and ``draw_support_noise`` draws their support rows:
 from a declared Gaussian law (``game.support_law``), else one whole draw through
 ``disturbance.sample`` per entity. A player whose step reads only its batch
-mean (``players_draw_rows``) draws that mean alone, from its law. Row draws
-are most of a large-batch iteration, so the players' are split between the
-calling thread and the run's own worker thread, into the flat buffer each
-``iterate`` is given, one per ``run``, so growing batches are not faulted in
-afresh; each entity's draw is one function of its own stream, so a seeded
-run is bit-identical to a serial one.
+mean (``players_draw_rows``) draws that mean alone, from its law. The
+players' rows go into the flat buffer each ``iterate`` is given, one per
+``run``, so growing batches are not faulted in afresh. Every entity draws on
+the calling thread.
 
 The steps take their shared inputs from the caller, as ``run`` supplies them:
 the run's reduced residual batch (``residual_noise``), each entity's reduced
@@ -58,7 +56,6 @@ import math
 import operator
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -84,9 +81,6 @@ LIPSCHITZ_PAIRS = 16
 LIPSCHITZ_BATCH = 256
 LIPSCHITZ_MULTIPLIER_SCALE = 1.0
 
-# numbers in one player's draw (rows x numbers per row) from which the
-# players' draws are split between two threads (``draw_noise``)
-TWO_LANE_MIN_DRAWS = 16384
 # iterations whose streams ``run`` derives in one table (``iteration_table``)
 ITERATION_BLOCK = 64
 
@@ -350,7 +344,7 @@ def players_draw_rows(game, lam: np.ndarray) -> bool:
         or bool(game.nonlinear_columns and np.count_nonzero(lam))
 
 
-def draw_noise(game, table, k: int, m: int, lam, buffer: np.ndarray, lane: ThreadPoolExecutor):
+def draw_noise(game, table, k: int, m: int, lam, buffer: np.ndarray):
     """Every entity's reduced noise for iteration k with m-row batches:
     (``coordinator_noise``, an (N, m, len(game.support)) array whose slab i is player
     i's ``draw_support_noise`` rows, None for an empty support), a view of the flat
@@ -358,36 +352,20 @@ def draw_noise(game, table, k: int, m: int, lam, buffer: np.ndarray, lane: Threa
     their own if not ``players_draw_rows(game, lam)``.
 
     The streams of the entities that draw come from row k of ``table``, an
-    ``iteration_table`` (None when no entity draws). From ``TWO_LANE_MIN_DRAWS``
-    numbers per player's draw (M r for a declared Gaussian disturbance, M T n_s
-    through the sampler), the executor ``lane`` fills the slabs of players 0,
-    2, 4, ... while this thread draws the other entities; below it ``lane`` is
-    not used. An exception from either lane is raised once both are done.
+    ``iteration_table`` (None when no entity draws). The coordinator draws
+    first, then all N players in one ``draw_support_noise`` call, on the
+    calling thread: a declared law's rows cost one batched product for the stack.
     """
     first = 0 if game.values_read_trajectory else 1
     streams = [] if table is None else table.streams(k, first)
-    rng = streams.pop(0) if first == 0 else None
+    coordinator = coordinator_noise(game, streams.pop(0) if first == 0 else None, m)
     if not streams:
-        return coordinator_noise(game, rng, m), None
+        return coordinator, None
     if not players_draw_rows(game, lam):
         means = np.empty((game.n_players, 1, len(game.support)))
-        return coordinator_noise(game, rng, m), draw_support_noise(game, streams, means, m)
+        return coordinator, draw_support_noise(game, streams, means, m)
     shape = (game.n_players, m, len(game.support))
-    noise = buffer[:math.prod(shape)].reshape(shape)
-    own, half = slice(None), None
-    per_row = game.disturbance.dim if game.support_law is None else game.support_law.factor.shape[0]
-    if m * per_row >= TWO_LANE_MIN_DRAWS:
-        half = lane.submit(draw_support_noise, game, streams[::2], noise[::2])
-        own = slice(1, None, 2)
-    try:
-        coordinator = coordinator_noise(game, rng, m)
-        draw_support_noise(game, streams[own], noise[own])
-    finally:
-        if half is not None:
-            wait([half])  # so no draw outlives the call
-    if half is not None:
-        half.result()
-    return coordinator, noise
+    return coordinator, draw_support_noise(game, streams, buffer[:math.prod(shape)].reshape(shape))
 
 
 def coordinator_step(state: SolverState, game, offsets: UnderApproxOffsets,
@@ -430,14 +408,14 @@ def player_step(state: SolverState, game, cfg: SolverConfig, alpha: float,
 
 def iterate(state: SolverState, game, offsets: UnderApproxOffsets, cfg: SolverConfig,
             alpha: float, m: int, residual: float, base: game_mod.IterateBase,
-            buffer: np.ndarray, lane, table: IterationTable | None):
+            buffer: np.ndarray, table: IterationTable | None):
     """Run one full iteration with step ``alpha`` on ``draw_noise``'s m-row
     batches; returns (next state, record for iteration k). ``residual`` is
     ``residual_estimate`` of ``state``, for the record; ``base`` is its ``lift_base``,
-    shared by all; ``buffer``, ``lane`` and ``table`` are the run's (``draw_noise``)."""
+    shared by all; ``buffer`` and ``table`` are the run's (``draw_noise``)."""
     t0 = time.perf_counter()
     k = state.k
-    coordinator, player_noise = draw_noise(game, table, k, m, state.lam, buffer, lane)
+    coordinator, player_noise = draw_noise(game, table, k, m, state.lam, buffer)
     lam_avg, lam_next, g_hat = coordinator_step(state, game, offsets, cfg, alpha,
                                                 coordinator, base)
     u_avg, u_next = player_step(state, game, cfg, alpha, player_noise, base)
@@ -505,15 +483,14 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     record), whose constraint mean comes from the coordinator's batch of
     that iterate. The residual batch is drawn and reduced once per run. The
     run owns the players' draw buffer, made twice a batch's need whenever the rows
-    the players draw (``players_draw_rows``) outgrow it, the ``iteration_table`` of its
-    current block, made as k leaves the last (None when no entity draws), and the second
-    draw lane (``draw_noise``), whose thread starts at the first batch that crosses
-    ``TWO_LANE_MIN_DRAWS`` and is joined before ``run`` returns or raises. ``initial``
-    (a loaded checkpoint, say) needs the game's dimensions and a nonnegative multiplier. The
-    divergence guard is relative to ``initial_state``, the projected origin,
-    wherever a run starts. Each finite new iterate, before the guard, goes to
-    ``observe(state, record)`` (read-only) with the record of its iteration;
-    an exception from it propagates. A batch no array holds is a ``BatchError``.
+    the players draw (``players_draw_rows``) outgrow it, and the ``iteration_table`` of
+    its current block, made as k leaves the last (None when no entity draws); it starts
+    no thread (``draw_noise``). ``initial`` (a loaded checkpoint, say) needs the game's
+    dimensions and a nonnegative multiplier. The divergence guard is relative to
+    ``initial_state``, the projected origin, wherever a run starts. Each finite new
+    iterate, before the guard, goes to ``observe(state, record)`` (read-only) with the
+    record of its iteration; an exception from it propagates. A batch no array holds
+    is a ``BatchError``.
     """
     origin = initial_state(game, cfg)
     state = origin if initial is None else initial
@@ -526,43 +503,41 @@ def run(game, offsets: UnderApproxOffsets, cfg: SolverConfig,
     guard = cfg.divergence_factor * (1.0 + origin.z_norm())
     noise_res = residual_noise(game, cfg, cfg.seed)
     records, buffer, table = [], np.empty(0), None
-    with ThreadPoolExecutor(1, "ccgames-draws") as lane:
-        while True:
-            alpha = step_size(cfg, state.k)
-            m = batch_size(cfg, state.k)
-            if (need := game.n_players * m * len(game.support)) > buffer.size \
-                    and players_draw_rows(game, state.lam):
-                try:  # a buffer past any array
-                    buffer = np.empty(2 * need)
-                except (ValueError, MemoryError):
-                    raise BatchError(cfg, state.k) from None
-            base = game_mod.lift_base(game, state.u)
-            res = residual_estimate(state, game, offsets, alpha, noise_res, base)
-            if res <= cfg.residual_tolerance or state.k >= cfg.max_iterations:
-                t0 = time.perf_counter()  # like iteration records, excludes the residual
-                reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
-                    else TERMINATION_BUDGET
-                rng = iteration_stream(cfg.seed, state.k, 0) \
-                    if game.values_read_trajectory else None
-                noise = coordinator_noise(game, rng, m)
-                g_hat = coordinator_step(state, game, offsets, cfg, alpha, noise, base)[2]
-                records.append(_record(state, alpha, m, res, g_hat, t0, bool(cfg.snapshot_every)))
-                break
-            if table is None or state.k - table.k0 >= len(table.words):  # the next block
-                table = iteration_table(game, cfg.seed, state.k, cfg.max_iterations)
-            state, record = iterate(state, game, offsets, cfg, alpha, m, res, base, buffer, lane,
-                                    table)
-            records.append(record)
-            z_norm = state.z_norm()  # finite only if every entry is
-            if not math.isfinite(z_norm) and not state.is_finite():
-                # NaN compares False against the guard, so it needs its own stop
-                reason = TERMINATION_NON_FINITE
-                break
-            if observe is not None:
-                observe(state, record)
-            if z_norm > guard:
-                reason = TERMINATION_DIVERGENCE
-                break
+    while True:
+        alpha = step_size(cfg, state.k)
+        m = batch_size(cfg, state.k)
+        if (need := game.n_players * m * len(game.support)) > buffer.size \
+                and players_draw_rows(game, state.lam):
+            try:  # a buffer past any array
+                buffer = np.empty(2 * need)
+            except (ValueError, MemoryError):
+                raise BatchError(cfg, state.k) from None
+        base = game_mod.lift_base(game, state.u)
+        res = residual_estimate(state, game, offsets, alpha, noise_res, base)
+        if res <= cfg.residual_tolerance or state.k >= cfg.max_iterations:
+            t0 = time.perf_counter()  # like iteration records, excludes the residual
+            reason = TERMINATION_TOLERANCE if res <= cfg.residual_tolerance \
+                else TERMINATION_BUDGET
+            rng = iteration_stream(cfg.seed, state.k, 0) \
+                if game.values_read_trajectory else None
+            noise = coordinator_noise(game, rng, m)
+            g_hat = coordinator_step(state, game, offsets, cfg, alpha, noise, base)[2]
+            records.append(_record(state, alpha, m, res, g_hat, t0, bool(cfg.snapshot_every)))
+            break
+        if table is None or state.k - table.k0 >= len(table.words):  # the next block
+            table = iteration_table(game, cfg.seed, state.k, cfg.max_iterations)
+        state, record = iterate(state, game, offsets, cfg, alpha, m, res, base, buffer, table)
+        records.append(record)
+        z_norm = state.z_norm()  # finite only if every entry is
+        if not math.isfinite(z_norm) and not state.is_finite():
+            # NaN compares False against the guard, so it needs its own stop
+            reason = TERMINATION_NON_FINITE
+            break
+        if observe is not None:
+            observe(state, record)
+        if z_norm > guard:
+            reason = TERMINATION_DIVERGENCE
+            break
     return RunTrace(tuple(records), reason, state)
 
 

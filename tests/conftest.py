@@ -389,8 +389,7 @@ def hook_tables(monkeypatch, wrap, built=None):
 def hook_player_streams(monkeypatch, hook, players=None):
     """``hook_tables`` so that the streams of the players in ``players``
     (default: every player) are ``HookedStream``s of ``hook``: each of their
-    draws, through a sampler or from a declared law, on whichever thread it
-    is made."""
+    draws, through a sampler or from a declared law, as it is made."""
     def wrap(seed, k, e, rng):
         return HookedStream(rng, hook) if e > 0 and (players is None or e - 1 in players) else rng
 
@@ -403,7 +402,7 @@ def per_row(game):
     return game.disturbance.dim if law is None else law.factor.shape[0]
 
 
-RESUME_K = 9000  # the tail of the reduced acceptance run: two-lane batches
+RESUME_K = 9000  # the tail of the reduced acceptance run: its largest batches
 
 
 @pytest.fixture(scope="session")
@@ -411,14 +410,16 @@ def reduced_tail():
     """microgrid_reduced resumed at RESUME_K for 3 iterations, as (the game
     drawn from its declared law with its state cost undeclared, so that its
     players draw rows, the same game drawn through its sampler, offsets,
-    solver config, initial state). Both games draw on two lanes."""
+    solver config, initial state). Both games' players draw every row of
+    batches of more than 2^14 numbers each."""
     cfg = parse_config(CONFIG_DIR / "microgrid_reduced.json")
     game, offsets = build_game(cfg)
     scfg = replace(cfg.solver, max_iterations=RESUME_K + 3)
     initial = replace(solver.initial_state(game, scfg), k=RESUME_K)
     games = (undeclared_copy(game), generic_copy(game))
     for g in games:
-        assert solver.batch_size(scfg, RESUME_K) * per_row(g) >= solver.TWO_LANE_MIN_DRAWS
+        assert solver.players_draw_rows(g, initial.lam)
+        assert solver.batch_size(scfg, RESUME_K) * per_row(g) > 2 ** 14
     return games, offsets, scfg, initial
 
 

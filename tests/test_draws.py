@@ -1,24 +1,19 @@
-"""Players' draws split between two threads for large batches.
+"""Every entity's batch, drawn on the calling thread.
 
 Through a sampler, a player's batch is drawn whole in one call; for a
 declared Gaussian disturbance its support rows are drawn from their law
-directly. From ``TWO_LANE_MIN_DRAWS`` numbers per player's draw on, half of
-the players draw on a second thread. Neither may change a bit of a seeded
-run: a player's sampler rows equal ``reduce_noise`` of one whole draw, and a
-two-lane run equals a serial reference drawn one entity at a time. Failures
-on the second thread reach the caller. Each run owns its second thread and
-joins it before it returns, so concurrent runs never share one. Players that
-draw only their batch means (the shipped microgrids at a zero multiplier)
-draw on the calling thread, so the lane tests run the microgrids with their
-state costs undeclared (``conftest.undeclared_copy``): their players draw
-every row.
+directly, all players' in one batched product. Neither may change a bit of
+a seeded run: a player's sampler rows equal ``reduce_noise`` of one whole
+draw, and a run equals a serial reference drawn one entity at a time by
+code of its own. A failed draw reaches the caller, and ``run`` starts no
+thread. Players that draw only their batch means (the shipped microgrids at
+a zero multiplier) draw no rows, so the row tests run the microgrids with
+their state costs undeclared (``conftest.undeclared_copy``): their players
+draw every row.
 """
 
-import multiprocessing
-import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -65,14 +60,14 @@ def assert_sampler_rows_equal_whole(game, m):
 
 @pytest.mark.parametrize("m", ROW_COUNTS)
 @pytest.mark.parametrize("config", MICROGRID_CONFIGS)
-def test_microgrid_blocked_rows_equal_one_whole_draw(config, m):
+def test_microgrid_sampler_rows_equal_one_whole_draw(config, m):
     game, _ = build_game(parse_config(CONFIG_DIR / config))
     assert_sampler_rows_equal_whole(game, m)
 
 
 @pytest.mark.parametrize("m", ROW_COUNTS)
 @pytest.mark.parametrize("seed", LQ_SEEDS)
-def test_lq_blocked_rows_equal_one_whole_draw(seed, m):
+def test_lq_sampler_rows_equal_one_whole_draw(seed, m):
     assert_sampler_rows_equal_whole(lq_game(seed), m)
 
 
@@ -94,7 +89,7 @@ def full_rank_game():
     return with_support_oracles(game, rng, support=range(n_s, game.state_traj_dim))
 
 
-LANE_GAMES = {
+DRAW_GAMES = {
     # undeclared, so that their players draw rows at a zero multiplier
     **{name: (lambda name=name: undeclared_copy(build_game(parse_config(CONFIG_DIR / name))[0]))
        for name in MICROGRID_CONFIGS},
@@ -104,20 +99,16 @@ LANE_GAMES = {
 }
 
 
-@pytest.mark.parametrize("name", LANE_GAMES)
-def test_lane_draw_equals_one_draw_per_player(name):
-    # one row, and the row counts just below and at the split into two lanes
-    game = LANE_GAMES[name]()
-    r = per_row(game)
+@pytest.mark.parametrize("name", DRAW_GAMES)
+def test_draw_noise_equals_one_draw_per_player(name):
+    # one row, and thousands: the stack's one product keeps each player's bits
+    game = DRAW_GAMES[name]()
     assert game.support_law is not None
-    counts = {1} if r == 0 else {1, -(-solver.TWO_LANE_MIN_DRAWS // r) - 1,
-                                  -(-solver.TWO_LANE_MIN_DRAWS // r)}
-    for m in counts:
+    for m in {1} if per_row(game) == 0 else {1, 2047, 16384}:
         buffer = np.empty(game.n_players * m * len(game.support))
         table = solver.iteration_table(game, 6, 11, 12)
         lam = np.zeros(game.constraint_count)
-        with ThreadPoolExecutor(1) as lane:
-            coordinator, noise = solver.draw_noise(game, table, 11, m, lam, buffer, lane)
+        coordinator, noise = solver.draw_noise(game, table, 11, m, lam, buffer)
         want_coordinator, want_players = serial_entity_noise(game, 6, 11, m)
         if want_coordinator is None:  # no constraint value reads the trajectory
             assert coordinator is None
@@ -128,48 +119,54 @@ def test_lane_draw_equals_one_draw_per_player(name):
             assert rows.tobytes() == want_players[i].tobytes(), (m, i)
 
 
-def test_lane_games_cover_every_rank():
-    ranks = {name: per_row(make()) for name, make in LANE_GAMES.items()}
+def test_draw_games_cover_every_rank():
+    ranks = {name: per_row(make()) for name, make in DRAW_GAMES.items()}
     assert ranks["microgrid_paper.json"] == ranks["microgrid_reduced.json"] == 1
     assert ranks["zero_rank"] == 0 and max(ranks.values()) > 1
-    full = LANE_GAMES["full_rank"]()
+    full = DRAW_GAMES["full_rank"]()
     assert per_row(full) == len(full.support) > 1
 
 
-def on_second_lane():
-    return threading.current_thread() is not threading.main_thread()
-
-
-def test_two_lane_run_equals_serial_reference(reduced_tail, monkeypatch):
+def test_run_equals_serial_reference(reduced_tail):
     games, offsets, scfg, initial = reduced_tail
     for game in games:
-        lanes = set()
-
-        def watched(rows):
-            lanes.add(on_second_lane())
-
-        hook_player_streams(monkeypatch, watched)
         trace = solver.run(game, offsets, scfg, initial=initial)
-        monkeypatch.undo()
-        assert lanes == {False, True}
         assert trace.termination_reason == solver.TERMINATION_BUDGET
         assert_run_equals_reference(trace, serial_reference_run(game, offsets, scfg, initial))
+
+
+def test_run_draws_on_the_calling_thread_and_starts_no_thread(reduced_tail, monkeypatch):
+    games, offsets, scfg, initial = reduced_tail
+    start = threading.Thread.start
+    for game in games:
+        drawn_on, started = set(), []
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        hook_player_streams(monkeypatch, lambda rows: drawn_on.add(threading.current_thread()))
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        trace = solver.run(game, offsets, scfg, initial=initial)
+        monkeypatch.undo()
+        assert trace.termination_reason == solver.TERMINATION_BUDGET
+        assert drawn_on == {threading.current_thread()}
+        assert started == []
 
 
 class DrawFailure(Exception):
     pass
 
 
-def test_second_lane_exception_reaches_run(reduced_tail, monkeypatch):
+def test_draw_exception_reaches_run(reduced_tail, monkeypatch):
     games, offsets, scfg, initial = reduced_tail
 
     def failing(rows):
-        if on_second_lane():
-            raise DrawFailure("draw failed on the second lane")
+        raise DrawFailure("draw failed")
 
     for game in games:
-        hook_player_streams(monkeypatch, failing)
-        with pytest.raises(DrawFailure, match="second lane"):
+        hook_player_streams(monkeypatch, failing, players={game.n_players - 1})
+        with pytest.raises(DrawFailure, match="draw failed"):
             solver.run(game, offsets, scfg, initial=initial)
         monkeypatch.undo()
         # a failed run leaves nothing behind: the next run completes, bit for bit
@@ -178,22 +175,22 @@ def test_second_lane_exception_reaches_run(reduced_tail, monkeypatch):
         assert_run_equals_reference(trace, serial_reference_run(game, offsets, one, initial))
 
 
-def test_nan_draw_on_second_lane_stops_non_finite(reduced_tail, monkeypatch):
+def test_nan_draw_stops_non_finite(reduced_tail, monkeypatch):
     games, offsets, scfg, initial = reduced_tail
 
     def poisoned(rows):
-        if on_second_lane():
-            rows[-1, 0] = np.nan
+        rows[-1, 0] = np.nan
 
     for game in games:
-        hook_player_streams(monkeypatch, poisoned)
+        even = range(0, game.n_players, 2)
+        hook_player_streams(monkeypatch, poisoned, players=set(even))
         trace = solver.run(game, offsets, scfg, initial=initial)
         monkeypatch.undo()
         assert trace.termination_reason == solver.TERMINATION_NON_FINITE
         assert trace.final_state.k == RESUME_K + 1
-        # the second lane draws players 0, 2, 4, ...
+        # the poisoned draws name players 0, 2, 4, ...
         assert solver.non_finite_updates(game, trace.final_state) == \
-            [f"player {i} strategy update" for i in range(0, game.n_players, 2)]
+            [f"player {i} strategy update" for i in even]
 
 
 def poison_draw_buffers(monkeypatch):
@@ -201,11 +198,11 @@ def poison_draw_buffers(monkeypatch):
     filled with NaN before every draw; returns the list of buffers passed."""
     draw, buffers = solver.draw_noise, []
 
-    def poisoned(game, seed, k, m, lam, buffer, lane):
+    def poisoned(game, seed, k, m, lam, buffer):
         assert buffer is not None
         buffer.fill(np.nan)
         buffers.append(buffer)
-        return draw(game, seed, k, m, lam, buffer, lane)
+        return draw(game, seed, k, m, lam, buffer)
 
     monkeypatch.setattr(solver, "draw_noise", poisoned)
     return buffers
@@ -223,7 +220,7 @@ def assert_stale_rows_unread(monkeypatch, game, offsets, scfg, initial):
     assert_run_equals_reference(poisoned, as_reference(clean))
 
 
-def test_reused_draw_buffer_leaks_no_stale_rows_two_lane(reduced_tail, monkeypatch):
+def test_reused_draw_buffer_leaks_no_stale_rows_tail(reduced_tail, monkeypatch):
     games, offsets, scfg, initial = reduced_tail
     assert_stale_rows_unread(monkeypatch, games[0], offsets, scfg, initial)
 
@@ -237,16 +234,16 @@ def test_reused_draw_buffer_leaks_no_stale_rows_paper(monkeypatch):
     assert_stale_rows_unread(monkeypatch, game, offsets, scfg, solver.initial_state(game, scfg))
 
 
-def test_mean_draws_take_no_lane_and_size_no_buffer(reduced_tail, monkeypatch):
+def test_mean_draws_size_no_buffer(reduced_tail, monkeypatch):
     # the shipped game at a zero multiplier: each player draws its batch mean,
     # one row, on the calling thread, and the run's row buffer stays empty
     _, offsets, scfg, initial = reduced_tail
     game, _ = build_game(parse_config(CONFIG_DIR / "microgrid_reduced.json"))
     assert not solver.players_draw_rows(game, initial.lam)
-    lanes, shapes = set(), []
+    drawn_on, shapes = set(), []
 
     def watched(normals):
-        lanes.add(on_second_lane())
+        drawn_on.add(threading.current_thread())
         shapes.append(normals.shape)
 
     hook_player_streams(monkeypatch, watched)
@@ -254,10 +251,9 @@ def test_mean_draws_take_no_lane_and_size_no_buffer(reduced_tail, monkeypatch):
     trace = solver.run(game, offsets, scfg, initial=initial)
     monkeypatch.undo()
     assert trace.termination_reason == solver.TERMINATION_BUDGET
-    assert lanes == {False} and set(shapes) == {(1, 1)}
+    assert drawn_on == {threading.current_thread()} and set(shapes) == {(1, 1)}
     assert len(shapes) == game.n_players * (scfg.max_iterations - initial.k)
     assert [b.size for b in buffers] == [0] * (scfg.max_iterations - initial.k)
-    assert not draw_lanes()
 
 
 def run_concurrently(target, args):
@@ -278,97 +274,9 @@ def run_concurrently(target, args):
     return threads
 
 
-def assert_concurrent_calls_agree(game):
-    """More calling threads than cores, all handing half their draws to one
-    shared lane: each call still gets its own entities' rows, in entity order."""
-    m = solver.TWO_LANE_MIN_DRAWS // per_row(game) + 1
-    lam = np.zeros(game.constraint_count)
-    callers, calls = 4, 5
-    got, failures = {}, []
-
-    def call(k):
-        try:
-            for _ in range(calls):
-                buffer = np.empty(game.n_players * m * len(game.support))
-                table = solver.iteration_table(game, 2, k, k + 1)
-                got.setdefault(k, []).append(solver.draw_noise(game, table, k, m, lam, buffer,
-                                                               lane))
-        except Exception as exc:  # reported below, with the caller's index
-            failures.append((k, exc))
-
-    with ThreadPoolExecutor(1) as lane:
-        run_concurrently(call, range(callers))
-    assert not failures
-    for k in range(callers):
-        want_coordinator, want_players = serial_entity_noise(game, 2, k, m)
-        assert len(got[k]) == calls
-        for coordinator, rows in got[k]:
-            assert np.array_equal(coordinator.mean, want_coordinator.mean)
-            assert np.array_equal(coordinator.support, want_coordinator.support)
-            assert len(rows) == game.n_players
-            for i, r in enumerate(rows):
-                assert np.array_equal(r, want_players[i]), (k, i)
-
-
-def test_concurrent_callers_share_the_lane():
-    game, _ = build_game(parse_config(CONFIG_DIR / "microgrid_reduced.json"))
-    assert_concurrent_calls_agree(undeclared_copy(game))
-    assert_concurrent_calls_agree(generic_copy(game))
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_gets_its_own_lane(reduced_tail):
-    # a forked child inherits no running thread: after a two-lane run in the
-    # parent, a run in the child draws on a lane of its own and equals it
-    games, offsets, scfg, initial = reduced_tail
-    parent = solver.run(games[0], offsets, scfg, initial=initial)
-
-    def child():
-        trace = solver.run(games[0], offsets, scfg, initial=initial)
-        assert_run_equals_reference(trace, as_reference(parent))
-
-    process = multiprocessing.get_context("fork").Process(target=child)
-    process.start()
-    process.join(timeout=60)
-    hung = process.is_alive()
-    if hung:
-        process.kill()
-        process.join()
-    assert not hung and process.exitcode == 0
-
-
-def draw_lanes():
-    """The second-lane threads alive in this process."""
-    return [t for t in threading.enumerate() if t.name.startswith("ccgames-draws")]
-
-
-def test_run_joins_its_lane_on_return_and_on_raise(reduced_tail, monkeypatch):
-    games, offsets, scfg, initial = reduced_tail
-    drew = set()
-
-    def noted(rows):  # by name, so that draw_lanes below looks for the right threads
-        drew.add(threading.current_thread().name.startswith("ccgames-draws"))
-
-    hook_player_streams(monkeypatch, noted)
-    solver.run(games[0], offsets, scfg, initial=initial)
-    monkeypatch.undo()
-    assert drew == {False, True}
-    assert not draw_lanes()
-
-    def failing(rows):
-        if on_second_lane():
-            raise DrawFailure("draw failed on the second lane")
-
-    hook_player_streams(monkeypatch, failing)
-    with pytest.raises(DrawFailure):
-        solver.run(games[0], offsets, scfg, initial=initial)
-    monkeypatch.undo()
-    assert not draw_lanes()
-
-
-def test_concurrent_runs_each_draw_on_their_own_lane(reduced_tail, monkeypatch):
+def test_concurrent_runs_each_equal_their_serial_reference(reduced_tail, monkeypatch):
     # two runs at once, told apart by their seeds: each equals its serial
-    # reference, and each hands half its draws to a thread no other run uses
+    # reference, and each draws every player's batch on its own calling thread
     games, offsets, scfg, initial = reduced_tail
     game = games[0]
     configs = [replace(scfg, seed=seed) for seed in (scfg.seed, scfg.seed + 1)]
@@ -379,21 +287,20 @@ def test_concurrent_runs_each_draw_on_their_own_lane(reduced_tail, monkeypatch):
             drawn_on[seed].add(threading.current_thread())
         return HookedStream(rng, note) if e > 0 else rng
 
-    traces, failures = {}, []
+    traces, callers, failures = {}, {}, []
 
     def solve(cfg):
+        callers[cfg.seed] = threading.current_thread()
         try:
             traces[cfg.seed] = solver.run(game, offsets, cfg, initial=initial)
         except Exception as exc:  # reported below, with the run's seed
             failures.append((cfg.seed, exc))
 
     hook_tables(monkeypatch, hooked)
-    callers = set(run_concurrently(solve, configs))
+    run_concurrently(solve, configs)
     monkeypatch.undo()
     assert not failures
     for cfg in configs:
         assert_run_equals_reference(traces[cfg.seed],
                                     serial_reference_run(game, offsets, cfg, initial))
-    lanes = [drawn_on[cfg.seed] - callers for cfg in configs]
-    assert [len(lane) for lane in lanes] == [1, 1] and lanes[0] != lanes[1]
-    assert not draw_lanes()
+        assert drawn_on[cfg.seed] == {callers[cfg.seed]}

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -78,22 +77,20 @@ def residual_at(state, game, offsets, cfg):
 
 def step(state, game, offsets, cfg):
     """One iteration with its step, batch size, residual, lift base, draw
-    buffer, lane and iteration table made afresh."""
+    buffer and iteration table made afresh."""
     m = batch_size(cfg, state.k)
     buffer = np.empty(game.n_players * m * len(game.support))
-    with ThreadPoolExecutor(1) as lane:
-        return iterate(state, game, offsets, cfg, step_size(cfg, state.k), m,
-                       residual_at(state, game, offsets, cfg), lift_base(game, state.u),
-                       buffer, lane, solver.iteration_table(game, cfg.seed, state.k, state.k + 1))
+    return iterate(state, game, offsets, cfg, step_size(cfg, state.k), m,
+                   residual_at(state, game, offsets, cfg), lift_base(game, state.u),
+                   buffer, solver.iteration_table(game, cfg.seed, state.k, state.k + 1))
 
 
 def player_noise(game, cfg):
     """Support noise rows of the players' batches of iteration 0, at a zero multiplier."""
     m = batch_size(cfg, 0)
-    with ThreadPoolExecutor(1) as lane:
-        return draw_noise(game, solver.iteration_table(game, cfg.seed, 0, 1), 0, m,
-                          np.zeros(game.constraint_count),
-                          np.empty(game.n_players * m * len(game.support)), lane)[1]
+    return draw_noise(game, solver.iteration_table(game, cfg.seed, 0, 1), 0, m,
+                      np.zeros(game.constraint_count),
+                      np.empty(game.n_players * m * len(game.support)))[1]
 
 
 def coordinator_batch(game, cfg, k=0):
@@ -706,7 +703,7 @@ class TestSharedEvaluation:
 
 class TestObserver:
     def test_observed_run_equals_unobserved(self, reduced_tail):
-        games, *tail = reduced_tail  # resumed microgrid_reduced: two-lane batches
+        games, *tail = reduced_tail  # resumed microgrid_reduced: large row batches
         cases = [(*simple_game(noise_std=0.4), quick_config(max_iterations=12, snapshot_every=3),
                   None), (games[0], *tail)]
         for game, offsets, cfg, initial in cases:

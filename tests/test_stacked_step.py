@@ -16,7 +16,6 @@ one mean row each; a run compared with the per-player reference uses the
 game's undeclared copy, whose players draw every row, as the reference does.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 import math
 from dataclasses import replace
 
@@ -39,7 +38,7 @@ from conftest import (CONFIG_DIR, as_reference, assert_run_equals_reference, gen
                       serial_reference_run, undeclared_copy, with_support_oracles)
 
 LQ_SEEDS = range(6)
-LIFT_LQ_SEEDS = range(12)  # the LQ seeds of test_two_lane
+LIFT_LQ_SEEDS = range(12)  # the LQ seeds of test_draws
 
 
 def config_game(name):
@@ -152,9 +151,8 @@ def test_player_step_equals_per_player_reference(name):
         state = random_state(game, rng, k)
         base = lift_base(game, state.u)
         table = solver.iteration_table(game, cfg.seed, k, k + 1)
-        with ThreadPoolExecutor(1) as lane:
-            noise = solver.draw_noise(game, table, k, m, state.lam,
-                                      np.empty(game.n_players * m * len(game.support)), lane)[1]
+        noise = solver.draw_noise(game, table, k, m, state.lam,
+                                  np.empty(game.n_players * m * len(game.support)))[1]
         if game.support:
             assert noise.shape == (game.n_players, m, len(game.support))
             traj = reference_base_trajectory(game, state.u)
@@ -213,8 +211,7 @@ def test_jacobian_formed_only_for_a_positive_multiplier(monkeypatch, name, posit
     res_noise = solver.residual_noise(game, cfg, cfg.seed)
     table = solver.iteration_table(game, cfg.seed, k, k + 1)
     buffer = np.empty(game.n_players * m * len(game.support))
-    with ThreadPoolExecutor(1) as lane:
-        rows = solver.draw_noise(game, table, k, m, state.lam, buffer, lane)[1]
+    rows = solver.draw_noise(game, table, k, m, state.lam, buffer)[1]
     watched, calls = counted_jacobians(monkeypatch, game)
     field_u, field_lam = solver.extended_operator(watched, offsets, base, res_noise, state.lam)
     residual = solver.residual_estimate(state, watched, offsets, alpha, res_noise, base)

@@ -9,10 +9,15 @@ oracle workload and on 2-iteration slices of ``paper_run`` and of
 ``replace(initial_state(...), k=start_k)``. The microgrid workloads' seed-1
 solve digests are pinned, for the shipped game and for its undeclared copy,
 whose players draw every row as the shipped game's did before they drew
-batch means.
+batch means. Each workload's traced benchmark run (``--trace 1``), in a
+process of its own, exits 0 and reports ``"correct": true``: its per-layer
+ratios divide by counts that a change to the solve could leave at zero.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -65,3 +70,13 @@ def test_undeclared_state_cost_keeps_the_row_draw_digest(workloads, name):
         problem = W.setup(ROOT, workload, seed=1, wrap_game=wrap)
         trace = W.solve(problem, *W.solve_arguments(problem, workload))
         assert W.digest(trace.final_state.u, trace.final_state.lam) == want
+
+
+@pytest.mark.parametrize("name", ["reduced_tail", "paper_run", "oracle_solve"])
+def test_traced_benchmark_run_exits_zero_and_correct(name):
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}  # leave perfbench/ as it is
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name, "--seed", "1",
+                           "--seconds", "0.01", "--trace", "1"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
