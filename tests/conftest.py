@@ -337,6 +337,18 @@ def with_support_oracles(game, rng, support=None):
                    state_support=None if support is None else tuple(cols))
 
 
+MICROGRID_CONFIGS = ("microgrid_reduced.json", "microgrid_paper.json")
+ORACLE_LQ_SEEDS = range(12)  # seed 11 draws a disturbance of dimension 1
+
+
+def oracle_lq_game(seed):
+    """The random LQ game of ``seed`` with the state oracles of
+    ``with_support_oracles`` on every column."""
+    rng = np.random.default_rng(seed)
+    game, _ = build_lq_game(random_lq_params(rng))
+    return with_support_oracles(game, rng)
+
+
 def generic_copy(game):
     """The game with its disturbance model's Gaussian declaration dropped, so
     the solver draws every batch through ``disturbance.sample``."""

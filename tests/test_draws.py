@@ -1,15 +1,14 @@
 """Every entity's batch, drawn on the calling thread.
 
-Through a sampler, a player's batch is drawn whole in one call; for a
-declared Gaussian disturbance its support rows are drawn from their law
-directly, all players' in one batched product. Neither may change a bit of
-a seeded run: a player's sampler rows equal ``reduce_noise`` of one whole
-draw, and a run equals a serial reference drawn one entity at a time by
-code of its own. A failed draw reaches the caller, and ``run`` starts no
-thread. Players that draw only their batch means (the shipped microgrids at
-a zero multiplier) draw no rows, so the row tests run the microgrids with
-their state costs undeclared (``conftest.undeclared_copy``): their players
-draw every row.
+For a declared Gaussian disturbance a player's support rows are drawn from
+their law directly, all players' in one batched product. That may not change
+a bit of a seeded run: a run equals a serial reference drawn one entity at a
+time by code of its own. A failed draw reaches the caller, and ``run``
+starts no thread. Players that draw only their batch means (the shipped
+microgrids at a zero multiplier) draw no rows, so the row tests run the
+microgrids with their state costs undeclared (``conftest.undeclared_copy``):
+their players draw every row. The sampler path's rows are checked against
+one whole draw in ``tests/test_two_lane.py``.
 """
 
 import sys
@@ -21,54 +20,13 @@ import pytest
 
 import ccgames.solver as solver
 from ccgames.config import build_game, parse_config
-from ccgames.game import lift_base, random_feasible_profile, reduce_noise, reduced_lift
 from ccgames.lqgame import build_lq_game
-from ccgames.rng import iteration_stream
 
-from conftest import (CONFIG_DIR, RESUME_K, HookedStream, as_reference,
-                      assert_run_equals_reference, generic_copy, hook_player_streams, hook_tables,
-                      per_row, random_lq_params, serial_entity_noise, serial_reference_run,
-                      undeclared_copy, with_support_oracles)
-
-# one row, which numpy multiplies by another path, and odd and even counts of
-# thousands of rows: a sampler player's rows are one whole draw at any count
-ROW_COUNTS = (1, 2047, 2048, 2049, 6151)
-MICROGRID_CONFIGS = ("microgrid_reduced.json", "microgrid_paper.json")
-LQ_SEEDS = range(12)  # seed 11 draws a disturbance of dimension 1
-
-
-def lq_game(seed):
-    rng = np.random.default_rng(seed)
-    game, _ = build_lq_game(random_lq_params(rng))
-    return with_support_oracles(game, rng)
-
-
-def test_lq_seeds_cover_disturbance_dim_one():
-    assert 1 in {lq_game(seed).disturbance.dim for seed in LQ_SEEDS}
-
-
-def assert_sampler_rows_equal_whole(game, m):
-    game = generic_copy(game)
-    rng = np.random.default_rng(m)
-    base = lift_base(game, random_feasible_profile(game, rng))
-    rows = np.full((1, m, len(game.support)), np.nan)
-    solver.draw_support_noise(game, [iteration_stream(5, 7, 2)], rows)
-    w = game.disturbance.sample(iteration_stream(5, 7, 2), m)
-    whole = reduced_lift(game, reduce_noise(game, w), base).support
-    assert np.array_equal(rows[0] + base.trajectory[game.support_index], whole)
-
-
-@pytest.mark.parametrize("m", ROW_COUNTS)
-@pytest.mark.parametrize("config", MICROGRID_CONFIGS)
-def test_microgrid_sampler_rows_equal_one_whole_draw(config, m):
-    game, _ = build_game(parse_config(CONFIG_DIR / config))
-    assert_sampler_rows_equal_whole(game, m)
-
-
-@pytest.mark.parametrize("m", ROW_COUNTS)
-@pytest.mark.parametrize("seed", LQ_SEEDS)
-def test_lq_sampler_rows_equal_one_whole_draw(seed, m):
-    assert_sampler_rows_equal_whole(lq_game(seed), m)
+from conftest import (CONFIG_DIR, MICROGRID_CONFIGS, ORACLE_LQ_SEEDS, RESUME_K, HookedStream,
+                      as_reference, assert_run_equals_reference, hook_player_streams,
+                      hook_tables, oracle_lq_game, per_row, random_lq_params,
+                      serial_entity_noise, serial_reference_run, undeclared_copy,
+                      with_support_oracles)
 
 
 def zero_rank_game():
@@ -93,7 +51,7 @@ DRAW_GAMES = {
     # undeclared, so that their players draw rows at a zero multiplier
     **{name: (lambda name=name: undeclared_copy(build_game(parse_config(CONFIG_DIR / name))[0]))
        for name in MICROGRID_CONFIGS},
-    **{f"lq_{seed}": (lambda seed=seed: lq_game(seed)) for seed in LQ_SEEDS},
+    **{f"lq_{seed}": (lambda seed=seed: oracle_lq_game(seed)) for seed in ORACLE_LQ_SEEDS},
     "zero_rank": zero_rank_game,
     "full_rank": full_rank_game,
 }

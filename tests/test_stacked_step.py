@@ -38,7 +38,7 @@ from conftest import (CONFIG_DIR, as_reference, assert_run_equals_reference, gen
                       serial_reference_run, undeclared_copy, with_support_oracles)
 
 LQ_SEEDS = range(6)
-LIFT_LQ_SEEDS = range(12)  # the LQ seeds of test_draws
+LIFT_LQ_SEEDS = range(12)  # conftest.ORACLE_LQ_SEEDS
 
 
 def config_game(name):
